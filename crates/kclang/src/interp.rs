@@ -142,6 +142,7 @@ impl<'a> MemCtx<'a> {
         MemCtx { machine, asid, seg }
     }
 
+    #[inline]
     fn seg_check(&self, addr: u64, len: usize) -> Result<(), InterpError> {
         if let SegMode::Segmented(sel) = self.seg {
             let seg = self.machine.segs.get(sel)?;
@@ -157,6 +158,7 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Read `buf.len()` bytes at `addr`.
+    #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), InterpError> {
         self.seg_check(addr, buf.len())?;
         self.machine.mem.read_virt(self.asid, addr, buf)?;
@@ -164,6 +166,7 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Write `buf` at `addr`.
+    #[inline]
     pub fn write(&self, addr: u64, buf: &[u8]) -> Result<(), InterpError> {
         self.seg_check(addr, buf.len())?;
         self.machine.mem.write_virt(self.asid, addr, buf)?;

@@ -55,7 +55,7 @@ pub use bytecode::{
 pub use sym::Sym;
 pub use hooks::{CheckViolation, MemHook, ViolationKind};
 pub use interp::{ExecConfig, ExecOutcome, Interp, InterpError, MemCtx, SegMode, SyscallHost};
-pub use vm::Vm;
+pub use vm::{Vm, VmBuffers};
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse_program, ParseError};
 pub use pretty::{ast_eq, pretty_program};

@@ -25,9 +25,9 @@ use std::collections::HashMap;
 
 use ksim::Machine;
 
-use crate::ast::{BinOp, SourceLoc, Sym};
+use crate::ast::{BinOp, SourceLoc};
 use crate::bytecode::{Access, FuncInfo, Module, Op, TrapKind};
-use crate::hooks::{MemHook, NoopHook};
+use crate::hooks::MemHook;
 use crate::interp::{ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn};
 
 const MAX_CALL_DEPTH: usize = 120;
@@ -52,12 +52,29 @@ struct Scope {
     decl_mark: u32,
 }
 
+/// The heap buffers a [`Vm`] executes in. A caller that runs many short
+/// programs keeps one set and passes it to [`Vm::with_buffers`]; only the
+/// buffers' capacity carries over, never their contents, so a VM built on
+/// reused buffers starts from exactly the state [`Vm::new`] builds.
+#[derive(Debug, Default)]
+pub struct VmBuffers {
+    global_addrs: Vec<u64>,
+    strings: HashMap<u32, u64>,
+    heap_live: HashMap<u64, usize>,
+    stack: Vec<i64>,
+    slots: Vec<u64>,
+    frames: Vec<Frame>,
+    scope_stack: Vec<Scope>,
+    decl_stack: Vec<u16>,
+}
+
 /// A bytecode VM instance. Owns the same kind of caller-prepared arena as
 /// the interpreter and is reusable across `run` calls (globals persist).
 pub struct Vm<'a> {
     machine: &'a Machine,
     module: &'a Module,
-    hook: &'a dyn MemHook,
+    /// `None` until KGCC attaches one: an unhooked VM makes no hook calls.
+    hook: Option<&'a dyn MemHook>,
     host: Option<&'a dyn SyscallHost>,
     ticker: Option<&'a TickFn<'a>>,
     cfg: ExecConfig,
@@ -92,11 +109,69 @@ impl<'a> Vm<'a> {
         arena_base: u64,
         arena_len: usize,
     ) -> Result<Self, InterpError> {
-        static NOOP: NoopHook = NoopHook;
-        let mut vm = Vm {
+        let mut vm =
+            Self::on_buffers(machine, module, cfg, arena_base, arena_len, VmBuffers::default());
+        vm.init()?;
+        Ok(vm)
+    }
+
+    /// [`Vm::new`] in the buffers taken out of `bufs`, which the caller
+    /// gets back from [`Vm::into_buffers`] (or, if the init chunk fails,
+    /// in `bufs` again). A caller that invokes programs in a loop stops
+    /// allocating once the buffers have grown to fit.
+    pub fn with_buffers(
+        machine: &'a Machine,
+        module: &'a Module,
+        cfg: ExecConfig,
+        arena_base: u64,
+        arena_len: usize,
+        bufs: &mut VmBuffers,
+    ) -> Result<Self, InterpError> {
+        let taken = std::mem::take(bufs);
+        let mut vm = Self::on_buffers(machine, module, cfg, arena_base, arena_len, taken);
+        if let Err(e) = vm.init() {
+            *bufs = vm.into_buffers();
+            return Err(e);
+        }
+        Ok(vm)
+    }
+
+    /// Hand the execution buffers back for the next [`Vm::with_buffers`].
+    pub fn into_buffers(self) -> VmBuffers {
+        VmBuffers {
+            global_addrs: self.global_addrs,
+            strings: self.strings,
+            heap_live: self.heap_live,
+            stack: self.stack,
+            slots: self.slots,
+            frames: self.frames,
+            scope_stack: self.scope_stack,
+            decl_stack: self.decl_stack,
+        }
+    }
+
+    /// A VM with empty state in `b`'s allocations, before the init chunk.
+    fn on_buffers(
+        machine: &'a Machine,
+        module: &'a Module,
+        cfg: ExecConfig,
+        arena_base: u64,
+        arena_len: usize,
+        mut b: VmBuffers,
+    ) -> Self {
+        b.global_addrs.clear();
+        b.global_addrs.resize(module.globals.len(), 0);
+        b.strings.clear();
+        b.heap_live.clear();
+        b.stack.clear();
+        b.slots.clear();
+        b.frames.clear();
+        b.scope_stack.clear();
+        b.decl_stack.clear();
+        Vm {
             machine,
             module,
-            hook: &NOOP,
+            hook: None,
             host: None,
             ticker: None,
             cfg,
@@ -104,34 +179,36 @@ impl<'a> Vm<'a> {
             data_ptr: arena_base,
             heap_ptr: 0,
             stack_ptr: arena_base + arena_len as u64,
-            global_addrs: vec![0; module.globals.len()],
-            strings: HashMap::new(),
-            heap_live: HashMap::new(),
+            global_addrs: b.global_addrs,
+            strings: b.strings,
+            heap_live: b.heap_live,
             steps: 0,
             output: Vec::new(),
-            stack: Vec::new(),
-            slots: Vec::new(),
-            frames: Vec::new(),
-            scope_stack: Vec::new(),
-            decl_stack: Vec::new(),
-        };
-        // Run the init chunk (global allocation + initialisers) under a
-        // sentinel frame with no slots.
-        vm.frames.push(Frame { ret_pc: u32::MAX, base: 0, slot_base: 0, scope_mark: 0, arg_cursor: 0 });
-        vm.scope_stack.push(Scope { watermark: vm.stack_ptr, decl_mark: 0 });
-        let r = vm.exec(module.init_entry);
-        if let Err(e) = r {
-            vm.unwind_all();
+            stack: b.stack,
+            slots: b.slots,
+            frames: b.frames,
+            scope_stack: b.scope_stack,
+            decl_stack: b.decl_stack,
+        }
+    }
+
+    /// Run the init chunk (global allocation + initialisers) under a
+    /// sentinel frame with no slots.
+    fn init(&mut self) -> Result<(), InterpError> {
+        self.frames.push(Frame { ret_pc: u32::MAX, base: 0, slot_base: 0, scope_mark: 0, arg_cursor: 0 });
+        self.scope_stack.push(Scope { watermark: self.stack_ptr, decl_mark: 0 });
+        if let Err(e) = self.exec(self.module.init_entry) {
+            self.unwind_all();
             return Err(e);
         }
-        vm.heap_ptr = vm.data_ptr;
-        Ok(vm)
+        self.heap_ptr = self.data_ptr;
+        Ok(())
     }
 
     /// Attach an instrumentation hook (KGCC). Re-registers global and
     /// currently-live heap objects with the new hook.
     pub fn set_hook(&mut self, hook: &'a dyn MemHook) {
-        self.hook = hook;
+        self.hook = Some(hook);
         for (g, &addr) in self.module.globals.iter().zip(&self.global_addrs) {
             hook.on_alloc(addr, g.size, false);
         }
@@ -157,8 +234,17 @@ impl<'a> Vm<'a> {
 
     /// Run `func(args...)` to completion.
     pub fn run(&mut self, func: &str, args: &[i64]) -> Result<ExecOutcome, InterpError> {
+        match self.module.func_by_name(func) {
+            Some(fidx) => self.run_func(fidx, args),
+            None => Err(InterpError::NoSuchFunction(func.to_string())),
+        }
+    }
+
+    /// [`Vm::run`] by function index ([`Module::func_by_name`]), for
+    /// callers that resolved the entry point once up front.
+    pub fn run_func(&mut self, fidx: u16, args: &[i64]) -> Result<ExecOutcome, InterpError> {
         let start = self.steps;
-        match self.enter(func, args) {
+        match self.enter(fidx, args) {
             Ok(ret) => Ok(ExecOutcome { ret, steps: self.steps - start }),
             Err(e) => {
                 self.unwind_all();
@@ -167,15 +253,10 @@ impl<'a> Vm<'a> {
         }
     }
 
-    fn enter(&mut self, func: &str, args: &[i64]) -> Result<i64, InterpError> {
+    fn enter(&mut self, fidx: u16, args: &[i64]) -> Result<i64, InterpError> {
         if self.frames.len() >= MAX_CALL_DEPTH {
             return Err(InterpError::Oom("call stack"));
         }
-        let &fidx = self
-            .module
-            .func_index
-            .get(&Sym::intern(func))
-            .ok_or_else(|| InterpError::NoSuchFunction(func.to_string()))?;
         let f = &self.module.funcs[fidx as usize];
         if f.n_params as usize != args.len() {
             return Err(InterpError::BadCall(format!(
@@ -288,6 +369,21 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
+    // ---- hook calls (none without a hook) ---------------------------------
+
+    fn on_alloc(&self, base: u64, len: usize, is_heap: bool) {
+        if let Some(hook) = self.hook {
+            hook.on_alloc(base, len, is_heap);
+        }
+    }
+
+    fn on_ptr_arith(&self, site: u32, old: u64, new: u64) -> Result<u64, InterpError> {
+        match self.hook {
+            Some(hook) => Ok(hook.on_ptr_arith(site, old, new)?),
+            None => Ok(new),
+        }
+    }
+
     // ---- scalar access ----------------------------------------------------
 
     fn load(
@@ -298,7 +394,9 @@ impl<'a> Vm<'a> {
         checked: bool,
     ) -> Result<i64, InterpError> {
         if checked {
-            self.hook.on_access(site, addr, access.len as usize, false)?;
+            if let Some(hook) = self.hook {
+                hook.on_access(site, addr, access.len as usize, false)?;
+            }
         }
         let mem = self.mem();
         if access.byte {
@@ -321,7 +419,9 @@ impl<'a> Vm<'a> {
         checked: bool,
     ) -> Result<(), InterpError> {
         if checked {
-            self.hook.on_access(site, addr, access.len as usize, true)?;
+            if let Some(hook) = self.hook {
+                hook.on_access(site, addr, access.len as usize, true)?;
+            }
         }
         let mem = self.mem();
         if access.byte {
@@ -336,10 +436,10 @@ impl<'a> Vm<'a> {
 
     fn exit_scope(&mut self, slot_base: u32) {
         let sc = self.scope_stack.pop().expect("scope underflow");
-        let hook = self.hook;
-        for i in sc.decl_mark as usize..self.decl_stack.len() {
-            let slot = self.decl_stack[i];
-            hook.on_dealloc(self.slots[slot_base as usize + slot as usize], false);
+        if let Some(hook) = self.hook {
+            for &slot in &self.decl_stack[sc.decl_mark as usize..] {
+                hook.on_dealloc(self.slots[slot_base as usize + slot as usize], false);
+            }
         }
         self.decl_stack.truncate(sc.decl_mark as usize);
         self.stack_ptr = sc.watermark;
@@ -428,7 +528,7 @@ impl<'a> Vm<'a> {
                     } else {
                         let bytes = &module.strings[sidx as usize];
                         let addr = self.alloc_data(bytes.len() + 1)?;
-                        self.hook.on_alloc(addr, bytes.len() + 1, false);
+                        self.on_alloc(addr, bytes.len() + 1, false);
                         let mem = self.mem();
                         mem.write(addr, bytes)?;
                         mem.write(addr + bytes.len() as u64, &[0])?;
@@ -441,7 +541,7 @@ impl<'a> Vm<'a> {
                     let base = self.stack.pop().expect("operand") as u64;
                     let addr = (base as i64 + i * elem_size as i64) as u64;
                     let addr =
-                        if checked { self.hook.on_ptr_arith(site, base, addr)? } else { addr };
+                        if checked { self.on_ptr_arith(site, base, addr)? } else { addr };
                     self.stack.push(addr as i64);
                 }
                 Op::PtrArith { site, scale, sub, checked } => {
@@ -449,7 +549,7 @@ impl<'a> Vm<'a> {
                     let l = self.stack.pop().expect("operand");
                     let new = if sub { l - r * scale as i64 } else { l + r * scale as i64 };
                     let v = if checked {
-                        self.hook.on_ptr_arith(site, l as u64, new as u64)? as i64
+                        self.on_ptr_arith(site, l as u64, new as u64)? as i64
                     } else {
                         new
                     };
@@ -460,7 +560,7 @@ impl<'a> Vm<'a> {
                     let l = self.stack.pop().expect("operand");
                     let new = r + l * scale as i64;
                     let v = if checked {
-                        self.hook.on_ptr_arith(site, r as u64, new as u64)? as i64
+                        self.on_ptr_arith(site, r as u64, new as u64)? as i64
                     } else {
                         new
                     };
@@ -514,7 +614,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::DeclLocal { slot, size } => {
                     let addr = self.alloc_stack(size as usize)?;
-                    self.hook.on_alloc(addr, size as usize, false);
+                    self.on_alloc(addr, size as usize, false);
                     let sb = self.frames.last().expect("frame").slot_base as usize;
                     self.slots[sb + slot as usize] = addr;
                     self.decl_stack.push(slot);
@@ -524,7 +624,7 @@ impl<'a> Vm<'a> {
                     let v = self.stack[f.base as usize + f.arg_cursor as usize];
                     f.arg_cursor += 1;
                     let addr = self.alloc_stack(size as usize)?;
-                    self.hook.on_alloc(addr, size as usize, false);
+                    self.on_alloc(addr, size as usize, false);
                     let sb = self.frames.last().expect("frame").slot_base as usize;
                     self.slots[sb + slot as usize] = addr;
                     self.decl_stack.push(slot);
@@ -535,16 +635,20 @@ impl<'a> Vm<'a> {
                 Op::Malloc => {
                     let size = self.stack.pop().expect("operand").max(0) as usize;
                     let addr = self.alloc_heap(size)?;
-                    self.hook.on_alloc(addr, size, true);
+                    self.on_alloc(addr, size, true);
                     self.stack.push(addr as i64);
                 }
                 Op::Free { site, checked } => {
                     let addr = self.stack.pop().expect("operand") as u64;
                     if checked {
-                        self.hook.on_free_check(site, addr)?;
+                        if let Some(hook) = self.hook {
+                            hook.on_free_check(site, addr)?;
+                        }
                     }
                     if self.heap_live.remove(&addr).is_some() {
-                        self.hook.on_dealloc(addr, true);
+                        if let Some(hook) = self.hook {
+                            hook.on_dealloc(addr, true);
+                        }
                     }
                     self.stack.push(0);
                 }
@@ -594,7 +698,7 @@ impl<'a> Vm<'a> {
                 Op::AllocGlobal { gidx } => {
                     let size = module.globals[gidx as usize].size;
                     let addr = self.alloc_data(size)?;
-                    self.hook.on_alloc(addr, size, false);
+                    self.on_alloc(addr, size, false);
                     self.global_addrs[gidx as usize] = addr;
                 }
                 Op::Trap(kind) => {
@@ -1165,6 +1269,76 @@ mod tests {
             Vm::new(&m, &module, ExecConfig::flat(asid), ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
         assert!(vm.run("f", &[0]).is_err());
         assert_eq!(vm.run("f", &[5]).unwrap().ret, 1);
+    }
+
+    /// Logs every hook call, to compare two VMs' object lifetimes.
+    #[derive(Default)]
+    struct Recorder(std::cell::RefCell<Vec<String>>);
+
+    impl MemHook for Recorder {
+        fn on_access(
+            &self,
+            site: u32,
+            addr: u64,
+            len: usize,
+            is_write: bool,
+        ) -> Result<(), crate::hooks::CheckViolation> {
+            self.0.borrow_mut().push(format!("access {site} {addr:#x} {len} {is_write}"));
+            Ok(())
+        }
+        fn on_alloc(&self, base: u64, len: usize, is_heap: bool) {
+            self.0.borrow_mut().push(format!("alloc {base:#x} {len} {is_heap}"));
+        }
+        fn on_dealloc(&self, base: u64, is_heap: bool) {
+            self.0.borrow_mut().push(format!("dealloc {base:#x} {is_heap}"));
+        }
+    }
+
+    #[test]
+    fn reused_buffers_start_as_fresh_as_new() {
+        // A trap at x == 0 leaves a heap object, a string literal and a
+        // nested frame live; the next VM on the same buffers must not see
+        // any of them (a stale heap object would be re-registered by
+        // `set_hook`).
+        let src = r#"
+            int g = 3;
+            int div(int a, int b) { return a / b; }
+            int f(int x) {
+                char *s = "kc";
+                int *p = malloc(8);
+                p[0] = s[0];
+                return div(g * p[0], x);
+            }
+        "#;
+        let prog = parse_program(src).unwrap();
+        let info = typecheck(&prog).unwrap();
+        let module = compile(&prog, &info).unwrap();
+        let (ml, mf) = (machine(), machine());
+        let (asid_l, asid_f) = (prep(&ml, ARENA_PAGES), prep(&mf, ARENA_PAGES));
+        let mut bufs = VmBuffers::default();
+        for x in [2, 0, 0, 3, 0, 1] {
+            let (rec_l, rec_f) = (Recorder::default(), Recorder::default());
+            let cyc_l = ml.clock.sys_cycles() + ml.clock.user_cycles();
+            let cfg = ExecConfig::flat(asid_l);
+            let mut vm =
+                Vm::with_buffers(&ml, &module, cfg, ARENA, ARENA_PAGES * PAGE_SIZE, &mut bufs)
+                    .unwrap();
+            vm.set_hook(&rec_l);
+            let lent = vm.run("f", &[x]);
+            bufs = vm.into_buffers();
+            let cyc_l = ml.clock.sys_cycles() + ml.clock.user_cycles() - cyc_l;
+            let cyc_f = mf.clock.sys_cycles() + mf.clock.user_cycles();
+            let mut vm =
+                Vm::new(&mf, &module, ExecConfig::flat(asid_f), ARENA, ARENA_PAGES * PAGE_SIZE)
+                    .unwrap();
+            vm.set_hook(&rec_f);
+            let fresh = vm.run("f", &[x]);
+            let cyc_f = mf.clock.sys_cycles() + mf.clock.user_cycles() - cyc_f;
+            assert_eq!(lent, fresh, "x={x}");
+            assert_eq!(cyc_l, cyc_f, "x={x}");
+            assert_eq!(*rec_l.0.borrow(), *rec_f.0.borrow(), "x={x}");
+        }
+        assert!(bufs.stack.capacity() > 0, "the buffers kept their capacity");
     }
 }
 

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use kclang::{ExecConfig, InterpError, SegMode, Vm};
+use kclang::{ExecConfig, ExecOutcome, InterpError, SegMode, Vm, VmBuffers};
 use ksim::{AsId, Machine, PteFlags, SimError, PAGE_SIZE};
 use parking_lot::Mutex;
 
@@ -78,8 +78,9 @@ pub struct Attachment {
     buf_addr: u64,
     arena_base: u64,
     arena_len: usize,
-    /// Serialises invocations: one VM run at a time per attachment.
-    lock: Mutex<()>,
+    /// Serialises invocations (one VM run at a time per attachment) and
+    /// holds the VM's execution buffers between them.
+    vm_bufs: Mutex<VmBuffers>,
     invocations: AtomicU64,
     errors: AtomicU64,
     budget_trips: AtomicU64,
@@ -114,7 +115,7 @@ impl Attachment {
             buf_addr,
             arena_base,
             arena_len,
-            lock: Mutex::new(()),
+            vm_bufs: Mutex::new(VmBuffers::default()),
             invocations: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             budget_trips: AtomicU64::new(0),
@@ -168,11 +169,48 @@ impl Attachment {
     /// into the sandbox, execute the entry function under the proved fuel
     /// bound, and marshal `ctx` back out. Returns the program's value.
     pub fn run(&self, ctx: &mut [i64; CTX_WORDS], buf: Option<&[u8]>) -> Result<i64, ProgError> {
-        let _serial = self.lock.lock();
+        self.run_outcome(ctx, buf).map(|out| out.ret)
+    }
+
+    /// [`Attachment::run`], keeping the VM's step count.
+    fn run_outcome(
+        &self,
+        ctx: &mut [i64; CTX_WORDS],
+        buf: Option<&[u8]>,
+    ) -> Result<ExecOutcome, ProgError> {
+        let mut bufs = self.vm_bufs.lock();
+        // The VM runs in the attachment's buffers; only their capacity
+        // outlives the invocation.
+        self.invoke(ctx, buf, |cfg, args| {
+            let module = self.prog.module();
+            let mut vm = Vm::with_buffers(
+                &self.machine,
+                module,
+                cfg,
+                self.arena_base,
+                self.arena_len,
+                &mut bufs,
+            )?;
+            let out = vm.run_func(self.prog.entry_fidx(), args);
+            *bufs = vm.into_buffers();
+            out
+        })
+    }
+
+    /// One invocation around `exec`, which builds a VM from the given
+    /// config and runs the entry function on the given arguments. Callers
+    /// hold `vm_bufs`.
+    fn invoke(
+        &self,
+        ctx: &mut [i64; CTX_WORDS],
+        buf: Option<&[u8]>,
+        exec: impl FnOnce(ExecConfig, &[i64]) -> Result<ExecOutcome, InterpError>,
+    ) -> Result<ExecOutcome, ProgError> {
         self.invocations.fetch_add(1, Relaxed);
         let m = &self.machine;
         if m.faults.should_fail(kfault::sites::KPROG_BUDGET_EXHAUSTED) {
             self.budget_trips.fetch_add(1, Relaxed);
+            self.errors.fetch_add(1, Relaxed);
             return Err(ProgError::Budget { steps: self.prog.proof.max_steps });
         }
         m.charge_sys(m.cost.kprog_invoke);
@@ -203,17 +241,10 @@ impl Attachment {
             tick_every: 64,
             cycles_per_step: 4,
         };
-        let outcome = (|| {
-            let mut vm =
-                Vm::new(m, self.prog.module(), cfg, self.arena_base, self.arena_len)?;
-            let entry = self.prog.spec().entry.clone();
-            let argbuf =
-                [self.ctx_addr as i64, self.state_addr as i64, self.buf_addr as i64];
-            let argc = if self.class() == HookClass::UringCqe { 3 } else { 2 };
-            vm.run(&entry, &argbuf[..argc])
-        })();
+        let argbuf = [self.ctx_addr as i64, self.state_addr as i64, self.buf_addr as i64];
+        let argc = if self.class() == HookClass::UringCqe { 3 } else { 2 };
 
-        match outcome {
+        match exec(cfg, &argbuf[..argc]) {
             Ok(out) => {
                 // Context out (the program's rewrite surface).
                 m.charge_sys(m.cost.copy_cost(CTX_BYTES));
@@ -222,7 +253,7 @@ impl Attachment {
                 for (i, v) in ctx.iter_mut().enumerate() {
                     *v = i64::from_le_bytes(back[i * 8..(i + 1) * 8].try_into().unwrap());
                 }
-                Ok(out.ret)
+                Ok(out)
             }
             Err(InterpError::Timeout { steps }) => {
                 self.budget_trips.fetch_add(1, Relaxed);
@@ -244,5 +275,172 @@ impl std::fmt::Debug for Attachment {
             .field("entry", &self.prog.spec().entry)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{ProgEngine, ProgSpec};
+    use ksim::MachineConfig;
+
+    /// The reference invocation: the same marshalling as
+    /// [`Attachment::run`], on a VM built by `Vm::new` from nothing.
+    fn run_fresh(
+        att: &Attachment,
+        ctx: &mut [i64; CTX_WORDS],
+        buf: Option<&[u8]>,
+    ) -> Result<ExecOutcome, ProgError> {
+        let _serial = att.vm_bufs.lock();
+        att.invoke(ctx, buf, |cfg, args| {
+            let module = att.prog.module();
+            let mut vm = Vm::new(&att.machine, module, cfg, att.arena_base, att.arena_len)?;
+            vm.run(&att.prog.spec().entry, args)
+        })
+    }
+
+    /// What one invocation leaves behind, for comparison.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<(i64, u64), ProgError>,
+        sys_cycles: u64,
+        ctx: [i64; CTX_WORDS],
+        state: Vec<i64>,
+    }
+
+    fn observe(
+        att: &Attachment,
+        mut ctx: [i64; CTX_WORDS],
+        buf: Option<&[u8]>,
+        fresh: bool,
+    ) -> Observed {
+        let sys0 = att.machine.clock.sys_cycles();
+        let out = if fresh { run_fresh(att, &mut ctx, buf) } else { att.run_outcome(&mut ctx, buf) };
+        let sys_cycles = att.machine.clock.sys_cycles() - sys0;
+        Observed {
+            result: out.map(|o| (o.ret, o.steps)),
+            sys_cycles,
+            ctx,
+            state: att.state(),
+        }
+    }
+
+    /// Drive twin machines through the same invocations: one attachment
+    /// reusing its VM buffers, the other building a fresh VM every time.
+    /// `ctx[3] == -1` injects a budget trip into that invocation.
+    fn assert_reuse_parity(
+        make: impl Fn(&Arc<Machine>) -> Arc<VerifiedProg>,
+        calls: &[[i64; CTX_WORDS]],
+        buf: Option<&[u8]>,
+    ) -> Vec<Observed> {
+        let twins: Vec<_> = (0..2)
+            .map(|_| {
+                let m = Arc::new(Machine::new(MachineConfig::default()));
+                let att = Attachment::new(m.clone(), make(&m)).unwrap();
+                (m, att)
+            })
+            .collect();
+        let mut seen = Vec::new();
+        for (i, &ctx) in calls.iter().enumerate() {
+            let inject = ctx[3] == -1;
+            let obs: Vec<Observed> = twins
+                .iter()
+                .enumerate()
+                .map(|(t, (m, att))| {
+                    if inject {
+                        m.faults.arm(1);
+                        m.faults.add_policy(Some("kprog.budget"), kfault::Policy::FailNth(1));
+                    }
+                    let o = observe(att, ctx, buf, t == 1);
+                    m.faults.disarm();
+                    o
+                })
+                .collect();
+            assert_eq!(obs[0], obs[1], "invocation {i} ({ctx:?}) diverged from a fresh VM");
+            seen.push(obs.into_iter().next().unwrap());
+        }
+        assert_eq!(twins[0].1.stats(), twins[1].1.stats());
+        seen
+    }
+
+    /// A string literal, a heap object and nested frames are all live
+    /// when the division traps (`ctx[2] == 0`).
+    const HEAP_SRC: &str = r#"
+        int depth(int n, int d) {
+            if (n == 0) { return 100 / d; }
+            return depth(n - 1, d) + 1;
+        }
+        int f(int *ctx, int *state) {
+            char *msg = "kprog";
+            int c = msg[1];
+            int *p = malloc(16);
+            p[0] = ctx[0];
+            p[1] = c;
+            state[0] = state[0] + p[0] + p[1];
+            ctx[1] = depth(3, ctx[2]);
+            free(p);
+            return state[0];
+        }
+    "#;
+
+    /// The verified counterpart: a string literal and a trapping
+    /// division, no heap.
+    const VERIFIED_SRC: &str = r#"
+        int len(char *s) {
+            int n = 0;
+            while (s[n] != '\0') { n = n + 1; }
+            return n;
+        }
+        int f(int *ctx, int *state, int *buf) {
+            state[0] = state[0] + len("kprog") + buf[0];
+            ctx[1] = 100 / ctx[2];
+            return state[0] + ctx[0];
+        }
+    "#;
+
+    /// Clean, then a mid-body trap, then clean, then an injected budget
+    /// trip, then clean again, twice over.
+    const CALLS: [[i64; CTX_WORDS]; 12] = [
+        [1, 0, 5, 0],
+        [2, 0, 7, 0],
+        [3, 0, 0, 0],
+        [4, 0, 9, 0],
+        [5, 0, 3, -1],
+        [6, 0, 2, 0],
+        [7, 0, 0, 0],
+        [8, 0, 0, 0],
+        [9, 0, 1, 0],
+        [10, 0, 4, -1],
+        [11, 0, 6, 0],
+        [12, 0, 8, 0],
+    ];
+
+    #[test]
+    fn reused_buffers_match_a_fresh_vm_with_heap_and_traps() {
+        let spec = ProgSpec::new(HookClass::SyscallEntry, "f");
+        let seen = assert_reuse_parity(
+            |_| VerifiedProg::unverified(HEAP_SRC, spec.clone(), 4096),
+            &CALLS,
+            None,
+        );
+        assert!(matches!(seen[2].result, Err(ProgError::Exec(InterpError::DivByZero(_)))));
+        assert!(matches!(seen[4].result, Err(ProgError::Budget { .. })));
+        assert_eq!(seen[3].result.as_ref().unwrap().0, 1 + 2 + 3 + 4 + 4 * 112);
+        assert_eq!(seen[3].ctx[1], 100 / 9 + 3, "depth(3, 9)");
+    }
+
+    #[test]
+    fn reused_buffers_match_a_fresh_vm_for_a_verified_cqe_program() {
+        let spec = ProgSpec::new(HookClass::UringCqe, "f").with_buf_len(16);
+        let mut window = [0u8; 16];
+        window[..8].copy_from_slice(&10i64.to_le_bytes());
+        let seen = assert_reuse_parity(
+            |m| ProgEngine::new(m.clone()).load(VERIFIED_SRC, &spec).unwrap(),
+            &CALLS,
+            Some(&window),
+        );
+        assert!(matches!(seen[6].result, Err(ProgError::Exec(InterpError::DivByZero(_)))));
+        assert!(matches!(seen[9].result, Err(ProgError::Budget { .. })));
+        assert_eq!(seen[1].result.as_ref().unwrap().0, 2 * 15 + 2);
     }
 }

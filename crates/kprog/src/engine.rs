@@ -147,6 +147,21 @@ impl VerifiedProg {
     }
 }
 
+#[cfg(test)]
+impl VerifiedProg {
+    /// Compile `src` without verifying it, so runtime tests can run
+    /// opcodes no attach class admits (`malloc`). The fuel bound is
+    /// `max_steps` instead of a proof.
+    pub(crate) fn unverified(src: &str, spec: ProgSpec, max_steps: u64) -> Arc<VerifiedProg> {
+        let prog = parse_program(src).expect("parses");
+        let info = typecheck(&prog).expect("typechecks");
+        let module = compile(&prog, &info).expect("compiles");
+        let entry_fidx = module.func_by_name(&spec.entry).expect("entry exists");
+        let proof = Proof { max_steps, paths: 0, gas_used: 0 };
+        Arc::new(VerifiedProg { spec, module, entry_fidx, proof })
+    }
+}
+
 impl fmt::Debug for VerifiedProg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("VerifiedProg")

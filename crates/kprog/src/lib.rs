@@ -266,8 +266,10 @@ mod tests {
         let err = att.run(&mut [0, 0, 0, 0], None).unwrap_err();
         assert!(matches!(err, ProgError::Budget { .. }));
         assert_eq!(att.stats().budget_trips, 1);
+        assert_eq!(att.stats().errors, 1, "counted like a real fuel overrun");
         m.faults.disarm();
         att.run(&mut [0, 0, 0, 0], None).unwrap();
+        assert_eq!(att.stats().errors, 1);
     }
 
     #[test]

@@ -392,11 +392,13 @@ impl Default for Tlb {
 }
 
 impl Tlb {
+    #[inline]
     fn slot(asid: AsId, vpn: u64) -> usize {
         ((vpn ^ asid.0 as u64) & (TLB_WAYS as u64 - 1)) as usize
     }
 
     /// Look up a translation; returns the cached pfn on a hit.
+    #[inline]
     fn lookup(&self, asid: AsId, vpn: u64, access: AccessKind) -> Option<Pfn> {
         let (tag, data) = self.slots[Self::slot(asid, vpn)].read();
         if tag & 1 != 0 && tag >> 2 == vpn && (data >> 32) as u32 == asid.0 {
@@ -631,14 +633,26 @@ impl MemSys {
 
     /// Translate one page, taking faults through the handler chain.
     ///
-    /// Retries after a handler reports [`FaultResolution::Retry`], bounded to
-    /// keep a buggy handler from looping the simulator forever.
+    /// The TLB hit is inlined into callers (it runs once per simulated
+    /// memory access); a miss takes the out-of-line [`Self::translate_miss`].
+    #[inline]
     pub fn translate(&self, asid: AsId, vaddr: u64, access: AccessKind) -> SimResult<Pfn> {
         let vpn = vaddr >> PAGE_SHIFT;
         if let Some(pfn) = self.tlb.lookup(asid, vpn, access) {
             self.clock.charge_sys(self.cost.tlb_hit);
             return Ok(pfn);
         }
+        self.translate_miss(asid, vaddr, access)
+    }
+
+    /// The TLB-miss half of [`Self::translate`]: walk the page table and
+    /// fill the TLB. Retries after a handler reports
+    /// [`FaultResolution::Retry`], bounded to keep a buggy handler from
+    /// looping the simulator forever.
+    #[cold]
+    #[inline(never)]
+    fn translate_miss(&self, asid: AsId, vaddr: u64, access: AccessKind) -> SimResult<Pfn> {
+        let vpn = vaddr >> PAGE_SHIFT;
         self.clock.charge_sys(self.cost.tlb_miss);
         // Injected TLB-fill failure: surfaces as a spurious memory fault
         // without consulting the handler chain (a hardware-level error, not

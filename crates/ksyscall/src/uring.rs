@@ -192,8 +192,13 @@ impl SyscallLayer {
         let mut res = first_res;
         for _ in 0..=MAX_CQE_RESUBMITS {
             let mut ctx = [cur.user_data as i64, res, cur.off as i64, cur.len as i64];
-            let window = self.cqe_window(pid, ring, &cur, res, buf_len);
-            match att.run(&mut ctx, window.as_deref()) {
+            // The window goes back to the scratch pool before a resubmit
+            // takes buffers of its own.
+            let out = {
+                let window = self.cqe_window(pid, ring, &cur, res, buf_len);
+                att.run(&mut ctx, window.as_deref())
+            };
+            match out {
                 Err(_) => {
                     ring.post_cqe(Cqe {
                         user_data: cur.user_data,
@@ -226,6 +231,7 @@ impl SyscallLayer {
     /// The data window a CQE program sees: the first `buf_len` bytes the
     /// op deposited (fixed-buffer range or plain user buffer), or `None`
     /// when the program declared no window or the op produced no data.
+    /// The bytes sit in a scratch-pool buffer.
     fn cqe_window(
         &self,
         pid: Pid,
@@ -233,7 +239,7 @@ impl SyscallLayer {
         sqe: &Sqe,
         res: i64,
         buf_len: usize,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<kalloc::PoolBuf<'_>> {
         if buf_len == 0 || res <= 0 {
             return None;
         }
@@ -243,7 +249,7 @@ impl SyscallLayer {
             sqe.buf
         };
         let asid = self.machine.proc_asid(pid).ok()?;
-        let mut out = vec![0u8; buf_len.min(res as usize)];
+        let mut out = self.scratch.take(buf_len.min(res as usize));
         self.machine.mem.read_virt(asid, addr, &mut out).ok()?;
         Some(out)
     }

@@ -12,6 +12,11 @@ cargo build --release --workspace --offline
 echo "== tests =="
 cargo test --workspace --offline --quiet
 
+echo "== perfbench determinism self-test =="
+# Per-layer counts must reproduce run to run and move with the seed: the
+# check that a host-only change left the simulated model alone.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --all-targets --offline -- -D warnings
 
