@@ -42,27 +42,17 @@ pub enum CosyCall {
 }
 
 impl CosyCall {
+    /// Every call, in wire-code order (code = index + 1).
+    pub const ALL: [CosyCall; 17] = {
+        use CosyCall::*;
+        [
+            Open, Close, Read, Write, Lseek, Stat, Fstat, Getpid, Mkdir, Unlink, Readdir, Accept,
+            Recv, Send, Sendfile, ShutdownSock, Fsync,
+        ]
+    };
+
     pub fn from_u8(v: u8) -> Option<CosyCall> {
-        Some(match v {
-            1 => CosyCall::Open,
-            2 => CosyCall::Close,
-            3 => CosyCall::Read,
-            4 => CosyCall::Write,
-            5 => CosyCall::Lseek,
-            6 => CosyCall::Stat,
-            7 => CosyCall::Fstat,
-            8 => CosyCall::Getpid,
-            9 => CosyCall::Mkdir,
-            10 => CosyCall::Unlink,
-            11 => CosyCall::Readdir,
-            12 => CosyCall::Accept,
-            13 => CosyCall::Recv,
-            14 => CosyCall::Send,
-            15 => CosyCall::Sendfile,
-            16 => CosyCall::ShutdownSock,
-            17 => CosyCall::Fsync,
-            _ => return None,
-        })
+        Self::ALL.get((v as usize).checked_sub(1)?).copied()
     }
 
     /// The `sys_*` intrinsic name this call corresponds to in KC source.
@@ -89,26 +79,7 @@ impl CosyCall {
     }
 
     pub fn from_intrinsic(name: &str) -> Option<CosyCall> {
-        Some(match name {
-            "sys_open" => CosyCall::Open,
-            "sys_close" => CosyCall::Close,
-            "sys_read" => CosyCall::Read,
-            "sys_write" => CosyCall::Write,
-            "sys_lseek" => CosyCall::Lseek,
-            "sys_stat" => CosyCall::Stat,
-            "sys_fstat" => CosyCall::Fstat,
-            "sys_getpid" => CosyCall::Getpid,
-            "sys_mkdir" => CosyCall::Mkdir,
-            "sys_unlink" => CosyCall::Unlink,
-            "sys_readdir" => CosyCall::Readdir,
-            "sys_accept" => CosyCall::Accept,
-            "sys_recv" => CosyCall::Recv,
-            "sys_send" => CosyCall::Send,
-            "sys_sendfile" => CosyCall::Sendfile,
-            "sys_shutdown" => CosyCall::ShutdownSock,
-            "sys_fsync" => CosyCall::Fsync,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|c| c.intrinsic() == name)
     }
 
     /// Expected argument count.
@@ -402,24 +373,8 @@ mod tests {
 
     #[test]
     fn intrinsic_names_roundtrip() {
-        for call in [
-            CosyCall::Open,
-            CosyCall::Close,
-            CosyCall::Read,
-            CosyCall::Write,
-            CosyCall::Lseek,
-            CosyCall::Stat,
-            CosyCall::Fstat,
-            CosyCall::Getpid,
-            CosyCall::Mkdir,
-            CosyCall::Unlink,
-            CosyCall::Accept,
-            CosyCall::Recv,
-            CosyCall::Send,
-            CosyCall::Sendfile,
-            CosyCall::ShutdownSock,
-            CosyCall::Fsync,
-        ] {
+        for (i, call) in CosyCall::ALL.into_iter().enumerate() {
+            assert_eq!(call as usize, i + 1, "ALL is in wire-code order");
             assert_eq!(CosyCall::from_intrinsic(call.intrinsic()), Some(call));
             assert_eq!(CosyCall::from_u8(call as u8), Some(call));
         }

@@ -23,17 +23,21 @@ use parking_lot::RwLock;
 
 use kclang::bytecode::{CompileError, Module};
 use kclang::{
-    parse_program, typecheck, ExecConfig, Interp, InterpError, ParseError, Program, SegMode,
-    TypeError, TypeInfo, Vm,
+    parse_program, typecheck, ExecConfig, ExecOutcome, InterpError, ParseError, SegMode, TypeError,
+    Vm,
 };
 use kevents::{EventDispatcher, EventRecord, OOPS_EVENT};
 use ksim::{Pid, PteFlags, SegKind, Segment, SimError, PAGE_SIZE};
-use ksyscall::{OpenFile, OpenFlags, SyscallLayer};
+use ksyscall::op::OFF_CURSOR;
+use ksyscall::{
+    KOp, Moved, OpError, OpenFile, OpenFlags, PathRef, PathText, SyscallLayer, Transport,
+};
 use kvfs::{FileKind, FileSystem, Ino, Vfs, VfsError, VfsResult};
 
 use crate::buffers::SharedRegion;
 use crate::cache::{CacheStats, TranslationCache};
 use crate::compound::{Compound, CosyArg, CosyCall, CosyOp, DecodeError};
+use crate::hosts::KernelHost;
 use crate::txn::{RollbackScope, UndoEntry, UndoLog};
 
 /// Identifier of a kernel-loaded KC program.
@@ -77,13 +81,6 @@ pub struct CosyOptions {
     /// Step budget for user functions (defence in depth under the
     /// watchdog).
     pub max_steps: Option<u64>,
-    /// Execute user functions on the bytecode VM (pre-compiled at
-    /// [`CosyExtension::load_program`]) instead of the tree-walking
-    /// interpreter. Observable behaviour is identical (the VM is
-    /// differentially tested against the interpreter); this only trades
-    /// per-node dispatch for per-op dispatch. `false` keeps the reference
-    /// tree-walk path.
-    pub use_bytecode: bool,
     /// What to do when a compound fails and has been rolled back.
     pub fallback: FallbackMode,
 }
@@ -95,7 +92,6 @@ impl Default for CosyOptions {
             watchdog_budget: Some(50_000_000), // ~29 ms of kernel time
             arena_pages: 16,
             max_steps: Some(10_000_000),
-            use_bytecode: true,
             fallback: FallbackMode::None,
         }
     }
@@ -166,18 +162,11 @@ const CACHE_PROBE_CYCLES: u64 = 30;
 /// per 16-byte block (no access_ok setup, no double copy).
 const KCOPY_BLOCK16_CYCLES: u64 = 16;
 
-/// A kernel-loaded program: source-level forms for the reference
-/// interpreter, plus the bytecode module compiled once at load time.
-struct LoadedProgram {
-    prog: Program,
-    info: TypeInfo,
-    module: Arc<Module>,
-}
-
 /// The kernel extension.
 pub struct CosyExtension {
     sys: Arc<SyscallLayer>,
-    programs: RwLock<Vec<LoadedProgram>>,
+    /// Loaded programs, compiled to bytecode once at load time.
+    programs: RwLock<Vec<Module>>,
     cache: TranslationCache,
     arena_cursor: AtomicU64,
     oops_sink: RwLock<Option<Arc<EventDispatcher>>>,
@@ -220,14 +209,13 @@ impl CosyExtension {
     /// Load a KC program into the kernel (parse + typecheck happen here:
     /// code that does not compile is never executed). The bytecode module
     /// is compiled once, up front — submissions execute the pre-compiled
-    /// form.
+    /// form on the VM.
     pub fn load_program(&self, src: &str) -> Result<ProgramId, CosyError> {
         let prog = parse_program(src).map_err(CosyError::Parse)?;
         let info = typecheck(&prog).map_err(CosyError::Type)?;
-        let module =
-            Arc::new(kclang::bytecode::compile(&prog, &info).map_err(CosyError::Compile)?);
+        let module = kclang::bytecode::compile(&prog, &info).map_err(CosyError::Compile)?;
         let mut programs = self.programs.write();
-        programs.push(LoadedProgram { prog, info, module });
+        programs.push(module);
         Ok(ProgramId(programs.len() as u32 - 1))
     }
 
@@ -342,18 +330,8 @@ impl CosyExtension {
                     self.exec_syscall(pid, *call, args, &results, data_buf, undo)?
                 }
                 CosyOp::CallUser { prog, func, args } => {
-                    let scalars = args
-                        .iter()
-                        .map(|a| resolve_scalar(a, &results))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    self.exec_user_func(pid, *prog, func, &scalars, opts).map_err(|e| {
-                        match e {
-                            CosyError::Interp(InterpError::Killed(_)) => {
-                                CosyError::WatchdogKilled { op_index: i }
-                            }
-                            other => other,
-                        }
-                    })?
+                    let args = resolve_scalars(args, &results)?;
+                    self.exec_user_func(pid, i, *prog, func, &args, opts)?
                 }
             };
             results.push(ret);
@@ -361,6 +339,12 @@ impl CosyExtension {
         Ok(results)
     }
 
+    /// Encode one compound syscall op as a [`KOp`] and dispatch it over
+    /// the shared data buffer. Around the dispatch sit the compound's own
+    /// concerns: the undo log (captured inside dispatch by [`RegionIo`],
+    /// recorded here on success), a `NetBarrier` after each effect that
+    /// leaves the machine, and the injected-vs-genuine errno split
+    /// ([`op_errno`]).
     fn exec_syscall(
         &self,
         pid: Pid,
@@ -370,329 +354,80 @@ impl CosyExtension {
         data_buf: &SharedRegion,
         undo: &mut UndoLog,
     ) -> Result<i64, CosyError> {
-        let machine = self.sys.machine().clone();
-        machine
-            .stats
-            .syscalls
-            .fetch_add(1, Relaxed);
-        let s = &self.sys;
+        let machine = self.sys.machine();
+        machine.stats.syscalls.fetch_add(1, Relaxed);
 
-        let scalar = |a: &CosyArg| resolve_scalar(a, results);
-        let path = |a: &CosyArg| -> Result<String, CosyError> {
-            let CosyArg::BufRef { offset, len } = a else {
-                return Err(CosyError::BadArg("path must be a shared-buffer reference"));
-            };
-            data_buf.check_ref(*offset, *len)?;
-            let mut bytes = vec![0u8; *len as usize];
-            data_buf.kern_read(*offset as usize, &mut bytes)?;
-            let end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
-            Ok(String::from_utf8_lossy(&bytes[..end]).into_owned())
+        let scalar = |i: usize| resolve_scalar(&args[i], results);
+        let fd = |i: usize| scalar(i).map(|v| v as i32);
+        let len = |i: usize| scalar(i).map(|v| v.max(0) as usize);
+        let cur = OFF_CURSOR;
+        let bufref = |i: usize| match args[i] {
+            CosyArg::BufRef { offset, len } => Ok((offset as u64, len)),
+            _ => Err(CosyError::BadArg("expected a shared-buffer reference")),
         };
+        let path = |i: usize| bufref(i).map(|(addr, len)| PathRef::At { addr, len: len as usize });
+        // The data buffer reference's length bounds what the op may move.
+        let mut grant = 0;
+        let mut data = |i: usize| {
+            bufref(i).map(|(off, len)| {
+                grant = len;
+                off
+            })
+        };
+        let op = match call {
+            CosyCall::Getpid => KOp::Getpid,
+            CosyCall::Open => KOp::Open { path: path(0)?, flags: OpenFlags(scalar(1)? as u32) },
+            CosyCall::Close => KOp::Close { fd: fd(0)? },
+            CosyCall::Read => KOp::Read { fd: fd(0)?, buf: data(1)?, len: len(2)?, off: cur },
+            CosyCall::Write => KOp::Write { fd: fd(0)?, buf: data(1)?, len: len(2)?, off: cur },
+            CosyCall::Lseek => KOp::Lseek { fd: fd(0)?, off: scalar(1)?, whence: fd(2)? },
+            CosyCall::Stat => KOp::Stat { path: path(0)?, buf: data(1)? },
+            CosyCall::Fstat => KOp::Fstat { fd: fd(0)?, buf: data(1)? },
+            CosyCall::Readdir => KOp::Readdir { fd: fd(0)?, buf: data(1)?, max: len(2)? },
+            CosyCall::Mkdir => KOp::Mkdir { path: path(0)? },
+            CosyCall::Unlink => KOp::Unlink { path: path(0)? },
+            CosyCall::Accept => KOp::Accept { sd: fd(0)? },
+            CosyCall::Recv => KOp::Recv { sd: fd(0)?, buf: data(1)?, len: len(2)? },
+            CosyCall::Send => KOp::Send { sd: fd(0)?, buf: data(1)?, len: len(2)? },
+            CosyCall::Sendfile => KOp::Sendfile { sd: fd(0)?, fd: fd(1)?, len: len(2)? },
+            CosyCall::ShutdownSock => KOp::Shutdown { sd: fd(0)? },
+            CosyCall::Fsync => KOp::Fsync { fd: fd(0)?, data_only: scalar(1)? != 0 },
+        };
+        if matches!(call, CosyCall::Stat | CosyCall::Fstat)
+            && (grant as usize) < kvfs::STAT_WIRE_BYTES
+        {
+            return Err(CosyError::BadArg("stat buffer too small"));
+        }
 
-        // A VFS error is normally an errno *result* (the compound keeps
-        // going, exactly like a sequence of plain syscalls would). But an
-        // error produced by an injected fault aborts the compound so the
-        // undo log can restore atomicity — a legitimate ENOENT and an
-        // injected EIO are different events. With the plane disarmed the
-        // fired count never moves and this is plain errno conversion.
         let fired0 = machine.faults.fired_count();
-        let errno = |e: VfsError| -> Result<i64, CosyError> {
-            if machine.faults.fired_count() > fired0 {
-                Err(CosyError::Vfs(e))
-            } else {
-                Ok(e.errno())
-            }
+        let mut io = RegionIo { region: data_buf, grant, undo, pending: None, fired0 };
+        let ret = self.sys.dispatch(pid, op, &mut io);
+        let pending = io.pending.take();
+        let v = match ret {
+            Ok(v) => v,
+            Err(e) => return op_errno(machine, fired0, e),
         };
-
-        Ok(match call {
-            CosyCall::Getpid => pid.0 as i64,
-            CosyCall::Open => {
-                let p = path(&args[0])?;
-                let flags = OpenFlags(scalar(&args[1])? as u32);
-                // Capture what this open may destroy *before* it runs: a
-                // TRUNC discards content, a CREAT may add a file.
-                let pre = match s.vfs().resolve(&p) {
-                    Ok(ino) if flags.contains(OpenFlags::TRUNC) && flags.writable() => {
-                        match read_whole(s.vfs().fs().as_ref(), ino) {
-                            Ok(content) => {
-                                Some(UndoEntry::RestoreContent { path: p.clone(), content })
-                            }
-                            Err(e) => {
-                                errno(e)?;
-                                None
-                            }
-                        }
-                    }
-                    Ok(_) => None,
-                    Err(VfsError::NotFound) if flags.contains(OpenFlags::CREAT) => {
-                        Some(UndoEntry::CreatedFile { path: p.clone() })
-                    }
-                    Err(e) => {
-                        // k_open will fail the same way; let it set errno.
-                        errno(e)?;
-                        None
-                    }
-                };
-                match s.k_open(pid, &p, flags) {
-                    Ok(fd) => {
-                        if let Some(entry) = pre {
-                            undo.record(entry);
-                        }
-                        fd as i64
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Close => match s.k_close(pid, scalar(&args[0])? as i32) {
-                Ok(()) => 0,
-                Err(e) => errno(e)?,
-            },
-            CosyCall::Read => {
-                let fd = scalar(&args[0])? as i32;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("read needs a shared buffer"));
-                };
-                let want = (scalar(&args[2])?.max(0) as u32).min(len);
-                data_buf.check_ref(offset, want)?;
-                let mut buf = vec![0u8; want as usize];
-                match s.k_read(pid, fd, &mut buf) {
-                    Ok(n) => {
-                        // Page cache → shared buffer: one in-kernel move,
-                        // visible to the user with no boundary copy.
-                        data_buf.kern_write(offset as usize, &buf[..n])?;
-                        machine.charge_sys((n as u64).div_ceil(16) * KCOPY_BLOCK16_CYCLES);
-                        n as i64
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Write => {
-                let fd = scalar(&args[0])? as i32;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("write needs a shared buffer"));
-                };
-                let want = (scalar(&args[2])?.max(0) as u32).min(len);
-                data_buf.check_ref(offset, want)?;
-                let mut buf = vec![0u8; want as usize];
-                data_buf.kern_read(offset as usize, &mut buf)?;
-                machine.charge_sys((want as u64).div_ceil(16) * KCOPY_BLOCK16_CYCLES);
-                // Save the bytes this write will clobber (and the size it
-                // may grow past) before any of it hits the file system.
-                if want > 0 {
-                    if let Some(f) = s.fd_peek(pid, fd) {
-                        if f.flags.writable() {
-                            match write_undo(s.vfs().fs().as_ref(), &f, want as u64) {
-                                Ok(entry) => undo.record(entry),
-                                Err(e) => {
-                                    errno(e)?;
-                                }
-                            }
-                        }
-                    }
-                }
-                match s.k_write(pid, fd, &buf) {
-                    Ok(n) => n as i64,
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Lseek => {
-                match s.k_lseek(
-                    pid,
-                    scalar(&args[0])? as i32,
-                    scalar(&args[1])?,
-                    scalar(&args[2])? as i32,
-                ) {
-                    Ok(o) => o as i64,
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Stat => {
-                let p = path(&args[0])?;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("stat needs an output buffer"));
-                };
-                if (len as usize) < kvfs::STAT_WIRE_BYTES {
-                    return Err(CosyError::BadArg("stat buffer too small"));
-                }
-                data_buf.check_ref(offset, len)?;
-                match s.k_stat(&p) {
-                    Ok(st) => {
-                        data_buf.kern_write(offset as usize, &st.to_wire())?;
-                        0
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Fstat => {
-                let fd = scalar(&args[0])? as i32;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("fstat needs an output buffer"));
-                };
-                if (len as usize) < kvfs::STAT_WIRE_BYTES {
-                    return Err(CosyError::BadArg("fstat buffer too small"));
-                }
-                data_buf.check_ref(offset, len)?;
-                match s.k_fstat(pid, fd) {
-                    Ok(st) => {
-                        data_buf.kern_write(offset as usize, &st.to_wire())?;
-                        0
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Readdir => {
-                let fd = scalar(&args[0])? as i32;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("readdir needs a shared buffer"));
-                };
-                data_buf.check_ref(offset, len)?;
-                let max_by_space = len as usize / kvfs::DIRENT_WIRE_BYTES;
-                let max = (scalar(&args[2])?.max(0) as usize).min(max_by_space);
-                match s.k_readdir_chunk(pid, fd, max) {
-                    Ok(entries) => {
-                        let mut buf =
-                            Vec::with_capacity(entries.len() * kvfs::DIRENT_WIRE_BYTES);
-                        for e in &entries {
-                            buf.extend_from_slice(&ksyscall::wire::dirent_to_wire(e));
-                        }
-                        data_buf.kern_write(offset as usize, &buf)?;
-                        machine.charge_sys(
-                            (buf.len() as u64).div_ceil(16) * KCOPY_BLOCK16_CYCLES,
-                        );
-                        entries.len() as i64
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Mkdir => {
-                let p = path(&args[0])?;
-                let missing = matches!(s.vfs().resolve(&p), Err(VfsError::NotFound));
-                match s.k_mkdir(&p) {
-                    Ok(()) => {
-                        if missing {
-                            undo.record(UndoEntry::CreatedDir { path: p });
-                        }
-                        0
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            CosyCall::Unlink => {
-                let p = path(&args[0])?;
-                // Save the doomed file's identity and bytes first.
-                let pre = match unlink_undo(s.vfs(), &p) {
-                    Ok(entry) => entry,
-                    Err(e) => {
-                        errno(e)?;
-                        None
-                    }
-                };
-                match s.k_unlink(&p) {
-                    Ok(()) => {
-                        if let Some(entry) = pre {
-                            undo.record(entry);
-                        }
-                        0
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-            // Socket operations. Their effects leave the machine — a
-            // consumed backlog slot, bytes handed to a peer — so each
-            // success records a NetBarrier instead of an inverse op, and
-            // rollback stops there (see `UndoLog::rollback_to`). The same
-            // injected-vs-genuine errno split as `errno` applies.
-            CosyCall::Accept => {
-                let lsd = scalar(&args[0])? as i32;
-                match s.k_accept(pid, lsd) {
-                    Ok(sd) => {
-                        undo.record(UndoEntry::NetBarrier { op: "accept" });
-                        sd as i64
-                    }
-                    Err(e) => neterrno(&machine, fired0, e)?,
-                }
-            }
-            CosyCall::Recv => {
-                let sd = scalar(&args[0])? as i32;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("recv needs a shared buffer"));
-                };
-                let want = (scalar(&args[2])?.max(0) as u32).min(len);
-                data_buf.check_ref(offset, want)?;
-                let mut buf = vec![0u8; want as usize];
-                match s.k_recv(pid, sd, &mut buf) {
-                    Ok(n) => {
-                        data_buf.kern_write(offset as usize, &buf[..n])?;
-                        machine.charge_sys((n as u64).div_ceil(16) * KCOPY_BLOCK16_CYCLES);
-                        if n > 0 {
-                            undo.record(UndoEntry::NetBarrier { op: "recv" });
-                        }
-                        n as i64
-                    }
-                    Err(e) => neterrno(&machine, fired0, e)?,
-                }
-            }
-            CosyCall::Send => {
-                let sd = scalar(&args[0])? as i32;
-                let CosyArg::BufRef { offset, len } = args[1] else {
-                    return Err(CosyError::BadArg("send needs a shared buffer"));
-                };
-                let want = (scalar(&args[2])?.max(0) as u32).min(len);
-                data_buf.check_ref(offset, want)?;
-                let mut buf = vec![0u8; want as usize];
-                data_buf.kern_read(offset as usize, &mut buf)?;
-                machine.charge_sys((want as u64).div_ceil(16) * KCOPY_BLOCK16_CYCLES);
-                match s.k_send(pid, sd, &buf) {
-                    Ok(n) => {
-                        if n > 0 {
-                            undo.record(UndoEntry::NetBarrier { op: "send" });
-                        }
-                        n as i64
-                    }
-                    Err(e) => neterrno(&machine, fired0, e)?,
-                }
-            }
-            CosyCall::Sendfile => {
-                let sd = scalar(&args[0])? as i32;
-                let fd = scalar(&args[1])? as i32;
-                let len = scalar(&args[2])?.max(0) as usize;
-                match s.k_sendfile(pid, sd, fd, len) {
-                    Ok(n) => {
-                        if n > 0 {
-                            undo.record(UndoEntry::NetBarrier { op: "sendfile" });
-                        }
-                        n as i64
-                    }
-                    Err(en) => {
-                        if machine.faults.fired_count() > fired0 {
-                            return Err(CosyError::Net(en));
-                        }
-                        en
-                    }
-                }
-            }
-            CosyCall::ShutdownSock => match s.k_shutdown(pid, scalar(&args[0])? as i32) {
-                Ok(()) => {
-                    undo.record(UndoEntry::NetBarrier { op: "shutdown" });
-                    0
-                }
-                Err(e) => neterrno(&machine, fired0, e)?,
-            },
-            // Durability leaves the machine too: once fsync acknowledges,
-            // the bytes are on stable storage and no in-memory rollback can
-            // take that promise back — barrier, not undo.
-            CosyCall::Fsync => {
-                let fd = scalar(&args[0])? as i32;
-                let data_only = scalar(&args[1])? != 0;
-                match s.k_fsync(pid, fd, data_only) {
-                    Ok(()) => {
-                        undo.record(UndoEntry::NetBarrier { op: "fsync" });
-                        0
-                    }
-                    Err(e) => errno(e)?,
-                }
-            }
-        })
+        if let Some(entry) = pending {
+            undo.record(entry);
+        }
+        // Socket effects leave the machine — a consumed backlog slot, bytes
+        // handed to a peer — and so does durability: once fsync
+        // acknowledges, no in-memory rollback can take that promise back.
+        // Each success records a barrier instead of an inverse op, and
+        // rollback stops there (see `UndoLog::rollback_to`).
+        let barrier = match call {
+            CosyCall::Accept => Some("accept"),
+            CosyCall::ShutdownSock => Some("shutdown"),
+            CosyCall::Fsync => Some("fsync"),
+            CosyCall::Recv if v > 0 => Some("recv"),
+            CosyCall::Send if v > 0 => Some("send"),
+            CosyCall::Sendfile if v > 0 => Some("sendfile"),
+            _ => None,
+        };
+        if let Some(op) = barrier {
+            undo.record(UndoEntry::NetBarrier { op });
+        }
+        Ok(v)
     }
 
     /// Restore the pre-submit state: undo log against the VFS, then the
@@ -716,29 +451,13 @@ impl CosyExtension {
         if vfs_result.is_err() || buf_result.is_err() {
             // A failed rollback is the one event that must not pass
             // silently — and must still not panic the host.
-            if let Some(sink) = self.oops_sink.read().as_ref() {
-                sink.log_event(EventRecord::new(
-                    pid.0 as u64,
-                    OOPS_EVENT,
-                    "cosy/rollback",
-                    0,
-                    -1,
-                ));
-            }
+            self.oops(pid, "cosy/rollback", -1);
         }
         if matches!(vfs_result, Ok(RollbackScope::StoppedAtBarrier)) {
             // Socket effects cannot be taken back: file-system work from
             // before the barrier stays applied. Atomicity is explicitly
             // forfeited — report it rather than pretend.
-            if let Some(sink) = self.oops_sink.read().as_ref() {
-                sink.log_event(EventRecord::new(
-                    pid.0 as u64,
-                    OOPS_EVENT,
-                    "cosy/netbarrier",
-                    0,
-                    -1,
-                ));
-            }
+            self.oops(pid, "cosy/netbarrier", -1);
         }
     }
 
@@ -746,17 +465,19 @@ impl CosyExtension {
     /// watchdog kill is the safety contract working as designed and is
     /// not an oops.
     fn capture_oops(&self, pid: Pid, err: &CosyError) {
-        if matches!(err, CosyError::WatchdogKilled { .. }) {
-            return;
-        }
+        let code = match err {
+            CosyError::WatchdogKilled { .. } => return,
+            CosyError::Vfs(e) => e.errno(),
+            CosyError::Sim(_) => -1,
+            CosyError::Interp(_) => -2,
+            _ => -3,
+        };
+        self.oops(pid, "cosy/exec", code);
+    }
+
+    fn oops(&self, pid: Pid, what: &'static str, code: i64) {
         if let Some(sink) = self.oops_sink.read().as_ref() {
-            let code: i64 = match err {
-                CosyError::Vfs(e) => e.errno(),
-                CosyError::Sim(_) => -1,
-                CosyError::Interp(_) => -2,
-                _ => -3,
-            };
-            sink.log_event(EventRecord::new(pid.0 as u64, OOPS_EVENT, "cosy/exec", 0, code));
+            sink.log_event(EventRecord::new(pid.0 as u64, OOPS_EVENT, what, 0, code));
         }
     }
 
@@ -805,19 +526,8 @@ impl CosyExtension {
                         CosyOp::Syscall { call, args } => {
                             self.exec_syscall(pid, *call, args, results, data_buf, undo)
                         }
-                        CosyOp::CallUser { prog, func, args } => args
-                            .iter()
-                            .map(|a| resolve_scalar(a, results))
-                            .collect::<Result<Vec<_>, _>>()
-                            .and_then(|scalars| {
-                                self.exec_user_func(pid, *prog, func, &scalars, opts)
-                            })
-                            .map_err(|e| match e {
-                                CosyError::Interp(InterpError::Killed(_)) => {
-                                    CosyError::WatchdogKilled { op_index: i }
-                                }
-                                other => other,
-                            }),
+                        CosyOp::CallUser { prog, func, args } => resolve_scalars(args, results)
+                            .and_then(|args| self.exec_user_func(pid, i, *prog, func, &args, opts)),
                     };
                     machine.set_kernel_budget(pid, None).ok();
                     machine.exit_kernel(token);
@@ -852,20 +562,49 @@ impl CosyExtension {
         Ok(results)
     }
 
+    /// Run user function `func` of a loaded program as compound op
+    /// `op_index` on the VM; a watchdog kill inside it is the compound's.
     fn exec_user_func(
         &self,
         pid: Pid,
+        op_index: usize,
         prog_id: u32,
         func: &str,
         args: &[i64],
         opts: &CosyOptions,
     ) -> Result<i64, CosyError> {
-        let machine = self.sys.machine().clone();
         let programs = self.programs.read();
-        let loaded = programs
-            .get(prog_id as usize)
-            .ok_or(CosyError::BadProgram(prog_id))?;
+        let module = programs.get(prog_id as usize).ok_or(CosyError::BadProgram(prog_id))?;
+        self.in_arena(pid, opts, |machine, cfg, arena, len, host, ticker| {
+            let mut vm = Vm::new(machine, module, cfg, arena, len)?;
+            vm.set_host(host);
+            vm.set_ticker(ticker);
+            vm.run(func, args)
+        })
+        .map_err(|e| match e {
+            CosyError::Interp(InterpError::Killed(_)) => CosyError::WatchdogKilled { op_index },
+            other => other,
+        })
+    }
 
+    /// Run a user function under `run(machine, cfg, arena, arena_len,
+    /// host, ticker)` inside a freshly mapped kernel arena, contained per
+    /// the isolation mode, with the in-kernel syscall host and the
+    /// watchdog ticker; unmap the arena afterwards.
+    fn in_arena(
+        &self,
+        pid: Pid,
+        opts: &CosyOptions,
+        run: impl FnOnce(
+            &ksim::Machine,
+            ExecConfig,
+            u64,
+            usize,
+            &KernelHost,
+            &dyn Fn(u64) -> Result<(), InterpError>,
+        ) -> Result<ExecOutcome, InterpError>,
+    ) -> Result<i64, CosyError> {
+        let machine = self.sys.machine().clone();
         // Allocate the function's arena in kernel space.
         let pages = opts.arena_pages.max(1);
         let arena = self
@@ -907,35 +646,12 @@ impl CosyExtension {
         cfg.charge_sys = true;
         cfg.max_steps = opts.max_steps;
 
-        let run_result = (|| {
-            let host = crate::hosts::KernelHost { sys: self.sys.clone(), pid };
-            let m2 = machine.clone();
-            let ticker = move |_steps: u64| {
-                m2.preempt_tick(pid)
-                    .map_err(|e| InterpError::Killed(e.to_string()))
-            };
-            if opts.use_bytecode {
-                let mut vm =
-                    Vm::new(&machine, &loaded.module, cfg, arena, pages * PAGE_SIZE)
-                        .map_err(CosyError::Interp)?;
-                vm.set_host(&host);
-                vm.set_ticker(&ticker);
-                vm.run(func, args).map_err(CosyError::Interp)
-            } else {
-                let mut interp = Interp::new(
-                    &machine,
-                    &loaded.prog,
-                    &loaded.info,
-                    cfg,
-                    arena,
-                    pages * PAGE_SIZE,
-                )
-                .map_err(CosyError::Interp)?;
-                interp.set_host(&host);
-                interp.set_ticker(&ticker);
-                interp.run(func, args).map_err(CosyError::Interp)
-            }
-        })();
+        let host = KernelHost { sys: self.sys.clone(), pid };
+        let ticker = |_steps: u64| {
+            machine.preempt_tick(pid).map_err(|e| InterpError::Killed(e.to_string()))
+        };
+        let run_result = run(&machine, cfg, arena, pages * PAGE_SIZE, &host, &ticker)
+            .map_err(CosyError::Interp);
 
         machine.charge_sys(entry_cost); // mode A: far return
         if let Some(sel) = seg_sel {
@@ -955,20 +671,161 @@ impl CosyExtension {
     }
 }
 
-/// Errno conversion for socket results, with the same injected-vs-genuine
-/// split as the VFS `errno` closure in `exec_syscall`: an error caused by
-/// an injected fault aborts the compound; a genuine errno (EAGAIN from an
-/// empty ring, EBADF) is an op result the compound keeps running past.
-fn neterrno(
+/// An op's error as the compound sees it. A genuine errno (ENOENT, EAGAIN
+/// from an empty socket ring, a filter veto) is the op's *result* and the
+/// compound keeps going, exactly like a sequence of plain syscalls would.
+/// An error produced by an injected fault aborts the compound so the undo
+/// log can restore atomicity — a legitimate ENOENT and an injected EIO are
+/// different events — and a shared-buffer fault always aborts. With the
+/// fault plane disarmed the fired count never moves and this is plain
+/// errno conversion.
+fn op_errno(
     machine: &ksim::Machine,
     fired0: u64,
-    e: knet::NetError,
+    e: OpError<CosyError>,
 ) -> Result<i64, CosyError> {
-    if machine.faults.fired_count() > fired0 {
-        Err(CosyError::Net(e.errno()))
-    } else {
-        Ok(e.errno())
+    let injected = machine.faults.fired_count() > fired0;
+    match e {
+        OpError::Fault(e) => Err(e),
+        OpError::Vfs(e) if injected => Err(CosyError::Vfs(e)),
+        OpError::Net(_) | OpError::Errno(_) if injected => Err(CosyError::Net(e.errno())),
+        e => Ok(e.errno()),
     }
+}
+
+/// The shared data buffer as a dispatch transport: an op's `buf` is an
+/// offset into the region, its length clamps to the op's buffer reference
+/// (`grant` bytes) and the result is bounds-checked against the region
+/// after the entry filter has had its say. Data moves page cache ↔ shared
+/// buffer in kernel at [`KCOPY_BLOCK16_CYCLES`] per 16 bytes — visible to
+/// the user with no boundary copy (stat records move uncharged). Its
+/// `before` hook captures the undo entry for an op about to change the
+/// file system.
+struct RegionIo<'a> {
+    region: &'a SharedRegion,
+    grant: u32,
+    undo: &'a mut UndoLog,
+    /// An entry to record only if the op succeeds.
+    pending: Option<UndoEntry>,
+    fired0: u64,
+}
+
+impl RegionIo<'_> {
+    /// Bounds-check `(off, len)` against the region (`len` never exceeds
+    /// a buffer reference's, but a filter may have moved `off` anywhere).
+    fn check(&self, off: u64, len: usize) -> Result<u64, OpError<CosyError>> {
+        let off32 = u32::try_from(off).map_err(|_| SimError::Invalid("offset beyond u32"));
+        off32
+            .and_then(|o| self.region.check_ref(o, len as u32))
+            .map(|_| off)
+            .map_err(|e| OpError::Fault(e.into()))
+    }
+
+    fn charge(s: &SyscallLayer, len: usize) {
+        s.machine().charge_sys((len as u64).div_ceil(16) * KCOPY_BLOCK16_CYCLES);
+    }
+
+    /// An undo capture failed: abort if an injected fault caused it;
+    /// otherwise the op itself fails the same way and sets the errno.
+    fn capture_failed(&self, s: &SyscallLayer, e: VfsError) -> Moved<CosyError> {
+        if s.machine().faults.fired_count() > self.fired0 {
+            return Err(OpError::Fault(CosyError::Vfs(e)));
+        }
+        Ok(())
+    }
+}
+
+impl Transport for RegionIo<'_> {
+    type Fault = CosyError;
+
+    fn span(&mut self, buf: u64, len: usize) -> Result<(u64, usize), OpError<CosyError>> {
+        let want = len.min(self.grant as usize);
+        Ok((self.check(buf, want)?, want))
+    }
+
+    fn record(&mut self, buf: u64) -> Result<(u64, usize), OpError<CosyError>> {
+        Ok((self.check(buf, self.grant as usize)?, self.grant as usize))
+    }
+
+    fn get(&mut self, s: &SyscallLayer, _: Pid, off: u64, out: &mut [u8]) -> Moved<CosyError> {
+        self.region.kern_read(off as usize, out).map_err(|e| OpError::Fault(e.into()))?;
+        Self::charge(s, out.len());
+        Ok(())
+    }
+
+    fn put(&mut self, s: &SyscallLayer, pid: Pid, off: u64, data: &[u8]) -> Moved<CosyError> {
+        self.put_stat(s, pid, off, data)?;
+        Self::charge(s, data.len());
+        Ok(())
+    }
+
+    fn put_stat(&mut self, _: &SyscallLayer, _: Pid, off: u64, wire: &[u8]) -> Moved<CosyError> {
+        self.region.kern_write(off as usize, wire).map_err(|e| OpError::Fault(e.into()))
+    }
+
+    fn path<'s>(
+        &mut self,
+        s: &'s SyscallLayer,
+        _: Pid,
+        off: u64,
+        len: usize,
+    ) -> Result<PathText<'s>, OpError<CosyError>> {
+        self.check(off, len)?;
+        let mut bytes = s.scratch().take(len);
+        self.region.kern_read(off as usize, &mut bytes).map_err(|e| OpError::Fault(e.into()))?;
+        Ok(PathText::Pooled(bytes))
+    }
+
+    fn before(&mut self, s: &SyscallLayer, pid: Pid, op: &KOp<'_>) -> Moved<CosyError> {
+        let vfs = s.vfs();
+        match *op {
+            // Capture what this open may destroy before it runs: a TRUNC
+            // discards content, a CREAT may add a file.
+            KOp::Open { path: PathRef::Host(p), flags } => {
+                self.pending = match vfs.resolve(p) {
+                    Ok(ino) if flags.contains(OpenFlags::TRUNC) && flags.writable() => {
+                        match read_whole(vfs.fs().as_ref(), ino) {
+                            Ok(content) => {
+                                Some(UndoEntry::RestoreContent { path: p.to_string(), content })
+                            }
+                            Err(e) => return self.capture_failed(s, e),
+                        }
+                    }
+                    Ok(_) => None,
+                    Err(VfsError::NotFound) if flags.contains(OpenFlags::CREAT) => {
+                        Some(UndoEntry::CreatedFile { path: p.to_string() })
+                    }
+                    Err(e) => return self.capture_failed(s, e),
+                };
+            }
+            // Save the bytes this write will clobber (and the size it may
+            // grow past) before any of it hits the file system.
+            KOp::Write { fd, len, .. } if len > 0 => {
+                if let Some(f) = s.fd_peek(pid, fd).filter(|f| f.flags.writable()) {
+                    match write_undo(vfs.fs().as_ref(), &f, len as u64) {
+                        Ok(entry) => self.undo.record(entry),
+                        Err(e) => return self.capture_failed(s, e),
+                    }
+                }
+            }
+            KOp::Mkdir { path: PathRef::Host(p) } => {
+                if matches!(vfs.resolve(p), Err(VfsError::NotFound)) {
+                    self.pending = Some(UndoEntry::CreatedDir { path: p.to_string() });
+                }
+            }
+            // Save the doomed file's identity and bytes first.
+            KOp::Unlink { path: PathRef::Host(p) } => match unlink_undo(vfs, p) {
+                Ok(entry) => self.pending = entry,
+                Err(e) => return self.capture_failed(s, e),
+            },
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+fn resolve_scalars(args: &[CosyArg], results: &[i64]) -> Result<Vec<i64>, CosyError> {
+    args.iter().map(|a| resolve_scalar(a, results)).collect()
 }
 
 fn resolve_scalar(a: &CosyArg, results: &[i64]) -> Result<i64, CosyError> {
@@ -1033,13 +890,14 @@ impl std::fmt::Debug for CosyExtension {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::CompoundBuilder;
     use ksim::{Machine, MachineConfig};
     use kvfs::{BlockDev, MemFs, Vfs};
 
-    fn setup() -> (Arc<Machine>, Arc<SyscallLayer>, CosyExtension, Pid) {
+    /// A memfs-backed syscall layer, its Cosy extension, and a process.
+    pub(crate) fn setup() -> (Arc<Machine>, Arc<SyscallLayer>, CosyExtension, Pid) {
         let m = Arc::new(Machine::new(MachineConfig::default()));
         let dev = Arc::new(BlockDev::new(m.clone()));
         let fs = Arc::new(MemFs::new(m.clone(), dev));
@@ -1400,42 +1258,56 @@ mod tests {
 
     #[test]
     fn bytecode_and_treewalk_user_functions_agree_exactly() {
-        // Twin machines: the same submission on each, differing only in the
-        // execution tier, must return the same results and charge
-        // bit-identical cycles (the simulated cost model counts steps and
-        // memory behaviour, not host time).
-        let run = |use_bytecode: bool| {
-            let (m, _sys, ext, pid) = setup();
-            let (cb, db) = regions(&m, pid);
-            ext.load_program(
-                r#"
-                int work(int n) {
-                    int a[8];
-                    int i;
-                    int acc = 0;
-                    for (i = 0; i < 8; i = i + 1) { a[i] = i * n; }
-                    int *p = malloc(32);
-                    p[0] = a[7];
-                    acc = p[0] + a[3];
-                    free(p);
-                    return acc;
-                }
-                "#,
-            )
+        // The VM is cosy's engine; the tree-walking interpreter stays as
+        // the reference. Twin machines run the same function in the same
+        // kernel arena with the same `KernelHost`: one on the VM, the path
+        // `submit` takes, one on `kclang::Interp` directly. Results and the
+        // cycles charged in the arena must be bit-identical (the simulated
+        // cost model counts steps and memory behaviour, not host time),
+        // and the VM's result is what a submitted compound returns.
+        const SRC: &str = r#"
+            int work(int n) {
+                int a[8];
+                int i;
+                int acc = 0;
+                for (i = 0; i < 8; i = i + 1) { a[i] = i * n; }
+                int *p = malloc(32);
+                p[0] = a[7];
+                acc = p[0] + a[3];
+                free(p);
+                return acc;
+            }
+        "#;
+        let opts = CosyOptions::default();
+        let (m, _sys, ext, pid) = setup();
+        let prog = parse_program(SRC).unwrap();
+        let info = typecheck(&prog).unwrap();
+        let s0 = m.clock.sys_cycles();
+        let r_tw = ext
+            .in_arena(pid, &opts, |machine, cfg, arena, len, host, ticker| {
+                let mut interp = kclang::Interp::new(machine, &prog, &info, cfg, arena, len)?;
+                interp.set_host(host);
+                interp.set_ticker(ticker);
+                interp.run("work", &[5])
+            })
             .unwrap();
-            let mut b = CompoundBuilder::new(&cb, &db);
-            b.call_user(0, "work", vec![CompoundBuilder::lit(5)]);
-            b.finish().unwrap();
-            let opts = CosyOptions { use_bytecode, ..CosyOptions::default() };
-            let s0 = m.clock.sys_cycles();
-            let r = ext.submit(pid, &cb, &db, &opts).unwrap();
-            (r, m.clock.sys_cycles() - s0)
-        };
-        let (r_tw, cost_tw) = run(false);
-        let (r_vm, cost_vm) = run(true);
-        assert_eq!(r_tw, r_vm);
-        assert_eq!(r_vm, vec![50]);
-        assert_eq!(cost_tw, cost_vm, "tiers must charge identical cycles");
+        let cost_tw = m.clock.sys_cycles() - s0;
+
+        let (m, _sys, ext, pid) = setup();
+        ext.load_program(SRC).unwrap();
+        let s0 = m.clock.sys_cycles();
+        let r_vm = ext.exec_user_func(pid, 0, 0, "work", &[5], &opts).unwrap();
+        let cost_vm = m.clock.sys_cycles() - s0;
+        assert_eq!((r_tw, cost_tw), (r_vm, cost_vm), "engines must agree to the cycle");
+
+        let (m, _sys, ext, pid) = setup();
+        let (cb, db) = regions(&m, pid);
+        ext.load_program(SRC).unwrap();
+        let mut b = CompoundBuilder::new(&cb, &db);
+        b.call_user(0, "work", vec![CompoundBuilder::lit(5)]);
+        b.finish().unwrap();
+        assert_eq!(ext.submit(pid, &cb, &db, &opts).unwrap(), vec![r_tw]);
+        assert_eq!(r_tw, 50);
     }
 
     #[test]
@@ -1625,148 +1497,167 @@ mod tests {
         assert_eq!(out[0].obj, pid.0 as u64);
         assert_eq!(out[0].value, VfsError::NoSpace.errno());
     }
-
-    #[test]
-    fn isolation_still_contains_escapes_on_the_bytecode_tier() {
-        let (m, _sys, ext, pid) = setup();
-        let (cb, db) = regions(&m, pid);
-        ext.load_program(
-            r#"
-            int poke() {
-                int *p = 99999999999;
-                *p = 7;
-                return 0;
-            }
-            "#,
-        )
-        .unwrap();
-        for mode in [IsolationMode::A, IsolationMode::B] {
-            let mut b = CompoundBuilder::new(&cb, &db);
-            b.call_user(0, "poke", vec![]);
-            b.finish().unwrap();
-            let opts = CosyOptions { isolation: mode, ..CosyOptions::default() };
-            assert!(opts.use_bytecode);
-            let err = ext.submit(pid, &cb, &db, &opts).unwrap_err();
-            assert!(
-                matches!(err, CosyError::Interp(InterpError::Segment { .. })),
-                "{mode:?} must contain the escape on the VM, got {err:?}"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod equivalence_proptests {
-    //! Randomized compounds of file operations must produce exactly the
-    //! results (and file state) of executing the same operations directly
-    //! through the in-kernel entry points — the dependency-resolution
-    //! equivalence DESIGN.md promises.
+    //! Randomized op sequences must behave identically however they reach
+    //! the kernel: as classic `sys_*` calls, as one uring batch, and as
+    //! one Cosy compound — the same results, the same errnos, the same
+    //! file-system state. All three encode into the one dispatcher, so
+    //! this is the correctness oracle for any boundary mechanism.
 
     use super::*;
     use crate::builder::CompoundBuilder;
     use crate::buffers::SharedRegion;
-    use ksim::{Machine, MachineConfig};
-    use kvfs::{BlockDev, MemFs, Vfs};
+    use ksim::Machine;
+    use kuring::Sqe;
+    use kvfs::{VfsSnapshot, STAT_WIRE_BYTES};
     use proptest::prelude::*;
 
     #[derive(Debug, Clone)]
     enum FileOp {
-        Write(u8),          // write n bytes at the current offset
-        SeekSet(u16),       // absolute seek
-        Read(u8),           // read n bytes
+        Write(u8),    // write n bytes at the current offset
+        SeekSet(u16), // absolute seek
+        Read(u8),     // read n bytes
+        Fstat,
+        Close,
+        Unlink,
+        OpenMissing,
     }
 
     fn arb_op() -> impl Strategy<Value = FileOp> {
-        prop_oneof![
-            (1u8..64).prop_map(FileOp::Write),
-            (0u16..512).prop_map(FileOp::SeekSet),
-            (1u8..64).prop_map(FileOp::Read),
-        ]
+        (0u8..16, 1u8..64, 0u16..512).prop_map(|(k, n, off)| match k {
+            0..=4 => FileOp::Write(n),
+            5..=7 => FileOp::SeekSet(off),
+            8..=11 => FileOp::Read(n),
+            12 => FileOp::Fstat,
+            13 => FileOp::Close,
+            14 => FileOp::Unlink,
+            _ => FileOp::OpenMissing,
+        })
     }
 
-    fn setup() -> (Arc<Machine>, Arc<SyscallLayer>, CosyExtension, Pid) {
-        let m = Arc::new(Machine::new(MachineConfig::default()));
-        let dev = Arc::new(BlockDev::new(m.clone()));
-        let fs = Arc::new(MemFs::new(m.clone(), dev));
-        let vfs = Arc::new(Vfs::new(m.clone(), fs));
-        let sys = Arc::new(SyscallLayer::new(m.clone(), vfs));
-        let ext = CosyExtension::new(sys.clone());
-        let pid = m.spawn_process();
-        (m, sys, ext, pid)
+    /// User memory for the classic and ring runs: payload, paths, and
+    /// read/stat destinations.
+    const UBUF: u64 = 0x10_0000;
+    const PATH: u64 = UBUF + 0x1000;
+    const MISSING: u64 = UBUF + 0x1100;
+    const OUT: u64 = UBUF + 0x2000;
+
+    /// A machine with `/f` open (as `fd`) and the user buffers staged.
+    fn setup() -> (Arc<Machine>, Arc<SyscallLayer>, CosyExtension, Pid, i32) {
+        let (m, sys, ext, pid) = super::tests::setup();
+        m.map_user(pid, UBUF, 1 << 16).unwrap();
+        let asid = m.proc_asid(pid).unwrap();
+        m.mem.write_virt(asid, UBUF, &[0xCD; 64]).unwrap();
+        m.mem.write_virt(asid, PATH, b"/f\0").unwrap();
+        m.mem.write_virt(asid, MISSING, b"/missing\0").unwrap();
+        let fd = sys.k_open(pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
+        (m, sys, ext, pid, fd)
+    }
+
+    fn vfs_hash(sys: &SyscallLayer) -> u64 {
+        VfsSnapshot::capture(sys.vfs().fs().as_ref()).unwrap().hash()
+    }
+
+    fn classic(ops: &[FileOp]) -> (Vec<i64>, u64) {
+        let (_, sys, _, pid, fd) = setup();
+        let results = ops
+            .iter()
+            .map(|op| match *op {
+                FileOp::Write(n) => sys.sys_write(pid, fd, UBUF, n as usize),
+                FileOp::SeekSet(off) => sys.sys_lseek(pid, fd, off as i64, 0),
+                FileOp::Read(n) => sys.sys_read(pid, fd, OUT, n as usize),
+                FileOp::Fstat => sys.sys_fstat(pid, fd, OUT),
+                FileOp::Close => sys.sys_close(pid, fd),
+                FileOp::Unlink => sys.sys_unlink(pid, "/f"),
+                FileOp::OpenMissing => sys.sys_open(pid, "/missing", OpenFlags::RDONLY),
+            })
+            .collect();
+        (results, vfs_hash(&sys))
+    }
+
+    fn ring_batch(ops: &[FileOp]) -> (Vec<i64>, u64) {
+        let (_, sys, _, pid, fd) = setup();
+        assert_eq!(sys.sys_ring_setup(pid, 32, 32), 0);
+        let ring = sys.uring(pid).unwrap();
+        for (i, op) in ops.iter().enumerate() {
+            let tag = i as u64;
+            let sqe = match *op {
+                FileOp::Write(n) => Sqe::write(fd, UBUF, n as u32, kuring::OFF_CURSOR, tag),
+                FileOp::SeekSet(off) => Sqe::lseek(fd, off as i64, 0, tag),
+                FileOp::Read(n) => Sqe::read(fd, OUT, n as u32, kuring::OFF_CURSOR, tag),
+                FileOp::Fstat => Sqe::fstat(fd, OUT, tag),
+                FileOp::Close => Sqe::close(fd, tag),
+                FileOp::Unlink => Sqe::unlink(PATH, 2, tag),
+                FileOp::OpenMissing => Sqe::open(MISSING, 8, 0, tag),
+            };
+            ring.push_sqe(sqe).unwrap();
+        }
+        assert_eq!(sys.sys_ring_enter(pid, ops.len(), ops.len()), ops.len() as i64);
+        let mut results = vec![0; ops.len()];
+        while let Some(c) = ring.reap_cqe() {
+            results[c.user_data as usize] = c.res;
+        }
+        (results, vfs_hash(&sys))
+    }
+
+    /// Encode `ops` against `fd` into the compound being built.
+    fn encode(mut b: CompoundBuilder<'_>, fd: i32, ops: &[FileOp]) {
+        let fd = || CompoundBuilder::lit(fd as i64);
+        let data = b.stage_bytes(&[0xCD; 64]).unwrap();
+        let CosyArg::BufRef { offset: data_off, .. } = data else { unreachable!() };
+        let path = b.stage_path("/f").unwrap();
+        let missing = b.stage_path("/missing").unwrap();
+        for op in ops {
+            let (call, args) = match *op {
+                FileOp::Write(n) => (
+                    CosyCall::Write,
+                    vec![
+                        fd(),
+                        CosyArg::BufRef { offset: data_off, len: n as u32 },
+                        CompoundBuilder::lit(n as i64),
+                    ],
+                ),
+                FileOp::SeekSet(off) => (
+                    CosyCall::Lseek,
+                    vec![fd(), CompoundBuilder::lit(off as i64), CompoundBuilder::lit(0)],
+                ),
+                FileOp::Read(n) => (
+                    CosyCall::Read,
+                    vec![fd(), b.alloc_buf(n as u32).unwrap(), CompoundBuilder::lit(n as i64)],
+                ),
+                FileOp::Fstat => {
+                    (CosyCall::Fstat, vec![fd(), b.alloc_buf(STAT_WIRE_BYTES as u32).unwrap()])
+                }
+                FileOp::Close => (CosyCall::Close, vec![fd()]),
+                FileOp::Unlink => (CosyCall::Unlink, vec![path]),
+                FileOp::OpenMissing => {
+                    (CosyCall::Open, vec![missing, CompoundBuilder::lit(0)])
+                }
+            };
+            b.syscall(call, args);
+        }
+        b.finish().unwrap();
+    }
+
+    fn compound(ops: &[FileOp]) -> (Vec<i64>, u64) {
+        let (m, sys, ext, pid, fd) = setup();
+        let cb = SharedRegion::new(m.clone(), pid, 2, 0).unwrap();
+        let db = SharedRegion::new(m.clone(), pid, 4, 1).unwrap();
+        encode(CompoundBuilder::new(&cb, &db), fd, ops);
+        let results = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
+        (results, vfs_hash(&sys))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
         #[test]
         fn compound_equals_direct_execution(ops in proptest::collection::vec(arb_op(), 1..20)) {
-            // Direct path.
-            let (_, sys_d, _, pid_d) = setup();
-            let fd_d = sys_d.k_open(pid_d, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
-            let mut direct_results = Vec::new();
-            let payload = [0xCDu8; 64];
-            for op in &ops {
-                let r = match op {
-                    FileOp::Write(n) => {
-                        sys_d.k_write(pid_d, fd_d, &payload[..*n as usize]).unwrap() as i64
-                    }
-                    FileOp::SeekSet(off) => sys_d.k_lseek(pid_d, fd_d, *off as i64, 0).unwrap() as i64,
-                    FileOp::Read(n) => {
-                        let mut buf = vec![0u8; *n as usize];
-                        sys_d.k_read(pid_d, fd_d, &mut buf).unwrap() as i64
-                    }
-                };
-                direct_results.push(r);
-            }
-            let direct_size = sys_d.k_stat("/f").unwrap().size;
-
-            // Compound path: identical ops encoded into one compound.
-            let (m, sys_c, ext, pid) = setup();
-            let cb = SharedRegion::new(m.clone(), pid, 2, 0).unwrap();
-            let db = SharedRegion::new(m.clone(), pid, 4, 1).unwrap();
-            let fd = sys_c.k_open(pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
-            let mut b = CompoundBuilder::new(&cb, &db);
-            let data = b.stage_bytes(&[0xCDu8; 64]).unwrap();
-            let CosyArg::BufRef { offset: data_off, .. } = data else { unreachable!() };
-            for op in &ops {
-                match op {
-                    FileOp::Write(n) => {
-                        b.syscall(
-                            CosyCall::Write,
-                            vec![
-                                CompoundBuilder::lit(fd as i64),
-                                CosyArg::BufRef { offset: data_off, len: *n as u32 },
-                                CompoundBuilder::lit(*n as i64),
-                            ],
-                        );
-                    }
-                    FileOp::SeekSet(off) => {
-                        b.syscall(
-                            CosyCall::Lseek,
-                            vec![
-                                CompoundBuilder::lit(fd as i64),
-                                CompoundBuilder::lit(*off as i64),
-                                CompoundBuilder::lit(0),
-                            ],
-                        );
-                    }
-                    FileOp::Read(n) => {
-                        let buf = b.alloc_buf(*n as u32).unwrap();
-                        b.syscall(
-                            CosyCall::Read,
-                            vec![
-                                CompoundBuilder::lit(fd as i64),
-                                buf,
-                                CompoundBuilder::lit(*n as i64),
-                            ],
-                        );
-                    }
-                }
-            }
-            b.finish().unwrap();
-            let results = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
-
-            prop_assert_eq!(&results, &direct_results);
-            prop_assert_eq!(sys_c.k_stat("/f").unwrap().size, direct_size);
+            let direct = classic(&ops);
+            prop_assert_eq!(&ring_batch(&ops), &direct, "uring batch vs classic calls");
+            prop_assert_eq!(&compound(&ops), &direct, "cosy compound vs classic calls");
         }
 
         /// A cache-hit execution must be indistinguishable from a fresh
@@ -1777,58 +1668,28 @@ mod equivalence_proptests {
         #[test]
         fn cached_submission_equals_fresh_decode(ops in proptest::collection::vec(arb_op(), 1..16)) {
             let run_twice = |clear_between: bool| {
-                let (m, sys, ext, pid) = setup();
+                let (m, sys, ext, pid, fd) = setup();
                 let cb = SharedRegion::new(m.clone(), pid, 2, 0).unwrap();
                 let db = SharedRegion::new(m.clone(), pid, 4, 1).unwrap();
-                let fd = sys.k_open(pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
-                let mut b = CompoundBuilder::new(&cb, &db);
-                let data = b.stage_bytes(&[0xABu8; 64]).unwrap();
-                let CosyArg::BufRef { offset: data_off, .. } = data else { unreachable!() };
-                for op in &ops {
-                    match op {
-                        FileOp::Write(n) => {
-                            b.syscall(CosyCall::Write, vec![
-                                CompoundBuilder::lit(fd as i64),
-                                CosyArg::BufRef { offset: data_off, len: *n as u32 },
-                                CompoundBuilder::lit(*n as i64),
-                            ]);
-                        }
-                        FileOp::SeekSet(off) => {
-                            b.syscall(CosyCall::Lseek, vec![
-                                CompoundBuilder::lit(fd as i64),
-                                CompoundBuilder::lit(*off as i64),
-                                CompoundBuilder::lit(0),
-                            ]);
-                        }
-                        FileOp::Read(n) => {
-                            let buf = b.alloc_buf(*n as u32).unwrap();
-                            b.syscall(CosyCall::Read, vec![
-                                CompoundBuilder::lit(fd as i64),
-                                buf,
-                                CompoundBuilder::lit(*n as i64),
-                            ]);
-                        }
-                    }
-                }
-                b.finish().unwrap();
+                encode(CompoundBuilder::new(&cb, &db), fd, &ops);
                 let r1 = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
                 if clear_between {
                     ext.clear_translation_cache();
                 }
                 let r2 = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
                 let stats = ext.cache_stats();
-                (r1, r2, sys.k_stat("/f").unwrap().size, stats)
+                (r1, r2, vfs_hash(&sys), stats)
             };
 
-            let (h1, h2, h_size, h_stats) = run_twice(false); // second submit hits
-            let (f1, f2, f_size, f_stats) = run_twice(true);  // second submit re-decodes
+            let (h1, h2, h_fs, h_stats) = run_twice(false); // second submit hits
+            let (f1, f2, f_fs, f_stats) = run_twice(true);  // second submit re-decodes
             prop_assert_eq!(h_stats.hits, 1);
             prop_assert_eq!(h_stats.misses, 1);
             prop_assert_eq!(f_stats.hits, 0);
             prop_assert_eq!(f_stats.misses, 2);
             prop_assert_eq!(h1, f1);
             prop_assert_eq!(h2, f2, "cache hit diverged from fresh decode");
-            prop_assert_eq!(h_size, f_size);
+            prop_assert_eq!(h_fs, f_fs);
         }
     }
 }

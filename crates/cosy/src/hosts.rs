@@ -13,16 +13,40 @@ use std::sync::Arc;
 
 use kclang::{InterpError, MemCtx, SyscallHost};
 use ksim::Pid;
-use ksyscall::{OpenFlags, SyscallLayer};
+use ksyscall::op::OFF_CURSOR;
+use ksyscall::{KOp, Moved, OpError, OpenFlags, PathRef, PathText, SyscallLayer, Transport};
 
 /// Cost of an in-kernel syscall dispatch (table lookup + checks, no trap).
 const KERNEL_DISPATCH_CYCLES: u64 = 120;
 
-fn read_path(mem: &MemCtx<'_>, addr: i64) -> Result<String, InterpError> {
-    mem.read_cstr(addr as u64)
+/// The `sys_*` intrinsics a KC program may call, as ops. A path argument
+/// is a C string in program memory; `path` says how the host passes it on.
+fn intrinsic<'p>(
+    name: &str,
+    a: &[i64],
+    path: impl FnOnce(u64) -> Result<PathRef<'p>, InterpError>,
+) -> Result<KOp<'p>, InterpError> {
+    let (fd, buf, len) = (|| a[0] as i32, || a[1] as u64, || a[2].max(0) as usize);
+    Ok(match name {
+        "sys_getpid" => KOp::Getpid,
+        "sys_open" => KOp::Open { path: path(a[0] as u64)?, flags: OpenFlags(a[1] as u32) },
+        "sys_close" => KOp::Close { fd: fd() },
+        "sys_read" => KOp::Read { fd: fd(), buf: buf(), len: len(), off: OFF_CURSOR },
+        "sys_write" => KOp::Write { fd: fd(), buf: buf(), len: len(), off: OFF_CURSOR },
+        "sys_lseek" => KOp::Lseek { fd: fd(), off: a[1], whence: a[2] as i32 },
+        "sys_stat" => KOp::Stat { path: path(a[0] as u64)?, buf: buf() },
+        "sys_fstat" => KOp::Fstat { fd: fd(), buf: buf() },
+        "sys_mkdir" => KOp::Mkdir { path: path(a[0] as u64)? },
+        "sys_unlink" => KOp::Unlink { path: path(a[0] as u64)? },
+        other => return Err(InterpError::BadCall(format!("unknown intrinsic {other}"))),
+    })
 }
 
-/// Baseline host: every intrinsic is a real system call.
+/// Baseline host: every intrinsic is a real system call. The program's
+/// buffers live in its (user) address space, so buffer addresses pass
+/// straight through and the syscall layer performs the user copies; a
+/// path is read out of program memory first and passed as the call's
+/// argument.
 pub struct UserHost {
     pub sys: Arc<SyscallLayer>,
     pub pid: Pid,
@@ -35,36 +59,12 @@ impl SyscallHost for UserHost {
         args: &[i64],
         mem: &MemCtx<'_>,
     ) -> Result<i64, InterpError> {
-        let s = &self.sys;
-        let pid = self.pid;
-        Ok(match name {
-            "sys_getpid" => s.sys_getpid(pid),
-            "sys_open" => {
-                let path = read_path(mem, args[0])?;
-                s.sys_open(pid, &path, OpenFlags(args[1] as u32))
-            }
-            "sys_close" => s.sys_close(pid, args[0] as i32),
-            // The program's buffers live in its (user) address space, so
-            // the buffer address can be passed straight through: the
-            // syscall layer performs the user copy.
-            "sys_read" => s.sys_read(pid, args[0] as i32, args[1] as u64, args[2] as usize),
-            "sys_write" => s.sys_write(pid, args[0] as i32, args[1] as u64, args[2] as usize),
-            "sys_lseek" => s.sys_lseek(pid, args[0] as i32, args[1], args[2] as i32),
-            "sys_stat" => {
-                let path = read_path(mem, args[0])?;
-                s.sys_stat(pid, &path, args[1] as u64)
-            }
-            "sys_fstat" => s.sys_fstat(pid, args[0] as i32, args[1] as u64),
-            "sys_mkdir" => {
-                let path = read_path(mem, args[0])?;
-                s.sys_mkdir(pid, &path)
-            }
-            "sys_unlink" => {
-                let path = read_path(mem, args[0])?;
-                s.sys_unlink(pid, &path)
-            }
-            other => return Err(InterpError::BadCall(format!("unknown intrinsic {other}"))),
-        })
+        let mut text = String::new();
+        let op = intrinsic(name, args, |addr| {
+            text = mem.read_cstr(addr)?;
+            Ok(PathRef::Host(&text))
+        })?;
+        Ok(self.sys.syscall(self.pid, op))
     }
 }
 
@@ -83,98 +83,51 @@ impl SyscallHost for KernelHost {
         args: &[i64],
         mem: &MemCtx<'_>,
     ) -> Result<i64, InterpError> {
-        let s = &self.sys;
-        let pid = self.pid;
-        let m = s.machine();
+        let m = self.sys.machine();
         m.charge_sys(KERNEL_DISPATCH_CYCLES);
         m.stats.syscalls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-
-        fn vr<T: Into<i64>>(r: Result<T, kvfs::VfsError>) -> i64 {
-            match r {
-                Ok(v) => v.into(),
-                Err(e) => e.errno(),
-            }
+        let op = intrinsic(name, args, |addr| Ok(PathRef::At { addr, len: 0 }))?;
+        match self.sys.dispatch(self.pid, op, &mut ProgMem(mem)) {
+            Ok(v) => Ok(v),
+            Err(OpError::Fault(e)) => Err(e),
+            Err(e) => Ok(e.errno()),
         }
+    }
+}
 
-        Ok(match name {
-            "sys_getpid" => pid.0 as i64,
-            "sys_open" => {
-                let path = read_path(mem, args[0])?;
-                vr(s.k_open(pid, &path, OpenFlags(args[1] as u32)))
-            }
-            "sys_close" => match s.k_close(pid, args[0] as i32) {
-                Ok(()) => 0,
-                Err(e) => e.errno(),
-            },
-            "sys_read" => {
-                // Read into a kernel scratch buffer, then store through the
-                // segment-checked program memory — still no user crossing.
-                let len = args[2].max(0) as usize;
-                let mut buf = vec![0u8; len];
-                match s.k_read(pid, args[0] as i32, &mut buf) {
-                    Ok(n) => {
-                        mem.write(args[1] as u64, &buf[..n])?;
-                        n as i64
-                    }
-                    Err(e) => e.errno(),
-                }
-            }
-            "sys_write" => {
-                let len = args[2].max(0) as usize;
-                let mut buf = vec![0u8; len];
-                mem.read(args[1] as u64, &mut buf)?;
-                match s.k_write(pid, args[0] as i32, &buf) {
-                    Ok(n) => n as i64,
-                    Err(e) => e.errno(),
-                }
-            }
-            "sys_lseek" => match s.k_lseek(pid, args[0] as i32, args[1], args[2] as i32) {
-                Ok(o) => o as i64,
-                Err(e) => e.errno(),
-            },
-            "sys_stat" => match s.k_stat(&read_path(mem, args[0])?) {
-                Ok(st) => {
-                    mem.write(args[1] as u64, &st.to_wire())?;
-                    0
-                }
-                Err(e) => e.errno(),
-            },
-            "sys_fstat" => match s.k_fstat(pid, args[0] as i32) {
-                Ok(st) => {
-                    mem.write(args[1] as u64, &st.to_wire())?;
-                    0
-                }
-                Err(e) => e.errno(),
-            },
-            "sys_mkdir" => match s.k_mkdir(&read_path(mem, args[0])?) {
-                Ok(()) => 0,
-                Err(e) => e.errno(),
-            },
-            "sys_unlink" => match s.k_unlink(&read_path(mem, args[0])?) {
-                Ok(()) => 0,
-                Err(e) => e.errno(),
-            },
-            other => return Err(InterpError::BadCall(format!("unknown intrinsic {other}"))),
-        })
+/// KC program memory as a dispatch transport: reads and writes go through
+/// the segment-checked `MemCtx`, so a bad address is the program's fault,
+/// not an errno.
+struct ProgMem<'m>(&'m MemCtx<'m>);
+
+impl Transport for ProgMem<'_> {
+    type Fault = InterpError;
+
+    fn get(&mut self, _: &SyscallLayer, _: Pid, addr: u64, out: &mut [u8]) -> Moved<InterpError> {
+        self.0.read(addr, out).map_err(OpError::Fault)
+    }
+
+    fn put(&mut self, _: &SyscallLayer, _: Pid, addr: u64, data: &[u8]) -> Moved<InterpError> {
+        self.0.write(addr, data).map_err(OpError::Fault)
+    }
+
+    fn path<'s>(
+        &mut self,
+        _: &'s SyscallLayer,
+        _: Pid,
+        addr: u64,
+        _: usize,
+    ) -> Result<PathText<'s>, OpError<InterpError>> {
+        self.0.read_cstr(addr).map(PathText::Owned).map_err(OpError::Fault)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::setup;
     use kclang::{parse_program, typecheck, ExecConfig, Interp};
-    use ksim::{Machine, MachineConfig, PteFlags, PAGE_SIZE};
-    use kvfs::{BlockDev, MemFs, Vfs};
-
-    fn setup() -> (Arc<Machine>, Arc<SyscallLayer>, Pid) {
-        let m = Arc::new(Machine::new(MachineConfig::default()));
-        let dev = Arc::new(BlockDev::new(m.clone()));
-        let fs = Arc::new(MemFs::new(m.clone(), dev));
-        let vfs = Arc::new(Vfs::new(m.clone(), fs));
-        let sys = Arc::new(SyscallLayer::new(m.clone(), vfs));
-        let pid = m.spawn_process();
-        (m, sys, pid)
-    }
+    use ksim::{Machine, PteFlags, PAGE_SIZE};
 
     const PROG: &str = r#"
         int work() {
@@ -225,7 +178,7 @@ mod tests {
 
     #[test]
     fn user_host_pays_one_crossing_per_syscall() {
-        let (m, sys, pid) = setup();
+        let (m, sys, _, pid) = setup();
         let (ret, crossings) = run_with_host(&m, &sys, pid, true);
         assert_eq!(ret, 8, "read back the 8 bytes written");
         assert_eq!(crossings, 5, "open, write, lseek, read, close");
@@ -233,7 +186,7 @@ mod tests {
 
     #[test]
     fn kernel_host_pays_no_crossings() {
-        let (m, sys, pid) = setup();
+        let (m, sys, _, pid) = setup();
         let (ret, crossings) = run_with_host(&m, &sys, pid, false);
         assert_eq!(ret, 8);
         assert_eq!(crossings, 0, "in-kernel dispatch never crosses");
@@ -241,7 +194,7 @@ mod tests {
 
     #[test]
     fn both_hosts_produce_identical_file_state() {
-        let (m, sys, pid) = setup();
+        let (m, sys, _, pid) = setup();
         run_with_host(&m, &sys, pid, true);
         let st_user = sys.k_stat("/data").unwrap();
         sys.k_unlink("/data").unwrap();

@@ -22,6 +22,7 @@ use std::fmt;
 
 use ksim::{AsId, Machine, SegSelector, SimError};
 
+use crate::arena::Arena;
 use crate::ast::*;
 use crate::hooks::{CheckViolation, MemHook, NoopHook};
 use crate::types::TypeInfo;
@@ -226,16 +227,10 @@ pub struct Interp<'a> {
     host: Option<&'a dyn SyscallHost>,
     ticker: Option<&'a TickFn<'a>>,
     cfg: ExecConfig,
-    // Arena layout: [data (globals, strings) | heap ↑ ... ↓ stack]
-    arena_base: u64,
-    arena_end: u64,
-    data_ptr: u64,
-    heap_ptr: u64,
-    stack_ptr: u64,
+    arena: Arena,
     globals: HashMap<Sym, Binding>,
     scopes: Vec<HashMap<Sym, Binding>>,
     strings: HashMap<u32, u64>,
-    heap_live: HashMap<u64, usize>,
     depth: u32,
     steps: u64,
     /// `print_int` output, for tests and demos.
@@ -263,23 +258,16 @@ impl<'a> Interp<'a> {
             host: None,
             ticker: None,
             cfg,
-            arena_base,
-            arena_end: arena_base + arena_len as u64,
-            data_ptr: arena_base,
-            heap_ptr: 0,
-            stack_ptr: arena_base + arena_len as u64,
+            arena: Arena::new(arena_base, arena_len, HashMap::new()),
             globals: HashMap::new(),
             scopes: Vec::new(),
             strings: HashMap::new(),
-            heap_live: HashMap::new(),
             depth: 0,
             steps: 0,
             output: Vec::new(),
         };
         interp.init_globals()?;
-        // Heap begins after the data segment, quarter of the remainder
-        // reserved for it implicitly (heap and stack converge).
-        interp.heap_ptr = interp.data_ptr;
+        interp.arena.start_heap();
         Ok(interp)
     }
 
@@ -290,14 +278,8 @@ impl<'a> Interp<'a> {
         for b in self.globals.values() {
             hook.on_alloc(b.addr, b.ty.size(), false);
         }
-        for (&base, &len) in &self.heap_live {
+        for (&base, &len) in &self.arena.heap_live {
             hook.on_alloc(base, len, true);
-        }
-        // String literals are objects too.
-        for (&id, &addr) in &self.strings {
-            let _ = id;
-            // length unknown here; re-registered lazily on next use.
-            let _ = addr;
         }
     }
 
@@ -322,7 +304,7 @@ impl<'a> Interp<'a> {
 
     fn init_globals(&mut self) -> Result<(), InterpError> {
         for g in &self.prog.globals {
-            let addr = self.alloc_data(g.ty.size())?;
+            let addr = self.arena.alloc_data(g.ty.size())?;
             self.hook.on_alloc(addr, g.ty.size(), false);
             self.globals.insert(g.name, Binding { addr, ty: g.ty.clone() });
             if let Some(init) = &g.init {
@@ -331,40 +313,6 @@ impl<'a> Interp<'a> {
             }
         }
         Ok(())
-    }
-
-    // All allocators pad each object by 8 bytes (a red zone), so a legal
-    // one-past-the-end pointer never aliases the neighbouring object — the
-    // classic padding fix address-based bounds checkers (Jones & Kelly)
-    // rely on.
-    fn alloc_data(&mut self, size: usize) -> Result<u64, InterpError> {
-        let size = size.max(1).next_multiple_of(8) + 8;
-        let addr = self.data_ptr;
-        if addr + size as u64 > self.arena_end {
-            return Err(InterpError::Oom("data"));
-        }
-        self.data_ptr += size as u64;
-        Ok(addr)
-    }
-
-    fn alloc_heap(&mut self, size: usize) -> Result<u64, InterpError> {
-        let size = size.max(1).next_multiple_of(8) + 8;
-        let addr = self.heap_ptr;
-        if addr + (size as u64) >= self.stack_ptr {
-            return Err(InterpError::Oom("heap"));
-        }
-        self.heap_ptr += size as u64;
-        self.heap_live.insert(addr, size);
-        Ok(addr)
-    }
-
-    fn alloc_stack(&mut self, size: usize) -> Result<u64, InterpError> {
-        let size = size.max(1).next_multiple_of(8) + 8;
-        if self.stack_ptr - (size as u64) <= self.heap_ptr {
-            return Err(InterpError::Oom("stack"));
-        }
-        self.stack_ptr -= size as u64;
-        Ok(self.stack_ptr)
     }
 
     fn step(&mut self, loc: SourceLoc) -> Result<(), InterpError> {
@@ -448,13 +396,13 @@ impl<'a> Interp<'a> {
             )));
         }
         let saved_scopes = std::mem::take(&mut self.scopes);
-        let saved_stack = self.stack_ptr;
+        let saved_stack = self.arena.stack_ptr;
         self.depth += 1;
         self.scopes.push(HashMap::new());
 
         let result = (|| {
             for ((pname, pty), &v) in func.params.iter().zip(args) {
-                let addr = self.alloc_stack(pty.size())?;
+                let addr = self.arena.alloc_stack(pty.size())?;
                 self.hook.on_alloc(addr, pty.size(), false);
                 self.declare_local(*pname, pty.clone(), addr);
                 self.store_scalar(addr, pty, v, u32::MAX)?;
@@ -471,7 +419,7 @@ impl<'a> Interp<'a> {
         // Pop the frame: stack objects die.
         self.notify_frame_dealloc(&self.collect_frame_addrs());
         self.scopes = saved_scopes;
-        self.stack_ptr = saved_stack;
+        self.arena.stack_ptr = saved_stack;
         self.depth -= 1;
         result
     }
@@ -510,7 +458,7 @@ impl<'a> Interp<'a> {
 
     fn exec_block(&mut self, b: &Block) -> Result<Flow, InterpError> {
         self.scopes.push(HashMap::new());
-        let watermark = self.stack_ptr;
+        let watermark = self.arena.stack_ptr;
         let flow = self.exec_stmts(&b.stmts);
         // Scope exit: stack objects die.
         if let Some(scope) = self.scopes.last() {
@@ -519,7 +467,7 @@ impl<'a> Interp<'a> {
             }
         }
         self.scopes.pop();
-        self.stack_ptr = watermark;
+        self.arena.stack_ptr = watermark;
         flow
     }
 
@@ -543,7 +491,7 @@ impl<'a> Interp<'a> {
         self.step(s.loc())?;
         match s {
             Stmt::Decl(d) => {
-                let addr = self.alloc_stack(d.ty.size())?;
+                let addr = self.arena.alloc_stack(d.ty.size())?;
                 self.hook.on_alloc(addr, d.ty.size(), false);
                 self.declare_local(d.name, d.ty.clone(), addr);
                 if let Some(init) = &d.init {
@@ -659,7 +607,7 @@ impl<'a> Interp<'a> {
                     return Ok(addr as i64);
                 }
                 let bytes = s.as_bytes();
-                let addr = self.alloc_data(bytes.len() + 1)?;
+                let addr = self.arena.alloc_data(bytes.len() + 1)?;
                 self.hook.on_alloc(addr, bytes.len() + 1, false);
                 let mem = self.mem();
                 mem.write(addr, bytes)?;
@@ -788,7 +736,7 @@ impl<'a> Interp<'a> {
         match name {
             "malloc" => {
                 let size = vals[0].max(0) as usize;
-                let addr = self.alloc_heap(size)?;
+                let addr = self.arena.alloc_heap(size)?;
                 self.hook.on_alloc(addr, size, true);
                 Ok(addr as i64)
             }
@@ -797,7 +745,7 @@ impl<'a> Interp<'a> {
                 self.hook.on_free_check(e.id, addr)?;
                 // C semantics: a bad free is silent corruption in the
                 // uninstrumented baseline; KGCC's hook above catches it.
-                if self.heap_live.remove(&addr).is_some() {
+                if self.arena.free(addr) {
                     self.hook.on_dealloc(addr, true);
                 }
                 Ok(0)
@@ -822,7 +770,7 @@ impl fmt::Debug for Interp<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Interp")
             .field("steps", &self.steps)
-            .field("arena", &(self.arena_base..self.arena_end))
+            .field("arena", &self.arena.span)
             .finish()
     }
 }

@@ -35,6 +35,7 @@
 //! assert_eq!(prog.funcs.len(), 1);
 //! ```
 
+mod arena;
 pub mod ast;
 pub mod bytecode;
 pub mod hooks;

@@ -25,6 +25,7 @@ use std::collections::HashMap;
 
 use ksim::Machine;
 
+use crate::arena::Arena;
 use crate::ast::{BinOp, SourceLoc};
 use crate::bytecode::{Access, FuncInfo, Module, Op, TrapKind};
 use crate::hooks::MemHook;
@@ -78,14 +79,9 @@ pub struct Vm<'a> {
     host: Option<&'a dyn SyscallHost>,
     ticker: Option<&'a TickFn<'a>>,
     cfg: ExecConfig,
-    // Arena layout mirrors the interpreter: [data | heap ↑ ... ↓ stack].
-    arena_end: u64,
-    data_ptr: u64,
-    heap_ptr: u64,
-    stack_ptr: u64,
+    arena: Arena,
     global_addrs: Vec<u64>,
     strings: HashMap<u32, u64>,
-    heap_live: HashMap<u64, usize>,
     steps: u64,
     /// `print_int` output, for tests and demos.
     pub output: Vec<i64>,
@@ -141,7 +137,7 @@ impl<'a> Vm<'a> {
         VmBuffers {
             global_addrs: self.global_addrs,
             strings: self.strings,
-            heap_live: self.heap_live,
+            heap_live: self.arena.heap_live,
             stack: self.stack,
             slots: self.slots,
             frames: self.frames,
@@ -162,7 +158,6 @@ impl<'a> Vm<'a> {
         b.global_addrs.clear();
         b.global_addrs.resize(module.globals.len(), 0);
         b.strings.clear();
-        b.heap_live.clear();
         b.stack.clear();
         b.slots.clear();
         b.frames.clear();
@@ -175,13 +170,9 @@ impl<'a> Vm<'a> {
             host: None,
             ticker: None,
             cfg,
-            arena_end: arena_base + arena_len as u64,
-            data_ptr: arena_base,
-            heap_ptr: 0,
-            stack_ptr: arena_base + arena_len as u64,
+            arena: Arena::new(arena_base, arena_len, b.heap_live),
             global_addrs: b.global_addrs,
             strings: b.strings,
-            heap_live: b.heap_live,
             steps: 0,
             output: Vec::new(),
             stack: b.stack,
@@ -196,12 +187,12 @@ impl<'a> Vm<'a> {
     /// sentinel frame with no slots.
     fn init(&mut self) -> Result<(), InterpError> {
         self.frames.push(Frame { ret_pc: u32::MAX, base: 0, slot_base: 0, scope_mark: 0, arg_cursor: 0 });
-        self.scope_stack.push(Scope { watermark: self.stack_ptr, decl_mark: 0 });
+        self.scope_stack.push(Scope { watermark: self.arena.stack_ptr, decl_mark: 0 });
         if let Err(e) = self.exec(self.module.init_entry) {
             self.unwind_all();
             return Err(e);
         }
-        self.heap_ptr = self.data_ptr;
+        self.arena.start_heap();
         Ok(())
     }
 
@@ -212,7 +203,7 @@ impl<'a> Vm<'a> {
         for (g, &addr) in self.module.globals.iter().zip(&self.global_addrs) {
             hook.on_alloc(addr, g.size, false);
         }
-        for (&base, &len) in &self.heap_live {
+        for (&base, &len) in &self.arena.heap_live {
             hook.on_alloc(base, len, true);
         }
     }
@@ -285,39 +276,7 @@ impl<'a> Vm<'a> {
             arg_cursor: 0,
         });
         self.scope_stack
-            .push(Scope { watermark: self.stack_ptr, decl_mark: self.decl_stack.len() as u32 });
-    }
-
-    // ---- arena allocators (identical to the interpreter's) ---------------
-
-    fn alloc_data(&mut self, size: usize) -> Result<u64, InterpError> {
-        let size = size.max(1).next_multiple_of(8) + 8;
-        let addr = self.data_ptr;
-        if addr + size as u64 > self.arena_end {
-            return Err(InterpError::Oom("data"));
-        }
-        self.data_ptr += size as u64;
-        Ok(addr)
-    }
-
-    fn alloc_heap(&mut self, size: usize) -> Result<u64, InterpError> {
-        let size = size.max(1).next_multiple_of(8) + 8;
-        let addr = self.heap_ptr;
-        if addr + (size as u64) >= self.stack_ptr {
-            return Err(InterpError::Oom("heap"));
-        }
-        self.heap_ptr += size as u64;
-        self.heap_live.insert(addr, size);
-        Ok(addr)
-    }
-
-    fn alloc_stack(&mut self, size: usize) -> Result<u64, InterpError> {
-        let size = size.max(1).next_multiple_of(8) + 8;
-        if self.stack_ptr - (size as u64) <= self.heap_ptr {
-            return Err(InterpError::Oom("stack"));
-        }
-        self.stack_ptr -= size as u64;
-        Ok(self.stack_ptr)
+            .push(Scope { watermark: self.arena.stack_ptr, decl_mark: self.decl_stack.len() as u32 });
     }
 
     fn mem(&self) -> MemCtx<'a> {
@@ -442,7 +401,7 @@ impl<'a> Vm<'a> {
             }
         }
         self.decl_stack.truncate(sc.decl_mark as usize);
-        self.stack_ptr = sc.watermark;
+        self.arena.stack_ptr = sc.watermark;
     }
 
     /// After an error: pop every live frame, notifying the hook of dying
@@ -527,7 +486,7 @@ impl<'a> Vm<'a> {
                         self.stack.push(addr as i64);
                     } else {
                         let bytes = &module.strings[sidx as usize];
-                        let addr = self.alloc_data(bytes.len() + 1)?;
+                        let addr = self.arena.alloc_data(bytes.len() + 1)?;
                         self.on_alloc(addr, bytes.len() + 1, false);
                         let mem = self.mem();
                         mem.write(addr, bytes)?;
@@ -604,7 +563,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::EnterScope => {
                     self.scope_stack.push(Scope {
-                        watermark: self.stack_ptr,
+                        watermark: self.arena.stack_ptr,
                         decl_mark: self.decl_stack.len() as u32,
                     });
                 }
@@ -613,7 +572,7 @@ impl<'a> Vm<'a> {
                     self.exit_scope(sb);
                 }
                 Op::DeclLocal { slot, size } => {
-                    let addr = self.alloc_stack(size as usize)?;
+                    let addr = self.arena.alloc_stack(size as usize)?;
                     self.on_alloc(addr, size as usize, false);
                     let sb = self.frames.last().expect("frame").slot_base as usize;
                     self.slots[sb + slot as usize] = addr;
@@ -623,7 +582,7 @@ impl<'a> Vm<'a> {
                     let f = self.frames.last_mut().expect("frame");
                     let v = self.stack[f.base as usize + f.arg_cursor as usize];
                     f.arg_cursor += 1;
-                    let addr = self.alloc_stack(size as usize)?;
+                    let addr = self.arena.alloc_stack(size as usize)?;
                     self.on_alloc(addr, size as usize, false);
                     let sb = self.frames.last().expect("frame").slot_base as usize;
                     self.slots[sb + slot as usize] = addr;
@@ -634,7 +593,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::Malloc => {
                     let size = self.stack.pop().expect("operand").max(0) as usize;
-                    let addr = self.alloc_heap(size)?;
+                    let addr = self.arena.alloc_heap(size)?;
                     self.on_alloc(addr, size, true);
                     self.stack.push(addr as i64);
                 }
@@ -645,7 +604,7 @@ impl<'a> Vm<'a> {
                             hook.on_free_check(site, addr)?;
                         }
                     }
-                    if self.heap_live.remove(&addr).is_some() {
+                    if self.arena.free(addr) {
                         if let Some(hook) = self.hook {
                             hook.on_dealloc(addr, true);
                         }
@@ -697,7 +656,7 @@ impl<'a> Vm<'a> {
                 }
                 Op::AllocGlobal { gidx } => {
                     let size = module.globals[gidx as usize].size;
-                    let addr = self.alloc_data(size)?;
+                    let addr = self.arena.alloc_data(size)?;
                     self.on_alloc(addr, size, false);
                     self.global_addrs[gidx as usize] = addr;
                 }
@@ -1073,6 +1032,24 @@ mod tests {
             mv.clock.sys_cycles() - vs0,
             "sys cycles diverged for {src}"
         );
+    }
+
+    /// A literal first used after init must not share memory with the
+    /// heap: writing a fresh malloc'd object leaves the string intact, in
+    /// both engines alike.
+    #[test]
+    fn late_string_literal_survives_a_heap_write() {
+        let src = r#"
+            int f() {
+                char *s = "ab";
+                int *p = malloc(16);
+                p[0] = 0;
+                p[1] = 0;
+                return s[0] + s[1];
+            }
+        "#;
+        assert_eq!(run_vm(&machine(), src, "f", &[]).unwrap(), 97 + 98);
+        assert_parity(src, "f", &[]);
     }
 
     #[test]

@@ -18,19 +18,20 @@ use ksim::SpinMutex;
 use knet::{NetError, NetStack};
 use ksim::{FxHashMap, Machine, Pid, SimError};
 use ktrace::{SyscallEvent, Sysno, Tracer};
+use kuring::OFF_CURSOR;
 #[cfg(test)]
-use kvfs::STAT_WIRE_BYTES;
-use kvfs::{DirEntry, FileKind, Stat, Vfs, VfsError, VfsResult, DIRENT_WIRE_BYTES};
+use kvfs::{DIRENT_WIRE_BYTES, STAT_WIRE_BYTES};
+use kvfs::{DirEntry, FileKind, Stat, Vfs, VfsError, VfsResult};
 
 use crate::fd::{FdTable, OpenFile, OpenFlags};
+use crate::op::{KOp, OpError, OpResult, PathRef, Transport, UserMem};
+
+/// What a crossing's body returns: a value or an error with an errno.
+pub(crate) type SysResult = OpResult<std::convert::Infallible>;
 use crate::wire;
 
 /// User-side cycles per syscall invocation (libc stub, register setup).
 pub const USER_STUB_CYCLES: u64 = 180;
-
-/// I/O at or below this size stages through an on-stack buffer; larger
-/// transfers check out a recycled [`kalloc::BufPool`] buffer instead.
-const SMALL_IO_MAX: usize = 256;
 
 /// Whence values for lseek.
 pub const SEEK_SET: i32 = 0;
@@ -122,6 +123,11 @@ impl SyscallLayer {
         &self.tracer
     }
 
+    /// The recycled kernel scratch buffers (op staging, fetched paths).
+    pub fn scratch(&self) -> &kalloc::BufPool {
+        &self.scratch
+    }
+
     /// Open descriptors across all processes (leak checking in tests).
     pub fn open_fds(&self, pid: Pid) -> usize {
         let t = self.fds.lock().get(&pid.0).cloned();
@@ -162,37 +168,15 @@ impl SyscallLayer {
             .fetch_add(len as u64, Relaxed);
     }
 
-    fn err(e: VfsError) -> i64 {
-        e.errno()
-    }
-
-    /// Run one system call: stub + crossing + dispatch + trace record.
+    /// One user→kernel→user round trip: stub + crossing + `f` + trace
+    /// record. The caller decides what the syscall-entry filter sees.
     ///
     /// The whole call runs under one [`ksim::BatchGuard`], so the dozens of
     /// per-charge atomic RMWs a syscall used to issue collapse into one
     /// flush when the guard drops. The machine-stats snapshots exist only
     /// to compute the byte deltas for the trace record, so an untraced
     /// syscall (the default) skips both of them.
-    pub(crate) fn invoke(&self, pid: Pid, no: Sysno, f: impl FnOnce(&Self) -> i64) -> i64 {
-        self.invoke_filtered(pid, no, [0; 3], |s, _| f(s))
-    }
-
-    /// [`Self::invoke`] for syscalls whose leading arguments a verified
-    /// entry filter may inspect or rewrite. With no filter attached the
-    /// extra cost is one relaxed load (the exact-cycle fast-path tests
-    /// pin this); with one attached, the program sees
-    /// `ctx = [sysno, args[0], args[1], args[2]]`, may veto with a
-    /// negative return (which becomes the syscall's errno result without
-    /// dispatching), or allow with the possibly-rewritten `ctx[1..4]` as
-    /// the new arguments. A faulting filter fails **closed** (-13 EACCES):
-    /// a process that asked for a policy program keeps it or loses service.
-    pub(crate) fn invoke_filtered(
-        &self,
-        pid: Pid,
-        no: Sysno,
-        args: [i64; 3],
-        f: impl FnOnce(&Self, [i64; 3]) -> i64,
-    ) -> i64 {
+    fn cross(&self, pid: Pid, no: Sysno, f: impl FnOnce(&Self) -> i64) -> i64 {
         let _batch = self.machine.clock.batch();
         let traced = self.tracer.is_enabled();
         self.machine.charge_user(USER_STUB_CYCLES);
@@ -203,14 +187,7 @@ impl SyscallLayer {
             Err(_) => return -14,                         // EFAULT
         };
         self.machine.stats.syscalls.fetch_add(1, Relaxed);
-        let ret = if self.progs.has_syscall_filters() {
-            match self.consult_syscall_filter(pid, no, args) {
-                Ok(args) => f(self, args),
-                Err(veto) => veto,
-            }
-        } else {
-            f(self, args)
-        };
+        let ret = f(self);
         self.machine.exit_kernel(token);
         if let Some(s0) = s0 {
             let d = self.machine.stats.snapshot().delta(&s0);
@@ -226,9 +203,35 @@ impl SyscallLayer {
         ret
     }
 
-    /// Run `pid`'s entry filter. `Ok` carries the (possibly rewritten)
-    /// arguments; `Err` carries the veto errno.
-    fn consult_syscall_filter(
+    /// A classic system call: one crossing around one [`KOp`] dispatched
+    /// over user memory. The entry filter runs inside
+    /// [`Self::dispatch`], once.
+    pub fn syscall(&self, pid: Pid, op: KOp<'_>) -> i64 {
+        self.cross(pid, op.sysno(), |s| {
+            s.dispatch(pid, op, &mut UserMem).unwrap_or_else(|e| e.errno())
+        })
+    }
+
+    /// A crossing that is not a single [`KOp`] (ring setup/register/enter,
+    /// the consolidated calls, poll). With a filter attached it sees
+    /// `ctx = [sysno, 0, 0, 0]` and may veto; with none the extra cost is
+    /// one relaxed load (the exact-cycle fast-path tests pin this).
+    pub(crate) fn invoke(&self, pid: Pid, no: Sysno, f: impl FnOnce(&Self) -> SysResult) -> i64 {
+        self.cross(pid, no, |s| {
+            if s.progs.has_syscall_filters() {
+                if let Err(veto) = s.consult_syscall_filter(pid, no, [0; 3]) {
+                    return veto;
+                }
+            }
+            f(s).unwrap_or_else(|e| e.errno())
+        })
+    }
+
+    /// Run `pid`'s entry filter on `ctx = [sysno, args...]`. `Ok` carries
+    /// the (possibly rewritten) arguments; `Err` carries the veto errno: a
+    /// negative return, or -13 EACCES when the program faults — a process
+    /// that asked for a policy program keeps it or loses service.
+    pub(crate) fn consult_syscall_filter(
         &self,
         pid: Pid,
         no: Sysno,
@@ -254,7 +257,7 @@ impl SyscallLayer {
 
     /// Install a verified syscall-entry filter for `pid`. Every subsequent
     /// syscall from `pid` runs it before dispatch; see
-    /// [`Self::invoke_filtered`] for the veto/rewrite contract.
+    /// [`Self::dispatch`] for the veto/rewrite contract.
     pub fn attach_syscall_filter(
         &self,
         pid: Pid,
@@ -438,205 +441,88 @@ impl SyscallLayer {
         self.vfs.fs().truncate(ino, size)
     }
 
-    // ---- classic system calls ---------------------------------------------
+    // ---- classic system calls: one crossing, one dispatched op -------------
 
     /// `open(2)`.
     pub fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> i64 {
-        self.invoke(pid, Sysno::Open, |s| {
-            s.charge_arg_in(path.len());
-            match s.k_open(pid, path, flags) {
-                Ok(fd) => fd as i64,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Open { path: PathRef::Host(path), flags })
     }
 
     /// `close(2)`.
     pub fn sys_close(&self, pid: Pid, fd: i32) -> i64 {
-        self.invoke(pid, Sysno::Close, |s| match s.k_close(pid, fd) {
-            Ok(()) => 0,
-            Err(e) => Self::err(e),
-        })
+        self.syscall(pid, KOp::Close { fd })
     }
 
     /// `read(2)` into user buffer `ubuf`.
     pub fn sys_read(&self, pid: Pid, fd: i32, ubuf: u64, len: usize) -> i64 {
-        let args = [fd as i64, ubuf as i64, len as i64];
-        self.invoke_filtered(pid, Sysno::Read, args, |s, a| {
-            let (fd, ubuf, len) = (a[0] as i32, a[1] as u64, a[2].max(0) as usize);
-            let mut stack = [0u8; SMALL_IO_MAX];
-            let mut pooled;
-            let buf: &mut [u8] = if len <= SMALL_IO_MAX {
-                &mut stack[..len]
-            } else {
-                pooled = s.scratch.take(len);
-                &mut pooled
-            };
-            match s.k_read(pid, fd, buf) {
-                Ok(n) => match s.machine.copy_to_user(pid, ubuf, &buf[..n]) {
-                    Ok(()) => n as i64,
-                    Err(_) => -14,
-                },
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Read { fd, buf: ubuf, len, off: OFF_CURSOR })
     }
 
     /// `write(2)` from user buffer `ubuf`.
     pub fn sys_write(&self, pid: Pid, fd: i32, ubuf: u64, len: usize) -> i64 {
-        let args = [fd as i64, ubuf as i64, len as i64];
-        self.invoke_filtered(pid, Sysno::Write, args, |s, a| {
-            let (fd, ubuf, len) = (a[0] as i32, a[1] as u64, a[2].max(0) as usize);
-            let mut stack = [0u8; SMALL_IO_MAX];
-            let mut pooled;
-            let data: &mut [u8] = if len <= SMALL_IO_MAX {
-                &mut stack[..len]
-            } else {
-                pooled = s.scratch.take(len);
-                &mut pooled
-            };
-            if s.machine.copy_from_user_into(pid, ubuf, data).is_err() {
-                return -14;
-            }
-            match s.k_write(pid, fd, data) {
-                Ok(n) => n as i64,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Write { fd, buf: ubuf, len, off: OFF_CURSOR })
     }
 
     /// `lseek(2)`.
     pub fn sys_lseek(&self, pid: Pid, fd: i32, off: i64, whence: i32) -> i64 {
-        let args = [fd as i64, off, whence as i64];
-        self.invoke_filtered(pid, Sysno::Lseek, args, |s, a| {
-            let (fd, off, whence) = (a[0] as i32, a[1], a[2] as i32);
-            match s.k_lseek(pid, fd, off, whence) {
-                Ok(o) => o as i64,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Lseek { fd, off, whence })
     }
 
     /// `stat(2)`: writes the stat record to user address `ustat`.
     pub fn sys_stat(&self, pid: Pid, path: &str, ustat: u64) -> i64 {
-        self.invoke(pid, Sysno::Stat, |s| {
-            s.charge_arg_in(path.len());
-            match s.k_stat(path) {
-                Ok(st) => match s.machine.copy_to_user(pid, ustat, &st.to_wire()) {
-                    Ok(()) => 0,
-                    Err(_) => -14,
-                },
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Stat { path: PathRef::Host(path), buf: ustat })
     }
 
     /// `fstat(2)`.
     pub fn sys_fstat(&self, pid: Pid, fd: i32, ustat: u64) -> i64 {
-        self.invoke(pid, Sysno::Fstat, |s| match s.k_fstat(pid, fd) {
-            Ok(st) => match s.machine.copy_to_user(pid, ustat, &st.to_wire()) {
-                Ok(()) => 0,
-                Err(_) => -14,
-            },
-            Err(e) => Self::err(e),
-        })
+        self.syscall(pid, KOp::Fstat { fd, buf: ustat })
     }
 
     /// `readdir`/getdents: copies up to `max` fixed-size dirents to `ubuf`;
     /// returns the entry count (0 at end of directory).
     pub fn sys_readdir(&self, pid: Pid, fd: i32, ubuf: u64, max: usize) -> i64 {
-        self.invoke(pid, Sysno::Readdir, |s| {
-            match s.k_readdir_chunk(pid, fd, max) {
-                Ok(entries) => {
-                    let mut buf = Vec::with_capacity(entries.len() * DIRENT_WIRE_BYTES);
-                    for e in &entries {
-                        buf.extend_from_slice(&wire::dirent_to_wire(e));
-                    }
-                    match s.machine.copy_to_user(pid, ubuf, &buf) {
-                        Ok(()) => entries.len() as i64,
-                        Err(_) => -14,
-                    }
-                }
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Readdir { fd, buf: ubuf, max })
     }
 
     /// `getpid(2)`.
     pub fn sys_getpid(&self, pid: Pid) -> i64 {
-        self.invoke(pid, Sysno::Getpid, |_| pid.0 as i64)
+        self.syscall(pid, KOp::Getpid)
     }
 
     /// `mkdir(2)`.
     pub fn sys_mkdir(&self, pid: Pid, path: &str) -> i64 {
-        self.invoke(pid, Sysno::Mkdir, |s| {
-            s.charge_arg_in(path.len());
-            match s.k_mkdir(path) {
-                Ok(()) => 0,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Mkdir { path: PathRef::Host(path) })
     }
 
     /// `rmdir(2)`.
     pub fn sys_rmdir(&self, pid: Pid, path: &str) -> i64 {
-        self.invoke(pid, Sysno::Rmdir, |s| {
-            s.charge_arg_in(path.len());
-            match s.k_rmdir(path) {
-                Ok(()) => 0,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Rmdir { path: PathRef::Host(path) })
     }
 
     /// `unlink(2)`.
     pub fn sys_unlink(&self, pid: Pid, path: &str) -> i64 {
-        self.invoke(pid, Sysno::Unlink, |s| {
-            s.charge_arg_in(path.len());
-            match s.k_unlink(path) {
-                Ok(()) => 0,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Unlink { path: PathRef::Host(path) })
     }
 
     /// `rename(2)`.
     pub fn sys_rename(&self, pid: Pid, from: &str, to: &str) -> i64 {
-        self.invoke(pid, Sysno::Rename, |s| {
-            s.charge_arg_in(from.len() + to.len());
-            match s.k_rename(from, to) {
-                Ok(()) => 0,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Rename { from, to })
     }
 
     /// `fsync(2)`: block until the file's data and metadata are durable.
     pub fn sys_fsync(&self, pid: Pid, fd: i32) -> i64 {
-        self.invoke(pid, Sysno::Fsync, |s| match s.k_fsync(pid, fd, false) {
-            Ok(()) => 0,
-            Err(e) => Self::err(e),
-        })
+        self.syscall(pid, KOp::Fsync { fd, data_only: false })
     }
 
     /// `fdatasync(2)`: like `fsync` but may skip metadata that isn't needed
     /// to read the data back (a no-op commit when only timestamps changed).
     pub fn sys_fdatasync(&self, pid: Pid, fd: i32) -> i64 {
-        self.invoke(pid, Sysno::Fdatasync, |s| match s.k_fsync(pid, fd, true) {
-            Ok(()) => 0,
-            Err(e) => Self::err(e),
-        })
+        self.syscall(pid, KOp::Fsync { fd, data_only: true })
     }
 
     /// `truncate(2)`.
     pub fn sys_truncate(&self, pid: Pid, path: &str, size: u64) -> i64 {
-        self.invoke(pid, Sysno::Truncate, |s| {
-            s.charge_arg_in(path.len());
-            match s.k_truncate(path, size) {
-                Ok(()) => 0,
-                Err(e) => Self::err(e),
-            }
-        })
+        self.syscall(pid, KOp::Truncate { path: PathRef::Host(path), size })
     }
 
     // ---- consolidated system calls (§2.2) ----------------------------------
@@ -651,30 +537,17 @@ impl SyscallLayer {
     pub fn sys_readdirplus(&self, pid: Pid, path: &str, ubuf: u64, max: usize) -> i64 {
         self.invoke(pid, Sysno::ReaddirPlus, |s| {
             s.charge_arg_in(path.len());
-            let dir = match s.vfs.resolve(path) {
-                Ok(i) => i,
-                Err(e) => return Self::err(e),
-            };
-            let entries = match s.vfs.fs().readdir(dir) {
-                Ok(es) => es,
-                Err(e) => return Self::err(e),
-            };
-            let mut buf = Vec::with_capacity(entries.len().min(max) * wire::RDP_ENTRY_WIRE_BYTES);
-            let mut count = 0i64;
-            for e in entries.iter().take(max) {
+            let entries = s.vfs.fs().readdir(s.vfs.resolve(path)?)?;
+            let count = entries.len().min(max);
+            let mut buf = Vec::with_capacity(count * wire::RDP_ENTRY_WIRE_BYTES);
+            for e in &entries[..count] {
                 // The names are already in hand: stat directly by inode,
                 // no second path resolution.
-                let st = match s.vfs.fs().stat(kvfs::Ino(e.ino)) {
-                    Ok(st) => st,
-                    Err(err) => return Self::err(err),
-                };
+                let st = s.vfs.fs().stat(kvfs::Ino(e.ino))?;
                 buf.extend_from_slice(&wire::rdp_entry_to_wire(e, &st));
-                count += 1;
             }
-            match s.machine.copy_to_user(pid, ubuf, &buf) {
-                Ok(()) => count,
-                Err(_) => -14,
-            }
+            UserMem.put(s, pid, ubuf, &buf)?;
+            Ok(count as i64)
         })
     }
 
@@ -690,23 +563,14 @@ impl SyscallLayer {
     ) -> i64 {
         self.invoke(pid, Sysno::OpenReadClose, |s| {
             s.charge_arg_in(path.len());
-            let ino = match s.vfs.resolve(path) {
-                Ok(i) => i,
-                Err(e) => return Self::err(e),
-            };
-            if let Ok(st) = s.vfs.fs().stat(ino) {
-                if st.kind == FileKind::Dir {
-                    return Self::err(VfsError::IsADirectory);
-                }
+            let ino = s.vfs.resolve(path)?;
+            if s.vfs.fs().stat(ino).is_ok_and(|st| st.kind == FileKind::Dir) {
+                return Err(VfsError::IsADirectory.into());
             }
             let mut buf = vec![0u8; len];
-            match s.vfs.fs().read(ino, off, &mut buf) {
-                Ok(n) => match s.machine.copy_to_user(pid, ubuf, &buf[..n]) {
-                    Ok(()) => n as i64,
-                    Err(_) => -14,
-                },
-                Err(e) => Self::err(e),
-            }
+            let n = s.vfs.fs().read(ino, off, &mut buf)?;
+            UserMem.put(s, pid, ubuf, &buf[..n])?;
+            Ok(n as i64)
         })
     }
 
@@ -722,33 +586,19 @@ impl SyscallLayer {
     ) -> i64 {
         self.invoke(pid, Sysno::OpenWriteClose, |s| {
             s.charge_arg_in(path.len());
-            let data = match s.machine.copy_from_user(pid, ubuf, len) {
-                Ok(d) => d,
-                Err(_) => return -14,
-            };
+            let mut data = vec![0u8; len];
+            UserMem.get(s, pid, ubuf, &mut data)?;
             let ino = match s.vfs.resolve(path) {
-                Ok(i) => i,
-                Err(VfsError::NotFound) => match s.vfs.create_path(path) {
-                    Ok(i) => i,
-                    Err(e) => return Self::err(e),
-                },
-                Err(e) => return Self::err(e),
+                Err(VfsError::NotFound) => s.vfs.create_path(path)?,
+                r => r?,
             };
             let off = if append {
-                match s.vfs.fs().stat(ino) {
-                    Ok(st) => st.size,
-                    Err(e) => return Self::err(e),
-                }
+                s.vfs.fs().stat(ino)?.size
             } else {
-                if let Err(e) = s.vfs.fs().truncate(ino, 0) {
-                    return Self::err(e);
-                }
+                s.vfs.fs().truncate(ino, 0)?;
                 0
             };
-            match s.vfs.fs().write(ino, off, &data) {
-                Ok(n) => n as i64,
-                Err(e) => Self::err(e),
-            }
+            Ok(s.vfs.fs().write(ino, off, &data)? as i64)
         })
     }
 
@@ -757,20 +607,12 @@ impl SyscallLayer {
     pub fn sys_open_fstat(&self, pid: Pid, path: &str, ustat: u64, flags: OpenFlags) -> i64 {
         self.invoke(pid, Sysno::OpenFstat, |s| {
             s.charge_arg_in(path.len());
-            let fd = match s.k_open(pid, path, flags) {
-                Ok(fd) => fd,
-                Err(e) => return Self::err(e),
-            };
-            match s.k_fstat(pid, fd) {
-                Ok(st) => match s.machine.copy_to_user(pid, ustat, &st.to_wire()) {
-                    Ok(()) => fd as i64,
-                    Err(_) => -14,
-                },
-                Err(e) => {
-                    let _ = s.k_close(pid, fd);
-                    Self::err(e)
-                }
-            }
+            let fd = s.k_open(pid, path, flags)?;
+            let st = s.k_fstat(pid, fd).inspect_err(|_| {
+                let _ = s.k_close(pid, fd);
+            })?;
+            UserMem.put(s, pid, ustat, &st.to_wire())?;
+            Ok(fd as i64)
         })
     }
 
@@ -854,93 +696,40 @@ impl SyscallLayer {
 
     /// `socket(2)`: returns a new socket descriptor.
     pub fn sys_socket(&self, pid: Pid) -> i64 {
-        self.invoke(pid, Sysno::Socket, |s| match s.k_socket(pid) {
-            Ok(sd) => sd as i64,
-            Err(e) => e.errno(),
-        })
+        self.syscall(pid, KOp::Socket)
     }
 
     /// `bind(2)` + `listen(2)` in one call (the simulator has no separate
     /// unbound-listening state worth modelling).
     pub fn sys_bind_listen(&self, pid: Pid, sd: i32, port: u16, backlog: usize) -> i64 {
-        self.invoke(pid, Sysno::BindListen, |s| {
-            match s.k_bind_listen(pid, sd, port, backlog) {
-                Ok(()) => 0,
-                Err(e) => e.errno(),
-            }
-        })
+        self.syscall(pid, KOp::BindListen { sd, port, backlog })
     }
 
     /// `connect(2)` to a loopback port. Completes the handshake eagerly.
     pub fn sys_connect(&self, pid: Pid, sd: i32, port: u16) -> i64 {
-        self.invoke(pid, Sysno::Connect, |s| match s.k_connect(pid, sd, port) {
-            Ok(()) => 0,
-            Err(e) => e.errno(),
-        })
+        self.syscall(pid, KOp::Connect { sd, port })
     }
 
     /// `accept(2)`: non-blocking; -EAGAIN when the backlog is empty.
     pub fn sys_accept(&self, pid: Pid, sd: i32) -> i64 {
-        self.invoke(pid, Sysno::Accept, |s| match s.k_accept(pid, sd) {
-            Ok(nsd) => nsd as i64,
-            Err(e) => e.errno(),
-        })
+        self.syscall(pid, KOp::Accept { sd })
     }
 
     /// `send(2)` from user buffer `ubuf`; returns bytes queued (may be a
     /// short count under backpressure).
     pub fn sys_send(&self, pid: Pid, sd: i32, ubuf: u64, len: usize) -> i64 {
-        let args = [sd as i64, ubuf as i64, len as i64];
-        self.invoke_filtered(pid, Sysno::Send, args, |s, a| {
-            let (sd, ubuf, len) = (a[0] as i32, a[1] as u64, a[2].max(0) as usize);
-            let mut stack = [0u8; SMALL_IO_MAX];
-            let mut pooled;
-            let data: &mut [u8] = if len <= SMALL_IO_MAX {
-                &mut stack[..len]
-            } else {
-                pooled = s.scratch.take(len);
-                &mut pooled
-            };
-            if s.machine.copy_from_user_into(pid, ubuf, data).is_err() {
-                return -14;
-            }
-            match s.k_send(pid, sd, data) {
-                Ok(n) => n as i64,
-                Err(e) => e.errno(),
-            }
-        })
+        self.syscall(pid, KOp::Send { sd, buf: ubuf, len })
     }
 
     /// `recv(2)` into user buffer `ubuf`; 0 means EOF, -EAGAIN means no
     /// data yet.
     pub fn sys_recv(&self, pid: Pid, sd: i32, ubuf: u64, len: usize) -> i64 {
-        let args = [sd as i64, ubuf as i64, len as i64];
-        self.invoke_filtered(pid, Sysno::Recv, args, |s, a| {
-            let (sd, ubuf, len) = (a[0] as i32, a[1] as u64, a[2].max(0) as usize);
-            let mut stack = [0u8; SMALL_IO_MAX];
-            let mut pooled;
-            let buf: &mut [u8] = if len <= SMALL_IO_MAX {
-                &mut stack[..len]
-            } else {
-                pooled = s.scratch.take(len);
-                &mut pooled
-            };
-            match s.k_recv(pid, sd, buf) {
-                Ok(n) => match s.machine.copy_to_user(pid, ubuf, &buf[..n]) {
-                    Ok(()) => n as i64,
-                    Err(_) => -14,
-                },
-                Err(e) => e.errno(),
-            }
-        })
+        self.syscall(pid, KOp::Recv { sd, buf: ubuf, len })
     }
 
     /// `shutdown(2)` + `close(2)` of a socket descriptor.
     pub fn sys_shutdown(&self, pid: Pid, sd: i32) -> i64 {
-        self.invoke(pid, Sysno::Shutdown, |s| match s.k_shutdown(pid, sd) {
-            Ok(()) => 0,
-            Err(e) => e.errno(),
-        })
+        self.syscall(pid, KOp::Shutdown { sd })
     }
 
     /// `poll(2)`-style readiness query over `sds`. Ready `(sd, mask)`
@@ -955,10 +744,8 @@ impl SyscallLayer {
                 buf.extend_from_slice(&sd.to_le_bytes());
                 buf.extend_from_slice(&mask.to_le_bytes());
             }
-            match s.machine.copy_to_user(pid, ubuf, &buf) {
-                Ok(()) => ready.len() as i64,
-                Err(_) => -14,
-            }
+            UserMem.put(s, pid, ubuf, &buf)?;
+            Ok(ready.len() as i64)
         })
     }
 
@@ -968,12 +755,7 @@ impl SyscallLayer {
     /// data never crosses the user boundary, so the only charges are the
     /// crossing itself, the disk read, and the in-kernel ring move.
     pub fn sys_sendfile(&self, pid: Pid, sd: i32, fd: i32, len: usize) -> i64 {
-        self.invoke(pid, Sysno::Sendfile, |s| {
-            match s.k_sendfile(pid, sd, fd, len) {
-                Ok(n) => n as i64,
-                Err(en) => en,
-            }
-        })
+        self.syscall(pid, KOp::Sendfile { sd, fd, len })
     }
 
     /// One crossing per request: accept a pending connection on `lsd`,
@@ -983,53 +765,27 @@ impl SyscallLayer {
     /// served, or -EAGAIN when no connection or no request is ready.
     pub fn sys_accept_recv_send_close(&self, pid: Pid, lsd: i32, ureq: u64, reqcap: usize) -> i64 {
         self.invoke(pid, Sysno::AcceptRecvSendClose, |s| {
-            let sd = match s.k_accept(pid, lsd) {
-                Ok(sd) => sd,
-                Err(e) => return e.errno(),
-            };
-            let mut req = [0u8; 256];
-            let n = match s.k_recv(pid, sd, &mut req) {
-                Ok(0) | Err(NetError::Again) => {
-                    let _ = s.k_shutdown(pid, sd);
-                    return NetError::Again.errno();
+            let sd = s.k_accept(pid, lsd)?;
+            // Every way out past the accept closes the connection.
+            let served = (|| {
+                let mut req = [0u8; 256];
+                let n = match s.k_recv(pid, sd, &mut req) {
+                    Ok(0) => return Err(NetError::Again.into()),
+                    r => r?,
+                };
+                UserMem.put(s, pid, ureq, &req[..n.min(reqcap)])?;
+                let path_end = req[..n].iter().position(|&b| b == 0).unwrap_or(n);
+                let path = std::str::from_utf8(&req[..path_end]).map_err(|_| OpError::Errno(-22))?;
+                let fd = s.k_open(pid, path, OpenFlags::RDONLY)?;
+                let mut served = 0;
+                while let Ok(m @ 1..) = s.k_sendfile(pid, sd, fd, usize::MAX) {
+                    served += m;
                 }
-                Ok(n) => n,
-                Err(e) => {
-                    let _ = s.k_shutdown(pid, sd);
-                    return e.errno();
-                }
-            };
-            let keep = n.min(reqcap);
-            if s.machine.copy_to_user(pid, ureq, &req[..keep]).is_err() {
-                let _ = s.k_shutdown(pid, sd);
-                return -14;
-            }
-            let path_end = req[..n].iter().position(|&b| b == 0).unwrap_or(n);
-            let path = match std::str::from_utf8(&req[..path_end]) {
-                Ok(p) => p,
-                Err(_) => {
-                    let _ = s.k_shutdown(pid, sd);
-                    return -22;
-                }
-            };
-            let fd = match s.k_open(pid, path, OpenFlags::RDONLY) {
-                Ok(fd) => fd,
-                Err(e) => {
-                    let _ = s.k_shutdown(pid, sd);
-                    return Self::err(e);
-                }
-            };
-            let mut served = 0usize;
-            loop {
-                match s.k_sendfile(pid, sd, fd, usize::MAX) {
-                    Ok(0) => break,
-                    Ok(m) => served += m,
-                    Err(_) => break,
-                }
-            }
-            let _ = s.k_close(pid, fd);
+                let _ = s.k_close(pid, fd);
+                Ok(served as i64)
+            })();
             let _ = s.k_shutdown(pid, sd);
-            served as i64
+            served
         })
     }
 }
@@ -1043,23 +799,25 @@ impl std::fmt::Debug for SyscallLayer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ksim::MachineConfig;
     use kvfs::{BlockDev, MemFs};
 
-    fn setup() -> (Arc<Machine>, SyscallLayer, Pid) {
+    /// A memfs-backed layer and a process with 1 MiB of user memory at
+    /// [`UBUF`].
+    pub(crate) fn setup() -> (Arc<Machine>, SyscallLayer, Pid) {
         let m = Arc::new(Machine::new(MachineConfig::default()));
         let dev = Arc::new(BlockDev::new(m.clone()));
         let fs = Arc::new(MemFs::new(m.clone(), dev));
         let vfs = Arc::new(Vfs::new(m.clone(), fs));
         let layer = SyscallLayer::new(m.clone(), vfs);
         let pid = m.spawn_process();
-        m.map_user(pid, 0x10_0000, 1 << 20).unwrap(); // 1 MiB scratch
+        m.map_user(pid, UBUF, 1 << 20).unwrap();
         (m, layer, pid)
     }
 
-    const UBUF: u64 = 0x10_0000;
+    pub(crate) const UBUF: u64 = 0x10_0000;
 
     #[test]
     fn open_write_read_close_roundtrip() {
@@ -1547,14 +1305,8 @@ mod proptests {
         /// interleavings over four files.
         #[test]
         fn fd_lifecycle_matches_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
-            let m = Arc::new(Machine::new(MachineConfig::default()));
-            let dev = Arc::new(BlockDev::new(m.clone()));
-            let fs = Arc::new(MemFs::new(m.clone(), dev));
-            let vfs = Arc::new(Vfs::new(m.clone(), fs));
-            let sys = SyscallLayer::new(m.clone(), vfs);
-            let pid = m.spawn_process();
-            m.map_user(pid, 0x10_0000, 1 << 16).unwrap();
-            const UB: u64 = 0x10_0000;
+            let (_m, sys, pid) = super::tests::setup();
+            const UB: u64 = super::tests::UBUF;
 
             // fd → (file index, model offset); files hold model bytes.
             let mut open_fds: Model<i32, (u8, u64)> = Model::new();

@@ -15,6 +15,7 @@
 
 pub mod fd;
 pub mod layer;
+pub mod op;
 pub mod uring;
 pub mod wire;
 
@@ -23,4 +24,7 @@ mod prog_tests;
 
 pub use fd::{FdTable, OpenFile, OpenFlags};
 pub use layer::{SyscallLayer, USER_STUB_CYCLES};
+pub use op::{
+    FixedBufs, KOp, Moved, OpError, OpResult, PathRef, PathText, Transport, UserMem,
+};
 pub use wire::{parse_dirents, parse_rdp_entries, RDP_ENTRY_WIRE_BYTES};

@@ -5,25 +5,12 @@
 use std::sync::Arc;
 
 use kprog::{Attachment, HookClass, ProgEngine, ProgSpec};
-use ksim::{Machine, MachineConfig, Pid};
+use ksim::Machine;
 use kuring::Sqe;
-use kvfs::{BlockDev, MemFs, Vfs};
 
 use crate::fd::OpenFlags;
-use crate::layer::{SyscallLayer, SEEK_SET};
-
-const UBUF: u64 = 0x10_0000;
-
-fn setup() -> (Arc<Machine>, SyscallLayer, Pid) {
-    let m = Arc::new(Machine::new(MachineConfig::default()));
-    let dev = Arc::new(BlockDev::new(m.clone()));
-    let fs = Arc::new(MemFs::new(m.clone(), dev));
-    let vfs = Arc::new(Vfs::new(m.clone(), fs));
-    let layer = SyscallLayer::new(m.clone(), vfs);
-    let pid = m.spawn_process();
-    m.map_user(pid, UBUF, 1 << 20).unwrap();
-    (m, layer, pid)
-}
+use crate::layer::tests::{setup, UBUF};
+use crate::layer::SEEK_SET;
 
 fn load(
     m: &Arc<Machine>,

@@ -3,32 +3,34 @@
 //!
 //! `sys_ring_enter` is the one crossing a whole batch pays. It flushes any
 //! parked overflow completions, then drains up to `to_submit` SQEs and
-//! executes each **in kernel context** through the same `k_*` paths the
-//! classic and consolidated calls use — so permission checks, descriptor
-//! semantics and cycle charges are identical; only the per-op crossing and
-//! `syscall_dispatch` are gone, replaced by `uring_op_dispatch`.
+//! executes each **in kernel context**: the SQE is decoded into a
+//! [`KOp`] and run through [`SyscallLayer::dispatch`], the same dispatcher
+//! the classic calls use — so the entry filter, permission checks,
+//! descriptor semantics and cycle charges are identical; only the per-op
+//! crossing and `syscall_dispatch` are gone, replaced by
+//! `uring_op_dispatch`.
 //!
 //! Linked SQEs ([`IOSQE_LINK`]) form chains: a failure (negative result)
 //! cancels every later link with [`ECANCELED`], and fd-producing ops
 //! (`open`, `accept`) feed their result to later links marked
 //! [`IOSQE_FD_CHAIN`] — an `open→read→close` chain runs like a Cosy
-//! compound, without the compiler. Fixed-buffer ops ([`IOSQE_FIXED_BUF`])
-//! move data through registered ranges at the in-kernel memcpy rate with
-//! zero `copy_to_user`/`copy_from_user`, like `sendfile` does.
+//! compound, without the compiler. Fixed-buffer ops ([`IOSQE_FIXED_BUF`],
+//! the [`FixedBufs`] transport) move data through registered ranges at the
+//! in-kernel memcpy rate with zero `copy_to_user`/`copy_from_user`, like
+//! `sendfile` does; the flag means something only to Read, Write, Send and
+//! Recv, and an Open or Fstat carrying it is -EINVAL.
 
 use std::sync::Arc;
 
 use ksim::Pid;
 use ktrace::Sysno;
 use kuring::{
-    Cqe, Opcode, Sqe, Uring, ECANCELED, IOSQE_FD_CHAIN, IOSQE_FIXED_BUF, IOSQE_LINK, OFF_CURSOR,
+    Cqe, Opcode, Sqe, Uring, ECANCELED, IOSQE_FD_CHAIN, IOSQE_FIXED_BUF, IOSQE_LINK,
 };
 
 use crate::fd::OpenFlags;
-use crate::layer::{SyscallLayer, SEEK_SET};
-
-/// Longest path an `Open` SQE may reference.
-const RING_PATH_MAX: usize = 256;
+use crate::layer::SyscallLayer;
+use crate::op::{FixedBufs, KOp, OpError, PathRef, UserMem};
 
 /// Cap on how many times a CQE program may resubmit one SQE within a
 /// single `sys_ring_enter`. A verified program provably terminates *per
@@ -45,17 +47,17 @@ impl SyscallLayer {
         self.invoke(pid, Sysno::RingSetup, |s| {
             s.charge_arg_in(16); // the two capacity words, params-struct style
             if sq_entries == 0 || cq_entries == 0 {
-                return -22; // EINVAL
+                return Err(OpError::Errno(-22)); // EINVAL
             }
             let mut rings = s.urings.lock();
             if rings.contains_key(&pid.0) {
-                return -17; // EEXIST
+                return Err(OpError::Errno(-17)); // EEXIST
             }
             rings.insert(
                 pid.0,
                 Arc::new(Uring::new(s.machine.clone(), sq_entries, cq_entries)),
             );
-            0
+            Ok(0)
         })
     }
 
@@ -67,18 +69,18 @@ impl SyscallLayer {
         self.invoke(pid, Sysno::RingRegister, |s| {
             s.charge_arg_in(ranges.len() * 16);
             let Some(ring) = s.urings.lock().get(&pid.0).cloned() else {
-                return -6; // ENXIO
+                return Err(OpError::Errno(-6)); // ENXIO
             };
             if ranges.is_empty() {
-                return -22;
+                return Err(OpError::Errno(-22)); // EINVAL
             }
             let Ok(asid) = s.machine.proc_asid(pid) else {
-                return -3; // ESRCH
+                return Err(OpError::Errno(-3)); // ESRCH
             };
             let mut probe = [0u8; 1];
             for &(addr, len) in ranges {
                 if len == 0 {
-                    return -22;
+                    return Err(OpError::Errno(-22)); // EINVAL
                 }
                 // Pinning walks the pages: both ends must be mapped.
                 if s.machine.mem.read_virt(asid, addr, &mut probe).is_err()
@@ -87,11 +89,11 @@ impl SyscallLayer {
                         .read_virt(asid, addr + len as u64 - 1, &mut probe)
                         .is_err()
                 {
-                    return -14;
+                    return Err(OpError::Errno(-14)); // EFAULT
                 }
             }
             ring.register_buffers(ranges);
-            ranges.len() as i64
+            Ok(ranges.len() as i64)
         })
     }
 
@@ -114,7 +116,7 @@ impl SyscallLayer {
         let _ = min_complete;
         self.invoke(pid, Sysno::RingEnter, |s| {
             let Some(ring) = s.urings.lock().get(&pid.0).cloned() else {
-                return -6; // ENXIO
+                return Err(OpError::Errno(-6)); // ENXIO
             };
             ring.flush_overflow();
             // Fetched once per batch: one relaxed load when no CQE program
@@ -160,7 +162,7 @@ impl SyscallLayer {
                 }
                 in_chain = sqe.flags & IOSQE_LINK != 0;
             }
-            submitted
+            Ok(submitted)
         })
     }
 
@@ -254,274 +256,57 @@ impl SyscallLayer {
         Some(out)
     }
 
-    /// Resolve the descriptor an SQE operates on: its own `fd`, or the
-    /// chain's most recent fd-producing result under [`IOSQE_FD_CHAIN`].
-    fn ring_fd(sqe: &Sqe, chain_fd: i64) -> Result<i32, i64> {
-        if sqe.flags & IOSQE_FD_CHAIN != 0 {
-            if chain_fd < 0 {
-                return Err(-9); // EBADF: nothing in the chain produced an fd
-            }
-            Ok(chain_fd as i32)
-        } else {
-            Ok(sqe.fd)
-        }
-    }
-
-    /// Resolve a fixed-buffer reference, clamping the requested length to
-    /// the registered range.
-    fn ring_buf(ring: &Uring, sqe: &Sqe) -> Result<(u64, usize), i64> {
-        let (addr, blen) = ring.fixed_buf(sqe.buf as u32).ok_or(-22i64)?;
-        Ok((addr, (sqe.len as usize).min(blen)))
-    }
-
-    /// Move `data` into a pinned range: no user copy, just the in-kernel
-    /// memcpy charge — the same rate the socket rings pay.
-    fn fixed_move_in(&self, pid: Pid, addr: u64, data: &[u8]) -> Result<(), i64> {
-        let asid = self.machine.proc_asid(pid).map_err(|_| -3i64)?;
-        self.machine
-            .mem
-            .write_virt(asid, addr, data)
-            .map_err(|_| -14i64)?;
-        self.machine
-            .charge_sys((data.len() as u64).div_ceil(16) * self.machine.cost.sock_move_block16);
-        Ok(())
-    }
-
-    /// Fill `buf` from a pinned range at the in-kernel memcpy rate.
-    fn fixed_move_out(&self, pid: Pid, addr: u64, buf: &mut [u8]) -> Result<(), i64> {
-        let asid = self.machine.proc_asid(pid).map_err(|_| -3i64)?;
-        self.machine
-            .mem
-            .read_virt(asid, addr, buf)
-            .map_err(|_| -14i64)?;
-        self.machine
-            .charge_sys((buf.len() as u64).div_ceil(16) * self.machine.cost.sock_move_block16);
-        Ok(())
-    }
-
-    /// Position `fd`'s cursor for an explicit-offset read/write.
-    fn ring_seek(&self, pid: Pid, fd: i32, off: u64) -> Result<(), i64> {
-        if off == OFF_CURSOR {
-            return Ok(());
-        }
-        self.k_lseek(pid, fd, off as i64, SEEK_SET)
-            .map(|_| ())
-            .map_err(|e| e.errno())
-    }
-
     /// Execute one drained SQE in kernel context. Returns the op's result
     /// with the same conventions as the matching synchronous syscall.
     fn exec_ring_op(&self, pid: Pid, ring: &Uring, sqe: &Sqe, chain_fd: i64) -> i64 {
-        let fixed = sqe.flags & IOSQE_FIXED_BUF != 0;
-        match sqe.opcode {
-            Opcode::Nop => 0,
-            Opcode::Open => {
-                let len = (sqe.len as usize).min(RING_PATH_MAX);
-                let mut bytes = self.scratch.take(len);
-                if self
-                    .machine
-                    .copy_from_user_into(pid, sqe.buf, &mut bytes)
-                    .is_err()
-                {
-                    return -14;
-                }
-                let end = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
-                let path = match std::str::from_utf8(&bytes[..end]) {
-                    Ok(p) => p,
-                    Err(_) => return -22,
-                };
-                match self.k_open(pid, path, OpenFlags(sqe.off as u32)) {
-                    Ok(fd) => fd as i64,
-                    Err(e) => e.errno(),
-                }
-            }
-            Opcode::Read => {
-                let fd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(fd) => fd,
-                    Err(e) => return e,
-                };
-                if let Err(e) = self.ring_seek(pid, fd, sqe.off) {
-                    return e;
-                }
-                if fixed {
-                    let (addr, take) = match Self::ring_buf(ring, sqe) {
-                        Ok(b) => b,
-                        Err(e) => return e,
-                    };
-                    let mut buf = self.scratch.take(take);
-                    match self.k_read(pid, fd, &mut buf) {
-                        Ok(n) => match self.fixed_move_in(pid, addr, &buf[..n]) {
-                            Ok(()) => n as i64,
-                            Err(e) => e,
-                        },
-                        Err(e) => e.errno(),
-                    }
-                } else {
-                    let mut buf = self.scratch.take(sqe.len as usize);
-                    match self.k_read(pid, fd, &mut buf) {
-                        Ok(n) => match self.machine.copy_to_user(pid, sqe.buf, &buf[..n]) {
-                            Ok(()) => n as i64,
-                            Err(_) => -14,
-                        },
-                        Err(e) => e.errno(),
-                    }
-                }
-            }
-            Opcode::Write => {
-                let fd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(fd) => fd,
-                    Err(e) => return e,
-                };
-                if let Err(e) = self.ring_seek(pid, fd, sqe.off) {
-                    return e;
-                }
-                let mut data;
-                if fixed {
-                    let (addr, take) = match Self::ring_buf(ring, sqe) {
-                        Ok(b) => b,
-                        Err(e) => return e,
-                    };
-                    data = self.scratch.take(take);
-                    if let Err(e) = self.fixed_move_out(pid, addr, &mut data) {
-                        return e;
-                    }
-                } else {
-                    data = self.scratch.take(sqe.len as usize);
-                    if self
-                        .machine
-                        .copy_from_user_into(pid, sqe.buf, &mut data)
-                        .is_err()
-                    {
-                        return -14;
-                    }
-                }
-                match self.k_write(pid, fd, &data) {
-                    Ok(n) => n as i64,
-                    Err(e) => e.errno(),
-                }
-            }
-            Opcode::Close => {
-                let fd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(fd) => fd,
-                    Err(e) => return e,
-                };
-                match self.k_close(pid, fd) {
-                    Ok(()) => 0,
-                    Err(e) => e.errno(),
-                }
-            }
-            Opcode::Fstat => {
-                let fd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(fd) => fd,
-                    Err(e) => return e,
-                };
-                match self.k_fstat(pid, fd) {
-                    Ok(st) => match self.machine.copy_to_user(pid, sqe.buf, &st.to_wire()) {
-                        Ok(()) => 0,
-                        Err(_) => -14,
-                    },
-                    Err(e) => e.errno(),
-                }
-            }
-            Opcode::Send => {
-                let sd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(sd) => sd,
-                    Err(e) => return e,
-                };
-                let mut data;
-                if fixed {
-                    let (addr, take) = match Self::ring_buf(ring, sqe) {
-                        Ok(b) => b,
-                        Err(e) => return e,
-                    };
-                    data = self.scratch.take(take);
-                    if let Err(e) = self.fixed_move_out(pid, addr, &mut data) {
-                        return e;
-                    }
-                } else {
-                    data = self.scratch.take(sqe.len as usize);
-                    if self
-                        .machine
-                        .copy_from_user_into(pid, sqe.buf, &mut data)
-                        .is_err()
-                    {
-                        return -14;
-                    }
-                }
-                match self.k_send(pid, sd, &data) {
-                    Ok(n) => n as i64,
-                    Err(e) => e.errno(),
-                }
-            }
-            Opcode::Recv => {
-                let sd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(sd) => sd,
-                    Err(e) => return e,
-                };
-                if fixed {
-                    let (addr, take) = match Self::ring_buf(ring, sqe) {
-                        Ok(b) => b,
-                        Err(e) => return e,
-                    };
-                    let mut buf = self.scratch.take(take);
-                    match self.k_recv(pid, sd, &mut buf) {
-                        Ok(n) => match self.fixed_move_in(pid, addr, &buf[..n]) {
-                            Ok(()) => n as i64,
-                            Err(e) => e,
-                        },
-                        Err(e) => e.errno(),
-                    }
-                } else {
-                    let mut buf = self.scratch.take(sqe.len as usize);
-                    match self.k_recv(pid, sd, &mut buf) {
-                        Ok(n) => match self.machine.copy_to_user(pid, sqe.buf, &buf[..n]) {
-                            Ok(()) => n as i64,
-                            Err(_) => -14,
-                        },
-                        Err(e) => e.errno(),
-                    }
-                }
-            }
-            Opcode::Accept => match self.k_accept(pid, sqe.fd) {
-                Ok(sd) => sd as i64,
-                Err(e) => e.errno(),
+        let op = match Self::ring_op(sqe, chain_fd) {
+            Ok(Some(op)) => op,
+            Ok(None) => return 0, // Nop
+            Err(e) => return e,
+        };
+        let r = if sqe.flags & IOSQE_FIXED_BUF != 0 {
+            self.dispatch(pid, op, &mut FixedBufs(ring))
+        } else {
+            self.dispatch(pid, op, &mut UserMem)
+        };
+        r.unwrap_or_else(|e| e.errno())
+    }
+
+    /// Decode an SQE into the op it names (`None` for a no-op). A
+    /// descriptor comes from the SQE's `fd`, or under [`IOSQE_FD_CHAIN`]
+    /// from the chain's most recent fd-producing result (-EBADF if nothing
+    /// in the chain produced one).
+    fn ring_op(sqe: &Sqe, chain_fd: i64) -> Result<Option<KOp<'static>>, i64> {
+        let fd = || match sqe.flags & IOSQE_FD_CHAIN != 0 {
+            false => Ok(sqe.fd),
+            true if chain_fd < 0 => Err(-9),
+            true => Ok(chain_fd as i32),
+        };
+        let (buf, len) = (sqe.buf, sqe.len as usize);
+        Ok(Some(match sqe.opcode {
+            Opcode::Nop => return Ok(None),
+            Opcode::Open => KOp::Open {
+                path: PathRef::At { addr: buf, len },
+                flags: OpenFlags(sqe.off as u32),
             },
-            Opcode::Sendfile => {
-                // `fd` is the socket; the file fd rides in `off` or comes
-                // from the chain (an earlier `open`).
-                let file_fd = if sqe.flags & IOSQE_FD_CHAIN != 0 {
-                    if chain_fd < 0 {
-                        return -9;
-                    }
-                    chain_fd as i32
-                } else {
-                    sqe.off as i32
-                };
-                match self.k_sendfile(pid, sqe.fd, file_fd, sqe.len as usize) {
-                    Ok(n) => n as i64,
-                    Err(en) => en,
-                }
-            }
-            Opcode::Shutdown => {
-                let sd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(sd) => sd,
-                    Err(e) => return e,
-                };
-                match self.k_shutdown(pid, sd) {
-                    Ok(()) => 0,
-                    Err(e) => e.errno(),
-                }
-            }
-            Opcode::Fsync => {
-                let fd = match Self::ring_fd(sqe, chain_fd) {
-                    Ok(fd) => fd,
-                    Err(e) => return e,
-                };
-                match self.k_fsync(pid, fd, sqe.off == 1) {
-                    Ok(()) => 0,
-                    Err(e) => e.errno(),
-                }
-            }
-        }
+            Opcode::Read => KOp::Read { fd: fd()?, buf, len, off: sqe.off },
+            Opcode::Write => KOp::Write { fd: fd()?, buf, len, off: sqe.off },
+            Opcode::Close => KOp::Close { fd: fd()? },
+            Opcode::Fstat => KOp::Fstat { fd: fd()?, buf },
+            Opcode::Send => KOp::Send { sd: fd()?, buf, len },
+            Opcode::Recv => KOp::Recv { sd: fd()?, buf, len },
+            Opcode::Accept => KOp::Accept { sd: sqe.fd },
+            // `fd` is the socket; the file fd rides in `off` or comes from
+            // the chain (an earlier `open`).
+            Opcode::Sendfile => KOp::Sendfile {
+                sd: sqe.fd,
+                fd: if sqe.flags & IOSQE_FD_CHAIN != 0 { fd()? } else { sqe.off as i32 },
+                len,
+            },
+            Opcode::Shutdown => KOp::Shutdown { sd: fd()? },
+            Opcode::Fsync => KOp::Fsync { fd: fd()?, data_only: sqe.off == 1 },
+            Opcode::Lseek => KOp::Lseek { fd: fd()?, off: sqe.off as i64, whence: sqe.len as i32 },
+            Opcode::Unlink => KOp::Unlink { path: PathRef::At { addr: buf, len } },
+        }))
     }
 }

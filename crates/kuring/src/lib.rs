@@ -78,6 +78,10 @@ pub enum Opcode {
     /// Flush `fd` to stable storage; `off` = 1 means data-only
     /// (`fdatasync` semantics).
     Fsync,
+    /// Move `fd`'s cursor to `off` relative to `len` (the `whence`).
+    Lseek,
+    /// Unlink the path at user address `buf` (`len` bytes), like `Open`.
+    Unlink,
 }
 
 /// One submission-queue entry: ~48 bytes of shared memory in the model.
@@ -191,6 +195,14 @@ impl Sqe {
     /// answer to the write…write…fsync tail the advisor flags.
     pub fn fsync(fd: i32, data_only: bool, user_data: u64) -> Sqe {
         Sqe::raw(Opcode::Fsync, fd, 0, 0, data_only as u64, user_data)
+    }
+
+    pub fn lseek(fd: i32, off: i64, whence: u32, user_data: u64) -> Sqe {
+        Sqe::raw(Opcode::Lseek, fd, 0, whence, off as u64, user_data)
+    }
+
+    pub fn unlink(path: u64, path_len: u32, user_data: u64) -> Sqe {
+        Sqe::raw(Opcode::Unlink, -1, path, path_len, 0, user_data)
     }
 
     /// Set [`IOSQE_LINK`]: chain the next SQE onto this one.

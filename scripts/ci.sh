@@ -118,29 +118,37 @@ if [ "$h1" != "$h2" ]; then
 fi
 echo "crash sweep deterministic: ${points} kill points, $h1"
 
+# ratio_gate VAR MIN BIN LINE WHAT OK_FORMAT: run BIN --quick, read the
+# x100 ratio on its LINE machine line, and fail unless it reaches MIN
+# (VAR=0 skips the gate). OK_FORMAT prints the passing ratio.
+ratio_gate() {
+    local var=$1 min=$2 bin=$3 line=$4 what=$5 ok=$6 out ratio
+    out=$(./target/release/"${bin}" --quick)
+    echo "${out}" | grep "^${line}" || true
+    ratio=$(echo "${out}" | grep "^${line}" | awk '{print $2}')
+    if [ "${min}" -gt 0 ]; then
+        if [ -z "${ratio}" ]; then
+            echo "${what} produced no ratio" >&2
+            exit 1
+        fi
+        if [ "${ratio}" -lt "${min}" ]; then
+            echo "${what} regression: ratio ${ratio} < ${min} (x100)" >&2
+            exit 1
+        fi
+        # shellcheck disable=SC2059
+        printf "${ok}\n" $((ratio / 100)) $((ratio % 100))
+    else
+        echo "${var}=0; skipping the ${what} gate"
+    fi
+}
+
 echo "== bench smoke: kprog verified CQE programs =="
 # Gate: the kernel-walked pointer chase must beat the user-space
 # drain/resubmit loop by at least KPROG_MIN/100 x in cycles per hop.
 # Both sides are simulated cycles, so the ratio transfers between
 # machines. Override with KPROG_MIN=<ratio x100>, or KPROG_MIN=0 to skip.
-KPROG_MIN=${KPROG_MIN:-200}
-kp_out=$(./target/release/a14_kprog --quick)
-echo "${kp_out}" | grep '^A14_CHASE_RATIO_X100' || true
-ratio=$(echo "${kp_out}" | grep '^A14_CHASE_RATIO_X100' | awk '{print $2}')
-if [ "${KPROG_MIN}" -gt 0 ]; then
-    if [ -z "${ratio}" ]; then
-        echo "kprog chase produced no ratio" >&2
-        exit 1
-    fi
-    if [ "${ratio}" -lt "${KPROG_MIN}" ]; then
-        echo "kprog chase regression: ratio ${ratio} < ${KPROG_MIN} (x100)" >&2
-        exit 1
-    fi
-    printf 'kprog chase ok: kernel walk is %d.%02dx the user loop\n' \
-        $((ratio / 100)) $((ratio % 100))
-else
-    echo "KPROG_MIN=0; skipping the kprog chase gate"
-fi
+ratio_gate KPROG_MIN "${KPROG_MIN:-200}" a14_kprog A14_CHASE_RATIO_X100 "kprog chase" \
+    'kprog chase ok: kernel walk is %d.%02dx the user loop'
 
 echo "== bench smoke: pipelined journal + group commit =="
 # Gate: on the 8-thread fsync convoy, group commit must beat the
@@ -148,23 +156,7 @@ echo "== bench smoke: pipelined journal + group commit =="
 # cycles per op. Both sides are simulated cycles, so the ratio transfers
 # between machines. Override with JOURNAL_MIN=<ratio x100>, or
 # JOURNAL_MIN=0 to skip.
-JOURNAL_MIN=${JOURNAL_MIN:-150}
-j_out=$(./target/release/a15_journal --quick)
-echo "${j_out}" | grep '^A15_JOURNAL_RATIO_X100' || true
-jratio=$(echo "${j_out}" | grep '^A15_JOURNAL_RATIO_X100' | awk '{print $2}')
-if [ "${JOURNAL_MIN}" -gt 0 ]; then
-    if [ -z "${jratio}" ]; then
-        echo "journal convoy produced no ratio" >&2
-        exit 1
-    fi
-    if [ "${jratio}" -lt "${JOURNAL_MIN}" ]; then
-        echo "journal convoy regression: ratio ${jratio} < ${JOURNAL_MIN} (x100)" >&2
-        exit 1
-    fi
-    printf 'journal convoy ok: group commit is %d.%02dx the single-txn journal\n' \
-        $((jratio / 100)) $((jratio % 100))
-else
-    echo "JOURNAL_MIN=0; skipping the journal convoy gate"
-fi
+ratio_gate JOURNAL_MIN "${JOURNAL_MIN:-150}" a15_journal A15_JOURNAL_RATIO_X100 \
+    "journal convoy" 'journal convoy ok: group commit is %d.%02dx the single-txn journal'
 
 echo "CI pass complete."

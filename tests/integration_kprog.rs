@@ -223,3 +223,106 @@ fn kernel_chase_crossings_stay_constant_as_the_chain_grows() {
         "kernel walk crossings are independent of chain length"
     );
 }
+
+/// Load `src` as `pid`'s syscall-entry filter, replacing any other.
+fn attach_entry_filter(rig: &Rig, pid: Pid, src: &str) -> Arc<Attachment> {
+    let engine = ProgEngine::new(rig.machine.clone());
+    let prog = engine.load(src, &ProgSpec::new(HookClass::SyscallEntry, "f")).unwrap();
+    let att = Arc::new(Attachment::new(rig.machine.clone(), prog).unwrap());
+    rig.sys.detach_syscall_filter(pid);
+    rig.sys.attach_syscall_filter(pid, att.clone()).unwrap();
+    att
+}
+
+/// A compound of `write(fd, data[..8], len)` followed by `getpid`, staged
+/// in a fresh region pair; returns the submission's result.
+fn cosy_write(rig: &Rig, p: &UserProc, fd: i32, len: i64) -> Result<Vec<i64>, CosyError> {
+    let cb = SharedRegion::new(rig.machine.clone(), p.pid, 1, 0).unwrap();
+    let db = SharedRegion::new(rig.machine.clone(), p.pid, 1, 1).unwrap();
+    let mut b = CompoundBuilder::new(&cb, &db);
+    let CosyArg::BufRef { offset, .. } = b.stage_bytes(b"payload!").unwrap() else {
+        unreachable!()
+    };
+    let data = CosyArg::BufRef { offset, len: 8 };
+    let fd = CompoundBuilder::lit(fd as i64);
+    b.syscall(CosyCall::Write, vec![fd, data, CompoundBuilder::lit(len)]);
+    b.syscall(CosyCall::Getpid, vec![]);
+    b.finish().unwrap();
+    rig.cosy.submit(p.pid, &cb, &db, &CosyOptions::default())
+}
+
+/// One entry filter governs every way a process reaches `write`: a
+/// classic call, a ring SQE, a Cosy compound op, and a KC program's
+/// `sys_write` intrinsic running in the kernel. A veto is that op's
+/// result — it cancels the rest of a linked SQE chain, and a compound
+/// keeps going past it like a genuine errno. A filter's rewritten length
+/// still meets the transport's bound: a Cosy write moves at most its
+/// buffer reference, and a buffer moved outside the shared region is
+/// refused outright.
+#[test]
+fn write_veto_filter_blocks_every_path_to_write() {
+    let rig = Rig::memfs();
+    let p = rig.user(1 << 16);
+    let fd = rig.sys.sys_open(p.pid, "/guarded", OpenFlags::RDWR | OpenFlags::CREAT);
+    let fd = fd as i32;
+    p.stage(&rig, b"payload!");
+    rig.cosy
+        .load_program("int w(int fd) { return sys_write(fd, \"payload!\", 8); }")
+        .unwrap();
+    // Write is Sysno 2: veto it with -EPERM and count the vetoes.
+    let att = attach_entry_filter(
+        &rig,
+        p.pid,
+        r#"
+        int f(int *ctx, int *state) {
+            if (ctx[0] == 2) { state[0] = state[0] + 1; return -1; }
+            return 0;
+        }
+        "#,
+    );
+
+    assert_eq!(rig.sys.sys_write(p.pid, fd, p.buf, 8), -1, "classic");
+
+    assert_eq!(rig.sys.sys_ring_setup(p.pid, 8, 8), 0);
+    let ring = rig.sys.uring(p.pid).unwrap();
+    ring.push_sqe(Sqe::write(fd, p.buf, 8, OFF_CURSOR, 1)).unwrap();
+    ring.push_sqe(Sqe::write(fd, p.buf, 8, 0, 2).link()).unwrap();
+    ring.push_sqe(Sqe::read(fd, p.buf + 64, 8, 0, 3)).unwrap();
+    assert_eq!(rig.sys.sys_ring_enter(p.pid, 3, 3), 3);
+    let mut cqes = Vec::new();
+    while let Some(c) = ring.reap_cqe() {
+        cqes.push((c.user_data, c.res));
+    }
+    assert_eq!(cqes, vec![(1, -1), (2, -1), (3, ECANCELED)], "SQE, then a vetoed chain");
+
+    let r = cosy_write(&rig, &p, fd, 8).unwrap();
+    assert_eq!(r, vec![-1, p.pid.0 as i64], "compound op vetoed, compound continues");
+
+    let cb = SharedRegion::new(rig.machine.clone(), p.pid, 1, 2).unwrap();
+    let db = SharedRegion::new(rig.machine.clone(), p.pid, 1, 3).unwrap();
+    let mut b = CompoundBuilder::new(&cb, &db);
+    b.call_user(0, "w", vec![CompoundBuilder::lit(fd as i64)]);
+    b.finish().unwrap();
+    let r = rig.cosy.submit(p.pid, &cb, &db, &CosyOptions::default()).unwrap();
+    assert_eq!(r, vec![-1], "KC sys_write intrinsic under the kernel host");
+
+    assert_eq!(att.state()[0], 5, "the filter saw each write once");
+    assert_eq!(rig.sys.k_stat("/guarded").unwrap().size, 0, "nothing was written");
+
+    // Allow writes, but raise their length far past any buffer.
+    attach_entry_filter(
+        &rig,
+        p.pid,
+        "int f(int *ctx, int *state) { if (ctx[0] == 2) { ctx[3] = 1048576; } return 0; }",
+    );
+    assert_eq!(cosy_write(&rig, &p, fd, 8).unwrap()[0], 8, "clamped to the BufRef");
+    assert_eq!(rig.sys.k_stat("/guarded").unwrap().size, 8);
+    attach_entry_filter(
+        &rig,
+        p.pid,
+        "int f(int *ctx, int *state) { if (ctx[0] == 2) { ctx[2] = 1048576; } return 0; }",
+    );
+    let err = cosy_write(&rig, &p, fd, 8).unwrap_err();
+    assert!(matches!(err, CosyError::Sim(_)), "buffer moved out of the region: {err:?}");
+    assert_eq!(rig.sys.k_stat("/guarded").unwrap().size, 8, "refused before any write");
+}

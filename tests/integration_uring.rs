@@ -335,3 +335,29 @@ fn batch_of_n_matches_n_individual_syscalls_at_one_crossing() {
     assert_eq!(rig_a.sys.open_fds(pa.pid), 0);
     assert_eq!(rig_b.sys.open_fds(pb.pid), 0);
 }
+
+/// `IOSQE_FIXED_BUF` means something only to Read, Write, Send and Recv.
+/// An Open or Fstat carrying it would otherwise treat the registered
+/// buffer *index* in `buf` as a user address; both are -EINVAL instead,
+/// and neither touches the registered range or the descriptor table.
+#[test]
+fn fixed_flag_on_open_or_fstat_is_einval_and_writes_nothing() {
+    let rig = Rig::memfs();
+    let p = rig.user(1 << 16);
+    let fd = rig
+        .sys
+        .sys_open(p.pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT) as i32;
+    let pin = p.buf + 0x8000;
+    stage_at(&rig, &p, pin, &[0xAA; 256]);
+    stage_at(&rig, &p, p.buf, b"/f");
+    assert_eq!(rig.sys.sys_ring_setup(p.pid, 8, 8), 0);
+    assert_eq!(rig.sys.sys_ring_register(p.pid, &[(pin, 256)]), 1);
+    let ring = rig.sys.uring(p.pid).unwrap();
+
+    ring.push_sqe(Sqe::fstat(fd, 0, 1).fixed()).unwrap();
+    ring.push_sqe(Sqe::open(0, 2, 0, 2).fixed()).unwrap();
+    assert_eq!(rig.sys.sys_ring_enter(p.pid, 2, 2), 2);
+    assert_eq!(reap_all(&ring), vec![(1, -22), (2, -22)]);
+    assert_eq!(fetch_at(&rig, &p, pin, 256), vec![0xAA; 256], "pin untouched");
+    assert_eq!(rig.sys.open_fds(p.pid), 1, "no descriptor opened");
+}
