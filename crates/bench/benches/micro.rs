@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use kucode::kclang::Interp;
 use kucode::kevents::{EventRecord, EventType};
 use kucode::kgcc::SplayTree;
 use kucode::prelude::*;

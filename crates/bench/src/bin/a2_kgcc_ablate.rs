@@ -97,12 +97,12 @@ pub fn run(report: &mut Report) {
     );
     let prog = parse_program(&shim_src).unwrap();
     let info = typecheck(&prog).unwrap();
+    let module = compile_planned(&prog, &info, &CheckPlan::all_enabled(&prog, &info)).unwrap();
     let machine = Arc::new(Machine::new(MachineConfig::default()));
     let hook = KgccHook::new(
         machine.clone(),
         KgccConfig {
             charge_sys: true,
-            plan: CheckPlan::all_enabled(&prog, &info),
             deinstrument: Some(Deinstrument::new(600, prog.max_expr_id as usize + 1)),
         },
     );
@@ -123,11 +123,10 @@ pub fn run(report: &mut Report) {
     for run_idx in 0..8 {
         let mut cfg = ExecConfig::flat(asid);
         cfg.charge_sys = true;
-        let mut interp =
-            Interp::new(&machine, &prog, &info, cfg, arena, 32 * PAGE_SIZE).unwrap();
-        interp.set_hook(hook.as_ref());
+        let mut vm = Vm::new(&machine, &module, cfg, arena, 32 * PAGE_SIZE).unwrap();
+        vm.set_hook(hook.as_ref());
         let sys0 = machine.clock.sys_cycles();
-        interp.run("shim", &[100]).unwrap();
+        vm.run("shim", &[100]).unwrap();
         let sys = machine.clock.sys_cycles() - sys0;
 
         let rep = hook.report();

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use bench::{banner, fmt_cycles, Report};
-use kucode::kclang::{bytecode, Program, TypeInfo, Vm};
+use kucode::kclang::{bytecode, Interp, Program, TypeInfo, Vm};
 use kucode::ksim::{AsId, PteFlags, PAGE_SIZE};
 use kucode::prelude::*;
 

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use bench::{banner, fmt_cycles, Report};
-use kucode::kclang::{Program, TypeInfo};
+use kucode::kclang::Module;
 use kucode::ksim::{PteFlags, PAGE_SIZE};
 use kucode::prelude::*;
 
@@ -37,8 +37,9 @@ const MODULE: &str = r#"
 
 struct ModuleRunner {
     machine: Arc<Machine>,
-    prog: Program,
-    info: TypeInfo,
+    /// Compiled with KGCC's optimized check plan; the checks run only
+    /// when the hook is attached.
+    module: Module,
     hook: Option<Arc<KgccHook>>,
     arena: u64,
     asid: kucode::ksim::AsId,
@@ -48,15 +49,9 @@ impl ModuleRunner {
     fn new(machine: Arc<Machine>, instrumented: bool) -> Self {
         let prog = parse_program(MODULE).unwrap();
         let info = typecheck(&prog).unwrap();
+        let module = compile_planned(&prog, &info, &CheckPlan::optimized(&prog, &info)).unwrap();
         let hook = instrumented.then(|| {
-            KgccHook::new(
-                machine.clone(),
-                KgccConfig {
-                    charge_sys: true,
-                    plan: CheckPlan::optimized(&prog, &info),
-                    deinstrument: None,
-                },
-            )
+            KgccHook::new(machine.clone(), KgccConfig { charge_sys: true, deinstrument: None })
         });
         let asid = machine.mem.create_space();
         let arena = 0x400_0000u64;
@@ -66,25 +61,18 @@ impl ModuleRunner {
                 .map_anon(asid, arena + (i * PAGE_SIZE) as u64, PteFlags::rw())
                 .unwrap();
         }
-        ModuleRunner { machine, prog, info, hook, arena, asid }
+        ModuleRunner { machine, module, hook, arena, asid }
     }
 
     fn run_op(&self, words: i64) {
         let mut cfg = ExecConfig::flat(self.asid);
         cfg.charge_sys = true;
-        let mut interp = Interp::new(
-            &self.machine,
-            &self.prog,
-            &self.info,
-            cfg,
-            self.arena,
-            32 * PAGE_SIZE,
-        )
-        .unwrap();
+        let mut vm =
+            Vm::new(&self.machine, &self.module, cfg, self.arena, 32 * PAGE_SIZE).unwrap();
         if let Some(h) = &self.hook {
-            interp.set_hook(h.as_ref());
+            vm.set_hook(h.as_ref());
         }
-        interp.run("fs_op", &[words]).unwrap();
+        vm.run("fs_op", &[words]).unwrap();
     }
 }
 

@@ -126,7 +126,7 @@ impl Transport for ProgMem<'_> {
 mod tests {
     use super::*;
     use crate::exec::tests::setup;
-    use kclang::{parse_program, typecheck, ExecConfig, Interp};
+    use kclang::{compile, parse_program, typecheck, ExecConfig, Vm};
     use ksim::{Machine, PteFlags, PAGE_SIZE};
 
     const PROG: &str = r#"
@@ -149,6 +149,7 @@ mod tests {
     ) -> (i64, u64) {
         let prog = parse_program(PROG).unwrap();
         let info = typecheck(&prog).unwrap();
+        let module = compile(&prog, &info).unwrap();
         // Arena in the process's own address space for the user host; in
         // kernel space for the kernel host.
         let asid = if user_mode { m.proc_asid(pid).unwrap() } else { m.kernel_asid() };
@@ -160,18 +161,18 @@ mod tests {
         }
         let mut cfg = ExecConfig::flat(asid);
         cfg.charge_sys = !user_mode;
-        let mut interp = Interp::new(m, &prog, &info, cfg, arena, 16 * PAGE_SIZE).unwrap();
+        let mut vm = Vm::new(m, &module, cfg, arena, 16 * PAGE_SIZE).unwrap();
         let user_host;
         let kern_host;
         if user_mode {
             user_host = UserHost { sys: sys.clone(), pid };
-            interp.set_host(&user_host);
+            vm.set_host(&user_host);
         } else {
             kern_host = KernelHost { sys: sys.clone(), pid };
-            interp.set_host(&kern_host);
+            vm.set_host(&kern_host);
         }
         let before = m.stats.crossings.load(std::sync::atomic::Ordering::Relaxed);
-        let out = interp.run("work", &[]).unwrap();
+        let out = vm.run("work", &[]).unwrap();
         let after = m.stats.crossings.load(std::sync::atomic::Ordering::Relaxed);
         (out.ret, after - before)
     }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::interp::InterpError;
+use crate::exec::InterpError;
 
 #[derive(Debug)]
 pub(crate) struct Arena {

@@ -86,6 +86,32 @@ impl BinOp {
     pub fn is_cmp(self) -> bool {
         matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne)
     }
+
+    /// KC's integer rule for `l op r` on two evaluated operands: wrapping
+    /// arithmetic, C's truncating `/` and `%`, 0/1 comparisons. `None` on
+    /// division by zero. The VM, the tree-walker and kprog's verifier all
+    /// evaluate through this one function. `&&`/`||` short-circuit before
+    /// both operands exist; given both, they are the logical 0/1 result.
+    #[inline]
+    pub fn eval(self, l: i64, r: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => l.wrapping_add(r),
+            BinOp::Sub => l.wrapping_sub(r),
+            BinOp::Mul => l.wrapping_mul(r),
+            BinOp::Div if r == 0 => return None,
+            BinOp::Div => l.wrapping_div(r),
+            BinOp::Rem if r == 0 => return None,
+            BinOp::Rem => l.wrapping_rem(r),
+            BinOp::Lt => (l < r) as i64,
+            BinOp::Le => (l <= r) as i64,
+            BinOp::Gt => (l > r) as i64,
+            BinOp::Ge => (l >= r) as i64,
+            BinOp::Eq => (l == r) as i64,
+            BinOp::Ne => (l != r) as i64,
+            BinOp::And => (l != 0 && r != 0) as i64,
+            BinOp::Or => (l != 0 || r != 0) as i64,
+        })
+    }
 }
 
 /// An expression node.

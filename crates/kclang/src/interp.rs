@@ -1,208 +1,27 @@
-//! The KC interpreter: executes programs against the simulated machine.
-//!
-//! Three properties make this the right execution substrate for the paper's
-//! mechanisms:
-//!
-//! 1. **Real simulated memory** — every variable, array, and `malloc` block
-//!    lives in a `ksim` address space; loads and stores go through the MMU.
-//!    Kefence guard pages, unmapped holes, and page permissions genuinely
-//!    fault.
-//! 2. **Segment enforcement** — in [`SegMode::Segmented`], every data
-//!    access is bounds-checked against an x86-style segment descriptor:
-//!    Cosy's isolation modes A and B (§2.3).
-//! 3. **Budgeted execution** — a fuel limit plus a periodic tick callback
-//!    give the Cosy watchdog its preemption points: a runaway `while(1)`
-//!    is killed, not looped forever.
+//! The tree-walking KC interpreter: the semantic reference for the
+//! bytecode [`Vm`](crate::Vm). It walks the typed AST directly — simple,
+//! auditable and hook-complete — and runs under the same execution contract
+//! ([`crate::exec`]): the parity tests hold the VM to its results, step
+//! counts, cycle charges, hook calls and errors. Nothing outside those
+//! tests, the A7 comparison and the micro benchmarks runs KC on it.
 //!
 //! Instrumentation ([`MemHook`]) fires on dereferences, indexing, and
-//! pointer arithmetic — the KGCC check sites.
+//! pointer arithmetic — the KGCC check sites. Unlike the VM, which takes a
+//! check plan when the module is compiled, the tree-walker calls the hook
+//! at every site.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use ksim::{AsId, Machine, SegSelector, SimError};
+use ksim::Machine;
 
 use crate::arena::Arena;
 use crate::ast::*;
-use crate::hooks::{CheckViolation, MemHook, NoopHook};
+use crate::exec::{
+    ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, MAX_CALL_DEPTH,
+};
+use crate::hooks::{MemHook, NoopHook};
 use crate::types::TypeInfo;
-
-/// How data accesses are validated (Cosy isolation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegMode {
-    /// No segment checks (normal kernel or user execution).
-    Flat,
-    /// Every access must fall inside this segment (modes A and B place the
-    /// function's data in an isolated segment).
-    Segmented(SegSelector),
-}
-
-/// Execution configuration.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Address space program data lives in.
-    pub asid: AsId,
-    pub seg: SegMode,
-    /// Charge interpreter cycles to system (kernel-mode run) or user time.
-    pub charge_sys: bool,
-    /// Abort after this many evaluation steps (`None` = unlimited).
-    pub max_steps: Option<u64>,
-    /// Invoke the tick callback every N steps (watchdog granularity).
-    pub tick_every: u64,
-    /// Simulated cycles per evaluation step.
-    pub cycles_per_step: u64,
-}
-
-impl ExecConfig {
-    pub fn flat(asid: AsId) -> Self {
-        ExecConfig {
-            asid,
-            seg: SegMode::Flat,
-            charge_sys: false,
-            max_steps: Some(100_000_000),
-            tick_every: 64,
-            cycles_per_step: 4,
-        }
-    }
-}
-
-/// Result of a completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOutcome {
-    pub ret: i64,
-    pub steps: u64,
-}
-
-/// Interpreter errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InterpError {
-    NoSuchFunction(String),
-    UndefinedVar(String),
-    BadCall(String),
-    DivByZero(SourceLoc),
-    /// Fuel exhausted.
-    Timeout { steps: u64 },
-    /// Killed by the tick callback (Cosy watchdog).
-    Killed(String),
-    /// A machine-level memory fault (page fault, guard page).
-    Mem(SimError),
-    /// An instrumentation check fired (KGCC).
-    Check(CheckViolation),
-    /// A segment-limit violation (Cosy isolation).
-    Segment { addr: u64, len: usize },
-    /// Arena exhausted.
-    Oom(&'static str),
-    Misc(String),
-}
-
-impl fmt::Display for InterpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InterpError::NoSuchFunction(n) => write!(f, "no such function '{n}'"),
-            InterpError::UndefinedVar(n) => write!(f, "undefined variable '{n}'"),
-            InterpError::BadCall(m) => write!(f, "bad call: {m}"),
-            InterpError::DivByZero(l) => write!(f, "division by zero at {l}"),
-            InterpError::Timeout { steps } => write!(f, "timed out after {steps} steps"),
-            InterpError::Killed(m) => write!(f, "killed: {m}"),
-            InterpError::Mem(e) => write!(f, "memory fault: {e}"),
-            InterpError::Check(v) => write!(f, "check violation: {v}"),
-            InterpError::Segment { addr, len } => {
-                write!(f, "segment violation at {addr:#x} len {len}")
-            }
-            InterpError::Oom(m) => write!(f, "out of arena memory: {m}"),
-            InterpError::Misc(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-impl std::error::Error for InterpError {}
-
-impl From<SimError> for InterpError {
-    fn from(e: SimError) -> Self {
-        InterpError::Mem(e)
-    }
-}
-
-impl From<CheckViolation> for InterpError {
-    fn from(v: CheckViolation) -> Self {
-        InterpError::Check(v)
-    }
-}
-
-/// Checked access to program memory, handed to syscall hosts so data moved
-/// by in-kernel syscalls still respects the segment the function's data is
-/// isolated in.
-pub struct MemCtx<'a> {
-    machine: &'a Machine,
-    asid: AsId,
-    seg: SegMode,
-}
-
-impl<'a> MemCtx<'a> {
-    pub(crate) fn new(machine: &'a Machine, asid: AsId, seg: SegMode) -> MemCtx<'a> {
-        MemCtx { machine, asid, seg }
-    }
-
-    #[inline]
-    fn seg_check(&self, addr: u64, len: usize) -> Result<(), InterpError> {
-        if let SegMode::Segmented(sel) = self.seg {
-            let seg = self.machine.segs.get(sel)?;
-            let end = addr.checked_add(len as u64).ok_or(InterpError::Segment { addr, len })?;
-            self.machine.charge_sys(self.machine.cost.segment_check);
-            if addr < seg.base || end > seg.base + seg.limit {
-                // Count it as a hardware protection fault.
-                let _ = self.machine.segs.check(sel, addr.wrapping_sub(seg.base), len);
-                return Err(InterpError::Segment { addr, len });
-            }
-        }
-        Ok(())
-    }
-
-    /// Read `buf.len()` bytes at `addr`.
-    #[inline]
-    pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), InterpError> {
-        self.seg_check(addr, buf.len())?;
-        self.machine.mem.read_virt(self.asid, addr, buf)?;
-        Ok(())
-    }
-
-    /// Write `buf` at `addr`.
-    #[inline]
-    pub fn write(&self, addr: u64, buf: &[u8]) -> Result<(), InterpError> {
-        self.seg_check(addr, buf.len())?;
-        self.machine.mem.write_virt(self.asid, addr, buf)?;
-        Ok(())
-    }
-
-    /// Read a NUL-terminated string (max 4096 bytes).
-    pub fn read_cstr(&self, addr: u64) -> Result<String, InterpError> {
-        let mut out = Vec::new();
-        for a in addr..addr + 4096 {
-            let mut b = [0u8; 1];
-            self.read(a, &mut b)?;
-            if b[0] == 0 {
-                return Ok(String::from_utf8_lossy(&out).into_owned());
-            }
-            out.push(b[0]);
-        }
-        Err(InterpError::Misc("unterminated string (4096-byte cap)".into()))
-    }
-}
-
-/// Host interface for `sys_*` intrinsics. The Cosy kernel extension binds
-/// these to in-kernel `k_*` operations; a user-mode host binds them to full
-/// `sys_*` crossings — the comparison E3/E4 measure.
-pub trait SyscallHost {
-    fn host_call(
-        &self,
-        name: &str,
-        args: &[i64],
-        mem: &MemCtx<'_>,
-    ) -> Result<i64, InterpError>;
-}
-
-/// Periodic callback: return `Err` to kill the program (watchdog).
-pub type TickFn<'a> = dyn Fn(u64) -> Result<(), InterpError> + 'a;
 
 #[derive(Debug, Clone)]
 struct Binding {
@@ -231,7 +50,7 @@ pub struct Interp<'a> {
     globals: HashMap<Sym, Binding>,
     scopes: Vec<HashMap<Sym, Binding>>,
     strings: HashMap<u32, u64>,
-    depth: u32,
+    depth: usize,
     steps: u64,
     /// `print_int` output, for tests and demos.
     pub output: Vec<i64>,
@@ -299,7 +118,7 @@ impl<'a> Interp<'a> {
     }
 
     fn mem(&self) -> MemCtx<'a> {
-        MemCtx { machine: self.machine, asid: self.cfg.asid, seg: self.cfg.seg }
+        MemCtx::new(self.machine, self.cfg.asid, self.cfg.seg)
     }
 
     fn init_globals(&mut self) -> Result<(), InterpError> {
@@ -380,7 +199,6 @@ impl<'a> Interp<'a> {
         // The interpreter recurses with the guest: bound guest call depth
         // explicitly so runaway recursion is a guest error, not a host
         // stack overflow.
-        const MAX_CALL_DEPTH: u32 = 120;
         if self.depth >= MAX_CALL_DEPTH {
             return Err(InterpError::Oom("call stack"));
         }
@@ -703,28 +521,7 @@ impl<'a> Interp<'a> {
                     .unwrap_or(1) as i64;
                 (l - r) / scale
             }
-            BinOp::Add => l.wrapping_add(r),
-            BinOp::Sub => l.wrapping_sub(r),
-            BinOp::Mul => l.wrapping_mul(r),
-            BinOp::Div => {
-                if r == 0 {
-                    return Err(InterpError::DivByZero(e.loc));
-                }
-                l.wrapping_div(r)
-            }
-            BinOp::Rem => {
-                if r == 0 {
-                    return Err(InterpError::DivByZero(e.loc));
-                }
-                l.wrapping_rem(r)
-            }
-            BinOp::Lt => (l < r) as i64,
-            BinOp::Le => (l <= r) as i64,
-            BinOp::Gt => (l > r) as i64,
-            BinOp::Ge => (l >= r) as i64,
-            BinOp::Eq => (l == r) as i64,
-            BinOp::Ne => (l != r) as i64,
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
+            _ => op.eval(l, r).ok_or(InterpError::DivByZero(e.loc))?,
         })
     }
 
@@ -777,261 +574,33 @@ impl fmt::Debug for Interp<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::parser::parse_program;
-    use crate::types::typecheck;
-    use ksim::{MachineConfig, PteFlags, PAGE_SIZE};
+    use crate::vm::tests::{engine_cases, run_reference, Setup, ARENA};
+    use crate::InterpError;
 
-    const ARENA: u64 = 0x100_0000;
-    const ARENA_PAGES: usize = 64;
-
-    fn machine() -> Machine {
-        Machine::new(MachineConfig::small_free())
-    }
-
-    fn run_prog(m: &Machine, src: &str, func: &str, args: &[i64]) -> Result<i64, InterpError> {
-        run_prog_out(m, src, func, args).map(|(v, _)| v)
-    }
-
-    fn run_prog_out(
-        m: &Machine,
-        src: &str,
-        func: &str,
-        args: &[i64],
-    ) -> Result<(i64, Vec<i64>), InterpError> {
-        let prog = parse_program(src).unwrap();
-        let info = typecheck(&prog).unwrap();
-        let asid = m.mem.create_space();
-        for i in 0..ARENA_PAGES {
-            m.mem
-                .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                .unwrap();
-        }
-        let mut interp = Interp::new(
-            m,
-            &prog,
-            &info,
-            ExecConfig::flat(asid),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )?;
-        let out = interp.run(func, args)?;
-        Ok((out.ret, interp.output.clone()))
-    }
-
-    #[test]
-    fn arithmetic_and_control_flow() {
-        let m = machine();
-        let src = r#"
-            int collatz_len(int n) {
-                int len = 0;
-                while (n != 1) {
-                    if (n % 2 == 0) { n = n / 2; } else { n = 3 * n + 1; }
-                    len = len + 1;
-                }
-                return len;
+    /// One test per case of the engines' shared table, run on the
+    /// tree-walker alone: its (result, `print_int` output) must match the
+    /// case's pattern. (`vm::tests` runs the same table under parity.)
+    macro_rules! reference_cases {
+        ($($name:ident: $setup:ident$(($n:expr))?, $src:expr, $func:literal, $args:expr
+            => $want:pat $(if $guard:expr)?,)*) => {$(
+            #[test]
+            fn $name() {
+                let run = run_reference($src, $func, $args, Setup::$setup$(($n))?);
+                let got = run.result.map(|o| o.ret);
+                let out = run.output.as_slice();
+                assert!(matches!((&got, out), $want $(if $guard)?), "{got:?} {out:?}");
             }
-        "#;
-        assert_eq!(run_prog(&m, src, "collatz_len", &[27]).unwrap(), 111);
-        assert_eq!(run_prog(&m, src, "collatz_len", &[1]).unwrap(), 0);
+        )*};
     }
 
-    #[test]
-    fn recursion_works() {
-        let m = machine();
-        let src = "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }";
-        assert_eq!(run_prog(&m, src, "fib", &[15]).unwrap(), 610);
-    }
-
-    #[test]
-    fn arrays_pointers_and_address_of() {
-        let m = machine();
-        let src = r#"
-            int sum(int *p, int n) {
-                int acc = 0;
-                int i;
-                for (i = 0; i < n; i = i + 1) { acc = acc + p[i]; }
-                return acc;
-            }
-            int main() {
-                int a[8];
-                int i;
-                for (i = 0; i < 8; i = i + 1) { a[i] = i * i; }
-                int *q = &a[0];
-                *(q + 3) = 100;
-                return sum(a, 8);
-            }
-        "#;
-        // 0+1+4+100+16+25+36+49
-        assert_eq!(run_prog(&m, src, "main", &[]).unwrap(), 231);
-    }
-
-    #[test]
-    fn char_buffers_and_string_literals() {
-        let m = machine();
-        let src = r#"
-            int strlen_(char *s) {
-                int n = 0;
-                while (s[n] != '\0') { n = n + 1; }
-                return n;
-            }
-            int main() { return strlen_("hello kc"); }
-        "#;
-        assert_eq!(run_prog(&m, src, "main", &[]).unwrap(), 8);
-    }
-
-    #[test]
-    fn globals_persist_and_initialise() {
-        let m = machine();
-        let src = r#"
-            int counter = 10;
-            int bump() { counter = counter + 1; return counter; }
-            int main() { bump(); bump(); return bump(); }
-        "#;
-        assert_eq!(run_prog(&m, src, "main", &[]).unwrap(), 13);
-    }
-
-    #[test]
-    fn malloc_free_roundtrip() {
-        let m = machine();
-        let src = r#"
-            int main() {
-                int *p = malloc(80);
-                int i;
-                for (i = 0; i < 10; i = i + 1) { p[i] = i; }
-                int total = 0;
-                for (i = 0; i < 10; i = i + 1) { total = total + p[i]; }
-                free(p);
-                return total;
-            }
-        "#;
-        assert_eq!(run_prog(&m, src, "main", &[]).unwrap(), 45);
-    }
-
-    #[test]
-    fn print_int_collects_output() {
-        let m = machine();
-        let src = r#"
-            void main() {
-                int i;
-                for (i = 0; i < 3; i = i + 1) { print_int(i * 7); }
-            }
-        "#;
-        let (_, out) = run_prog_out(&m, src, "main", &[]).unwrap();
-        assert_eq!(out, vec![0, 7, 14]);
-    }
-
-    #[test]
-    fn division_by_zero_is_caught() {
-        let m = machine();
-        let err = run_prog(&m, "int f(int x) { return 10 / x; }", "f", &[0]).unwrap_err();
-        assert!(matches!(err, InterpError::DivByZero(_)));
-        let err = run_prog(&m, "int f(int x) { return 10 % x; }", "f", &[0]).unwrap_err();
-        assert!(matches!(err, InterpError::DivByZero(_)));
-    }
-
-    #[test]
-    fn fuel_limit_stops_infinite_loops() {
-        let m = machine();
-        let prog = parse_program("int f() { while (1) { } return 0; }").unwrap();
-        let info = typecheck(&prog).unwrap();
-        let asid = m.mem.create_space();
-        for i in 0..4 {
-            m.mem
-                .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                .unwrap();
-        }
-        let mut cfg = ExecConfig::flat(asid);
-        cfg.max_steps = Some(10_000);
-        let mut interp = Interp::new(&m, &prog, &info, cfg, ARENA, 4 * PAGE_SIZE).unwrap();
-        let err = interp.run("f", &[]).unwrap_err();
-        assert!(matches!(err, InterpError::Timeout { .. }));
-    }
-
-    #[test]
-    fn ticker_can_kill_execution() {
-        let m = machine();
-        let prog = parse_program("int f() { while (1) { } return 0; }").unwrap();
-        let info = typecheck(&prog).unwrap();
-        let asid = m.mem.create_space();
-        for i in 0..4 {
-            m.mem
-                .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                .unwrap();
-        }
-        let mut interp =
-            Interp::new(&m, &prog, &info, ExecConfig::flat(asid), ARENA, 4 * PAGE_SIZE).unwrap();
-        let ticker = |steps: u64| {
-            if steps >= 1_000 {
-                Err(InterpError::Killed("watchdog".into()))
-            } else {
-                Ok(())
-            }
-        };
-        interp.set_ticker(&ticker);
-        let err = interp.run("f", &[]).unwrap_err();
-        assert!(matches!(err, InterpError::Killed(_)));
-    }
-
-    #[test]
-    fn segmented_mode_blocks_out_of_segment_access() {
-        use ksim::{SegKind, Segment};
-        let m = machine();
-        let prog = parse_program(
-            r#"
-            int peek(int addr) { int *p = addr; return *p; }
-            "#,
-        )
-        .unwrap();
-        let info = typecheck(&prog).unwrap();
-        let asid = m.mem.create_space();
-        for i in 0..8 {
-            m.mem
-                .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                .unwrap();
-        }
-        // Segment covers only the arena.
-        let sel = m.segs.install(Segment {
-            asid,
-            base: ARENA,
-            limit: (8 * PAGE_SIZE) as u64,
-            kind: SegKind::Data,
-        });
-        let mut cfg = ExecConfig::flat(asid);
-        cfg.seg = SegMode::Segmented(sel);
-        let mut interp = Interp::new(&m, &prog, &info, cfg, ARENA, 8 * PAGE_SIZE).unwrap();
-        // In-segment access works (read one of our own addresses).
-        let ok = interp.run("peek", &[ARENA as i64]).unwrap();
-        let _ = ok;
-        // Out-of-segment access (the kernel's direct map, say) faults.
-        let err = interp.run("peek", &[0x7000_0000]).unwrap_err();
-        assert!(matches!(err, InterpError::Segment { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn unmapped_memory_faults_through_the_mmu() {
-        let m = machine();
-        let src = "int f(int addr) { int *p = addr; return *p; }";
-        let err = run_prog(&m, src, "f", &[0xdead_0000]).unwrap_err();
-        assert!(matches!(err, InterpError::Mem(_)));
-    }
+    engine_cases!(reference_cases);
 
     #[test]
     fn interpreter_charges_cycles() {
-        let m = machine();
-        let before = m.clock.user_cycles();
-        run_prog(&m, "int f() { int i; int s = 0; for (i=0;i<100;i=i+1) s=s+i; return s; }", "f", &[])
-            .unwrap();
-        assert!(m.clock.user_cycles() > before, "user-mode run charges user time");
-    }
-
-    #[test]
-    fn stack_depth_is_bounded_by_arena() {
-        let m = machine();
-        // Unbounded recursion must hit Oom (stack) rather than overflow Rust.
-        let src = "int f(int n) { int pad[64]; pad[0] = n; return f(n + pad[0]); }";
-        let err = run_prog(&m, src, "f", &[1]).unwrap_err();
-        assert!(matches!(err, InterpError::Oom(_)), "got {err:?}");
+        let src = "int f() { int i; int s = 0; for (i=0;i<100;i=i+1) s=s+i; return s; }";
+        let run = run_reference(src, "f", &[], Setup::Flat);
+        assert_eq!(run.result.unwrap().ret, 4950);
+        assert!(run.cycles.0 > 0, "user-mode run charges user time");
     }
 }
 

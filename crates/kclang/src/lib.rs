@@ -3,7 +3,7 @@
 //! This is the stand-in for the paper's GCC derivatives: **Cosy-GCC**
 //! (§2.3) extracts marked code regions into compounds, and **KGCC** (§3.4)
 //! inserts runtime bounds checks. Both operate on this crate's AST and run
-//! programs on its interpreter, which executes against the *simulated*
+//! programs on its bytecode VM, which executes against the *simulated*
 //! machine: every load and store goes through `ksim`'s MMU (so Kefence
 //! guard pages and Cosy segment limits genuinely fire), and execution can
 //! be budgeted (so the Cosy watchdog genuinely kills runaway loops).
@@ -16,8 +16,10 @@
 //! compound extraction, exactly like the paper's source annotations.
 //!
 //! Pipeline: [`lexer`] → [`parser`] → typed AST ([`ast`], [`types`]) →
-//! [`interp`] with pluggable [`hooks`] (KGCC checks), memory accessors
-//! (flat vs segmented, for Cosy isolation modes), and execution budgets.
+//! [`bytecode`] → [`vm`] with pluggable [`hooks`] (KGCC checks), memory
+//! accessors (flat vs segmented, for Cosy isolation modes), and execution
+//! budgets ([`exec`]). The tree-walking [`interp`] is the VM's semantic
+//! reference, kept for the parity tests.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 mod arena;
 pub mod ast;
 pub mod bytecode;
+pub mod exec;
 pub mod hooks;
 pub mod interp;
 pub mod lexer;
@@ -55,7 +58,10 @@ pub use bytecode::{
 };
 pub use sym::Sym;
 pub use hooks::{CheckViolation, MemHook, ViolationKind};
-pub use interp::{ExecConfig, ExecOutcome, Interp, InterpError, MemCtx, SegMode, SyscallHost};
+pub use exec::{
+    ExecConfig, ExecOutcome, InterpError, MemCtx, SegMode, SyscallHost, TickFn, MAX_CALL_DEPTH,
+};
+pub use interp::Interp;
 pub use vm::{Vm, VmBuffers};
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse_program, ParseError};

@@ -1,13 +1,14 @@
-//! The bytecode VM: executes [`Module`](crate::bytecode::Module)s compiled
-//! by [`crate::bytecode`] with observable behaviour identical to the
-//! tree-walking [`Interp`](crate::interp::Interp).
+//! The bytecode VM, the engine every KC program runs on: executes
+//! [`Module`](crate::bytecode::Module)s compiled by [`crate::bytecode`]
+//! with observable behaviour identical to the tree-walking reference
+//! [`Interp`](crate::interp::Interp).
 //!
 //! "Identical" is load-bearing: same results, same `print_int` output, same
 //! step counts at every tick boundary (so fuel limits and the Cosy watchdog
 //! fire at the same instant), same cycle charges, the same [`MemHook`]
 //! callbacks in the same order with the same site ids, and the same errors.
-//! The differential tests at the bottom of this file and the property tests
-//! in `tests/` hold the two engines to that contract.
+//! The engine-parity table and property tests at the bottom of this file
+//! hold the two engines to that contract.
 //!
 //! What makes it faster than the tree-walker:
 //!
@@ -26,12 +27,11 @@ use std::collections::HashMap;
 use ksim::Machine;
 
 use crate::arena::Arena;
-use crate::ast::{BinOp, SourceLoc};
 use crate::bytecode::{Access, FuncInfo, Module, Op, TrapKind};
+use crate::exec::{
+    ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, MAX_CALL_DEPTH,
+};
 use crate::hooks::MemHook;
-use crate::interp::{ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn};
-
-const MAX_CALL_DEPTH: usize = 120;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -533,7 +533,7 @@ impl<'a> Vm<'a> {
                 Op::Bin { op, loc } => {
                     let r = self.stack.pop().expect("operand");
                     let l = self.stack.pop().expect("operand");
-                    self.stack.push(binop(op, l, r, loc)?);
+                    self.stack.push(op.eval(l, r).ok_or(InterpError::DivByZero(loc))?);
                 }
                 Op::Neg => {
                     let v = self.stack.pop().expect("operand");
@@ -675,33 +675,6 @@ impl<'a> Vm<'a> {
     }
 }
 
-fn binop(op: BinOp, l: i64, r: i64, loc: SourceLoc) -> Result<i64, InterpError> {
-    Ok(match op {
-        BinOp::Add => l.wrapping_add(r),
-        BinOp::Sub => l.wrapping_sub(r),
-        BinOp::Mul => l.wrapping_mul(r),
-        BinOp::Div => {
-            if r == 0 {
-                return Err(InterpError::DivByZero(loc));
-            }
-            l.wrapping_div(r)
-        }
-        BinOp::Rem => {
-            if r == 0 {
-                return Err(InterpError::DivByZero(loc));
-            }
-            l.wrapping_rem(r)
-        }
-        BinOp::Lt => (l < r) as i64,
-        BinOp::Le => (l <= r) as i64,
-        BinOp::Gt => (l > r) as i64,
-        BinOp::Ge => (l >= r) as i64,
-        BinOp::Eq => (l == r) as i64,
-        BinOp::Ne => (l != r) as i64,
-        BinOp::And | BinOp::Or => unreachable!("short-circuit ops compile to jumps"),
-    })
-}
-
 impl std::fmt::Debug for Vm<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Vm")
@@ -712,15 +685,16 @@ impl std::fmt::Debug for Vm<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bytecode::compile;
-    use crate::interp::{Interp, SegMode};
+    use crate::exec::SegMode;
+    use crate::interp::Interp;
     use crate::parser::parse_program;
     use crate::types::typecheck;
     use ksim::{MachineConfig, PteFlags, PAGE_SIZE};
 
-    const ARENA: u64 = 0x100_0000;
+    pub(crate) const ARENA: u64 = 0x100_0000;
     const ARENA_PAGES: usize = 64;
 
     fn machine() -> Machine {
@@ -735,284 +709,101 @@ mod tests {
         asid
     }
 
-    fn run_vm(m: &Machine, src: &str, func: &str, args: &[i64]) -> Result<i64, InterpError> {
-        run_vm_out(m, src, func, args).map(|(v, _)| v)
+    // ---- differential parity with the tree-walker -------------------------
+
+    /// What an engine case sets up beyond [`ExecConfig::flat`].
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Setup {
+        Flat,
+        /// Fuel limit of this many steps.
+        Fuel(u64),
+        /// A watchdog ticker that kills the run at this step.
+        KillAt(u64),
+        /// Data confined to a segment covering just the arena.
+        Segment,
     }
 
-    fn run_vm_out(
-        m: &Machine,
-        src: &str,
-        func: &str,
-        args: &[i64],
-    ) -> Result<(i64, Vec<i64>), InterpError> {
-        let prog = parse_program(src).unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
-        let asid = prep(m, ARENA_PAGES);
-        let mut vm =
-            Vm::new(m, &module, ExecConfig::flat(asid), ARENA, ARENA_PAGES * PAGE_SIZE)?;
-        let out = vm.run(func, args)?;
-        Ok((out.ret, vm.output.clone()))
-    }
-
-    #[test]
-    fn arithmetic_and_control_flow() {
-        let m = machine();
-        let src = r#"
-            int collatz_len(int n) {
-                int len = 0;
-                while (n != 1) {
-                    if (n % 2 == 0) { n = n / 2; } else { n = 3 * n + 1; }
-                    len = len + 1;
+    impl Setup {
+        /// Map the arena on `m` and build the case's config.
+        fn config(self, m: &Machine) -> ExecConfig {
+            let asid = prep(m, ARENA_PAGES);
+            let mut cfg = ExecConfig::flat(asid);
+            match self {
+                Setup::Fuel(max) => cfg.max_steps = Some(max),
+                Setup::Segment => {
+                    let limit = (ARENA_PAGES * PAGE_SIZE) as u64;
+                    let kind = ksim::SegKind::Data;
+                    let sel = m.segs.install(ksim::Segment { asid, base: ARENA, limit, kind });
+                    cfg.seg = SegMode::Segmented(sel);
                 }
-                return len;
+                Setup::Flat | Setup::KillAt(_) => {}
             }
-        "#;
-        assert_eq!(run_vm(&m, src, "collatz_len", &[27]).unwrap(), 111);
-        assert_eq!(run_vm(&m, src, "collatz_len", &[1]).unwrap(), 0);
-    }
+            cfg
+        }
 
-    #[test]
-    fn recursion_works() {
-        let m = machine();
-        let src = "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }";
-        assert_eq!(run_vm(&m, src, "fib", &[15]).unwrap(), 610);
-    }
-
-    #[test]
-    fn arrays_pointers_and_address_of() {
-        let m = machine();
-        let src = r#"
-            int sum(int *p, int n) {
-                int acc = 0;
-                int i;
-                for (i = 0; i < n; i = i + 1) { acc = acc + p[i]; }
-                return acc;
+        fn kill(self, steps: u64) -> Result<(), InterpError> {
+            match self {
+                Setup::KillAt(at) if steps >= at => Err(InterpError::Killed("watchdog".into())),
+                _ => Ok(()),
             }
-            int main() {
-                int a[8];
-                int i;
-                for (i = 0; i < 8; i = i + 1) { a[i] = i * i; }
-                int *q = &a[0];
-                *(q + 3) = 100;
-                return sum(a, 8);
-            }
-        "#;
-        assert_eq!(run_vm(&m, src, "main", &[]).unwrap(), 231);
-    }
-
-    #[test]
-    fn char_buffers_and_string_literals() {
-        let m = machine();
-        let src = r#"
-            int strlen_(char *s) {
-                int n = 0;
-                while (s[n] != '\0') { n = n + 1; }
-                return n;
-            }
-            int main() { return strlen_("hello kc"); }
-        "#;
-        assert_eq!(run_vm(&m, src, "main", &[]).unwrap(), 8);
-    }
-
-    #[test]
-    fn globals_persist_and_initialise() {
-        let m = machine();
-        let src = r#"
-            int counter = 10;
-            int bump() { counter = counter + 1; return counter; }
-            int main() { bump(); bump(); return bump(); }
-        "#;
-        assert_eq!(run_vm(&m, src, "main", &[]).unwrap(), 13);
-    }
-
-    #[test]
-    fn malloc_free_roundtrip() {
-        let m = machine();
-        let src = r#"
-            int main() {
-                int *p = malloc(80);
-                int i;
-                for (i = 0; i < 10; i = i + 1) { p[i] = i; }
-                int total = 0;
-                for (i = 0; i < 10; i = i + 1) { total = total + p[i]; }
-                free(p);
-                return total;
-            }
-        "#;
-        assert_eq!(run_vm(&m, src, "main", &[]).unwrap(), 45);
-    }
-
-    #[test]
-    fn print_int_collects_output() {
-        let m = machine();
-        let src = r#"
-            void main() {
-                int i;
-                for (i = 0; i < 3; i = i + 1) { print_int(i * 7); }
-            }
-        "#;
-        let (_, out) = run_vm_out(&m, src, "main", &[]).unwrap();
-        assert_eq!(out, vec![0, 7, 14]);
-    }
-
-    #[test]
-    fn division_by_zero_is_caught() {
-        let m = machine();
-        let err = run_vm(&m, "int f(int x) { return 10 / x; }", "f", &[0]).unwrap_err();
-        assert!(matches!(err, InterpError::DivByZero(_)));
-        let err = run_vm(&m, "int f(int x) { return 10 % x; }", "f", &[0]).unwrap_err();
-        assert!(matches!(err, InterpError::DivByZero(_)));
-    }
-
-    #[test]
-    fn break_and_continue() {
-        let m = machine();
-        let src = r#"
-            int f() {
-                int total = 0;
-                int i;
-                for (i = 0; i < 10; i = i + 1) {
-                    if (i == 7) { break; }
-                    if (i % 2 == 0) { continue; }
-                    total = total + i;
-                }
-                return total;
-            }
-        "#;
-        // 1 + 3 + 5
-        assert_eq!(run_vm(&m, src, "f", &[]).unwrap(), 9);
-    }
-
-    #[test]
-    fn fuel_limit_stops_infinite_loops() {
-        let m = machine();
-        let prog = parse_program("int f() { while (1) { } return 0; }").unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
-        let asid = prep(&m, 4);
-        let mut cfg = ExecConfig::flat(asid);
-        cfg.max_steps = Some(10_000);
-        let mut vm = Vm::new(&m, &module, cfg, ARENA, 4 * PAGE_SIZE).unwrap();
-        let err = vm.run("f", &[]).unwrap_err();
-        assert!(matches!(err, InterpError::Timeout { .. }));
-    }
-
-    #[test]
-    fn ticker_can_kill_execution() {
-        let m = machine();
-        let prog = parse_program("int f() { while (1) { } return 0; }").unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
-        let asid = prep(&m, 4);
-        let mut vm = Vm::new(&m, &module, ExecConfig::flat(asid), ARENA, 4 * PAGE_SIZE).unwrap();
-        let ticker = |steps: u64| {
-            if steps >= 1_000 {
-                Err(InterpError::Killed("watchdog".into()))
-            } else {
-                Ok(())
-            }
-        };
-        vm.set_ticker(&ticker);
-        let err = vm.run("f", &[]).unwrap_err();
-        assert!(matches!(err, InterpError::Killed(_)));
-    }
-
-    #[test]
-    fn segmented_mode_blocks_out_of_segment_access() {
-        use ksim::{SegKind, Segment};
-        let m = machine();
-        let prog =
-            parse_program("int peek(int addr) { int *p = addr; return *p; }").unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
-        let asid = prep(&m, 8);
-        let sel = m.segs.install(Segment {
-            asid,
-            base: ARENA,
-            limit: (8 * PAGE_SIZE) as u64,
-            kind: SegKind::Data,
-        });
-        let mut cfg = ExecConfig::flat(asid);
-        cfg.seg = SegMode::Segmented(sel);
-        let mut vm = Vm::new(&m, &module, cfg, ARENA, 8 * PAGE_SIZE).unwrap();
-        vm.run("peek", &[ARENA as i64]).unwrap();
-        let err = vm.run("peek", &[0x7000_0000]).unwrap_err();
-        assert!(matches!(err, InterpError::Segment { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn unmapped_memory_faults_through_the_mmu() {
-        let m = machine();
-        let src = "int f(int addr) { int *p = addr; return *p; }";
-        let err = run_vm(&m, src, "f", &[0xdead_0000]).unwrap_err();
-        assert!(matches!(err, InterpError::Mem(_)));
-    }
-
-    #[test]
-    fn stack_depth_is_bounded_by_arena() {
-        let m = machine();
-        let src = "int f(int n) { int pad[64]; pad[0] = n; return f(n + pad[0]); }";
-        let err = run_vm(&m, src, "f", &[1]).unwrap_err();
-        assert!(matches!(err, InterpError::Oom(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn unknown_function_is_reported() {
-        let m = machine();
-        let err = run_vm(&m, "int f() { return 1; }", "missing", &[]).unwrap_err();
-        assert!(matches!(err, InterpError::NoSuchFunction(_)));
-    }
-
-    #[test]
-    fn arity_mismatch_is_a_bad_call() {
-        let m = machine();
-        let err = run_vm(&m, "int f(int a) { return a; }", "f", &[1, 2]).unwrap_err();
-        match err {
-            InterpError::BadCall(msg) => assert_eq!(msg, "f expects 1 args, got 2"),
-            other => panic!("expected BadCall, got {other:?}"),
         }
     }
 
-    // ---- differential parity with the tree-walker -------------------------
+    /// One engine's run of a case on a fresh machine: its result,
+    /// `print_int` output, total steps and the (user, sys) cycles charged.
+    pub(crate) struct EngineRun {
+        pub(crate) result: Result<ExecOutcome, InterpError>,
+        pub(crate) output: Vec<i64>,
+        steps: u64,
+        pub(crate) cycles: (u64, u64),
+    }
 
-    /// Run both engines on separate but identically-configured machines and
-    /// demand identical results, output, step counts, and cycle charges.
-    pub(super) fn assert_parity(src: &str, func: &str, args: &[i64]) {
+    /// Run a case on the tree-walker.
+    pub(crate) fn run_reference(src: &str, func: &str, args: &[i64], setup: Setup) -> EngineRun {
+        let prog = parse_program(src).unwrap();
+        let info = typecheck(&prog).unwrap();
+        let m = machine();
+        let cfg = setup.config(&m);
+        let (u0, s0) = (m.clock.user_cycles(), m.clock.sys_cycles());
+        let mut interp = Interp::new(&m, &prog, &info, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
+        let kill = |steps| setup.kill(steps);
+        if matches!(setup, Setup::KillAt(_)) {
+            interp.set_ticker(&kill);
+        }
+        let result = interp.run(func, args);
+        let cycles = (m.clock.user_cycles() - u0, m.clock.sys_cycles() - s0);
+        EngineRun { result, output: interp.output.clone(), steps: interp.steps(), cycles }
+    }
+
+    /// Run a case on the VM.
+    fn run_vm(src: &str, func: &str, args: &[i64], setup: Setup) -> EngineRun {
         let prog = parse_program(src).unwrap();
         let info = typecheck(&prog).unwrap();
         let module = compile(&prog, &info).unwrap();
+        let m = machine();
+        let cfg = setup.config(&m);
+        let (u0, s0) = (m.clock.user_cycles(), m.clock.sys_cycles());
+        let mut vm = Vm::new(&m, &module, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
+        let kill = |steps| setup.kill(steps);
+        if matches!(setup, Setup::KillAt(_)) {
+            vm.set_ticker(&kill);
+        }
+        let result = vm.run(func, args);
+        let cycles = (m.clock.user_cycles() - u0, m.clock.sys_cycles() - s0);
+        EngineRun { result, output: vm.output.clone(), steps: vm.steps(), cycles }
+    }
 
-        let mi = machine();
-        let asid_i = prep(&mi, ARENA_PAGES);
-        let iu0 = mi.clock.user_cycles();
-        let is0 = mi.clock.sys_cycles();
-        let mut interp = Interp::new(
-            &mi,
-            &prog,
-            &info,
-            ExecConfig::flat(asid_i),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )
-        .unwrap();
-        let ri = interp.run(func, args);
-
-        let mv = machine();
-        let asid_v = prep(&mv, ARENA_PAGES);
-        let vu0 = mv.clock.user_cycles();
-        let vs0 = mv.clock.sys_cycles();
-        let mut vm = Vm::new(
-            &mv,
-            &module,
-            ExecConfig::flat(asid_v),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )
-        .unwrap();
-        let rv = vm.run(func, args);
-
-        match (&ri, &rv) {
+    /// Run both engines on separate but identically-configured machines,
+    /// demand identical results, errors, output, step counts and cycle
+    /// charges, and return the VM's result and output.
+    fn parity(
+        src: &str,
+        func: &str,
+        args: &[i64],
+        setup: Setup,
+    ) -> (Result<i64, InterpError>, Vec<i64>) {
+        let (ri, rv) = (run_reference(src, func, args, setup), run_vm(src, func, args, setup));
+        match (&ri.result, &rv.result) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.ret, b.ret, "return value diverged for {src}");
                 assert_eq!(a.steps, b.steps, "charged steps diverged for {src}");
@@ -1020,65 +811,157 @@ mod tests {
             (Err(a), Err(b)) => assert_eq!(a, b, "errors diverged for {src}"),
             other => panic!("one engine failed, the other did not: {other:?} for {src}"),
         }
-        assert_eq!(interp.output, vm.output, "print_int output diverged");
-        assert_eq!(interp.steps(), vm.steps(), "total steps diverged");
-        assert_eq!(
-            mi.clock.user_cycles() - iu0,
-            mv.clock.user_cycles() - vu0,
-            "user cycles diverged for {src}"
-        );
-        assert_eq!(
-            mi.clock.sys_cycles() - is0,
-            mv.clock.sys_cycles() - vs0,
-            "sys cycles diverged for {src}"
-        );
+        assert_eq!(ri.output, rv.output, "print_int output diverged");
+        assert_eq!(ri.steps, rv.steps, "total steps diverged");
+        assert_eq!(ri.cycles.0, rv.cycles.0, "user cycles diverged for {src}");
+        assert_eq!(ri.cycles.1, rv.cycles.1, "sys cycles diverged for {src}");
+        (rv.result.map(|o| o.ret), rv.output)
     }
 
-    /// A literal first used after init must not share memory with the
-    /// heap: writing a fresh malloc'd object leaves the string intact, in
-    /// both engines alike.
-    #[test]
-    fn late_string_literal_survives_a_heap_write() {
-        let src = r#"
-            int f() {
-                char *s = "ab";
-                int *p = malloc(16);
-                p[0] = 0;
-                p[1] = 0;
-                return s[0] + s[1];
-            }
-        "#;
-        assert_eq!(run_vm(&machine(), src, "f", &[]).unwrap(), 97 + 98);
-        assert_parity(src, "f", &[]);
+    pub(super) fn assert_parity(src: &str, func: &str, args: &[i64]) {
+        let _ = parity(src, func, args, Setup::Flat);
     }
+
+    /// One test per case: each runs on both engines under `parity`, and
+    /// the VM's (result, `print_int` output) must match the case's pattern.
+    macro_rules! parity_cases {
+        ($($name:ident: $setup:ident$(($n:expr))?, $src:expr, $func:literal, $args:expr
+            => $want:pat $(if $guard:expr)?,)*) => {$(
+            #[test]
+            fn $name() {
+                let (got, out) = parity($src, $func, $args, Setup::$setup$(($n))?);
+                assert!(matches!((&got, out.as_slice()), $want $(if $guard)?), "{got:?} {out:?}");
+            }
+        )*};
+    }
+
+    /// The engines' unit cases, written once. `engine_cases!(m)` hands
+    /// every row to the case macro `m`: `parity_cases` here, and the
+    /// tree-walker-only `reference_cases` in `interp::tests`. A row is
+    /// `name: setup, source, function, args => pattern`, the pattern
+    /// matching (result, `print_int` output).
+    macro_rules! engine_cases {
+        ($cases:ident) => {
+            const COLLATZ: &str = r#"
+                int collatz_len(int n) {
+                    int len = 0;
+                    while (n != 1) {
+                        if (n % 2 == 0) { n = n / 2; } else { n = 3 * n + 1; }
+                        len = len + 1;
+                    }
+                    return len;
+                }
+            "#;
+            const SPIN: &str = "int f() { while (1) { } return 0; }";
+            const PEEK: &str = "int f(int addr) { int *p = addr; return *p; }";
+
+            $cases! {
+                arithmetic_and_control_flow: Flat, COLLATZ, "collatz_len", &[27] => (Ok(111), []),
+                // The loop body never runs.
+                collatz_of_one_is_zero: Flat, COLLATZ, "collatz_len", &[1] => (Ok(0), []),
+                recursion_works: Flat,
+                    "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }", "fib", &[15]
+                    => (Ok(610), []),
+                arrays_pointers_and_address_of: Flat, r#"
+                    int sum(int *p, int n) {
+                        int acc = 0;
+                        int i;
+                        for (i = 0; i < n; i = i + 1) { acc = acc + p[i]; }
+                        return acc;
+                    }
+                    int main() {
+                        int a[8];
+                        int i;
+                        for (i = 0; i < 8; i = i + 1) { a[i] = i * i; }
+                        int *q = &a[0];
+                        *(q + 3) = 100;
+                        return sum(a, 8);
+                    }
+                "#, "main", &[] => (Ok(231), []), // 0+1+4+100+16+25+36+49
+                char_buffers_and_string_literals: Flat, r#"
+                    int strlen_(char *s) {
+                        int n = 0;
+                        while (s[n] != '\0') { n = n + 1; }
+                        return n;
+                    }
+                    int main() { return strlen_("hello kc"); }
+                "#, "main", &[] => (Ok(8), []),
+                globals_persist_and_initialise: Flat, r#"
+                    int counter = 10;
+                    int bump() { counter = counter + 1; return counter; }
+                    int main() { bump(); bump(); return bump(); }
+                "#, "main", &[] => (Ok(13), []),
+                malloc_free_roundtrip: Flat, r#"
+                    int main() {
+                        int *p = malloc(80);
+                        int i;
+                        for (i = 0; i < 10; i = i + 1) { p[i] = i; }
+                        int total = 0;
+                        for (i = 0; i < 10; i = i + 1) { total = total + p[i]; }
+                        free(p);
+                        print_int(total);
+                        return total;
+                    }
+                "#, "main", &[] => (Ok(45), [45]),
+                print_int_collects_output: Flat, r#"
+                    void main() {
+                        int i;
+                        for (i = 0; i < 3; i = i + 1) { print_int(i * 7); }
+                    }
+                "#, "main", &[] => (Ok(0), [0, 7, 14]),
+                division_by_zero_is_caught: Flat, "int f(int x) { return 10 / x; }", "f", &[0]
+                    => (Err(InterpError::DivByZero(_)), []),
+                remainder_by_zero_is_caught: Flat, "int f(int x) { return 10 % x; }", "f", &[0]
+                    => (Err(InterpError::DivByZero(_)), []),
+                break_and_continue: Flat, r#"
+                    int f() {
+                        int total = 0;
+                        int i;
+                        for (i = 0; i < 10; i = i + 1) {
+                            if (i == 7) { break; }
+                            if (i % 2 == 0) { continue; }
+                            total = total + i;
+                        }
+                        return total;
+                    }
+                "#, "f", &[] => (Ok(9), []), // 1 + 3 + 5
+                fuel_limit_stops_infinite_loops: Fuel(10_000), SPIN, "f", &[]
+                    => (Err(InterpError::Timeout { steps: 10_001 }), []),
+                ticker_can_kill_execution: KillAt(1_000), SPIN, "f", &[]
+                    => (Err(InterpError::Killed(_)), []),
+                in_segment_access_is_allowed: Segment, PEEK, "f", &[ARENA as i64] => (Ok(_), []),
+                segmented_mode_blocks_out_of_segment_access: Segment, PEEK, "f", &[0x7000_0000]
+                    => (Err(InterpError::Segment { .. }), []),
+                unmapped_memory_faults_through_the_mmu: Flat, PEEK, "f", &[0xdead_0000]
+                    => (Err(InterpError::Mem(_)), []),
+                stack_depth_is_bounded_by_arena: Flat,
+                    "int f(int n) { int pad[64]; pad[0] = n; return f(n + pad[0]); }", "f", &[1]
+                    => (Err(InterpError::Oom(_)), []),
+                unknown_function_is_reported: Flat, "int f() { return 1; }", "missing", &[]
+                    => (Err(InterpError::NoSuchFunction(_)), []),
+                arity_mismatch_is_a_bad_call: Flat, "int f(int a) { return a; }", "f", &[1, 2]
+                    => (Err(InterpError::BadCall(msg)), []) if msg == "f expects 1 args, got 2",
+                // A literal first used after init must not share memory with the
+                // heap: writing a fresh malloc'd object leaves the string intact.
+                late_string_literal_survives_a_heap_write: Flat, r#"
+                    int f() {
+                        char *s = "ab";
+                        int *p = malloc(16);
+                        p[0] = 0;
+                        p[1] = 0;
+                        return s[0] + s[1];
+                    }
+                "#, "f", &[] => (Ok(195), []), // 'a' + 'b'
+            }
+        };
+    }
+    pub(crate) use engine_cases;
+
+    engine_cases!(parity_cases);
 
     #[test]
     fn parity_on_representative_corpus() {
         let corpus: &[(&str, &str, &[i64])] = &[
-            (
-                "int collatz(int n) { int len = 0; while (n != 1) { if (n % 2 == 0) { n = n / 2; } else { n = 3 * n + 1; } len = len + 1; } return len; }",
-                "collatz",
-                &[27],
-            ),
-            ("int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }", "fib", &[15]),
-            (
-                r#"
-                int sum(int *p, int n) {
-                    int acc = 0; int i;
-                    for (i = 0; i < n; i = i + 1) { acc = acc + p[i]; }
-                    return acc;
-                }
-                int main() {
-                    int a[8]; int i;
-                    for (i = 0; i < 8; i = i + 1) { a[i] = i * i; }
-                    int *q = &a[0];
-                    *(q + 3) = 100;
-                    return sum(a, 8);
-                }
-                "#,
-                "main",
-                &[],
-            ),
             (
                 r#"
                 int strlen_(char *s) { int n = 0; while (s[n] != '\0') { n = n + 1; } return n; }
@@ -1093,21 +976,6 @@ mod tests {
                 int arr_g[4];
                 int bump() { counter = counter + 1; return counter; }
                 int main() { int i; for (i = 0; i < 4; i = i + 1) { arr_g[i] = bump(); } return arr_g[3]; }
-                "#,
-                "main",
-                &[],
-            ),
-            (
-                r#"
-                int main() {
-                    int *p = malloc(80); int i;
-                    for (i = 0; i < 10; i = i + 1) { p[i] = i * 3; }
-                    int t = 0;
-                    for (i = 0; i < 10; i = i + 1) { t = t + p[i]; }
-                    free(p);
-                    print_int(t);
-                    return t;
-                }
                 "#,
                 "main",
                 &[],
@@ -1136,14 +1004,6 @@ mod tests {
                 "logic",
                 &[3, 0],
             ),
-            ("int df(int x) { return 100 / x; }", "df", &[0]),
-            (
-                r#"
-                int rec(int n) { int pad[32]; pad[1] = n; return rec(n + pad[1]); }
-                "#,
-                "rec",
-                &[1],
-            ),
         ];
         for (src, func, args) in corpus {
             assert_parity(src, func, args);
@@ -1155,27 +1015,11 @@ mod tests {
         // The fuel limit must fire on exactly the same step in both
         // engines, whatever the batch boundaries are.
         let src = "int f() { int i; int s = 0; for (i = 0; i < 100000; i = i + 1) { s = s + i; } return s; }";
-        let prog = parse_program(src).unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
         for max in [1u64, 7, 64, 65, 1000, 4096] {
-            let mi = machine();
-            let asid_i = prep(&mi, ARENA_PAGES);
-            let mut cfg = ExecConfig::flat(asid_i);
-            cfg.max_steps = Some(max);
-            let mut interp =
-                Interp::new(&mi, &prog, &info, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
-            let ri = interp.run("f", &[]);
-
-            let mv = machine();
-            let asid_v = prep(&mv, ARENA_PAGES);
-            let mut cfg = ExecConfig::flat(asid_v);
-            cfg.max_steps = Some(max);
-            let mut vm = Vm::new(&mv, &module, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
-            let rv = vm.run("f", &[]);
-
-            assert_eq!(ri, rv, "fuel={max}");
-            assert_eq!(interp.steps(), vm.steps(), "fuel={max}");
+            let ri = run_reference(src, "f", &[], Setup::Fuel(max));
+            let rv = run_vm(src, "f", &[], Setup::Fuel(max));
+            assert_eq!(ri.result, rv.result, "fuel={max}");
+            assert_eq!(ri.steps, rv.steps, "fuel={max}");
         }
     }
 

@@ -8,8 +8,10 @@
 //! use-after-free and bad `free`.
 //!
 //! The hook also implements the per-site execution counters that feed
-//! **dynamic deinstrumentation** ([`crate::Deinstrument`]) and honours the
-//! compile-time [`CheckPlan`].
+//! **dynamic deinstrumentation** ([`crate::Deinstrument`]). The
+//! compile-time [`CheckPlan`](crate::CheckPlan) is not consulted here: it
+//! is applied when the module is compiled ([`crate::compile_planned`]), so
+//! the VM calls the hook only at the sites the plan keeps.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -21,7 +23,6 @@ use ksim::Machine;
 
 use crate::deinstrument::Deinstrument;
 use crate::objmap::{ObjKind, ObjectMap};
-use crate::plan::CheckPlan;
 
 /// Cycles charged per executed check (splay lookup + compare).
 pub const CHECK_CYCLES: u64 = 38;
@@ -31,9 +32,6 @@ pub const CHECK_CYCLES: u64 = 38;
 pub struct KgccConfig {
     /// Charge check cycles to system time (kernel module) or user time.
     pub charge_sys: bool,
-    /// Compile-time plan (use [`CheckPlan::all_enabled`] for vanilla BCC
-    /// behaviour, [`CheckPlan::optimized`] for KGCC).
-    pub plan: CheckPlan,
     /// Optional dynamic deinstrumentation policy.
     pub deinstrument: Option<Deinstrument>,
 }
@@ -41,9 +39,12 @@ pub struct KgccConfig {
 /// Summary counters for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KgccReport {
-    /// Checks actually executed (after plan + deinstrumentation skips).
+    /// Checks actually executed (after deinstrumentation skips).
     pub checks_executed: u64,
-    /// Checks skipped because the site was disabled.
+    /// Hook calls declined because deinstrumentation disabled the site.
+    /// A site [`crate::apply_deinstrumentation`] has patched out no
+    /// longer calls the hook, so its skips are not counted; nor are
+    /// parameter spills or sites the plan compiled out.
     pub checks_skipped: u64,
     /// Peers created by out-of-bounds arithmetic.
     pub peers_created: u64,
@@ -63,6 +64,10 @@ pub struct KgccHook {
 }
 
 impl KgccHook {
+    /// The hook expects a module built by [`crate::compile_planned`]: it
+    /// checks every site that calls it, so on a module from plain
+    /// `kclang::compile` (every load and store calls the hook) it would
+    /// count and charge plain variable accesses as checks.
     pub fn new(machine: Arc<Machine>, cfg: KgccConfig) -> Arc<Self> {
         Arc::new(KgccHook {
             machine,
@@ -97,19 +102,16 @@ impl KgccHook {
         self.cfg.deinstrument.as_ref()
     }
 
-    /// Should this site run its check right now?
+    /// Should this site run its check right now? Counts the skip when
+    /// deinstrumentation has turned the site off.
     fn site_enabled(&self, site: u32) -> bool {
         if site == u32::MAX {
-            // Interpreter-internal accesses (parameter spills) are trusted.
+            // Engine-internal accesses (parameter spills) are trusted.
             return false;
         }
-        if !self.cfg.plan.is_enabled(site) {
+        if self.cfg.deinstrument.as_ref().is_some_and(|d| d.is_disabled(site)) {
+            self.checks_skipped.fetch_add(1, Relaxed);
             return false;
-        }
-        if let Some(d) = &self.cfg.deinstrument {
-            if d.is_disabled(site) {
-                return false;
-            }
         }
         true
     }
@@ -150,7 +152,6 @@ impl MemHook for KgccHook {
         is_write: bool,
     ) -> Result<(), CheckViolation> {
         if !self.site_enabled(site) {
-            self.checks_skipped.fetch_add(1, Relaxed);
             return Ok(());
         }
         self.checks_executed.fetch_add(1, Relaxed);
@@ -200,7 +201,6 @@ impl MemHook for KgccHook {
 
     fn on_ptr_arith(&self, site: u32, old: u64, new: u64) -> Result<u64, CheckViolation> {
         if !self.site_enabled(site) {
-            self.checks_skipped.fetch_add(1, Relaxed);
             return Ok(new);
         }
         self.checks_executed.fetch_add(1, Relaxed);
@@ -252,7 +252,6 @@ impl MemHook for KgccHook {
 
     fn on_free_check(&self, site: u32, addr: u64) -> Result<(), CheckViolation> {
         if !self.site_enabled(site) {
-            self.checks_skipped.fetch_add(1, Relaxed);
             return Ok(());
         }
         self.checks_executed.fetch_add(1, Relaxed);
@@ -282,58 +281,17 @@ impl std::fmt::Debug for KgccHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kclang::{parse_program, typecheck, ExecConfig, Interp, InterpError, Program, TypeInfo};
-    use ksim::{MachineConfig, PteFlags, PAGE_SIZE};
+    use crate::bytecode::tests::{machine, run_planned};
+    use kclang::InterpError;
 
-    const ARENA: u64 = 0x200_0000;
-    const PAGES: usize = 32;
-
-    struct Rig {
-        machine: Arc<Machine>,
-        prog: Program,
-        info: TypeInfo,
-    }
-
-    fn rig(src: &str) -> Rig {
-        let machine = Arc::new(Machine::new(MachineConfig::small_free()));
-        let prog = parse_program(src).unwrap();
-        let info = typecheck(&prog).unwrap();
-        Rig { machine, prog, info }
-    }
-
-    fn run_checked(r: &Rig, cfg: KgccConfig, func: &str, args: &[i64]) -> Result<i64, InterpError> {
-        let asid = r.machine.mem.create_space();
-        for i in 0..PAGES {
-            r.machine
-                .mem
-                .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                .unwrap();
-        }
-        let hook = KgccHook::new(r.machine.clone(), cfg);
-        let mut interp = Interp::new(
-            &r.machine,
-            &r.prog,
-            &r.info,
-            ExecConfig::flat(asid),
-            ARENA,
-            PAGES * PAGE_SIZE,
-        )?;
-        interp.set_hook(hook.as_ref());
-        interp.run(func, args).map(|o| o.ret)
-    }
-
-    fn full_cfg(prog: &Program, info: &TypeInfo) -> KgccConfig {
-        KgccConfig {
-            charge_sys: false,
-            plan: CheckPlan::all_enabled(prog, info),
-            deinstrument: None,
-        }
+    /// Run `src` on the VM with every check site compiled in.
+    fn run_checked(src: &str, func: &str, args: &[i64]) -> Result<i64, InterpError> {
+        run_planned(&machine(), src, func, args, false, None).0
     }
 
     #[test]
     fn clean_programs_run_unchanged() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f() {
                 int a[8];
                 int i;
@@ -342,26 +300,23 @@ mod tests {
                 for (i = 0; i < 8; i = i + 1) { acc = acc + a[i]; }
                 return acc;
             }
-            "#,
-        );
-        assert_eq!(run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[]).unwrap(), 28);
+            "#;
+        assert_eq!(run_checked(src, "f", &[]).unwrap(), 28);
     }
 
     #[test]
     fn array_overflow_is_caught_at_the_exact_index() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f(int n) {
                 int a[8];
                 int i;
                 for (i = 0; i <= n; i = i + 1) { a[i] = i; }
                 return a[0];
             }
-            "#,
-        );
+            "#;
         // n=7 is fine; n=8 writes a[8] — one past the end.
-        assert_eq!(run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[7]).unwrap(), 0);
-        let err = run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[8]).unwrap_err();
+        assert_eq!(run_checked(src, "f", &[7]).unwrap(), 0);
+        let err = run_checked(src, "f", &[8]).unwrap_err();
         let InterpError::Check(v) = err else { panic!("expected check, got {err:?}") };
         assert!(
             matches!(v.kind, ViolationKind::OutOfBounds | ViolationKind::DerefOob),
@@ -372,49 +327,43 @@ mod tests {
 
     #[test]
     fn heap_overflow_is_caught() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f() {
                 int *p = malloc(32);
                 p[4] = 1; // byte 32..40: past the 32-byte block
                 return 0;
             }
-            "#,
-        );
-        let err = run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[]).unwrap_err();
+            "#;
+        let err = run_checked(src, "f", &[]).unwrap_err();
         assert!(matches!(err, InterpError::Check(_)), "got {err:?}");
     }
 
     #[test]
     fn use_after_free_is_caught() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f() {
                 int *p = malloc(64);
                 p[0] = 42;
                 free(p);
                 return p[0];
             }
-            "#,
-        );
-        let err = run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[]).unwrap_err();
+            "#;
+        let err = run_checked(src, "f", &[]).unwrap_err();
         let InterpError::Check(v) = err else { panic!("{err:?}") };
         assert_eq!(v.kind, ViolationKind::UseAfterFree);
     }
 
     #[test]
     fn bad_free_is_caught() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f() {
                 int *p = malloc(64);
                 int *q = p + 2;
                 free(q);
                 return 0;
             }
-            "#,
-        );
-        let err = run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[]).unwrap_err();
+            "#;
+        let err = run_checked(src, "f", &[]).unwrap_err();
         let InterpError::Check(v) = err else { panic!("{err:?}") };
         assert_eq!(v.kind, ViolationKind::BadFree);
     }
@@ -423,8 +372,7 @@ mod tests {
     fn oob_peers_allow_ptr_i_minus_j() {
         // The paper's motivating case: ptr+i goes out of bounds, ptr+i-j
         // comes back. BCC flagged it; KGCC's peers must not.
-        let r = rig(
-            r#"
+        let src = r#"
             int f(int i, int j) {
                 int a[8];
                 a[3] = 77;
@@ -433,117 +381,63 @@ mod tests {
                 int *back = tmp - j; // returns into bounds
                 return *back;
             }
-            "#,
-        );
-        assert_eq!(run_checked(&r, full_cfg(&r.prog, &r.info), "f", &[100, 97]).unwrap(), 77);
+            "#;
+        assert_eq!(run_checked(src, "f", &[100, 97]).unwrap(), 77);
         // But dereferencing while out of bounds is still a violation.
-        let r2 = rig(
-            r#"
+        let src = r#"
             int f(int i) {
                 int a[8];
                 int *p = &a[0];
                 int *tmp = p + i;
                 return *tmp;
             }
-            "#,
-        );
-        let err = run_checked(&r2, full_cfg(&r2.prog, &r2.info), "f", &[100]).unwrap_err();
+            "#;
+        let err = run_checked(src, "f", &[100]).unwrap_err();
         let InterpError::Check(v) = err else { panic!("{err:?}") };
         assert_eq!(v.kind, ViolationKind::DerefOob);
     }
 
     #[test]
     fn checks_charge_cycles_and_are_counted() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f() {
                 int a[4];
                 int i;
                 for (i = 0; i < 4; i = i + 1) { a[i] = i; }
                 return a[2];
             }
-            "#,
-        );
-        let hook = KgccHook::new(r.machine.clone(), full_cfg(&r.prog, &r.info));
-        let asid = r.machine.mem.create_space();
-        for i in 0..PAGES {
-            r.machine
-                .mem
-                .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                .unwrap();
-        }
-        let mut interp = Interp::new(
-            &r.machine,
-            &r.prog,
-            &r.info,
-            ExecConfig::flat(asid),
-            ARENA,
-            PAGES * PAGE_SIZE,
-        )
-        .unwrap();
-        interp.set_hook(hook.as_ref());
-        let user0 = r.machine.clock.user_cycles();
-        interp.run("f", &[]).unwrap();
-        let rep = hook.report();
+            "#;
+        let m = machine();
+        let user0 = m.clock.user_cycles();
+        let (r, rep) = run_planned(&m, src, "f", &[], false, None);
+        r.unwrap();
         assert!(rep.checks_executed >= 5, "4 stores + 1 load at least");
         assert_eq!(rep.violations, 0);
         assert!(
-            r.machine.clock.user_cycles() - user0 >= rep.checks_executed * CHECK_CYCLES,
+            m.clock.user_cycles() - user0 >= rep.checks_executed * CHECK_CYCLES,
             "check cost is charged"
         );
     }
 
     #[test]
     fn optimized_plan_executes_fewer_checks_same_result() {
-        let r = rig(
-            r#"
+        let src = r#"
             int f(int *unused) {
                 int a[4];
                 a[0] = 5;
                 a[1] = 6;
                 return a[0] + a[1] + a[0] + a[1];
             }
-            "#,
-        );
-        let full = KgccConfig {
-            charge_sys: false,
-            plan: CheckPlan::all_enabled(&r.prog, &r.info),
-            deinstrument: None,
-        };
-        let opt = KgccConfig {
-            charge_sys: false,
-            plan: CheckPlan::optimized(&r.prog, &r.info),
-            deinstrument: None,
-        };
-
-        let hook_full = KgccHook::new(r.machine.clone(), full);
-        let hook_opt = KgccHook::new(r.machine.clone(), opt);
-
-        for (hook, expect) in [(&hook_full, 22i64), (&hook_opt, 22i64)] {
-            let asid = r.machine.mem.create_space();
-            for i in 0..PAGES {
-                r.machine
-                    .mem
-                    .map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw())
-                    .unwrap();
-            }
-            let mut interp = Interp::new(
-                &r.machine,
-                &r.prog,
-                &r.info,
-                ExecConfig::flat(asid),
-                ARENA,
-                PAGES * PAGE_SIZE,
-            )
-            .unwrap();
-            interp.set_hook(hook.as_ref());
-            assert_eq!(interp.run("f", &[0]).unwrap().ret, expect);
-        }
+            "#;
+        let m = machine();
+        let (full, rep_full) = run_planned(&m, src, "f", &[0], false, None);
+        let (opt, rep_opt) = run_planned(&m, src, "f", &[0], true, None);
+        assert_eq!((full.unwrap(), opt.unwrap()), (22, 22));
         assert!(
-            hook_opt.report().checks_executed < hook_full.report().checks_executed,
+            rep_opt.checks_executed < rep_full.checks_executed,
             "optimization must reduce executed checks: {} vs {}",
-            hook_opt.report().checks_executed,
-            hook_full.report().checks_executed
+            rep_opt.checks_executed,
+            rep_full.checks_executed
         );
     }
 }

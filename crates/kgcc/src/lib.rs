@@ -24,6 +24,8 @@
 //! * [`plan::CheckPlan`] — compile-time check elimination: provably-safe
 //!   constant indexing and common-subexpression duplicate checks are
 //!   removed (the paper reports CSE alone halved inserted checks).
+//!   [`compile_planned`] applies the plan when the module is compiled to
+//!   bytecode; the hook never sees it.
 //! * [`deinstrument::Deinstrument`] — the paper's dynamic deinstrumentation:
 //!   a check site that has executed cleanly `N` times disables itself,
 //!   "reclaiming performance quickly as the confidence level for

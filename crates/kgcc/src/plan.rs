@@ -14,7 +14,8 @@
 //!    for typical kernel code".
 //!
 //! The result is a [`CheckPlan`]: a bitmap over expression ids consumed by
-//! the runtime hook.
+//! [`compile_planned`](crate::compile_planned), which emits a checked op
+//! only at the sites it enables.
 
 use std::collections::{HashMap, HashSet};
 

@@ -28,15 +28,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use kclang::{Access, BinOp, Module, Op};
+use kclang::{Access, BinOp, Module, Op, MAX_CALL_DEPTH};
 use kgcc::{ObjKind, ObjectMap};
 use ksim::FxHashSet;
 
 use crate::engine::{HookClass, ProgSpec};
-
-/// Mirrors the VM's `MAX_CALL_DEPTH` (kclang/src/vm.rs): the depth at which
-/// a concrete run would stop with a clean `Oom("call stack")` error.
-const MAX_CALL_DEPTH: usize = 120;
 
 /// Abstract-op evaluation allowance for the whole verification. Paths are
 /// explored depth-first; when the allowance runs out the program is
@@ -863,7 +859,7 @@ fn abs_binop(
         let ob = v.map.containing(b);
         if let (Some(oa), Some(ob)) = (oa, ob) {
             if oa.base == ob.base && op.is_cmp() {
-                return BinResult::Val(Const(fold_cmp(op, a as i64, b as i64)));
+                return fold(op, a as i64, b as i64);
             }
             if oa.base != ob.base
                 && matches!(op, BinOp::Eq | BinOp::Ne)
@@ -892,37 +888,13 @@ fn abs_binop(
         }
         return BinResult::Val(Top);
     };
-    BinResult::Val(match op {
-        BinOp::Add => Const(a.wrapping_add(b)),
-        BinOp::Sub => Const(a.wrapping_sub(b)),
-        BinOp::Mul => Const(a.wrapping_mul(b)),
-        BinOp::Div => {
-            if b == 0 {
-                return BinResult::DivByZero;
-            }
-            Const(a.wrapping_div(b))
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return BinResult::DivByZero;
-            }
-            Const(a.wrapping_rem(b))
-        }
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-            Const(fold_cmp(op, a, b))
-        }
-        BinOp::And | BinOp::Or => unreachable!("short-circuit ops compile to jumps"),
-    })
+    fold(op, a, b)
 }
 
-fn fold_cmp(op: BinOp, a: i64, b: i64) -> i64 {
-    (match op {
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        _ => unreachable!(),
-    }) as i64
+/// Constant folding through the engines' own integer rule.
+fn fold(op: BinOp, a: i64, b: i64) -> BinResult {
+    match op.eval(a, b) {
+        Some(c) => BinResult::Val(AbsVal::Const(c)),
+        None => BinResult::DivByZero,
+    }
 }

@@ -99,9 +99,10 @@ impl Drop for BatchGuard<'_> {
                     self.clock.io.fetch_add(io, Relaxed);
                 }
                 if std::ptr::eq(s.mirror_src.get(), self.clock) {
-                    // Safety: the MirrorGuard that set the pointer is alive
-                    // (it restores the previous binding on drop) and borrows
-                    // the mirror clock for its own lifetime.
+                    // SAFETY: `mirror_src` is non-null only while the
+                    // MirrorGuard that set it is alive (it restores the
+                    // previous binding on drop), and that guard borrows the
+                    // mirror clock for its own lifetime.
                     let m = unsafe { &*s.mirror.get() };
                     if u > 0 {
                         m.user.fetch_add(u, Relaxed);
@@ -207,7 +208,8 @@ impl Clock {
     #[inline]
     fn tee(&self, s: &Scratch, bucket: fn(&Clock) -> &AtomicU64, n: u64) {
         if std::ptr::eq(s.mirror_src.get(), self) {
-            // Safety: see `BatchGuard::drop` — the binding guard is alive.
+            // SAFETY: as in `BatchGuard::drop` — `mirror_src` matched, so
+            // the MirrorGuard that bound `mirror` is alive and borrows it.
             bucket(unsafe { &*s.mirror.get() }).fetch_add(n, Relaxed);
         }
     }

@@ -161,6 +161,9 @@ impl PhysMemory {
         // touched until written); the size/align assertion above makes the
         // reinterpretation as atomic words valid.
         let words = Box::into_raw(vec![0u64; nframes * WORDS_PER_FRAME].into_boxed_slice());
+        // SAFETY: `words` came from `Box::into_raw` just above and is
+        // reclaimed exactly once; AtomicU64 has u64's size and alignment
+        // (the const assertion), so the slice is a valid [AtomicU64].
         let ram = unsafe { Box::from_raw(words as *mut [AtomicU64]) };
         PhysMemory {
             ram,

@@ -32,8 +32,11 @@ pub struct SpinMutex<T> {
     value: UnsafeCell<T>,
 }
 
-// Same bounds as a mutex: the guard hands out &mut T across threads.
+// SAFETY: same bounds as a mutex. The guard hands out &mut T to one thread
+// at a time (the Acquire CAS on `locked` admits one holder, the Release
+// store in `drop` publishes its writes), so T need only be Send.
 unsafe impl<T: Send> Send for SpinMutex<T> {}
+// SAFETY: as above; shared `&SpinMutex` only reaches T through `lock`.
 unsafe impl<T: Send> Sync for SpinMutex<T> {}
 
 /// RAII guard; releases with a single release store on drop.
@@ -91,7 +94,8 @@ impl<T> SpinMutex<T> {
             {
                 let st = self.contention.load(Ordering::Relaxed);
                 if !st.is_null() {
-                    // Safety: set_contention only accepts 'static counters.
+                    // SAFETY: `st` is non-null, and the only writer,
+                    // `set_contention`, stores a `&'static` counter.
                     unsafe { &*st }.record(spins);
                 }
                 return;
@@ -109,7 +113,8 @@ impl<T> Deref for SpinMutexGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        // Safety: the guard holds the lock.
+        // SAFETY: a live guard means this thread won the Acquire CAS; no
+        // other guard exists until `drop` releases `locked`.
         unsafe { &*self.lock.value.get() }
     }
 }
@@ -117,7 +122,8 @@ impl<T> Deref for SpinMutexGuard<'_, T> {
 impl<T> DerefMut for SpinMutexGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: the guard holds the lock exclusively.
+        // SAFETY: as in `deref`, and `&mut self` rules out a second
+        // borrow through this guard.
         unsafe { &mut *self.lock.value.get() }
     }
 }

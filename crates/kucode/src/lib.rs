@@ -20,7 +20,7 @@
 //! | Simulated sockets (listeners, rings, readiness, `sendfile`) | [`knet`] |
 //! | Shared SQ/CQ rings for batched asynchronous syscalls | [`kuring`] |
 //! | Syscall tracing, pattern mining, savings analysis (§2.2) | [`ktrace`] |
-//! | C-subset compiler + interpreter (the GCC stand-in) | [`kclang`] |
+//! | C-subset compiler + bytecode VM (the GCC stand-in) | [`kclang`] |
 //! | **Cosy** compound system calls (§2.3) | [`cosy`] |
 //! | **Kefence** guard-page bounds checking (§3.2) | [`kefence`] |
 //! | Event monitoring: dispatcher, lock-free ring, monitors (§3.3) | [`kevents`] |
@@ -79,14 +79,14 @@ pub mod prelude {
         CosyOptions, FallbackMode, IsolationMode, SharedRegion,
     };
     pub use kalloc::{KernelAllocator, SlabAllocator, VfreeIndex, Vmalloc};
-    pub use kclang::{parse_program, typecheck, ExecConfig, Interp, InterpError, Vm};
+    pub use kclang::{parse_program, typecheck, ExecConfig, InterpError, Vm};
     pub use kefence::{Kefence, OnViolation, Protect};
     pub use kevents::{
         CharDev, EventDispatcher, EventRecord, EventRing, EventType, LibKernEvents, ReadMode,
         RefcountMonitor, SpinlockMonitor,
     };
     pub use kfault::{classify, FaultClass, FaultPlane, Policy};
-    pub use kgcc::{CheckPlan, Deinstrument, KgccConfig, KgccHook};
+    pub use kgcc::{compile_planned, CheckPlan, Deinstrument, KgccConfig, KgccHook};
     pub use kjfs::{
         default_workload, dir_boundary_workload, Harness, JournalMode, Kjfs, KjfsConfig,
         KjfsStats, Model, WOp,

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use kucode::kclang::{Program, TypeInfo};
+use kucode::kclang::{Module, Program, TypeInfo};
 use kucode::kgcc::{apply_rules, parse_rules};
 use kucode::ksim::{PteFlags, PAGE_SIZE};
 use kucode::prelude::*;
@@ -73,41 +73,40 @@ impl Rig2 {
         Rig2 { machine, prog, info, asid }
     }
 
-    fn run(&self, hook: Option<&KgccHook>, func: &str, args: &[i64]) -> Result<i64, InterpError> {
+    /// KGCC's compile step: checks go in only where `plan` keeps them.
+    fn compile(&self, plan: &CheckPlan) -> Module {
+        compile_planned(&self.prog, &self.info, plan).expect("module compiles")
+    }
+
+    fn run(
+        &self,
+        module: &Module,
+        hook: Option<&KgccHook>,
+        func: &str,
+        args: &[i64],
+    ) -> Result<i64, InterpError> {
         let mut cfg = ExecConfig::flat(self.asid);
         cfg.charge_sys = true;
-        let mut interp = Interp::new(
-            &self.machine,
-            &self.prog,
-            &self.info,
-            cfg,
-            0x600_0000,
-            64 * PAGE_SIZE,
-        )?;
+        let mut vm = Vm::new(&self.machine, module, cfg, 0x600_0000, 64 * PAGE_SIZE)?;
         if let Some(h) = hook {
-            interp.set_hook(h);
+            vm.set_hook(h);
         }
-        interp.run(func, args).map(|o| o.ret)
+        vm.run(func, args).map(|o| o.ret)
     }
 }
 
 fn main() {
     let rig = Rig2::new();
+    let full_module = rig.compile(&CheckPlan::all_enabled(&rig.prog, &rig.info));
 
     println!("== 1. the bug runs silently without instrumentation ==");
-    rig.run(None, "buggy_fill", &[64]).expect("silent corruption");
+    rig.run(&full_module, None, "buggy_fill", &[64]).expect("silent corruption");
     println!("   buggy_fill(64) returned 0 — the fencepost write hit the red zone unnoticed");
 
     println!("\n== 2. BCC-style full instrumentation catches it exactly ==");
-    let full = KgccHook::new(
-        rig.machine.clone(),
-        KgccConfig {
-            charge_sys: true,
-            plan: CheckPlan::all_enabled(&rig.prog, &rig.info),
-            deinstrument: None,
-        },
-    );
-    match rig.run(Some(&full), "buggy_fill", &[64]) {
+    let full =
+        KgccHook::new(rig.machine.clone(), KgccConfig { charge_sys: true, deinstrument: None });
+    match rig.run(&full_module, Some(&full), "buggy_fill", &[64]) {
         Err(InterpError::Check(v)) => {
             println!("   CAUGHT: {v}");
         }
@@ -117,13 +116,14 @@ fn main() {
 
     println!("\n== 3. overhead knobs on the clean path ==");
     let measure = |label: &str, plan: CheckPlan, deins: Option<Deinstrument>| {
+        let module = rig.compile(&plan);
         let hook = KgccHook::new(
             rig.machine.clone(),
-            KgccConfig { charge_sys: true, plan, deinstrument: deins },
+            KgccConfig { charge_sys: true, deinstrument: deins },
         );
         let sys0 = rig.machine.clock.sys_cycles();
         for _ in 0..20 {
-            rig.run(Some(&hook), "clean_op", &[128]).expect("clean");
+            rig.run(&module, Some(&hook), "clean_op", &[128]).expect("clean");
         }
         let spent = rig.machine.clock.sys_cycles() - sys0;
         println!(
@@ -135,7 +135,7 @@ fn main() {
 
     let sys0 = rig.machine.clock.sys_cycles();
     for _ in 0..20 {
-        rig.run(None, "clean_op", &[128]).expect("clean");
+        rig.run(&full_module, None, "clean_op", &[128]).expect("clean");
     }
     println!(
         "   {:<34} {:>12} cycles",

@@ -23,6 +23,20 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "== bench smoke: bytecode VM + translation cache =="
 ./target/release/a7_bytecode --quick
 
+echo "== bench smoke: KGCC fs module (E7) + check elimination (A2) =="
+# Gate: every paper-shape row E7 and A2 print must read OK; one DIFF row
+# fails the pass. Both report simulated cycles and check counts only, so
+# the rows are exact on any machine.
+for bin in e7_kgcc a2_kgcc_ablate; do
+    out=$(./target/release/"${bin}")
+    rows=$(echo "${out}" | grep -E '^[AE][0-9]+ .* (OK|DIFF)$' || true)
+    echo "${rows}"
+    if [ -z "${rows}" ] || echo "${rows}" | grep -q ' DIFF$'; then
+        echo "${bin}: missing or DIFF shape rows" >&2
+        exit 1
+    fi
+done
+
 echo "== bench smoke: fault sweep (runs twice; trace must reproduce) =="
 ./target/release/a8_faultsweep --quick
 h1=$(./target/release/a8_faultsweep --quick | grep '^TRACE_HASH')

@@ -137,9 +137,9 @@ fn run_kc(src: &str, func: &str, args: &[i64]) -> Result<i64, InterpError> {
     for i in 0..64 {
         m.mem.map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw()).unwrap();
     }
-    let mut interp =
-        Interp::new(&m, &prog, &info, ExecConfig::flat(asid), ARENA, 64 * PAGE_SIZE)?;
-    interp.run(func, args).map(|o| o.ret)
+    let module = kucode::kclang::compile(&prog, &info).unwrap();
+    let mut vm = Vm::new(&m, &module, ExecConfig::flat(asid), ARENA, 64 * PAGE_SIZE)?;
+    vm.run(func, args).map(|o| o.ret)
 }
 
 #[test]
@@ -228,23 +228,16 @@ fn kgcc_catches_2d_array_row_overflow() {
     let m = Arc::new(Machine::new(MachineConfig::small_free()));
     let prog = parse_program(src).unwrap();
     let info = typecheck(&prog).unwrap();
-    let hook = KgccHook::new(
-        m.clone(),
-        KgccConfig {
-            charge_sys: false,
-            plan: CheckPlan::all_enabled(&prog, &info),
-            deinstrument: None,
-        },
-    );
+    let module = compile_planned(&prog, &info, &CheckPlan::all_enabled(&prog, &info)).unwrap();
+    let hook = KgccHook::new(m.clone(), KgccConfig { charge_sys: false, deinstrument: None });
     let asid = m.mem.create_space();
     const ARENA: u64 = 0x100_0000;
     for i in 0..16 {
         m.mem.map_anon(asid, ARENA + (i * PAGE_SIZE) as u64, PteFlags::rw()).unwrap();
     }
-    let mut interp =
-        Interp::new(&m, &prog, &info, ExecConfig::flat(asid), ARENA, 16 * PAGE_SIZE).unwrap();
-    interp.set_hook(hook.as_ref());
-    let err = interp.run("main", &[]).unwrap_err();
+    let mut vm = Vm::new(&m, &module, ExecConfig::flat(asid), ARENA, 16 * PAGE_SIZE).unwrap();
+    vm.set_hook(hook.as_ref());
+    let err = vm.run("main", &[]).unwrap_err();
     assert!(matches!(err, InterpError::Check(_)), "{err:?}");
 }
 

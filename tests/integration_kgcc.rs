@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use kucode::prelude::*;
-use kucode::kclang::{Program, TypeInfo};
+use kucode::kclang::{compile, Program, TypeInfo};
 use kucode::ksim::{PteFlags, PAGE_SIZE};
 
 /// A module in the spirit of a file system's buffer-handling inner loops:
@@ -57,7 +57,13 @@ fn module() -> Module {
     Module { machine, prog, info }
 }
 
-fn run(m: &Module, hook: Option<&KgccHook>, args: &[i64]) -> Result<i64, InterpError> {
+/// Run `fs_op` on the VM: compiled under `plan` and checked by `hook`, or
+/// uninstrumented.
+fn run(
+    m: &Module,
+    checks: Option<(&KgccHook, &CheckPlan)>,
+    args: &[i64],
+) -> Result<i64, InterpError> {
     const ARENA: u64 = 0x300_0000;
     const PAGES: usize = 64;
     let asid = m.machine.mem.create_space();
@@ -69,11 +75,16 @@ fn run(m: &Module, hook: Option<&KgccHook>, args: &[i64]) -> Result<i64, InterpE
     }
     let mut cfg = ExecConfig::flat(asid);
     cfg.charge_sys = true; // kernel-module execution
-    let mut interp = Interp::new(&m.machine, &m.prog, &m.info, cfg, ARENA, PAGES * PAGE_SIZE)?;
-    if let Some(h) = hook {
-        interp.set_hook(h);
+    let module = match checks {
+        Some((_, plan)) => compile_planned(&m.prog, &m.info, plan),
+        None => compile(&m.prog, &m.info),
     }
-    let out = interp.run("fs_op", args)?;
+    .unwrap();
+    let mut vm = Vm::new(&m.machine, &module, cfg, ARENA, PAGES * PAGE_SIZE)?;
+    if let Some((hook, _)) = checks {
+        vm.set_hook(hook);
+    }
+    let out = vm.run("fs_op", args)?;
     m.machine.mem.destroy_space(asid).unwrap();
     Ok(out.ret)
 }
@@ -83,15 +94,9 @@ fn instrumented_module_computes_identical_results() {
     let m = module();
     let plain = run(&m, None, &[64]).unwrap();
 
-    let hook = KgccHook::new(
-        m.machine.clone(),
-        KgccConfig {
-            charge_sys: true,
-            plan: CheckPlan::all_enabled(&m.prog, &m.info),
-            deinstrument: None,
-        },
-    );
-    let checked = run(&m, Some(&hook), &[64]).unwrap();
+    let hook =
+        KgccHook::new(m.machine.clone(), KgccConfig { charge_sys: true, deinstrument: None });
+    let checked = run(&m, Some((&hook, &CheckPlan::all_enabled(&m.prog, &m.info))), &[64]).unwrap();
     assert_eq!(plain, checked);
     let rep = hook.report();
     assert!(rep.checks_executed > 200, "loops ran under checks: {rep:?}");
@@ -102,12 +107,10 @@ fn instrumented_module_computes_identical_results() {
 fn instrumentation_overhead_is_real_and_optimization_reduces_it() {
     let m = module();
     let measure = |plan: CheckPlan| {
-        let hook = KgccHook::new(
-            m.machine.clone(),
-            KgccConfig { charge_sys: true, plan, deinstrument: None },
-        );
+        let hook =
+            KgccHook::new(m.machine.clone(), KgccConfig { charge_sys: true, deinstrument: None });
         let sys0 = m.machine.clock.sys_cycles();
-        run(&m, Some(&hook), &[256]).unwrap();
+        run(&m, Some((&hook, &plan)), &[256]).unwrap();
         (m.machine.clock.sys_cycles() - sys0, hook.report().checks_executed)
     };
 
@@ -134,27 +137,24 @@ fn deinstrumentation_reclaims_performance_over_repeated_runs() {
     let deins = Deinstrument::new(2_000, m.prog.max_expr_id as usize + 1);
     let hook = KgccHook::new(
         m.machine.clone(),
-        KgccConfig {
-            charge_sys: true,
-            plan: CheckPlan::all_enabled(&m.prog, &m.info),
-            deinstrument: Some(deins),
-        },
+        KgccConfig { charge_sys: true, deinstrument: Some(deins) },
     );
+    let plan = CheckPlan::all_enabled(&m.prog, &m.info);
 
     // Early runs: checks active.
     let sys0 = m.machine.clock.sys_cycles();
-    run(&m, Some(&hook), &[128]).unwrap();
+    run(&m, Some((&hook, &plan)), &[128]).unwrap();
     let early = m.machine.clock.sys_cycles() - sys0;
 
     // Let the counters cross the threshold.
     for _ in 0..20 {
-        run(&m, Some(&hook), &[128]).unwrap();
+        run(&m, Some((&hook, &plan)), &[128]).unwrap();
     }
     let executed_mid = hook.report().checks_executed;
 
     // Late runs: hot sites disabled, checks mostly skipped.
     let sys0 = m.machine.clock.sys_cycles();
-    run(&m, Some(&hook), &[128]).unwrap();
+    run(&m, Some((&hook, &plan)), &[128]).unwrap();
     let late = m.machine.clock.sys_cycles() - sys0;
     let executed_late = hook.report().checks_executed - executed_mid;
 
@@ -179,14 +179,8 @@ fn module_bugs_are_caught_with_precise_sites() {
     let machine = Arc::new(Machine::new(MachineConfig::default()));
     let prog = parse_program(src).unwrap();
     let info = typecheck(&prog).unwrap();
-    let hook = KgccHook::new(
-        machine.clone(),
-        KgccConfig {
-            charge_sys: true,
-            plan: CheckPlan::all_enabled(&prog, &info),
-            deinstrument: None,
-        },
-    );
+    let module = compile_planned(&prog, &info, &CheckPlan::all_enabled(&prog, &info)).unwrap();
+    let hook = KgccHook::new(machine.clone(), KgccConfig { charge_sys: true, deinstrument: None });
     const ARENA: u64 = 0x300_0000;
     let asid = machine.mem.create_space();
     for i in 0..16 {
@@ -197,12 +191,12 @@ fn module_bugs_are_caught_with_precise_sites() {
     }
     let mut cfg = ExecConfig::flat(asid);
     cfg.charge_sys = true;
-    let mut interp = Interp::new(&machine, &prog, &info, cfg, ARENA, 16 * PAGE_SIZE).unwrap();
-    interp.set_hook(hook.as_ref());
+    let mut vm = Vm::new(&machine, &module, cfg, ARENA, 16 * PAGE_SIZE).unwrap();
+    vm.set_hook(hook.as_ref());
     // In-bounds: fine.
-    assert_eq!(interp.run("bad_op", &[15]).unwrap().ret, 0);
+    assert_eq!(vm.run("bad_op", &[15]).unwrap().ret, 0);
     // buf[16]: caught.
-    let err = interp.run("bad_op", &[16]).unwrap_err();
+    let err = vm.run("bad_op", &[16]).unwrap_err();
     assert!(matches!(err, InterpError::Check(_)), "{err:?}");
     assert_eq!(hook.report().violations, 1);
 }
