@@ -6,7 +6,7 @@
 //! lock-free dcache read path, and SO_REUSEPORT-style accept sharding in
 //! `knet`. This bench quantifies the result three ways:
 //!
-//! 1. **Webserver sweep** — `serve_smp` runs one worker per CPU against a
+//! 1. **Webserver sweep** — `serve` runs one worker per CPU against a
 //!    sharded listener, for 1/2/4/8 CPUs in all five serve modes. The
 //!    scaling metric is simulated requests/sec against the *critical
 //!    path* (busiest CPU's clock): ideal overlap, so lost efficiency is
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use bench::{banner, Report};
-use kucode::kworkloads::{serve_smp, setup_docs, ServeMode, SmpWebReport, WebConfig};
+use kucode::kworkloads::{serve, setup_docs, ServeMode, WebConfig};
 use kucode::kworkloads::{Rig, UserProc};
 use kucode::prelude::*;
 
@@ -73,9 +73,9 @@ fn web_sweep(report: &mut Report, quick: bool) {
             let p = rig.user(1 << 16);
             setup_docs(&rig, &p, &cfg);
             let s0 = rig.machine.stats.snapshot();
-            let r: SmpWebReport = serve_smp(&rig, &p, &cfg, mode, cpus);
+            let r = serve(&rig, &p, &cfg, mode, cpus);
             let d = rig.machine.stats.snapshot().delta(&s0);
-            let rps = r.req_per_sec();
+            let rps = r.critical_path_req_per_sec();
             if cpus == 1 {
                 base = rps;
                 first = rps;
@@ -85,8 +85,8 @@ fn web_sweep(report: &mut Report, quick: bool) {
             let eff = speedup / cpus as f64 * 100.0;
             // Aggregate simulated syscalls/sec: syscalls retired per
             // second of critical-path (parallel) server time.
-            let agg_sps = if r.critical_path_cycles > 0 {
-                d.syscalls as f64 / cycles_to_secs(r.critical_path_cycles)
+            let agg_sps = if r.critical_path_cycles() > 0 {
+                d.syscalls as f64 / cycles_to_secs(r.critical_path_cycles())
             } else {
                 0.0
             };

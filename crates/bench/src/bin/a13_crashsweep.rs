@@ -161,7 +161,7 @@ fn serve_from_kjfs(report: &mut Report) {
     let run = |rig: Rig| {
         let p = rig.user(1 << 16);
         setup_docs(&rig, &p, &cfg);
-        serve(&rig, &p, &cfg, ServeMode::Consolidated).bytes_served
+        serve(&rig, &p, &cfg, ServeMode::Consolidated, 1).bytes_served
     };
     let mem = run(Rig::memfs());
     let kj = run(Rig::kjfs());

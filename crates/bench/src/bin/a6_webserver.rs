@@ -36,7 +36,7 @@ pub fn run(report: &mut Report) {
         let rig = Rig::memfs();
         let p = rig.user(1 << 16);
         setup_docs(&rig, &p, &cfg);
-        let r = serve(&rig, &p, &cfg, mode);
+        let r = serve(&rig, &p, &cfg, mode, 1);
         results.push((name, r));
     }
 

@@ -33,7 +33,7 @@ fn serve_once(cfg: &WebConfig, mode: ServeMode) -> WebReport {
     let rig = Rig::memfs();
     let p = rig.user(1 << 16);
     setup_docs(&rig, &p, cfg);
-    serve(&rig, &p, cfg, mode)
+    serve(&rig, &p, cfg, mode, 1)
 }
 
 /// Server CPU cycles per request, the sweep's figure of merit.

@@ -32,6 +32,4 @@ pub use kprogs::{
 };
 pub use postmark::{run_postmark, PostmarkConfig, PostmarkReport};
 pub use rig::{Rig, UserProc};
-pub use webserver::{
-    serve, serve_smp, setup_docs, ServeMode, SmpWebReport, WebConfig, WebReport,
-};
+pub use webserver::{serve, setup_docs, ServeMode, WebConfig, WebReport};

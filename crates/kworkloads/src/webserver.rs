@@ -27,6 +27,10 @@
 //!   `ring_enter` crossings per batch** (accepts, fixed-buffer recvs,
 //!   then per-request `open→sendfile→close` chains + shutdown + log
 //!   write), completions reaped from the CQ with zero crossings.
+//!
+//! [`serve`] also takes a CPU count: it runs one worker per simulated CPU
+//! against one accept-sharded listener, and the [`WebReport`] gives each
+//! worker's cycles and their critical path. One CPU is the plain server.
 
 use cosy::{CompoundBuilder, CosyCall, CosyOptions, SharedRegion};
 use ksyscall::OpenFlags;
@@ -80,7 +84,7 @@ pub enum ServeMode {
 }
 
 /// Serving results.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct WebReport {
     pub requests: u64,
     pub bytes_served: u64,
@@ -89,8 +93,12 @@ pub struct WebReport {
     /// only — what a capacity benchmark of the *server* measures. The
     /// whole-run `elapsed_cycles` also bills the simulated clients and
     /// background write-back, which a real load generator never charges
-    /// to the server.
+    /// to the server. With several workers this is their sum: the total
+    /// CPU burned serving.
     pub server_cycles: u64,
+    /// Server-phase cycles (user + sys) each worker accumulated on its
+    /// per-CPU clock, one entry per CPU.
+    pub cpu_server_cycles: Vec<u64>,
     pub crossings: u64,
     /// Socket-stack counter movement over the run (both processes):
     /// ring-full send EAGAINs and bytes moved, so capacity tables can
@@ -99,9 +107,26 @@ pub struct WebReport {
 }
 
 impl WebReport {
-    /// Requests per simulated second.
+    /// Requests per simulated second of the whole run.
     pub fn req_per_sec(&self) -> f64 {
-        let secs = ksim::cost::cycles_to_secs(self.elapsed_cycles);
+        self.per_sec(self.elapsed_cycles)
+    }
+
+    /// The busiest worker's server cycles: the simulated wall time of the
+    /// server when every worker runs on its own CPU. This is what scales
+    /// with CPU count.
+    pub fn critical_path_cycles(&self) -> u64 {
+        self.cpu_server_cycles.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Requests per simulated second of server wall time (the critical
+    /// path).
+    pub fn critical_path_req_per_sec(&self) -> f64 {
+        self.per_sec(self.critical_path_cycles())
+    }
+
+    fn per_sec(&self, cycles: u64) -> f64 {
+        let secs = ksim::cost::cycles_to_secs(cycles);
         if secs == 0.0 {
             0.0
         } else {
@@ -141,20 +166,35 @@ pub fn setup_docs(rig: &Rig, p: &UserProc, cfg: &WebConfig) {
     }
 }
 
-/// Serve `cfg.requests` requests using `mode`, with `p` as the server
-/// process and a client process spawned internally. Clients connect in
-/// batches of `cfg.connections`; every batch is accepted, served, and
-/// drained before the next. The document request sequence is identical
-/// across modes (same seed), and the client-side work is identical too,
-/// so report deltas isolate the serve path.
-pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode) -> WebReport {
+/// Serve `cfg.requests` requests using `mode` with one worker per CPU
+/// (`cpus`, clamped to the machine's), `p` as the server process and a
+/// client process spawned internally. Clients connect in batches of
+/// `cfg.connections` (rounded up to a multiple of `cpus`); every batch is
+/// accepted, served, and drained before the next. The document request
+/// sequence is identical across modes and CPU counts (same seed), and the
+/// client-side work is identical too, so report deltas isolate the serve
+/// path.
+///
+/// The host drives the workers sequentially — the simulation stays
+/// deterministic — but each worker runs bound to its CPU
+/// (`Machine::bind_cpu`), so its syscall costs tee into that CPU's clock.
+/// With more than one CPU the listener is SO_REUSEPORT-sharded:
+/// connections are routed to the connecting CPU's accept shard and each
+/// worker serves its own shard's slice of the batch. Per-batch fixed costs
+/// (the poll, the uring enter waves) amortize over a per-worker slice
+/// instead of the whole batch, which is exactly where sub-linear scaling
+/// comes from.
+pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: usize) -> WebReport {
+    let cpus = cpus.clamp(1, rig.machine.num_cpus());
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xBEEF);
     let sys = &rig.sys;
     let pid = p.pid;
     let client = rig.user(64 * 1024);
     let cpid = client.pid;
     let chunk = 4096.min(p.buf_len / 4);
-    let conns = cfg.connections.max(1);
+    // Per-worker connection slots per batch; the batch is their union.
+    let per = cfg.connections.max(1).div_ceil(cpus);
+    let conns = per * cpus;
 
     // Server scratch layout: request bytes at +0, log line at +512, poll
     // results at +1024, read/send chunks at +4096.
@@ -184,6 +224,13 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode) -> WebRe
     let lsd = sys.sys_socket(pid) as i32;
     assert!(lsd >= 0);
     assert_eq!(sys.sys_bind_listen(pid, lsd, cfg.port, conns), 0);
+    // One shard behaves exactly like an unsharded listener, so a single
+    // worker skips the setup charge.
+    if cpus > 1 {
+        sys.net()
+            .set_accept_sharding(pid, lsd, cpus)
+            .expect("shard the accept queue");
+    }
 
     // Cosy setup: the compound is built ONCE — every argument is static
     // (the request path arrives through the socket into the shared
@@ -250,116 +297,128 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode) -> WebRe
     let s0 = rig.machine.stats.snapshot();
     let mut bytes_served = 0u64;
     let mut server_cycles = 0u64;
+    let mut cpu_server_cycles = vec![0u64; cpus];
     let mut done = 0usize;
 
     while done < cfg.requests {
         let batch = conns.min(cfg.requests - done);
+        let count_of = |w: usize| batch / cpus + usize::from(w < batch % cpus);
 
-        // Client phase: open the batch's connections and send requests.
+        // Client phase, per worker CPU: open the batch's connections and
+        // send requests. Connections made on CPU `w` land on accept shard
+        // `w`.
         let mut pending: Vec<(i32, usize)> = Vec::with_capacity(batch);
         let casid = rig.machine.proc_asid(cpid).expect("client alive");
-        for _ in 0..batch {
-            let doc = rng.gen_range(0..cfg.documents);
-            let csd = sys.sys_socket(cpid) as i32;
-            assert!(csd >= 0);
-            assert_eq!(sys.sys_connect(cpid, csd, cfg.port), 0);
-            let mut req = [0u8; 64];
-            let path = doc_path(doc);
-            req[..path.len()].copy_from_slice(path.as_bytes());
-            rig.machine
-                .mem
-                .write_virt(casid, client.buf, &req)
-                .expect("stage request");
-            assert_eq!(sys.sys_send(cpid, csd, client.buf, 64), 64);
-            pending.push((csd, doc));
-        }
-
-        // Server phase: one readiness check per batch, then serve each
-        // pending connection. The uring path is poll-free — the accept
-        // wave's completions *are* the readiness signal.
-        let sp0 = rig.machine.clock.snapshot();
-        if mode == ServeMode::Uring {
-            serve_batch_uring(
-                rig,
-                p,
-                cfg,
-                batch,
-                0,
-                lsd,
-                logfd,
-                req_at,
-                log_buf_idx,
-                &mut bytes_served,
-            );
-        } else {
-            assert!(
-                sys.sys_poll_wait(pid, &[lsd], poll_at) >= 1,
-                "batch pending"
-            );
-            for _ in 0..batch {
-                rig.machine.charge_user(cfg.cpu_per_request);
-                match mode {
-                    ServeMode::Classic => {
-                        let csd = sys.sys_accept(pid, lsd) as i32;
-                        assert!(csd >= 0);
-                        assert_eq!(sys.sys_recv(pid, csd, p.buf, 64), 64);
-                        let path = read_request(rig, p);
-                        let fd = sys.sys_open(pid, &path, OpenFlags::RDONLY) as i32;
-                        assert!(fd >= 0);
-                        loop {
-                            let n = sys.sys_read(pid, fd, chunk_at, chunk);
-                            if n <= 0 {
-                                break;
-                            }
-                            bytes_served += n as u64;
-                            // send(): the chunk crosses back into the kernel.
-                            assert_eq!(sys.sys_send(pid, csd, chunk_at, n as usize), n);
-                        }
-                        sys.sys_close(pid, fd);
-                        sys.sys_shutdown(pid, csd);
-                        assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
-                    }
-                    ServeMode::Consolidated => {
-                        let csd = sys.sys_accept(pid, lsd) as i32;
-                        assert!(csd >= 0);
-                        assert_eq!(sys.sys_recv(pid, csd, p.buf, 64), 64);
-                        let path = read_request(rig, p);
-                        let fd = sys.sys_open(pid, &path, OpenFlags::RDONLY) as i32;
-                        assert!(fd >= 0);
-                        // sendfile: the whole document in one crossing, file
-                        // pages moving straight into the socket ring.
-                        let n = sys.sys_sendfile(pid, csd, fd, cfg.doc_max);
-                        assert!(n > 0);
-                        bytes_served += n as u64;
-                        sys.sys_close(pid, fd);
-                        sys.sys_shutdown(pid, csd);
-                        assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
-                    }
-                    ServeMode::OneShot => {
-                        let n = sys.sys_accept_recv_send_close(pid, lsd, p.buf, 64);
-                        assert!(n > 0, "one-shot serve failed: {n}");
-                        bytes_served += n as u64;
-                        assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
-                    }
-                    ServeMode::Cosy => {
-                        let (cb, db) = regions.as_ref().expect("cosy regions");
-                        let results = rig
-                            .cosy
-                            .submit(pid, cb, db, &CosyOptions::default())
-                            .expect("serve compound");
-                        let n = results[3];
-                        assert!(n > 0, "compound sendfile failed: {n}");
-                        bytes_served += n as u64;
-                        assert_eq!(results[6], 96, "log line written");
-                    }
-                    ServeMode::Uring => unreachable!("handled batch-wise above"),
-                }
+        for w in 0..cpus {
+            let _cpu = rig.machine.bind_cpu(w);
+            for _ in 0..count_of(w) {
+                let doc = rng.gen_range(0..cfg.documents);
+                let csd = sys.sys_socket(cpid) as i32;
+                assert!(csd >= 0);
+                assert_eq!(sys.sys_connect(cpid, csd, cfg.port), 0);
+                let mut req = [0u8; 64];
+                let path = doc_path(doc);
+                req[..path.len()].copy_from_slice(path.as_bytes());
+                rig.machine
+                    .mem
+                    .write_virt(casid, client.buf, &req)
+                    .expect("stage request");
+                assert_eq!(sys.sys_send(cpid, csd, client.buf, 64), 64);
+                pending.push((csd, doc));
             }
         }
-        let sp1 = rig.machine.clock.snapshot();
-        server_cycles += (sp1.user - sp0.user) + (sp1.sys - sp0.sys);
 
-        // Client phase: drain every response and verify its length.
+        // Server phase, per worker CPU: one readiness check per slice, then
+        // serve each pending connection of the worker's shard. The uring
+        // path is poll-free — the accept wave's completions *are* the
+        // readiness signal.
+        for (w, cpu_cycles) in cpu_server_cycles.iter_mut().enumerate() {
+            let slice = count_of(w);
+            if slice == 0 {
+                continue;
+            }
+            let _cpu = rig.machine.bind_cpu(w);
+            let c0 = rig.machine.cpu(w).clock.snapshot();
+            let sp0 = rig.machine.clock.snapshot();
+            if mode == ServeMode::Uring {
+                serve_batch_uring(
+                    rig,
+                    p,
+                    cfg,
+                    slice,
+                    w * per,
+                    lsd,
+                    logfd,
+                    req_at,
+                    log_buf_idx,
+                    &mut bytes_served,
+                );
+            } else {
+                assert!(
+                    sys.sys_poll_wait(pid, &[lsd], poll_at) >= 1,
+                    "worker {w}'s shard pending"
+                );
+                for _ in 0..slice {
+                    rig.machine.charge_user(cfg.cpu_per_request);
+                    match mode {
+                        ServeMode::Classic | ServeMode::Consolidated => {
+                            let csd = sys.sys_accept(pid, lsd) as i32;
+                            assert!(csd >= 0);
+                            assert_eq!(sys.sys_recv(pid, csd, p.buf, 64), 64);
+                            let path = read_request(rig, p);
+                            let fd = sys.sys_open(pid, &path, OpenFlags::RDONLY) as i32;
+                            assert!(fd >= 0);
+                            if mode == ServeMode::Classic {
+                                loop {
+                                    let n = sys.sys_read(pid, fd, chunk_at, chunk);
+                                    if n <= 0 {
+                                        break;
+                                    }
+                                    bytes_served += n as u64;
+                                    // send(): the chunk crosses back into the kernel.
+                                    assert_eq!(sys.sys_send(pid, csd, chunk_at, n as usize), n);
+                                }
+                            } else {
+                                // sendfile: the whole document in one crossing,
+                                // file pages moving straight into the socket ring.
+                                let n = sys.sys_sendfile(pid, csd, fd, cfg.doc_max);
+                                assert!(n > 0);
+                                bytes_served += n as u64;
+                            }
+                            sys.sys_close(pid, fd);
+                            sys.sys_shutdown(pid, csd);
+                            assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
+                        }
+                        ServeMode::OneShot => {
+                            let n = sys.sys_accept_recv_send_close(pid, lsd, p.buf, 64);
+                            assert!(n > 0, "one-shot serve failed: {n}");
+                            bytes_served += n as u64;
+                            assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
+                        }
+                        ServeMode::Cosy => {
+                            let (cb, db) = regions.as_ref().expect("cosy regions");
+                            let results = rig
+                                .cosy
+                                .submit(pid, cb, db, &CosyOptions::default())
+                                .expect("serve compound");
+                            let n = results[3];
+                            assert!(n > 0, "compound sendfile failed: {n}");
+                            bytes_served += n as u64;
+                            assert_eq!(results[6], 96, "log line written");
+                        }
+                        ServeMode::Uring => unreachable!("handled batch-wise above"),
+                    }
+                }
+            }
+            let c = rig.machine.cpu(w).clock.since(c0);
+            *cpu_cycles += c.user + c.sys;
+            let sp = rig.machine.clock.since(sp0);
+            server_cycles += sp.user + sp.sys;
+        }
+
+        // Client phase: drain every response and verify its length
+        // (unbound — load-generator work must not land on a server CPU's
+        // clock).
         for (csd, doc) in pending {
             let mut got = 0u64;
             loop {
@@ -388,6 +447,7 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode) -> WebRe
         bytes_served,
         elapsed_cycles: iv.elapsed(),
         server_cycles,
+        cpu_server_cycles,
         crossings: d.crossings,
         net: sys.net().stats().delta(&n0),
     }
@@ -402,7 +462,7 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode) -> WebRe
 /// chain (the sendfile and close take the opened file fd *from the chain*)
 /// plus an unlinked socket shutdown and a fixed-buffer access-log write.
 ///
-/// `slot0` offsets the fixed-buffer slots this batch uses, so SMP workers
+/// `slot0` offsets the fixed-buffer slots this batch uses, so workers
 /// sharing one registered range table each get a private slice.
 #[allow(clippy::too_many_arguments)]
 fn serve_batch_uring(
@@ -482,309 +542,6 @@ fn serve_batch_uring(
     }
 }
 
-/// Results of an SMP serve run: one worker per CPU against a sharded
-/// listener.
-#[derive(Debug, Clone)]
-pub struct SmpWebReport {
-    pub cpus: usize,
-    pub requests: u64,
-    pub bytes_served: u64,
-    /// Server-phase cycles (user + sys) each worker accumulated on its
-    /// per-CPU clock.
-    pub cpu_server_cycles: Vec<u64>,
-    /// The busiest worker's total: the simulated wall time of the server
-    /// when every worker runs on its own CPU. This is what scales with
-    /// CPU count.
-    pub critical_path_cycles: u64,
-    /// Sum across workers — total CPU burned serving. Equals
-    /// `critical_path_cycles * cpus` under perfect balance.
-    pub total_server_cycles: u64,
-    pub crossings: u64,
-    pub net: knet::NetStats,
-}
-
-impl SmpWebReport {
-    /// Requests per simulated second of server wall time (critical path).
-    pub fn req_per_sec(&self) -> f64 {
-        let secs = ksim::cost::cycles_to_secs(self.critical_path_cycles);
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / secs
-        }
-    }
-}
-
-/// Serve `cfg.requests` requests with one logical worker per CPU, all
-/// workers accepting from a single SO_REUSEPORT-sharded listener.
-///
-/// The host drives the workers sequentially — the simulation stays
-/// deterministic — but each worker runs bound to its CPU
-/// (`Machine::bind_cpu`), so its syscall costs tee into that CPU's clock.
-/// Connections are routed to the connecting CPU's accept shard, each
-/// worker serves its own shard's batch slice in `mode`, and the report's
-/// `critical_path_cycles` (the busiest CPU) is the simulated parallel
-/// serve time. Per-batch fixed costs (the poll, the uring enter waves)
-/// amortize over a per-worker slice instead of the whole batch, which is
-/// exactly where sub-linear scaling comes from.
-pub fn serve_smp(
-    rig: &Rig,
-    p: &UserProc,
-    cfg: &WebConfig,
-    mode: ServeMode,
-    cpus: usize,
-) -> SmpWebReport {
-    let cpus = cpus.clamp(1, rig.machine.num_cpus());
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xBEEF);
-    let sys = &rig.sys;
-    let pid = p.pid;
-    let client = rig.user(64 * 1024);
-    let cpid = client.pid;
-    let chunk = 4096.min(p.buf_len / 4);
-    // Per-worker connection slots per batch; the batch is their union.
-    let per = cfg.connections.max(1).div_ceil(cpus);
-    let conns = per * cpus;
-
-    let log_at = p.buf + 512;
-    let poll_at = p.buf + 1024;
-    let chunk_at = p.buf + 4096;
-    {
-        let asid = rig.machine.proc_asid(pid).expect("server alive");
-        rig.machine
-            .mem
-            .write_virt(asid, log_at, &[b'L'; 96])
-            .expect("stage log line");
-    }
-
-    let logfd = sys.sys_open(
-        pid,
-        "/access.log",
-        OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::APPEND,
-    ) as i32;
-    assert!(logfd >= 0);
-
-    let sizes: Vec<u64> = (0..cfg.documents)
-        .map(|d| sys.k_stat(&doc_path(d)).expect("doc exists").size)
-        .collect();
-
-    let lsd = sys.sys_socket(pid) as i32;
-    assert!(lsd >= 0);
-    assert_eq!(sys.sys_bind_listen(pid, lsd, cfg.port, conns), 0);
-    sys.net()
-        .set_accept_sharding(pid, lsd, cpus)
-        .expect("shard the accept queue");
-
-    let regions = if mode == ServeMode::Cosy {
-        let cb = SharedRegion::new(rig.machine.clone(), pid, 1, 6).expect("compound buf");
-        let db = SharedRegion::new(rig.machine.clone(), pid, 1, 7).expect("data buf");
-        {
-            let mut b = CompoundBuilder::new(&cb, &db);
-            let reqbuf = b.alloc_buf(256).expect("request buffer");
-            let logref = b.stage_bytes(&[b'L'; 95]).expect("log line");
-            let a = b.syscall(CosyCall::Accept, vec![CompoundBuilder::lit(lsd as i64)]);
-            b.syscall(
-                CosyCall::Recv,
-                vec![
-                    CompoundBuilder::result_of(a),
-                    reqbuf,
-                    CompoundBuilder::lit(256),
-                ],
-            );
-            let f = b.syscall(CosyCall::Open, vec![reqbuf, CompoundBuilder::lit(0)]);
-            b.syscall(
-                CosyCall::Sendfile,
-                vec![
-                    CompoundBuilder::result_of(a),
-                    CompoundBuilder::result_of(f),
-                    CompoundBuilder::lit(cfg.doc_max as i64),
-                ],
-            );
-            b.syscall(CosyCall::Close, vec![CompoundBuilder::result_of(f)]);
-            b.syscall(CosyCall::ShutdownSock, vec![CompoundBuilder::result_of(a)]);
-            b.syscall(
-                CosyCall::Write,
-                vec![
-                    CompoundBuilder::lit(logfd as i64),
-                    logref,
-                    CompoundBuilder::lit(96),
-                ],
-            );
-            b.finish().expect("encode");
-        }
-        Some((cb, db))
-    } else {
-        None
-    };
-
-    let req_at = chunk_at;
-    let log_buf_idx = conns as u32;
-    if mode == ServeMode::Uring {
-        assert_eq!(sys.sys_ring_setup(pid, 8 * conns, 8 * conns), 0);
-        let mut ranges: Vec<(u64, usize)> =
-            (0..conns).map(|i| (req_at + 64 * i as u64, 64)).collect();
-        ranges.push((log_at, 96));
-        assert_eq!(sys.sys_ring_register(pid, &ranges), ranges.len() as i64);
-    }
-
-    let n0 = sys.net().stats();
-    let s0 = rig.machine.stats.snapshot();
-    let mut bytes_served = 0u64;
-    let mut cpu_cycles = vec![0u64; cpus];
-    let mut done = 0usize;
-
-    while done < cfg.requests {
-        let this_batch = conns.min(cfg.requests - done);
-        let base = this_batch / cpus;
-        let rem = this_batch % cpus;
-        let count_of = |w: usize| base + usize::from(w < rem);
-
-        // Client phase, per worker CPU: connections made on CPU `w` land
-        // on accept shard `w`.
-        let mut pending: Vec<(i32, usize)> = Vec::with_capacity(this_batch);
-        let casid = rig.machine.proc_asid(cpid).expect("client alive");
-        for w in 0..cpus {
-            let _cpu = rig.machine.bind_cpu(w);
-            for _ in 0..count_of(w) {
-                let doc = rng.gen_range(0..cfg.documents);
-                let csd = sys.sys_socket(cpid) as i32;
-                assert!(csd >= 0);
-                assert_eq!(sys.sys_connect(cpid, csd, cfg.port), 0);
-                let mut req = [0u8; 64];
-                let path = doc_path(doc);
-                req[..path.len()].copy_from_slice(path.as_bytes());
-                rig.machine
-                    .mem
-                    .write_virt(casid, client.buf, &req)
-                    .expect("stage request");
-                assert_eq!(sys.sys_send(cpid, csd, client.buf, 64), 64);
-                pending.push((csd, doc));
-            }
-        }
-
-        // Server phase, per worker CPU: each worker drains its own shard.
-        #[allow(clippy::needless_range_loop)] // `w` is the CPU id, not just an index
-        for w in 0..cpus {
-            let batch = count_of(w);
-            if batch == 0 {
-                continue;
-            }
-            let _cpu = rig.machine.bind_cpu(w);
-            let c0 = rig.machine.cpu(w).clock.snapshot();
-            if mode == ServeMode::Uring {
-                serve_batch_uring(
-                    rig,
-                    p,
-                    cfg,
-                    batch,
-                    w * per,
-                    lsd,
-                    logfd,
-                    req_at,
-                    log_buf_idx,
-                    &mut bytes_served,
-                );
-            } else {
-                assert!(
-                    sys.sys_poll_wait(pid, &[lsd], poll_at) >= 1,
-                    "worker {w}'s shard pending"
-                );
-                for _ in 0..batch {
-                    rig.machine.charge_user(cfg.cpu_per_request);
-                    match mode {
-                        ServeMode::Classic => {
-                            let csd = sys.sys_accept(pid, lsd) as i32;
-                            assert!(csd >= 0);
-                            assert_eq!(sys.sys_recv(pid, csd, p.buf, 64), 64);
-                            let path = read_request(rig, p);
-                            let fd = sys.sys_open(pid, &path, OpenFlags::RDONLY) as i32;
-                            assert!(fd >= 0);
-                            loop {
-                                let n = sys.sys_read(pid, fd, chunk_at, chunk);
-                                if n <= 0 {
-                                    break;
-                                }
-                                bytes_served += n as u64;
-                                assert_eq!(sys.sys_send(pid, csd, chunk_at, n as usize), n);
-                            }
-                            sys.sys_close(pid, fd);
-                            sys.sys_shutdown(pid, csd);
-                            assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
-                        }
-                        ServeMode::Consolidated => {
-                            let csd = sys.sys_accept(pid, lsd) as i32;
-                            assert!(csd >= 0);
-                            assert_eq!(sys.sys_recv(pid, csd, p.buf, 64), 64);
-                            let path = read_request(rig, p);
-                            let fd = sys.sys_open(pid, &path, OpenFlags::RDONLY) as i32;
-                            assert!(fd >= 0);
-                            let n = sys.sys_sendfile(pid, csd, fd, cfg.doc_max);
-                            assert!(n > 0);
-                            bytes_served += n as u64;
-                            sys.sys_close(pid, fd);
-                            sys.sys_shutdown(pid, csd);
-                            assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
-                        }
-                        ServeMode::OneShot => {
-                            let n = sys.sys_accept_recv_send_close(pid, lsd, p.buf, 64);
-                            assert!(n > 0, "one-shot serve failed: {n}");
-                            bytes_served += n as u64;
-                            assert_eq!(sys.sys_write(pid, logfd, log_at, 96), 96);
-                        }
-                        ServeMode::Cosy => {
-                            let (cb, db) = regions.as_ref().expect("cosy regions");
-                            let results = rig
-                                .cosy
-                                .submit(pid, cb, db, &CosyOptions::default())
-                                .expect("serve compound");
-                            let n = results[3];
-                            assert!(n > 0, "compound sendfile failed: {n}");
-                            bytes_served += n as u64;
-                            assert_eq!(results[6], 96, "log line written");
-                        }
-                        ServeMode::Uring => unreachable!("handled batch-wise above"),
-                    }
-                }
-            }
-            let c1 = rig.machine.cpu(w).clock.snapshot();
-            cpu_cycles[w] += (c1.user - c0.user) + (c1.sys - c0.sys);
-        }
-
-        // Client phase: drain every response (unbound — load-generator
-        // work must not land on a server CPU's clock).
-        for (csd, doc) in pending {
-            let mut got = 0u64;
-            loop {
-                let n = sys.sys_recv(cpid, csd, client.buf, 4096);
-                if n <= 0 {
-                    assert_eq!(n, 0, "clean EOF after the document");
-                    break;
-                }
-                got += n as u64;
-            }
-            assert_eq!(got, sizes[doc], "client received the whole document");
-            sys.sys_shutdown(cpid, csd);
-        }
-        done += this_batch;
-    }
-
-    let d = rig.machine.stats.snapshot().delta(&s0);
-    sys.sys_shutdown(pid, lsd);
-    sys.sys_close(pid, logfd);
-    if let Some((cb, db)) = regions {
-        let _ = (cb.release(), db.release());
-    }
-    SmpWebReport {
-        cpus,
-        requests: cfg.requests as u64,
-        bytes_served,
-        critical_path_cycles: cpu_cycles.iter().copied().max().unwrap_or(0),
-        total_server_cycles: cpu_cycles.iter().sum(),
-        cpu_server_cycles: cpu_cycles,
-        crossings: d.crossings,
-        net: sys.net().stats().delta(&n0),
-    }
-}
-
 /// Parse the NUL-padded request path out of the server's receive buffer
 /// (host-side bookkeeping: the simulated cost was the recv's copy).
 fn read_request(rig: &Rig, p: &UserProc) -> String {
@@ -821,20 +578,26 @@ mod tests {
         }
     }
 
+    /// Serve `cfg` in `mode` on `cpus` workers, on a fresh MemFs rig.
+    fn serve_fresh(cfg: &WebConfig, mode: ServeMode, cpus: usize) -> WebReport {
+        let rig = Rig::memfs();
+        let p = rig.user(1 << 16);
+        setup_docs(&rig, &p, cfg);
+        serve(&rig, &p, cfg, mode, cpus)
+    }
+
     #[test]
     fn all_modes_serve_identical_bytes() {
         let cfg = cfg();
         let mut served = Vec::new();
         for mode in MODES {
-            let rig = Rig::memfs();
-            let p = rig.user(1 << 16);
-            setup_docs(&rig, &p, &cfg);
-            let r = serve(&rig, &p, &cfg, mode);
+            let r = serve_fresh(&cfg, mode, 1);
+            assert_eq!(r.requests, cfg.requests as u64, "{mode:?}");
             // Backpressure surface: data moved through the socket rings
             // (requests in, documents out) with no ring-full stalls at
             // this load.
             assert!(r.net.bytes_queued >= r.bytes_served, "{:?}", r.net);
-            assert_eq!(r.net.send_eagains, 0, "{:?}", r.net);
+            assert_eq!(r.net.send_eagains, 0, "{mode:?}: {:?}", r.net);
             served.push(r.bytes_served);
         }
         assert!(served[0] > 0);
@@ -842,15 +605,28 @@ mod tests {
     }
 
     #[test]
+    fn smp_serves_identical_bytes_across_cpu_counts() {
+        let cfg = cfg();
+        for mode in MODES {
+            let mut bytes = Vec::new();
+            for cpus in [1usize, 4] {
+                let r = serve_fresh(&cfg, mode, cpus);
+                assert_eq!(r.requests, cfg.requests as u64, "{mode:?} x{cpus}");
+                assert!(r.net.bytes_queued >= r.bytes_served, "{:?}", r.net);
+                assert_eq!(r.net.send_eagains, 0, "{mode:?} x{cpus}: {:?}", r.net);
+                bytes.push(r.bytes_served);
+            }
+            assert!(bytes[0] > 0 && bytes[0] == bytes[1], "{mode:?}: {bytes:?}");
+        }
+    }
+
+    #[test]
     fn crossing_counts_order_as_designed() {
         let cfg = cfg();
-        let mut crossings = Vec::new();
-        for mode in MODES {
-            let rig = Rig::memfs();
-            let p = rig.user(1 << 16);
-            setup_docs(&rig, &p, &cfg);
-            crossings.push(serve(&rig, &p, &cfg, mode).crossings);
-        }
+        let crossings: Vec<u64> = MODES
+            .iter()
+            .map(|&mode| serve_fresh(&cfg, mode, 1).crossings)
+            .collect();
         // Per request, server-side: Classic = accept + recv + open +
         // 2 per chunk + close + shutdown + log; Consolidated folds the
         // chunk loop into sendfile (7); OneShot = 1 + log (2); Cosy = 1;
@@ -867,10 +643,7 @@ mod tests {
         let mut rps = Vec::new();
         let mut server = Vec::new();
         for mode in MODES {
-            let rig = Rig::memfs();
-            let p = rig.user(1 << 16);
-            setup_docs(&rig, &p, &cfg);
-            let r = serve(&rig, &p, &cfg, mode);
+            let r = serve_fresh(&cfg, mode, 1);
             rps.push(r.req_per_sec());
             assert!(r.server_cycles > 0 && r.server_cycles < r.elapsed_cycles);
             server.push(r.server_cycles);
@@ -887,24 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn smp_serves_identical_bytes_across_cpu_counts() {
-        let cfg = cfg();
-        for mode in MODES {
-            let mut bytes = Vec::new();
-            for cpus in [1usize, 4] {
-                let rig = Rig::memfs();
-                let p = rig.user(1 << 16);
-                setup_docs(&rig, &p, &cfg);
-                let r = serve_smp(&rig, &p, &cfg, mode, cpus);
-                assert_eq!(r.requests, cfg.requests as u64, "{mode:?}");
-                assert_eq!(r.net.send_eagains, 0, "{mode:?}: {:?}", r.net);
-                bytes.push(r.bytes_served);
-            }
-            assert!(bytes[0] > 0 && bytes[0] == bytes[1], "{mode:?}: {bytes:?}");
-        }
-    }
-
-    #[test]
     fn smp_scaling_shrinks_the_critical_path() {
         let cfg = WebConfig {
             documents: 10,
@@ -915,21 +670,14 @@ mod tests {
             ..Default::default()
         };
         for mode in [ServeMode::Classic, ServeMode::Uring] {
-            let run = |cpus: usize| {
-                let rig = Rig::memfs();
-                let p = rig.user(1 << 16);
-                setup_docs(&rig, &p, &cfg);
-                serve_smp(&rig, &p, &cfg, mode, cpus)
-            };
-            let r1 = run(1);
-            let r4 = run(4);
+            let r1 = serve_fresh(&cfg, mode, 1);
+            let r4 = serve_fresh(&cfg, mode, 4);
             assert!(
                 r4.cpu_server_cycles.iter().all(|&c| c > 0),
                 "{mode:?}: every worker served: {:?}",
                 r4.cpu_server_cycles
             );
-            let speedup =
-                r1.critical_path_cycles as f64 / r4.critical_path_cycles as f64;
+            let speedup = r1.critical_path_cycles() as f64 / r4.critical_path_cycles() as f64;
             assert!(
                 speedup > 2.0,
                 "{mode:?}: 4 CPUs must cut the critical path >2x, got {speedup:.2}"
@@ -938,7 +686,56 @@ mod tests {
             // least-loaded worker's cycles.
             let max = *r4.cpu_server_cycles.iter().max().unwrap();
             let min = *r4.cpu_server_cycles.iter().min().unwrap();
-            assert!(max < 2 * min, "{mode:?}: imbalance {:?}", r4.cpu_server_cycles);
+            assert!(
+                max < 2 * min,
+                "{mode:?}: imbalance {:?}",
+                r4.cpu_server_cycles
+            );
+        }
+    }
+
+    #[test]
+    fn serve_reports_are_pinned() {
+        // Exact reports on `cfg()`: any drift in the serve path's
+        // syscalls, their order or their costs moves one of these.
+        // (mode, crossings, server cycles, elapsed cycles, 4-CPU critical path)
+        let pins = [
+            (ServeMode::Classic, 825, 2_169_634, 3_978_928, 582_308),
+            (ServeMode::Consolidated, 663, 1_334_644, 3_143_938, 352_132),
+            (ServeMode::OneShot, 423, 914_932, 2_724_226, 247_204),
+            (ServeMode::Cosy, 375, 861_654, 2_670_948, 233_668),
+            (ServeMode::Uring, 339, 837_184, 2_646_478, 239_944),
+        ];
+        let net = knet::NetStats {
+            connects: 48,
+            accepts: 48,
+            bytes_queued: 263_591,
+            bytes_delivered: 263_591,
+            ..Default::default()
+        };
+        let cfg = cfg();
+        for (mode, crossings, server, elapsed, critical4) in pins {
+            let r = serve_fresh(&cfg, mode, 1);
+            assert_eq!(
+                (
+                    r.bytes_served,
+                    r.crossings,
+                    r.server_cycles,
+                    r.elapsed_cycles,
+                    r.net
+                ),
+                (260_519, crossings, server, elapsed, net),
+                "{mode:?}"
+            );
+            assert_eq!(r.cpu_server_cycles, [server], "{mode:?}");
+            let r4 = serve_fresh(&cfg, mode, 4);
+            assert_eq!(r4.critical_path_cycles(), critical4, "{mode:?}");
+            // The machine clock's server phase is exactly the per-CPU sum.
+            assert_eq!(
+                r4.server_cycles,
+                r4.cpu_server_cycles.iter().sum::<u64>(),
+                "{mode:?}"
+            );
         }
     }
 
@@ -953,7 +750,7 @@ mod tests {
             let run = |rig: Rig| {
                 let p = rig.user(1 << 16);
                 setup_docs(&rig, &p, &cfg);
-                let r = serve(&rig, &p, &cfg, mode);
+                let r = serve(&rig, &p, &cfg, mode, 1);
                 let img = kvfs::VfsSnapshot::capture(rig.vfs.fs().as_ref()).unwrap();
                 (r.bytes_served, img.hash())
             };
@@ -972,7 +769,7 @@ mod tests {
             let rig = Rig::memfs();
             let p = rig.user(1 << 16);
             setup_docs(&rig, &p, &cfg);
-            serve(&rig, &p, &cfg, mode);
+            serve(&rig, &p, &cfg, mode, 1);
             assert_eq!(rig.sys.open_fds(p.pid), 0, "{mode:?}");
             assert_eq!(rig.sys.net().open_socks(p.pid), 0, "{mode:?}");
         }

@@ -23,16 +23,18 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "== bench smoke: bytecode VM + translation cache =="
 ./target/release/a7_bytecode --quick
 
-echo "== bench smoke: KGCC fs module (E7) + check elimination (A2) =="
-# Gate: every paper-shape row E7 and A2 print must read OK; one DIFF row
-# fails the pass. Both report simulated cycles and check counts only, so
-# the rows are exact on any machine.
-for bin in e7_kgcc a2_kgcc_ablate; do
-    out=$(./target/release/"${bin}")
+echo "== bench smoke: KGCC (E7, A2) + web server serve paths (A6, A9, A10) =="
+# Gate: every paper-shape row these binaries print must read OK; one DIFF
+# row fails the pass. All of them report simulated cycles, crossings and
+# counts only, so the rows are exact on any machine. Each entry is a
+# binary followed by its arguments.
+for cmd in e7_kgcc a2_kgcc_ablate a6_webserver "a9_netserve --quick" "a10_uring --quick"; do
+    read -r -a argv <<< "${cmd}"
+    out=$(./target/release/"${argv[@]}")
     rows=$(echo "${out}" | grep -E '^[AE][0-9]+ .* (OK|DIFF)$' || true)
     echo "${rows}"
     if [ -z "${rows}" ] || echo "${rows}" | grep -q ' DIFF$'; then
-        echo "${bin}: missing or DIFF shape rows" >&2
+        echo "${cmd}: missing or DIFF shape rows" >&2
         exit 1
     fi
 done
@@ -46,12 +48,6 @@ if [ "$h1" != "$h2" ]; then
     exit 1
 fi
 echo "fault sweep deterministic: $h1"
-
-echo "== bench smoke: knet web server connection sweep =="
-./target/release/a9_netserve --quick
-
-echo "== bench smoke: kuring batched-syscall rings =="
-./target/release/a10_uring --quick
 
 echo "== bench smoke: host substrate throughput =="
 # Gate: the sustained simulated-syscalls/sec must not regress more than

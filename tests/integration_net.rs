@@ -227,7 +227,7 @@ fn naive_webserver_trace_leads_the_advisor_to_consolidation() {
     setup_docs(&rig, &p, &cfg);
 
     rig.sys.tracer().set_enabled(true);
-    serve(&rig, &p, &cfg, ServeMode::Classic);
+    serve(&rig, &p, &cfg, ServeMode::Classic, 1);
     rig.sys.tracer().set_enabled(false);
     let events = rig.sys.tracer().events();
 
