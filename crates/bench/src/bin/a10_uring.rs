@@ -19,8 +19,6 @@
 //! The sweep also surfaces the backpressure counters (`send_eagains`,
 //! bytes through the socket rings) so a starved or stalling configuration
 //! is visible in the table, not hidden behind an average.
-//!
-//! `--quick` runs a reduced sweep (CI smoke).
 
 use bench::{banner, Report};
 use kucode::kworkloads::{serve, setup_docs, ServeMode, WebConfig, WebReport};
@@ -67,9 +65,8 @@ pub fn run(report: &mut Report) {
         "A10",
         "kuring rings: batched syscalls (one crossing per batch)",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
-    let batches: &[usize] = if quick { &[1, 64] } else { &[1, 8, 64, 256] };
-    let req_per_conn = if quick { 4 } else { 8 };
+    let batches = [1, 8, 64, 256];
+    let req_per_conn = 8;
 
     // Micro: the crossing bill of a batch is flat, not linear.
     println!(
@@ -77,7 +74,7 @@ pub fn run(report: &mut Report) {
         "batch size", "ops submitted", "crossings"
     );
     let mut all_single = true;
-    for &n in batches {
+    for n in batches {
         let crossings = crossings_for_batch(n);
         println!("{:<12} {:>16} {:>12}", n, n, crossings);
         all_single &= crossings == 1;
@@ -96,7 +93,7 @@ pub fn run(report: &mut Report) {
 
     // Macro: the connection sweep, same workload shape as A9.
     let mut at_64: Vec<(&str, WebReport)> = Vec::new();
-    for &conns in batches {
+    for conns in batches {
         let cfg = WebConfig {
             documents: 20,
             doc_min: 2 * 1024,

@@ -5,8 +5,8 @@
 //! `k_*` call bounds every scaling experiment (SMP ksim, million-client
 //! load rigs), so the substrate optimizations — slab-style object pools,
 //! interned dcache path components, batched cycle accounting, compiled
-//! fault-site masks — are gated here as *sustained simulated syscalls per
-//! host wall-clock second*, protected by a CI regression threshold.
+//! fault-site masks — are reported here as *sustained simulated syscalls
+//! per host wall-clock second*.
 //!
 //! Two tight single-process loops, the shapes the paper's workloads boil
 //! down to:
@@ -16,15 +16,15 @@
 //! * **net**: send → recv across a connected socket pair
 //!   (2 syscalls/iteration), the web-server data plane.
 //!
-//! The headline metric is the best-of-three mixed rate; the machine
-//! readable `THROUGHPUT_SPS=<n>` line feeds the `scripts/ci.sh` gate,
-//! which fails if the rate regresses more than 10% against the baseline
-//! recorded in `bench_report.json`.
+//! The headline metric is the best-of-three mixed rate. Every row is
+//! host-timed: a trend line that swings with machine load, so no row
+//! gates `all`. The host cost that does gate is counted, not timed:
+//! `tests/integration_host_cost.rs` pins the exact heap allocations per
+//! warm op on every path into the dispatcher.
 //!
 //! `--micro` additionally runs idiom microbenches that isolate each
 //! optimization layer (allocation, interning, accounting, fault masks)
-//! for the EXPERIMENTS.md attribution table. `--quick` shortens the
-//! measurement windows (CI smoke).
+//! for the EXPERIMENTS.md attribution table.
 
 use std::time::Instant;
 
@@ -114,9 +114,8 @@ pub fn run(report: &mut Report) {
         "A11",
         "host substrate throughput: sustained simulated syscalls/sec",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
     let micro = std::env::args().any(|a| a == "--micro");
-    let window_ms: u64 = if quick { 120 } else { 400 };
+    let window_ms: u64 = 400;
     let reps = 3;
 
     let rig = Rig::memfs();
@@ -139,7 +138,7 @@ pub fn run(report: &mut Report) {
         net_iter(&rig, &p, &pair);
     });
     // Mixed: interleave one vfs iteration with one net round, the
-    // headline number the CI gate tracks.
+    // headline trend number.
     let mut j = 0usize;
     let mixed_sps = best_rate(
         reps,
@@ -156,37 +155,27 @@ pub fn run(report: &mut Report) {
     println!("{:<28} {:>14}", "vfs open/write/read/close", fmt_sps(vfs_sps));
     println!("{:<28} {:>14}", "net send/recv", fmt_sps(net_sps));
     println!("{:<28} {:>14}", "mixed (headline)", fmt_sps(mixed_sps));
-    println!("\nTHROUGHPUT_SPS={mixed_sps}");
 
     let speedup = if PRE_PR_BASELINE_SPS == 0 {
         1.0
     } else {
         mixed_sps as f64 / PRE_PR_BASELINE_SPS as f64
     };
-    report.add(
+    report.add_host_timed(
         "A11",
         "sustained simulated syscalls/sec (mixed)",
         format!("{} pre-PR", fmt_sps(PRE_PR_BASELINE_SPS)),
         format!("{} ({speedup:.2}x)", fmt_sps(mixed_sps)),
         PRE_PR_BASELINE_SPS == 0 || mixed_sps >= 2 * PRE_PR_BASELINE_SPS,
     );
-    // Machine-readable twin of the line above: raw integers for the
-    // scripts/ci.sh THROUGHPUT_MIN regression gate.
-    report.add(
-        "A11",
-        "THROUGHPUT_SPS",
-        PRE_PR_BASELINE_SPS,
-        mixed_sps,
-        PRE_PR_BASELINE_SPS == 0 || mixed_sps >= 2 * PRE_PR_BASELINE_SPS,
-    );
-    report.add(
+    report.add_host_timed(
         "A11",
         "vfs loop syscalls/sec",
         "-",
         fmt_sps(vfs_sps),
         true,
     );
-    report.add(
+    report.add_host_timed(
         "A11",
         "net loop syscalls/sec",
         "-",

@@ -9,18 +9,23 @@
 //! 1. **Recovery** — every kill point recovers with zero invariant
 //!    violations (committed ops durable, uncommitted absent, no dangling
 //!    extents or orphaned inodes), in both clean-cut and torn-write mode.
-//! 2. **Determinism** — the whole sweep reduces to one `TRACE_HASH` word;
-//!    CI runs the binary twice and diffs.
+//! 2. **Coverage and determinism** — the guarded-write total and the
+//!    whole sweep's `TRACE_HASH` word are pinned: a silent change in kill
+//!    coverage, or a sweep that stops reproducing, is a DIFF row.
 //! 3. **Durability cost** — PostMark with the mail-server fsync
 //!    discipline on kjfs vs buffered kjfs vs MemFs, and the web server
 //!    proving the sendfile path serves byte-identical documents from the
 //!    journaled fs.
-//!
-//! `--quick` skips nothing: the sweep *is* the result, and it is fast.
 
 use bench::{banner, Report};
 use kucode::kworkloads::{serve, setup_docs, ServeMode, WebConfig};
 use kucode::prelude::*;
+
+/// Kill points across all sweeps (clean + torn) and the whole-run trace
+/// hash. Re-pin both in a change that adds or removes a guarded write,
+/// and say why; never lower the count silently.
+const PINNED_POINTS: u64 = 578;
+const PINNED_TRACE_HASH: u64 = 0x7966_bdee_61f6_6b63;
 
 /// FNV-1a accumulator for the whole-run `TRACE_HASH`.
 fn mix(agg: u64, word: u64) -> u64 {
@@ -183,11 +188,13 @@ pub fn run(report: &mut Report) {
     let points = crash_sweep(report, &mut agg);
     durability_cost(report);
     serve_from_kjfs(report);
-    // Machine lines for scripts/ci.sh: the guarded-write total (kill points
-    // across all sweeps, clean + torn) and one word for the whole sweep —
-    // CI runs the binary twice and diffs.
-    println!("\nA13_SWEEP_POINTS {points}");
-    println!("TRACE_HASH {agg:016x}");
+    report.add(
+        "A13",
+        "kill points and TRACE_HASH match the pin",
+        format!("{PINNED_POINTS} @ {PINNED_TRACE_HASH:016x}"),
+        format!("{points} @ {agg:016x}"),
+        points == PINNED_POINTS && agg == PINNED_TRACE_HASH,
+    );
 }
 
 fn main() {

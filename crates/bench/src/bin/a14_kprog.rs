@@ -16,16 +16,13 @@
 //! Gates:
 //!
 //! 1. **Headline**: kernel-walked chase beats the user loop by ≥2x in
-//!    cycles per hop at the full chain length (`A14_CHASE_RATIO_X100`,
-//!    CI gate `KPROG_MIN`).
+//!    cycles per hop at the full chain length.
 //! 2. Both walkers recover the chain's ground truth exactly.
 //! 3. The kernel walk's crossing bill is O(1) in chain length; the user
 //!    loop's is O(n).
 //! 4. Re-loading a program is a cache hit — verification runs once.
 //! 5. A syscall-entry filter vetoes writes, passes reads, and detaches
 //!    cleanly.
-//!
-//! `--quick` walks a shorter chain (CI smoke).
 
 use std::sync::Arc;
 
@@ -122,8 +119,7 @@ pub fn run(report: &mut Report) {
         "A14",
         "kprog: verified CQE programs vs the user drain/resubmit loop",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: &[usize] = if quick { &[64, 1024] } else { &[64, 512, 2048] };
+    let sizes = [64, 512, 2048];
 
     println!(
         "\n{:<8} {:<8} {:>12} {:>14} {:>10} {:>10} {:>10}",
@@ -133,7 +129,7 @@ pub fn run(report: &mut Report) {
     let mut kernel_crossings = Vec::new();
     let mut user_syscalls_linear = true;
     let mut headline_ratio = 0.0;
-    for &n in sizes {
+    for n in sizes {
         let (truth_u, user) = measure(n, false);
         let (truth_k, kern) = measure(n, true);
         for (truth, s) in [(&truth_u, &user), (&truth_k, &kern)] {
@@ -156,12 +152,6 @@ pub fn run(report: &mut Report) {
             );
         }
     }
-
-    // Machine-readable headline for the CI gate (ratio x100, integer).
-    println!(
-        "\nA14_CHASE_RATIO_X100 {}",
-        (headline_ratio * 100.0) as u64
-    );
 
     report.add(
         "A14",

@@ -14,13 +14,10 @@
 //!    home writes), group commit matches it with one writer.
 //! 2. **The 8-thread SMP fsync convoy** (the headline): eight threads,
 //!    each create+write+fsync+close in a loop on one shared kjfs. Group
-//!    commit vs the single-txn baseline must win ≥1.5x in cycles/op —
-//!    `A15_JOURNAL_RATIO_X100`, CI gate `JOURNAL_MIN`.
+//!    commit vs the single-txn baseline must win ≥1.5x in cycles/op.
 //! 3. **Out-of-core dbscan on kjfs**: the block-level record scan at a
 //!    working set larger than the page cache, reporting hit/miss and
 //!    readahead effectiveness.
-//!
-//! `--quick` shrinks the op counts (CI smoke); every gate still runs.
 
 use bench::{banner, Report};
 use kucode::kworkloads::dbscan::expected_scan_checksum;
@@ -40,10 +37,10 @@ const MODES: [JournalMode; 3] =
 
 // ---- 1. single-threaded fsync-per-file postmark ----------------------------
 
-fn postmark_modes(report: &mut Report, quick: bool) {
+fn postmark_modes(report: &mut Report) {
     let pm = PostmarkConfig {
-        file_count: if quick { 60 } else { 120 },
-        transactions: if quick { 200 } else { 600 },
+        file_count: 120,
+        transactions: 600,
         subdirs: 4,
         min_size: 256,
         max_size: 4_096,
@@ -126,8 +123,8 @@ fn convoy(mode: JournalMode, files_per_thread: usize) -> (u64, KjfsStats) {
     (cycles / ops.max(1), rig.kjfs.as_ref().expect("kjfs root").stats())
 }
 
-fn smp_convoy(report: &mut Report, quick: bool) -> u64 {
-    let files = if quick { 24 } else { 64 };
+fn smp_convoy(report: &mut Report) {
+    let files = 64;
     println!(
         "\n{:<14} {:>12} {:>10} {:>8} {:>8} {:>8}   ({CONVOY_THREADS} threads x {files} files)",
         "journal mode", "cycles/op", "commits", "ckpts", "dedup", "merges"
@@ -155,18 +152,17 @@ fn smp_convoy(report: &mut Report, quick: bool) -> u64 {
         format!("{:.2}x", ratio_x100 as f64 / 100.0),
         ratio_x100 >= 150,
     );
-    ratio_x100
 }
 
 // ---- 3. out-of-core dbscan on kjfs ------------------------------------------
 
-fn out_of_core_scan(report: &mut Report, quick: bool) {
-    // The record file is 2x (4x full) the page cache: 512 cache pages
-    // against 1024 (2048) file pages of 4 KiB records.
+fn out_of_core_scan(report: &mut Report) {
+    // The record file is 4x the page cache: 512 cache pages against 2048
+    // file pages of 4 KiB records.
     let c = DbConfig {
-        records: if quick { 1_024 } else { 2_048 },
+        records: 2_048,
         record_size: 4_096,
-        probes: if quick { 200 } else { 400 },
+        probes: 400,
         ..Default::default()
     };
     let cache_pages = 512;
@@ -211,12 +207,9 @@ pub fn run(report: &mut Report) {
         "A15",
         "Pipelined journal + group commit: the durability tax, repriced",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
-    postmark_modes(report, quick);
-    let ratio_x100 = smp_convoy(report, quick);
-    out_of_core_scan(report, quick);
-    // Machine-readable headline for the scripts/ci.sh JOURNAL_MIN gate.
-    println!("\nA15_JOURNAL_RATIO_X100 {ratio_x100}");
+    postmark_modes(report);
+    smp_convoy(report);
+    out_of_core_scan(report);
 }
 
 fn main() {

@@ -14,8 +14,6 @@
 //! do we. We require the zero-copy `sendfile` path and the Cosy compound
 //! to each cut server cycles/request by ≥25% against the naive
 //! accept/recv/read+send server once the connection count reaches 64.
-//!
-//! `--quick` runs a reduced sweep (CI smoke).
 
 use bench::{banner, Report};
 use kucode::kworkloads::{serve, setup_docs, ServeMode, WebConfig, WebReport};
@@ -46,12 +44,10 @@ pub fn run(report: &mut Report) {
         "A9",
         "knet web server: connection sweep (paper: sendfile +92-116%)",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sweep: &[usize] = if quick { &[8, 64] } else { &[8, 64, 256] };
-    let req_per_conn = if quick { 4 } else { 8 };
+    let req_per_conn = 8;
 
     let mut at_64: Vec<(&str, WebReport)> = Vec::new();
-    for &conns in sweep {
+    for conns in [8, 64, 256] {
         let cfg = WebConfig {
             documents: 20,
             doc_min: 2 * 1024,

@@ -1,5 +1,6 @@
 //! Run every experiment and ablation, print the paper-vs-simulated
-//! summary, and write `bench_report.json`.
+//! summary, and write `bench_report.json`. Exits 1 when any finding that
+//! is not host-timed reads DIFF, so the run is the CI gate.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin all
@@ -64,8 +65,8 @@ fn main() {
     // costs ~20% of the measured rate. Every other bench reports
     // simulated cycles and is insensitive to ordering.
     a11::run(&mut report);
-    // A12's SMP_SPS phase is also wall-clock; run it second, before the
-    // cycle-domain experiments churn the heap.
+    // A12's host-threaded phase is also wall-clock; run it second, before
+    // the cycle-domain experiments churn the heap.
     a12::run(&mut report);
     e1::run(&mut report);
     e2::run(&mut report);
@@ -95,4 +96,7 @@ fn main() {
         "\n{} findings, shapes hold: {holds}; JSON written to bench_report.json",
         report.findings.len()
     );
+    if !holds {
+        std::process::exit(1);
+    }
 }
