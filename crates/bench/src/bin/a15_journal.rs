@@ -3,15 +3,15 @@
 //! PR 7's kjfs journal allowed ONE live transaction: every fsync paid the
 //! whole desc→images→commit→checkpoint chain synchronously, so postmark's
 //! mail-server discipline ran 3.2x over buffered I/O and concurrent fsyncs
-//! convoyed on the fs lock. The pipelined journal decouples the stages — a
-//! running transaction keeps accepting dirt while committed transactions
-//! drain in deferred, deduplicated, run-coalesced checkpoints, and a group
-//! commit merges every waiter that arrives during an in-flight commit into
-//! one checksummed record. Three results:
+//! convoyed on the fs lock. The group-commit journal decouples the stages —
+//! a running transaction keeps accepting dirt while committed transactions
+//! drain in deferred, deduplicated, run-coalesced checkpoints, and every
+//! waiter that arrives during an in-flight commit merges into one
+//! checksummed record. Three results:
 //!
-//! 1. **Single-threaded** fsync-per-file postmark across the three journal
-//!    modes: pipelining alone cuts cycles/op (checkpoint dedup + coalesced
-//!    home writes), group commit matches it with one writer.
+//! 1. **Single-threaded** fsync-per-file postmark under both journal
+//!    modes: with one writer there is nothing to merge, so the win is the
+//!    pipelining alone (checkpoint dedup + coalesced home writes).
 //! 2. **The 8-thread SMP fsync convoy** (the headline): eight threads,
 //!    each create+write+fsync+close in a loop on one shared kjfs. Group
 //!    commit vs the single-txn baseline must win ≥1.5x in cycles/op.
@@ -24,16 +24,7 @@ use kucode::kworkloads::dbscan::expected_scan_checksum;
 use kucode::kworkloads::{scan_kjfs_out_of_core, Rig, UserProc};
 use kucode::prelude::*;
 
-fn mode_name(mode: JournalMode) -> &'static str {
-    match mode {
-        JournalMode::SingleTxn => "single-txn",
-        JournalMode::Pipelined => "pipelined",
-        JournalMode::GroupCommit => "group-commit",
-    }
-}
-
-const MODES: [JournalMode; 3] =
-    [JournalMode::SingleTxn, JournalMode::Pipelined, JournalMode::GroupCommit];
+const MODES: [JournalMode; 2] = [JournalMode::SingleTxn, JournalMode::GroupCommit];
 
 // ---- 1. single-threaded fsync-per-file postmark ----------------------------
 
@@ -61,7 +52,7 @@ fn postmark_modes(report: &mut Report) {
         let st = rig.kjfs.as_ref().expect("kjfs root").stats();
         println!(
             "{:<14} {:>12} {:>10} {:>8} {:>8} {:>10} {:>10}",
-            mode_name(mode),
+            mode.label(),
             cpo,
             st.commits,
             st.checkpoints,
@@ -71,13 +62,13 @@ fn postmark_modes(report: &mut Report) {
         );
         per_op.push(cpo);
     }
-    let (single, pipelined) = (per_op[0], per_op[1]);
+    let (single, group) = (per_op[0], per_op[1]);
     report.add(
         "A15",
-        "pipelined fsync postmark, 1 thread",
+        "group-commit fsync postmark, 1 thread",
         "< single-txn cycles/op",
-        format!("{pipelined} vs {single}"),
-        pipelined < single,
+        format!("{group} vs {single}"),
+        group < single,
     );
 }
 
@@ -134,7 +125,7 @@ fn smp_convoy(report: &mut Report) {
         let (cpo, st) = convoy(mode, files);
         println!(
             "{:<14} {:>12} {:>10} {:>8} {:>8} {:>8}",
-            mode_name(mode),
+            mode.label(),
             cpo,
             st.commits,
             st.checkpoints,
@@ -143,7 +134,7 @@ fn smp_convoy(report: &mut Report) {
         );
         per_op.push(cpo);
     }
-    let (single, group) = (per_op[0], per_op[2]);
+    let (single, group) = (per_op[0], per_op[1]);
     let ratio_x100 = single * 100 / group.max(1);
     report.add(
         "A15",

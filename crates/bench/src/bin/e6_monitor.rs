@@ -21,6 +21,7 @@
 use std::sync::Arc;
 
 use bench::{banner, Report};
+use kucode::kevents::chardev::WIRE_RECORD_BYTES;
 use kucode::prelude::*;
 
 fn postmark_cfg() -> PostmarkConfig {
@@ -56,21 +57,25 @@ pub fn run(report: &mut Report) {
 
     // Rung 2: + user-space polling logger, no disk writes.
     // (1) mirrors the workload's CPU 1:1; (2) per-I/O-wakeup scheduling
-    // delay behind the busy-polling competitor; (3) real chardev reads.
+    // delay behind the busy-polling competitor; (3) the chardev reads, one
+    // crossing per 128-record batch plus the per-record copy. The read
+    // cost is computed from what `CharDev::read` charges; the records are
+    // not actually read through a `CharDev`.
     let cost = CostModel::default();
     let cpu = inst.elapsed.user + inst.elapsed.sys;
     let wakeups = inst.stats.disk_reads + inst.stats.disk_writes;
     const SCHED_DELAY_CYCLES: u64 = 255_000; // 0.15 ms at 1.7 GHz
     let sched_delay = wakeups * SCHED_DELAY_CYCLES;
     let reads = record_count / 128 + 1;
-    let read_cost = reads * cost.crossing_cost() + cost.copy_cost(record_count as usize * 24);
+    let read_cost =
+        reads * cost.crossing_cost() + cost.copy_cost(record_count as usize * WIRE_RECORD_BYTES);
     let nodisk_elapsed = inst_elapsed + cpu + sched_delay + read_cost;
 
     // Rung 3: + synchronous log flushes to the second disk: one seek +
     // transfer per read batch (the paper used a separate 15 kRPM SCSI
     // disk; we keep the default disk model, which only strengthens the
     // effect).
-    let log_bytes = record_count * 24;
+    let log_bytes = record_count * WIRE_RECORD_BYTES as u64;
     let disk_cost = reads * (cost.disk_seek / 3 + cost.disk_rotate / 3)
         + cost.disk_transfer(log_bytes as usize);
     let disk_elapsed = nodisk_elapsed + disk_cost;

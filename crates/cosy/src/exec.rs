@@ -26,7 +26,7 @@ use kclang::{
     parse_program, typecheck, ExecConfig, ExecOutcome, InterpError, ParseError, SegMode, TypeError,
     Vm,
 };
-use kevents::{EventDispatcher, EventRecord, OOPS_EVENT};
+use kevents::{EventDispatcher, EventRecord, Probe, OOPS_EVENT};
 use ksim::{Pid, PteFlags, SegKind, Segment, SimError, PAGE_SIZE};
 use ksyscall::op::OFF_CURSOR;
 use ksyscall::{
@@ -169,7 +169,7 @@ pub struct CosyExtension {
     programs: RwLock<Vec<Module>>,
     cache: TranslationCache,
     arena_cursor: AtomicU64,
-    oops_sink: RwLock<Option<Arc<EventDispatcher>>>,
+    oops_sink: Probe,
 }
 
 impl CosyExtension {
@@ -179,7 +179,7 @@ impl CosyExtension {
             programs: RwLock::new(Vec::new()),
             cache: TranslationCache::new(),
             arena_cursor: AtomicU64::new(0xffff_f000_0000_0000),
-            oops_sink: RwLock::new(None),
+            oops_sink: Probe::new(),
         }
     }
 
@@ -188,7 +188,7 @@ impl CosyExtension {
     /// user-space tooling observe them instead of a host panic or a
     /// silently dropped error.
     pub fn set_oops_sink(&self, sink: Arc<EventDispatcher>) {
-        *self.oops_sink.write() = Some(sink);
+        self.oops_sink.set_dispatcher(Some(sink));
     }
 
     pub fn syscalls(&self) -> &Arc<SyscallLayer> {
@@ -476,9 +476,7 @@ impl CosyExtension {
     }
 
     fn oops(&self, pid: Pid, what: &'static str, code: i64) {
-        if let Some(sink) = self.oops_sink.read().as_ref() {
-            sink.log_event(EventRecord::new(pid.0 as u64, OOPS_EVENT, what, 0, code));
-        }
+        self.oops_sink.emit(EventRecord::new(pid.0 as u64, OOPS_EVENT, what, 0, code));
     }
 
     /// Graceful degradation: after a rollback, re-execute the compound

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use kalloc::{KernelAllocator, VaAllocator};
-use kevents::{EventDispatcher, EventRecord, EventType};
+use kevents::{EventDispatcher, EventRecord, EventType, Probe};
 use ksim::{
     AccessKind, Fault, FaultHandler, FaultResolution, Machine, MemSys, Pte, PteFlags,
     SimError, SimResult, PAGE_SIZE,
@@ -128,7 +128,7 @@ struct State {
     /// faulting address).
     allocs: Mutex<BTreeMap<u64, Allocation>>,
     violations: Mutex<Vec<KefenceViolation>>,
-    dispatcher: Mutex<Option<Arc<EventDispatcher>>>,
+    probe: Probe,
     stats: KefenceStats,
 }
 
@@ -146,15 +146,8 @@ impl State {
     }
 
     fn report(&self, v: KefenceViolation) {
-        if let Some(d) = self.dispatcher.lock().as_ref() {
-            d.log_event(EventRecord::new(
-                v.alloc_base,
-                KEFENCE_EVENT,
-                "kefence",
-                0,
-                v.addr as i64,
-            ));
-        }
+        let rec = EventRecord::new(v.alloc_base, KEFENCE_EVENT, "kefence", 0, v.addr as i64);
+        self.probe.emit(rec);
         self.violations.lock().push(v);
     }
 }
@@ -260,7 +253,7 @@ impl Kefence {
             mode: RwLock::new(mode),
             allocs: Mutex::new(BTreeMap::new()),
             violations: Mutex::new(Vec::new()),
-            dispatcher: Mutex::new(None),
+            probe: Probe::new(),
             stats: KefenceStats::default(),
         });
         machine
@@ -282,7 +275,7 @@ impl Kefence {
 
     /// Report violations through an event dispatcher (syslog stand-in).
     pub fn set_dispatcher(&self, d: Option<Arc<EventDispatcher>>) {
-        *self.state.dispatcher.lock() = d;
+        self.state.probe.set_dispatcher(d);
     }
 
     /// Violations recorded so far.

@@ -133,16 +133,7 @@ impl CharDev {
         Ok(n)
     }
 
-    /// (total reads, reads that returned nothing, records delivered).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.reads.load(Relaxed),
-            self.empty_reads.load(Relaxed),
-            self.records_read.load(Relaxed),
-        )
-    }
-
-    /// Full counter snapshot, including ring-level loss.
+    /// Counter snapshot, including ring-level loss.
     pub fn stats(&self) -> CharDevStats {
         CharDevStats {
             reads: self.reads.load(Relaxed),
@@ -152,20 +143,11 @@ impl CharDev {
             lost_reported: self.lost_reported.load(Relaxed),
         }
     }
-
-    pub fn ring(&self) -> &Arc<EventRing> {
-        &self.ring
-    }
 }
 
 impl std::fmt::Debug for CharDev {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (reads, empty, recs) = self.counters();
-        f.debug_struct("CharDev")
-            .field("reads", &reads)
-            .field("empty_reads", &empty)
-            .field("records_read", &recs)
-            .finish()
+        f.debug_tuple("CharDev").field(&self.stats()).finish()
     }
 }
 
@@ -267,8 +249,8 @@ mod tests {
         let n = dev.read(pid, &mut out, 10, ReadMode::Polling).unwrap();
         assert_eq!(n, 0);
         assert_eq!(m.clock.sys_cycles() - sys0, m.cost.crossing_cost());
-        let (reads, empty, _) = dev.counters();
-        assert_eq!((reads, empty), (1, 1));
+        let st = dev.stats();
+        assert_eq!((st.reads, st.empty_reads), (1, 1));
     }
 
     #[test]
@@ -302,9 +284,9 @@ mod tests {
         }
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
         // Bulk batching: 10 records at batch 4 → 3 non-empty reads + 1 empty.
-        let (reads, _, recs) = dev.counters();
-        assert_eq!(recs, 10);
-        assert!(reads >= 4);
+        let st = dev.stats();
+        assert_eq!(st.records_read, 10);
+        assert!(st.reads >= 4);
     }
 
     #[test]

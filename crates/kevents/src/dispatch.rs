@@ -162,6 +162,44 @@ impl EventDispatcher {
     }
 }
 
+/// One optional-dispatcher slot: how instrumented code reaches
+/// `log_event`. With nothing attached (the vanilla baseline) `emit` costs
+/// one relaxed flag load and takes no lock.
+#[derive(Debug, Default)]
+pub struct Probe {
+    dispatcher: RwLock<Option<Arc<EventDispatcher>>>,
+    /// Mirrors `dispatcher.is_some()`.
+    attached: AtomicBool,
+}
+
+impl Probe {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Attach a dispatcher, or `None` to return to the vanilla baseline.
+    pub fn set_dispatcher(&self, d: Option<Arc<EventDispatcher>>) {
+        let mut slot = self.dispatcher.write();
+        self.attached.store(d.is_some(), Relaxed);
+        *slot = d;
+    }
+
+    /// Whether a dispatcher is attached.
+    pub fn is_attached(&self) -> bool {
+        self.attached.load(Relaxed)
+    }
+
+    /// Hand `rec` to the attached dispatcher, if any.
+    #[inline]
+    pub fn emit(&self, rec: EventRecord) {
+        if self.is_attached() {
+            if let Some(d) = self.dispatcher.read().as_ref() {
+                d.log_event(rec);
+            }
+        }
+    }
+}
+
 impl std::fmt::Debug for EventDispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventDispatcher")

@@ -7,27 +7,21 @@
 //! monitors), and with a dispatcher plus ring (user-space logging), which
 //! is precisely the ladder of configurations E6 measures.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ksim::sync::{SpinMutex, SpinMutexGuard};
 
 use ksim::Machine;
 
-use crate::dispatch::EventDispatcher;
+use crate::dispatch::{EventDispatcher, Probe};
 use crate::record::{EventRecord, EventType};
 
 /// A spinlock whose acquire/release can be logged to a dispatcher.
 pub struct InstrumentedSpinLock<T> {
     inner: SpinMutex<T>,
     machine: Arc<Machine>,
-    dispatcher: Mutex<Option<Arc<EventDispatcher>>>,
-    /// Mirrors `dispatcher.is_some()`: the vanilla (uninstrumented) path
-    /// checks this one flag instead of taking the dispatcher mutex on
-    /// every acquire and release.
-    instrumented: AtomicBool,
+    probe: Probe,
     /// Stable identity reported as the event object (the lock's "address").
     obj: u64,
     site_file: &'static str,
@@ -53,8 +47,7 @@ impl<T> InstrumentedSpinLock<T> {
         InstrumentedSpinLock {
             inner: SpinMutex::new(value),
             machine,
-            dispatcher: Mutex::new(None),
-            instrumented: AtomicBool::new(false),
+            probe: Probe::new(),
             obj,
             site_file,
             site_line,
@@ -63,9 +56,7 @@ impl<T> InstrumentedSpinLock<T> {
 
     /// Attach instrumentation (or `None` to return to the vanilla baseline).
     pub fn set_dispatcher(&self, d: Option<Arc<EventDispatcher>>) {
-        let mut slot = self.dispatcher.lock();
-        self.instrumented.store(d.is_some(), Relaxed);
-        *slot = d;
+        self.probe.set_dispatcher(d);
     }
 
     /// Whether a dispatcher is currently attached. Lock-avoiding fast
@@ -73,7 +64,7 @@ impl<T> InstrumentedSpinLock<T> {
     /// the real lock whenever instrumentation is on, so monitors observe
     /// every acquire/release pair.
     pub fn is_instrumented(&self) -> bool {
-        self.instrumented.load(Relaxed)
+        self.probe.is_attached()
     }
 
     /// Acquire the lock, charging the uncontended spinlock cost and logging
@@ -81,22 +72,12 @@ impl<T> InstrumentedSpinLock<T> {
     pub fn lock(&self) -> SpinGuard<'_, T> {
         self.machine.charge_sys(self.machine.cost.spinlock_pair);
         let guard = self.inner.lock();
-        if self.instrumented.load(Relaxed) {
-            if let Some(d) = self.dispatcher.lock().as_ref() {
-                d.log_event(EventRecord::new(
-                    self.obj,
-                    EventType::LockAcquire,
-                    self.site_file,
-                    self.site_line,
-                    0,
-                ));
-            }
-        }
+        self.emit(EventType::LockAcquire);
         SpinGuard { guard: Some(guard), lock: self }
     }
 
-    pub fn obj(&self) -> u64 {
-        self.obj
+    fn emit(&self, event: EventType) {
+        self.probe.emit(EventRecord::new(self.obj, event, self.site_file, self.site_line, 0));
     }
 }
 
@@ -118,17 +99,7 @@ impl<T> Drop for SpinGuard<'_, T> {
         // Release the mutex before logging so the event path never runs
         // under the lock (non-intrusiveness requirement).
         self.guard.take();
-        if self.lock.instrumented.load(Relaxed) {
-            if let Some(d) = self.lock.dispatcher.lock().as_ref() {
-                d.log_event(EventRecord::new(
-                    self.lock.obj,
-                    EventType::LockRelease,
-                    self.lock.site_file,
-                    self.lock.site_line,
-                    0,
-                ));
-            }
-        }
+        self.lock.emit(EventType::LockRelease);
     }
 }
 
@@ -139,9 +110,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for InstrumentedSpinLock<T> {
 }
 
 /// A reference counter whose inc/dec can be logged to a dispatcher.
+#[derive(Debug)]
 pub struct InstrumentedRefcount {
     count: AtomicI64,
-    dispatcher: Mutex<Option<Arc<EventDispatcher>>>,
+    probe: Probe,
     obj: u64,
     site_file: &'static str,
     site_line: u32,
@@ -151,7 +123,7 @@ impl InstrumentedRefcount {
     pub fn new(initial: i64, obj: u64, site_file: &'static str, site_line: u32) -> Self {
         InstrumentedRefcount {
             count: AtomicI64::new(initial),
-            dispatcher: Mutex::new(None),
+            probe: Probe::new(),
             obj,
             site_file,
             site_line,
@@ -159,7 +131,7 @@ impl InstrumentedRefcount {
     }
 
     pub fn set_dispatcher(&self, d: Option<Arc<EventDispatcher>>) {
-        *self.dispatcher.lock() = d;
+        self.probe.set_dispatcher(d);
     }
 
     /// Increment; logs `RefInc` with the new value as payload.
@@ -181,31 +153,14 @@ impl InstrumentedRefcount {
     }
 
     fn log(&self, event: EventType, value: i64) {
-        if let Some(d) = self.dispatcher.lock().as_ref() {
-            d.log_event(EventRecord::new(
-                self.obj,
-                event,
-                self.site_file,
-                self.site_line,
-                value,
-            ));
-        }
-    }
-}
-
-impl std::fmt::Debug for InstrumentedRefcount {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InstrumentedRefcount")
-            .field("obj", &self.obj)
-            .field("count", &self.get())
-            .finish()
+        self.probe.emit(EventRecord::new(self.obj, event, self.site_file, self.site_line, value));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitors::{RefcountMonitor, SpinlockMonitor};
+    use crate::monitors::BalanceMonitor;
     use ksim::MachineConfig;
 
     fn machine() -> Arc<Machine> {
@@ -229,16 +184,16 @@ mod tests {
     fn instrumented_lock_logs_balanced_events() {
         let m = machine();
         let d = Arc::new(EventDispatcher::new(m.clone()));
-        let mon = Arc::new(SpinlockMonitor::new());
+        let mon = Arc::new(BalanceMonitor::spinlock());
         d.register(mon.clone());
         let lock = InstrumentedSpinLock::new(m, (), 0xD0C, "dcache.c", 42);
         lock.set_dispatcher(Some(d.clone()));
         for _ in 0..3 {
             drop(lock.lock());
         }
-        assert_eq!(mon.acquires(), 3);
+        assert_eq!(mon.opens(), 3);
         assert!(mon.violations().is_empty());
-        assert!(mon.still_held().is_empty());
+        assert!(mon.outstanding().is_empty());
         assert_eq!(d.events(), 6, "acquire + release per round");
     }
 
@@ -258,7 +213,7 @@ mod tests {
     fn refcount_logs_values_and_monitor_tracks() {
         let m = machine();
         let d = Arc::new(EventDispatcher::new(m));
-        let mon = Arc::new(RefcountMonitor::new());
+        let mon = Arc::new(BalanceMonitor::refcount());
         d.register(mon.clone());
         let rc = InstrumentedRefcount::new(0, 0xAB, "inode.c", 10);
         rc.set_dispatcher(Some(d));
@@ -266,7 +221,7 @@ mod tests {
         assert_eq!(rc.inc(), 2);
         assert_eq!(rc.dec(), 1);
         assert_eq!(rc.get(), 1);
-        assert_eq!(mon.count_of(0xAB), Some(1));
+        assert_eq!(mon.balance_of(0xAB), Some(1));
         assert!(mon.violations().is_empty());
     }
 
@@ -274,7 +229,7 @@ mod tests {
     fn concurrent_lock_use_stays_balanced() {
         let m = machine();
         let d = Arc::new(EventDispatcher::new(m.clone()));
-        let mon = Arc::new(SpinlockMonitor::new());
+        let mon = Arc::new(BalanceMonitor::spinlock());
         d.register(mon.clone());
         let lock = Arc::new(InstrumentedSpinLock::new(m, 0u64, 7, "f", 1));
         lock.set_dispatcher(Some(d));
@@ -292,8 +247,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*lock.lock(), 4_000);
-        assert_eq!(mon.acquires(), 4_001, "4000 worker rounds + the check above");
-        assert!(mon.still_held().is_empty());
+        assert_eq!(mon.opens(), 4_001, "4000 worker rounds + the check above");
+        assert!(mon.outstanding().is_empty());
         assert!(mon.violations().is_empty());
     }
 }
@@ -303,10 +258,11 @@ mod tests {
 /// Non-blocking `try_down` keeps the wrapper usable from any simulated
 /// context; real waiting is the caller's affair (the simulator is
 /// single-CPU and cooperative).
+#[derive(Debug)]
 pub struct InstrumentedSemaphore {
     count: AtomicI64,
     capacity: i64,
-    dispatcher: Mutex<Option<Arc<EventDispatcher>>>,
+    probe: Probe,
     obj: u64,
     site_file: &'static str,
     site_line: u32,
@@ -317,7 +273,7 @@ impl InstrumentedSemaphore {
         InstrumentedSemaphore {
             count: AtomicI64::new(capacity),
             capacity,
-            dispatcher: Mutex::new(None),
+            probe: Probe::new(),
             obj,
             site_file,
             site_line,
@@ -325,7 +281,7 @@ impl InstrumentedSemaphore {
     }
 
     pub fn set_dispatcher(&self, d: Option<Arc<EventDispatcher>>) {
-        *self.dispatcher.lock() = d;
+        self.probe.set_dispatcher(d);
     }
 
     /// P operation: returns `false` when no permit is available.
@@ -357,38 +313,22 @@ impl InstrumentedSemaphore {
     }
 
     fn log(&self, event: EventType) {
-        if let Some(d) = self.dispatcher.lock().as_ref() {
-            d.log_event(EventRecord::new(
-                self.obj,
-                event,
-                self.site_file,
-                self.site_line,
-                self.capacity,
-            ));
-        }
-    }
-}
-
-impl std::fmt::Debug for InstrumentedSemaphore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InstrumentedSemaphore")
-            .field("obj", &self.obj)
-            .field("available", &self.available())
-            .finish()
+        let rec = EventRecord::new(self.obj, event, self.site_file, self.site_line, self.capacity);
+        self.probe.emit(rec);
     }
 }
 
 #[cfg(test)]
 mod sem_tests {
     use super::*;
-    use crate::monitors::SemaphoreMonitor;
+    use crate::monitors::BalanceMonitor;
     use ksim::MachineConfig;
 
     #[test]
     fn semaphore_p_v_with_monitor() {
         let m = Arc::new(Machine::new(MachineConfig::default()));
         let d = Arc::new(EventDispatcher::new(m));
-        let mon = Arc::new(SemaphoreMonitor::new());
+        let mon = Arc::new(BalanceMonitor::semaphore());
         d.register(mon.clone());
         let sem = InstrumentedSemaphore::new(2, 0x5E4A, "mm/sem.c", 77);
         sem.set_dispatcher(Some(d));
@@ -396,10 +336,10 @@ mod sem_tests {
         assert!(sem.try_down());
         assert!(sem.try_down());
         assert!(!sem.try_down(), "capacity exhausted");
-        assert_eq!(mon.held(), vec![(0x5E4A, 2)]);
+        assert_eq!(mon.outstanding(), vec![(0x5E4A, 2)]);
         sem.up();
         sem.up();
-        assert!(mon.held().is_empty());
+        assert!(mon.outstanding().is_empty());
         assert!(mon.violations().is_empty());
         // The over-release bug is observed, not prevented:
         sem.up();

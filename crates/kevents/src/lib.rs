@@ -26,26 +26,28 @@
 //!   in user space through the character-device interface
 //!   ([`chardev::CharDev`] + [`chardev::LibKernEvents`]).
 //!
-//! The supplied on-line monitors verify the higher-level invariants the
-//! paper lists: spinlocks that are locked are later unlocked
-//! ([`monitors::SpinlockMonitor`]), reference counts stay symmetric and
-//! non-negative ([`monitors::RefcountMonitor`]), and disabled interrupts are
-//! re-enabled ([`monitors::IrqMonitor`]).
+//! Instrumented code reaches the dispatcher through one [`Probe`] slot
+//! (the lock, refcount and semaphore wrappers, Kefence's violation report
+//! and Cosy's oops sink all hold one). The supplied on-line monitor,
+//! [`BalanceMonitor`], verifies the higher-level invariants the paper
+//! lists as one open/close balance check: spinlocks that are locked are
+//! later unlocked ([`BalanceMonitor::spinlock`]), reference counts stay
+//! symmetric and non-negative ([`BalanceMonitor::refcount`]), disabled
+//! interrupts are re-enabled ([`BalanceMonitor::irq`]), and semaphore ups
+//! match downs ([`BalanceMonitor::semaphore`]).
 
 pub mod chardev;
 pub mod dispatch;
 pub mod instrument;
 pub mod logfile;
 pub mod monitors;
-pub mod percpu;
 pub mod record;
 pub mod ring;
 
 pub use chardev::{CharDev, CharDevStats, LibKernEvents, ReadMode};
-pub use dispatch::{EventDispatcher, EventMonitor, EventTransform};
+pub use dispatch::{EventDispatcher, EventMonitor, EventTransform, Probe};
 pub use instrument::{InstrumentedRefcount, InstrumentedSemaphore, InstrumentedSpinLock};
-pub use monitors::{IrqMonitor, RefcountMonitor, SemaphoreMonitor, SpinlockMonitor, Violation};
+pub use monitors::{BalanceMonitor, Violation};
 pub use logfile::{read_log, replay, write_log, LoggedEvent};
-pub use percpu::PerCpuRing;
 pub use record::{EventRecord, EventType, OOPS_EVENT, RECORDS_LOST_EVENT};
 pub use ring::EventRing;

@@ -140,7 +140,7 @@ fn parse_event(s: &str) -> Option<EventType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitors::{RefcountMonitor, SpinlockMonitor};
+    use crate::monitors::BalanceMonitor;
 
     fn rec(obj: u64, event: EventType, value: i64) -> EventRecord {
         EventRecord::new(obj, event, "src/x.c", 42, value)
@@ -186,8 +186,8 @@ mod tests {
             rec(1, EventType::RefDec, -1), // bug
             rec(2, EventType::LockRelease, 0), // bug
         ];
-        let online_refs = RefcountMonitor::new();
-        let online_locks = SpinlockMonitor::new();
+        let online_refs = BalanceMonitor::refcount();
+        let online_locks = BalanceMonitor::spinlock();
         for e in &events {
             online_refs.on_event(e);
             online_locks.on_event(e);
@@ -196,8 +196,8 @@ mod tests {
         // Post-mortem: same log, fresh monitors.
         let text = write_log(&events);
         let loaded = read_log(&text).unwrap();
-        let offline_refs = RefcountMonitor::new();
-        let offline_locks = SpinlockMonitor::new();
+        let offline_refs = BalanceMonitor::refcount();
+        let offline_locks = BalanceMonitor::spinlock();
         replay(&loaded, &offline_refs);
         replay(&loaded, &offline_locks);
 

@@ -1,13 +1,20 @@
 //! On-line in-kernel monitors for the paper's higher-level invariants:
 //! *"spinlocks that are locked are later unlocked, reference counters are
 //! incremented and decremented symmetrically, interrupts that are disabled
-//! are later re-enabled"* (§3).
+//! are later re-enabled"* (§3), plus semaphore P/V symmetry.
 //!
-//! Each monitor is an [`EventMonitor`] callback registered with the
+//! All four are one open/close balance check, so they are one
+//! [`BalanceMonitor`] with four constructors. Each object's balance is
+//! opens minus closes; a close that takes it below zero is flagged and the
+//! balance keeps its true (negative) value, so a lock released without an
+//! acquire reads -1 until a later acquire brings it back to 0. A nonzero
+//! balance at teardown is a leak (positive) or an over-release (negative).
+//!
+//! The monitor is an [`EventMonitor`] callback registered with the
 //! dispatcher; violations are collected rather than panicking, so a single
 //! run can report every imbalance it saw (and tests can assert on them).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use parking_lot::Mutex;
@@ -27,191 +34,117 @@ pub struct Violation {
     pub line: u32,
 }
 
-/// Checks that every lock release matches a prior acquire and reports locks
-/// still held at teardown.
-#[derive(Debug, Default)]
-pub struct SpinlockMonitor {
-    held: Mutex<HashMap<u64, u64>>,
+/// Checks that every close event matches a prior open event on the same
+/// object: spinlock acquire/release, refcount inc/dec, interrupt
+/// disable/enable, or semaphore down/up.
+#[derive(Debug)]
+pub struct BalanceMonitor {
+    name: &'static str,
+    open: EventType,
+    close: EventType,
+    /// Violation text for a close with no matching open.
+    underflow: &'static str,
+    balances: Mutex<BTreeMap<u64, i64>>,
     violations: Mutex<Vec<Violation>>,
-    acquires: AtomicU64,
+    opens: AtomicU64,
+    closes: AtomicU64,
 }
 
-impl SpinlockMonitor {
-    pub fn new() -> Self {
-        Self::default()
+impl BalanceMonitor {
+    fn new(name: &'static str, open: EventType, close: EventType, underflow: &'static str) -> Self {
+        BalanceMonitor {
+            name,
+            open,
+            close,
+            underflow,
+            balances: Mutex::new(BTreeMap::new()),
+            violations: Mutex::new(Vec::new()),
+            opens: AtomicU64::new(0),
+            closes: AtomicU64::new(0),
+        }
     }
 
-    /// Total acquires observed (the "lock was hit N times" statistic of the
+    /// Every lock release matches a prior acquire.
+    pub fn spinlock() -> Self {
+        use EventType::{LockAcquire, LockRelease};
+        let what = "spinlock released without matching acquire";
+        Self::new("spinlock-monitor", LockAcquire, LockRelease, what)
+    }
+
+    /// Reference counts never drop below zero.
+    pub fn refcount() -> Self {
+        use EventType::{RefDec, RefInc};
+        Self::new("refcount-monitor", RefInc, RefDec, "reference count dropped below zero")
+    }
+
+    /// Disabled interrupts are re-enabled, and never over-enabled.
+    pub fn irq() -> Self {
+        use EventType::{IrqDisable, IrqEnable};
+        let what = "interrupts enabled more times than disabled";
+        Self::new("irq-monitor", IrqDisable, IrqEnable, what)
+    }
+
+    /// Every semaphore up (V) matches a prior down (P): a double up is
+    /// flagged regardless of the semaphore's capacity.
+    pub fn semaphore() -> Self {
+        use EventType::{SemDown, SemUp};
+        let what = "semaphore released more times than acquired";
+        Self::new("semaphore-monitor", SemDown, SemUp, what)
+    }
+
+    /// Open events observed (the "lock was hit N times" statistic of the
     /// paper's dcache_lock experiment).
-    pub fn acquires(&self) -> u64 {
-        self.acquires.load(Relaxed)
+    pub fn opens(&self) -> u64 {
+        self.opens.load(Relaxed)
+    }
+
+    /// Close events observed.
+    pub fn closes(&self) -> u64 {
+        self.closes.load(Relaxed)
+    }
+
+    /// The current balance for an object (`None` if never seen).
+    pub fn balance_of(&self, obj: u64) -> Option<i64> {
+        self.balances.lock().get(&obj).copied()
+    }
+
+    /// Every object with a nonzero balance, sorted by object: call at
+    /// teardown to find leaks (positive) and over-releases (negative).
+    pub fn outstanding(&self) -> Vec<(u64, i64)> {
+        self.balances.lock().iter().filter(|(_, &b)| b != 0).map(|(&o, &b)| (o, b)).collect()
     }
 
     pub fn violations(&self) -> Vec<Violation> {
         self.violations.lock().clone()
     }
-
-    /// Locks currently believed held; call at teardown to find leaks.
-    pub fn still_held(&self) -> Vec<u64> {
-        self.held
-            .lock()
-            .iter()
-            .filter(|(_, &d)| d > 0)
-            .map(|(&o, _)| o)
-            .collect()
-    }
 }
 
-impl EventMonitor for SpinlockMonitor {
+impl EventMonitor for BalanceMonitor {
     fn on_event(&self, rec: &EventRecord) {
-        match rec.event {
-            EventType::LockAcquire => {
-                self.acquires.fetch_add(1, Relaxed);
-                *self.held.lock().entry(rec.obj).or_insert(0) += 1;
-            }
-            EventType::LockRelease => {
-                let mut held = self.held.lock();
-                let depth = held.entry(rec.obj).or_insert(0);
-                if *depth == 0 {
-                    self.violations.lock().push(Violation {
-                        obj: rec.obj,
-                        what: "spinlock released without matching acquire".into(),
-                        file: rec.file,
-                        line: rec.line,
-                    });
-                } else {
-                    *depth -= 1;
-                }
-            }
-            _ => {}
+        let delta = if rec.event == self.open {
+            self.opens.fetch_add(1, Relaxed);
+            1
+        } else if rec.event == self.close {
+            self.closes.fetch_add(1, Relaxed);
+            -1
+        } else {
+            return;
+        };
+        let mut balances = self.balances.lock();
+        let b = balances.entry(rec.obj).or_insert(0);
+        *b += delta;
+        if delta < 0 && *b < 0 {
+            self.violations.lock().push(Violation {
+                obj: rec.obj,
+                what: format!("{} (balance {b})", self.underflow),
+                file: rec.file,
+                line: rec.line,
+            });
         }
     }
 
     fn name(&self) -> &str {
-        "spinlock-monitor"
-    }
-}
-
-/// Checks reference-count symmetry: never below zero, and zero at teardown.
-#[derive(Debug, Default)]
-pub struct RefcountMonitor {
-    counts: Mutex<HashMap<u64, i64>>,
-    violations: Mutex<Vec<Violation>>,
-    events: AtomicU64,
-}
-
-impl RefcountMonitor {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn events(&self) -> u64 {
-        self.events.load(Relaxed)
-    }
-
-    pub fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().clone()
-    }
-
-    /// The current count for an object (`None` if never seen).
-    pub fn count_of(&self, obj: u64) -> Option<i64> {
-        self.counts.lock().get(&obj).copied()
-    }
-
-    /// Objects whose count is nonzero — leaks (positive) that a teardown
-    /// check would flag.
-    pub fn leaked(&self) -> Vec<(u64, i64)> {
-        self.counts
-            .lock()
-            .iter()
-            .filter(|(_, &c)| c != 0)
-            .map(|(&o, &c)| (o, c))
-            .collect()
-    }
-}
-
-impl EventMonitor for RefcountMonitor {
-    fn on_event(&self, rec: &EventRecord) {
-        match rec.event {
-            EventType::RefInc => {
-                self.events.fetch_add(1, Relaxed);
-                *self.counts.lock().entry(rec.obj).or_insert(0) += 1;
-            }
-            EventType::RefDec => {
-                self.events.fetch_add(1, Relaxed);
-                let mut counts = self.counts.lock();
-                let c = counts.entry(rec.obj).or_insert(0);
-                *c -= 1;
-                if *c < 0 {
-                    self.violations.lock().push(Violation {
-                        obj: rec.obj,
-                        what: format!("reference count dropped below zero ({c})"),
-                        file: rec.file,
-                        line: rec.line,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn name(&self) -> &str {
-        "refcount-monitor"
-    }
-}
-
-/// Checks that interrupt disables are re-enabled, and never over-enabled.
-#[derive(Debug, Default)]
-pub struct IrqMonitor {
-    depth: Mutex<HashMap<u64, i64>>,
-    violations: Mutex<Vec<Violation>>,
-}
-
-impl IrqMonitor {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().clone()
-    }
-
-    /// CPUs (or contexts) with interrupts still disabled.
-    pub fn still_disabled(&self) -> Vec<u64> {
-        self.depth
-            .lock()
-            .iter()
-            .filter(|(_, &d)| d > 0)
-            .map(|(&o, _)| o)
-            .collect()
-    }
-}
-
-impl EventMonitor for IrqMonitor {
-    fn on_event(&self, rec: &EventRecord) {
-        match rec.event {
-            EventType::IrqDisable => {
-                *self.depth.lock().entry(rec.obj).or_insert(0) += 1;
-            }
-            EventType::IrqEnable => {
-                let mut depth = self.depth.lock();
-                let d = depth.entry(rec.obj).or_insert(0);
-                *d -= 1;
-                if *d < 0 {
-                    self.violations.lock().push(Violation {
-                        obj: rec.obj,
-                        what: "interrupts enabled more times than disabled".into(),
-                        file: rec.file,
-                        line: rec.line,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn name(&self) -> &str {
-        "irq-monitor"
+        self.name
     }
 }
 
@@ -225,19 +158,19 @@ mod tests {
 
     #[test]
     fn balanced_lock_usage_is_clean() {
-        let m = SpinlockMonitor::new();
+        let m = BalanceMonitor::spinlock();
         for _ in 0..5 {
             m.on_event(&ev(1, EventType::LockAcquire));
             m.on_event(&ev(1, EventType::LockRelease));
         }
-        assert_eq!(m.acquires(), 5);
+        assert_eq!(m.opens(), 5);
         assert!(m.violations().is_empty());
-        assert!(m.still_held().is_empty());
+        assert!(m.outstanding().is_empty());
     }
 
     #[test]
     fn release_without_acquire_is_flagged() {
-        let m = SpinlockMonitor::new();
+        let m = BalanceMonitor::spinlock();
         m.on_event(&ev(9, EventType::LockRelease));
         let v = m.violations();
         assert_eq!(v.len(), 1);
@@ -247,30 +180,30 @@ mod tests {
 
     #[test]
     fn leaked_lock_shows_in_still_held() {
-        let m = SpinlockMonitor::new();
+        let m = BalanceMonitor::spinlock();
         m.on_event(&ev(3, EventType::LockAcquire));
         m.on_event(&ev(3, EventType::LockAcquire));
         m.on_event(&ev(3, EventType::LockRelease));
-        assert_eq!(m.still_held(), vec![3]);
+        assert_eq!(m.outstanding(), vec![(3, 1)]);
     }
 
     #[test]
     fn refcount_symmetry_ok_and_leak_detection() {
-        let m = RefcountMonitor::new();
+        let m = BalanceMonitor::refcount();
         m.on_event(&ev(1, EventType::RefInc));
         m.on_event(&ev(1, EventType::RefInc));
         m.on_event(&ev(1, EventType::RefDec));
-        assert_eq!(m.count_of(1), Some(1));
-        assert_eq!(m.leaked(), vec![(1, 1)]);
+        assert_eq!(m.balance_of(1), Some(1));
+        assert_eq!(m.outstanding(), vec![(1, 1)]);
         m.on_event(&ev(1, EventType::RefDec));
-        assert!(m.leaked().is_empty());
+        assert!(m.outstanding().is_empty());
         assert!(m.violations().is_empty());
-        assert_eq!(m.events(), 4);
+        assert_eq!(m.opens() + m.closes(), 4);
     }
 
     #[test]
     fn refcount_underflow_is_flagged() {
-        let m = RefcountMonitor::new();
+        let m = BalanceMonitor::refcount();
         m.on_event(&ev(2, EventType::RefDec));
         let v = m.violations();
         assert_eq!(v.len(), 1);
@@ -279,22 +212,22 @@ mod tests {
 
     #[test]
     fn irq_pairing() {
-        let m = IrqMonitor::new();
+        let m = BalanceMonitor::irq();
         m.on_event(&ev(0, EventType::IrqDisable));
         m.on_event(&ev(0, EventType::IrqDisable));
         m.on_event(&ev(0, EventType::IrqEnable));
-        assert_eq!(m.still_disabled(), vec![0]);
+        assert_eq!(m.outstanding(), vec![(0, 1)]);
         m.on_event(&ev(0, EventType::IrqEnable));
-        assert!(m.still_disabled().is_empty());
+        assert!(m.outstanding().is_empty());
         m.on_event(&ev(0, EventType::IrqEnable));
         assert_eq!(m.violations().len(), 1);
     }
 
     #[test]
     fn monitors_ignore_unrelated_events() {
-        let locks = SpinlockMonitor::new();
-        let refs = RefcountMonitor::new();
-        let irqs = IrqMonitor::new();
+        let locks = BalanceMonitor::spinlock();
+        let refs = BalanceMonitor::refcount();
+        let irqs = BalanceMonitor::irq();
         let e = ev(5, EventType::Custom(1));
         locks.on_event(&e);
         refs.on_event(&e);
@@ -302,77 +235,61 @@ mod tests {
         assert!(locks.violations().is_empty());
         assert!(refs.violations().is_empty());
         assert!(irqs.violations().is_empty());
-        assert_eq!(refs.events(), 0);
-    }
-}
-
-/// Checks semaphore P/V (down/up) symmetry: a semaphore's count never goes
-/// below zero minus its capacity of waiters in this simplified model, and
-/// every down is eventually matched by an up — the third invariant family
-/// the paper lists ("we intend to develop on-line, in-kernel monitors for
-/// reference counters, spinlocks, and semaphores").
-#[derive(Debug, Default)]
-pub struct SemaphoreMonitor {
-    /// obj → (initial-unknown running balance of up - down).
-    balance: Mutex<HashMap<u64, i64>>,
-    violations: Mutex<Vec<Violation>>,
-    events: AtomicU64,
-}
-
-impl SemaphoreMonitor {
-    pub fn new() -> Self {
-        Self::default()
+        assert_eq!(refs.opens() + refs.closes(), 0);
     }
 
-    pub fn events(&self) -> u64 {
-        self.events.load(Relaxed)
+    /// One scripted sequence per (open, close) pair: object 1 balanced,
+    /// object 2 two unmatched opens, object 3 one unmatched close, with
+    /// unrelated `Custom` events interleaved.
+    fn script(open: EventType, close: EventType) -> Vec<EventRecord> {
+        let noise = |obj| ev(obj, EventType::Custom(3));
+        vec![
+            ev(1, open),
+            noise(1),
+            ev(1, close),
+            ev(2, open),
+            noise(2),
+            ev(1, open),
+            ev(3, close),
+            noise(3),
+            ev(1, close),
+            ev(2, open),
+        ]
     }
 
-    pub fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().clone()
-    }
-
-    /// Semaphores whose downs exceed their ups (held / leaked).
-    pub fn held(&self) -> Vec<(u64, i64)> {
-        self.balance
-            .lock()
-            .iter()
-            .filter(|(_, &b)| b < 0)
-            .map(|(&o, &b)| (o, -b))
-            .collect()
-    }
-}
-
-impl EventMonitor for SemaphoreMonitor {
-    fn on_event(&self, rec: &EventRecord) {
-        match rec.event {
-            EventType::SemDown => {
-                self.events.fetch_add(1, Relaxed);
-                *self.balance.lock().entry(rec.obj).or_insert(0) -= 1;
+    #[test]
+    fn scripted_sequence_parity_across_the_four_kinds() {
+        use EventType::*;
+        let kinds = [
+            (BalanceMonitor::spinlock(), LockAcquire, LockRelease),
+            (BalanceMonitor::refcount(), RefInc, RefDec),
+            (BalanceMonitor::irq(), IrqDisable, IrqEnable),
+            (BalanceMonitor::semaphore(), SemDown, SemUp),
+        ];
+        let fragments = [
+            "spinlock released without matching acquire",
+            "reference count dropped below zero",
+            "interrupts enabled more times than disabled",
+            "semaphore released more times than acquired",
+        ];
+        for ((m, open, close), fragment) in kinds.into_iter().zip(fragments) {
+            for e in script(open, close) {
+                m.on_event(&e);
             }
-            EventType::SemUp => {
-                self.events.fetch_add(1, Relaxed);
-                let mut balance = self.balance.lock();
-                let b = balance.entry(rec.obj).or_insert(0);
-                *b += 1;
-                // Every V must match a prior P: a positive balance means
-                // the semaphore was released more times than acquired (the
-                // classic double-up bug), regardless of capacity.
-                if *b > 0 {
-                    self.violations.lock().push(Violation {
-                        obj: rec.obj,
-                        what: format!("semaphore released more times than acquired (+{})", *b),
-                        file: rec.file,
-                        line: rec.line,
-                    });
-                }
-            }
-            _ => {}
+            let name = m.name();
+            assert_eq!((m.opens(), m.closes()), (4, 3), "{name}");
+            // Object 3's unmatched close keeps its true balance, -1, for
+            // every kind: the spinlock kind does not clamp at 0.
+            let balances = [1, 2, 3, 4].map(|o| m.balance_of(o));
+            assert_eq!(balances, [Some(0), Some(2), Some(-1), None], "{name}");
+            assert_eq!(m.outstanding(), vec![(2, 2), (3, -1)], "{name}");
+            let leaked: Vec<_> = m.outstanding().into_iter().filter(|&(_, b)| b > 0).collect();
+            assert_eq!(leaked, vec![(2, 2)], "{name}");
+            let v = m.violations();
+            assert_eq!(v.len(), 1, "{name}: {v:?}");
+            assert_eq!((v[0].obj, v[0].line), (3, 7));
+            assert!(v[0].what.contains(fragment), "{:?}", v[0].what);
         }
-    }
-
-    fn name(&self) -> &str {
-        "semaphore-monitor"
     }
 }
 
@@ -386,28 +303,28 @@ mod sem_tests {
 
     #[test]
     fn balanced_semaphore_is_clean() {
-        let m = SemaphoreMonitor::new();
+        let m = BalanceMonitor::semaphore();
         for _ in 0..4 {
             m.on_event(&ev(1, EventType::SemDown, 1));
             m.on_event(&ev(1, EventType::SemUp, 1));
         }
         assert!(m.violations().is_empty());
-        assert!(m.held().is_empty());
-        assert_eq!(m.events(), 8);
+        assert!(m.outstanding().is_empty());
+        assert_eq!(m.opens() + m.closes(), 8);
     }
 
     #[test]
     fn outstanding_downs_are_reported_as_held() {
-        let m = SemaphoreMonitor::new();
+        let m = BalanceMonitor::semaphore();
         m.on_event(&ev(7, EventType::SemDown, 1));
         m.on_event(&ev(7, EventType::SemDown, 1));
         m.on_event(&ev(7, EventType::SemUp, 1));
-        assert_eq!(m.held(), vec![(7, 1)]);
+        assert_eq!(m.outstanding(), vec![(7, 1)]);
     }
 
     #[test]
     fn double_up_above_capacity_is_flagged() {
-        let m = SemaphoreMonitor::new();
+        let m = BalanceMonitor::semaphore();
         m.on_event(&ev(3, EventType::SemDown, 1));
         m.on_event(&ev(3, EventType::SemUp, 1));
         m.on_event(&ev(3, EventType::SemUp, 1)); // bug: V without P

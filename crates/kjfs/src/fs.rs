@@ -15,14 +15,14 @@
 //!    data page* are written to the journal, sealed by a checksummed commit
 //!    block. The transaction is durable from here.
 //! 3. **Checkpoint**: the images are written to their home locations and
-//!    the commit block is zeroed to retire the transaction — but in the
-//!    pipelined modes this stage is *decoupled* from commit latency: up to
+//!    the commit block is zeroed to retire the transaction — but under
+//!    group commit this stage is *decoupled* from commit latency: up to
 //!    [`KjfsConfig::max_live_txns`] committed transactions queue behind the
 //!    running one and drain in one batch, writing only the **newest** image
 //!    of every home block (hot metadata blocks journaled by several
 //!    transactions checkpoint once) in coalesced extent-sized runs.
 //!
-//! [`JournalMode::GroupCommit`] additionally drops the fs lock during the
+//! [`JournalMode::GroupCommit`] also drops the fs lock during the
 //! journal I/O of stage 2: concurrent `fsync` callers sleep on a condvar
 //! and, once the in-flight commit lands, the first waiter with new dirt
 //! captures *everyone's* accumulated state into one merged commit record —
@@ -84,11 +84,20 @@ pub enum JournalMode {
     /// A15 bench and the equivalence proptests.
     SingleTxn,
     /// Commit writes the journal only; up to `max_live_txns` committed
-    /// transactions queue and drain in one deduplicated batch.
-    Pipelined,
-    /// Pipelined, plus the fs lock is dropped during journal I/O so
-    /// concurrent fsync waiters merge into one commit record.
+    /// transactions queue and drain in one deduplicated batch. The fs lock
+    /// is dropped during journal I/O so concurrent fsync waiters merge
+    /// into one commit record.
     GroupCommit,
+}
+
+impl JournalMode {
+    /// The name benches print for the mode.
+    pub fn label(self) -> &'static str {
+        match self {
+            JournalMode::SingleTxn => "single-txn",
+            JournalMode::GroupCommit => "group-commit",
+        }
+    }
 }
 
 /// Mount-time geometry and runtime policy.
@@ -769,8 +778,9 @@ impl Kjfs {
     }
 
     /// Commit the running transaction; under `SingleTxn` also checkpoint
-    /// synchronously (the PR 7 discipline). The pipelined modes leave the
-    /// committed transaction queued for a background drain.
+    /// synchronously (the original one-live-transaction discipline). Group
+    /// commit leaves the committed transaction queued for a background
+    /// drain.
     fn commit(&self, g: &mut MutexGuard<'_, Inner>) -> VfsResult<()> {
         self.commit_txn(g)?;
         if self.cfg.journal_mode == JournalMode::SingleTxn {
@@ -1981,7 +1991,7 @@ mod tests {
 
     #[test]
     fn pipelined_commits_queue_then_drain_deduped() {
-        let (_m, _dev, fs) = rig_with(KjfsConfig::small().with_mode(JournalMode::Pipelined));
+        let (_m, _dev, fs) = rig_with(KjfsConfig::small().with_mode(JournalMode::GroupCommit));
         let f = fs.create(fs.root(), "hot").unwrap();
         fs.write(f, 0, &[1u8; 2 * PAGE_SIZE]).unwrap();
         fs.fsync(f, false).unwrap();
@@ -2010,7 +2020,7 @@ mod tests {
 
     #[test]
     fn checkpoint_lag_drains_on_next_op() {
-        let cfg = KjfsConfig::small().with_mode(JournalMode::Pipelined);
+        let cfg = KjfsConfig::small().with_mode(JournalMode::GroupCommit);
         let max = cfg.max_live_txns as u64;
         let (_m, _dev, fs) = rig_with(cfg);
         let f = fs.create(fs.root(), "f").unwrap();
@@ -2030,7 +2040,7 @@ mod tests {
 
     #[test]
     fn quarantined_blocks_stay_unallocatable_until_drain() {
-        let (_m, _dev, fs) = rig_with(KjfsConfig::small().with_mode(JournalMode::Pipelined));
+        let (_m, _dev, fs) = rig_with(KjfsConfig::small().with_mode(JournalMode::GroupCommit));
         let f = fs.create(fs.root(), "victim").unwrap();
         fs.write(f, 0, &[5u8; 4 * PAGE_SIZE]).unwrap();
         fs.fsync(f, false).unwrap();
@@ -2054,7 +2064,7 @@ mod tests {
     fn eviction_never_resurrects_stale_home_blocks() {
         // Tiny cache, journal-only images: pages committed but not yet
         // checkpointed may NOT be evicted — their home blocks are stale.
-        let mut cfg = KjfsConfig::small().with_mode(JournalMode::Pipelined);
+        let mut cfg = KjfsConfig::small().with_mode(JournalMode::GroupCommit);
         cfg.page_cache_capacity = 8;
         let (_m, _dev, fs) = rig_with(cfg);
         let a = fs.create(fs.root(), "pinned").unwrap();
@@ -2171,7 +2181,7 @@ mod tests {
     fn modes_agree_on_post_fsync_state() {
         let payloads: [&[u8]; 3] = [b"alpha", &[7u8; 9000], &[1u8; 300]];
         let mut hashes = Vec::new();
-        for mode in [JournalMode::SingleTxn, JournalMode::Pipelined, JournalMode::GroupCommit] {
+        for mode in [JournalMode::SingleTxn, JournalMode::GroupCommit] {
             let (_m, _dev, fs) = rig_with(KjfsConfig::small().with_mode(mode));
             let d = fs.mkdir(fs.root(), "d").unwrap();
             for (i, p) in payloads.iter().enumerate() {
@@ -2183,7 +2193,6 @@ mod tests {
             fs.fsync(fs.lookup(d, "f1").unwrap(), false).unwrap();
             hashes.push(VfsSnapshot::capture(&fs).unwrap().hash());
         }
-        assert_eq!(hashes[0], hashes[1], "pipelined diverges from single-txn");
-        assert_eq!(hashes[0], hashes[2], "group-commit diverges from single-txn");
+        assert_eq!(hashes[0], hashes[1], "group-commit diverges from single-txn");
     }
 }

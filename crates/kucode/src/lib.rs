@@ -82,8 +82,8 @@ pub mod prelude {
     pub use kclang::{parse_program, typecheck, ExecConfig, InterpError, Vm};
     pub use kefence::{Kefence, OnViolation, Protect};
     pub use kevents::{
-        CharDev, EventDispatcher, EventRecord, EventRing, EventType, LibKernEvents, ReadMode,
-        RefcountMonitor, SpinlockMonitor,
+        BalanceMonitor, CharDev, EventDispatcher, EventRecord, EventRing, EventType, LibKernEvents,
+        Probe, ReadMode,
     };
     pub use kfault::{classify, FaultClass, FaultPlane, Policy};
     pub use kgcc::{compile_planned, CheckPlan, Deinstrument, KgccConfig, KgccHook};

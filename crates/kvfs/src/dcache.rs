@@ -329,7 +329,7 @@ impl std::fmt::Debug for DentryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kevents::SpinlockMonitor;
+    use kevents::BalanceMonitor;
     use ksim::MachineConfig;
 
     fn dcache() -> DentryCache {
@@ -375,15 +375,15 @@ mod tests {
         let m = Arc::new(Machine::new(MachineConfig::default()));
         let d = DentryCache::new(m.clone());
         let disp = Arc::new(EventDispatcher::new(m));
-        let mon = Arc::new(SpinlockMonitor::new());
+        let mon = Arc::new(BalanceMonitor::spinlock());
         disp.register(mon.clone());
         d.set_dispatcher(Some(disp));
         d.insert(1, "a", 2);
         d.lookup(1, "a");
         d.remove(1, "a");
-        assert_eq!(mon.acquires(), 3, "every dcache op hits the lock");
+        assert_eq!(mon.opens(), 3, "every dcache op hits the lock");
         assert!(mon.violations().is_empty());
-        assert!(mon.still_held().is_empty());
+        assert!(mon.outstanding().is_empty());
     }
 
     #[test]
@@ -411,11 +411,11 @@ mod tests {
         let d = DentryCache::new(m.clone());
         d.insert(1, "a", 2);
         let disp = Arc::new(EventDispatcher::new(m.clone()));
-        let mon = Arc::new(SpinlockMonitor::new());
+        let mon = Arc::new(BalanceMonitor::spinlock());
         disp.register(mon.clone());
         d.set_dispatcher(Some(disp));
         assert_eq!(d.lookup(1, "a"), Some(2));
-        assert_eq!(mon.acquires(), 1, "instrumented hit must take the real lock");
+        assert_eq!(mon.opens(), 1, "instrumented hit must take the real lock");
         d.set_dispatcher(None);
         let before = m.clock.sys_cycles();
         assert_eq!(d.lookup(1, "a"), Some(2));

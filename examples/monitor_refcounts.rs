@@ -22,8 +22,8 @@ fn main() {
 
     // Figure 1 wiring.
     let dispatcher = Arc::new(EventDispatcher::new(rig.machine.clone()));
-    let lock_mon = Arc::new(SpinlockMonitor::new());
-    let ref_mon = Arc::new(RefcountMonitor::new());
+    let lock_mon = Arc::new(BalanceMonitor::spinlock());
+    let ref_mon = Arc::new(BalanceMonitor::refcount());
     dispatcher.register(lock_mon.clone());
     dispatcher.register(ref_mon.clone());
     let ring = Arc::new(EventRing::with_capacity(1 << 14));
@@ -41,9 +41,9 @@ fn main() {
         rig.sys.sys_stat(p.pid, &path, p.buf + 4096);
     }
 
-    println!("dcache_lock acquires observed: {}", lock_mon.acquires());
+    println!("dcache_lock acquires observed: {}", lock_mon.opens());
     println!("lock balance violations: {}", lock_mon.violations().len());
-    println!("locks still held: {:?}", lock_mon.still_held());
+    println!("locks still held: {:?}", lock_mon.outstanding());
     assert!(lock_mon.violations().is_empty());
 
     // An instrumented inode refcount with an injected imbalance: one dec
@@ -74,10 +74,11 @@ fn main() {
             _ => {}
         })
         .expect("drain");
-    let (reads, empty, _) = dev.counters();
+    let st = dev.stats();
     println!(
-        "\nuser-space logger drained {drained} events in {reads} bulk reads \
-         ({empty} returned empty): {acquires} lock acquires, {ref_events} refcount events"
+        "\nuser-space logger drained {drained} events in {} bulk reads \
+         ({} returned empty): {acquires} lock acquires, {ref_events} refcount events",
+        st.reads, st.empty_reads
     );
     assert_eq!(ref_events, 5);
 }

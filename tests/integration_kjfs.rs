@@ -71,21 +71,20 @@ fn torn_write_sweep_recovers_every_kill_point() {
     assert_eq!(report.sweep_hash, again.sweep_hash, "torn sweep must be deterministic");
 }
 
-// ---- the same sweep under every journal mode -------------------------------
+// ---- the same sweep under the single-txn journal ---------------------------
 
 #[test]
-fn single_txn_and_pipelined_sweeps_recover_every_kill_point() {
-    for mode in [JournalMode::SingleTxn, JournalMode::Pipelined] {
-        let h = Harness::new(default_workload(), small().with_mode(mode)).expect("harness builds");
-        for torn in [false, true] {
-            let report = h.sweep(torn);
-            assert_eq!(
-                report.violations,
-                0,
-                "{mode:?} torn={torn}: {:?}",
-                report.outcomes.iter().flat_map(|o| o.violations.iter()).take(5).collect::<Vec<_>>()
-            );
-        }
+fn single_txn_sweep_recovers_every_kill_point() {
+    let cfg = small().with_mode(JournalMode::SingleTxn);
+    let h = Harness::new(default_workload(), cfg).expect("harness builds");
+    for torn in [false, true] {
+        let report = h.sweep(torn);
+        assert_eq!(
+            report.violations,
+            0,
+            "torn={torn}: {:?}",
+            report.outcomes.iter().flat_map(|o| o.violations.iter()).take(5).collect::<Vec<_>>()
+        );
     }
 }
 
@@ -158,7 +157,7 @@ fn crash_during_replay_then_clean_mount_recovers() {
 
 #[test]
 fn double_crash_during_multi_txn_replay_converges() {
-    let cfg = small().with_mode(JournalMode::Pipelined);
+    let cfg = small().with_mode(JournalMode::GroupCommit);
     let machine = Arc::new(Machine::new(MachineConfig::default()));
     let dev = Arc::new(BlockDev::new(machine.clone()));
     let fs = Kjfs::mount(machine.clone(), dev.clone(), cfg.clone()).unwrap();
@@ -255,21 +254,19 @@ fn run_under_mode(ops: &[WOp], mode: JournalMode) -> (Vec<Option<VfsError>>, Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pipelined and group-commit journals must be *observably*
-    /// identical to the conservative single-txn journal: same errno for
-    /// every op, same tree after every acknowledged fsync, same end state.
+    /// The group-commit journal must be *observably* identical to the
+    /// conservative single-txn journal: same errno for every op, same tree
+    /// after every acknowledged fsync, same end state.
     /// Only the durability schedule may differ.
     #[test]
     fn journal_modes_are_fsync_observably_equivalent(
         ops in proptest::collection::vec(arb_op(), 5..40),
     ) {
         let base = run_under_mode(&ops, JournalMode::SingleTxn);
-        for mode in [JournalMode::Pipelined, JournalMode::GroupCommit] {
-            let other = run_under_mode(&ops, mode);
-            prop_assert_eq!(&base.0, &other.0, "errno divergence under {:?}", mode);
-            prop_assert_eq!(&base.1, &other.1, "post-fsync snapshot divergence under {:?}", mode);
-            prop_assert_eq!(base.2, other.2, "end-state divergence under {:?}", mode);
-        }
+        let other = run_under_mode(&ops, JournalMode::GroupCommit);
+        prop_assert_eq!(&base.0, &other.0, "errno divergence");
+        prop_assert_eq!(&base.1, &other.1, "post-fsync snapshot divergence");
+        prop_assert_eq!(base.2, other.2, "end-state divergence");
     }
 }
 

@@ -22,17 +22,17 @@ fn dcache_lock_instrumentation_observes_heavy_traffic_and_stays_balanced() {
     let rig = Rig::memfs();
     let p = rig.user(1 << 16);
     let dispatcher = Arc::new(EventDispatcher::new(rig.machine.clone()));
-    let mon = Arc::new(SpinlockMonitor::new());
+    let mon = Arc::new(BalanceMonitor::spinlock());
     dispatcher.register(mon.clone());
     rig.vfs.dcache().set_dispatcher(Some(dispatcher.clone()));
 
     let r = run_postmark(&rig, &p, &postmark_cfg());
-    assert!(mon.acquires() > 1_000, "path walks hammer dcache_lock: {}", mon.acquires());
+    assert!(mon.opens() > 1_000, "path walks hammer dcache_lock: {}", mon.opens());
     assert!(mon.violations().is_empty());
-    assert!(mon.still_held().is_empty());
-    assert_eq!(dispatcher.events(), mon.acquires() * 2, "acquire+release each");
+    assert!(mon.outstanding().is_empty());
+    assert_eq!(dispatcher.events(), mon.opens() * 2, "acquire+release each");
     // The paper reports the per-second hit rate; ours is the same order.
-    let per_sec = mon.acquires() as f64 / r.elapsed.elapsed_secs();
+    let per_sec = mon.opens() as f64 / r.elapsed.elapsed_secs();
     assert!(per_sec > 100.0, "{per_sec:.0} hits/s");
 }
 
@@ -103,7 +103,7 @@ fn refcount_monitor_under_load_and_user_side_drain() {
     let rig = Rig::memfs();
     let p = rig.user(1 << 16);
     let dispatcher = Arc::new(EventDispatcher::new(rig.machine.clone()));
-    let mon = Arc::new(RefcountMonitor::new());
+    let mon = Arc::new(BalanceMonitor::refcount());
     dispatcher.register(mon.clone());
     let ring = Arc::new(EventRing::with_capacity(1 << 16));
     dispatcher.attach_ring(ring.clone());
@@ -123,9 +123,9 @@ fn refcount_monitor_under_load_and_user_side_drain() {
         let fd = rig.sys.sys_open(p.pid, &path, OpenFlags::WRONLY | OpenFlags::CREAT);
         rig.sys.sys_close(p.pid, fd as i32);
     }
-    assert_eq!(mon.count_of(0x1001), Some(0), "balanced");
-    assert_eq!(mon.count_of(0x1002), Some(50), "leaked 50 references");
-    assert_eq!(mon.leaked(), vec![(0x1002, 50)]);
+    assert_eq!(mon.balance_of(0x1001), Some(0), "balanced");
+    assert_eq!(mon.balance_of(0x1002), Some(50), "leaked 50 references");
+    assert_eq!(mon.outstanding(), vec![(0x1002, 50)]);
     assert!(mon.violations().is_empty(), "leaks are not underflows");
 
     // User-space bulk reader sees every event.
@@ -193,7 +193,7 @@ fn interrupt_handlers_log_through_the_lock_free_ring() {
     let rig = Rig::memfs();
     let p = rig.user(1 << 16);
     let dispatcher = Arc::new(EventDispatcher::new(rig.machine.clone()));
-    let irq_mon = Arc::new(kucode::kevents::IrqMonitor::new());
+    let irq_mon = Arc::new(BalanceMonitor::irq());
     dispatcher.register(irq_mon.clone());
     let ring = Arc::new(EventRing::with_capacity(1 << 12));
     dispatcher.attach_ring(ring.clone());
@@ -237,7 +237,7 @@ fn interrupt_handlers_log_through_the_lock_free_ring() {
     assert_eq!(rig.machine.irq.raised(), TICKS);
     assert_eq!(drained.load(Relaxed), TICKS * 2, "every ISR event reached user space");
     assert!(irq_mon.violations().is_empty());
-    assert!(irq_mon.still_disabled().is_empty(), "every disable re-enabled");
+    assert!(irq_mon.outstanding().is_empty(), "every disable re-enabled");
     assert!(
         rig.machine.clock.sys_cycles() - sys0 >= TICKS * IRQ_OVERHEAD_CYCLES,
         "interrupt overhead charged"

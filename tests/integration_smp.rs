@@ -1,13 +1,13 @@
 //! Integration: the SMP substrate across crates — the work-stealing
 //! scheduler replays identical schedules for identical seeds, spread work
-//! never starves a run queue, per-CPU kevents rings keep per-ring FIFO
-//! order under real threads, and one shared rig survives concurrent
+//! never starves a run queue, producers bound to distinct CPUs keep their
+//! own FIFO order on one kevents ring, and one shared rig survives concurrent
 //! syscall streams from threads bound to different simulated CPUs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use kucode::kevents::{EventRecord, EventType, PerCpuRing};
+use kucode::kevents::{EventRecord, EventType};
 use kucode::kworkloads::{Rig, UserProc};
 use kucode::prelude::*;
 
@@ -75,12 +75,12 @@ fn no_run_queue_starves_within_bounded_global_ticks() {
 }
 
 #[test]
-fn per_cpu_kevents_keep_per_ring_fifo_under_real_threads() {
+fn bound_producers_keep_fifo_on_one_event_ring() {
     const THREADS: usize = 4;
     const PER_THREAD: u64 = 500;
 
     let m = Machine::new(MachineConfig::small_free());
-    let ring = PerCpuRing::new(THREADS, 4096);
+    let ring = EventRing::with_capacity(THREADS * PER_THREAD as usize);
     let barrier = Barrier::new(THREADS);
 
     std::thread::scope(|scope| {
@@ -108,10 +108,10 @@ fn per_cpu_kevents_keep_per_ring_fifo_under_real_threads() {
     assert_eq!(ring.dropped(), 0);
     assert_eq!(ring.len(), THREADS * PER_THREAD as usize);
 
-    // However the merged read interleaves producers, each producer's own
-    // sequence must come back strictly in order.
+    // However the producers interleaved, each producer's own sequence
+    // must come back strictly in order.
     let mut next = [0i64; THREADS];
-    while let Some(e) = ring.pop_merged() {
+    while let Some(e) = ring.pop() {
         let t = e.obj as usize;
         assert_eq!(e.value, next[t], "producer {t} reordered");
         next[t] += 1;
