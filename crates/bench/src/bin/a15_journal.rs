@@ -167,8 +167,8 @@ fn out_of_core_scan(report: &mut Report) {
         println!(
             "{:<18} {:>10} {:>10} {:>7.1}% {:>10} {:>10} {:>7.1}%",
             name,
-            cache.hits,
-            cache.misses,
+            cache.cache_hits,
+            cache.cache_misses,
             cache.hit_pct(),
             cache.readahead_issued,
             cache.readahead_hits,
@@ -179,9 +179,9 @@ fn out_of_core_scan(report: &mut Report) {
         "A15",
         "out-of-core dbscan on kjfs",
         "checksum intact, cache misses real",
-        format!("{} misses, {} evictions", r.seq_cache.misses, r.seq_cache.evictions),
+        format!("{} misses, {} evictions", r.seq_cache.cache_misses, r.seq_cache.evictions),
         r.seq.checksum == expected_scan_checksum(&c)
-            && r.seq_cache.misses > 0
+            && r.seq_cache.cache_misses > 0
             && r.seq_cache.evictions > 0,
     );
     report.add(

@@ -20,11 +20,11 @@ fn lookup_cycles_per_free(index: VfreeIndex, live: usize) -> f64 {
         addrs.push(vm.vmalloc(64).unwrap());
     }
     // Free newest-first: the worst case for a list ordered oldest-first.
-    let before = vm.stats().vfree_lookup_cycles;
+    let before = vm.vfree_lookup_cycles();
     for &a in addrs.iter().rev() {
         vm.vfree(a).unwrap();
     }
-    (vm.stats().vfree_lookup_cycles - before) as f64 / live as f64
+    (vm.vfree_lookup_cycles() - before) as f64 / live as f64
 }
 
 pub fn run(report: &mut Report) {

@@ -26,7 +26,8 @@ pub fn run(report: &mut Report) {
 
     let overhead = overhead_pct(base.elapsed.elapsed(), inst.elapsed.elapsed());
     let sys_overhead = overhead_pct(base.elapsed.sys, inst.elapsed.sys);
-    let (allocs, frees, _) = kef.counters();
+    let st = kef.stats();
+    let (allocs, frees) = (st.allocs, st.frees);
 
     println!("workload: {} sources compiled, {} KiB read", cfg.source_files, inst.bytes_read / 1024);
     println!(
@@ -41,8 +42,8 @@ pub fn run(report: &mut Report) {
     println!("allocation traffic: {b_allocs} (kmalloc run) vs {allocs} (kefence run), {frees} frees");
     println!(
         "kefence: max outstanding pages {}, average allocation {:.0} B, {} violations",
-        kef.max_outstanding_pages(),
-        kef.avg_alloc_size(),
+        st.max_outstanding_pages,
+        st.avg_alloc_size(),
         kef.violations().len()
     );
 
@@ -57,15 +58,15 @@ pub fn run(report: &mut Report) {
         "E5",
         "max outstanding pages",
         "2,085",
-        kef.max_outstanding_pages(),
-        kef.max_outstanding_pages() > 100,
+        st.max_outstanding_pages,
+        st.max_outstanding_pages > 100,
     );
     report.add(
         "E5",
         "average allocation size",
         "80 B (their op mix)",
-        format!("{:.0} B", kef.avg_alloc_size()),
-        kef.avg_alloc_size() < 4096.0,
+        format!("{:.0} B", st.avg_alloc_size()),
+        st.avg_alloc_size() < 4096.0,
     );
     report.add(
         "E5",

@@ -184,11 +184,11 @@ mod tests {
     fn no_copy_bytes_are_charged() {
         let (m, pid) = setup();
         let r = SharedRegion::new(m.clone(), pid, 1, 0).unwrap();
-        let before = m.stats.bytes_crossed();
+        let before = m.stats.snapshot().bytes_crossed();
         r.user_write(0, &[1u8; 4096]).unwrap();
         let mut buf = [0u8; 4096];
         r.kern_read(0, &mut buf).unwrap();
-        assert_eq!(m.stats.bytes_crossed(), before, "shared memory crosses nothing");
+        assert_eq!(m.stats.snapshot().bytes_crossed(), before, "shared memory crosses nothing");
     }
 
     #[test]

@@ -70,17 +70,18 @@ pub enum FallbackMode {
     Replay { max_retries: u32, backoff_cycles: u64 },
 }
 
+/// Kernel arena pages mapped for one user-function execution (64 KiB).
+const ARENA_PAGES: usize = 16;
+
+/// Step budget for user functions: defence in depth under the watchdog.
+const MAX_STEPS: u64 = 10_000_000;
+
 /// Per-submission execution options.
 #[derive(Debug, Clone)]
 pub struct CosyOptions {
     pub isolation: IsolationMode,
     /// Kernel-cycle budget enforced by the preemption watchdog.
     pub watchdog_budget: Option<u64>,
-    /// Arena pages for user-function execution.
-    pub arena_pages: usize,
-    /// Step budget for user functions (defence in depth under the
-    /// watchdog).
-    pub max_steps: Option<u64>,
     /// What to do when a compound fails and has been rolled back.
     pub fallback: FallbackMode,
 }
@@ -90,8 +91,6 @@ impl Default for CosyOptions {
         CosyOptions {
             isolation: IsolationMode::A,
             watchdog_budget: Some(50_000_000), // ~29 ms of kernel time
-            arena_pages: 16,
-            max_steps: Some(10_000_000),
             fallback: FallbackMode::None,
         }
     }
@@ -604,7 +603,7 @@ impl CosyExtension {
     ) -> Result<i64, CosyError> {
         let machine = self.sys.machine().clone();
         // Allocate the function's arena in kernel space.
-        let pages = opts.arena_pages.max(1);
+        let pages = ARENA_PAGES;
         let arena = self
             .arena_cursor
             .fetch_add(((pages + 4) * PAGE_SIZE) as u64, Relaxed);
@@ -642,7 +641,7 @@ impl CosyExtension {
         let mut cfg = ExecConfig::flat(machine.kernel_asid());
         cfg.seg = seg_mode;
         cfg.charge_sys = true;
-        cfg.max_steps = opts.max_steps;
+        cfg.max_steps = Some(MAX_STEPS);
 
         let host = KernelHost { sys: self.sys.clone(), pid };
         let ticker = |_steps: u64| {
@@ -1500,9 +1499,10 @@ pub(crate) mod tests {
 #[cfg(test)]
 mod equivalence_proptests {
     //! Randomized op sequences must behave identically however they reach
-    //! the kernel: as classic `sys_*` calls, as one uring batch, and as
-    //! one Cosy compound — the same results, the same errnos, the same
-    //! file-system state. All three encode into the one dispatcher, so
+    //! the kernel: as classic `sys_*` calls, as one uring batch, as one
+    //! Cosy compound, and as `sys_*` intrinsics from a KC function running
+    //! in the kernel — the same results, the same errnos, the same
+    //! file-system state. All four encode into the one dispatcher, so
     //! this is the correctness oracle for any boundary mechanism.
 
     use super::*;
@@ -1510,6 +1510,7 @@ mod equivalence_proptests {
     use crate::buffers::SharedRegion;
     use ksim::Machine;
     use kuring::Sqe;
+    use std::fmt::Write as _;
     use kvfs::{VfsSnapshot, STAT_WIRE_BYTES};
     use proptest::prelude::*;
 
@@ -1649,6 +1650,49 @@ mod equivalence_proptests {
         (results, vfs_hash(&sys))
     }
 
+    /// `ops` as one KC function making the same `sys_*` intrinsic calls
+    /// on `fd` (its argument), `print_int`ing each call's return value.
+    fn kc_source(ops: &[FileOp]) -> String {
+        let mut calls = String::new();
+        for op in ops {
+            let call = match *op {
+                FileOp::Write(n) => format!("sys_write(fd, data, {n})"),
+                FileOp::SeekSet(off) => format!("sys_lseek(fd, {off}, 0)"),
+                FileOp::Read(n) => format!("sys_read(fd, out, {n})"),
+                FileOp::Fstat => "sys_fstat(fd, out)".to_string(),
+                FileOp::Close => "sys_close(fd)".to_string(),
+                FileOp::Unlink => r#"sys_unlink("/f")"#.to_string(),
+                FileOp::OpenMissing => r#"sys_open("/missing", 0)"#.to_string(),
+            };
+            writeln!(calls, "    print_int({call});").unwrap();
+        }
+        // `data` is the 64 bytes of 0xCD (205) the other paths stage.
+        format!(
+            "int run(int fd) {{\n    char data[64];\n    char out[{STAT_WIRE_BYTES}];\n    int i;\n    \
+             for (i = 0; i < 64; i = i + 1) {{ data[i] = 205; }}\n{calls}    return 0;\n}}\n"
+        )
+    }
+
+    /// Run [`kc_source`] on the VM in a Cosy kernel arena under
+    /// `KernelHost`: the printed results and the file-system hash.
+    fn kc_intrinsics(ops: &[FileOp]) -> (Vec<i64>, u64) {
+        let (_, sys, ext, pid, fd) = setup();
+        let prog = parse_program(&kc_source(ops)).unwrap();
+        let info = typecheck(&prog).unwrap();
+        let module = kclang::compile(&prog, &info).unwrap();
+        let mut printed = Vec::new();
+        ext.in_arena(pid, &CosyOptions::default(), |machine, cfg, arena, len, host, ticker| {
+            let mut vm = Vm::new(machine, &module, cfg, arena, len)?;
+            vm.set_host(host);
+            vm.set_ticker(ticker);
+            let out = vm.run("run", &[fd as i64]);
+            printed = std::mem::take(&mut vm.output);
+            out
+        })
+        .unwrap();
+        (printed, vfs_hash(&sys))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
         #[test]
@@ -1656,6 +1700,7 @@ mod equivalence_proptests {
             let direct = classic(&ops);
             prop_assert_eq!(&ring_batch(&ops), &direct, "uring batch vs classic calls");
             prop_assert_eq!(&compound(&ops), &direct, "cosy compound vs classic calls");
+            prop_assert_eq!(&kc_intrinsics(&ops), &direct, "KC intrinsics vs classic calls");
         }
 
         /// A cache-hit execution must be indistinguishable from a fresh

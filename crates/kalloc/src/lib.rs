@@ -14,6 +14,8 @@
 //!   buffers" to speed it up; both lookups are implemented and compared in
 //!   ablation A4.
 //!
+//! All three keep the same §3.2 allocation ledger, [`ledger::AllocStats`].
+//!
 //! Kernel virtual layout (48-bit, Linux-flavoured):
 //!
 //! ```text
@@ -21,15 +23,17 @@
 //! VMALLOC_BASE     0xffff_c000_0000_0000   vmalloc / Kefence arena
 //! ```
 
+pub mod ledger;
 pub mod pool;
 pub mod slab;
 pub mod varange;
 pub mod vmalloc;
 
+pub use ledger::{AllocSnapshot, AllocStats};
 pub use pool::{BufPool, ObjPool, PoolBuf};
 pub use slab::SlabAllocator;
 pub use varange::VaAllocator;
-pub use vmalloc::{VfreeIndex, Vmalloc, VmallocStats};
+pub use vmalloc::{VfreeIndex, Vmalloc};
 
 /// Base of the kernel direct map: `va = DIRECT_MAP_BASE + pfn * PAGE_SIZE`.
 pub const DIRECT_MAP_BASE: u64 = 0xffff_8880_0000_0000;

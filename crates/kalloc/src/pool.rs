@@ -23,13 +23,14 @@
 //! the peak could be under-recorded. Hit/miss counters are per-CPU and
 //! summed on read.
 //!
-//! Two shapes cover every caller:
+//! One pool, two shapes:
 //!
-//! * [`BufPool`] — `Vec<u8>` scratch buffers for user↔kernel copies.
-//!   [`BufPool::take`] returns a guard that hands the buffer back on drop,
-//!   so early returns on error paths cannot leak a buffer.
 //! * [`ObjPool`] — arbitrary recycled objects (inode data vectors, socket
 //!   byte rings). The caller resets the object; the pool only stores it.
+//! * [`BufPool`] — an `ObjPool<Vec<u8>>` of scratch buffers for
+//!   user↔kernel copies, plus leak accounting. [`BufPool::take`] returns a
+//!   guard that hands the buffer back on drop, so early returns on error
+//!   paths cannot leak a buffer.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -67,44 +68,26 @@ impl<T> Magazine<T> {
     }
 }
 
-const fn mags<T>() -> [SpinMutex<Magazine<T>>; MAGS] {
-    [
-        Magazine::new(),
-        Magazine::new(),
-        Magazine::new(),
-        Magazine::new(),
-        Magazine::new(),
-        Magazine::new(),
-        Magazine::new(),
-        Magazine::new(),
-    ]
+/// Free list of recycled objects of one type, magazine-sharded per CPU.
+/// [`ObjPool::take`] pops the most recently returned local object (or
+/// builds a fresh one); the caller is responsible for resetting it before
+/// reuse.
+pub struct ObjPool<T> {
+    mags: [SpinMutex<Magazine<T>>; MAGS],
+    global: SpinMutex<Vec<T>>,
 }
 
-/// Pool of zero-initialised `Vec<u8>` scratch buffers.
-///
-/// A checkout is one CAS on the local magazine plus the zeroing memset and
-/// two relaxed atomics for leak accounting; the global free-list lock is
-/// touched only on batch refill/drain.
-pub struct BufPool {
-    mags: [SpinMutex<Magazine<Vec<u8>>>; MAGS],
-    global: SpinMutex<Vec<Vec<u8>>>,
-    outstanding: AtomicI64,
-    high_water: AtomicU64,
-}
-
-impl Default for BufPool {
+impl<T> Default for ObjPool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl BufPool {
+impl<T> ObjPool<T> {
     pub const fn new() -> Self {
-        BufPool {
-            mags: mags(),
+        ObjPool {
+            mags: [const { Magazine::new() }; MAGS],
             global: SpinMutex::new(Vec::new()),
-            outstanding: AtomicI64::new(0),
-            high_water: AtomicU64::new(0),
         }
     }
 
@@ -120,67 +103,53 @@ impl BufPool {
         }
     }
 
-    /// Check out a buffer of exactly `len` zeroed bytes. Recycles a
-    /// previously returned buffer when one is idle; the guard returns it
-    /// on drop.
-    pub fn take(&self, len: usize) -> PoolBuf<'_> {
-        let now = self.outstanding.fetch_add(1, Relaxed) + 1;
-        self.high_water.fetch_max(now.max(0) as u64, Relaxed);
-        let mut buf = {
+    /// Pop a recycled object, or build one with `fresh`.
+    pub fn take(&self, fresh: impl FnOnce() -> T) -> T {
+        {
             let mut mag = self.mags[shard()].lock();
-            match mag.free.pop() {
-                Some(b) => {
-                    mag.hits += 1;
-                    b
-                }
-                None => {
-                    // Batch refill: move up to half a magazine's worth
-                    // from the global list under one global acquire.
-                    let mut global = self.global.lock();
-                    let take = (MAG_CAP / 2).min(global.len());
-                    for _ in 0..take {
-                        if let Some(b) = global.pop() {
-                            mag.free.push(b);
-                        }
-                    }
-                    drop(global);
-                    match mag.free.pop() {
-                        Some(b) => {
-                            mag.hits += 1;
-                            b
-                        }
-                        None => {
-                            mag.misses += 1;
-                            Vec::new()
-                        }
-                    }
+            if let Some(obj) = mag.free.pop() {
+                mag.hits += 1;
+                return obj;
+            }
+            // Batch refill: move up to half a magazine's worth from the
+            // global list under one global acquire.
+            let mut global = self.global.lock();
+            let take = (MAG_CAP / 2).min(global.len());
+            for _ in 0..take {
+                if let Some(obj) = global.pop() {
+                    mag.free.push(obj);
                 }
             }
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        PoolBuf { pool: self, buf }
+            drop(global);
+            if let Some(obj) = mag.free.pop() {
+                mag.hits += 1;
+                return obj;
+            }
+            mag.misses += 1;
+        }
+        // Build outside the lock: `fresh` may allocate.
+        fresh()
     }
 
-    fn put(&self, buf: Vec<u8>) {
-        self.outstanding.fetch_sub(1, Relaxed);
+    /// Return an object for reuse; dropped once the lists are full.
+    pub fn put(&self, obj: T) {
         let mut mag = self.mags[shard()].lock();
         if mag.free.len() >= MAG_CAP {
             // Batch drain: move the colder half to the global list; the
             // global list drops beyond its own cap.
             let mut global = self.global.lock();
             for _ in 0..MAG_CAP / 2 {
-                if let Some(b) = mag.free.pop() {
+                if let Some(o) = mag.free.pop() {
                     if global.len() < MAX_IDLE {
-                        global.push(b);
+                        global.push(o);
                     }
                 }
             }
         }
-        mag.free.push(buf);
+        mag.free.push(obj);
     }
 
-    /// (recycled checkouts, fresh allocations), summed across CPUs.
+    /// (recycled checkouts, fresh builds), summed across CPUs.
     pub fn counters(&self) -> (u64, u64) {
         let mut hits = 0;
         let mut misses = 0;
@@ -190,6 +159,66 @@ impl BufPool {
             misses += mag.misses;
         }
         (hits, misses)
+    }
+
+    /// Objects idle across the magazines and the global free list.
+    pub fn idle(&self) -> usize {
+        self.mags.iter().map(|m| m.lock().free.len()).sum::<usize>() + self.global.lock().len()
+    }
+}
+
+/// Pool of zero-initialised `Vec<u8>` scratch buffers: an
+/// [`ObjPool<Vec<u8>>`] plus atomic leak accounting.
+///
+/// A checkout is one CAS on the local magazine plus the zeroing memset and
+/// two relaxed atomics for leak accounting; the global free-list lock is
+/// touched only on batch refill/drain.
+pub struct BufPool {
+    pool: ObjPool<Vec<u8>>,
+    outstanding: AtomicI64,
+    high_water: AtomicU64,
+}
+
+impl Default for BufPool {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BufPool {
+    pub const fn new() -> Self {
+        BufPool {
+            pool: ObjPool::new(),
+            outstanding: AtomicI64::new(0),
+            high_water: AtomicU64::new(0),
+        }
+    }
+
+    /// See [`ObjPool::monitor`].
+    pub fn monitor(&self, name: &'static str) {
+        self.pool.monitor(name);
+    }
+
+    /// Check out a buffer of exactly `len` zeroed bytes. Recycles a
+    /// previously returned buffer when one is idle; the guard returns it
+    /// on drop.
+    pub fn take(&self, len: usize) -> PoolBuf<'_> {
+        let now = self.outstanding.fetch_add(1, Relaxed) + 1;
+        self.high_water.fetch_max(now.max(0) as u64, Relaxed);
+        let mut buf = self.pool.take(Vec::new);
+        buf.clear();
+        buf.resize(len, 0);
+        PoolBuf { pool: self, buf }
+    }
+
+    fn put(&self, buf: Vec<u8>) {
+        self.outstanding.fetch_sub(1, Relaxed);
+        self.pool.put(buf);
+    }
+
+    /// (recycled checkouts, fresh allocations), summed across CPUs.
+    pub fn counters(&self) -> (u64, u64) {
+        self.pool.counters()
     }
 
     /// Most buffers ever checked out at once (atomic peak).
@@ -204,7 +233,7 @@ impl BufPool {
 
     /// Buffers idle across the magazines and the global free list.
     pub fn idle(&self) -> usize {
-        self.mags.iter().map(|m| m.lock().free.len()).sum::<usize>() + self.global.lock().len()
+        self.pool.idle()
     }
 
     /// Upper bound on [`BufPool::idle`] (global cap plus full magazines).
@@ -235,99 +264,6 @@ impl DerefMut for PoolBuf<'_> {
 impl Drop for PoolBuf<'_> {
     fn drop(&mut self) {
         self.pool.put(std::mem::take(&mut self.buf));
-    }
-}
-
-/// Free list of recycled objects of one type, magazine-sharded like
-/// [`BufPool`]. [`ObjPool::take`] pops the most recently returned local
-/// object (or builds a fresh one); the caller is responsible for
-/// resetting it before reuse.
-pub struct ObjPool<T> {
-    mags: [SpinMutex<Magazine<T>>; MAGS],
-    global: SpinMutex<Vec<T>>,
-}
-
-impl<T> Default for ObjPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ObjPool<T> {
-    pub const fn new() -> Self {
-        ObjPool {
-            mags: mags(),
-            global: SpinMutex::new(Vec::new()),
-        }
-    }
-
-    /// See [`BufPool::monitor`]: aggregate this pool's lock contention
-    /// under `name` in the `ksim::stats` lock table.
-    pub fn monitor(&self, name: &'static str) {
-        let stats = ksim::register_lock(name);
-        self.global.set_contention(stats);
-        for mag in &self.mags {
-            mag.set_contention(stats);
-        }
-    }
-
-    /// Pop a recycled object, or build one with `fresh`.
-    pub fn take(&self, fresh: impl FnOnce() -> T) -> T {
-        {
-            let mut mag = self.mags[shard()].lock();
-            if let Some(obj) = mag.free.pop() {
-                mag.hits += 1;
-                return obj;
-            }
-            let mut global = self.global.lock();
-            let take = (MAG_CAP / 2).min(global.len());
-            for _ in 0..take {
-                if let Some(obj) = global.pop() {
-                    mag.free.push(obj);
-                }
-            }
-            drop(global);
-            if let Some(obj) = mag.free.pop() {
-                mag.hits += 1;
-                return obj;
-            }
-            mag.misses += 1;
-        }
-        // Build outside the lock: `fresh` may allocate.
-        fresh()
-    }
-
-    /// Return an object for reuse; dropped once the lists are full.
-    pub fn put(&self, obj: T) {
-        let mut mag = self.mags[shard()].lock();
-        if mag.free.len() >= MAG_CAP {
-            let mut global = self.global.lock();
-            for _ in 0..MAG_CAP / 2 {
-                if let Some(o) = mag.free.pop() {
-                    if global.len() < MAX_IDLE {
-                        global.push(o);
-                    }
-                }
-            }
-        }
-        mag.free.push(obj);
-    }
-
-    /// (recycled checkouts, fresh builds), summed across CPUs.
-    pub fn counters(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for m in &self.mags {
-            let mag = m.lock();
-            hits += mag.hits;
-            misses += mag.misses;
-        }
-        (hits, misses)
-    }
-
-    /// Objects idle across the magazines and the global free list.
-    pub fn idle(&self) -> usize {
-        self.mags.iter().map(|m| m.lock().free.len()).sum::<usize>() + self.global.lock().len()
     }
 }
 

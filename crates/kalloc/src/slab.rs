@@ -7,52 +7,34 @@
 //! lands in the neighbouring object. Kefence trades this density for
 //! page-granular protection (see the `kefence` crate).
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use ksim::{FxHashMap, Machine, Pte, PteFlags, SimError, SimResult, PAGE_SIZE};
 
-use crate::DIRECT_MAP_BASE;
+use crate::{AllocSnapshot, AllocStats, DIRECT_MAP_BASE};
 
 /// Power-of-two size classes, 32 B … 4096 B (Linux's kmalloc-32 … kmalloc-4k).
 const CLASSES: [usize; 8] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
 
-#[derive(Debug, Default)]
-struct SizeClass {
-    /// Free object addresses, LIFO for cache warmth.
-    free: Vec<u64>,
-    /// Pages backing this class (kept until allocator teardown).
-    pages: Vec<u64>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Live {
-    class: u8,
-    /// Requested (not rounded) size, for accounting.
-    requested: u32,
-}
-
 /// The slab allocator. Clone the surrounding `Arc` to share.
 pub struct SlabAllocator {
     machine: Arc<Machine>,
-    classes: [Mutex<SizeClass>; CLASSES.len()],
-    live: Mutex<FxHashMap<u64, Live>>,
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    bytes_requested: AtomicU64,
+    /// Per-class free object addresses, LIFO for cache warmth.
+    free: [Mutex<Vec<u64>>; CLASSES.len()],
+    /// Live object address → its size-class index.
+    live: Mutex<FxHashMap<u64, u8>>,
+    stats: AllocStats,
 }
 
 impl SlabAllocator {
     pub fn new(machine: Arc<Machine>) -> Self {
         SlabAllocator {
             machine,
-            classes: Default::default(),
+            free: Default::default(),
             live: Mutex::new(FxHashMap::default()),
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
-            bytes_requested: AtomicU64::new(0),
+            stats: AllocStats::default(),
         }
     }
 
@@ -85,50 +67,40 @@ impl SlabAllocator {
         self.machine.charge_sys(self.machine.cost.kmalloc_op);
 
         let addr = {
-            let mut class = self.classes[ci].lock();
-            if class.free.is_empty() {
+            let mut free = self.free[ci].lock();
+            if free.is_empty() {
                 let va = self.grow(&self.machine)?;
                 let obj = CLASSES[ci];
-                class.pages.push(va);
                 // Carve the page into objects; push in reverse so the
                 // lowest address pops first.
                 for k in (0..PAGE_SIZE / obj).rev() {
-                    class.free.push(va + (k * obj) as u64);
+                    free.push(va + (k * obj) as u64);
                 }
             }
-            class.free.pop().expect("class was just refilled")
+            free.pop().expect("class was just refilled")
         };
 
-        self.live
-            .lock()
-            .insert(addr, Live { class: ci as u8, requested: size as u32 });
-        self.allocs.fetch_add(1, Relaxed);
-        self.bytes_requested.fetch_add(size as u64, Relaxed);
+        self.live.lock().insert(addr, ci as u8);
+        self.stats.on_alloc(size, 0);
         Ok(addr)
     }
 
     /// Free a `kmalloc`ed object.
     pub fn kfree(&self, addr: u64) -> SimResult<()> {
-        let live = self
+        let class = self
             .live
             .lock()
             .remove(&addr)
             .ok_or(SimError::Invalid("kfree of unknown address"))?;
         self.machine.charge_sys(self.machine.cost.kmalloc_op);
-        self.classes[live.class as usize].lock().free.push(addr);
-        self.frees.fetch_add(1, Relaxed);
+        self.free[class as usize].lock().push(addr);
+        self.stats.on_free(0);
         Ok(())
     }
 
     /// The usable size of the class `addr` was served from.
     pub fn usable_size(&self, addr: u64) -> Option<usize> {
-        self.live.lock().get(&addr).map(|l| CLASSES[l.class as usize])
-    }
-
-    /// The size originally requested for `addr` (≤ usable size; the
-    /// difference is the rounding slack that hides small overflows).
-    pub fn requested_size(&self, addr: u64) -> Option<usize> {
-        self.live.lock().get(&addr).map(|l| l.requested as usize)
+        self.live.lock().get(&addr).map(|&c| CLASSES[c as usize])
     }
 
     /// Objects currently live.
@@ -136,23 +108,10 @@ impl SlabAllocator {
         self.live.lock().len()
     }
 
-    /// (allocations, frees, total requested bytes) so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.allocs.load(Relaxed),
-            self.frees.load(Relaxed),
-            self.bytes_requested.load(Relaxed),
-        )
-    }
-
-    /// Mean requested allocation size in bytes.
-    pub fn avg_alloc_size(&self) -> f64 {
-        let a = self.allocs.load(Relaxed);
-        if a == 0 {
-            0.0
-        } else {
-            self.bytes_requested.load(Relaxed) as f64 / a as f64
-        }
+    /// The allocation ledger. Slab objects share pages, so its page
+    /// columns stay 0.
+    pub fn stats(&self) -> AllocSnapshot {
+        self.stats.snapshot()
     }
 }
 
@@ -227,17 +186,6 @@ mod tests {
         s.kfree(a).unwrap();
         assert!(s.kfree(a).is_err(), "double kfree must be detected");
         assert!(s.kfree(0xdead).is_err());
-    }
-
-    #[test]
-    fn accounting_tracks_requested_bytes() {
-        let s = slab();
-        s.kmalloc(80).unwrap();
-        s.kmalloc(80).unwrap();
-        s.kmalloc(80).unwrap();
-        let (allocs, frees, bytes) = s.counters();
-        assert_eq!((allocs, frees, bytes), (3, 0, 240));
-        assert!((s.avg_alloc_size() - 80.0).abs() < 1e-9);
     }
 }
 

@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use ksim::{FxHashMap, Machine, PteFlags, SimError, SimResult, PAGE_SIZE};
 
 use crate::varange::VaAllocator;
-use crate::{VMALLOC_BASE, VMALLOC_END};
+use crate::{AllocSnapshot, AllocStats, VMALLOC_BASE, VMALLOC_END};
 
 /// How `vfree` locates the record for an address (ablation A4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,20 +32,6 @@ struct VmAlloc {
     npages: usize,
     /// Pages of guard hole owned by the allocation (Kefence-style users).
     gap_pages: usize,
-    requested: usize,
-}
-
-/// Aggregate statistics, matching what §3.2 reports for the Am-utils run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct VmallocStats {
-    pub allocs: u64,
-    pub frees: u64,
-    pub bytes_requested: u64,
-    /// Maximum simultaneously outstanding pages (paper: 2,085).
-    pub max_outstanding_pages: u64,
-    pub outstanding_pages: u64,
-    /// Cycles spent locating records in `vfree` (A4's measured quantity).
-    pub vfree_lookup_cycles: u64,
 }
 
 /// The vmalloc arena.
@@ -57,11 +43,8 @@ pub struct Vmalloc {
     list: Mutex<Vec<VmAlloc>>,
     /// Hash index over the same records (when enabled).
     hash: Mutex<FxHashMap<u64, VmAlloc>>,
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    bytes_requested: AtomicU64,
-    outstanding_pages: AtomicU64,
-    max_outstanding_pages: AtomicU64,
+    stats: AllocStats,
+    /// Cycles spent locating records in `vfree` (A4's measured quantity).
     vfree_lookup_cycles: AtomicU64,
 }
 
@@ -78,11 +61,7 @@ impl Vmalloc {
             index,
             list: Mutex::new(Vec::new()),
             hash: Mutex::new(FxHashMap::default()),
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
-            bytes_requested: AtomicU64::new(0),
-            outstanding_pages: AtomicU64::new(0),
-            max_outstanding_pages: AtomicU64::new(0),
+            stats: AllocStats::default(),
             vfree_lookup_cycles: AtomicU64::new(0),
         }
     }
@@ -125,16 +104,13 @@ impl Vmalloc {
             }
         }
 
-        let rec = VmAlloc { va, npages, gap_pages, requested: size };
+        let rec = VmAlloc { va, npages, gap_pages };
         self.list.lock().push(rec);
         if self.index == VfreeIndex::HashTable {
             self.hash.lock().insert(va, rec);
         }
 
-        self.allocs.fetch_add(1, Relaxed);
-        self.bytes_requested.fetch_add(size as u64, Relaxed);
-        let now = self.outstanding_pages.fetch_add(npages as u64, Relaxed) + npages as u64;
-        self.max_outstanding_pages.fetch_max(now, Relaxed);
+        self.stats.on_alloc(size, npages);
         Ok(va)
     }
 
@@ -188,8 +164,7 @@ impl Vmalloc {
             self.hash.lock().remove(&va);
         }
         self.va.free(va, rec.npages, rec.gap_pages);
-        self.frees.fetch_add(1, Relaxed);
-        self.outstanding_pages.fetch_sub(rec.npages as u64, Relaxed);
+        self.stats.on_free(rec.npages);
         Ok(())
     }
 
@@ -198,25 +173,19 @@ impl Vmalloc {
         self.list.lock().iter().find(|r| r.va == va).map(|r| r.npages)
     }
 
-    /// Requested byte size of a live allocation.
-    pub fn requested_of(&self, va: u64) -> Option<usize> {
-        self.list.lock().iter().find(|r| r.va == va).map(|r| r.requested)
-    }
-
     /// Live allocation count.
     pub fn live(&self) -> usize {
         self.list.lock().len()
     }
 
-    pub fn stats(&self) -> VmallocStats {
-        VmallocStats {
-            allocs: self.allocs.load(Relaxed),
-            frees: self.frees.load(Relaxed),
-            bytes_requested: self.bytes_requested.load(Relaxed),
-            max_outstanding_pages: self.max_outstanding_pages.load(Relaxed),
-            outstanding_pages: self.outstanding_pages.load(Relaxed),
-            vfree_lookup_cycles: self.vfree_lookup_cycles.load(Relaxed),
-        }
+    /// The allocation ledger (§3.2's statistics).
+    pub fn stats(&self) -> AllocSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// Cycles spent locating records in `vfree` so far.
+    pub fn vfree_lookup_cycles(&self) -> u64 {
+        self.vfree_lookup_cycles.load(Relaxed)
     }
 
     pub fn machine(&self) -> &Arc<Machine> {
@@ -250,7 +219,6 @@ mod tests {
         let a = v.vmalloc(80).unwrap(); // the paper's average Wrapfs size
         assert_eq!(m.mem.phys.allocated() - before, 1, "80 B costs a full page");
         assert_eq!(v.pages_of(a), Some(1));
-        assert_eq!(v.requested_of(a), Some(80));
         let b = v.vmalloc(PAGE_SIZE + 1).unwrap();
         assert_eq!(v.pages_of(b), Some(2));
     }
@@ -304,13 +272,13 @@ mod tests {
         // Free the last-allocated (deepest in the list) and compare with
         // freeing when the list is nearly empty.
         v.vfree(*addrs.last().unwrap()).unwrap();
-        let deep = v.stats().vfree_lookup_cycles;
+        let deep = v.vfree_lookup_cycles();
         for &a in &addrs[1..63] {
             v.vfree(a).unwrap();
         }
-        let before = v.stats().vfree_lookup_cycles;
+        let before = v.vfree_lookup_cycles();
         v.vfree(addrs[0]).unwrap();
-        let shallow = v.stats().vfree_lookup_cycles - before;
+        let shallow = v.vfree_lookup_cycles() - before;
         assert!(deep > 4 * shallow, "deep={deep} shallow={shallow}");
     }
 
@@ -321,26 +289,10 @@ mod tests {
         for _ in 0..64 {
             addrs.push(v.vmalloc(16).unwrap());
         }
-        let s0 = v.stats().vfree_lookup_cycles;
+        let s0 = v.vfree_lookup_cycles();
         v.vfree(addrs[63]).unwrap();
-        let first = v.stats().vfree_lookup_cycles - s0;
+        let first = v.vfree_lookup_cycles() - s0;
         assert_eq!(first, HASH_PROBE_COST);
-    }
-
-    #[test]
-    fn outstanding_page_high_water_tracks_peak() {
-        let v = vm(VfreeIndex::HashTable);
-        let a = v.vmalloc(2 * PAGE_SIZE).unwrap();
-        let b = v.vmalloc(3 * PAGE_SIZE).unwrap();
-        v.vfree(a).unwrap();
-        let c = v.vmalloc(PAGE_SIZE).unwrap();
-        v.vfree(b).unwrap();
-        v.vfree(c).unwrap();
-        let s = v.stats();
-        assert_eq!(s.max_outstanding_pages, 5);
-        assert_eq!(s.outstanding_pages, 0);
-        assert_eq!(s.allocs, 3);
-        assert_eq!(s.frees, 3);
     }
 
     #[test]

@@ -188,10 +188,6 @@ pub struct Module {
 }
 
 impl Module {
-    pub fn code_len(&self) -> usize {
-        self.code.len()
-    }
-
     pub fn funcs(&self) -> &[FuncInfo] {
         &self.funcs
     }

@@ -29,12 +29,11 @@ pub mod sampling;
 pub use sampling::SamplingKefence;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use kalloc::{KernelAllocator, VaAllocator};
+use kalloc::{AllocSnapshot, AllocStats, KernelAllocator, VaAllocator};
 use kevents::{EventDispatcher, EventRecord, EventType, Probe};
 use ksim::{
     AccessKind, Fault, FaultHandler, FaultResolution, Machine, MemSys, Pte, PteFlags,
@@ -112,24 +111,15 @@ struct Allocation {
     ro_write_logged: bool,
 }
 
-#[derive(Debug, Default)]
-struct KefenceStats {
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    bytes_requested: AtomicU64,
-    outstanding_pages: AtomicU64,
-    max_outstanding_pages: AtomicU64,
-}
-
 struct State {
     machine: Arc<Machine>,
-    mode: RwLock<OnViolation>,
+    mode: OnViolation,
     /// Allocation records keyed by range base (BTreeMap: range lookup by
     /// faulting address).
     allocs: Mutex<BTreeMap<u64, Allocation>>,
     violations: Mutex<Vec<KefenceViolation>>,
     probe: Probe,
-    stats: KefenceStats,
+    stats: AllocStats,
 }
 
 impl State {
@@ -181,7 +171,7 @@ impl FaultHandler for KefenceFaultHandler {
             return FaultResolution::NotMine;
         };
 
-        let mode = *self.state.mode.read();
+        let mode = self.state.mode;
         // LogRo write dedup: every write to the read-only auto-mapped page
         // is denied, but only the first one per page is reported.
         let already_logged = mode == OnViolation::LogRo
@@ -250,11 +240,11 @@ impl Kefence {
     pub fn new(machine: Arc<Machine>, mode: OnViolation, protect: Protect) -> Arc<Self> {
         let state = Arc::new(State {
             machine: machine.clone(),
-            mode: RwLock::new(mode),
+            mode,
             allocs: Mutex::new(BTreeMap::new()),
             violations: Mutex::new(Vec::new()),
             probe: Probe::new(),
-            stats: KefenceStats::default(),
+            stats: AllocStats::default(),
         });
         machine
             .mem
@@ -268,11 +258,6 @@ impl Kefence {
         })
     }
 
-    /// Change the fault-handler behaviour at run time.
-    pub fn set_mode(&self, mode: OnViolation) {
-        *self.state.mode.write() = mode;
-    }
-
     /// Report violations through an event dispatcher (syslog stand-in).
     pub fn set_dispatcher(&self, d: Option<Arc<EventDispatcher>>) {
         self.state.probe.set_dispatcher(d);
@@ -283,29 +268,11 @@ impl Kefence {
         self.state.violations.lock().clone()
     }
 
-    /// (allocs, frees, total requested bytes).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.state.stats.allocs.load(Relaxed),
-            self.state.stats.frees.load(Relaxed),
-            self.state.stats.bytes_requested.load(Relaxed),
-        )
-    }
-
-    /// Maximum simultaneously outstanding data pages (the paper reports
-    /// 2,085 for the Am-utils compile).
-    pub fn max_outstanding_pages(&self) -> u64 {
-        self.state.stats.max_outstanding_pages.load(Relaxed)
-    }
-
-    /// Mean requested allocation size (paper: 80 bytes).
-    pub fn avg_alloc_size(&self) -> f64 {
-        let a = self.state.stats.allocs.load(Relaxed);
-        if a == 0 {
-            0.0
-        } else {
-            self.state.stats.bytes_requested.load(Relaxed) as f64 / a as f64
-        }
+    /// The allocation ledger. Its page columns count data pages only, not
+    /// guardians (the paper reports 2,085 outstanding for the Am-utils
+    /// compile).
+    pub fn stats(&self) -> AllocSnapshot {
+        self.state.stats.snapshot()
     }
 
     /// The guarded allocation path (`kefence_vmalloc`).
@@ -353,11 +320,7 @@ impl Kefence {
                 ro_write_logged: false,
             },
         );
-        self.state.stats.allocs.fetch_add(1, Relaxed);
-        self.state.stats.bytes_requested.fetch_add(size as u64, Relaxed);
-        let now =
-            self.state.stats.outstanding_pages.fetch_add(npages as u64, Relaxed) + npages as u64;
-        self.state.stats.max_outstanding_pages.fetch_max(now, Relaxed);
+        self.state.stats.on_alloc(size, npages);
         Ok(addr)
     }
 
@@ -392,8 +355,7 @@ impl Kefence {
                 m.mem.phys.free_frame(pfn);
             }
         }
-        self.state.stats.frees.fetch_add(1, Relaxed);
-        self.state.stats.outstanding_pages.fetch_sub(npages as u64, Relaxed);
+        self.state.stats.on_free(npages);
         Ok(())
     }
 }
@@ -414,10 +376,10 @@ impl KernelAllocator for Kefence {
 
 impl std::fmt::Debug for Kefence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (a, fr, _) = self.counters();
+        let st = self.stats();
         f.debug_struct("Kefence")
-            .field("allocs", &a)
-            .field("frees", &fr)
+            .field("allocs", &st.allocs)
+            .field("frees", &st.frees)
             .field("violations", &self.violations().len())
             .finish()
     }
@@ -427,6 +389,7 @@ impl std::fmt::Debug for Kefence {
 mod tests {
     use super::*;
     use ksim::{FaultKind, MachineConfig};
+    use std::sync::atomic::Ordering::Relaxed;
 
     fn setup(mode: OnViolation, protect: Protect) -> (Arc<Machine>, Arc<Kefence>) {
         let m = Arc::new(Machine::new(MachineConfig::default()));
@@ -548,24 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn page_accounting_matches_the_paper_shape() {
-        let (_m, k) = setup(OnViolation::Crash, Protect::Overflow);
-        let mut addrs = Vec::new();
-        for _ in 0..50 {
-            addrs.push(k.kefence_alloc(80).unwrap()); // 80 B → 1 page each
-        }
-        assert_eq!(k.max_outstanding_pages(), 50);
-        assert!((k.avg_alloc_size() - 80.0).abs() < 1e-9);
-        for a in addrs {
-            k.kefence_free(a).unwrap();
-        }
-        let (allocs, frees, bytes) = k.counters();
-        assert_eq!((allocs, frees), (50, 50));
-        assert_eq!(bytes, 4000);
-        assert_eq!(k.max_outstanding_pages(), 50, "high water persists");
-    }
-
-    #[test]
     fn works_as_a_kernel_allocator_for_wrapfs_style_users() {
         let (m, k) = setup(OnViolation::Crash, Protect::Overflow);
         let alloc: Arc<dyn KernelAllocator> = k.clone();
@@ -649,7 +594,7 @@ mod proptests {
                 k.kefence_free(a).unwrap();
             }
             prop_assert_eq!(m.mem.phys.allocated(), frames0);
-            prop_assert!(k.max_outstanding_pages() >= expect_pages.min(1));
+            prop_assert!(k.stats().max_outstanding_pages >= expect_pages.min(1));
         }
     }
 }

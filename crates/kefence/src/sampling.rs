@@ -30,8 +30,6 @@ pub struct SamplingKefence {
     rate: u64,
     counter: AtomicU64,
     guarded_now: Mutex<HashSet<u64>>,
-    guarded_total: AtomicU64,
-    plain_total: AtomicU64,
 }
 
 impl SamplingKefence {
@@ -44,8 +42,6 @@ impl SamplingKefence {
             rate,
             counter: AtomicU64::new(0),
             guarded_now: Mutex::new(HashSet::new()),
-            guarded_total: AtomicU64::new(0),
-            plain_total: AtomicU64::new(0),
         })
     }
 
@@ -54,9 +50,10 @@ impl SamplingKefence {
         &self.guarded
     }
 
-    /// (guarded allocations, plain allocations) so far.
+    /// (guarded allocations, plain allocations) so far: the two
+    /// allocators' own ledgers, since each serves only this sampler.
     pub fn split(&self) -> (u64, u64) {
-        (self.guarded_total.load(Relaxed), self.plain_total.load(Relaxed))
+        (self.guarded.stats().allocs, self.slab.stats().allocs)
     }
 
     /// Is this live allocation currently guarded?
@@ -71,23 +68,17 @@ impl KernelAllocator for SamplingKefence {
         if n.is_multiple_of(self.rate) {
             let addr = self.guarded.kefence_alloc(size)?;
             self.guarded_now.lock().insert(addr);
-            self.guarded_total.fetch_add(1, Relaxed);
             Ok(addr)
         } else {
             // Slab tops out at a page; large requests fall back to guarded
             // allocations (which are page-granular anyway).
             match self.slab.kmalloc(size) {
-                Ok(a) => {
-                    self.plain_total.fetch_add(1, Relaxed);
-                    Ok(a)
-                }
                 Err(SimError::Invalid(_)) => {
                     let addr = self.guarded.kefence_alloc(size)?;
                     self.guarded_now.lock().insert(addr);
-                    self.guarded_total.fetch_add(1, Relaxed);
                     Ok(addr)
                 }
-                Err(e) => Err(e),
+                r => r,
             }
         }
     }
@@ -138,7 +129,7 @@ mod tests {
         for a in addrs {
             s.free(a).unwrap();
         }
-        assert_eq!(s.kefence().counters().1, 8, "guarded frees routed correctly");
+        assert_eq!(s.kefence().stats().frees, 8, "guarded frees routed correctly");
     }
 
     #[test]

@@ -265,10 +265,6 @@ impl FaultPlane {
         self.armed.store(false, Relaxed);
     }
 
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Relaxed)
-    }
-
     /// Temporarily stop injecting (recovery paths are not instrumented).
     /// Returns the previous armed state for [`resume`](FaultPlane::resume).
     pub fn suspend(&self) -> bool {

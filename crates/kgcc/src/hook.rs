@@ -13,7 +13,7 @@
 //! is applied when the module is compiled ([`crate::compile_planned`]), so
 //! the VM calls the hook only at the sites the plan keeps.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,20 +36,23 @@ pub struct KgccConfig {
     pub deinstrument: Option<Deinstrument>,
 }
 
-/// Summary counters for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KgccReport {
-    /// Checks actually executed (after deinstrumentation skips).
-    pub checks_executed: u64,
-    /// Hook calls declined because deinstrumentation disabled the site.
-    /// A site [`crate::apply_deinstrumentation`] has patched out no
-    /// longer calls the hook, so its skips are not counted; nor are
-    /// parameter spills or sites the plan compiled out.
-    pub checks_skipped: u64,
-    /// Peers created by out-of-bounds arithmetic.
-    pub peers_created: u64,
-    /// Violations detected.
-    pub violations: u64,
+ksim::counters! {
+    /// Live check counters, bumped from the check paths.
+    struct KgccCounters =>
+    /// Summary counters for reporting.
+    pub struct KgccReport {
+        /// Checks actually executed (after deinstrumentation skips).
+        checks_executed,
+        /// Hook calls declined because deinstrumentation disabled the site.
+        /// A site [`crate::apply_deinstrumentation`] has patched out no
+        /// longer calls the hook, so its skips are not counted; nor are
+        /// parameter spills or sites the plan compiled out.
+        checks_skipped,
+        /// Peers created by out-of-bounds arithmetic.
+        peers_created,
+        /// Violations detected.
+        violations,
+    }
 }
 
 /// The runtime hook. Shareable; internally synchronised.
@@ -57,10 +60,7 @@ pub struct KgccHook {
     machine: Arc<Machine>,
     cfg: KgccConfig,
     map: Mutex<ObjectMap>,
-    checks_executed: AtomicU64,
-    checks_skipped: AtomicU64,
-    peers_created: AtomicU64,
-    violations: AtomicU64,
+    counters: KgccCounters,
 }
 
 impl KgccHook {
@@ -73,20 +73,12 @@ impl KgccHook {
             machine,
             cfg,
             map: Mutex::new(ObjectMap::new()),
-            checks_executed: AtomicU64::new(0),
-            checks_skipped: AtomicU64::new(0),
-            peers_created: AtomicU64::new(0),
-            violations: AtomicU64::new(0),
+            counters: KgccCounters::default(),
         })
     }
 
     pub fn report(&self) -> KgccReport {
-        KgccReport {
-            checks_executed: self.checks_executed.load(Relaxed),
-            checks_skipped: self.checks_skipped.load(Relaxed),
-            peers_created: self.peers_created.load(Relaxed),
-            violations: self.violations.load(Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Live objects currently mapped.
@@ -110,7 +102,7 @@ impl KgccHook {
             return false;
         }
         if self.cfg.deinstrument.as_ref().is_some_and(|d| d.is_disabled(site)) {
-            self.checks_skipped.fetch_add(1, Relaxed);
+            self.counters.checks_skipped.fetch_add(1, Relaxed);
             return false;
         }
         true
@@ -138,7 +130,7 @@ impl KgccHook {
         len: usize,
         msg: String,
     ) -> CheckViolation {
-        self.violations.fetch_add(1, Relaxed);
+        self.counters.violations.fetch_add(1, Relaxed);
         CheckViolation { kind, site, addr, len, msg }
     }
 }
@@ -154,7 +146,7 @@ impl MemHook for KgccHook {
         if !self.site_enabled(site) {
             return Ok(());
         }
-        self.checks_executed.fetch_add(1, Relaxed);
+        self.counters.checks_executed.fetch_add(1, Relaxed);
         self.charge();
 
         let mut map = self.map.lock();
@@ -203,7 +195,7 @@ impl MemHook for KgccHook {
         if !self.site_enabled(site) {
             return Ok(new);
         }
-        self.checks_executed.fetch_add(1, Relaxed);
+        self.counters.checks_executed.fetch_add(1, Relaxed);
         self.charge();
 
         let mut map = self.map.lock();
@@ -230,7 +222,7 @@ impl MemHook for KgccHook {
             // Out of bounds: legalise as a peer of the origin. Arithmetic
             // is allowed; dereference is not.
             map.add_peer(new, origin);
-            self.peers_created.fetch_add(1, Relaxed);
+            self.counters.peers_created.fetch_add(1, Relaxed);
             self.note_clean_execution(site);
             Ok(new)
         }
@@ -254,7 +246,7 @@ impl MemHook for KgccHook {
         if !self.site_enabled(site) {
             return Ok(());
         }
-        self.checks_executed.fetch_add(1, Relaxed);
+        self.counters.checks_executed.fetch_add(1, Relaxed);
         self.charge();
         let mut map = self.map.lock();
         if map.is_live_base(addr) {

@@ -212,35 +212,45 @@ struct LiveTxn {
     images: Vec<(BlockAddr, Vec<u8>)>,
 }
 
-/// Counters surfaced for benches and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KjfsStats {
-    pub commits: u64,
-    pub journal_blocks: u64,
-    pub checkpoint_blocks: u64,
-    pub ordered_flushes: u64,
-    pub readahead_issued: u64,
-    pub dirty_pages: u64,
-    /// Checkpoint drains (each retires every queued live transaction).
-    pub checkpoints: u64,
-    /// Home writes skipped because a newer image of the same block was
-    /// checkpointed in the same drain — the pipelining win.
-    pub checkpoint_dedup_saved: u64,
-    /// Device I/Os issued by the checkpoint stage (coalesced runs).
-    pub checkpoint_runs: u64,
-    /// Device I/Os issued by ordered writeback (coalesced runs).
-    pub writeback_runs: u64,
-    /// fsyncs that returned durable without issuing a commit because an
-    /// in-flight or completed group commit already captured their dirt.
-    pub group_merges: u64,
-    /// Committed-but-uncheckpointed transactions currently queued.
-    pub live_txns: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Readahead-installed pages later referenced by a real read.
-    pub readahead_hits: u64,
-    /// Clean pages dropped by page-cache capacity pressure.
-    pub evictions: u64,
+ksim::counters! {
+    /// Counters surfaced for benches and tests, kept under the fs lock.
+    pub struct KjfsStats {
+        commits,
+        journal_blocks,
+        checkpoint_blocks,
+        ordered_flushes,
+        readahead_issued,
+        /// Checkpoint drains (each retires every queued live transaction).
+        checkpoints,
+        /// Home writes skipped because a newer image of the same block was
+        /// checkpointed in the same drain — the pipelining win.
+        checkpoint_dedup_saved,
+        /// Device I/Os issued by the checkpoint stage (coalesced runs).
+        checkpoint_runs,
+        /// Device I/Os issued by ordered writeback (coalesced runs).
+        writeback_runs,
+        /// fsyncs that returned durable without issuing a commit because an
+        /// in-flight or completed group commit already captured their dirt.
+        group_merges,
+        cache_hits,
+        cache_misses,
+        /// Readahead-installed pages later referenced by a real read.
+        readahead_hits,
+        /// Clean pages dropped by page-cache capacity pressure.
+        evictions,
+    }
+}
+
+impl KjfsStats {
+    /// Fraction of page lookups served from cache, in percent.
+    pub fn hit_pct(&self) -> f64 {
+        100.0 * self.cache_hits as f64 / (self.cache_hits + self.cache_misses).max(1) as f64
+    }
+
+    /// Fraction of prefetched pages a real read later touched, in percent.
+    pub fn readahead_pct(&self) -> f64 {
+        100.0 * self.readahead_hits as f64 / self.readahead_issued.max(1) as f64
+    }
 }
 
 #[derive(Default)]
@@ -376,11 +386,12 @@ impl Kjfs {
     }
 
     pub fn stats(&self) -> KjfsStats {
-        let g = self.inner.lock();
-        let mut s = g.stats;
-        s.dirty_pages = g.dirty_count as u64;
-        s.live_txns = g.live_txns.len() as u64;
-        s
+        self.inner.lock().stats
+    }
+
+    /// Committed-but-uncheckpointed transactions currently queued.
+    pub fn live_txns(&self) -> usize {
+        self.inner.lock().live_txns.len()
     }
 
     /// True once a journal/writeback failure has aborted the file system;
@@ -2001,13 +2012,13 @@ mod tests {
             fs.write(f, 0, &vec![round; 2 * PAGE_SIZE]).unwrap();
             fs.fsync(f, false).unwrap();
         }
-        let s = fs.stats();
-        assert!(s.live_txns >= 3, "txns queue without draining, got {}", s.live_txns);
-        assert_eq!(s.checkpoints, 0);
+        let live = fs.live_txns();
+        assert!(live >= 3, "txns queue without draining, got {live}");
+        assert_eq!(fs.stats().checkpoints, 0);
 
         fs.checkpoint_now().unwrap();
         let s = fs.stats();
-        assert_eq!(s.live_txns, 0);
+        assert_eq!(fs.live_txns(), 0);
         assert_eq!(s.checkpoints, 1);
         // Hot blocks (data pages, itable, header…) journaled per-txn but
         // written home once: the drain must have deduped.
@@ -2021,21 +2032,35 @@ mod tests {
     #[test]
     fn checkpoint_lag_drains_on_next_op() {
         let cfg = KjfsConfig::small().with_mode(JournalMode::GroupCommit);
-        let max = cfg.max_live_txns as u64;
+        let max = cfg.max_live_txns;
         let (_m, _dev, fs) = rig_with(cfg);
         let f = fs.create(fs.root(), "f").unwrap();
         let mut peak = 0;
         for i in 0..=max {
-            fs.write(f, i * PAGE_SIZE as u64, &[9u8; 64]).unwrap();
+            fs.write(f, (i * PAGE_SIZE) as u64, &[9u8; 64]).unwrap();
             fs.fsync(f, false).unwrap();
-            peak = peak.max(fs.stats().live_txns);
+            peak = peak.max(fs.live_txns());
         }
         // The queue crossed the lag bound, and the first op to observe
         // that (a plain write, with a non-empty running txn) drained it.
         assert!(peak > max, "queue never exceeded the bound (peak {peak})");
         let s = fs.stats();
         assert!(s.checkpoints >= 1, "lagging queue drained, stats {s:?}");
-        assert!(s.live_txns <= max + 1);
+        assert!(fs.live_txns() <= max + 1);
+    }
+
+    #[test]
+    fn stats_delta_across_draining_fsync_does_not_underflow() {
+        // The dirty set shrinks across an fsync; a delta over the stats
+        // must still be well-defined (debug builds panic on underflow).
+        let (_m, _dev, fs) = rig_with(KjfsConfig::small().with_mode(JournalMode::GroupCommit));
+        let f = fs.create(fs.root(), "d").unwrap();
+        fs.write(f, 0, &[3u8; 4 * PAGE_SIZE]).unwrap();
+        let before = fs.stats();
+        fs.fsync(f, false).unwrap();
+        let d = fs.stats().delta(&before);
+        assert_eq!(d.commits, 1);
+        assert!(d.journal_blocks >= 4, "{d:?}");
     }
 
     #[test]

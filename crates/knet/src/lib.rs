@@ -103,34 +103,20 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Aggregate counters for tests and benches.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NetStats {
-    pub connects: u64,
-    pub refused: u64,
-    pub accepts: u64,
-    pub resets: u64,
-    /// Bytes moved into receive rings by sends.
-    pub bytes_queued: u64,
-    /// Bytes drained out of receive rings by recvs.
-    pub bytes_delivered: u64,
-    /// Sends refused with EAGAIN: the peer's ring was full (or the
-    /// `net.send_again` fault site fired) — the backpressure signal.
-    pub send_eagains: u64,
-}
-
-impl NetStats {
-    /// Counter movement since an `earlier` snapshot (field-wise subtract).
-    pub fn delta(&self, earlier: &NetStats) -> NetStats {
-        NetStats {
-            connects: self.connects - earlier.connects,
-            refused: self.refused - earlier.refused,
-            accepts: self.accepts - earlier.accepts,
-            resets: self.resets - earlier.resets,
-            bytes_queued: self.bytes_queued - earlier.bytes_queued,
-            bytes_delivered: self.bytes_delivered - earlier.bytes_delivered,
-            send_eagains: self.send_eagains - earlier.send_eagains,
-        }
+ksim::counters! {
+    /// Aggregate counters for tests and benches, kept under the stack lock.
+    pub struct NetStats {
+        connects,
+        refused,
+        accepts,
+        resets,
+        /// Bytes moved into receive rings by sends.
+        bytes_queued,
+        /// Bytes drained out of receive rings by recvs.
+        bytes_delivered,
+        /// Sends refused with EAGAIN: the peer's ring was full (or the
+        /// `net.send_again` fault site fired) — the backpressure signal.
+        send_eagains,
     }
 }
 

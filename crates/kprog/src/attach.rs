@@ -12,7 +12,7 @@
 //! kernel code now). The proved `max_steps` is installed as the VM fuel
 //! limit: the budget is a guarantee, not a watchdog.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use kclang::{ExecConfig, ExecOutcome, InterpError, SegMode, Vm, VmBuffers};
@@ -60,12 +60,13 @@ impl From<SimError> for ProgError {
     }
 }
 
-/// Per-attachment invocation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AttachStats {
-    pub invocations: u64,
-    pub errors: u64,
-    pub budget_trips: u64,
+ksim::counters! {
+    /// Live per-attachment invocation counters.
+    struct AttachCounters => pub struct AttachStats {
+        invocations,
+        errors,
+        budget_trips,
+    }
 }
 
 /// An installed program: its private address space plus counters.
@@ -81,9 +82,7 @@ pub struct Attachment {
     /// Serialises invocations (one VM run at a time per attachment) and
     /// holds the VM's execution buffers between them.
     vm_bufs: Mutex<VmBuffers>,
-    invocations: AtomicU64,
-    errors: AtomicU64,
-    budget_trips: AtomicU64,
+    counters: AttachCounters,
 }
 
 impl Attachment {
@@ -116,9 +115,7 @@ impl Attachment {
             arena_base,
             arena_len,
             vm_bufs: Mutex::new(VmBuffers::default()),
-            invocations: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            budget_trips: AtomicU64::new(0),
+            counters: AttachCounters::default(),
         })
     }
 
@@ -131,11 +128,7 @@ impl Attachment {
     }
 
     pub fn stats(&self) -> AttachStats {
-        AttachStats {
-            invocations: self.invocations.load(Relaxed),
-            errors: self.errors.load(Relaxed),
-            budget_trips: self.budget_trips.load(Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Read the persistent state words out of the sandbox.
@@ -206,11 +199,11 @@ impl Attachment {
         buf: Option<&[u8]>,
         exec: impl FnOnce(ExecConfig, &[i64]) -> Result<ExecOutcome, InterpError>,
     ) -> Result<ExecOutcome, ProgError> {
-        self.invocations.fetch_add(1, Relaxed);
+        self.counters.invocations.fetch_add(1, Relaxed);
         let m = &self.machine;
         if m.faults.should_fail(kfault::sites::KPROG_BUDGET_EXHAUSTED) {
-            self.budget_trips.fetch_add(1, Relaxed);
-            self.errors.fetch_add(1, Relaxed);
+            self.counters.budget_trips.fetch_add(1, Relaxed);
+            self.counters.errors.fetch_add(1, Relaxed);
             return Err(ProgError::Budget { steps: self.prog.proof.max_steps });
         }
         m.charge_sys(m.cost.kprog_invoke);
@@ -256,12 +249,12 @@ impl Attachment {
                 Ok(out)
             }
             Err(InterpError::Timeout { steps }) => {
-                self.budget_trips.fetch_add(1, Relaxed);
-                self.errors.fetch_add(1, Relaxed);
+                self.counters.budget_trips.fetch_add(1, Relaxed);
+                self.counters.errors.fetch_add(1, Relaxed);
                 Err(ProgError::Budget { steps })
             }
             Err(e) => {
-                self.errors.fetch_add(1, Relaxed);
+                self.counters.errors.fetch_add(1, Relaxed);
                 Err(ProgError::Exec(e))
             }
         }

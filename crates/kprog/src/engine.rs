@@ -100,11 +100,6 @@ impl ProgSpec {
         self
     }
 
-    pub fn with_state_words(mut self, n: usize) -> Self {
-        self.state_words = n;
-        self
-    }
-
     pub fn with_buf_len(mut self, n: usize) -> Self {
         self.buf_len = n;
         self
@@ -216,11 +211,6 @@ impl ProgEngine {
     /// Cache statistics (hits mean verification was skipped).
     pub fn cache_stats(&self) -> ksim::ByteCacheStats {
         self.cache.stats()
-    }
-
-    /// Drop all cached programs (counters survive).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
     }
 
     /// Load (or re-load) a program: parse, typecheck, compile, verify —

@@ -101,12 +101,6 @@ impl ProgRegistry {
         self.syscall.detach(pid)
     }
 
-    /// True if any process has a CQE program installed.
-    #[inline]
-    pub fn has_cqe_programs(&self) -> bool {
-        !self.cqe.is_empty()
-    }
-
     /// The CQE program for `pid`, if one is attached.
     #[inline]
     pub fn cqe_program(&self, pid: u32) -> Option<Arc<Attachment>> {

@@ -333,18 +333,6 @@ impl Interval {
     pub fn elapsed_secs(&self) -> f64 {
         cycles_to_secs(self.elapsed())
     }
-
-    pub fn user_secs(&self) -> f64 {
-        cycles_to_secs(self.user)
-    }
-
-    pub fn sys_secs(&self) -> f64 {
-        cycles_to_secs(self.sys)
-    }
-
-    pub fn io_secs(&self) -> f64 {
-        cycles_to_secs(self.io)
-    }
 }
 
 /// Percentage improvement of `new` over `base`: `(base - new) / base * 100`.

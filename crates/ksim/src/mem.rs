@@ -527,11 +527,6 @@ impl MemSys {
         self.handlers.write().push(h);
     }
 
-    /// Remove all fault handlers (test teardown).
-    pub fn clear_fault_handlers(&self) {
-        self.handlers.write().clear();
-    }
-
     /// Run `f` with a shared view of the address space.
     pub fn with_space<R>(&self, asid: AsId, f: impl FnOnce(&AddressSpace) -> R) -> SimResult<R> {
         let spaces = self.spaces.read();

@@ -1,4 +1,5 @@
-//! Machine-wide event counters.
+//! Machine-wide event counters, and [`counters!`], which declares every
+//! layer's counter set.
 //!
 //! All counters are relaxed atomics (statistics pattern from *Rust Atomics
 //! and Locks*): increments are hot paths, reads happen after workloads end.
@@ -6,113 +7,109 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// Counters for every simulated event class the experiments report.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// System calls dispatched (each is one user↔kernel round trip).
-    pub syscalls: AtomicU64,
-    /// User↔kernel boundary crossings (round trips). One Cosy compound is a
-    /// single crossing no matter how many operations it executes, which is
-    /// exactly the quantity the paper's speedups come from.
-    pub crossings: AtomicU64,
-    /// Bytes copied from user space into the kernel.
-    pub bytes_copied_in: AtomicU64,
-    /// Bytes copied from the kernel out to user space.
-    pub bytes_copied_out: AtomicU64,
-    /// Process context switches performed by the scheduler.
-    pub context_switches: AtomicU64,
-    /// Page faults taken (all kinds).
-    pub page_faults: AtomicU64,
-    /// Guardian-PTE hits (Kefence violations detected).
-    pub guard_hits: AtomicU64,
-    /// Disk read operations.
-    pub disk_reads: AtomicU64,
-    /// Disk write operations.
-    pub disk_writes: AtomicU64,
-    /// Preemption ticks observed (watchdog checkpoints).
-    pub preempt_ticks: AtomicU64,
-    /// Compounds executed by the Cosy kernel extension.
-    pub compounds: AtomicU64,
-    /// Individual operations executed inside compounds.
-    pub compound_ops: AtomicU64,
-}
-
-/// A plain-data snapshot of [`Stats`] for reporting and diffing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub syscalls: u64,
-    pub crossings: u64,
-    pub bytes_copied_in: u64,
-    pub bytes_copied_out: u64,
-    pub context_switches: u64,
-    pub page_faults: u64,
-    pub guard_hits: u64,
-    pub disk_reads: u64,
-    pub disk_writes: u64,
-    pub preempt_ticks: u64,
-    pub compounds: u64,
-    pub compound_ops: u64,
-}
-
-impl Stats {
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            syscalls: self.syscalls.load(Relaxed),
-            crossings: self.crossings.load(Relaxed),
-            bytes_copied_in: self.bytes_copied_in.load(Relaxed),
-            bytes_copied_out: self.bytes_copied_out.load(Relaxed),
-            context_switches: self.context_switches.load(Relaxed),
-            page_faults: self.page_faults.load(Relaxed),
-            guard_hits: self.guard_hits.load(Relaxed),
-            disk_reads: self.disk_reads.load(Relaxed),
-            disk_writes: self.disk_writes.load(Relaxed),
-            preempt_ticks: self.preempt_ticks.load(Relaxed),
-            compounds: self.compounds.load(Relaxed),
-            compound_ops: self.compound_ops.load(Relaxed),
+/// Declare a counter set once and get its plumbing generated.
+///
+/// The atomic form, `Live => Snapshot { fields }`, generates the live
+/// struct (one relaxed `AtomicU64` per field, incremented in place by the
+/// owning layer), a plain-`u64` snapshot struct with the same field names,
+/// `Live::snapshot()`, `Live::reset()` and `Snapshot::delta()`.
+///
+/// The lock-held form, `Snapshot { fields }`, generates only the snapshot
+/// struct and `delta()`, for a layer that already bumps plain `u64`s under
+/// its own lock and hands out copies.
+///
+/// Each field's doc comment is written once and lands on both structs.
+/// Only monotonic counters belong here: `delta` subtracts field-wise, so a
+/// gauge that shrank between two snapshots would underflow. [`Stats`]
+/// below is the atomic form; kjfs's `KjfsStats` is the lock-held form.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$lmeta:meta])*
+        $lvis:vis struct $live:ident => $(#[$smeta:meta])* $svis:vis struct $snap:ident {
+            $( $(#[$fmeta:meta])* $field:ident ),* $(,)?
         }
-    }
+    ) => {
+        $(#[$lmeta])*
+        #[derive(Debug, Default)]
+        $lvis struct $live {
+            $( $(#[$fmeta])* pub $field: ::std::sync::atomic::AtomicU64, )*
+        }
 
-    /// Total bytes that crossed the user/kernel boundary in either direction.
-    pub fn bytes_crossed(&self) -> u64 {
-        self.bytes_copied_in.load(Relaxed) + self.bytes_copied_out.load(Relaxed)
-    }
+        $crate::counters! {
+            #[doc = concat!("A plain-data snapshot of `", stringify!($live), "`.")]
+            $(#[$smeta])*
+            $svis struct $snap { $( $(#[$fmeta])* $field ),* }
+        }
 
-    /// Reset every counter to zero (between experiment phases).
-    pub fn reset(&self) {
-        self.syscalls.store(0, Relaxed);
-        self.crossings.store(0, Relaxed);
-        self.bytes_copied_in.store(0, Relaxed);
-        self.bytes_copied_out.store(0, Relaxed);
-        self.context_switches.store(0, Relaxed);
-        self.page_faults.store(0, Relaxed);
-        self.guard_hits.store(0, Relaxed);
-        self.disk_reads.store(0, Relaxed);
-        self.disk_writes.store(0, Relaxed);
-        self.preempt_ticks.store(0, Relaxed);
-        self.compounds.store(0, Relaxed);
-        self.compound_ops.store(0, Relaxed);
+        impl $live {
+            /// Read every counter (relaxed).
+            pub fn snapshot(&self) -> $snap {
+                $snap { $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed) ),* }
+            }
+
+            /// Zero every counter (between measurement phases).
+            pub fn reset(&self) {
+                $( self.$field.store(0, ::std::sync::atomic::Ordering::Relaxed); )*
+            }
+        }
+    };
+    (
+        $(#[$smeta:meta])*
+        $svis:vis struct $snap:ident {
+            $( $(#[$fmeta:meta])* $field:ident ),* $(,)?
+        }
+    ) => {
+        $(#[$smeta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $svis struct $snap {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $snap {
+            /// Counter movement since an `earlier` snapshot (field-wise
+            /// subtract).
+            pub fn delta(&self, earlier: &$snap) -> $snap {
+                $snap { $( $field: self.$field - earlier.$field ),* }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Counters for every simulated event class the experiments report.
+    pub struct Stats => pub struct StatsSnapshot {
+        /// System calls dispatched (each is one user↔kernel round trip).
+        syscalls,
+        /// User↔kernel boundary crossings (round trips). One Cosy compound
+        /// is a single crossing no matter how many operations it executes,
+        /// which is exactly the quantity the paper's speedups come from.
+        crossings,
+        /// Bytes copied from user space into the kernel.
+        bytes_copied_in,
+        /// Bytes copied from the kernel out to user space.
+        bytes_copied_out,
+        /// Process context switches performed by the scheduler.
+        context_switches,
+        /// Page faults taken (all kinds).
+        page_faults,
+        /// Guardian-PTE hits (Kefence violations detected).
+        guard_hits,
+        /// Disk read operations.
+        disk_reads,
+        /// Disk write operations.
+        disk_writes,
+        /// Preemption ticks observed (watchdog checkpoints).
+        preempt_ticks,
+        /// Compounds executed by the Cosy kernel extension.
+        compounds,
+        /// Individual operations executed inside compounds.
+        compound_ops,
     }
 }
 
 impl StatsSnapshot {
-    /// Per-field difference `self - earlier` (for windowed measurements).
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            syscalls: self.syscalls - earlier.syscalls,
-            crossings: self.crossings - earlier.crossings,
-            bytes_copied_in: self.bytes_copied_in - earlier.bytes_copied_in,
-            bytes_copied_out: self.bytes_copied_out - earlier.bytes_copied_out,
-            context_switches: self.context_switches - earlier.context_switches,
-            page_faults: self.page_faults - earlier.page_faults,
-            guard_hits: self.guard_hits - earlier.guard_hits,
-            disk_reads: self.disk_reads - earlier.disk_reads,
-            disk_writes: self.disk_writes - earlier.disk_writes,
-            preempt_ticks: self.preempt_ticks - earlier.preempt_ticks,
-            compounds: self.compounds - earlier.compounds,
-            compound_ops: self.compound_ops - earlier.compound_ops,
-        }
-    }
-
+    /// Total bytes that crossed the user/kernel boundary in either direction.
     pub fn bytes_crossed(&self) -> u64 {
         self.bytes_copied_in + self.bytes_copied_out
     }

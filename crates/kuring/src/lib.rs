@@ -285,14 +285,6 @@ impl Uring {
         }
     }
 
-    pub fn sq_capacity(&self) -> usize {
-        self.sq_cap
-    }
-
-    pub fn cq_capacity(&self) -> usize {
-        self.cq_cap
-    }
-
     /// Entries currently waiting in the submission queue.
     pub fn sq_len(&self) -> usize {
         self.state.lock().sq.len()

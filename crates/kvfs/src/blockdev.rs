@@ -277,11 +277,6 @@ impl BlockDev {
         *self.last.lock() = None;
     }
 
-    /// Number of blocks with stored byte images (platter occupancy).
-    pub fn stored_blocks(&self) -> usize {
-        self.store.lock().len()
-    }
-
     /// Mark a block as cached without charging (e.g. the inode block of a
     /// freshly created file already lives in memory).
     pub fn prime_cache(&self, addr: BlockAddr) {

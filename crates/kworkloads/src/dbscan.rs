@@ -292,50 +292,16 @@ pub fn probe_cosy(rig: &Rig, proc: &UserProc, path: &str, cfg: &DbConfig) -> DbR
     }
 }
 
-/// Page-cache behaviour of one scan phase on kjfs: [`kjfs::KjfsStats`]
-/// deltas for the cache-relevant counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CachePhase {
-    pub hits: u64,
-    pub misses: u64,
-    pub readahead_issued: u64,
-    /// Readahead-installed pages later referenced by a real read.
-    pub readahead_hits: u64,
-    /// Clean pages dropped by capacity pressure during this phase.
-    pub evictions: u64,
-}
-
-impl CachePhase {
-    fn delta(before: &kjfs::KjfsStats, after: &kjfs::KjfsStats) -> CachePhase {
-        CachePhase {
-            hits: after.cache_hits - before.cache_hits,
-            misses: after.cache_misses - before.cache_misses,
-            readahead_issued: after.readahead_issued - before.readahead_issued,
-            readahead_hits: after.readahead_hits - before.readahead_hits,
-            evictions: after.evictions - before.evictions,
-        }
-    }
-
-    /// Fraction of page lookups served from cache, in percent.
-    pub fn hit_pct(&self) -> f64 {
-        100.0 * self.hits as f64 / (self.hits + self.misses).max(1) as f64
-    }
-
-    /// Fraction of prefetched pages a real read later touched, in percent.
-    pub fn readahead_pct(&self) -> f64 {
-        100.0 * self.readahead_hits as f64 / self.readahead_issued.max(1) as f64
-    }
-}
-
 /// The out-of-core scan result: the same sequential scan + random probes
 /// as the memfs variants, but on a kjfs mount whose page cache is smaller
 /// than the record file, with per-phase cache behaviour.
 #[derive(Debug, Clone)]
 pub struct DbCacheReport {
     pub seq: DbRunReport,
-    pub seq_cache: CachePhase,
+    /// Page-cache behaviour of the scan: a [`kjfs::KjfsStats`] delta.
+    pub seq_cache: kjfs::KjfsStats,
     pub probe: DbRunReport,
-    pub probe_cache: CachePhase,
+    pub probe_cache: kjfs::KjfsStats,
 }
 
 /// Block-level dbscan on kjfs at a working set exceeding the page cache:
@@ -366,9 +332,9 @@ pub fn scan_kjfs_out_of_core(cfg: &DbConfig, cache_pages: usize) -> DbCacheRepor
     let s2 = fs.stats();
     DbCacheReport {
         seq,
-        seq_cache: CachePhase::delta(&s0, &s1),
+        seq_cache: s1.delta(&s0),
         probe,
-        probe_cache: CachePhase::delta(&s1, &s2),
+        probe_cache: s2.delta(&s1),
     }
 }
 
@@ -433,7 +399,7 @@ mod tests {
         let r = scan_kjfs_out_of_core(&c, 512);
         assert_eq!(r.seq.checksum, expected_scan_checksum(&c), "scan data intact on kjfs");
         assert_eq!(r.seq.records_touched, 1024);
-        assert!(r.seq_cache.misses > 0, "working set exceeds the cache");
+        assert!(r.seq_cache.cache_misses > 0, "working set exceeds the cache");
         assert!(r.seq_cache.evictions > 0, "capacity pressure evicts");
         assert!(r.seq_cache.readahead_issued > 0);
         assert!(
@@ -443,7 +409,7 @@ mod tests {
             r.seq_cache.readahead_issued
         );
         assert_eq!(r.probe.records_touched, 200);
-        assert!(r.probe_cache.misses > 0, "random probes past capacity miss");
+        assert!(r.probe_cache.cache_misses > 0, "random probes past capacity miss");
     }
 
     #[test]

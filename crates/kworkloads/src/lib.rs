@@ -22,7 +22,7 @@ pub mod webserver;
 
 pub use amutils::{run_compile, CompileConfig, CompileReport};
 pub use dbscan::{
-    probe_cosy, probe_user, scan_cosy, scan_kjfs_out_of_core, scan_user, setup_db, CachePhase,
+    probe_cosy, probe_user, scan_cosy, scan_kjfs_out_of_core, scan_user, setup_db,
     DbCacheReport, DbConfig, DbRunReport,
 };
 pub use kprogs::{

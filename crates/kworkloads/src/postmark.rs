@@ -73,18 +73,6 @@ pub struct PostmarkReport {
     pub stats: StatsSnapshot,
 }
 
-impl PostmarkReport {
-    /// Transactions per simulated second.
-    pub fn tx_per_sec(&self, transactions: usize) -> f64 {
-        let secs = self.elapsed.elapsed_secs();
-        if secs == 0.0 {
-            0.0
-        } else {
-            transactions as f64 / secs
-        }
-    }
-}
-
 /// Run PostMark on `rig` as process `proc`.
 pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> PostmarkReport {
     assert!(cfg.max_size >= cfg.min_size);

@@ -96,9 +96,9 @@ fn main() {
         );
         println!(
             "   kefence stats: {} allocs, avg {:.0} B, peak {} outstanding pages, {} violations",
-            kef.counters().0,
-            kef.avg_alloc_size(),
-            kef.max_outstanding_pages(),
+            kef.stats().allocs,
+            kef.stats().avg_alloc_size(),
+            kef.stats().max_outstanding_pages,
             kef.violations().len()
         );
         assert!(kef.violations().is_empty());

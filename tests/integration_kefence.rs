@@ -17,10 +17,10 @@ fn compile_workload_runs_clean_under_kefence() {
     let r = run_compile(&rig, &p, &cfg);
     assert_eq!(r.files_compiled, 20);
     assert!(kef.violations().is_empty(), "{:?}", kef.violations());
-    let (allocs, frees, _) = kef.counters();
-    assert!(allocs > 200);
-    assert!(frees > 0);
-    assert!(kef.max_outstanding_pages() > 0);
+    let st = kef.stats();
+    assert!(st.allocs > 200);
+    assert!(st.frees > 0);
+    assert!(st.max_outstanding_pages > 0);
 }
 
 #[test]
@@ -107,8 +107,87 @@ fn kefence_memory_cost_is_page_granular() {
     run_postmark(&rig, &p, &cfg);
     // Average Wrapfs allocation is small (page buffers skew it up from the
     // 80-byte private data), yet every allocation burned ≥1 page.
-    let (allocs, _, bytes) = kef.counters();
-    let avg = bytes as f64 / allocs as f64;
+    let st = kef.stats();
+    let avg = st.avg_alloc_size();
     assert!(avg < 4096.0, "avg alloc {avg:.0} B");
-    assert!(kef.max_outstanding_pages() >= 30, "one page per live private data");
+    assert!(st.max_outstanding_pages >= 30, "one page per live private data");
+}
+
+/// One scripted alloc/free sequence through every allocator that keeps the
+/// §3.2 ledger, pinned after each phase. The page allocators round each
+/// request up to whole pages (Kefence's guardian is not counted).
+mod alloc_ledger {
+    use kucode::kalloc::AllocSnapshot;
+    use kucode::prelude::*;
+    use std::sync::Arc;
+
+    enum Phase {
+        Alloc(&'static [usize]),
+        Free(&'static [usize]), // indices into the allocations so far
+    }
+    use Phase::*;
+
+    const SCRIPT: [Phase; 4] =
+        [Alloc(&[80, 4096, 4097, 12_000]), Free(&[1]), Alloc(&[33, 8192]), Free(&[0, 2, 3, 4, 5])];
+
+    /// (allocs, frees, bytes requested, avg size, outstanding pages, high water)
+    type Row = (u64, u64, u64, f64, u64, u64);
+
+    const PAGE_ROWS: [Row; 4] = [
+        (4, 0, 20_273, 20_273.0 / 4.0, 7, 7),
+        (4, 1, 20_273, 20_273.0 / 4.0, 6, 7),
+        (6, 1, 28_498, 28_498.0 / 6.0, 9, 9),
+        (6, 6, 28_498, 28_498.0 / 6.0, 0, 9),
+    ];
+
+    fn run(alloc: &dyn KernelAllocator, stats: impl Fn() -> AllocSnapshot) -> Vec<Row> {
+        let mut addrs = Vec::new();
+        let mut rows = Vec::new();
+        for phase in &SCRIPT {
+            match phase {
+                Alloc(sizes) => addrs.extend(sizes.iter().map(|&n| alloc.alloc(n).ok())),
+                Free(idx) => {
+                    for a in idx.iter().filter_map(|&i| addrs[i].take()) {
+                        alloc.free(a).unwrap();
+                    }
+                }
+            }
+            let s = stats();
+            let (hw, avg) = (s.max_outstanding_pages, s.avg_alloc_size());
+            rows.push((s.allocs, s.frees, s.bytes_requested, avg, s.outstanding_pages, hw));
+        }
+        rows
+    }
+
+    fn machine() -> Arc<Machine> {
+        Arc::new(Machine::new(MachineConfig::default()))
+    }
+
+    #[test]
+    fn kmalloc_ledger() {
+        // Slab refuses requests above 4 KiB before counting them, and its
+        // objects share pages, so its page columns stay 0.
+        let s = SlabAllocator::new(machine());
+        let rows: [Row; 4] = [
+            (2, 0, 4_176, 4_176.0 / 2.0, 0, 0),
+            (2, 1, 4_176, 4_176.0 / 2.0, 0, 0),
+            (3, 1, 4_209, 4_209.0 / 3.0, 0, 0),
+            (3, 3, 4_209, 4_209.0 / 3.0, 0, 0),
+        ];
+        assert_eq!(run(&s, || s.stats()), rows);
+    }
+
+    #[test]
+    fn vmalloc_ledger_in_both_index_modes() {
+        for index in [VfreeIndex::LinearList, VfreeIndex::HashTable] {
+            let v = Vmalloc::new(machine(), index);
+            assert_eq!(run(&v, || v.stats()), PAGE_ROWS, "{index:?}");
+        }
+    }
+
+    #[test]
+    fn kefence_ledger() {
+        let k = Kefence::new(machine(), OnViolation::Crash, Protect::Overflow);
+        assert_eq!(run(k.as_ref(), || k.stats()), PAGE_ROWS);
+    }
 }

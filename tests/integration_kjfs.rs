@@ -170,7 +170,7 @@ fn double_crash_during_multi_txn_replay_converges() {
         fs.write(f, 0, &vec![round; 6000]).unwrap();
         fs.fsync(f, false).unwrap();
     }
-    assert!(fs.stats().live_txns >= 3, "tail must hold several txns");
+    assert!(fs.live_txns() >= 3, "tail must hold several txns");
     fs.power_cut();
     drop(fs);
     dev.drop_caches();
