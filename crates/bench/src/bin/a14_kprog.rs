@@ -20,7 +20,8 @@
 //! 2. Both walkers recover the chain's ground truth exactly.
 //! 3. The kernel walk's crossing bill is O(1) in chain length; the user
 //!    loop's is O(n).
-//! 4. Re-loading a program is a cache hit — verification runs once.
+//! 4. Re-loading a program is a cache hit — verification runs once — and
+//!    10,000 distinct programs leave at most the cache's 256-entry budget.
 //! 5. A syscall-entry filter vetoes writes, passes reads, and detaches
 //!    cleanly.
 
@@ -80,6 +81,21 @@ fn cache_skips_reverification() -> bool {
     let p2 = engine.load(CHASE_CQE_SRC, &spec).unwrap();
     let stats = engine.cache_stats();
     Arc::ptr_eq(&p1, &p2) && stats.hits == 1 && stats.misses == 1
+}
+
+/// Loading `FLOOD` distinct programs keeps the verified-program cache at
+/// its 256-entry budget. Returns the cache's entry count.
+fn program_cache_entries_after_flood() -> usize {
+    const FLOOD: usize = 10_000;
+    let rig = Rig::memfs();
+    let engine = ProgEngine::new(rig.machine.clone());
+    let spec = ProgSpec::new(HookClass::SyscallEntry, "f");
+    for i in 0..FLOOD {
+        let src = format!("int f(int *ctx, int *state) {{ return {i}; }}");
+        engine.load(&src, &spec).unwrap();
+    }
+    assert_eq!(engine.cache_stats().misses, FLOOD as u64);
+    engine.cache_stats().entries
 }
 
 /// The read-only filter vetoes writes at syscall entry, passes reads, and
@@ -182,6 +198,14 @@ pub fn run(report: &mut Report) {
         "1 hit, 1 miss, same proof object",
         cached,
         cached,
+    );
+    let entries = program_cache_entries_after_flood();
+    report.add(
+        "A14",
+        "program cache: 10,000 distinct programs",
+        "<= 256 entries",
+        format!("{entries} entries"),
+        entries <= 256,
     );
     let filtered = filter_vetoes_writes();
     report.add(

@@ -10,7 +10,9 @@
 //!    dispatch efficiency.)
 //! 2. **Translation cache** — resubmitting byte-identical compounds must
 //!    hit the cache, skipping decode+validate and charging fewer simulated
-//!    kernel cycles than a cold submission.
+//!    kernel cycles than a cold submission; and a process flooding the
+//!    kernel with 100,000 distinct compounds must leave at most its
+//!    256-entry budget behind.
 //!
 //! The speedup rows are host-timed: they print and carry a verdict, but
 //! only the cache rows, which count simulated cycles, gate `all`.
@@ -234,10 +236,43 @@ fn translation_cache(report: &mut Report) {
     );
 }
 
+/// One process submits `FLOOD` distinct compounds: its share of the
+/// cache stays at the per-process budget and the rest are evicted.
+fn translation_cache_budget(report: &mut Report) {
+    const FLOOD: u64 = 100_000;
+    const BUDGET: usize = 256;
+    let rig = Rig::memfs();
+    let p = rig.user(1 << 16);
+    let cb = SharedRegion::new(rig.machine.clone(), p.pid, 1, 4).unwrap();
+    let db = SharedRegion::new(rig.machine.clone(), p.pid, 1, 5).unwrap();
+    for i in 0..FLOOD as i64 {
+        let mut b = CompoundBuilder::new(&cb, &db);
+        b.syscall(
+            CosyCall::Lseek,
+            vec![CompoundBuilder::lit(i), CompoundBuilder::lit(0), CompoundBuilder::lit(0)],
+        );
+        b.finish().unwrap();
+        rig.cosy.submit(p.pid, &cb, &db, &CosyOptions::default()).unwrap();
+    }
+    let stats = rig.cosy.cache_stats();
+    println!(
+        "flood: {FLOOD} distinct compounds -> {} entries, {} evictions",
+        stats.entries, stats.evictions
+    );
+    report.add(
+        "A7",
+        "cache: 100,000 distinct compounds from one pid",
+        format!("<= {BUDGET} entries"),
+        format!("{} entries, {} evictions", stats.entries, stats.evictions),
+        stats.entries <= BUDGET && stats.misses == FLOOD,
+    );
+}
+
 pub fn run(report: &mut Report) {
     banner("A7", "Bytecode VM vs tree-walker + compound translation cache");
     vm_speedup(report);
     translation_cache(report);
+    translation_cache_budget(report);
 }
 
 fn main() {

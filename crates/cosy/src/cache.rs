@@ -8,12 +8,23 @@
 //! as to the boundary crossings it saves.
 //!
 //! The machinery is [`ksim::ByteCache`], shared with kprog's verified-
-//! program cache: an FNV-1a hash over the raw bytes of the shared compound
-//! buffer picks the bucket, byte-for-byte equality confirms the entry (hash
-//! collisions can never alias two different compounds). A hit returns the
-//! previously decoded and validated [`Compound`], so the per-op decode
-//! charge is replaced by one small constant. A miss decodes, validates, and
-//! — only if both succeed — inserts; malformed compounds are never cached.
+//! program cache. The key is the encoded compound itself —
+//! `buf[..Compound::wire_len(buf)]`, not the whole shared buffer — so a
+//! compound rewritten over a page that held a longer one still hits, and
+//! hashing costs the compound's length rather than the buffer's. An
+//! [`FxHasher`](ksim::FxHasher) digest, a word at a time, picks the bucket;
+//! byte-for-byte equality confirms the entry (hash collisions can never
+//! alias two different compounds). A hit returns the previously decoded
+//! and validated [`Compound`], so the per-op decode charge is replaced by
+//! one small constant. A miss decodes, validates, and — only if both
+//! succeed — inserts; malformed compounds are never cached.
+//!
+//! Any process can fill a shared buffer with fresh compounds, so every
+//! entry is charged to the submitting pid, and each pid keeps at most 256
+//! entries and 1 MiB of key bytes. Past that, a CLOCK hand over that pid's
+//! entries evicts one not submitted since the hand last passed: a process
+//! flooding the kernel with one-off compounds recycles its own slots and
+//! never evicts another process's hot compounds.
 //!
 //! Execution-time checks (buffer-reference range checks, watchdog, result
 //! arity) still run on every submission: the cache elides only the work
@@ -21,7 +32,7 @@
 
 use std::sync::Arc;
 
-use ksim::{ByteCache, ByteCacheEntry, ByteCacheStats};
+use ksim::{ByteCache, ByteCacheEntry, ByteCacheStats, Pid};
 
 use crate::compound::Compound;
 
@@ -29,7 +40,7 @@ use crate::compound::Compound;
 /// `entry.value()` is the [`Compound`]; `entry.bytes()` the submission.
 pub type CachedCompound = ByteCacheEntry<Compound>;
 
-/// Hit/miss counters, snapshotted by [`TranslationCache::stats`].
+/// Hit/miss/eviction counters, snapshotted by [`TranslationCache::stats`].
 pub type CacheStats = ByteCacheStats;
 
 /// The compound translation cache: submission bytes → decoded compound.
@@ -50,10 +61,11 @@ impl TranslationCache {
         self.inner.lookup(bytes)
     }
 
-    /// Record a successful translation. Returns the shared entry (the one
-    /// already present, if a racing submission inserted first).
-    pub fn insert(&self, bytes: Vec<u8>, compound: Compound) -> Arc<CachedCompound> {
-        self.inner.insert(bytes, compound)
+    /// Record a successful translation on `pid`'s budget. Returns the
+    /// shared entry (the one already present, if a racing submission
+    /// inserted first).
+    pub fn insert(&self, pid: Pid, bytes: Vec<u8>, compound: Compound) -> Arc<CachedCompound> {
+        self.inner.insert(pid.0 as u64, bytes, compound)
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -86,11 +98,11 @@ mod tests {
         let c = sample(3);
         let bytes = c.encode();
         assert!(cache.lookup(&bytes).is_none());
-        cache.insert(bytes.clone(), c.clone());
+        cache.insert(Pid(1), bytes.clone(), c.clone());
         let hit = cache.lookup(&bytes).expect("must hit after insert");
         assert_eq!(hit.value(), &c);
         assert_eq!(hit.bytes(), &bytes[..]);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0, entries: 1 });
     }
 
     #[test]
@@ -98,7 +110,7 @@ mod tests {
         let cache = TranslationCache::new();
         for n in 0..10 {
             let c = sample(n);
-            cache.insert(c.encode(), c);
+            cache.insert(Pid(1), c.encode(), c);
         }
         assert_eq!(cache.stats().entries, 10);
         for n in 0..10 {
@@ -115,8 +127,8 @@ mod tests {
         let cache = TranslationCache::new();
         let a = sample(1);
         let b = sample(2);
-        cache.insert(a.encode(), a.clone());
-        cache.insert(b.encode(), b.clone());
+        cache.insert(Pid(1), a.encode(), a.clone());
+        cache.insert(Pid(1), b.encode(), b.clone());
         assert_eq!(cache.lookup(&a.encode()).unwrap().value(), &a);
         assert_eq!(cache.lookup(&b.encode()).unwrap().value(), &b);
         // And bytes that were never inserted miss even at equal length.
@@ -127,7 +139,7 @@ mod tests {
     fn clear_empties_entries_but_keeps_counters() {
         let cache = TranslationCache::new();
         let c = sample(7);
-        cache.insert(c.encode(), c.clone());
+        cache.insert(Pid(1), c.encode(), c.clone());
         assert!(cache.lookup(&c.encode()).is_some());
         cache.clear();
         assert!(cache.lookup(&c.encode()).is_none());

@@ -158,24 +158,19 @@ impl Compound {
         out
     }
 
-    /// Decode from the shared compound buffer.
+    /// Decode from the shared compound buffer. Bytes past the encoded
+    /// compound are ignored.
     pub fn decode(buf: &[u8]) -> Result<Compound, DecodeError> {
         let mut c = Cursor { buf, pos: 0 };
-        let n = c.u32()? as usize;
-        if n > 10_000 {
-            return Err(DecodeError::new("unreasonable op count"));
-        }
+        let n = op_count(&mut c)?;
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
             match c.u8()? {
                 0 => {
-                    let call = CosyCall::from_u8(c.u8()?)
-                        .ok_or_else(|| DecodeError::new("bad call code"))?;
-                    let argc = c.u8()? as usize;
+                    let call = call_code(&mut c)?;
+                    let argc = arg_count(&mut c)?;
                     let args = decode_args(&mut c, argc)?;
-                    if args.len() != call.arity() {
-                        return Err(DecodeError::new("arity mismatch"));
-                    }
+                    check_arity(call, argc)?;
                     ops.push(CosyOp::Syscall { call, args });
                 }
                 1 => {
@@ -183,7 +178,7 @@ impl Compound {
                     let namelen = c.u8()? as usize;
                     let name = c.bytes(namelen)?;
                     let func = String::from_utf8_lossy(name).into_owned();
-                    let argc = c.u8()? as usize;
+                    let argc = arg_count(&mut c)?;
                     let args = decode_args(&mut c, argc)?;
                     ops.push(CosyOp::CallUser { prog, func, args });
                 }
@@ -191,6 +186,37 @@ impl Compound {
             }
         }
         Ok(Compound { ops })
+    }
+
+    /// Length of the compound encoded at the front of `buf`: a skip-scan
+    /// over the same wire grammar as [`Compound::decode`] that allocates
+    /// nothing. It fails exactly when `decode` fails, with the same error,
+    /// so `buf[..wire_len(buf)?]` is the part of a shared buffer that
+    /// determines the decoded compound (the translation cache's key).
+    pub fn wire_len(buf: &[u8]) -> Result<usize, DecodeError> {
+        let mut c = Cursor { buf, pos: 0 };
+        for _ in 0..op_count(&mut c)? {
+            match c.u8()? {
+                0 => {
+                    let call = call_code(&mut c)?;
+                    let argc = arg_count(&mut c)?;
+                    for _ in 0..argc {
+                        read_arg(&mut c)?;
+                    }
+                    check_arity(call, argc)?;
+                }
+                1 => {
+                    c.u32()?;
+                    let namelen = c.u8()? as usize;
+                    c.bytes(namelen)?;
+                    for _ in 0..arg_count(&mut c)? {
+                        read_arg(&mut c)?;
+                    }
+                }
+                _ => return Err(DecodeError::new("bad op tag")),
+            }
+        }
+        Ok(c.pos)
     }
 
     /// Static validation: result references must point backwards. Part of
@@ -232,20 +258,50 @@ fn encode_args(out: &mut Vec<u8>, args: &[CosyArg]) {
     }
 }
 
-fn decode_args(c: &mut Cursor<'_>, argc: usize) -> Result<Vec<CosyArg>, DecodeError> {
+// Wire-grammar pieces shared by `decode` and `wire_len`.
+
+fn op_count(c: &mut Cursor<'_>) -> Result<usize, DecodeError> {
+    let n = c.u32()? as usize;
+    if n > 10_000 {
+        return Err(DecodeError::new("unreasonable op count"));
+    }
+    Ok(n)
+}
+
+fn call_code(c: &mut Cursor<'_>) -> Result<CosyCall, DecodeError> {
+    CosyCall::from_u8(c.u8()?).ok_or_else(|| DecodeError::new("bad call code"))
+}
+
+fn arg_count(c: &mut Cursor<'_>) -> Result<usize, DecodeError> {
+    let argc = c.u8()? as usize;
     if argc > 8 {
         return Err(DecodeError::new("too many args"));
     }
+    Ok(argc)
+}
+
+fn check_arity(call: CosyCall, argc: usize) -> Result<(), DecodeError> {
+    if argc != call.arity() {
+        return Err(DecodeError::new("arity mismatch"));
+    }
+    Ok(())
+}
+
+fn decode_args(c: &mut Cursor<'_>, argc: usize) -> Result<Vec<CosyArg>, DecodeError> {
     let mut args = Vec::with_capacity(argc);
     for _ in 0..argc {
-        args.push(match c.u8()? {
-            0 => CosyArg::Lit(c.i64()?),
-            1 => CosyArg::ResultOf(c.u32()?),
-            2 => CosyArg::BufRef { offset: c.u32()?, len: c.u32()? },
-            _ => return Err(DecodeError::new("bad arg tag")),
-        });
+        args.push(read_arg(c)?);
     }
     Ok(args)
+}
+
+fn read_arg(c: &mut Cursor<'_>) -> Result<CosyArg, DecodeError> {
+    Ok(match c.u8()? {
+        0 => CosyArg::Lit(c.i64()?),
+        1 => CosyArg::ResultOf(c.u32()?),
+        2 => CosyArg::BufRef { offset: c.u32()?, len: c.u32()? },
+        _ => return Err(DecodeError::new("bad arg tag")),
+    })
 }
 
 /// Compound decode/validation failure.
@@ -429,6 +485,39 @@ mod proptests {
             if let Ok(c) = Compound::decode(&bytes) {
                 // Whatever decoded must re-encode decodably.
                 let _ = Compound::decode(&c.encode()).expect("re-decode");
+            }
+        }
+
+        /// The skip-scan measures exactly the encoded compound, whatever
+        /// follows it in the buffer.
+        #[test]
+        fn wire_len_measures_the_encoding(
+            ops in proptest::collection::vec(arb_op(), 0..24),
+            junk in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let enc = Compound { ops }.encode();
+            let mut buf = enc.clone();
+            buf.extend_from_slice(&junk);
+            prop_assert_eq!(Compound::wire_len(&buf), Ok(enc.len()));
+        }
+
+        /// On arbitrary and truncated bytes, `wire_len` fails exactly when
+        /// `decode` does, with the same error.
+        #[test]
+        fn wire_len_fails_exactly_when_decode_fails(
+            garbage in proptest::collection::vec(any::<u8>(), 0..256),
+            ops in proptest::collection::vec(arb_op(), 1..12),
+            cut in any::<u16>(),
+        ) {
+            let enc = Compound { ops }.encode();
+            let truncated = &enc[..cut as usize % enc.len()];
+            for buf in [&garbage[..], truncated] {
+                let decoded = Compound::decode(buf);
+                let measured = Compound::wire_len(buf);
+                prop_assert_eq!(measured.as_ref().err(), decoded.as_ref().err());
+                if let (Ok(c), Ok(n)) = (decoded, measured) {
+                    prop_assert_eq!(Compound::decode(&buf[..n]), Ok(c), "the prefix decodes alike");
+                }
             }
         }
 

@@ -153,7 +153,8 @@ impl From<DecodeError> for CosyError {
 /// Cycles to decode one compound operation (the paper notes decode overhead
 /// grows with language complexity; this is the per-op constant).
 const DECODE_OP_CYCLES: u64 = 90;
-/// Cycles to hash the submission bytes and probe the translation cache.
+/// Cycles to measure and hash the encoded compound and probe the
+/// translation cache.
 /// Charged on every submission; a hit charges nothing else, replacing the
 /// whole `DECODE_OP_CYCLES * len` translation cost.
 const CACHE_PROBE_CYCLES: u64 = 30;
@@ -194,7 +195,7 @@ impl CosyExtension {
         &self.sys
     }
 
-    /// Translation-cache hit/miss/entry counters.
+    /// Translation-cache hit/miss/eviction/entry counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -300,19 +301,22 @@ impl CosyExtension {
         let mut bytes = vec![0u8; compound_buf.len()];
         compound_buf.kern_read(0, &mut bytes)?;
 
-        // Translation cache: identical submission bytes have already been
-        // decoded and validated — reuse that work. Only a compound that
-        // survives both steps is inserted, so a cached entry is always a
-        // well-formed compound. Execution-time checks (buffer ranges,
-        // watchdog) still run below on every submission.
+        // Translation cache: an identical encoded compound has already been
+        // decoded and validated — reuse that work. The key is the encoding
+        // alone; whatever the buffer holds past it cannot change the
+        // decode. Only a compound that survives both steps is inserted, so
+        // a cached entry is always a well-formed compound. Execution-time
+        // checks (buffer ranges, watchdog) still run below on every
+        // submission.
         machine.charge_sys(CACHE_PROBE_CYCLES);
-        let cached = match self.cache.lookup(&bytes) {
+        let key = &bytes[..Compound::wire_len(&bytes)?];
+        let cached = match self.cache.lookup(key) {
             Some(entry) => entry,
             None => {
-                let compound = Compound::decode(&bytes)?;
+                let compound = Compound::decode(key)?;
                 compound.validate()?;
                 machine.charge_sys(DECODE_OP_CYCLES * compound.len() as u64);
-                self.cache.insert(bytes, compound)
+                self.cache.insert(pid, key.to_vec(), compound)
             }
         };
         let compound = cached.value();
@@ -1214,6 +1218,26 @@ pub(crate) mod tests {
         let r1b = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
         assert_eq!(r1, r1b);
         assert_eq!(ext.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn cache_key_ignores_what_the_buffer_holds_past_the_compound() {
+        // The key is the encoded compound, not the page: the same compound
+        // written over two different leftovers is one miss, then one hit.
+        let (m, _sys, ext, pid) = setup();
+        let (cb, db) = regions(&m, pid);
+        let compound = Compound {
+            ops: vec![CosyOp::Syscall { call: CosyCall::Getpid, args: vec![] }],
+        };
+        let mut results = Vec::new();
+        for residue in [0x11u8, 0xee] {
+            cb.user_write(0, &vec![residue; cb.len()]).unwrap();
+            cb.user_write(0, &compound.encode()).unwrap();
+            results.push(ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap());
+        }
+        assert_eq!(results[0], results[1]);
+        let stats = ext.cache_stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
     }
 
     #[test]

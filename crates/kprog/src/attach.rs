@@ -102,10 +102,9 @@ impl Attachment {
         let arena_base = buf_addr + (buf_pages * PAGE_SIZE) as u64;
         let arena_len = ARENA_PAGES * PAGE_SIZE;
         let total_pages = 1 + buf_pages + ARENA_PAGES;
-        for i in 0..total_pages {
-            machine.mem.map_anon(asid, REGION_BASE + (i * PAGE_SIZE) as u64, PteFlags::rw())?;
-        }
-        Ok(Attachment {
+        // Built before mapping, so a failed map drops it and `Drop` frees
+        // the pages mapped so far.
+        let att = Attachment {
             machine,
             prog,
             asid,
@@ -116,7 +115,11 @@ impl Attachment {
             arena_len,
             vm_bufs: Mutex::new(VmBuffers::default()),
             counters: AttachCounters::default(),
-        })
+        };
+        for i in 0..total_pages {
+            att.machine.mem.map_anon(asid, REGION_BASE + (i * PAGE_SIZE) as u64, PteFlags::rw())?;
+        }
+        Ok(att)
     }
 
     pub fn prog(&self) -> &Arc<VerifiedProg> {
@@ -268,6 +271,17 @@ impl std::fmt::Debug for Attachment {
             .field("entry", &self.prog.spec().entry)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+/// Tearing down the sandbox frees its frames and shoots down only its own
+/// TLB entries; like the rest of detach, it charges nothing.
+impl Drop for Attachment {
+    fn drop(&mut self) {
+        // The space is this attachment's alone, so this cannot fail; a
+        // panic in `drop` could abort an unwinding thread, so an error is
+        // ignored rather than unwrapped.
+        let _ = self.machine.mem.destroy_space_local(self.asid);
     }
 }
 

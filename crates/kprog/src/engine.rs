@@ -1,10 +1,12 @@
 //! Program loading: KC source → bytecode → verifier → cached proof.
 //!
 //! Verification is the expensive part of a load, so verified programs are
-//! cached by the FNV-1a hash of (spec, source) in the same style as Cosy's
-//! translation cache — re-attaching a program the kernel has seen before
-//! skips parsing, compilation, and verification entirely and reuses the
-//! same [`VerifiedProg`]. Rejections are *not* cached: the
+//! cached by their (spec, source) bytes in the same [`ksim::ByteCache`] as
+//! Cosy's translation cache — re-attaching a program the kernel has seen
+//! before skips parsing, compilation, and verification entirely and
+//! reuses the same [`VerifiedProg`]. `load` has no caller pid, so every
+//! program shares one owner's budget (256 programs, 1 MiB of key bytes,
+//! CLOCK eviction past that). Rejections are *not* cached: the
 //! `kprog.verify.reject` fault site can inject one per load attempt, and a
 //! rejected program costs nothing to keep rejecting.
 
@@ -193,6 +195,9 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
+/// The [`ByteCache`] owner every loaded program is charged to.
+const PROG_OWNER: u64 = 0;
+
 /// The program loader + verification cache.
 pub struct ProgEngine {
     machine: Arc<Machine>,
@@ -234,7 +239,7 @@ impl ProgEngine {
         let proof = verify(&module, spec).map_err(LoadError::Rejected)?;
         let entry_fidx = module.func_by_name(&spec.entry).expect("verified entry exists");
         let vp = Arc::new(VerifiedProg { spec: spec.clone(), module, entry_fidx, proof });
-        let entry = self.cache.insert(key, vp);
+        let entry = self.cache.insert(PROG_OWNER, key, vp);
         Ok(entry.value().clone())
     }
 }

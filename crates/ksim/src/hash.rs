@@ -3,8 +3,11 @@
 //! The default `std` hasher (SipHash 1-3) is keyed against HashDoS — a
 //! property none of the simulator's internal tables need: keys are inode
 //! numbers, descriptor indexes, interned symbols, and block addresses, all
-//! generated by the simulator itself. The multiply-rotate mix below (the
-//! Firefox/rustc "Fx" construction) hashes a `u64` key in a couple of
+//! generated by the simulator itself. The one table keyed on bytes a
+//! (simulated) user chooses, [`ByteCache`], bounds what crafted collisions
+//! can cost with its per-owner budget instead: however an owner's keys
+//! collide, they share at most 256 entries. The multiply-rotate mix below
+//! (the Firefox/rustc "Fx" construction) hashes a `u64` key in a couple of
 //! cycles, which matters on paths consulted per simulated syscall (dcache,
 //! fd tables, socket tables, the page cache).
 //!
@@ -16,7 +19,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -99,9 +102,11 @@ impl Hasher for FxHasher {
     }
 }
 
-/// FNV-1a over a byte string: the canonical one-word digest used wherever
-/// the simulator keys work by raw input bytes (the Cosy translation cache,
-/// the kprog verified-program cache, fault-trace hashes).
+/// FNV-1a over a byte string: the one-word digest with published
+/// reference vectors that the fault plane's trace hash, `VfsSnapshot`
+/// hashes and kjfs block checksums are built on, so a digest computed here
+/// compares with theirs. It consumes one byte per multiply, which is why
+/// [`ByteCache`] keys hash with [`FxHasher`] a word at a time instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -111,12 +116,30 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Most entries one owner may keep in a [`ByteCache`].
+const OWNER_MAX_ENTRIES: usize = 256;
+/// Most key bytes one owner may keep in a [`ByteCache`] (1 MiB).
+const OWNER_MAX_BYTES: usize = 1 << 20;
+
+/// Bucket hash of a cache key: [`FxHasher`] a word at a time, length
+/// folded in.
+fn key_hash(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(bytes.len());
+    h.write(bytes);
+    h.finish()
+}
+
 /// One cached translation: the exact input bytes plus the value derived
 /// from them.
 #[derive(Debug)]
 pub struct ByteCacheEntry<V> {
     bytes: Vec<u8>,
     value: V,
+    hash: u64,
+    /// CLOCK's referenced bit: set by [`ByteCache::lookup`], cleared as
+    /// the owner's hand passes.
+    referenced: AtomicBool,
 }
 
 impl<V> ByteCacheEntry<V> {
@@ -131,37 +154,115 @@ impl<V> ByteCacheEntry<V> {
     }
 }
 
-/// Hit/miss counters, snapshotted by [`ByteCache::stats`].
+/// Hit/miss/eviction counters, snapshotted by [`ByteCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ByteCacheStats {
     pub hits: u64,
     pub misses: u64,
+    pub evictions: u64,
     pub entries: usize,
 }
 
-/// A translation cache keyed on raw input bytes: an FNV-1a hash picks the
-/// bucket, byte-for-byte equality confirms the entry, so hash collisions
-/// can never alias two different inputs. The pattern Cosy introduced for
-/// compound decode+validate — do work whose outcome is a pure function of
-/// the input bytes once, and share the result — generalised so kprog can
-/// cache verified programs the same way.
+/// One owner's entries in CLOCK order, with its share of the budget.
+#[derive(Debug)]
+struct OwnerClock<V> {
+    ring: Vec<Arc<ByteCacheEntry<V>>>,
+    hand: usize,
+    bytes: usize,
+}
+
+impl<V> Default for OwnerClock<V> {
+    fn default() -> Self {
+        OwnerClock { ring: Vec::new(), hand: 0, bytes: 0 }
+    }
+}
+
+impl<V> OwnerClock<V> {
+    fn over_budget(&self, incoming: usize) -> bool {
+        self.ring.len() >= OWNER_MAX_ENTRIES || self.bytes + incoming > OWNER_MAX_BYTES
+    }
+
+    /// Second chance: sweep from the hand, clearing referenced bits, and
+    /// remove the first entry whose bit was already clear. Ends within one
+    /// lap of the ring, since lookups (which set bits) hold the read lock
+    /// and cannot run meanwhile.
+    fn evict(&mut self) -> Arc<ByteCacheEntry<V>> {
+        loop {
+            if self.ring[self.hand].referenced.swap(false, Relaxed) {
+                self.hand = (self.hand + 1) % self.ring.len();
+                continue;
+            }
+            let victim = self.ring.remove(self.hand);
+            if self.hand == self.ring.len() {
+                self.hand = 0;
+            }
+            self.bytes -= victim.bytes.len();
+            return victim;
+        }
+    }
+
+    /// Place `entry` just behind the hand: the last slot the next sweep
+    /// reaches.
+    fn admit(&mut self, entry: Arc<ByteCacheEntry<V>>) {
+        self.bytes += entry.bytes.len();
+        self.ring.insert(self.hand, entry);
+        self.hand = (self.hand + 1) % self.ring.len();
+    }
+}
+
+#[derive(Debug)]
+struct Shelves<V> {
+    buckets: FxHashMap<u64, Vec<Arc<ByteCacheEntry<V>>>>,
+    owners: FxHashMap<u64, OwnerClock<V>>,
+}
+
+impl<V> Default for Shelves<V> {
+    fn default() -> Self {
+        Shelves { buckets: FxHashMap::default(), owners: FxHashMap::default() }
+    }
+}
+
+impl<V> Shelves<V> {
+    fn find(&self, hash: u64, bytes: &[u8]) -> Option<&Arc<ByteCacheEntry<V>>> {
+        self.buckets.get(&hash)?.iter().find(|e| e.bytes == bytes)
+    }
+}
+
+/// A translation cache keyed on raw input bytes: an [`FxHasher`] digest
+/// picks the bucket, byte-for-byte equality confirms the entry, so hash
+/// collisions can never alias two different inputs. The pattern Cosy
+/// introduced for compound decode+validate — do work whose outcome is a
+/// pure function of the input bytes once, and share the result —
+/// generalised so kprog can cache verified programs the same way.
+///
+/// Lookups are shared, but every entry is charged to the owner that
+/// inserted it (Cosy: the submitting pid), and each owner may keep at most
+/// 256 entries and 1 MiB of key bytes. At budget, a CLOCK (second-chance)
+/// hand over that owner's entries evicts the first one not looked up since
+/// the hand last passed, so a flood of one-off inputs from one process
+/// costs a bounded amount of kernel memory and never displaces another
+/// process's entries. A key larger than the whole byte budget is
+/// translated but not kept. Evicted entries stay alive through their
+/// `Arc` for whoever still holds them.
 ///
 /// A hit is counted by [`ByteCache::lookup`]; a miss only by
 /// [`ByteCache::insert`], so a failed translation (which is never cached)
 /// is neither.
 #[derive(Debug)]
 pub struct ByteCache<V> {
-    buckets: RwLock<HashMap<u64, Vec<Arc<ByteCacheEntry<V>>>>>,
+    shelves: RwLock<Shelves<V>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl<V> Default for ByteCache<V> {
     fn default() -> Self {
         ByteCache {
-            buckets: RwLock::new(HashMap::new()),
+            shelves: RwLock::new(Shelves::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 }
@@ -171,27 +272,48 @@ impl<V> ByteCache<V> {
         ByteCache::default()
     }
 
-    /// Look up previously translated bytes; counts a hit on success.
+    /// Look up previously translated bytes; counts a hit and sets the
+    /// entry's referenced bit on success.
     pub fn lookup(&self, bytes: &[u8]) -> Option<Arc<ByteCacheEntry<V>>> {
-        let h = fnv1a(bytes);
-        let buckets = self.buckets.read();
-        let entry = buckets.get(&h)?.iter().find(|e| e.bytes == bytes)?.clone();
+        let hash = key_hash(bytes);
+        let shelves = self.shelves.read();
+        let entry = shelves.find(hash, bytes)?;
+        if !entry.referenced.load(Relaxed) {
+            entry.referenced.store(true, Relaxed);
+        }
         self.hits.fetch_add(1, Relaxed);
-        Some(entry)
+        Some(entry.clone())
     }
 
-    /// Record a successful translation; counts a miss. Returns the shared
-    /// entry (the one already present, if a racing caller inserted first).
-    pub fn insert(&self, bytes: Vec<u8>, value: V) -> Arc<ByteCacheEntry<V>> {
+    /// Record a successful translation on `owner`'s budget, evicting that
+    /// owner's coldest entries to make room; counts a miss. Returns the
+    /// shared entry (the one already present, if a racing caller inserted
+    /// first).
+    pub fn insert(&self, owner: u64, bytes: Vec<u8>, value: V) -> Arc<ByteCacheEntry<V>> {
         self.misses.fetch_add(1, Relaxed);
-        let h = fnv1a(&bytes);
-        let mut buckets = self.buckets.write();
-        let bucket = buckets.entry(h).or_default();
-        if let Some(e) = bucket.iter().find(|e| e.bytes == bytes) {
+        let hash = key_hash(&bytes);
+        let entry =
+            Arc::new(ByteCacheEntry { bytes, value, hash, referenced: AtomicBool::new(false) });
+        if entry.bytes.len() > OWNER_MAX_BYTES {
+            return entry;
+        }
+        let mut guard = self.shelves.write();
+        if let Some(e) = guard.find(hash, &entry.bytes) {
             return e.clone();
         }
-        let entry = Arc::new(ByteCacheEntry { bytes, value });
-        bucket.push(entry.clone());
+        let Shelves { buckets, owners } = &mut *guard;
+        let clock = owners.entry(owner).or_default();
+        while clock.over_budget(entry.bytes.len()) {
+            let victim = clock.evict();
+            let bucket = buckets.get_mut(&victim.hash).expect("every kept entry is bucketed");
+            bucket.retain(|e| !Arc::ptr_eq(e, &victim));
+            if bucket.is_empty() {
+                buckets.remove(&victim.hash);
+            }
+            self.evictions.fetch_add(1, Relaxed);
+        }
+        clock.admit(entry.clone());
+        buckets.entry(hash).or_default().push(entry.clone());
         entry
     }
 
@@ -199,13 +321,15 @@ impl<V> ByteCache<V> {
         ByteCacheStats {
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
-            entries: self.buckets.read().values().map(Vec::len).sum(),
+            evictions: self.evictions.load(Relaxed),
+            entries: self.shelves.read().owners.values().map(|c| c.ring.len()).sum(),
         }
     }
 
-    /// Drop every entry (counters keep accumulating).
+    /// Drop every entry (counters keep accumulating; a clear is not an
+    /// eviction).
     pub fn clear(&self) {
-        self.buckets.write().clear();
+        *self.shelves.write() = Shelves::default();
     }
 }
 
@@ -251,18 +375,18 @@ mod tests {
     fn byte_cache_miss_then_hit() {
         let cache: ByteCache<u64> = ByteCache::new();
         assert!(cache.lookup(b"key").is_none());
-        cache.insert(b"key".to_vec(), 7);
+        cache.insert(0, b"key".to_vec(), 7);
         let e = cache.lookup(b"key").expect("must hit after insert");
         assert_eq!(*e.value(), 7);
         assert_eq!(e.bytes(), b"key");
-        assert_eq!(cache.stats(), ByteCacheStats { hits: 1, misses: 1, entries: 1 });
+        assert_eq!(cache.stats(), ByteCacheStats { hits: 1, misses: 1, evictions: 0, entries: 1 });
     }
 
     #[test]
     fn byte_cache_dedups_racing_inserts() {
         let cache: ByteCache<u64> = ByteCache::new();
-        let a = cache.insert(b"k".to_vec(), 1);
-        let b = cache.insert(b"k".to_vec(), 2);
+        let a = cache.insert(0, b"k".to_vec(), 1);
+        let b = cache.insert(1, b"k".to_vec(), 2);
         assert!(Arc::ptr_eq(&a, &b), "second insert returns the first entry");
         assert_eq!(*b.value(), 1);
         assert_eq!(cache.stats().entries, 1);
@@ -271,12 +395,138 @@ mod tests {
     #[test]
     fn byte_cache_clear_keeps_counters() {
         let cache: ByteCache<u64> = ByteCache::new();
-        cache.insert(b"x".to_vec(), 1);
+        cache.insert(0, b"x".to_vec(), 1);
         assert!(cache.lookup(b"x").is_some());
         cache.clear();
         assert!(cache.lookup(b"x").is_none());
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 0));
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (1, 1, 0, 0));
+    }
+
+    /// Distinct 16-byte keys (the index in the first word).
+    fn key(i: u64) -> Vec<u8> {
+        let mut k = i.to_le_bytes().to_vec();
+        k.extend_from_slice(b"compound");
+        k
+    }
+
+    /// `(entries, key bytes)` charged to `owner`.
+    fn usage<V>(cache: &ByteCache<V>, owner: u64) -> (usize, usize) {
+        let shelves = cache.shelves.read();
+        shelves.owners.get(&owner).map_or((0, 0), |c| (c.ring.len(), c.bytes))
+    }
+
+    #[test]
+    fn hot_key_survives_a_flood_of_one_off_inserts() {
+        let cache: ByteCache<u64> = ByteCache::new();
+        cache.insert(1, b"hot".to_vec(), 0);
+        let flood = 100 * OWNER_MAX_ENTRIES as u64;
+        for i in 0..flood {
+            if i % 32 == 0 {
+                assert!(cache.lookup(b"hot").is_some(), "hot key evicted after {i} inserts");
+            }
+            cache.insert(1, key(i), i);
+        }
+        let s = cache.stats();
+        assert_eq!(s.misses, flood + 1, "the hot key never missed again");
+        assert_eq!(s.hits, flood / 32);
+        assert_eq!(s.entries, OWNER_MAX_ENTRIES);
+    }
+
+    #[test]
+    fn one_owners_flood_evicts_nothing_of_another() {
+        let cache: ByteCache<u64> = ByteCache::new();
+        for i in 0..100 {
+            cache.insert(7, key(1_000_000 + i), i);
+        }
+        for i in 0..20 * OWNER_MAX_ENTRIES as u64 {
+            cache.insert(8, key(i), i);
+        }
+        for i in 0..100 {
+            assert_eq!(*cache.lookup(&key(1_000_000 + i)).unwrap().value(), i);
+        }
+        assert_eq!(usage(&cache, 7), (100, 100 * 16));
+        assert_eq!(usage(&cache, 8).0, OWNER_MAX_ENTRIES);
+    }
+
+    #[test]
+    fn oversized_key_is_translated_but_not_kept() {
+        let cache: ByteCache<u64> = ByteCache::new();
+        cache.insert(1, b"small".to_vec(), 1);
+        let big = vec![0xa5u8; OWNER_MAX_BYTES + 1];
+        let e = cache.insert(1, big.clone(), 2);
+        assert_eq!(*e.value(), 2, "the caller still gets its translation");
+        assert!(cache.lookup(&big).is_none());
+        assert!(cache.lookup(b"small").is_some(), "nothing evicted to make room");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.entries), (2, 0, 1));
+        assert_eq!(usage(&cache, 1), (1, 5));
+    }
+
+    #[test]
+    fn every_insert_leaves_each_owner_within_budget() {
+        let cache: ByteCache<u64> = ByteCache::new();
+        // Key sizes cycle through small and page-sized, so both the entry
+        // cap and the byte cap bind at different times.
+        let sizes = [16usize, 4096, 40, 9000, 300_000, 8];
+        for i in 0..3_000u64 {
+            let owner = i % 3;
+            let mut k = key(i);
+            k.resize(sizes[i as usize % sizes.len()], (i % 251) as u8);
+            cache.insert(owner, k, i);
+            if i % 5 == 0 {
+                cache.lookup(&key(i.saturating_sub(3)));
+            }
+            for o in 0..3 {
+                let (n, bytes) = usage(&cache, o);
+                assert!(n <= OWNER_MAX_ENTRIES, "owner {o}: {n} entries");
+                assert!(bytes <= OWNER_MAX_BYTES, "owner {o}: {bytes} key bytes");
+            }
+            let shelves = cache.shelves.read();
+            let bucketed: usize = shelves.buckets.values().map(Vec::len).sum();
+            assert_eq!(bucketed, cache_entries(&shelves), "buckets and clocks agree");
+        }
+    }
+
+    fn cache_entries<V>(shelves: &Shelves<V>) -> usize {
+        shelves.owners.values().map(|c| c.ring.len()).sum()
+    }
+
+    #[test]
+    fn evictions_are_counted_exactly() {
+        let cache: ByteCache<u64> = ByteCache::new();
+        let n = 3 * OWNER_MAX_ENTRIES as u64 + 17;
+        for i in 0..n {
+            cache.insert(1, key(i), i);
+        }
+        let s = cache.stats();
+        assert_eq!(s.evictions, n - OWNER_MAX_ENTRIES as u64);
+        assert_eq!(s.entries, OWNER_MAX_ENTRIES);
+        // Unreferenced entries leave in insertion order: the newest 256
+        // are the ones kept.
+        assert!(cache.lookup(&key(n - OWNER_MAX_ENTRIES as u64 - 1)).is_none());
+        assert!(cache.lookup(&key(n - OWNER_MAX_ENTRIES as u64)).is_some());
+
+        // The byte cap: four 300 KB keys fit under 1 MiB only three at a
+        // time, so the fourth evicts exactly one.
+        let bytes: ByteCache<u64> = ByteCache::new();
+        for i in 0..4 {
+            bytes.insert(2, vec![i; 300_000], i as u64);
+        }
+        assert_eq!(bytes.stats().evictions, 1);
+        assert_eq!(usage(&bytes, 2), (3, 900_000));
+    }
+
+    #[test]
+    fn evicted_entry_stays_alive_for_its_holder() {
+        let cache: ByteCache<u64> = ByteCache::new();
+        let held = cache.insert(1, key(0), 42);
+        for i in 1..=OWNER_MAX_ENTRIES as u64 {
+            cache.insert(1, key(i), i);
+        }
+        assert!(cache.lookup(&key(0)).is_none(), "the oldest cold entry went first");
+        assert_eq!(*held.value(), 42);
+        assert_eq!(held.bytes(), &key(0)[..]);
     }
 
     #[test]

@@ -506,6 +506,24 @@ impl MemSys {
 
     /// Destroy an address space, releasing every frame it maps.
     pub fn destroy_space(&self, asid: AsId) -> SimResult<()> {
+        self.release_space(asid)?;
+        self.tlb.flush();
+        Ok(())
+    }
+
+    /// [`MemSys::destroy_space`] without the full TLB flush: only `asid`'s
+    /// own translations are shot down, one per mapped page, so every other
+    /// space keeps its cached translations (and the cycles of its next
+    /// accesses). Charges nothing.
+    pub fn destroy_space_local(&self, asid: AsId) -> SimResult<()> {
+        for (vpn, _) in self.release_space(asid)?.iter() {
+            self.tlb.invalidate(asid, vpn);
+        }
+        Ok(())
+    }
+
+    /// Detach `asid`'s page table and free every frame it maps.
+    fn release_space(&self, asid: AsId) -> SimResult<AddressSpace> {
         let space = {
             let mut spaces = self.spaces.write();
             spaces
@@ -518,8 +536,7 @@ impl MemSys {
                 self.phys.free_frame(pfn);
             }
         }
-        self.tlb.flush();
-        Ok(())
+        Ok(space)
     }
 
     /// Register a page-fault handler at the end of the chain.

@@ -2,7 +2,8 @@
 //! `sys_ring_enter` — the `ksyscall` side of the `kuring` shared rings.
 //!
 //! `sys_ring_enter` is the one crossing a whole batch pays. It flushes any
-//! parked overflow completions, then drains up to `to_submit` SQEs and
+//! parked overflow completions (failing with -EBUSY if a full CQ's worth
+//! is still parked), then drains up to `to_submit` SQEs and
 //! executes each **in kernel context**: the SQE is decoded into a
 //! [`KOp`] and run through [`SyscallLayer::dispatch`], the same dispatcher
 //! the classic calls use — so the entry filter, permission checks,
@@ -107,7 +108,9 @@ impl SyscallLayer {
     /// `sys_ring_enter`: the single crossing for a whole batch. Flushes
     /// parked overflow CQEs, then drains up to `to_submit` SQEs, executing
     /// each through the `k_*` paths and posting its CQE. Returns how many
-    /// entries were consumed; -ENXIO without a ring.
+    /// entries were consumed; -ENXIO without a ring; -EBUSY, consuming
+    /// nothing, while a full CQ's worth of completions is still parked on
+    /// the overflow list after the flush (see [`Uring::overflow_full`]).
     ///
     /// Execution is synchronous — every consumed SQE has completed by
     /// return, so any `min_complete` ≤ the submission count is satisfied
@@ -119,6 +122,11 @@ impl SyscallLayer {
                 return Err(OpError::Errno(-6)); // ENXIO
             };
             ring.flush_overflow();
+            if ring.overflow_full() {
+                // The process is not reaping: take no more work until it
+                // does, so the overflow list stays bounded.
+                return Err(OpError::Errno(-16)); // EBUSY
+            }
             // Fetched once per batch: one relaxed load when no CQE program
             // is attached (the common case, pinned by the exact-charge
             // tests).

@@ -17,6 +17,15 @@
 //! is the crossing and the per-op `syscall_dispatch`, replaced by one
 //! crossing per `ring_enter` plus a cheap `uring_op_dispatch` per op.
 //!
+//! The overflow list is bounded. A completion that finds the CQ full is
+//! parked on it (never dropped), and `sys_ring_enter` flushes parked
+//! entries back first; if a full CQ's worth (`cq_cap`) is still parked
+//! after that flush, the enter fails with -EBUSY and consumes no SQE, as
+//! io_uring does. An enter that proceeds starts with fewer than `cq_cap`
+//! parked and posts at most one CQE per consumed SQE, at most `sq_cap`
+//! of them, so the list always holds fewer than `cq_cap + sq_cap`
+//! entries, however long a process submits without reaping.
+//!
 //! The ring only holds the data structures; opcode execution lives in
 //! `ksyscall` (which owns fd tables, the VFS and the socket stack).
 //!
@@ -251,6 +260,7 @@ struct RingState {
     /// Completions that arrived while the CQ was full (or were forced here
     /// by the `uring.cq_overflow` fault site). Counted, never lost: the
     /// kernel flushes them back into the CQ on the next `ring_enter`.
+    /// Fewer than `cq_cap + sq_cap` entries (see [`Uring::overflow_full`]).
     overflow: VecDeque<Cqe>,
     /// Registered (pinned) buffer ranges: `(user_addr, len)` per index.
     bufs: Vec<(u64, usize)>,
@@ -298,6 +308,14 @@ impl Uring {
     /// Completions currently parked on the overflow list.
     pub fn overflow_len(&self) -> usize {
         self.state.lock().overflow.len()
+    }
+
+    /// Whether a full CQ's worth of completions is parked on the overflow
+    /// list: `sys_ring_enter` then refuses new submissions with -EBUSY
+    /// until the process reaps, which keeps the list below
+    /// `cq_cap + sq_cap` entries.
+    pub fn overflow_full(&self) -> bool {
+        self.state.lock().overflow.len() >= self.cq_cap
     }
 
     /// Total completions ever diverted through the overflow list.

@@ -359,3 +359,37 @@ fn cosy_win_scales_with_the_crossing_cost() {
         "with free crossings the paths nearly tie: {free:.1}%"
     );
 }
+
+/// A process submitting a stream of distinct compounds (20x the 256-entry
+/// per-process budget) keeps its share of the translation cache at the
+/// budget, and evicts nothing another process has cached.
+#[test]
+fn compound_flood_is_bounded_per_process() {
+    const BUDGET: usize = 256;
+    let (rig, p, cb, db) = rig_with_region();
+    let q = rig.user(1 << 16);
+    let qcb = SharedRegion::new(rig.machine.clone(), q.pid, 1, 0).unwrap();
+    let qdb = SharedRegion::new(rig.machine.clone(), q.pid, 1, 1).unwrap();
+    let opts = CosyOptions::default();
+    let mut b = CompoundBuilder::new(&qcb, &qdb);
+    b.syscall(CosyCall::Getpid, vec![]);
+    b.finish().unwrap();
+    rig.cosy.submit(q.pid, &qcb, &qdb, &opts).unwrap();
+
+    for i in 0..20 * BUDGET as i64 {
+        let mut b = CompoundBuilder::new(&cb, &db);
+        b.syscall(
+            CosyCall::Lseek,
+            vec![CompoundBuilder::lit(i), CompoundBuilder::lit(0), CompoundBuilder::lit(0)],
+        );
+        b.finish().unwrap();
+        rig.cosy.submit(p.pid, &cb, &db, &opts).unwrap();
+    }
+    let stats = rig.cosy.cache_stats();
+    assert_eq!(stats.misses, 1 + 20 * BUDGET as u64);
+    assert_eq!(stats.entries, BUDGET + 1, "the flooder's budget plus the bystander");
+    assert_eq!(stats.evictions, 19 * BUDGET as u64);
+
+    rig.cosy.submit(q.pid, &qcb, &qdb, &opts).unwrap();
+    assert_eq!(rig.cosy.cache_stats().hits, 1, "the bystander's compound survived");
+}

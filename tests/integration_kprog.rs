@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use kucode::kprog::{LoadError, MAX_BUDGET};
 use kucode::ksim::{Machine, MachineConfig};
+use kucode::kworkloads::CHASE_CQE_SRC;
 use kucode::prelude::*;
 use proptest::prelude::*;
 
@@ -222,6 +223,43 @@ fn kernel_chase_crossings_stay_constant_as_the_chain_grows() {
         kernel_crossings[0], kernel_crossings[1],
         "kernel walk crossings are independent of chain length"
     );
+}
+
+/// Replacing a CQE program frees the old sandbox: 1,000 attach/replace
+/// rounds leave the machine's frame count where it started.
+#[test]
+fn replaced_cqe_programs_free_their_sandboxes() {
+    let rig = Rig::memfs();
+    let p = rig.user(1 << 16);
+    let engine = ProgEngine::new(rig.machine.clone());
+    let prog = engine
+        .load(CHASE_CQE_SRC, &ProgSpec::new(HookClass::UringCqe, "f").with_buf_len(16))
+        .unwrap();
+    let before = rig.machine.mem.phys.allocated();
+    for _ in 0..1_000 {
+        let att = Arc::new(Attachment::new(rig.machine.clone(), prog.clone()).unwrap());
+        rig.sys.attach_cqe_program(p.pid, att).unwrap();
+    }
+    assert!(rig.machine.mem.phys.allocated() > before, "the last program is still attached");
+    assert!(rig.sys.detach_cqe_program(p.pid).is_some());
+    assert_eq!(rig.machine.mem.phys.allocated(), before);
+}
+
+/// A stream of distinct programs (20x the cache's 256-entry budget) keeps
+/// the verified-program cache at its budget, and every load still works.
+#[test]
+fn program_flood_leaves_the_cache_at_its_budget() {
+    const BUDGET: usize = 256;
+    let e = ProgEngine::new(machine());
+    let spec = ProgSpec::new(HookClass::SyscallEntry, "f");
+    for i in 0..20 * BUDGET {
+        let src = format!("int f(int *ctx, int *state) {{ return {i}; }}");
+        e.load(&src, &spec).unwrap();
+    }
+    let stats = e.cache_stats();
+    assert_eq!(stats.misses, 20 * BUDGET as u64);
+    assert_eq!(stats.entries, BUDGET);
+    assert_eq!(stats.evictions, 19 * BUDGET as u64);
 }
 
 /// Load `src` as `pid`'s syscall-entry filter, replacing any other.

@@ -217,6 +217,52 @@ fn cq_overflow_is_visible_and_recoverable_in_order() {
 }
 
 #[test]
+fn unreaped_completions_are_bounded_by_ebusy() {
+    let rig = Rig::memfs();
+    let p = rig.user(1 << 16);
+    let (sq_cap, cq_cap) = (4, 2);
+    assert_eq!(rig.sys.sys_ring_setup(p.pid, sq_cap, cq_cap), 0);
+    let ring = rig.sys.uring(p.pid).unwrap();
+
+    // Submit without ever reaping: the SQ refills each round, the kernel
+    // refuses once a full CQ's worth is parked, and the list stays bounded.
+    let mut pushed = 0u64;
+    let mut busy = 0;
+    for _ in 0..50 {
+        while ring.push_sqe(Sqe::nop(pushed)).is_ok() {
+            pushed += 1;
+        }
+        let queued = ring.sq_len();
+        match rig.sys.sys_ring_enter(p.pid, sq_cap, 0) {
+            -16 => {
+                busy += 1;
+                assert_eq!(ring.sq_len(), queued, "-EBUSY consumes no SQE");
+            }
+            n => assert!(n > 0, "unexpected ring_enter result {n}"),
+        }
+        assert!(ring.overflow_len() < cq_cap + sq_cap, "overflow {}", ring.overflow_len());
+    }
+    assert!(busy > 0, "a process that never reaps must see -EBUSY");
+
+    // Reaping drains everything, in post order.
+    let mut seen = Vec::new();
+    loop {
+        seen.extend(reap_all(&ring).into_iter().map(|(user_data, res)| {
+            assert_eq!(res, 0);
+            user_data
+        }));
+        if ring.sq_len() == 0 && ring.overflow_len() == 0 && ring.cq_len() == 0 {
+            break;
+        }
+        // Still -EBUSY while more than a CQ's worth is parked; each
+        // round's reap makes room for the next flush.
+        let r = rig.sys.sys_ring_enter(p.pid, sq_cap, 0);
+        assert!(r >= 0 || r == -16, "unexpected ring_enter result {r}");
+    }
+    assert_eq!(seen, (0..pushed).collect::<Vec<_>>());
+}
+
+#[test]
 fn batch_of_n_matches_n_individual_syscalls_at_one_crossing() {
     // Twin rigs with identical state: A issues 16 classic syscalls, B
     // submits the same 16 ops as one ring batch. Results and final file
