@@ -18,6 +18,7 @@
 //!    journaled fs.
 
 use bench::{banner, Report};
+use kucode::ksim::{fnv1a, fnv1a_continue};
 use kucode::kworkloads::{serve, setup_docs, ServeMode, WebConfig};
 use kucode::prelude::*;
 
@@ -27,14 +28,9 @@ use kucode::prelude::*;
 const PINNED_POINTS: u64 = 454;
 const PINNED_TRACE_HASH: u64 = 0x83ba_b8b6_43ea_42ff;
 
-/// FNV-1a accumulator for the whole-run `TRACE_HASH`.
+/// The whole-run `TRACE_HASH` (FNV-1a) continued over `word`.
 fn mix(agg: u64, word: u64) -> u64 {
-    let mut h = agg;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_continue(agg, &word.to_le_bytes())
 }
 
 /// Sweep every kill point of `ops` under `cfg`, clean-cut and torn, and
@@ -176,7 +172,7 @@ pub fn run(report: &mut Report) {
         "A13",
         "Power-cut crash sweep: journal replay at every write point",
     );
-    let mut agg: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut agg = fnv1a(&[]);
     let points = crash_sweep(report, &mut agg);
     durability_cost(report);
     serve_from_kjfs(report);

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use bench::{banner, Report};
 use kucode::kfault::{sites, Policy};
+use kucode::ksim::{fnv1a, fnv1a_continue};
 use kucode::kvfs::{BlockAddr, VfsSnapshot};
 use kucode::prelude::*;
 
@@ -184,14 +185,9 @@ fn drive_site(rig: &Rig, site: &'static str, attempts: u64) {
 /// in the change that does so, and say why.
 const PINNED_TRACE_HASH: u64 = 0xe0da_d2dd_f695_2ad3;
 
-/// FNV-1a accumulator for the whole-sweep `TRACE_HASH`.
+/// The whole-sweep `TRACE_HASH` (FNV-1a) continued over `word`.
 fn mix(agg: u64, word: u64) -> u64 {
-    let mut h = agg;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_continue(agg, &word.to_le_bytes())
 }
 
 fn sweep(report: &mut Report, agg: &mut u64) {
@@ -436,7 +432,7 @@ pub fn run(report: &mut Report) {
         "A8",
         "Deterministic fault sweep: coverage, rollback, fallback",
     );
-    let mut agg: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut agg = fnv1a(&[]);
     sweep(report, &mut agg);
     rollback(report, &mut agg);
     fallback(report, &mut agg);

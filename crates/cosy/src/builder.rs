@@ -69,7 +69,8 @@ impl<'r> CompoundBuilder<'r> {
 
     /// Append a system-call operation.
     pub fn syscall(&mut self, call: CosyCall, args: Vec<CosyArg>) -> OpHandle {
-        debug_assert_eq!(args.len(), call.arity(), "{call:?} arity");
+        let ok = call.wire().is_some() && args.len() == call.arity();
+        debug_assert!(ok, "{call:?} needs a wire code and {} args", call.arity());
         self.ops.push(CosyOp::Syscall { call, args });
         OpHandle(self.ops.len() as u32 - 1)
     }

@@ -8,92 +8,9 @@
 
 use std::fmt;
 
-/// The system calls executable inside a compound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum CosyCall {
-    Open = 1,
-    Close = 2,
-    Read = 3,
-    Write = 4,
-    Lseek = 5,
-    Stat = 6,
-    Fstat = 7,
-    Getpid = 8,
-    Mkdir = 9,
-    Unlink = 10,
-    /// Read directory entries from an fd into the shared buffer (classic
-    /// fixed-size dirents); returns the entry count.
-    Readdir = 11,
-    // --- socket operations (knet). All of these have externally visible
-    // effects the undo log cannot reverse; the executor records a
-    // NetBarrier after each success.
-    Accept = 12,
-    Recv = 13,
-    Send = 14,
-    /// File fd → socket ring without touching the shared data buffer.
-    Sendfile = 15,
-    /// Close a socket descriptor (named to avoid clashing with a future
-    /// half-close).
-    ShutdownSock = 16,
-    /// Flush an fd durable (arg 1 selects fdatasync). Durability is an
-    /// external effect: like the socket ops it gets a barrier, not an undo.
-    Fsync = 17,
-}
-
-impl CosyCall {
-    /// Every call, in wire-code order (code = index + 1).
-    pub const ALL: [CosyCall; 17] = {
-        use CosyCall::*;
-        [
-            Open, Close, Read, Write, Lseek, Stat, Fstat, Getpid, Mkdir, Unlink, Readdir, Accept,
-            Recv, Send, Sendfile, ShutdownSock, Fsync,
-        ]
-    };
-
-    pub fn from_u8(v: u8) -> Option<CosyCall> {
-        Self::ALL.get((v as usize).checked_sub(1)?).copied()
-    }
-
-    /// The `sys_*` intrinsic name this call corresponds to in KC source.
-    pub fn intrinsic(self) -> &'static str {
-        match self {
-            CosyCall::Open => "sys_open",
-            CosyCall::Close => "sys_close",
-            CosyCall::Read => "sys_read",
-            CosyCall::Write => "sys_write",
-            CosyCall::Lseek => "sys_lseek",
-            CosyCall::Stat => "sys_stat",
-            CosyCall::Fstat => "sys_fstat",
-            CosyCall::Getpid => "sys_getpid",
-            CosyCall::Mkdir => "sys_mkdir",
-            CosyCall::Unlink => "sys_unlink",
-            CosyCall::Readdir => "sys_readdir",
-            CosyCall::Accept => "sys_accept",
-            CosyCall::Recv => "sys_recv",
-            CosyCall::Send => "sys_send",
-            CosyCall::Sendfile => "sys_sendfile",
-            CosyCall::ShutdownSock => "sys_shutdown",
-            CosyCall::Fsync => "sys_fsync",
-        }
-    }
-
-    pub fn from_intrinsic(name: &str) -> Option<CosyCall> {
-        Self::ALL.into_iter().find(|c| c.intrinsic() == name)
-    }
-
-    /// Expected argument count.
-    pub fn arity(self) -> usize {
-        match self {
-            CosyCall::Getpid => 0,
-            CosyCall::Close | CosyCall::Unlink | CosyCall::Mkdir | CosyCall::Accept
-            | CosyCall::ShutdownSock => 1,
-            CosyCall::Open | CosyCall::Stat | CosyCall::Fstat | CosyCall::Fsync => 2,
-            CosyCall::Read | CosyCall::Write | CosyCall::Lseek | CosyCall::Readdir
-            | CosyCall::Recv | CosyCall::Send | CosyCall::Sendfile => 3,
-        }
-    }
-}
+/// The system calls executable inside a compound: the op kinds that
+/// have a wire code (see `ksyscall`'s op table).
+pub use ksyscall::OpKind as CosyCall;
 
 /// One operation argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +27,8 @@ pub enum CosyArg {
 /// One operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CosyOp {
-    /// Invoke a system call.
+    /// Invoke a system call. A `call` with no wire code encodes as code
+    /// 0, which decoding rejects.
     Syscall { call: CosyCall, args: Vec<CosyArg> },
     /// Invoke function `func` of a kernel-loaded KC program with scalar
     /// arguments (§2.3's user-supplied functions).
@@ -140,7 +58,7 @@ impl Compound {
             match op {
                 CosyOp::Syscall { call, args } => {
                     out.push(0);
-                    out.push(*call as u8);
+                    out.push(call.wire().unwrap_or(0));
                     out.push(args.len() as u8);
                     encode_args(&mut out, args);
                 }
@@ -269,7 +187,7 @@ fn op_count(c: &mut Cursor<'_>) -> Result<usize, DecodeError> {
 }
 
 fn call_code(c: &mut Cursor<'_>) -> Result<CosyCall, DecodeError> {
-    CosyCall::from_u8(c.u8()?).ok_or_else(|| DecodeError::new("bad call code"))
+    CosyCall::from_wire(c.u8()?).ok_or_else(|| DecodeError::new("bad call code"))
 }
 
 fn arg_count(c: &mut Cursor<'_>) -> Result<usize, DecodeError> {
@@ -423,17 +341,34 @@ mod tests {
         assert!(Compound::decode(&b).is_err());
         // arity mismatch: Read with 0 args
         let mut b = 1u32.to_le_bytes().to_vec();
-        b.extend_from_slice(&[0, CosyCall::Read as u8, 0]);
+        b.extend_from_slice(&[0, 3, 0]);
         assert!(Compound::decode(&b).is_err());
     }
 
+    /// The compound ABI, pinned per call: wire code, `sys_*` intrinsic
+    /// name and arity. Changing one changes compound bytes and cache keys.
     #[test]
-    fn intrinsic_names_roundtrip() {
-        for (i, call) in CosyCall::ALL.into_iter().enumerate() {
-            assert_eq!(call as usize, i + 1, "ALL is in wire-code order");
-            assert_eq!(CosyCall::from_intrinsic(call.intrinsic()), Some(call));
-            assert_eq!(CosyCall::from_u8(call as u8), Some(call));
+    fn op_wire_abi_is_pinned() {
+        use CosyCall::*;
+        #[rustfmt::skip]
+        let pinned = [
+            (Open, 1, "sys_open", 2), (Close, 2, "sys_close", 1), (Read, 3, "sys_read", 3),
+            (Write, 4, "sys_write", 3), (Lseek, 5, "sys_lseek", 3), (Stat, 6, "sys_stat", 2),
+            (Fstat, 7, "sys_fstat", 2), (Getpid, 8, "sys_getpid", 0), (Mkdir, 9, "sys_mkdir", 1),
+            (Unlink, 10, "sys_unlink", 1), (Readdir, 11, "sys_readdir", 3),
+            (Accept, 12, "sys_accept", 1), (Recv, 13, "sys_recv", 3), (Send, 14, "sys_send", 3),
+            (Sendfile, 15, "sys_sendfile", 3), (Shutdown, 16, "sys_shutdown", 1),
+            (Fsync, 17, "sys_fsync", 2),
+        ];
+        for (call, wire, name, arity) in pinned {
+            let got = (call.wire(), call.intrinsic(), call.arity());
+            assert_eq!(got, (Some(wire), Some(name), arity));
+            let back = (CosyCall::from_wire(wire), CosyCall::from_intrinsic(name));
+            assert_eq!(back, (Some(call), Some(call)));
         }
+        let coded = CosyCall::ALL.into_iter().filter(|c| c.wire().is_some()).count();
+        assert_eq!(coded, pinned.len(), "only these ops have a wire code");
+        assert_eq!((CosyCall::from_wire(0), CosyCall::from_wire(18)), (None, None));
         assert_eq!(CosyCall::from_intrinsic("sys_nope"), None);
     }
 }
@@ -457,7 +392,7 @@ mod proptests {
     fn arb_op() -> impl Strategy<Value = CosyOp> {
         prop_oneof![
             any::<u8>().prop_flat_map(|sel| {
-                let call = CosyCall::from_u8(sel % 17 + 1).expect("1..=17 are valid");
+                let call = CosyCall::from_wire(sel % 17 + 1).expect("1..=17 are valid");
                 proptest::collection::vec(arb_arg(), call.arity()..=call.arity())
                     .prop_map(move |args| CosyOp::Syscall { call, args })
             }),

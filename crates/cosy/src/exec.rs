@@ -28,9 +28,9 @@ use kclang::{
 };
 use kevents::{EventDispatcher, EventRecord, Probe, OOPS_EVENT};
 use ksim::{Pid, PteFlags, SegKind, Segment, SimError, PAGE_SIZE};
-use ksyscall::op::OFF_CURSOR;
 use ksyscall::{
-    KOp, Moved, OpError, OpenFile, OpenFlags, PathRef, PathText, SyscallLayer, Transport,
+    ArgSource, KOp, Moved, OpError, OpenFile, OpenFlags, PathRef, PathText, SyscallLayer,
+    Transport,
 };
 use kvfs::{FileKind, FileSystem, Ino, Vfs, VfsError, VfsResult};
 
@@ -342,11 +342,12 @@ impl CosyExtension {
         Ok(results)
     }
 
-    /// Encode one compound syscall op as a [`KOp`] and dispatch it over
-    /// the shared data buffer. Around the dispatch sit the compound's own
-    /// concerns: the undo log (captured inside dispatch by [`RegionIo`],
-    /// recorded here on success), a `NetBarrier` after each effect that
-    /// leaves the machine, and the injected-vs-genuine errno split
+    /// Decode one compound syscall op into a [`KOp`] by the op table's
+    /// positional decode and dispatch it over the shared data buffer.
+    /// Around the dispatch sit the compound's own concerns: the undo log
+    /// (captured inside dispatch by [`RegionIo`], recorded here on
+    /// success), a `NetBarrier` after each effect that leaves the machine
+    /// ([`CosyCall::is_barrier`]), and the injected-vs-genuine errno split
     /// ([`op_errno`]).
     fn exec_syscall(
         &self,
@@ -360,50 +361,15 @@ impl CosyExtension {
         let machine = self.sys.machine();
         machine.stats.syscalls.fetch_add(1, Relaxed);
 
-        let scalar = |i: usize| resolve_scalar(&args[i], results);
-        let fd = |i: usize| scalar(i).map(|v| v as i32);
-        let len = |i: usize| scalar(i).map(|v| v.max(0) as usize);
-        let cur = OFF_CURSOR;
-        let bufref = |i: usize| match args[i] {
-            CosyArg::BufRef { offset, len } => Ok((offset as u64, len)),
-            _ => Err(CosyError::BadArg("expected a shared-buffer reference")),
-        };
-        let path = |i: usize| bufref(i).map(|(addr, len)| PathRef::At { addr, len: len as usize });
-        // The data buffer reference's length bounds what the op may move.
-        let mut grant = 0;
-        let mut data = |i: usize| {
-            bufref(i).map(|(off, len)| {
-                grant = len;
-                off
-            })
-        };
-        let op = match call {
-            CosyCall::Getpid => KOp::Getpid,
-            CosyCall::Open => KOp::Open { path: path(0)?, flags: OpenFlags(scalar(1)? as u32) },
-            CosyCall::Close => KOp::Close { fd: fd(0)? },
-            CosyCall::Read => KOp::Read { fd: fd(0)?, buf: data(1)?, len: len(2)?, off: cur },
-            CosyCall::Write => KOp::Write { fd: fd(0)?, buf: data(1)?, len: len(2)?, off: cur },
-            CosyCall::Lseek => KOp::Lseek { fd: fd(0)?, off: scalar(1)?, whence: fd(2)? },
-            CosyCall::Stat => KOp::Stat { path: path(0)?, buf: data(1)? },
-            CosyCall::Fstat => KOp::Fstat { fd: fd(0)?, buf: data(1)? },
-            CosyCall::Readdir => KOp::Readdir { fd: fd(0)?, buf: data(1)?, max: len(2)? },
-            CosyCall::Mkdir => KOp::Mkdir { path: path(0)? },
-            CosyCall::Unlink => KOp::Unlink { path: path(0)? },
-            CosyCall::Accept => KOp::Accept { sd: fd(0)? },
-            CosyCall::Recv => KOp::Recv { sd: fd(0)?, buf: data(1)?, len: len(2)? },
-            CosyCall::Send => KOp::Send { sd: fd(0)?, buf: data(1)?, len: len(2)? },
-            CosyCall::Sendfile => KOp::Sendfile { sd: fd(0)?, fd: fd(1)?, len: len(2)? },
-            CosyCall::ShutdownSock => KOp::Shutdown { sd: fd(0)? },
-            CosyCall::Fsync => KOp::Fsync { fd: fd(0)?, data_only: scalar(1)? != 0 },
-        };
-        if matches!(call, CosyCall::Stat | CosyCall::Fstat)
-            && (grant as usize) < kvfs::STAT_WIRE_BYTES
+        let fired0 = machine.faults.fired_count();
+        let mut io =
+            RegionIo { region: data_buf, args, results, grant: 0, undo, pending: None, fired0 };
+        let op = call.decode(&mut io)?.ok_or(CosyError::BadArg("op has no compound form"))?;
+        if matches!(op, KOp::Stat { .. } | KOp::Fstat { .. })
+            && (io.grant as usize) < kvfs::STAT_WIRE_BYTES
         {
             return Err(CosyError::BadArg("stat buffer too small"));
         }
-
-        let fired0 = machine.faults.fired_count();
-        let mut io = RegionIo { region: data_buf, grant, undo, pending: None, fired0 };
         let ret = self.sys.dispatch(pid, op, &mut io);
         let pending = io.pending.take();
         let v = match ret {
@@ -418,17 +384,8 @@ impl CosyExtension {
         // acknowledges, no in-memory rollback can take that promise back.
         // Each success records a barrier instead of an inverse op, and
         // rollback stops there (see `UndoLog::rollback_to`).
-        let barrier = match call {
-            CosyCall::Accept => Some("accept"),
-            CosyCall::ShutdownSock => Some("shutdown"),
-            CosyCall::Fsync => Some("fsync"),
-            CosyCall::Recv if v > 0 => Some("recv"),
-            CosyCall::Send if v > 0 => Some("send"),
-            CosyCall::Sendfile if v > 0 => Some("sendfile"),
-            _ => None,
-        };
-        if let Some(op) = barrier {
-            undo.record(UndoEntry::NetBarrier { op });
+        if call.is_barrier(v) {
+            undo.record(UndoEntry::NetBarrier { op: call });
         }
         Ok(v)
     }
@@ -694,16 +651,20 @@ fn op_errno(
     }
 }
 
-/// The shared data buffer as a dispatch transport: an op's `buf` is an
-/// offset into the region, its length clamps to the op's buffer reference
-/// (`grant` bytes) and the result is bounds-checked against the region
-/// after the entry filter has had its say. Data moves page cache ↔ shared
-/// buffer in kernel at [`KCOPY_BLOCK16_CYCLES`] per 16 bytes — visible to
-/// the user with no boundary copy (stat records move uncharged). Its
-/// `before` hook captures the undo entry for an op about to change the
-/// file system.
+/// One compound syscall op over the shared data buffer. As an argument
+/// source, a scalar is a literal or an earlier op's result and a path or
+/// data buffer is a shared-buffer reference, whose length is what the op
+/// may move (`grant`). As a dispatch transport, an op's `buf` is an offset
+/// into the region, its length clamps to `grant` bytes and the result is
+/// bounds-checked against the region after the entry filter has had its
+/// say. Data moves page cache ↔ shared buffer in kernel at
+/// [`KCOPY_BLOCK16_CYCLES`] per 16 bytes — visible to the user with no
+/// boundary copy (stat records move uncharged). Its `before` hook captures
+/// the undo entry for an op about to change the file system.
 struct RegionIo<'a> {
     region: &'a SharedRegion,
+    args: &'a [CosyArg],
+    results: &'a [i64],
     grant: u32,
     undo: &'a mut UndoLog,
     /// An entry to record only if the op succeeds.
@@ -822,6 +783,31 @@ impl Transport for RegionIo<'_> {
             _ => {}
         }
         Ok(())
+    }
+}
+
+impl ArgSource<'static> for RegionIo<'_> {
+    type Error = CosyError;
+
+    fn scalar(&mut self, i: usize) -> Result<i64, CosyError> {
+        resolve_scalar(&self.args[i], self.results)
+    }
+
+    fn data(&mut self, i: usize) -> Result<u64, CosyError> {
+        let (off, len) = buf_ref(&self.args[i])?;
+        self.grant = len;
+        Ok(off)
+    }
+
+    fn path(&mut self, i: usize) -> Result<PathRef<'static>, CosyError> {
+        buf_ref(&self.args[i]).map(|(addr, len)| PathRef::At { addr, len: len as usize })
+    }
+}
+
+fn buf_ref(a: &CosyArg) -> Result<(u64, u32), CosyError> {
+    match *a {
+        CosyArg::BufRef { offset, len } => Ok((offset as u64, len)),
+        _ => Err(CosyError::BadArg("expected a shared-buffer reference")),
     }
 }
 
@@ -1547,17 +1533,19 @@ mod equivalence_proptests {
         Close,
         Unlink,
         OpenMissing,
+        OpenCreate, // open("/g", CREAT|RDWR): a fresh fd each time
     }
 
     fn arb_op() -> impl Strategy<Value = FileOp> {
-        (0u8..16, 1u8..64, 0u16..512).prop_map(|(k, n, off)| match k {
+        (0u8..17, 1u8..64, 0u16..512).prop_map(|(k, n, off)| match k {
             0..=4 => FileOp::Write(n),
             5..=7 => FileOp::SeekSet(off),
             8..=11 => FileOp::Read(n),
             12 => FileOp::Fstat,
             13 => FileOp::Close,
             14 => FileOp::Unlink,
-            _ => FileOp::OpenMissing,
+            15 => FileOp::OpenMissing,
+            _ => FileOp::OpenCreate,
         })
     }
 
@@ -1566,6 +1554,7 @@ mod equivalence_proptests {
     const UBUF: u64 = 0x10_0000;
     const PATH: u64 = UBUF + 0x1000;
     const MISSING: u64 = UBUF + 0x1100;
+    const CREATED: u64 = UBUF + 0x1200;
     const OUT: u64 = UBUF + 0x2000;
 
     /// A machine with `/f` open (as `fd`) and the user buffers staged.
@@ -1576,6 +1565,7 @@ mod equivalence_proptests {
         m.mem.write_virt(asid, UBUF, &[0xCD; 64]).unwrap();
         m.mem.write_virt(asid, PATH, b"/f\0").unwrap();
         m.mem.write_virt(asid, MISSING, b"/missing\0").unwrap();
+        m.mem.write_virt(asid, CREATED, b"/g\0").unwrap();
         let fd = sys.k_open(pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
         (m, sys, ext, pid, fd)
     }
@@ -1596,6 +1586,7 @@ mod equivalence_proptests {
                 FileOp::Close => sys.sys_close(pid, fd),
                 FileOp::Unlink => sys.sys_unlink(pid, "/f"),
                 FileOp::OpenMissing => sys.sys_open(pid, "/missing", OpenFlags::RDONLY),
+                FileOp::OpenCreate => sys.sys_open(pid, "/g", OpenFlags(0x42)),
             })
             .collect();
         (results, vfs_hash(&sys))
@@ -1615,6 +1606,7 @@ mod equivalence_proptests {
                 FileOp::Close => Sqe::close(fd, tag),
                 FileOp::Unlink => Sqe::unlink(PATH, 2, tag),
                 FileOp::OpenMissing => Sqe::open(MISSING, 8, 0, tag),
+                FileOp::OpenCreate => Sqe::open(CREATED, 2, 0x42, tag),
             };
             ring.push_sqe(sqe).unwrap();
         }
@@ -1633,6 +1625,7 @@ mod equivalence_proptests {
         let CosyArg::BufRef { offset: data_off, .. } = data else { unreachable!() };
         let path = b.stage_path("/f").unwrap();
         let missing = b.stage_path("/missing").unwrap();
+        let created = b.stage_path("/g").unwrap();
         for op in ops {
             let (call, args) = match *op {
                 FileOp::Write(n) => (
@@ -1656,9 +1649,8 @@ mod equivalence_proptests {
                 }
                 FileOp::Close => (CosyCall::Close, vec![fd()]),
                 FileOp::Unlink => (CosyCall::Unlink, vec![path]),
-                FileOp::OpenMissing => {
-                    (CosyCall::Open, vec![missing, CompoundBuilder::lit(0)])
-                }
+                FileOp::OpenMissing => (CosyCall::Open, vec![missing, CompoundBuilder::lit(0)]),
+                FileOp::OpenCreate => (CosyCall::Open, vec![created, CompoundBuilder::lit(0x42)]),
             };
             b.syscall(call, args);
         }
@@ -1687,6 +1679,7 @@ mod equivalence_proptests {
                 FileOp::Close => "sys_close(fd)".to_string(),
                 FileOp::Unlink => r#"sys_unlink("/f")"#.to_string(),
                 FileOp::OpenMissing => r#"sys_open("/missing", 0)"#.to_string(),
+                FileOp::OpenCreate => r#"sys_open("/g", 66)"#.to_string(),
             };
             writeln!(calls, "    print_int({call});").unwrap();
         }

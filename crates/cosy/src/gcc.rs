@@ -106,13 +106,9 @@ impl ExtractedRegion {
         }
         let mut results: HashMap<String, OpHandle> = HashMap::new();
         for op in &self.ops {
-            let (args, result_var, is_user, callee) = match op {
-                TemplateOp::Syscall { call, args, result_var } => {
-                    (args, result_var, false, call.intrinsic().to_string())
-                }
-                TemplateOp::CallUser { func, args, result_var } => {
-                    (args, result_var, true, func.clone())
-                }
+            let (args, result_var) = match op {
+                TemplateOp::Syscall { args, result_var, .. }
+                | TemplateOp::CallUser { args, result_var, .. } => (args, result_var),
             };
             let mut concrete = Vec::with_capacity(args.len());
             for a in args {
@@ -135,12 +131,9 @@ impl ExtractedRegion {
                     TemplateArg::Str(s) => builder.stage_path(s)?,
                 });
             }
-            let handle = if is_user {
-                builder.call_user(0, &callee, concrete)
-            } else {
-                let call = CosyCall::from_intrinsic(&callee)
-                    .expect("template ops only hold valid intrinsics");
-                builder.syscall(call, concrete)
+            let handle = match op {
+                TemplateOp::Syscall { call, .. } => builder.syscall(*call, concrete),
+                TemplateOp::CallUser { func, .. } => builder.call_user(0, func, concrete),
             };
             if let Some(var) = result_var {
                 results.insert(var.clone(), handle);

@@ -13,33 +13,52 @@ use std::sync::Arc;
 
 use kclang::{InterpError, MemCtx, SyscallHost};
 use ksim::Pid;
-use ksyscall::op::OFF_CURSOR;
-use ksyscall::{KOp, Moved, OpError, OpenFlags, PathRef, PathText, SyscallLayer, Transport};
+use ksyscall::{
+    ArgSource, KOp, Moved, OpError, OpKind, PathRef, PathText, SyscallLayer, Transport,
+};
 
 /// Cost of an in-kernel syscall dispatch (table lookup + checks, no trap).
 const KERNEL_DISPATCH_CYCLES: u64 = 120;
 
-/// The `sys_*` intrinsics a KC program may call, as ops. A path argument
-/// is a C string in program memory; `path` says how the host passes it on.
-fn intrinsic<'p>(
-    name: &str,
-    a: &[i64],
-    path: impl FnOnce(u64) -> Result<PathRef<'p>, InterpError>,
-) -> Result<KOp<'p>, InterpError> {
-    let (fd, buf, len) = (|| a[0] as i32, || a[1] as u64, || a[2].max(0) as usize);
-    Ok(match name {
-        "sys_getpid" => KOp::Getpid,
-        "sys_open" => KOp::Open { path: path(a[0] as u64)?, flags: OpenFlags(a[1] as u32) },
-        "sys_close" => KOp::Close { fd: fd() },
-        "sys_read" => KOp::Read { fd: fd(), buf: buf(), len: len(), off: OFF_CURSOR },
-        "sys_write" => KOp::Write { fd: fd(), buf: buf(), len: len(), off: OFF_CURSOR },
-        "sys_lseek" => KOp::Lseek { fd: fd(), off: a[1], whence: a[2] as i32 },
-        "sys_stat" => KOp::Stat { path: path(a[0] as u64)?, buf: buf() },
-        "sys_fstat" => KOp::Fstat { fd: fd(), buf: buf() },
-        "sys_mkdir" => KOp::Mkdir { path: path(a[0] as u64)? },
-        "sys_unlink" => KOp::Unlink { path: path(a[0] as u64)? },
-        other => return Err(InterpError::BadCall(format!("unknown intrinsic {other}"))),
-    })
+/// One KC intrinsic call: its arguments and the program memory they
+/// address. As an argument source, a path argument is a C string in
+/// program memory: with `text`, it is read into it and passed on as a host
+/// string (the user host's call argument); without, it stays at its
+/// program address. As a dispatch transport (the kernel host's), reads and
+/// writes go through the segment-checked `MemCtx`, so a bad address is the
+/// program's fault, not an errno.
+struct ProgCall<'a> {
+    args: &'a [i64],
+    mem: &'a MemCtx<'a>,
+    text: Option<&'a mut String>,
+}
+
+impl<'a> ProgCall<'a> {
+    /// The `sys_*` intrinsic `name` called with these arguments, as an op.
+    fn op(&mut self, name: &str) -> Result<KOp<'a>, InterpError> {
+        let unknown = || InterpError::BadCall(format!("unknown intrinsic {name}"));
+        let kind = OpKind::from_intrinsic(name).ok_or_else(unknown)?;
+        kind.decode(self)?.ok_or_else(unknown)
+    }
+}
+
+impl<'a> ArgSource<'a> for ProgCall<'a> {
+    type Error = InterpError;
+
+    fn scalar(&mut self, i: usize) -> Result<i64, InterpError> {
+        self.args.get(i).copied().ok_or_else(|| InterpError::BadCall("missing argument".into()))
+    }
+
+    fn path(&mut self, i: usize) -> Result<PathRef<'a>, InterpError> {
+        let addr = self.scalar(i)? as u64;
+        Ok(match self.text.take() {
+            Some(text) => {
+                *text = self.mem.read_cstr(addr)?;
+                PathRef::Host(text)
+            }
+            None => PathRef::At { addr, len: 0 },
+        })
+    }
 }
 
 /// Baseline host: every intrinsic is a real system call. The program's
@@ -60,10 +79,7 @@ impl SyscallHost for UserHost {
         mem: &MemCtx<'_>,
     ) -> Result<i64, InterpError> {
         let mut text = String::new();
-        let op = intrinsic(name, args, |addr| {
-            text = mem.read_cstr(addr)?;
-            Ok(PathRef::Host(&text))
-        })?;
+        let op = ProgCall { args, mem, text: Some(&mut text) }.op(name)?;
         Ok(self.sys.syscall(self.pid, op))
     }
 }
@@ -86,8 +102,9 @@ impl SyscallHost for KernelHost {
         let m = self.sys.machine();
         m.charge_sys(KERNEL_DISPATCH_CYCLES);
         m.stats.syscalls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let op = intrinsic(name, args, |addr| Ok(PathRef::At { addr, len: 0 }))?;
-        match self.sys.dispatch(self.pid, op, &mut ProgMem(mem)) {
+        let mut call = ProgCall { args, mem, text: None };
+        let op = call.op(name)?;
+        match self.sys.dispatch(self.pid, op, &mut call) {
             Ok(v) => Ok(v),
             Err(OpError::Fault(e)) => Err(e),
             Err(e) => Ok(e.errno()),
@@ -95,20 +112,15 @@ impl SyscallHost for KernelHost {
     }
 }
 
-/// KC program memory as a dispatch transport: reads and writes go through
-/// the segment-checked `MemCtx`, so a bad address is the program's fault,
-/// not an errno.
-struct ProgMem<'m>(&'m MemCtx<'m>);
-
-impl Transport for ProgMem<'_> {
+impl Transport for ProgCall<'_> {
     type Fault = InterpError;
 
     fn get(&mut self, _: &SyscallLayer, _: Pid, addr: u64, out: &mut [u8]) -> Moved<InterpError> {
-        self.0.read(addr, out).map_err(OpError::Fault)
+        self.mem.read(addr, out).map_err(OpError::Fault)
     }
 
     fn put(&mut self, _: &SyscallLayer, _: Pid, addr: u64, data: &[u8]) -> Moved<InterpError> {
-        self.0.write(addr, data).map_err(OpError::Fault)
+        self.mem.write(addr, data).map_err(OpError::Fault)
     }
 
     fn path<'s>(
@@ -118,7 +130,7 @@ impl Transport for ProgMem<'_> {
         addr: u64,
         _: usize,
     ) -> Result<PathText<'s>, OpError<InterpError>> {
-        self.0.read_cstr(addr).map(PathText::Owned).map_err(OpError::Fault)
+        self.mem.read_cstr(addr).map(PathText::Owned).map_err(OpError::Fault)
     }
 }
 
@@ -191,6 +203,31 @@ mod tests {
         let (ret, crossings) = run_with_host(&m, &sys, pid, false);
         assert_eq!(ret, 8);
         assert_eq!(crossings, 0, "in-kernel dispatch never crosses");
+    }
+
+    /// kclang's `builtin_sig` agrees with the op table: of the ops with
+    /// an intrinsic name, exactly these ten typecheck as KC calls, each at
+    /// its table arity and not at one more.
+    #[test]
+    fn kc_builtins_agree_with_the_op_table() {
+        let typechecks = |name: &str, argc: usize| {
+            let src = format!("int f() {{ return {name}({}); }}", vec!["0"; argc].join(", "));
+            typecheck(&parse_program(&src).unwrap()).is_ok()
+        };
+        let mut accepted = Vec::new();
+        for kind in OpKind::ALL {
+            let (Some(name), arity) = (kind.intrinsic(), kind.arity()) else { continue };
+            assert!(!typechecks(name, arity + 1), "{name} with {} args", arity + 1);
+            if typechecks(name, arity) {
+                accepted.push(name);
+            }
+        }
+        accepted.sort_unstable();
+        #[rustfmt::skip]
+        assert_eq!(accepted, [
+            "sys_close", "sys_fstat", "sys_getpid", "sys_lseek", "sys_mkdir", "sys_open",
+            "sys_read", "sys_stat", "sys_unlink", "sys_write",
+        ]);
     }
 
     #[test]

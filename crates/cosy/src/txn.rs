@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use ksyscall::OpKind;
 use kvfs::{Ino, Vfs, VfsResult};
 
 /// One inverse operation, recorded before its forward operation runs.
@@ -38,7 +39,7 @@ pub enum UndoEntry {
     /// peer, a connection consumed from a backlog). Nothing can reverse
     /// it, so rollback stops here: entries recorded *before* the barrier
     /// stay applied, and the caller reports the partial rollback.
-    NetBarrier { op: &'static str },
+    NetBarrier { op: OpKind },
 }
 
 /// How far a rollback got.
@@ -262,7 +263,7 @@ mod tests {
         log.record(UndoEntry::CreatedFile { path: "/pre".into() });
         v.create_path("/pre").unwrap();
         // The send: bytes left the machine.
-        log.record(UndoEntry::NetBarrier { op: "send" });
+        log.record(UndoEntry::NetBarrier { op: OpKind::Send });
         // Post-barrier effect.
         log.record(UndoEntry::CreatedFile { path: "/post".into() });
         v.create_path("/post").unwrap();

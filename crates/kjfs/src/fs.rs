@@ -56,12 +56,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use kvfs::{BlockAddr, BlockDev, DirEntry, FileKind, FileSystem, Ino, Stat, VfsError, VfsResult};
-use ksim::{FxHashMap, FxHashSet, Machine, PAGE_SIZE};
+use ksim::{fnv1a, FxHashMap, FxHashSet, Machine, PAGE_SIZE};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::journal::{self, Tag, TAGS_PER_DESC};
 use crate::layout::{
-    dir_from_bytes, dir_to_bytes, fnv, Extent, Header, InodeRec, Superblock, BITMAP_OBJ,
+    dir_from_bytes, dir_to_bytes, Extent, Header, InodeRec, Superblock, BITMAP_OBJ,
     BITS_PER_BITMAP_BLOCK, DATA_OBJ, INODES_PER_BLOCK, ITABLE_OBJ, JOURNAL_OBJ, MAX_EXTENTS,
     ROOT_INO, SUPER_OBJ,
 };
@@ -979,7 +979,7 @@ impl Kjfs {
         for chunk in images.chunks(TAGS_PER_DESC) {
             let tags: Vec<Tag> = chunk
                 .iter()
-                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv(img) })
+                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv1a(img) })
                 .collect();
             jblocks.push((seq % slots, journal::desc_block(txid, seq, &tags)));
             seq += 1;

@@ -28,9 +28,9 @@
 //! (user data is not escaped) are never even looked at.
 
 use kvfs::BlockAddr;
-use ksim::PAGE_SIZE;
+use ksim::{fnv1a, fnv1a_continue, PAGE_SIZE};
 
-use crate::layout::{fnv, fnv_continue, JOURNAL_MAGIC};
+use crate::layout::JOURNAL_MAGIC;
 
 /// Tags per descriptor block: `(4096 - 48) / 24` rounded down to a round
 /// number. A transaction needing more tags chains descriptors.
@@ -57,7 +57,7 @@ pub enum JBlock {
 
 /// Checksum over a control block, excluding the checksum field itself.
 fn block_checksum(b: &[u8]) -> u64 {
-    fnv_continue(fnv(&b[0..32]), &b[40..])
+    fnv1a_continue(fnv1a(&b[0..32]), &b[40..])
 }
 
 fn header(b: &mut [u8], kind: u8, count: u32, txid: u64, seq: u64) {
@@ -100,11 +100,7 @@ pub fn commit_block(txid: u64, seq: u64, nimages: u32, txn_checksum: u64) -> Vec
 /// Checksum sealing a whole transaction: FNV over the per-image checksums
 /// in journal order.
 pub fn txn_checksum(image_checksums: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for ck in image_checksums {
-        h = fnv_continue(h, &ck.to_le_bytes());
-    }
-    h
+    image_checksums.iter().fold(fnv1a(&[]), |h, ck| fnv1a_continue(h, &ck.to_le_bytes()))
 }
 
 /// Parse a journal control block; `None` for raw images, torn blocks, or
@@ -184,7 +180,7 @@ fn validate_chain(
                 seq += 1;
                 for tag in tags {
                     let img = read(seq % slots);
-                    if fnv(&img) != tag.checksum {
+                    if fnv1a(&img) != tag.checksum {
                         return None; // torn or overwritten image
                     }
                     images.push((BlockAddr { obj: tag.obj, index: tag.index }, img));
@@ -260,12 +256,12 @@ mod tests {
         for chunk in images.chunks(TAGS_PER_DESC) {
             let tags: Vec<Tag> = chunk
                 .iter()
-                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv(img) })
+                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv1a(img) })
                 .collect();
             slots.insert(seq % nslots, desc_block(txid, seq, &tags));
             seq += 1;
             for (_, img) in chunk {
-                cks.push(fnv(img));
+                cks.push(fnv1a(img));
                 slots.insert(seq % nslots, img.clone());
                 seq += 1;
             }

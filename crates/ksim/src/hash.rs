@@ -103,12 +103,19 @@ impl Hasher for FxHasher {
 }
 
 /// FNV-1a over a byte string: the one-word digest with published
-/// reference vectors that the fault plane's trace hash, `VfsSnapshot`
-/// hashes and kjfs block checksums are built on, so a digest computed here
-/// compares with theirs. It consumes one byte per multiply, which is why
-/// [`ByteCache`] keys hash with [`FxHasher`] a word at a time instead.
+/// reference vectors that `VfsSnapshot` hashes, kjfs block checksums and
+/// the A8/A13 sweep hashes are built on (the fault plane, below ksim,
+/// keeps its own copy of the same function). It consumes one byte per
+/// multiply, which is why [`ByteCache`] keys hash with [`FxHasher`] a word
+/// at a time instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a digest `h` over more bytes (start from
+/// `fnv1a(&[])`): the digest of several slices is the digest of their
+/// concatenation.
+pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -534,5 +541,6 @@ mod tests {
         // FNV-1a 64-bit test vectors: "" and "a".
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_continue(fnv1a(b""), b"a"), fnv1a(b"a"));
     }
 }

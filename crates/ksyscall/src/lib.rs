@@ -25,6 +25,7 @@ mod prog_tests;
 pub use fd::{FdTable, OpenFile, OpenFlags};
 pub use layer::{SyscallLayer, USER_STUB_CYCLES};
 pub use op::{
-    FixedBufs, KOp, Moved, OpError, OpResult, PathRef, PathText, Transport, UserMem,
+    ArgSource, FixedBufs, KOp, Moved, OpError, OpKind, OpResult, PathRef, PathText,
+    Transport, UserMem,
 };
 pub use wire::{parse_dirents, parse_rdp_entries, RDP_ENTRY_WIRE_BYTES};

@@ -55,134 +55,192 @@ pub enum PathRef<'a> {
     At { addr: u64, len: usize },
 }
 
-/// One kernel operation, decoded from whichever interface submitted it.
-///
-/// `Read`/`Write` carry an explicit file offset to seek to first, or
-/// [`OFF_CURSOR`] for the descriptor's cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KOp<'a> {
-    Getpid,
-    Open { path: PathRef<'a>, flags: OpenFlags },
-    Close { fd: i32 },
-    Read { fd: i32, buf: u64, len: usize, off: u64 },
-    Write { fd: i32, buf: u64, len: usize, off: u64 },
-    Lseek { fd: i32, off: i64, whence: i32 },
-    Stat { path: PathRef<'a>, buf: u64 },
-    Fstat { fd: i32, buf: u64 },
-    /// Up to `max` fixed-size dirents from the cursor; returns the count.
-    Readdir { fd: i32, buf: u64, max: usize },
-    Mkdir { path: PathRef<'a> },
-    Rmdir { path: PathRef<'a> },
-    Unlink { path: PathRef<'a> },
-    /// Classic only: both names are host strings, charged as one copy.
-    Rename { from: &'a str, to: &'a str },
-    Truncate { path: PathRef<'a>, size: u64 },
-    Fsync { fd: i32, data_only: bool },
-    Socket,
-    BindListen { sd: i32, port: u16, backlog: usize },
-    Connect { sd: i32, port: u16 },
-    Accept { sd: i32 },
-    Send { sd: i32, buf: u64, len: usize },
-    Recv { sd: i32, buf: u64, len: usize },
-    Shutdown { sd: i32 },
-    /// Stream up to `len` bytes from file `fd` into socket `sd`.
-    Sendfile { sd: i32, fd: i32, len: usize },
+/// Generates [`KOp`], [`OpKind`] and every per-op conversion from one
+/// row per op: `Name { field: Type [role], .. } => sysno, wire N,
+/// intrinsic "sys_name", barrier always|moved;` (all after the sysno
+/// optional; no `barrier` means the op never is one). A field's role is
+/// its positional argument `i`, optionally followed by `slot j` (its entry
+/// filter slot `ctx[1 + j]`): `arg i` (a scalar, cast), `len i` (a length:
+/// negative clamps to 0), `flags i`, `nonzero i` (a bool), `data i` (a data
+/// buffer address) or `path i`. Otherwise it is `= expr`, a default the
+/// positional form cannot set, or `host`, a host string with no positional
+/// form.
+macro_rules! ops {
+    (@decode $src:ident; arg $i:literal $(, slot $s:literal)?) => { $src.scalar($i)? as _ };
+    (@decode $src:ident; len $i:literal $(, slot $s:literal)?) => { $src.scalar($i)?.max(0) as _ };
+    (@decode $src:ident; flags $i:literal) => { OpenFlags($src.scalar($i)? as u32) };
+    (@decode $src:ident; nonzero $i:literal) => { $src.scalar($i)? != 0 };
+    (@decode $src:ident; data $i:literal $(, slot $s:literal)?) => { $src.data($i)? };
+    (@decode $src:ident; path $i:literal) => { $src.path($i)? };
+    (@decode $src:ident; = $e:expr) => { $e };
+    (@decode $src:ident; host) => { return Ok(None) };
+    (@get $a:ident $f:ident; $r:ident $i:literal, slot $s:literal) => { $a[$s] = $f as i64 };
+    (@get $a:ident $f:ident; $($r:tt)*) => {};
+    (@set $a:ident $f:ident; len $i:literal, slot $s:literal) => { *$f = $a[$s].max(0) as _ };
+    (@set $a:ident $f:ident; $r:ident $i:literal, slot $s:literal) => { *$f = $a[$s] as _ };
+    (@set $a:ident $f:ident; $($r:tt)*) => {};
+    (@positional $r:ident $i:literal $($rest:tt)*) => { 1 };
+    (@positional $($r:tt)*) => { 0 };
+    (@opt) => { None };
+    (@opt $v:literal) => { Some($v) };
+    (@barrier $ret:ident;) => { false };
+    (@barrier $ret:ident; always) => { true };
+    (@barrier $ret:ident; moved) => { $ret > 0 };
+    ($(
+        $(#[$doc:meta])*
+        $name:ident $({ $($f:ident: $t:ty [$($role:tt)*]),* })? => $sysno:expr
+            $(, wire $wire:literal)? $(, intrinsic $intr:literal)? $(, barrier $barrier:ident)?;
+    )*) => {
+        /// One kernel operation, decoded from whichever interface submitted
+        /// it. `Read`/`Write` carry an explicit file offset to seek to
+        /// first, or [`OFF_CURSOR`] for the descriptor's cursor.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum KOp<'a> {
+            $($(#[$doc])* $name $({ $($f: $t),* })?,)*
+        }
+
+        /// A [`KOp`]'s kind: its Cosy wire code, KC intrinsic name,
+        /// positional arity and barrier class.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum OpKind {
+            $($name,)*
+        }
+
+        impl OpKind {
+            /// Every kind, in table order.
+            pub const ALL: [OpKind; [$(OpKind::$name),*].len()] = [$(OpKind::$name),*];
+
+            /// The kind's code in an encoded Cosy compound, if it has one.
+            pub const fn wire(self) -> Option<u8> {
+                match self { $(OpKind::$name => ops!(@opt $($wire)?),)* }
+            }
+
+            pub fn from_wire(code: u8) -> Option<OpKind> {
+                match code { $($($wire => Some(OpKind::$name),)?)* _ => None }
+            }
+
+            /// The `sys_*` name a KC program or Cosy-GCC source calls it by.
+            pub const fn intrinsic(self) -> Option<&'static str> {
+                match self { $(OpKind::$name => ops!(@opt $($intr)?),)* }
+            }
+
+            pub fn from_intrinsic(name: &str) -> Option<OpKind> {
+                match name { $($($intr => Some(OpKind::$name),)?)* _ => None }
+            }
+
+            /// How many positional arguments [`Self::decode`] reads.
+            pub const fn arity(self) -> usize {
+                match self { $(OpKind::$name => 0 $($(+ ops!(@positional $($role)*))*)?,)* }
+            }
+
+            /// Whether a success returning `ret` left the machine (a
+            /// connection, bytes handed to a peer, a durability promise),
+            /// so that Cosy's undo log must stop at it instead of undoing.
+            pub const fn is_barrier(self, ret: i64) -> bool {
+                match self { $(OpKind::$name => ops!(@barrier ret; $($barrier)?),)* }
+            }
+
+            /// Build the op from its positional arguments, read in field
+            /// order. `None` for an op with a host-string field (`Rename`),
+            /// which has no positional form.
+            #[allow(unreachable_code)]
+            pub fn decode<'a, S>(self, src: &mut S) -> Result<Option<KOp<'a>>, S::Error>
+            where
+                S: ArgSource<'a>,
+            {
+                Ok(Some(match self {
+                    $(OpKind::$name => KOp::$name $({ $($f: ops!(@decode src; $($role)*)),* })?,)*
+                }))
+            }
+        }
+
+        impl KOp<'_> {
+            /// The syscall number the entry filter and the tracer see.
+            #[allow(unused_variables)]
+            pub fn sysno(&self) -> Sysno {
+                match *self { $(KOp::$name $({ $($f),* })? => $sysno,)* }
+            }
+
+            /// The entry filter's argument slots `ctx[1..4]`: each field's
+            /// declared slot; a slot an op lacks is 0, except that ops with
+            /// no descriptor pass fd -1.
+            #[allow(unused_variables)]
+            pub fn args(&self) -> [i64; 3] {
+                let mut a = [-1, 0, 0];
+                match *self {
+                    $(KOp::$name $({ $($f),* })? => { $($(ops!(@get a $f; $($role)*);)*)? })*
+                }
+                a
+            }
+
+            /// Apply a filter's (possibly rewritten) slots back onto the
+            /// fields [`Self::args`] exposed. Negative lengths clamp to 0.
+            #[allow(unused_variables)]
+            fn set_args(&mut self, a: [i64; 3]) {
+                match self {
+                    $(KOp::$name $({ $($f),* })? => { $($(ops!(@set a $f; $($role)*);)*)? })*
+                }
+            }
+        }
+    };
 }
 
-impl KOp<'_> {
-    /// The syscall number the entry filter and the tracer see.
-    pub fn sysno(&self) -> Sysno {
-        match self {
-            KOp::Getpid => Sysno::Getpid,
-            KOp::Open { .. } => Sysno::Open,
-            KOp::Close { .. } => Sysno::Close,
-            KOp::Read { .. } => Sysno::Read,
-            KOp::Write { .. } => Sysno::Write,
-            KOp::Lseek { .. } => Sysno::Lseek,
-            KOp::Stat { .. } => Sysno::Stat,
-            KOp::Fstat { .. } => Sysno::Fstat,
-            KOp::Readdir { .. } => Sysno::Readdir,
-            KOp::Mkdir { .. } => Sysno::Mkdir,
-            KOp::Rmdir { .. } => Sysno::Rmdir,
-            KOp::Unlink { .. } => Sysno::Unlink,
-            KOp::Rename { .. } => Sysno::Rename,
-            KOp::Truncate { .. } => Sysno::Truncate,
-            KOp::Fsync { data_only: false, .. } => Sysno::Fsync,
-            KOp::Fsync { data_only: true, .. } => Sysno::Fdatasync,
-            KOp::Socket => Sysno::Socket,
-            KOp::BindListen { .. } => Sysno::BindListen,
-            KOp::Connect { .. } => Sysno::Connect,
-            KOp::Accept { .. } => Sysno::Accept,
-            KOp::Send { .. } => Sysno::Send,
-            KOp::Recv { .. } => Sysno::Recv,
-            KOp::Shutdown { .. } => Sysno::Shutdown,
-            KOp::Sendfile { .. } => Sysno::Sendfile,
-        }
-    }
+ops! {
+    Getpid => Sysno::Getpid, wire 8, intrinsic "sys_getpid";
+    Open { path: PathRef<'a> [path 0], flags: OpenFlags [flags 1] }
+        => Sysno::Open, wire 1, intrinsic "sys_open";
+    Close { fd: i32 [arg 0, slot 0] } => Sysno::Close, wire 2, intrinsic "sys_close";
+    Read { fd: i32 [arg 0, slot 0], buf: u64 [data 1, slot 1], len: usize [len 2, slot 2],
+        off: u64 [= OFF_CURSOR] } => Sysno::Read, wire 3, intrinsic "sys_read";
+    Write { fd: i32 [arg 0, slot 0], buf: u64 [data 1, slot 1], len: usize [len 2, slot 2],
+        off: u64 [= OFF_CURSOR] } => Sysno::Write, wire 4, intrinsic "sys_write";
+    Lseek { fd: i32 [arg 0, slot 0], off: i64 [arg 1, slot 1], whence: i32 [arg 2, slot 2] }
+        => Sysno::Lseek, wire 5, intrinsic "sys_lseek";
+    Stat { path: PathRef<'a> [path 0], buf: u64 [data 1, slot 1] }
+        => Sysno::Stat, wire 6, intrinsic "sys_stat";
+    Fstat { fd: i32 [arg 0, slot 0], buf: u64 [data 1, slot 1] }
+        => Sysno::Fstat, wire 7, intrinsic "sys_fstat";
+    /// Up to `max` fixed-size dirents from the cursor; returns the count.
+    Readdir { fd: i32 [arg 0, slot 0], buf: u64 [data 1, slot 1], max: usize [len 2, slot 2] }
+        => Sysno::Readdir, wire 11, intrinsic "sys_readdir";
+    Mkdir { path: PathRef<'a> [path 0] } => Sysno::Mkdir, wire 9, intrinsic "sys_mkdir";
+    Rmdir { path: PathRef<'a> [path 0] } => Sysno::Rmdir;
+    Unlink { path: PathRef<'a> [path 0] } => Sysno::Unlink, wire 10, intrinsic "sys_unlink";
+    /// Classic only: both names are host strings, charged as one copy.
+    Rename { from: &'a str [host], to: &'a str [host] } => Sysno::Rename;
+    Truncate { path: PathRef<'a> [path 0], size: u64 [arg 1] } => Sysno::Truncate;
+    /// Durability is an external effect: a barrier, not an undo.
+    Fsync { fd: i32 [arg 0, slot 0], data_only: bool [nonzero 1] }
+        => if data_only { Sysno::Fdatasync } else { Sysno::Fsync },
+        wire 17, intrinsic "sys_fsync", barrier always;
+    Socket => Sysno::Socket;
+    BindListen { sd: i32 [arg 0, slot 0], port: u16 [arg 1], backlog: usize [len 2] }
+        => Sysno::BindListen, barrier always;
+    Connect { sd: i32 [arg 0, slot 0], port: u16 [arg 1] } => Sysno::Connect, barrier always;
+    Accept { sd: i32 [arg 0, slot 0] }
+        => Sysno::Accept, wire 12, intrinsic "sys_accept", barrier always;
+    Send { sd: i32 [arg 0, slot 0], buf: u64 [data 1, slot 1], len: usize [len 2, slot 2] }
+        => Sysno::Send, wire 14, intrinsic "sys_send", barrier moved;
+    Recv { sd: i32 [arg 0, slot 0], buf: u64 [data 1, slot 1], len: usize [len 2, slot 2] }
+        => Sysno::Recv, wire 13, intrinsic "sys_recv", barrier moved;
+    Shutdown { sd: i32 [arg 0, slot 0] }
+        => Sysno::Shutdown, wire 16, intrinsic "sys_shutdown", barrier always;
+    /// Stream up to `len` bytes from file `fd` into socket `sd`.
+    Sendfile { sd: i32 [arg 0, slot 0], fd: i32 [arg 1, slot 1], len: usize [len 2, slot 2] }
+        => Sysno::Sendfile, wire 15, intrinsic "sys_sendfile", barrier moved;
+}
 
-    /// The entry filter's argument slots `ctx[1..4]`: the op's descriptor,
-    /// buffer and length. `lseek` passes `(fd, off, whence)` and
-    /// `sendfile` `(sd, fd, len)`; a slot an op lacks is 0, and ops with
-    /// no descriptor pass fd -1.
-    pub fn args(&self) -> [i64; 3] {
-        let only = |fd: i32| [fd as i64, 0, 0];
-        match *self {
-            KOp::Read { fd, buf, len, .. }
-            | KOp::Write { fd, buf, len, .. }
-            | KOp::Send { sd: fd, buf, len }
-            | KOp::Recv { sd: fd, buf, len } => [fd as i64, buf as i64, len as i64],
-            KOp::Readdir { fd, buf, max } => [fd as i64, buf as i64, max as i64],
-            KOp::Lseek { fd, off, whence } => [fd as i64, off, whence as i64],
-            KOp::Sendfile { sd, fd, len } => [sd as i64, fd as i64, len as i64],
-            KOp::Fstat { fd, buf } => [fd as i64, buf as i64, 0],
-            KOp::Stat { buf, .. } => [-1, buf as i64, 0],
-            KOp::Close { fd }
-            | KOp::Fsync { fd, .. }
-            | KOp::Accept { sd: fd }
-            | KOp::Shutdown { sd: fd }
-            | KOp::BindListen { sd: fd, .. }
-            | KOp::Connect { sd: fd, .. } => only(fd),
-            KOp::Getpid
-            | KOp::Socket
-            | KOp::Open { .. }
-            | KOp::Mkdir { .. }
-            | KOp::Rmdir { .. }
-            | KOp::Unlink { .. }
-            | KOp::Rename { .. }
-            | KOp::Truncate { .. } => [-1, 0, 0],
-        }
+/// Where [`OpKind::decode`] reads positional arguments from: a Cosy
+/// compound's argument list or a KC intrinsic call's arguments.
+pub trait ArgSource<'a> {
+    type Error;
+    fn scalar(&mut self, i: usize) -> Result<i64, Self::Error>;
+    /// Argument `i` as the address of the op's data buffer (by default,
+    /// the scalar argument itself).
+    fn data(&mut self, i: usize) -> Result<u64, Self::Error> {
+        self.scalar(i).map(|v| v as u64)
     }
-
-    /// Apply a filter's (possibly rewritten) slots back onto the fields
-    /// [`Self::args`] exposed. Negative lengths clamp to 0.
-    fn set_args(&mut self, a: [i64; 3]) {
-        let (fd0, buf1, len2) = (a[0] as i32, a[1] as u64, a[2].max(0) as usize);
-        match self {
-            KOp::Read { fd, buf, len, .. }
-            | KOp::Write { fd, buf, len, .. }
-            | KOp::Send { sd: fd, buf, len }
-            | KOp::Recv { sd: fd, buf, len }
-            | KOp::Readdir { fd, buf, max: len } => (*fd, *buf, *len) = (fd0, buf1, len2),
-            KOp::Lseek { fd, off, whence } => (*fd, *off, *whence) = (fd0, a[1], a[2] as i32),
-            KOp::Sendfile { sd, fd, len } => (*sd, *fd, *len) = (fd0, a[1] as i32, len2),
-            KOp::Fstat { fd, buf } => (*fd, *buf) = (fd0, buf1),
-            KOp::Stat { buf, .. } => *buf = buf1,
-            KOp::Close { fd }
-            | KOp::Fsync { fd, .. }
-            | KOp::Accept { sd: fd }
-            | KOp::Shutdown { sd: fd }
-            | KOp::BindListen { sd: fd, .. }
-            | KOp::Connect { sd: fd, .. } => *fd = fd0,
-            KOp::Getpid
-            | KOp::Socket
-            | KOp::Open { .. }
-            | KOp::Mkdir { .. }
-            | KOp::Rmdir { .. }
-            | KOp::Unlink { .. }
-            | KOp::Rename { .. }
-            | KOp::Truncate { .. } => {}
-        }
-    }
+    fn path(&mut self, i: usize) -> Result<PathRef<'a>, Self::Error>;
 }
 
 /// Why an op produced no value. `F` is the transport's own fault type:
@@ -523,5 +581,59 @@ impl SyscallLayer {
             self.k_lseek(pid, fd, off as i64, SEEK_SET)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The filter contract, pinned per op: the sysno the entry filter sees,
+    /// the `ctx[1..4]` slots `args` exposes, and the slots after `set_args`
+    /// writes back the rewritten `[100, 200, -3]` (a negative length
+    /// clamps to 0).
+    #[test]
+    fn op_abi_is_pinned() {
+        use KOp::*;
+        use Sysno as S;
+        let (p, cur) = (PathRef::Host("/p"), OFF_CURSOR);
+        #[rustfmt::skip]
+        let pinned: [(KOp, Sysno, [i64; 3], [i64; 3]); 24] = [
+            (Getpid, S::Getpid, [-1, 0, 0], [-1, 0, 0]),
+            (Open { path: p, flags: OpenFlags(0x42) }, S::Open, [-1, 0, 0], [-1, 0, 0]),
+            (Close { fd: 3 }, S::Close, [3, 0, 0], [100, 0, 0]),
+            (Read { fd: 3, buf: 0x10, len: 7, off: 9 }, S::Read, [3, 0x10, 7], [100, 200, 0]),
+            (Write { fd: 4, buf: 0x20, len: 8, off: cur }, S::Write, [4, 0x20, 8], [100, 200, 0]),
+            (Lseek { fd: 3, off: -5, whence: 2 }, S::Lseek, [3, -5, 2], [100, 200, -3]),
+            (Stat { path: p, buf: 0x30 }, S::Stat, [-1, 0x30, 0], [-1, 200, 0]),
+            (Fstat { fd: 5, buf: 0x40 }, S::Fstat, [5, 0x40, 0], [100, 200, 0]),
+            (Readdir { fd: 6, buf: 0x50, max: 10 }, S::Readdir, [6, 0x50, 10], [100, 200, 0]),
+            (Mkdir { path: p }, S::Mkdir, [-1, 0, 0], [-1, 0, 0]),
+            (Rmdir { path: p }, S::Rmdir, [-1, 0, 0], [-1, 0, 0]),
+            (Unlink { path: p }, S::Unlink, [-1, 0, 0], [-1, 0, 0]),
+            (Rename { from: "/a", to: "/b" }, S::Rename, [-1, 0, 0], [-1, 0, 0]),
+            (Truncate { path: p, size: 11 }, S::Truncate, [-1, 0, 0], [-1, 0, 0]),
+            (Fsync { fd: 7, data_only: false }, S::Fsync, [7, 0, 0], [100, 0, 0]),
+            (Fsync { fd: 7, data_only: true }, S::Fdatasync, [7, 0, 0], [100, 0, 0]),
+            (Socket, S::Socket, [-1, 0, 0], [-1, 0, 0]),
+            (BindListen { sd: 8, port: 80, backlog: 4 }, S::BindListen, [8, 0, 0], [100, 0, 0]),
+            (Connect { sd: 9, port: 80 }, S::Connect, [9, 0, 0], [100, 0, 0]),
+            (Accept { sd: 10 }, S::Accept, [10, 0, 0], [100, 0, 0]),
+            (Send { sd: 11, buf: 0x60, len: 12 }, S::Send, [11, 0x60, 12], [100, 200, 0]),
+            (Recv { sd: 12, buf: 0x70, len: 13 }, S::Recv, [12, 0x70, 13], [100, 200, 0]),
+            (Shutdown { sd: 13 }, S::Shutdown, [13, 0, 0], [100, 0, 0]),
+            (Sendfile { sd: 14, fd: 15, len: 16 }, S::Sendfile, [14, 15, 16], [100, 200, 0]),
+        ];
+        let set = |mut op: KOp<'static>, a| {
+            op.set_args(a);
+            op
+        };
+        for (op, sysno, args, rewritten) in pinned {
+            assert_eq!((op.sysno(), op.args()), (sysno, args), "{op:?}");
+            assert_eq!(set(op, args), op, "writing back unchanged slots is a no-op");
+            assert_eq!(set(op, [100, 200, -3]).args(), rewritten, "{op:?}");
+        }
+        let read = set(Read { fd: 3, buf: 0x10, len: 7, off: 9 }, [100, 200, -3]);
+        assert_eq!(read, Read { fd: 100, buf: 200, len: 0, off: 9 }, "only slot fields move");
     }
 }

@@ -3,159 +3,102 @@
 
 use std::fmt;
 
-/// System-call identifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u16)]
-pub enum Sysno {
-    Open,
-    Read,
-    Write,
-    Close,
-    Lseek,
-    Stat,
-    Fstat,
-    Readdir,
-    Mkdir,
-    Rmdir,
-    Unlink,
-    Rename,
-    Truncate,
-    Getpid,
+/// Declares [`Sysno`], its [`Sysno::ALL`] table, [`Sysno::COUNT`],
+/// [`Sysno::name`] and [`Sysno::is_consolidated`] from one list in
+/// numbering order: `Variant = "name",`, or `Variant = "name" consolidated,`
+/// for the new consolidated calls.
+macro_rules! sysnos {
+    (@consolidated) => { false };
+    (@consolidated consolidated) => { true };
+    ($($(#[$doc:meta])* $no:ident = $name:literal $($kind:ident)?,)*) => {
+        /// System-call identifiers.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(u16)]
+        pub enum Sysno {
+            $($(#[$doc])* $no,)*
+        }
+
+        impl Sysno {
+            /// Every defined syscall, in numbering order.
+            pub const ALL: [Sysno; [$(Sysno::$no),*].len()] = [$(Sysno::$no),*];
+
+            /// Number of defined syscalls.
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// The syscall's name as strace would print it.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Sysno::$no => $name,)*
+                }
+            }
+
+            /// True for the new consolidated calls (including Cosy submission).
+            pub const fn is_consolidated(self) -> bool {
+                match self {
+                    $(Sysno::$no => sysnos!(@consolidated $($kind)?),)*
+                }
+            }
+        }
+    };
+}
+
+sysnos! {
+    Open = "open",
+    Read = "read",
+    Write = "write",
+    Close = "close",
+    Lseek = "lseek",
+    Stat = "stat",
+    Fstat = "fstat",
+    Readdir = "readdir",
+    Mkdir = "mkdir",
+    Rmdir = "rmdir",
+    Unlink = "unlink",
+    Rename = "rename",
+    Truncate = "truncate",
+    Getpid = "getpid",
     // --- consolidated system calls (§2.2) ---
     /// `readdir` + N × `stat` in one crossing (the NFSv3 READDIRPLUS idea).
-    ReaddirPlus,
+    ReaddirPlus = "readdirplus" consolidated,
     /// `open`-`read`-`close` in one crossing.
-    OpenReadClose,
+    OpenReadClose = "open_read_close" consolidated,
     /// `open`-`write`-`close` in one crossing.
-    OpenWriteClose,
+    OpenWriteClose = "open_write_close" consolidated,
     /// `open`-`fstat` in one crossing.
-    OpenFstat,
+    OpenFstat = "open_fstat" consolidated,
     // --- Cosy (§2.3) ---
     /// Submit a compound for in-kernel execution.
-    CosySubmit,
+    CosySubmit = "cosy_submit" consolidated,
     // --- sockets (knet) ---
-    Socket,
-    BindListen,
-    Accept,
-    Connect,
-    Send,
-    Recv,
-    Shutdown,
-    PollWait,
+    Socket = "socket",
+    BindListen = "bind_listen",
+    Accept = "accept",
+    Connect = "connect",
+    Send = "send",
+    Recv = "recv",
+    Shutdown = "shutdown",
+    PollWait = "poll_wait",
     // --- consolidated socket calls ---
     /// File page → socket ring without surfacing data to user space.
-    Sendfile,
+    Sendfile = "sendfile" consolidated,
     /// One crossing per HTTP-style request: accept, read the request,
     /// stream the file back, close (the paper's khttpd shape).
-    AcceptRecvSendClose,
+    AcceptRecvSendClose = "accept_recv_send_close" consolidated,
     // --- shared-memory syscall rings (kuring) ---
     /// Create a process's SQ/CQ ring pair.
-    RingSetup,
+    RingSetup = "ring_setup",
     /// Pin shared data-buffer ranges for fixed-buffer ring ops.
-    RingRegister,
+    RingRegister = "ring_register",
     /// Drain the submission queue and execute the batch in one crossing.
-    RingEnter,
+    RingEnter = "ring_enter" consolidated,
     // --- durability (kjfs) ---
     /// Flush a file's data and metadata to stable storage.
-    Fsync,
+    Fsync = "fsync",
     /// Flush a file's data (and size) only, skipping clean metadata.
-    Fdatasync,
+    Fdatasync = "fdatasync",
 }
 
 impl Sysno {
-    /// Every defined syscall, in numbering order.
-    pub const ALL: [Sysno; 34] = [
-        Sysno::Open,
-        Sysno::Read,
-        Sysno::Write,
-        Sysno::Close,
-        Sysno::Lseek,
-        Sysno::Stat,
-        Sysno::Fstat,
-        Sysno::Readdir,
-        Sysno::Mkdir,
-        Sysno::Rmdir,
-        Sysno::Unlink,
-        Sysno::Rename,
-        Sysno::Truncate,
-        Sysno::Getpid,
-        Sysno::ReaddirPlus,
-        Sysno::OpenReadClose,
-        Sysno::OpenWriteClose,
-        Sysno::OpenFstat,
-        Sysno::CosySubmit,
-        Sysno::Socket,
-        Sysno::BindListen,
-        Sysno::Accept,
-        Sysno::Connect,
-        Sysno::Send,
-        Sysno::Recv,
-        Sysno::Shutdown,
-        Sysno::PollWait,
-        Sysno::Sendfile,
-        Sysno::AcceptRecvSendClose,
-        Sysno::RingSetup,
-        Sysno::RingRegister,
-        Sysno::RingEnter,
-        Sysno::Fsync,
-        Sysno::Fdatasync,
-    ];
-
-    /// The syscall's name as strace would print it.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Sysno::Open => "open",
-            Sysno::Read => "read",
-            Sysno::Write => "write",
-            Sysno::Close => "close",
-            Sysno::Lseek => "lseek",
-            Sysno::Stat => "stat",
-            Sysno::Fstat => "fstat",
-            Sysno::Readdir => "readdir",
-            Sysno::Mkdir => "mkdir",
-            Sysno::Rmdir => "rmdir",
-            Sysno::Unlink => "unlink",
-            Sysno::Rename => "rename",
-            Sysno::Truncate => "truncate",
-            Sysno::Getpid => "getpid",
-            Sysno::ReaddirPlus => "readdirplus",
-            Sysno::OpenReadClose => "open_read_close",
-            Sysno::OpenWriteClose => "open_write_close",
-            Sysno::OpenFstat => "open_fstat",
-            Sysno::CosySubmit => "cosy_submit",
-            Sysno::Socket => "socket",
-            Sysno::BindListen => "bind_listen",
-            Sysno::Accept => "accept",
-            Sysno::Connect => "connect",
-            Sysno::Send => "send",
-            Sysno::Recv => "recv",
-            Sysno::Shutdown => "shutdown",
-            Sysno::PollWait => "poll_wait",
-            Sysno::Sendfile => "sendfile",
-            Sysno::AcceptRecvSendClose => "accept_recv_send_close",
-            Sysno::RingSetup => "ring_setup",
-            Sysno::RingRegister => "ring_register",
-            Sysno::RingEnter => "ring_enter",
-            Sysno::Fsync => "fsync",
-            Sysno::Fdatasync => "fdatasync",
-        }
-    }
-
-    /// True for the new consolidated calls (including Cosy submission).
-    pub const fn is_consolidated(self) -> bool {
-        matches!(
-            self,
-            Sysno::ReaddirPlus
-                | Sysno::OpenReadClose
-                | Sysno::OpenWriteClose
-                | Sysno::OpenFstat
-                | Sysno::CosySubmit
-                | Sysno::Sendfile
-                | Sysno::AcceptRecvSendClose
-                | Sysno::RingEnter
-        )
-    }
-
     /// Dense index for table-based counting.
     pub const fn index(self) -> usize {
         self as usize
@@ -166,8 +109,6 @@ impl Sysno {
         Sysno::ALL.iter().copied().find(|s| s.name() == name)
     }
 
-    /// Number of defined syscalls.
-    pub const COUNT: usize = Self::ALL.len();
 }
 
 impl fmt::Display for Sysno {

@@ -17,6 +17,8 @@
 //! machine.faults.resume(prev);
 //! ```
 
+use ksim::{fnv1a, fnv1a_continue};
+
 use crate::error::VfsResult;
 use crate::fs::{FileKind, FileSystem, Ino};
 
@@ -70,20 +72,13 @@ impl VfsSnapshot {
     /// stable across processes (no host randomness), so two sweep runs can
     /// compare final states by a single number.
     pub fn hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = fnv1a(&[]);
         for e in &self.entries {
-            mix(e.path.as_bytes());
-            mix(&[0xFF, if e.kind == FileKind::Dir { 1 } else { 0 }]);
-            mix(&(e.content.len() as u64).to_le_bytes());
-            mix(&e.content);
+            let kind = [0xFF, (e.kind == FileKind::Dir) as u8];
+            let len = (e.content.len() as u64).to_le_bytes();
+            for part in [e.path.as_bytes(), &kind, &len, &e.content] {
+                h = fnv1a_continue(h, part);
+            }
         }
         h
     }

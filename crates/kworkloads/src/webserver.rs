@@ -262,7 +262,7 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
                 ],
             );
             b.syscall(CosyCall::Close, vec![CompoundBuilder::result_of(f)]);
-            b.syscall(CosyCall::ShutdownSock, vec![CompoundBuilder::result_of(a)]);
+            b.syscall(CosyCall::Shutdown, vec![CompoundBuilder::result_of(a)]);
             b.syscall(
                 CosyCall::Write,
                 vec![
