@@ -43,6 +43,15 @@ impl Access {
     pub fn of(ty: &Type) -> Access {
         Access { byte: matches!(ty, Type::Char), len: ty.size().clamp(1, 8) as u8 }
     }
+
+    /// Bytes the access moves: 1 for a `char`, else a whole word.
+    pub fn width(self) -> usize {
+        if self.byte {
+            1
+        } else {
+            8
+        }
+    }
 }
 
 /// A runtime error baked into the instruction stream: the interpreter only
@@ -198,19 +207,9 @@ impl Module {
         &self.code
     }
 
-    /// Global slot metadata, indexed by `gidx`.
-    pub fn globals(&self) -> &[GlobalSlot] {
-        &self.globals
-    }
-
     /// String-literal bytes, indexed by `sidx`.
     pub fn strings(&self) -> &[Vec<u8>] {
         &self.strings
-    }
-
-    /// Entry pc of the init chunk ([`crate::Vm::new`] runs it first).
-    pub fn init_entry(&self) -> u32 {
-        self.init_entry
     }
 
     /// Look up a function's index by name.

@@ -62,7 +62,7 @@ pub use exec::{
     ExecConfig, ExecOutcome, InterpError, MemCtx, SegMode, SyscallHost, TickFn, MAX_CALL_DEPTH,
 };
 pub use interp::Interp;
-pub use vm::{Vm, VmBuffers};
+pub use vm::{Core, Domain, Flow, Vm, VmBuffers};
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse_program, ParseError};
 pub use pretty::{ast_eq, pretty_program};

@@ -1,7 +1,6 @@
 //! The bytecode VM, the engine every KC program runs on: executes
-//! [`Module`](crate::bytecode::Module)s compiled by [`crate::bytecode`]
-//! with observable behaviour identical to the tree-walking reference
-//! [`Interp`](crate::interp::Interp).
+//! [`Module`]s compiled by [`crate::bytecode`] with observable behaviour
+//! identical to the tree-walking reference [`Interp`](crate::interp::Interp).
 //!
 //! "Identical" is load-bearing: same results, same `print_int` output, same
 //! step counts at every tick boundary (so fuel limits and the Cosy watchdog
@@ -9,6 +8,14 @@
 //! callbacks in the same order with the same site ids, and the same errors.
 //! The engine-parity table and property tests at the bottom of this file
 //! hold the two engines to that contract.
+//!
+//! Each opcode's step is written once, in [`Core::step`], generic over a
+//! [`Domain`]. The core owns the structure (operand stack, frames, scopes,
+//! slots, jumps and calls); the domain owns values, memory, allocation,
+//! step charging and conditions. [`Vm`] runs the step in the concrete
+//! domain, simulated memory and `i64`s; kprog's load-time verifier runs the
+//! same step in an abstract one, so the steps it proves are the steps the
+//! VM charges.
 //!
 //! What makes it faster than the tree-walker:
 //!
@@ -27,11 +34,101 @@ use std::collections::HashMap;
 use ksim::Machine;
 
 use crate::arena::Arena;
+use crate::ast::BinOp;
 use crate::bytecode::{Access, FuncInfo, Module, Op, TrapKind};
 use crate::exec::{
     ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, MAX_CALL_DEPTH,
 };
 use crate::hooks::MemHook;
+use crate::sym::Sym;
+
+/// What [`Core::step`] leaves to the executor: values, memory, allocation,
+/// step charging and conditions. `site`/`checked` are the op's KGCC check
+/// site and whether the check is compiled in.
+pub trait Domain {
+    /// One operand-stack value.
+    type Val: Copy;
+    /// Why a run stops. A runtime error of the step itself (division by
+    /// zero, call depth, a bad call, a trap) arrives as an [`InterpError`].
+    type Err: From<InterpError>;
+
+    /// An integer literal.
+    fn int(&mut self, v: i64) -> Self::Val;
+    /// The address of a declared local or global object.
+    fn addr(&mut self, a: u64) -> Self::Val;
+    /// Whether `v` is nonzero; `None` when the domain cannot tell.
+    fn truth(&mut self, v: Self::Val) -> Option<bool>;
+    /// `l op r`; `None` on division by zero.
+    fn bin(&mut self, op: BinOp, l: Self::Val, r: Self::Val) -> Option<Self::Val>;
+    /// `ptr ± idx * scale` (pointer arithmetic and array indexing).
+    fn offset(
+        &mut self,
+        ptr: Self::Val,
+        idx: Self::Val,
+        scale: u32,
+        sub: bool,
+        site: u32,
+        checked: bool,
+    ) -> Result<Self::Val, Self::Err>;
+    /// `(l - r) / scale` for two pointers.
+    fn ptr_diff(&mut self, l: Self::Val, r: Self::Val, scale: u32) -> Self::Val;
+    /// The value at `addr`; a store writes `v` there.
+    fn load(
+        &mut self,
+        addr: Self::Val,
+        access: Access,
+        site: u32,
+        checked: bool,
+    ) -> Result<Self::Val, Self::Err>;
+    fn store(
+        &mut self,
+        addr: Self::Val,
+        access: Access,
+        v: Self::Val,
+        site: u32,
+        checked: bool,
+    ) -> Result<(), Self::Err>;
+    /// The address of string literal `id`, holding `bytes` and a NUL.
+    fn str_lit(&mut self, id: u32, bytes: &[u8]) -> Result<Self::Val, Self::Err>;
+    /// A new object of `size` bytes: a global, or a local on the stack.
+    fn alloc(&mut self, size: usize, global: bool) -> Result<u64, Self::Err>;
+    /// The stack object at `addr` (0 if never declared) went out of scope.
+    fn free_local(&mut self, addr: u64);
+    /// The stack allocation mark a scope restores on exit.
+    fn mark(&mut self) -> u64 {
+        0
+    }
+    /// Return to a [`Domain::mark`] at scope exit.
+    fn release(&mut self, _mark: u64) {}
+    /// Charge `n` steps on top of `steps`.
+    fn charge(&mut self, steps: &mut u64, n: u32) -> Result<(), Self::Err>;
+    /// A jump from `from` to `to` was taken.
+    fn jumped(&mut self, _from: u32, _to: u32) {}
+    // The defaults are a domain with no heap, no output and no host.
+    fn malloc(&mut self, _size: Self::Val) -> Result<Self::Val, Self::Err> {
+        Err(InterpError::Oom("heap").into())
+    }
+    /// `free` of an address that is no live heap object does nothing.
+    fn free(&mut self, _addr: Self::Val, _site: u32, _checked: bool) -> Result<(), Self::Err> {
+        Ok(())
+    }
+    fn print(&mut self, _v: Self::Val) {}
+    fn host(&mut self, name: Sym, _args: &[Self::Val]) -> Result<Self::Val, Self::Err> {
+        Err(InterpError::BadCall(format!("no syscall host for {name}")).into())
+    }
+}
+
+/// Where [`Core::step`] goes next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow<V> {
+    /// Go on at this pc.
+    Next(u32),
+    /// A conditional jump's truth is unknown: the run may go on at either
+    /// pc. The condition has been popped.
+    Fork { fall: u32, taken: u32 },
+    /// The run's entry frame returned this value.
+    Return(V),
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -47,10 +144,307 @@ struct Frame {
 
 #[derive(Debug, Clone, Copy)]
 struct Scope {
-    /// `stack_ptr` to restore on exit.
-    watermark: u64,
-    /// `decl_stack` length at scope entry.
+    /// [`Domain::mark`] to restore on exit.
+    mark: u64,
+    /// `decls` length at scope entry.
     decl_mark: u32,
+}
+
+/// The execution state one step reads and writes, over values `V`.
+#[derive(Debug, Clone, Default)]
+pub struct Core<V> {
+    /// Where a path resumes, for a caller that keeps its pc here (the
+    /// verifier). The VM keeps its running pc in a local instead.
+    pub pc: u32,
+    /// Steps charged so far.
+    pub steps: u64,
+    pub stack: Vec<V>,
+    /// Object address per local slot of every live frame (0: undeclared).
+    slots: Vec<u64>,
+    frames: Vec<Frame>,
+    scopes: Vec<Scope>,
+    /// Slots declared in the live scopes, innermost last.
+    decls: Vec<u16>,
+    /// Per-global address, set by `AllocGlobal`.
+    globals: Vec<u64>,
+}
+
+impl<V: Copy> Core<V> {
+    /// Empty state for `module` under the run-entry sentinel frame, at the
+    /// init chunk's entry.
+    pub fn start(&mut self, module: &Module, mark: u64) {
+        self.stack.clear();
+        self.slots.clear();
+        self.frames.clear();
+        self.scopes.clear();
+        self.decls.clear();
+        self.globals.clear();
+        self.globals.resize(module.globals.len(), 0);
+        self.steps = 0;
+        self.pc = module.init_entry;
+        self.push_frame(mark, u32::MAX, 0, 0);
+    }
+
+    /// Enter a frame whose arguments start at stack index `base`, with
+    /// `n_slots` local slots and one scope opened at `mark`.
+    pub fn push_frame(&mut self, mark: u64, ret_pc: u32, base: u32, n_slots: u16) {
+        let slot_base = self.slots.len() as u32;
+        self.slots.resize(self.slots.len() + n_slots as usize, 0);
+        self.frames.push(Frame {
+            ret_pc,
+            base,
+            slot_base,
+            scope_mark: self.scopes.len() as u32,
+            arg_cursor: 0,
+        });
+        self.scopes.push(Scope { mark, decl_mark: self.decls.len() as u32 });
+    }
+
+    fn pop(&mut self) -> V {
+        self.stack.pop().expect("operand")
+    }
+
+    fn top(&self) -> V {
+        *self.stack.last().expect("operand")
+    }
+
+    fn local(&self, slot: u16) -> u64 {
+        self.slots[self.frames.last().expect("frame").slot_base as usize + slot as usize]
+    }
+
+    fn declare<D: Domain<Val = V>>(
+        &mut self,
+        d: &mut D,
+        slot: u16,
+        size: u32,
+    ) -> Result<u64, D::Err> {
+        let addr = d.alloc(size as usize, false)?;
+        let sb = self.frames.last().expect("frame").slot_base as usize;
+        self.slots[sb + slot as usize] = addr;
+        self.decls.push(slot);
+        Ok(addr)
+    }
+
+    fn exit_scope<D: Domain<Val = V>>(&mut self, d: &mut D, slot_base: u32) {
+        let sc = self.scopes.pop().expect("scope underflow");
+        for &slot in &self.decls[sc.decl_mark as usize..] {
+            d.free_local(self.slots[slot_base as usize + slot as usize]);
+        }
+        self.decls.truncate(sc.decl_mark as usize);
+        d.release(sc.mark);
+    }
+
+    /// Leave the innermost frame: close its scopes and drop its slots.
+    fn pop_frame<D: Domain<Val = V>>(&mut self, d: &mut D) -> Option<Frame> {
+        let f = self.frames.pop()?;
+        while self.scopes.len() > f.scope_mark as usize {
+            self.exit_scope(d, f.slot_base);
+        }
+        self.slots.truncate(f.slot_base as usize);
+        Some(f)
+    }
+
+    /// After an error: pop every live frame, letting the domain see each
+    /// dying stack object and restore its marks — the same cleanup the
+    /// interpreter performs as an error propagates out of its nested
+    /// `call_func`/`exec_block` calls.
+    fn unwind<D: Domain<Val = V>>(&mut self, d: &mut D) {
+        while self.pop_frame(d).is_some() {}
+        self.stack.clear();
+        self.decls.clear();
+    }
+
+    /// Replace the top of stack `v` with `v op k`.
+    fn bin_const<D: Domain<Val = V>>(&mut self, d: &mut D, op: BinOp, k: i64) {
+        let v = self.pop();
+        let k = d.int(k);
+        self.stack.push(d.bin(op, v, k).expect("only division can fail"));
+    }
+
+    fn cond<D: Domain<Val = V>>(&mut self, d: &mut D, pc: u32, t: u32, on: bool) -> Flow<V> {
+        let c = self.pop();
+        match d.truth(c) {
+            Some(b) if b == on => {
+                d.jumped(pc, t);
+                Flow::Next(t)
+            }
+            Some(_) => Flow::Next(pc + 1),
+            None => Flow::Fork { fall: pc + 1, taken: t },
+        }
+    }
+
+    /// Execute the op at `pc`.
+    #[inline(always)]
+    pub fn step<D: Domain<Val = V>>(
+        &mut self,
+        d: &mut D,
+        module: &Module,
+        pc: u32,
+    ) -> Result<Flow<V>, D::Err> {
+        let mut next = pc + 1;
+        match module.code[pc as usize] {
+            Op::Step(n) => d.charge(&mut self.steps, n)?,
+            Op::PushInt(v) => self.stack.push(d.int(v)),
+            Op::PushLocalAddr(slot) => self.stack.push(d.addr(self.local(slot))),
+            Op::PushGlobalAddr(g) => self.stack.push(d.addr(self.globals[g as usize])),
+            Op::LoadLocal { slot, site, access, checked } => {
+                let addr = d.addr(self.local(slot));
+                self.stack.push(d.load(addr, access, site, checked)?);
+            }
+            Op::LoadGlobal { gidx, site, access, checked } => {
+                let addr = d.addr(self.globals[gidx as usize]);
+                self.stack.push(d.load(addr, access, site, checked)?);
+            }
+            Op::LoadInd { site, access, checked } => {
+                let addr = self.pop();
+                self.stack.push(d.load(addr, access, site, checked)?);
+            }
+            Op::StoreInd { site, access, checked } => {
+                let addr = self.pop();
+                d.store(addr, access, self.top(), site, checked)?;
+            }
+            Op::StoreLocalKeep { slot, site, access, checked } => {
+                let addr = d.addr(self.local(slot));
+                d.store(addr, access, self.top(), site, checked)?;
+            }
+            Op::StoreGlobalKeep { gidx, site, access, checked } => {
+                let addr = d.addr(self.globals[gidx as usize]);
+                d.store(addr, access, self.top(), site, checked)?;
+            }
+            Op::StoreLocalPop { slot, site, access, checked } => {
+                let addr = d.addr(self.local(slot));
+                let v = self.pop();
+                d.store(addr, access, v, site, checked)?;
+            }
+            Op::StoreGlobalPop { gidx, site, access, checked } => {
+                let addr = d.addr(self.globals[gidx as usize]);
+                let v = self.pop();
+                d.store(addr, access, v, site, checked)?;
+            }
+            Op::StrLit { id, sidx } => {
+                self.stack.push(d.str_lit(id, &module.strings[sidx as usize])?);
+            }
+            Op::IndexAddr { site, elem_size, checked } => {
+                let i = self.pop();
+                let base = self.pop();
+                self.stack.push(d.offset(base, i, elem_size, false, site, checked)?);
+            }
+            Op::PtrArith { site, scale, sub, checked } => {
+                let r = self.pop();
+                let l = self.pop();
+                self.stack.push(d.offset(l, r, scale, sub, site, checked)?);
+            }
+            Op::PtrArithRev { site, scale, checked } => {
+                // `int + ptr`: the pointer is the right operand.
+                let r = self.pop();
+                let l = self.pop();
+                self.stack.push(d.offset(r, l, scale, false, site, checked)?);
+            }
+            Op::PtrDiff { scale } => {
+                let r = self.pop();
+                let l = self.pop();
+                self.stack.push(d.ptr_diff(l, r, scale));
+            }
+            Op::Bin { op, loc } => {
+                let r = self.pop();
+                let l = self.pop();
+                self.stack.push(d.bin(op, l, r).ok_or(InterpError::DivByZero(loc))?);
+            }
+            // `-v`, `!v` and the 0/1 normalisation are `v * -1`, `v == 0`
+            // and `v != 0`.
+            Op::Neg => self.bin_const(d, BinOp::Mul, -1),
+            Op::NotOp => self.bin_const(d, BinOp::Eq, 0),
+            Op::NormBool => self.bin_const(d, BinOp::Ne, 0),
+            Op::Jump(t) => {
+                d.jumped(pc, t);
+                next = t;
+            }
+            Op::JumpIfZero(t) => return Ok(self.cond(d, pc, t, false)),
+            Op::JumpIfNonZero(t) => return Ok(self.cond(d, pc, t, true)),
+            Op::Pop => {
+                self.pop();
+            }
+            Op::EnterScope => {
+                let mark = d.mark();
+                self.scopes.push(Scope { mark, decl_mark: self.decls.len() as u32 });
+            }
+            Op::ExitScope => {
+                let sb = self.frames.last().expect("frame").slot_base;
+                self.exit_scope(d, sb);
+            }
+            Op::DeclLocal { slot, size } => {
+                self.declare(d, slot, size)?;
+            }
+            Op::Param { slot, size, access } => {
+                let f = self.frames.last_mut().expect("frame");
+                let v = self.stack[f.base as usize + f.arg_cursor as usize];
+                f.arg_cursor += 1;
+                let addr = self.declare(d, slot, size)?;
+                let addr = d.addr(addr);
+                // Parameter spill is a trusted store (site u32::MAX),
+                // same as the interpreter's prologue.
+                d.store(addr, access, v, u32::MAX, true)?;
+            }
+            Op::Malloc => {
+                let size = self.pop();
+                self.stack.push(d.malloc(size)?);
+            }
+            Op::Free { site, checked } => {
+                let addr = self.pop();
+                d.free(addr, site, checked)?;
+                self.stack.push(d.int(0));
+            }
+            Op::PrintInt => {
+                let v = self.pop();
+                d.print(v);
+                self.stack.push(d.int(0));
+            }
+            Op::CallFn { fidx, argc } => {
+                if self.frames.len() >= MAX_CALL_DEPTH {
+                    return Err(InterpError::Oom("call stack").into());
+                }
+                let f = &module.funcs[fidx as usize];
+                if f.n_params != argc {
+                    return Err(arity_error(f, argc as usize).into());
+                }
+                let base = (self.stack.len() - argc as usize) as u32;
+                self.push_frame(d.mark(), next, base, f.n_slots);
+                next = f.entry;
+            }
+            Op::CallHost { name, argc } => {
+                let at = self.stack.len() - argc as usize;
+                let args: Vec<V> = self.stack.split_off(at);
+                self.stack.push(d.host(name, &args)?);
+            }
+            Op::Ret => {
+                let val = self.pop();
+                let f = self.pop_frame(d).expect("frame");
+                self.stack.truncate(f.base as usize);
+                if f.ret_pc == u32::MAX {
+                    return Ok(Flow::Return(val));
+                }
+                self.stack.push(val);
+                next = f.ret_pc;
+            }
+            Op::AllocGlobal { gidx } => {
+                self.globals[gidx as usize] = d.alloc(module.globals[gidx as usize].size, true)?;
+            }
+            Op::Trap(kind) => {
+                return Err(match kind {
+                    TrapKind::NoSuchFunction(n) => InterpError::NoSuchFunction(n.to_string()),
+                    TrapKind::NotLvalue(loc) => {
+                        InterpError::Misc(format!("not an lvalue at {loc}"))
+                    }
+                }
+                .into())
+            }
+        }
+        Ok(Flow::Next(next))
+    }
+}
+
+fn arity_error(f: &FuncInfo, got: usize) -> InterpError {
+    InterpError::BadCall(format!("{} expects {} args, got {}", f.name, f.n_params, got))
 }
 
 /// The heap buffers a [`Vm`] executes in. A caller that runs many short
@@ -59,38 +453,33 @@ struct Scope {
 /// reused buffers starts from exactly the state [`Vm::new`] builds.
 #[derive(Debug, Default)]
 pub struct VmBuffers {
-    global_addrs: Vec<u64>,
+    core: Core<i64>,
     strings: HashMap<u32, u64>,
     heap_live: HashMap<u64, usize>,
-    stack: Vec<i64>,
-    slots: Vec<u64>,
-    frames: Vec<Frame>,
-    scope_stack: Vec<Scope>,
-    decl_stack: Vec<u16>,
 }
 
-/// A bytecode VM instance. Owns the same kind of caller-prepared arena as
-/// the interpreter and is reusable across `run` calls (globals persist).
-pub struct Vm<'a> {
+/// The VM's side of the concrete domain: the simulated machine, the
+/// arena, and what is attached.
+struct Env<'a> {
     machine: &'a Machine,
-    module: &'a Module,
     /// `None` until KGCC attaches one: an unhooked VM makes no hook calls.
     hook: Option<&'a dyn MemHook>,
     host: Option<&'a dyn SyscallHost>,
     ticker: Option<&'a TickFn<'a>>,
     cfg: ExecConfig,
     arena: Arena,
-    global_addrs: Vec<u64>,
+    /// String literal id → its arena copy.
     strings: HashMap<u32, u64>,
-    steps: u64,
+}
+
+/// A bytecode VM instance. Owns the same kind of caller-prepared arena as
+/// the interpreter and is reusable across `run` calls (globals persist).
+pub struct Vm<'a> {
+    module: &'a Module,
+    core: Core<i64>,
+    env: Env<'a>,
     /// `print_int` output, for tests and demos.
     pub output: Vec<i64>,
-    // Flat execution state (no per-call allocation).
-    stack: Vec<i64>,
-    slots: Vec<u64>,
-    frames: Vec<Frame>,
-    scope_stack: Vec<Scope>,
-    decl_stack: Vec<u16>,
 }
 
 impl<'a> Vm<'a> {
@@ -105,10 +494,8 @@ impl<'a> Vm<'a> {
         arena_base: u64,
         arena_len: usize,
     ) -> Result<Self, InterpError> {
-        let mut vm =
-            Self::on_buffers(machine, module, cfg, arena_base, arena_len, VmBuffers::default());
-        vm.init()?;
-        Ok(vm)
+        let bufs = &mut VmBuffers::default();
+        Self::with_buffers(machine, module, cfg, arena_base, arena_len, bufs)
     }
 
     /// [`Vm::new`] in the buffers taken out of `bufs`, which the caller
@@ -123,8 +510,11 @@ impl<'a> Vm<'a> {
         arena_len: usize,
         bufs: &mut VmBuffers,
     ) -> Result<Self, InterpError> {
-        let taken = std::mem::take(bufs);
-        let mut vm = Self::on_buffers(machine, module, cfg, arena_base, arena_len, taken);
+        let VmBuffers { core, mut strings, heap_live } = std::mem::take(bufs);
+        strings.clear();
+        let arena = Arena::new(arena_base, arena_len, heap_live);
+        let env = Env { machine, hook: None, host: None, ticker: None, cfg, arena, strings };
+        let mut vm = Vm { module, core, env, output: Vec::new() };
         if let Err(e) = vm.init() {
             *bufs = vm.into_buffers();
             return Err(e);
@@ -134,93 +524,44 @@ impl<'a> Vm<'a> {
 
     /// Hand the execution buffers back for the next [`Vm::with_buffers`].
     pub fn into_buffers(self) -> VmBuffers {
-        VmBuffers {
-            global_addrs: self.global_addrs,
-            strings: self.strings,
-            heap_live: self.arena.heap_live,
-            stack: self.stack,
-            slots: self.slots,
-            frames: self.frames,
-            scope_stack: self.scope_stack,
-            decl_stack: self.decl_stack,
-        }
-    }
-
-    /// A VM with empty state in `b`'s allocations, before the init chunk.
-    fn on_buffers(
-        machine: &'a Machine,
-        module: &'a Module,
-        cfg: ExecConfig,
-        arena_base: u64,
-        arena_len: usize,
-        mut b: VmBuffers,
-    ) -> Self {
-        b.global_addrs.clear();
-        b.global_addrs.resize(module.globals.len(), 0);
-        b.strings.clear();
-        b.stack.clear();
-        b.slots.clear();
-        b.frames.clear();
-        b.scope_stack.clear();
-        b.decl_stack.clear();
-        Vm {
-            machine,
-            module,
-            hook: None,
-            host: None,
-            ticker: None,
-            cfg,
-            arena: Arena::new(arena_base, arena_len, b.heap_live),
-            global_addrs: b.global_addrs,
-            strings: b.strings,
-            steps: 0,
-            output: Vec::new(),
-            stack: b.stack,
-            slots: b.slots,
-            frames: b.frames,
-            scope_stack: b.scope_stack,
-            decl_stack: b.decl_stack,
-        }
+        let Env { strings, arena, .. } = self.env;
+        VmBuffers { core: self.core, strings, heap_live: arena.heap_live }
     }
 
     /// Run the init chunk (global allocation + initialisers) under a
     /// sentinel frame with no slots.
     fn init(&mut self) -> Result<(), InterpError> {
-        self.frames.push(Frame { ret_pc: u32::MAX, base: 0, slot_base: 0, scope_mark: 0, arg_cursor: 0 });
-        self.scope_stack.push(Scope { watermark: self.arena.stack_ptr, decl_mark: 0 });
-        if let Err(e) = self.exec(self.module.init_entry) {
-            self.unwind_all();
-            return Err(e);
-        }
-        self.arena.start_heap();
+        self.core.start(self.module, self.env.arena.stack_ptr);
+        self.exec(self.module.init_entry)?;
+        self.env.arena.start_heap();
         Ok(())
     }
 
     /// Attach an instrumentation hook (KGCC). Re-registers global and
     /// currently-live heap objects with the new hook.
     pub fn set_hook(&mut self, hook: &'a dyn MemHook) {
-        self.hook = Some(hook);
-        for (g, &addr) in self.module.globals.iter().zip(&self.global_addrs) {
+        self.env.hook = Some(hook);
+        for (g, &addr) in self.module.globals.iter().zip(&self.core.globals) {
             hook.on_alloc(addr, g.size, false);
         }
-        for (&base, &len) in &self.arena.heap_live {
+        for (&base, &len) in &self.env.arena.heap_live {
             hook.on_alloc(base, len, true);
         }
     }
 
     /// Attach a syscall host.
     pub fn set_host(&mut self, host: &'a dyn SyscallHost) {
-        self.host = Some(host);
+        self.env.host = Some(host);
     }
 
     /// Attach the periodic tick callback (Cosy watchdog hook-in).
     pub fn set_ticker(&mut self, t: &'a TickFn<'a>) {
-        self.ticker = Some(t);
+        self.env.ticker = Some(t);
     }
 
     /// Steps executed so far (across runs).
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.core.steps
     }
 
     /// Run `func(args...)` to completion.
@@ -234,101 +575,51 @@ impl<'a> Vm<'a> {
     /// [`Vm::run`] by function index ([`Module::func_by_name`]), for
     /// callers that resolved the entry point once up front.
     pub fn run_func(&mut self, fidx: u16, args: &[i64]) -> Result<ExecOutcome, InterpError> {
-        let start = self.steps;
-        match self.enter(fidx, args) {
-            Ok(ret) => Ok(ExecOutcome { ret, steps: self.steps - start }),
-            Err(e) => {
-                self.unwind_all();
-                Err(e)
+        let start = self.core.steps;
+        let module = self.module;
+        let f = &module.funcs[fidx as usize];
+        if f.n_params as usize != args.len() {
+            return Err(arity_error(f, args.len()));
+        }
+        let base = self.core.stack.len() as u32;
+        self.core.stack.extend_from_slice(args);
+        self.core.push_frame(self.env.arena.stack_ptr, u32::MAX, base, f.n_slots);
+        let ret = self.exec(f.entry)?;
+        Ok(ExecOutcome { ret, steps: self.core.steps - start })
+    }
+
+    /// Step from `entry` until the entry frame returns. On an error every
+    /// frame is unwound, so the VM is ready for the next run.
+    fn exec(&mut self, entry: u32) -> Result<i64, InterpError> {
+        let module: &Module = self.module;
+        let Vm { core, env, output, .. } = self;
+        let d = &mut Concrete { env, output };
+        let mut pc = entry;
+        loop {
+            match core.step(d, module, pc) {
+                Ok(Flow::Next(next)) => pc = next,
+                Ok(Flow::Return(v)) => return Ok(v),
+                Ok(Flow::Fork { .. }) => unreachable!("a concrete condition is always known"),
+                Err(e) => {
+                    core.unwind(d);
+                    return Err(e);
+                }
             }
         }
     }
+}
 
-    fn enter(&mut self, fidx: u16, args: &[i64]) -> Result<i64, InterpError> {
-        if self.frames.len() >= MAX_CALL_DEPTH {
-            return Err(InterpError::Oom("call stack"));
-        }
-        let f = &self.module.funcs[fidx as usize];
-        if f.n_params as usize != args.len() {
-            return Err(InterpError::BadCall(format!(
-                "{} expects {} args, got {}",
-                f.name,
-                f.n_params,
-                args.len()
-            )));
-        }
-        let base = self.stack.len() as u32;
-        self.stack.extend_from_slice(args);
-        let entry = f.entry;
-        self.push_frame(u32::MAX, base, fidx);
-        self.exec(entry)
-    }
+/// The concrete domain: `i64` values in the simulated machine's memory,
+/// with KGCC's hook calls, the arena, fuel and the watchdog tick.
+struct Concrete<'r, 'a> {
+    env: &'r mut Env<'a>,
+    output: &'r mut Vec<i64>,
+}
 
-    fn push_frame(&mut self, ret_pc: u32, base: u32, fidx: u16) {
-        let f: &FuncInfo = &self.module.funcs[fidx as usize];
-        let slot_base = self.slots.len() as u32;
-        self.slots.resize(self.slots.len() + f.n_slots as usize, 0);
-        self.frames.push(Frame {
-            ret_pc,
-            base,
-            slot_base,
-            scope_mark: self.scope_stack.len() as u32,
-            arg_cursor: 0,
-        });
-        self.scope_stack
-            .push(Scope { watermark: self.arena.stack_ptr, decl_mark: self.decl_stack.len() as u32 });
-    }
-
-    fn mem(&self) -> MemCtx<'a> {
+impl Env<'_> {
+    fn mem(&self) -> MemCtx<'_> {
         MemCtx::new(self.machine, self.cfg.asid, self.cfg.seg)
     }
-
-    // ---- step accounting --------------------------------------------------
-
-    /// Charge `n` evaluation steps. The fast path batches the whole run
-    /// when neither the fuel limit nor a tick boundary falls inside it;
-    /// otherwise it replays the interpreter's per-step sequence exactly
-    /// (charge, then timeout test, then tick).
-    fn charge(&mut self, n: u32) -> Result<(), InterpError> {
-        let n = n as u64;
-        let before = self.steps;
-        let after = before + n;
-        let timeout_ok = self.cfg.max_steps.map(|m| after <= m).unwrap_or(true);
-        let tick = self.cfg.tick_every;
-        let tick_ok =
-            self.ticker.is_none() || tick == 0 || before / tick == after / tick;
-        if timeout_ok && tick_ok {
-            self.steps = after;
-            let cycles = n * self.cfg.cycles_per_step;
-            if self.cfg.charge_sys {
-                self.machine.charge_sys(cycles);
-            } else {
-                self.machine.charge_user(cycles);
-            }
-            return Ok(());
-        }
-        for _ in 0..n {
-            self.steps += 1;
-            if self.cfg.charge_sys {
-                self.machine.charge_sys(self.cfg.cycles_per_step);
-            } else {
-                self.machine.charge_user(self.cfg.cycles_per_step);
-            }
-            if let Some(max) = self.cfg.max_steps {
-                if self.steps > max {
-                    return Err(InterpError::Timeout { steps: self.steps });
-                }
-            }
-            if self.steps.is_multiple_of(tick) {
-                if let Some(t) = self.ticker {
-                    t(self.steps)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ---- hook calls (none without a hook) ---------------------------------
 
     fn on_alloc(&self, base: u64, len: usize, is_heap: bool) {
         if let Some(hook) = self.hook {
@@ -336,350 +627,205 @@ impl<'a> Vm<'a> {
         }
     }
 
-    fn on_ptr_arith(&self, site: u32, old: u64, new: u64) -> Result<u64, InterpError> {
+    fn on_access(
+        &self,
+        checked: bool,
+        site: u32,
+        addr: u64,
+        len: u8,
+        write: bool,
+    ) -> Result<(), InterpError> {
         match self.hook {
-            Some(hook) => Ok(hook.on_ptr_arith(site, old, new)?),
-            None => Ok(new),
+            Some(hook) if checked => Ok(hook.on_access(site, addr, len as usize, write)?),
+            _ => Ok(()),
         }
     }
 
-    // ---- scalar access ----------------------------------------------------
+    fn charge_cycles(&self, cycles: u64) {
+        if self.cfg.charge_sys {
+            self.machine.charge_sys(cycles);
+        } else {
+            self.machine.charge_user(cycles);
+        }
+    }
+}
 
+impl Domain for Concrete<'_, '_> {
+    type Val = i64;
+    type Err = InterpError;
+
+    fn int(&mut self, v: i64) -> i64 {
+        v
+    }
+
+    fn addr(&mut self, a: u64) -> i64 {
+        a as i64
+    }
+
+    fn truth(&mut self, v: i64) -> Option<bool> {
+        Some(v != 0)
+    }
+
+    fn bin(&mut self, op: BinOp, l: i64, r: i64) -> Option<i64> {
+        op.eval(l, r)
+    }
+
+    fn offset(
+        &mut self,
+        ptr: i64,
+        idx: i64,
+        scale: u32,
+        sub: bool,
+        site: u32,
+        checked: bool,
+    ) -> Result<i64, InterpError> {
+        let new = if sub { ptr - idx * scale as i64 } else { ptr + idx * scale as i64 };
+        match self.env.hook {
+            Some(hook) if checked => Ok(hook.on_ptr_arith(site, ptr as u64, new as u64)? as i64),
+            _ => Ok(new),
+        }
+    }
+
+    fn ptr_diff(&mut self, l: i64, r: i64, scale: u32) -> i64 {
+        (l - r) / scale as i64
+    }
+
+    #[inline(always)]
     fn load(
         &mut self,
-        addr: u64,
+        addr: i64,
         access: Access,
         site: u32,
         checked: bool,
     ) -> Result<i64, InterpError> {
-        if checked {
-            if let Some(hook) = self.hook {
-                hook.on_access(site, addr, access.len as usize, false)?;
-            }
-        }
-        let mem = self.mem();
-        if access.byte {
-            let mut b = [0u8; 1];
-            mem.read(addr, &mut b)?;
-            Ok(b[0] as i64)
-        } else {
-            let mut b = [0u8; 8];
-            mem.read(addr, &mut b)?;
-            Ok(i64::from_le_bytes(b))
-        }
+        let addr = addr as u64;
+        self.env.on_access(checked, site, addr, access.len, false)?;
+        let mut b = [0u8; 8];
+        self.env.mem().read(addr, &mut b[..access.width()])?;
+        Ok(i64::from_le_bytes(b))
     }
 
+    #[inline(always)]
     fn store(
         &mut self,
-        addr: u64,
+        addr: i64,
         access: Access,
         v: i64,
         site: u32,
         checked: bool,
     ) -> Result<(), InterpError> {
-        if checked {
-            if let Some(hook) = self.hook {
-                hook.on_access(site, addr, access.len as usize, true)?;
-            }
+        let addr = addr as u64;
+        self.env.on_access(checked, site, addr, access.len, true)?;
+        self.env.mem().write(addr, &v.to_le_bytes()[..access.width()])
+    }
+
+    fn str_lit(&mut self, id: u32, bytes: &[u8]) -> Result<i64, InterpError> {
+        if let Some(&addr) = self.env.strings.get(&id) {
+            return Ok(addr as i64);
         }
-        let mem = self.mem();
-        if access.byte {
-            mem.write(addr, &[v as u8])?;
-        } else {
-            mem.write(addr, &v.to_le_bytes())?;
+        let addr = self.env.arena.alloc_data(bytes.len() + 1)?;
+        self.env.on_alloc(addr, bytes.len() + 1, false);
+        let mem = self.env.mem();
+        mem.write(addr, bytes)?;
+        mem.write(addr + bytes.len() as u64, &[0])?;
+        self.env.strings.insert(id, addr);
+        Ok(addr as i64)
+    }
+
+    fn alloc(&mut self, size: usize, global: bool) -> Result<u64, InterpError> {
+        let arena = &mut self.env.arena;
+        let addr = if global { arena.alloc_data(size)? } else { arena.alloc_stack(size)? };
+        self.env.on_alloc(addr, size, false);
+        Ok(addr)
+    }
+
+    fn free_local(&mut self, addr: u64) {
+        if let Some(hook) = self.env.hook {
+            hook.on_dealloc(addr, false);
+        }
+    }
+
+    fn mark(&mut self) -> u64 {
+        self.env.arena.stack_ptr
+    }
+
+    fn release(&mut self, mark: u64) {
+        self.env.arena.stack_ptr = mark;
+    }
+
+    /// The fast path batches the whole run when neither the fuel limit nor
+    /// a tick boundary falls inside it; otherwise it replays the
+    /// interpreter's per-step sequence exactly (charge, then timeout test,
+    /// then tick).
+    #[inline(always)]
+    fn charge(&mut self, steps: &mut u64, n: u32) -> Result<(), InterpError> {
+        let cfg = &self.env.cfg;
+        let n = n as u64;
+        let before = *steps;
+        let after = before + n;
+        let timeout_ok = cfg.max_steps.map(|m| after <= m).unwrap_or(true);
+        let tick = cfg.tick_every;
+        let tick_ok = self.env.ticker.is_none() || tick == 0 || before / tick == after / tick;
+        if timeout_ok && tick_ok {
+            *steps = after;
+            self.env.charge_cycles(n * cfg.cycles_per_step);
+            return Ok(());
+        }
+        for _ in 0..n {
+            *steps += 1;
+            self.env.charge_cycles(self.env.cfg.cycles_per_step);
+            if let Some(max) = self.env.cfg.max_steps {
+                if *steps > max {
+                    return Err(InterpError::Timeout { steps: *steps });
+                }
+            }
+            if steps.is_multiple_of(tick) {
+                if let Some(t) = self.env.ticker {
+                    t(*steps)?;
+                }
+            }
         }
         Ok(())
     }
 
-    // ---- scope/frame unwinding --------------------------------------------
-
-    fn exit_scope(&mut self, slot_base: u32) {
-        let sc = self.scope_stack.pop().expect("scope underflow");
-        if let Some(hook) = self.hook {
-            for &slot in &self.decl_stack[sc.decl_mark as usize..] {
-                hook.on_dealloc(self.slots[slot_base as usize + slot as usize], false);
-            }
-        }
-        self.decl_stack.truncate(sc.decl_mark as usize);
-        self.arena.stack_ptr = sc.watermark;
+    fn malloc(&mut self, size: i64) -> Result<i64, InterpError> {
+        let size = size.max(0) as usize;
+        let addr = self.env.arena.alloc_heap(size)?;
+        self.env.on_alloc(addr, size, true);
+        Ok(addr as i64)
     }
 
-    /// After an error: pop every live frame, notifying the hook of dying
-    /// stack objects and restoring the arena stack pointer — the same
-    /// cleanup the interpreter performs as an error propagates out of its
-    /// nested `call_func`/`exec_block` calls.
-    fn unwind_all(&mut self) {
-        while let Some(f) = self.frames.pop() {
-            while self.scope_stack.len() > f.scope_mark as usize {
-                self.exit_scope(f.slot_base);
+    fn free(&mut self, addr: i64, site: u32, checked: bool) -> Result<(), InterpError> {
+        let addr = addr as u64;
+        if let Some(hook) = self.env.hook {
+            if checked {
+                hook.on_free_check(site, addr)?;
             }
-            self.slots.truncate(f.slot_base as usize);
         }
-        self.stack.clear();
-        self.decl_stack.clear();
+        if self.env.arena.free(addr) {
+            if let Some(hook) = self.env.hook {
+                hook.on_dealloc(addr, true);
+            }
+        }
+        Ok(())
     }
 
-    // ---- the dispatch loop ------------------------------------------------
+    fn print(&mut self, v: i64) {
+        self.output.push(v);
+    }
 
-    fn exec(&mut self, entry: u32) -> Result<i64, InterpError> {
-        let module: &'a Module = self.module;
-        let code = &module.code;
-        let mut pc = entry as usize;
-        loop {
-            let op = code[pc];
-            pc += 1;
-            match op {
-                Op::Step(n) => self.charge(n)?,
-                Op::PushInt(v) => self.stack.push(v),
-                Op::PushLocalAddr(slot) => {
-                    let sb = self.frames.last().expect("frame").slot_base as usize;
-                    self.stack.push(self.slots[sb + slot as usize] as i64);
-                }
-                Op::PushGlobalAddr(g) => {
-                    self.stack.push(self.global_addrs[g as usize] as i64);
-                }
-                Op::LoadLocal { slot, site, access, checked } => {
-                    let sb = self.frames.last().expect("frame").slot_base as usize;
-                    let addr = self.slots[sb + slot as usize];
-                    let v = self.load(addr, access, site, checked)?;
-                    self.stack.push(v);
-                }
-                Op::LoadGlobal { gidx, site, access, checked } => {
-                    let addr = self.global_addrs[gidx as usize];
-                    let v = self.load(addr, access, site, checked)?;
-                    self.stack.push(v);
-                }
-                Op::LoadInd { site, access, checked } => {
-                    let addr = self.stack.pop().expect("operand") as u64;
-                    let v = self.load(addr, access, site, checked)?;
-                    self.stack.push(v);
-                }
-                Op::StoreInd { site, access, checked } => {
-                    let addr = self.stack.pop().expect("operand") as u64;
-                    let v = *self.stack.last().expect("operand");
-                    self.store(addr, access, v, site, checked)?;
-                }
-                Op::StoreLocalKeep { slot, site, access, checked } => {
-                    let sb = self.frames.last().expect("frame").slot_base as usize;
-                    let addr = self.slots[sb + slot as usize];
-                    let v = *self.stack.last().expect("operand");
-                    self.store(addr, access, v, site, checked)?;
-                }
-                Op::StoreGlobalKeep { gidx, site, access, checked } => {
-                    let addr = self.global_addrs[gidx as usize];
-                    let v = *self.stack.last().expect("operand");
-                    self.store(addr, access, v, site, checked)?;
-                }
-                Op::StoreLocalPop { slot, site, access, checked } => {
-                    let sb = self.frames.last().expect("frame").slot_base as usize;
-                    let addr = self.slots[sb + slot as usize];
-                    let v = self.stack.pop().expect("operand");
-                    self.store(addr, access, v, site, checked)?;
-                }
-                Op::StoreGlobalPop { gidx, site, access, checked } => {
-                    let addr = self.global_addrs[gidx as usize];
-                    let v = self.stack.pop().expect("operand");
-                    self.store(addr, access, v, site, checked)?;
-                }
-                Op::StrLit { id, sidx } => {
-                    if let Some(&addr) = self.strings.get(&id) {
-                        self.stack.push(addr as i64);
-                    } else {
-                        let bytes = &module.strings[sidx as usize];
-                        let addr = self.arena.alloc_data(bytes.len() + 1)?;
-                        self.on_alloc(addr, bytes.len() + 1, false);
-                        let mem = self.mem();
-                        mem.write(addr, bytes)?;
-                        mem.write(addr + bytes.len() as u64, &[0])?;
-                        self.strings.insert(id, addr);
-                        self.stack.push(addr as i64);
-                    }
-                }
-                Op::IndexAddr { site, elem_size, checked } => {
-                    let i = self.stack.pop().expect("operand");
-                    let base = self.stack.pop().expect("operand") as u64;
-                    let addr = (base as i64 + i * elem_size as i64) as u64;
-                    let addr =
-                        if checked { self.on_ptr_arith(site, base, addr)? } else { addr };
-                    self.stack.push(addr as i64);
-                }
-                Op::PtrArith { site, scale, sub, checked } => {
-                    let r = self.stack.pop().expect("operand");
-                    let l = self.stack.pop().expect("operand");
-                    let new = if sub { l - r * scale as i64 } else { l + r * scale as i64 };
-                    let v = if checked {
-                        self.on_ptr_arith(site, l as u64, new as u64)? as i64
-                    } else {
-                        new
-                    };
-                    self.stack.push(v);
-                }
-                Op::PtrArithRev { site, scale, checked } => {
-                    let r = self.stack.pop().expect("operand");
-                    let l = self.stack.pop().expect("operand");
-                    let new = r + l * scale as i64;
-                    let v = if checked {
-                        self.on_ptr_arith(site, r as u64, new as u64)? as i64
-                    } else {
-                        new
-                    };
-                    self.stack.push(v);
-                }
-                Op::PtrDiff { scale } => {
-                    let r = self.stack.pop().expect("operand");
-                    let l = self.stack.pop().expect("operand");
-                    self.stack.push((l - r) / scale as i64);
-                }
-                Op::Bin { op, loc } => {
-                    let r = self.stack.pop().expect("operand");
-                    let l = self.stack.pop().expect("operand");
-                    self.stack.push(op.eval(l, r).ok_or(InterpError::DivByZero(loc))?);
-                }
-                Op::Neg => {
-                    let v = self.stack.pop().expect("operand");
-                    self.stack.push(-v);
-                }
-                Op::NotOp => {
-                    let v = self.stack.pop().expect("operand");
-                    self.stack.push((v == 0) as i64);
-                }
-                Op::NormBool => {
-                    let v = self.stack.pop().expect("operand");
-                    self.stack.push((v != 0) as i64);
-                }
-                Op::Jump(t) => pc = t as usize,
-                Op::JumpIfZero(t) => {
-                    if self.stack.pop().expect("operand") == 0 {
-                        pc = t as usize;
-                    }
-                }
-                Op::JumpIfNonZero(t) => {
-                    if self.stack.pop().expect("operand") != 0 {
-                        pc = t as usize;
-                    }
-                }
-                Op::Pop => {
-                    self.stack.pop().expect("operand");
-                }
-                Op::EnterScope => {
-                    self.scope_stack.push(Scope {
-                        watermark: self.arena.stack_ptr,
-                        decl_mark: self.decl_stack.len() as u32,
-                    });
-                }
-                Op::ExitScope => {
-                    let sb = self.frames.last().expect("frame").slot_base;
-                    self.exit_scope(sb);
-                }
-                Op::DeclLocal { slot, size } => {
-                    let addr = self.arena.alloc_stack(size as usize)?;
-                    self.on_alloc(addr, size as usize, false);
-                    let sb = self.frames.last().expect("frame").slot_base as usize;
-                    self.slots[sb + slot as usize] = addr;
-                    self.decl_stack.push(slot);
-                }
-                Op::Param { slot, size, access } => {
-                    let f = self.frames.last_mut().expect("frame");
-                    let v = self.stack[f.base as usize + f.arg_cursor as usize];
-                    f.arg_cursor += 1;
-                    let addr = self.arena.alloc_stack(size as usize)?;
-                    self.on_alloc(addr, size as usize, false);
-                    let sb = self.frames.last().expect("frame").slot_base as usize;
-                    self.slots[sb + slot as usize] = addr;
-                    self.decl_stack.push(slot);
-                    // Parameter spill is a trusted store (site u32::MAX),
-                    // same as the interpreter's prologue.
-                    self.store(addr, access, v, u32::MAX, true)?;
-                }
-                Op::Malloc => {
-                    let size = self.stack.pop().expect("operand").max(0) as usize;
-                    let addr = self.arena.alloc_heap(size)?;
-                    self.on_alloc(addr, size, true);
-                    self.stack.push(addr as i64);
-                }
-                Op::Free { site, checked } => {
-                    let addr = self.stack.pop().expect("operand") as u64;
-                    if checked {
-                        if let Some(hook) = self.hook {
-                            hook.on_free_check(site, addr)?;
-                        }
-                    }
-                    if self.arena.free(addr) {
-                        if let Some(hook) = self.hook {
-                            hook.on_dealloc(addr, true);
-                        }
-                    }
-                    self.stack.push(0);
-                }
-                Op::PrintInt => {
-                    let v = self.stack.pop().expect("operand");
-                    self.output.push(v);
-                    self.stack.push(0);
-                }
-                Op::CallFn { fidx, argc } => {
-                    if self.frames.len() >= MAX_CALL_DEPTH {
-                        return Err(InterpError::Oom("call stack"));
-                    }
-                    let f = &module.funcs[fidx as usize];
-                    if f.n_params != argc {
-                        return Err(InterpError::BadCall(format!(
-                            "{} expects {} args, got {}",
-                            f.name, f.n_params, argc
-                        )));
-                    }
-                    let base = (self.stack.len() - argc as usize) as u32;
-                    self.push_frame(pc as u32, base, fidx);
-                    pc = f.entry as usize;
-                }
-                Op::CallHost { name, argc } => {
-                    let at = self.stack.len() - argc as usize;
-                    let vals: Vec<i64> = self.stack.split_off(at);
-                    let host = self.host.ok_or_else(|| {
-                        InterpError::BadCall(format!("no syscall host for {name}"))
-                    })?;
-                    let v = host.host_call(name.as_str(), &vals, &self.mem())?;
-                    self.stack.push(v);
-                }
-                Op::Ret => {
-                    let val = self.stack.pop().expect("operand");
-                    let f = self.frames.pop().expect("frame");
-                    while self.scope_stack.len() > f.scope_mark as usize {
-                        self.exit_scope(f.slot_base);
-                    }
-                    self.slots.truncate(f.slot_base as usize);
-                    self.stack.truncate(f.base as usize);
-                    if f.ret_pc == u32::MAX {
-                        return Ok(val);
-                    }
-                    self.stack.push(val);
-                    pc = f.ret_pc as usize;
-                }
-                Op::AllocGlobal { gidx } => {
-                    let size = module.globals[gidx as usize].size;
-                    let addr = self.arena.alloc_data(size)?;
-                    self.on_alloc(addr, size, false);
-                    self.global_addrs[gidx as usize] = addr;
-                }
-                Op::Trap(kind) => {
-                    return Err(match kind {
-                        TrapKind::NoSuchFunction(n) => {
-                            InterpError::NoSuchFunction(n.to_string())
-                        }
-                        TrapKind::NotLvalue(loc) => {
-                            InterpError::Misc(format!("not an lvalue at {loc}"))
-                        }
-                    })
-                }
-            }
-        }
+    fn host(&mut self, name: Sym, args: &[i64]) -> Result<i64, InterpError> {
+        let host =
+            self.env.host.ok_or_else(|| InterpError::BadCall(format!("no syscall host for {name}")))?;
+        host.host_call(name.as_str(), args, &self.env.mem())
     }
 }
 
 impl std::fmt::Debug for Vm<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Vm")
-            .field("steps", &self.steps)
-            .field("frames", &self.frames.len())
+            .field("steps", &self.core.steps)
+            .field("frames", &self.core.frames.len())
             .finish()
     }
 }
@@ -693,6 +839,7 @@ pub(crate) mod tests {
     use crate::parser::parse_program;
     use crate::types::typecheck;
     use ksim::{MachineConfig, PteFlags, PAGE_SIZE};
+    use std::cell::RefCell;
 
     pub(crate) const ARENA: u64 = 0x100_0000;
     const ARENA_PAGES: usize = 64;
@@ -719,6 +866,8 @@ pub(crate) mod tests {
         Fuel(u64),
         /// A watchdog ticker that kills the run at this step.
         KillAt(u64),
+        /// A ticker that only records the steps it is called at.
+        Ticks,
         /// Data confined to a segment covering just the arena.
         Segment,
     }
@@ -736,16 +885,23 @@ pub(crate) mod tests {
                     let sel = m.segs.install(ksim::Segment { asid, base: ARENA, limit, kind });
                     cfg.seg = SegMode::Segmented(sel);
                 }
-                Setup::Flat | Setup::KillAt(_) => {}
+                Setup::Flat | Setup::KillAt(_) | Setup::Ticks => {}
             }
             cfg
         }
 
-        fn kill(self, steps: u64) -> Result<(), InterpError> {
-            match self {
-                Setup::KillAt(at) if steps >= at => Err(InterpError::Killed("watchdog".into())),
-                _ => Ok(()),
-            }
+        /// The case's ticker, if it has one: it logs each tick's step count.
+        fn ticker(
+            self,
+            log: &RefCell<Vec<u64>>,
+        ) -> Option<impl Fn(u64) -> Result<(), InterpError> + '_> {
+            matches!(self, Setup::KillAt(_) | Setup::Ticks).then_some(move |steps| {
+                log.borrow_mut().push(steps);
+                match self {
+                    Setup::KillAt(at) if steps >= at => Err(InterpError::Killed("watchdog".into())),
+                    _ => Ok(()),
+                }
+            })
         }
     }
 
@@ -756,41 +912,56 @@ pub(crate) mod tests {
         pub(crate) output: Vec<i64>,
         steps: u64,
         pub(crate) cycles: (u64, u64),
+        /// The step count at each tick the ticker saw.
+        ticks: Vec<u64>,
+    }
+
+    /// One engine's run of a case on a fresh machine: `go` gets the
+    /// machine, the case's config and ticker, and returns the result,
+    /// `print_int` output and total steps.
+    fn observe(
+        setup: Setup,
+        go: impl FnOnce(
+            &Machine,
+            ExecConfig,
+            Option<&TickFn<'_>>,
+        ) -> (Result<ExecOutcome, InterpError>, Vec<i64>, u64),
+    ) -> EngineRun {
+        let m = machine();
+        let cfg = setup.config(&m);
+        let (u0, s0) = (m.clock.user_cycles(), m.clock.sys_cycles());
+        let log = RefCell::default();
+        let ticker = setup.ticker(&log);
+        let (result, output, steps) = go(&m, cfg, ticker.as_ref().map(|t| t as &TickFn<'_>));
+        let cycles = (m.clock.user_cycles() - u0, m.clock.sys_cycles() - s0);
+        EngineRun { result, output, steps, cycles, ticks: log.take() }
     }
 
     /// Run a case on the tree-walker.
     pub(crate) fn run_reference(src: &str, func: &str, args: &[i64], setup: Setup) -> EngineRun {
         let prog = parse_program(src).unwrap();
         let info = typecheck(&prog).unwrap();
-        let m = machine();
-        let cfg = setup.config(&m);
-        let (u0, s0) = (m.clock.user_cycles(), m.clock.sys_cycles());
-        let mut interp = Interp::new(&m, &prog, &info, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
-        let kill = |steps| setup.kill(steps);
-        if matches!(setup, Setup::KillAt(_)) {
-            interp.set_ticker(&kill);
-        }
-        let result = interp.run(func, args);
-        let cycles = (m.clock.user_cycles() - u0, m.clock.sys_cycles() - s0);
-        EngineRun { result, output: interp.output.clone(), steps: interp.steps(), cycles }
+        observe(setup, |m, cfg, ticker| {
+            let mut interp =
+                Interp::new(m, &prog, &info, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
+            if let Some(t) = ticker {
+                interp.set_ticker(t);
+            }
+            (interp.run(func, args), interp.output.clone(), interp.steps())
+        })
     }
 
     /// Run a case on the VM.
     fn run_vm(src: &str, func: &str, args: &[i64], setup: Setup) -> EngineRun {
         let prog = parse_program(src).unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
-        let m = machine();
-        let cfg = setup.config(&m);
-        let (u0, s0) = (m.clock.user_cycles(), m.clock.sys_cycles());
-        let mut vm = Vm::new(&m, &module, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
-        let kill = |steps| setup.kill(steps);
-        if matches!(setup, Setup::KillAt(_)) {
-            vm.set_ticker(&kill);
-        }
-        let result = vm.run(func, args);
-        let cycles = (m.clock.user_cycles() - u0, m.clock.sys_cycles() - s0);
-        EngineRun { result, output: vm.output.clone(), steps: vm.steps(), cycles }
+        let module = compile(&prog, &typecheck(&prog).unwrap()).unwrap();
+        observe(setup, |m, cfg, ticker| {
+            let mut vm = Vm::new(m, &module, cfg, ARENA, ARENA_PAGES * PAGE_SIZE).unwrap();
+            if let Some(t) = ticker {
+                vm.set_ticker(t);
+            }
+            (vm.run(func, args), vm.output.clone(), vm.steps())
+        })
     }
 
     /// Run both engines on separate but identically-configured machines,
@@ -813,6 +984,7 @@ pub(crate) mod tests {
         }
         assert_eq!(ri.output, rv.output, "print_int output diverged");
         assert_eq!(ri.steps, rv.steps, "total steps diverged");
+        assert_eq!(ri.ticks, rv.ticks, "tick boundaries diverged");
         assert_eq!(ri.cycles.0, rv.cycles.0, "user cycles diverged for {src}");
         assert_eq!(ri.cycles.1, rv.cycles.1, "sys cycles diverged for {src}");
         (rv.result.map(|o| o.ret), rv.output)
@@ -1027,52 +1199,12 @@ pub(crate) mod tests {
     fn parity_of_tick_boundaries() {
         // Record each tick's step counter in both engines; sequences must
         // match exactly (the watchdog sees the same preemption points).
-        use std::cell::RefCell;
         let src =
             "int f(int n) { int i; int s = 0; for (i = 0; i < n; i = i + 1) { s = s + i * i; } return s; }";
-        let prog = parse_program(src).unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = compile(&prog, &info).unwrap();
-
-        let ticks_i = RefCell::new(Vec::new());
-        let mi = machine();
-        let asid_i = prep(&mi, ARENA_PAGES);
-        let mut interp = Interp::new(
-            &mi,
-            &prog,
-            &info,
-            ExecConfig::flat(asid_i),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )
-        .unwrap();
-        let ti = |s: u64| {
-            ticks_i.borrow_mut().push(s);
-            Ok(())
-        };
-        interp.set_ticker(&ti);
-        interp.run("f", &[500]).unwrap();
-
-        let ticks_v = RefCell::new(Vec::new());
-        let mv = machine();
-        let asid_v = prep(&mv, ARENA_PAGES);
-        let mut vm = Vm::new(
-            &mv,
-            &module,
-            ExecConfig::flat(asid_v),
-            ARENA,
-            ARENA_PAGES * PAGE_SIZE,
-        )
-        .unwrap();
-        let tv = |s: u64| {
-            ticks_v.borrow_mut().push(s);
-            Ok(())
-        };
-        vm.set_ticker(&tv);
-        vm.run("f", &[500]).unwrap();
-
-        assert!(!ticks_i.borrow().is_empty());
-        assert_eq!(*ticks_i.borrow(), *ticks_v.borrow());
+        let ri = run_reference(src, "f", &[500], Setup::Ticks);
+        let rv = run_vm(src, "f", &[500], Setup::Ticks);
+        assert!(rv.result.is_ok() && !ri.ticks.is_empty());
+        assert_eq!(ri.ticks, rv.ticks);
     }
 
     #[test]
@@ -1159,7 +1291,7 @@ pub(crate) mod tests {
             assert_eq!(cyc_l, cyc_f, "x={x}");
             assert_eq!(*rec_l.0.borrow(), *rec_f.0.borrow(), "x={x}");
         }
-        assert!(bufs.stack.capacity() > 0, "the buffers kept their capacity");
+        assert!(bufs.core.stack.capacity() > 0, "the buffers kept their capacity");
     }
 }
 

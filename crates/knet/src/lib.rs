@@ -71,7 +71,7 @@ pub enum NetError {
 }
 
 impl NetError {
-    /// Negative errno, matching [`kvfs::VfsError::errno`]'s convention.
+    /// Negative errno, matching `kvfs::VfsError::errno`'s convention.
     pub fn errno(self) -> i64 {
         match self {
             NetError::Again => -11,             // EAGAIN

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use kclang::{compile, parse_program, typecheck, Module};
 use ksim::{ByteCache, Machine};
 
-use crate::verify::{verify, Proof, Rejection, RejectRule};
+use crate::verify::{reject_at, verify, Proof, Rejection, RejectRule};
 
 /// Context block size: 4 i64 words every attach class shares.
 pub const CTX_BYTES: usize = 32;
@@ -222,12 +222,8 @@ impl ProgEngine {
     /// or skip all of that on a (spec, source) cache hit.
     pub fn load(&self, src: &str, spec: &ProgSpec) -> Result<Arc<VerifiedProg>, LoadError> {
         if self.machine.faults.should_fail(kfault::sites::KPROG_VERIFY_REJECT) {
-            return Err(LoadError::Rejected(Rejection {
-                pc: 0,
-                mnemonic: "<none>",
-                rule: RejectRule::Injected,
-                detail: "rejection injected by the fault plane".into(),
-            }));
+            let detail = "rejection injected by the fault plane".into();
+            return Err(LoadError::Rejected(reject_at(0, RejectRule::Injected, detail)));
         }
         let key = spec.key_bytes(src);
         if let Some(hit) = self.cache.lookup(&key) {

@@ -9,9 +9,9 @@
 //!
 //! Three pieces:
 //!
-//! * [`verify`] — an abstract interpreter over kclang bytecode that proves
-//!   every memory access lands in an object the program owns (tracked via
-//!   the KGCC [`kgcc::ObjectMap`]) and derives a hard step bound
+//! * [`verify`](mod@verify) — kclang's VM step run over abstract values,
+//!   proving every memory access lands in an object the program owns (tracked via
+//!   the KGCC [`kgcc::ObjectMap`]) and deriving a hard step bound
 //!   (`Proof::max_steps`), rejecting programs whose loops cannot be
 //!   bounded under the declared budget. Rejections are structured
 //!   verdicts: instruction, mnemonic, rule ([`Rejection`]).

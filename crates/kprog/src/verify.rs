@@ -1,4 +1,4 @@
-//! The load-time verifier: abstract interpretation of kclang bytecode.
+//! The load-time verifier: the VM's own step, run in an abstract domain.
 //!
 //! A program is admitted to a kernel attach point only if this pass proves,
 //! before the first invocation, the two properties the paper otherwise
@@ -10,25 +10,30 @@
 //!    string literal. Pointers are tracked symbolically through the same
 //!    [`kgcc::ObjectMap`] the runtime checker uses, so "in bounds" here
 //!    means exactly what a KGCC check would have tested.
-//! 2. **Termination within budget** — the walk mirrors the VM's step
-//!    accounting op-for-op ([`kclang::Vm`] charges only at `Op::Step`), so
-//!    the proved `max_steps` is a true upper bound on the runtime step
-//!    counter. The attach runtime then runs with `max_steps` as fuel: the
+//! 2. **Termination within budget** — the walk executes
+//!    [`kclang::Core::step`], the step [`kclang::Vm`] runs. Stack, frames,
+//!    scopes, calls and jumps are the VM's own code; only values, memory
+//!    and charging are abstract, and `Op::Step` has one arm for both. The
+//!    proved `max_steps` is therefore an upper bound on the runtime step
+//!    counter. The attach runtime runs with `max_steps` as fuel: the
 //!    watchdog becomes unreachable instead of being a recovery mechanism.
 //!
-//! The interpreter is a fork-on-unknown explorer: conditions that fold to
-//! constants follow one arm (so counted loops unroll concretely), unknown
-//! conditions explore both arms. Abstract state deliberately mirrors the
-//! VM's frame/scope/slot machinery so each abstract path corresponds to a
-//! possible concrete execution with *identical* step charges.
+//! The abstract domain: a value is unknown, a constant, or a pointer into
+//! an object of the map; each path keeps the contents it has stored and
+//! the set of objects whose scope has exited. Conditions that fold to
+//! constants follow one arm (so counted loops unroll concretely); when a
+//! conditional jump's truth is unknown the step reports a fork and the
+//! explorer follows both, depth first. A runtime error the VM would stop
+//! on cleanly (division by zero, call depth) ends the path; its steps
+//! still bound the proof.
 //!
-//! Rejections carry the faulting pc, opcode mnemonic, and rule — the
-//! structured verdict the issue asks for.
+//! Rejections are structured verdicts: the faulting pc, the opcode's
+//! mnemonic, and the rule that fired.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use kclang::{Access, BinOp, Module, Op, MAX_CALL_DEPTH};
+use kclang::{Access, BinOp, Core, Domain, Flow, InterpError, Module, Op};
 use kgcc::{ObjKind, ObjectMap};
 use ksim::FxHashSet;
 
@@ -124,9 +129,10 @@ pub struct Proof {
 }
 
 /// An abstract value: what the verifier knows about one operand slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum AbsVal {
     /// Nothing known.
+    #[default]
     Top,
     /// Exactly this integer.
     Const(i64),
@@ -134,30 +140,9 @@ enum AbsVal {
     Ptr(u64),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct AbsFrame {
-    ret_pc: u32,
-    base: u32,
-    slot_base: u32,
-    scope_mark: u32,
-    arg_cursor: u16,
-}
-
-/// One explored execution path. Field-for-field shadow of the VM's mutable
-/// state, with synthetic addresses in place of arena addresses.
-#[derive(Clone)]
-struct PathState {
-    pc: u32,
-    steps: u64,
-    stack: Vec<AbsVal>,
-    /// Synthetic object base per local slot (0 = not yet declared).
-    slots: Vec<u64>,
-    frames: Vec<AbsFrame>,
-    /// decl_stack length at each scope entry (the VM's `decl_mark`).
-    scopes: Vec<u32>,
-    decls: Vec<u16>,
-    /// Per-global synthetic base, assigned by `AllocGlobal` during init.
-    global_addrs: Vec<u64>,
+/// What one path knows about memory, beside the VM state in its core.
+#[derive(Clone, Default)]
+struct PathMem {
     /// Known memory: synthetic address -> (access width, value). Absent
     /// entries are Top. Only exact-width reads hit.
     contents: BTreeMap<u64, (u8, AbsVal)>,
@@ -168,18 +153,39 @@ struct PathState {
     backjumps: u32,
 }
 
-enum StepOutcome {
-    /// Keep executing this path.
-    Continue,
-    /// Path ended (clean return or clean runtime error such as div-by-zero
-    /// or call-depth exhaustion). Steps so far feed the proof bound.
-    Terminal,
-    /// Condition unknown: also explore `forked`.
-    Fork(Box<PathState>),
+impl PathMem {
+    fn jumped(&mut self, from: u32, to: u32) {
+        if to <= from {
+            self.backjumps += 1;
+        }
+    }
 }
 
-/// The verifier proper: shared object map + synthetic address allocator +
-/// the DFS work list.
+/// One explored execution path: the VM's state over abstract values, with
+/// synthetic addresses in place of arena addresses.
+#[derive(Clone)]
+struct Path {
+    core: Core<AbsVal>,
+    mem: PathMem,
+}
+
+/// Why an abstract step stopped its path.
+enum Stop {
+    /// A clean runtime error (division by zero, call depth, a bad call):
+    /// the concrete run stops here too, so the path ends with its steps.
+    Terminal,
+    /// The program is rejected at this op.
+    Reject(RejectRule, String),
+}
+
+impl From<InterpError> for Stop {
+    fn from(_: InterpError) -> Stop {
+        Stop::Terminal
+    }
+}
+
+/// The verifier proper: shared object map, synthetic address allocator
+/// and exploration gas.
 struct Verifier<'m> {
     module: &'m Module,
     budget: u64,
@@ -191,11 +197,9 @@ struct Verifier<'m> {
     /// Pre-created string-literal objects (StrLit id -> base), shared by
     /// every path; their contents are seeded into the root state.
     strings: std::collections::HashMap<u32, u64>,
-    /// `print_int` allowed? (Event programs may emit; other classes not.)
-    allow_print: bool,
 }
 
-impl<'m> Verifier<'m> {
+impl Verifier<'_> {
     fn alloc(&mut self, len: usize, kind: ObjKind) -> u64 {
         let base = self.cursor;
         let len = len.max(1);
@@ -206,69 +210,235 @@ impl<'m> Verifier<'m> {
         base
     }
 
-    fn reject(&self, pc: u32, op: Option<&Op>, rule: RejectRule, detail: String) -> Rejection {
-        Rejection {
-            pc,
-            mnemonic: op.map(|o| o.mnemonic()).unwrap_or("<none>"),
-            rule,
-            detail,
-        }
-    }
-
-    /// Is `[addr, addr+len)` inside a live object on this path?
+    /// Is `[addr, addr+len)` inside an object that is live on this path?
     fn check_access(
         &mut self,
-        st: &PathState,
-        pc: u32,
-        op: &Op,
+        dead: &FxHashSet<u64>,
         addr: u64,
         access: Access,
-    ) -> Result<(), Rejection> {
+    ) -> Result<(), Stop> {
         let len = access.len as usize;
-        let Some(obj) = self.map.containing(addr) else {
-            return Err(self.reject(
-                pc,
-                Some(op),
-                RejectRule::OutOfBounds,
-                format!("no object contains address offset {addr:#x} (width {len})"),
-            ));
+        let detail = match self.map.containing(addr) {
+            None => format!("no object contains address offset {addr:#x} (width {len})"),
+            Some(obj) if dead.contains(&obj.base) => {
+                "access to a local whose scope has exited".into()
+            }
+            Some(obj) if !obj.covers(addr, len) => {
+                format!("access [{addr:#x},+{len}) escapes object [{:#x},+{})", obj.base, obj.len)
+            }
+            Some(_) => return Ok(()),
         };
-        if st.dead.contains(&obj.base) {
-            return Err(self.reject(
-                pc,
-                Some(op),
-                RejectRule::OutOfBounds,
-                "access to a local whose scope has exited".into(),
-            ));
-        }
-        if !obj.covers(addr, len) {
-            return Err(self.reject(
-                pc,
-                Some(op),
-                RejectRule::OutOfBounds,
-                format!(
-                    "access [{:#x},+{}) escapes object [{:#x},+{})",
-                    addr, len, obj.base, obj.len
-                ),
-            ));
-        }
-        Ok(())
+        Err(Stop::Reject(RejectRule::OutOfBounds, detail))
     }
 }
 
-fn contents_store(st: &mut PathState, addr: u64, access: Access, v: AbsVal) {
-    let w = if access.byte { 1u8 } else { 8 };
+/// The abstract domain one path steps in: the verifier's shared object
+/// map and the path's own memory.
+struct Abs<'a, 'm> {
+    v: &'a mut Verifier<'m>,
+    mem: &'a mut PathMem,
+}
+
+impl Abs<'_, '_> {
+    /// The address `ptr` names, if it is a pointer with room for `access`
+    /// in a live object.
+    fn deref(&mut self, ptr: AbsVal, access: Access, what: &str) -> Result<u64, Stop> {
+        let source = match ptr {
+            AbsVal::Ptr(addr) => {
+                self.v.check_access(&self.mem.dead, addr, access)?;
+                return Ok(addr);
+            }
+            AbsVal::Top => "a value of unknown provenance",
+            AbsVal::Const(_) => "an integer fabricated as a pointer",
+        };
+        Err(Stop::Reject(RejectRule::UnprovenPointer, format!("{what} through {source}")))
+    }
+}
+
+impl Domain for Abs<'_, '_> {
+    type Val = AbsVal;
+    type Err = Stop;
+
+    fn int(&mut self, v: i64) -> AbsVal {
+        AbsVal::Const(v)
+    }
+
+    fn addr(&mut self, a: u64) -> AbsVal {
+        AbsVal::Ptr(a)
+    }
+
+    fn truth(&mut self, x: AbsVal) -> Option<bool> {
+        match x {
+            AbsVal::Const(c) => Some(c != 0),
+            // An in-bounds pointer maps to a nonzero arena address; a pointer
+            // driven out of bounds by arithmetic could concretely be anything.
+            AbsVal::Ptr(a) => self.v.map.containing(a).is_some().then_some(true),
+            AbsVal::Top => None,
+        }
+    }
+
+    /// `None` when the division is provably by zero.
+    fn bin(&mut self, op: BinOp, l: AbsVal, r: AbsVal) -> Option<AbsVal> {
+        use AbsVal::*;
+        // Pointer comparisons within one object fold to exact offsets; the
+        // synthetic layout matches the concrete one offset-for-offset. Folds
+        // apply only to strictly in-bounds pointers: out-of-bounds arithmetic
+        // could concretely land anywhere.
+        if let (Ptr(a), Ptr(b)) = (l, r) {
+            let oa = self.v.map.containing(a);
+            let ob = self.v.map.containing(b);
+            if let (Some(oa), Some(ob)) = (oa, ob) {
+                if oa.base == ob.base && op.is_cmp() {
+                    return op.eval(a as i64, b as i64).map(Const);
+                }
+                if oa.base != ob.base
+                    && matches!(op, BinOp::Eq | BinOp::Ne)
+                    && !self.mem.dead.contains(&oa.base)
+                    && !self.mem.dead.contains(&ob.base)
+                {
+                    // In-bounds pointers into distinct live objects never
+                    // alias. (Dead objects excluded: the VM reuses their
+                    // arena addresses after scope exit.)
+                    return Some(Const((op == BinOp::Ne) as i64));
+                }
+            }
+            return Some(Top);
+        }
+        // In-bounds pointers are non-null, so == 0 / != 0 fold.
+        if let (Ptr(p), Const(0)) | (Const(0), Ptr(p)) = (l, r) {
+            if matches!(op, BinOp::Eq | BinOp::Ne) && self.v.map.containing(p).is_some() {
+                return Some(Const((op == BinOp::Ne) as i64));
+            }
+        }
+        let (Const(a), Const(b)) = (l, r) else {
+            if matches!(op, BinOp::Div | BinOp::Rem) && r == Const(0) {
+                return None;
+            }
+            return Some(Top);
+        };
+        // Constant folding through the engines' own integer rule.
+        op.eval(a, b).map(Const)
+    }
+
+    /// Provenance survives a constant offset; the arithmetic wraps like
+    /// the VM's.
+    fn offset(
+        &mut self,
+        ptr: AbsVal,
+        idx: AbsVal,
+        scale: u32,
+        sub: bool,
+        _site: u32,
+        _checked: bool,
+    ) -> Result<AbsVal, Stop> {
+        let scaled = |x: i64| {
+            let d = x.wrapping_mul(scale as i64);
+            if sub {
+                d.wrapping_neg()
+            } else {
+                d
+            }
+        };
+        Ok(match (ptr, idx) {
+            (AbsVal::Ptr(b), AbsVal::Const(x)) => {
+                AbsVal::Ptr((b as i64).wrapping_add(scaled(x)) as u64)
+            }
+            (AbsVal::Const(b), AbsVal::Const(x)) => AbsVal::Const(b.wrapping_add(scaled(x))),
+            _ => AbsVal::Top,
+        })
+    }
+
+    fn ptr_diff(&mut self, l: AbsVal, r: AbsVal, scale: u32) -> AbsVal {
+        match (l, r) {
+            (AbsVal::Ptr(a), AbsVal::Ptr(b)) => {
+                match (self.v.map.containing(a), self.v.map.containing(b)) {
+                    (Some(oa), Some(ob)) if oa.base == ob.base => {
+                        AbsVal::Const((a.wrapping_sub(b) as i64) / scale as i64)
+                    }
+                    _ => AbsVal::Top,
+                }
+            }
+            (AbsVal::Const(a), AbsVal::Const(b)) => AbsVal::Const(a.wrapping_sub(b) / scale as i64),
+            _ => AbsVal::Top,
+        }
+    }
+
+    fn load(
+        &mut self,
+        addr: AbsVal,
+        access: Access,
+        _site: u32,
+        _checked: bool,
+    ) -> Result<AbsVal, Stop> {
+        let addr = self.deref(addr, access, "load")?;
+        Ok(contents_load(&self.mem.contents, addr, access))
+    }
+
+    fn store(
+        &mut self,
+        addr: AbsVal,
+        access: Access,
+        v: AbsVal,
+        _site: u32,
+        _checked: bool,
+    ) -> Result<(), Stop> {
+        let addr = self.deref(addr, access, "store")?;
+        contents_store(&mut self.mem.contents, addr, access, v);
+        Ok(())
+    }
+
+    fn str_lit(&mut self, id: u32, _bytes: &[u8]) -> Result<AbsVal, Stop> {
+        Ok(AbsVal::Ptr(self.v.strings[&id]))
+    }
+
+    fn alloc(&mut self, size: usize, global: bool) -> Result<u64, Stop> {
+        Ok(self.v.alloc(size, if global { ObjKind::Global } else { ObjKind::Stack }))
+    }
+
+    fn free_local(&mut self, addr: u64) {
+        if addr != 0 {
+            self.mem.dead.insert(addr);
+        }
+    }
+
+    fn charge(&mut self, steps: &mut u64, n: u32) -> Result<(), Stop> {
+        *steps += n as u64;
+        if *steps <= self.v.budget {
+            return Ok(());
+        }
+        let (rule, what) = if self.mem.backjumps > 0 {
+            (RejectRule::UnboundedLoop, "loop trip count not bounded by budget")
+        } else {
+            (RejectRule::BudgetExceeded, "straight-line cost exceeds budget")
+        };
+        Err(Stop::Reject(rule, format!("{what}: {} steps > budget {}", steps, self.v.budget)))
+    }
+
+    fn jumped(&mut self, from: u32, to: u32) {
+        self.mem.jumped(from, to);
+    }
+
+    // `malloc`, `free`, `print_int` and host calls keep the defaults: the
+    // scan admits only `print_int`, whose value is not tracked.
+}
+
+fn contents_store(
+    contents: &mut BTreeMap<u64, (u8, AbsVal)>,
+    addr: u64,
+    access: Access,
+    v: AbsVal,
+) {
+    let w = access.width() as u8;
     // Invalidate anything overlapping [addr, addr + w).
     let lo = addr.saturating_sub(7);
     let hi = addr + w as u64;
-    let stale: Vec<u64> = st
-        .contents
+    let stale: Vec<u64> = contents
         .range(lo..hi)
         .filter(|(&k, &(l, _))| k < hi && k + l as u64 > addr)
         .map(|(&k, _)| k)
         .collect();
     for k in stale {
-        st.contents.remove(&k);
+        contents.remove(&k);
     }
     let v = match (access.byte, v) {
         // A byte store truncates exactly like the VM (`v as u8`).
@@ -278,42 +448,15 @@ fn contents_store(st: &mut PathState, addr: u64, access: Access, v: AbsVal) {
         (_, other) => other,
     };
     if v != AbsVal::Top {
-        st.contents.insert(addr, (w, v));
+        contents.insert(addr, (w, v));
     }
 }
 
-fn contents_load(st: &PathState, addr: u64, access: Access) -> AbsVal {
-    let w = if access.byte { 1u8 } else { 8 };
-    match st.contents.get(&addr) {
-        Some(&(sw, v)) if sw == w => v,
+fn contents_load(contents: &BTreeMap<u64, (u8, AbsVal)>, addr: u64, access: Access) -> AbsVal {
+    match contents.get(&addr) {
+        Some(&(w, v)) if w as usize == access.width() => v,
         _ => AbsVal::Top,
     }
-}
-
-fn push_frame(module: &Module, st: &mut PathState, ret_pc: u32, base: u32, fidx: u16) {
-    let f = &module.funcs()[fidx as usize];
-    let slot_base = st.slots.len() as u32;
-    st.slots.resize(st.slots.len() + f.n_slots as usize, 0);
-    st.frames.push(AbsFrame {
-        ret_pc,
-        base,
-        slot_base,
-        scope_mark: st.scopes.len() as u32,
-        arg_cursor: 0,
-    });
-    st.scopes.push(st.decls.len() as u32);
-}
-
-fn exit_scope(st: &mut PathState, slot_base: u32) {
-    let decl_mark = st.scopes.pop().expect("scope underflow") as usize;
-    for i in decl_mark..st.decls.len() {
-        let slot = st.decls[i];
-        let base = st.slots[slot_base as usize + slot as usize];
-        if base != 0 {
-            st.dead.insert(base);
-        }
-    }
-    st.decls.truncate(decl_mark);
 }
 
 /// Whole-module opcode scan (pass 1). Anything that could reach outside the
@@ -321,69 +464,53 @@ fn exit_scope(st: &mut PathState, slot_base: u32) {
 /// rejected before any path is explored.
 fn scan_opcodes(module: &Module, class: HookClass) -> Result<(), Rejection> {
     for (pc, op) in module.ops().iter().enumerate() {
-        let bad = match op {
-            Op::CallHost { name, .. } => Some(format!("host call '{name}' is not permitted")),
-            Op::Malloc => Some("heap allocation is not permitted".into()),
-            Op::Free { .. } => Some("free is not permitted".into()),
-            Op::PrintInt if class != HookClass::EventDispatch => {
-                Some("print_int is only permitted in event programs".into())
+        let (rule, detail) = match op {
+            Op::CallHost { name, .. } => {
+                (RejectRule::OpcodeForbidden, format!("host call '{name}' is not permitted"))
             }
-            _ => None,
+            Op::Malloc => (RejectRule::OpcodeForbidden, "heap allocation is not permitted".into()),
+            Op::Free { .. } => (RejectRule::OpcodeForbidden, "free is not permitted".into()),
+            Op::PrintInt if class != HookClass::EventDispatch => (
+                RejectRule::OpcodeForbidden,
+                "print_int is only permitted in event programs".into(),
+            ),
+            Op::Trap(_) => (
+                RejectRule::TrapReachable,
+                "program contains a compile-time trap (unknown callee or bad lvalue)".into(),
+            ),
+            _ => continue,
         };
-        if let Some(detail) = bad {
-            return Err(Rejection {
-                pc: pc as u32,
-                mnemonic: op.mnemonic(),
-                rule: RejectRule::OpcodeForbidden,
-                detail,
-            });
-        }
-        if let Op::Trap(_) = op {
-            return Err(Rejection {
-                pc: pc as u32,
-                mnemonic: op.mnemonic(),
-                rule: RejectRule::TrapReachable,
-                detail: "program contains a compile-time trap (unknown callee or bad lvalue)"
-                    .into(),
-            });
-        }
+        return Err(Rejection { pc: pc as u32, mnemonic: op.mnemonic(), rule, detail });
     }
     Ok(())
+}
+
+/// A verdict about no single instruction.
+pub(crate) fn reject_at(pc: u32, rule: RejectRule, detail: String) -> Rejection {
+    Rejection { pc, mnemonic: "<none>", rule, detail }
 }
 
 /// Verify `module` against `spec`. On success the returned [`Proof`] bounds
 /// one full invocation (init chunk + entry call) of the program.
 pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
     if spec.budget == 0 || spec.budget > MAX_BUDGET {
-        return Err(Rejection {
-            pc: 0,
-            mnemonic: "<none>",
-            rule: RejectRule::BudgetExceeded,
-            detail: format!("budget {} outside 1..={MAX_BUDGET}", spec.budget),
-        });
+        let detail = format!("budget {} outside 1..={MAX_BUDGET}", spec.budget);
+        return Err(reject_at(0, RejectRule::BudgetExceeded, detail));
     }
     scan_opcodes(module, spec.class)?;
 
     let Some(entry_fidx) = module.func_by_name(&spec.entry) else {
-        return Err(Rejection {
-            pc: 0,
-            mnemonic: "<none>",
-            rule: RejectRule::BadSignature,
-            detail: format!("entry function '{}' not defined", spec.entry),
-        });
+        let detail = format!("entry function '{}' not defined", spec.entry);
+        return Err(reject_at(0, RejectRule::BadSignature, detail));
     };
-    let n_params = module.funcs()[entry_fidx as usize].n_params;
+    let entry = &module.funcs()[entry_fidx as usize];
     let want = spec.class.arity();
-    if n_params != want {
-        return Err(Rejection {
-            pc: 0,
-            mnemonic: "<none>",
-            rule: RejectRule::BadSignature,
-            detail: format!(
-                "{} programs take {} parameters, '{}' takes {}",
-                spec.class, want, spec.entry, n_params
-            ),
-        });
+    if entry.n_params != want {
+        let detail = format!(
+            "{} programs take {} parameters, '{}' takes {}",
+            spec.class, want, spec.entry, entry.n_params
+        );
+        return Err(reject_at(0, RejectRule::BadSignature, detail));
     }
 
     let mut v = Verifier {
@@ -393,32 +520,20 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
         cursor: 0x1000,
         gas: VERIFY_GAS,
         strings: std::collections::HashMap::new(),
-        allow_print: spec.class == HookClass::EventDispatch,
     };
 
     // ABI objects the entry function receives pointers to.
-    let ctx = v.alloc(crate::engine::CTX_BYTES, ObjKind::Global);
-    let state = v.alloc(spec.state_words.max(1) * 8, ObjKind::Global);
-    let buf = if spec.class == HookClass::UringCqe {
-        Some(v.alloc(spec.buf_len.max(1), ObjKind::Global))
-    } else {
-        None
-    };
+    let mut args = vec![
+        AbsVal::Ptr(v.alloc(crate::engine::CTX_BYTES, ObjKind::Global)),
+        AbsVal::Ptr(v.alloc(spec.state_words.max(1) * 8, ObjKind::Global)),
+    ];
+    if spec.class == HookClass::UringCqe {
+        args.push(AbsVal::Ptr(v.alloc(spec.buf_len.max(1), ObjKind::Global)));
+    }
 
     // Root state: the sentinel frame the VM pushes before the init chunk.
-    let mut root = PathState {
-        pc: module.init_entry(),
-        steps: 0,
-        stack: Vec::new(),
-        slots: Vec::new(),
-        frames: vec![AbsFrame { ret_pc: u32::MAX, base: 0, slot_base: 0, scope_mark: 0, arg_cursor: 0 }],
-        scopes: vec![0],
-        decls: Vec::new(),
-        global_addrs: vec![0; module.globals().len()],
-        contents: BTreeMap::new(),
-        dead: FxHashSet::default(),
-        backjumps: 0,
-    };
+    let mut root = Path { core: Core::default(), mem: PathMem::default() };
+    root.core.start(module, 0);
 
     // Pre-create every string literal's object and seed its (constant)
     // bytes into the root state, so all paths share one object per literal
@@ -430,10 +545,11 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
             }
             let bytes = &module.strings()[*sidx as usize];
             let base = v.alloc(bytes.len() + 1, ObjKind::Global);
+            let contents = &mut root.mem.contents;
             for (i, &b) in bytes.iter().enumerate() {
-                root.contents.insert(base + i as u64, (1, AbsVal::Const(b as i64)));
+                contents.insert(base + i as u64, (1, AbsVal::Const(b as i64)));
             }
-            root.contents.insert(base + bytes.len() as u64, (1, AbsVal::Const(0)));
+            contents.insert(base + bytes.len() as u64, (1, AbsVal::Const(0)));
             v.strings.insert(*id, base);
         }
     }
@@ -445,16 +561,11 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
 
     // Phase 2: from every way init can finish, call the entry function with
     // the ABI pointers (contents unknown: the kernel writes them fresh each
-    // invocation).
-    for term in init_terminals {
-        let mut st = term;
-        st.stack.push(AbsVal::Ptr(ctx));
-        st.stack.push(AbsVal::Ptr(state));
-        if let Some(buf) = buf {
-            st.stack.push(AbsVal::Ptr(buf));
-        }
-        st.pc = module.funcs()[entry_fidx as usize].entry;
-        push_frame(module, &mut st, u32::MAX, 0, entry_fidx);
+    // invocation). The arguments are bound from stack slot 0 on.
+    for mut st in init_terminals {
+        st.core.stack.extend_from_slice(&args);
+        st.core.push_frame(0, u32::MAX, 0, entry.n_slots);
+        st.core.pc = entry.entry;
         explore(&mut v, st, &mut max_steps, &mut paths)?;
     }
 
@@ -466,435 +577,46 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
 /// rolling `max_steps`/`paths` proof counters.
 fn explore(
     v: &mut Verifier<'_>,
-    seed: PathState,
+    seed: Path,
     max_steps: &mut u64,
     paths: &mut u32,
-) -> Result<Vec<PathState>, Rejection> {
+) -> Result<Vec<Path>, Rejection> {
+    let module = v.module;
     let mut work = vec![seed];
     let mut terminals = Vec::new();
     while let Some(mut st) = work.pop() {
         loop {
+            let pc = st.core.pc;
             if v.gas == 0 {
-                return Err(v.reject(
-                    st.pc,
-                    None,
-                    RejectRule::PathExplosion,
-                    format!("verification gas exhausted after {VERIFY_GAS} abstract ops"),
-                ));
+                let detail = format!("verification gas exhausted after {VERIFY_GAS} abstract ops");
+                return Err(reject_at(pc, RejectRule::PathExplosion, detail));
             }
             v.gas -= 1;
-            match step(v, &mut st)? {
-                StepOutcome::Continue => {}
-                StepOutcome::Terminal => {
-                    *max_steps = (*max_steps).max(st.steps);
+            match st.core.step(&mut Abs { v, mem: &mut st.mem }, module, pc) {
+                Ok(Flow::Next(next)) => st.core.pc = next,
+                Ok(Flow::Fork { fall, taken }) => {
+                    if work.len() + 1 > MAX_PATHS {
+                        let detail = format!("more than {MAX_PATHS} pending paths");
+                        return Err(reject_at(fall, RejectRule::PathExplosion, detail));
+                    }
+                    st.core.pc = fall;
+                    let mut other = st.clone();
+                    other.core.pc = taken;
+                    other.mem.jumped(pc, taken);
+                    work.push(other);
+                }
+                Ok(Flow::Return(_)) | Err(Stop::Terminal) => {
+                    *max_steps = (*max_steps).max(st.core.steps);
                     *paths += 1;
                     terminals.push(st);
                     break;
                 }
-                StepOutcome::Fork(other) => {
-                    if work.len() + 1 > MAX_PATHS {
-                        return Err(v.reject(
-                            st.pc,
-                            None,
-                            RejectRule::PathExplosion,
-                            format!("more than {MAX_PATHS} pending paths"),
-                        ));
-                    }
-                    work.push(*other);
+                Err(Stop::Reject(rule, detail)) => {
+                    let mnemonic = module.ops()[pc as usize].mnemonic();
+                    return Err(Rejection { pc, mnemonic, rule, detail });
                 }
             }
         }
     }
     Ok(terminals)
-}
-
-/// Execute one abstract op. Mirrors `Vm::exec`'s dispatch arm-for-arm.
-fn step(v: &mut Verifier<'_>, st: &mut PathState) -> Result<StepOutcome, Rejection> {
-    let module = v.module;
-    let op_pc = st.pc;
-    let op = &module.ops()[op_pc as usize];
-    st.pc += 1;
-    match *op {
-        Op::Step(n) => {
-            st.steps += n as u64;
-            if st.steps > v.budget {
-                let (rule, what) = if st.backjumps > 0 {
-                    (RejectRule::UnboundedLoop, "loop trip count not bounded by budget")
-                } else {
-                    (RejectRule::BudgetExceeded, "straight-line cost exceeds budget")
-                };
-                return Err(v.reject(
-                    op_pc,
-                    Some(op),
-                    rule,
-                    format!("{what}: {} steps > budget {}", st.steps, v.budget),
-                ));
-            }
-        }
-        Op::PushInt(val) => st.stack.push(AbsVal::Const(val)),
-        Op::PushLocalAddr(slot) => {
-            let sb = st.frames.last().expect("frame").slot_base as usize;
-            let base = st.slots[sb + slot as usize];
-            st.stack.push(if base != 0 { AbsVal::Ptr(base) } else { AbsVal::Const(0) });
-        }
-        Op::PushGlobalAddr(g) => {
-            st.stack.push(AbsVal::Ptr(st.global_addrs[g as usize]));
-        }
-        Op::LoadLocal { slot, access, .. } => {
-            let sb = st.frames.last().expect("frame").slot_base as usize;
-            let addr = st.slots[sb + slot as usize];
-            v.check_access(st, op_pc, op, addr, access)?;
-            st.stack.push(contents_load(st, addr, access));
-        }
-        Op::LoadGlobal { gidx, access, .. } => {
-            let addr = st.global_addrs[gidx as usize];
-            v.check_access(st, op_pc, op, addr, access)?;
-            st.stack.push(contents_load(st, addr, access));
-        }
-        Op::LoadInd { access, .. } => {
-            let ptr = st.stack.pop().expect("operand");
-            let AbsVal::Ptr(addr) = ptr else {
-                return Err(v.reject(
-                    op_pc,
-                    Some(op),
-                    RejectRule::UnprovenPointer,
-                    format!("load through {}", describe(ptr)),
-                ));
-            };
-            v.check_access(st, op_pc, op, addr, access)?;
-            st.stack.push(contents_load(st, addr, access));
-        }
-        Op::StoreInd { access, .. } => {
-            let ptr = st.stack.pop().expect("operand");
-            let val = *st.stack.last().expect("operand");
-            let AbsVal::Ptr(addr) = ptr else {
-                return Err(v.reject(
-                    op_pc,
-                    Some(op),
-                    RejectRule::UnprovenPointer,
-                    format!("store through {}", describe(ptr)),
-                ));
-            };
-            v.check_access(st, op_pc, op, addr, access)?;
-            contents_store(st, addr, access, val);
-        }
-        Op::StoreLocalKeep { slot, access, .. } => {
-            let sb = st.frames.last().expect("frame").slot_base as usize;
-            let addr = st.slots[sb + slot as usize];
-            let val = *st.stack.last().expect("operand");
-            v.check_access(st, op_pc, op, addr, access)?;
-            contents_store(st, addr, access, val);
-        }
-        Op::StoreGlobalKeep { gidx, access, .. } => {
-            let addr = st.global_addrs[gidx as usize];
-            let val = *st.stack.last().expect("operand");
-            v.check_access(st, op_pc, op, addr, access)?;
-            contents_store(st, addr, access, val);
-        }
-        Op::StoreLocalPop { slot, access, .. } => {
-            let sb = st.frames.last().expect("frame").slot_base as usize;
-            let addr = st.slots[sb + slot as usize];
-            let val = st.stack.pop().expect("operand");
-            v.check_access(st, op_pc, op, addr, access)?;
-            contents_store(st, addr, access, val);
-        }
-        Op::StoreGlobalPop { gidx, access, .. } => {
-            let addr = st.global_addrs[gidx as usize];
-            let val = st.stack.pop().expect("operand");
-            v.check_access(st, op_pc, op, addr, access)?;
-            contents_store(st, addr, access, val);
-        }
-        Op::StrLit { id, .. } => {
-            st.stack.push(AbsVal::Ptr(v.strings[&id]));
-        }
-        Op::IndexAddr { elem_size, .. } => {
-            let i = st.stack.pop().expect("operand");
-            let base = st.stack.pop().expect("operand");
-            st.stack.push(match (base, i) {
-                (AbsVal::Ptr(b), AbsVal::Const(i)) => {
-                    AbsVal::Ptr((b as i64).wrapping_add(i.wrapping_mul(elem_size as i64)) as u64)
-                }
-                (AbsVal::Const(b), AbsVal::Const(i)) => {
-                    AbsVal::Const(b.wrapping_add(i.wrapping_mul(elem_size as i64)))
-                }
-                _ => AbsVal::Top,
-            });
-        }
-        Op::PtrArith { scale, sub, .. } => {
-            let r = st.stack.pop().expect("operand");
-            let l = st.stack.pop().expect("operand");
-            st.stack.push(arith_scaled(l, r, scale, sub));
-        }
-        Op::PtrArithRev { scale, .. } => {
-            let r = st.stack.pop().expect("operand");
-            let l = st.stack.pop().expect("operand");
-            // new = r + l*scale: the pointer arrives on the left operand.
-            st.stack.push(arith_scaled(r, l, scale, false));
-        }
-        Op::PtrDiff { scale } => {
-            let r = st.stack.pop().expect("operand");
-            let l = st.stack.pop().expect("operand");
-            st.stack.push(match (l, r) {
-                (AbsVal::Ptr(a), AbsVal::Ptr(b)) => {
-                    let same = v.map.containing(a).map(|o| o.base)
-                        == v.map.containing(b).map(|o| o.base);
-                    if same && v.map.containing(a).is_some() {
-                        AbsVal::Const((a.wrapping_sub(b) as i64) / scale as i64)
-                    } else {
-                        AbsVal::Top
-                    }
-                }
-                (AbsVal::Const(a), AbsVal::Const(b)) => {
-                    AbsVal::Const(a.wrapping_sub(b) / scale as i64)
-                }
-                _ => AbsVal::Top,
-            });
-        }
-        Op::Bin { op: bop, .. } => {
-            let r = st.stack.pop().expect("operand");
-            let l = st.stack.pop().expect("operand");
-            match abs_binop(v, &st.dead, bop, l, r) {
-                BinResult::Val(x) => st.stack.push(x),
-                // Constant division by zero: the concrete run stops here
-                // with a clean DivByZero; the path's steps still bound it.
-                BinResult::DivByZero => return Ok(StepOutcome::Terminal),
-            }
-        }
-        Op::Neg => {
-            let x = st.stack.pop().expect("operand");
-            st.stack.push(match x {
-                AbsVal::Const(c) => AbsVal::Const(c.wrapping_neg()),
-                _ => AbsVal::Top,
-            });
-        }
-        Op::NotOp => {
-            let x = st.stack.pop().expect("operand");
-            st.stack.push(match truth(v, x) {
-                Some(t) => AbsVal::Const(!t as i64),
-                None => AbsVal::Top,
-            });
-        }
-        Op::NormBool => {
-            let x = st.stack.pop().expect("operand");
-            st.stack.push(match truth(v, x) {
-                Some(t) => AbsVal::Const(t as i64),
-                None => AbsVal::Top,
-            });
-        }
-        Op::Jump(t) => {
-            if t <= op_pc {
-                st.backjumps += 1;
-            }
-            st.pc = t;
-        }
-        Op::JumpIfZero(t) => {
-            let c = st.stack.pop().expect("operand");
-            match truth(v, c) {
-                Some(false) => {
-                    if t <= op_pc {
-                        st.backjumps += 1;
-                    }
-                    st.pc = t;
-                }
-                Some(true) => {}
-                None => {
-                    let mut taken = st.clone();
-                    taken.pc = t;
-                    if t <= op_pc {
-                        taken.backjumps += 1;
-                    }
-                    return Ok(StepOutcome::Fork(Box::new(taken)));
-                }
-            }
-        }
-        Op::JumpIfNonZero(t) => {
-            let c = st.stack.pop().expect("operand");
-            match truth(v, c) {
-                Some(true) => {
-                    if t <= op_pc {
-                        st.backjumps += 1;
-                    }
-                    st.pc = t;
-                }
-                Some(false) => {}
-                None => {
-                    let mut taken = st.clone();
-                    taken.pc = t;
-                    if t <= op_pc {
-                        taken.backjumps += 1;
-                    }
-                    return Ok(StepOutcome::Fork(Box::new(taken)));
-                }
-            }
-        }
-        Op::Pop => {
-            st.stack.pop().expect("operand");
-        }
-        Op::EnterScope => {
-            st.scopes.push(st.decls.len() as u32);
-        }
-        Op::ExitScope => {
-            let sb = st.frames.last().expect("frame").slot_base;
-            exit_scope(st, sb);
-        }
-        Op::DeclLocal { slot, size } => {
-            let base = v.alloc(size as usize, ObjKind::Stack);
-            let sb = st.frames.last().expect("frame").slot_base as usize;
-            st.slots[sb + slot as usize] = base;
-            st.decls.push(slot);
-        }
-        Op::Param { slot, size, access } => {
-            let f = st.frames.last_mut().expect("frame");
-            let val = st.stack[f.base as usize + f.arg_cursor as usize];
-            f.arg_cursor += 1;
-            let base = v.alloc(size as usize, ObjKind::Stack);
-            let sb = st.frames.last().expect("frame").slot_base as usize;
-            st.slots[sb + slot as usize] = base;
-            st.decls.push(slot);
-            contents_store(st, base, access, val);
-        }
-        Op::PrintInt => {
-            // Reachable only for event programs (scan_opcodes).
-            debug_assert!(v.allow_print);
-            st.stack.pop().expect("operand");
-            st.stack.push(AbsVal::Const(0));
-        }
-        Op::CallFn { fidx, argc } => {
-            if st.frames.len() >= MAX_CALL_DEPTH {
-                // The VM stops with a clean Oom("call stack") here; for the
-                // proof this is just another terminal.
-                return Ok(StepOutcome::Terminal);
-            }
-            let f = &module.funcs()[fidx as usize];
-            if f.n_params != argc {
-                return Ok(StepOutcome::Terminal); // clean BadCall at runtime
-            }
-            let base = (st.stack.len() - argc as usize) as u32;
-            let entry = f.entry;
-            push_frame(module, st, st.pc, base, fidx);
-            st.pc = entry;
-        }
-        Op::Ret => {
-            let val = st.stack.pop().expect("operand");
-            let f = st.frames.pop().expect("frame");
-            while st.scopes.len() > f.scope_mark as usize {
-                exit_scope(st, f.slot_base);
-            }
-            st.slots.truncate(f.slot_base as usize);
-            st.stack.truncate(f.base as usize);
-            if f.ret_pc == u32::MAX {
-                return Ok(StepOutcome::Terminal);
-            }
-            st.stack.push(val);
-            st.pc = f.ret_pc;
-        }
-        Op::AllocGlobal { gidx } => {
-            let size = module.globals()[gidx as usize].size;
-            let base = v.alloc(size, ObjKind::Global);
-            st.global_addrs[gidx as usize] = base;
-        }
-        // Rejected by scan_opcodes before exploration starts.
-        Op::Malloc | Op::Free { .. } | Op::CallHost { .. } | Op::Trap(_) => {
-            unreachable!("forbidden opcode survived the scan: {}", op.mnemonic())
-        }
-    }
-    Ok(StepOutcome::Continue)
-}
-
-fn describe(v: AbsVal) -> &'static str {
-    match v {
-        AbsVal::Top => "a value of unknown provenance",
-        AbsVal::Const(_) => "an integer fabricated as a pointer",
-        AbsVal::Ptr(_) => "a pointer",
-    }
-}
-
-fn truth(v: &mut Verifier<'_>, x: AbsVal) -> Option<bool> {
-    match x {
-        AbsVal::Const(c) => Some(c != 0),
-        // An in-bounds pointer maps to a nonzero arena address; a pointer
-        // driven out of bounds by arithmetic could concretely be anything.
-        AbsVal::Ptr(a) => v.map.containing(a).is_some().then_some(true),
-        AbsVal::Top => None,
-    }
-}
-
-/// `l ± r*scale` with pointer provenance preserved when the offset is
-/// constant (the VM's PtrArith/IndexAddr arithmetic, wrapped identically).
-fn arith_scaled(l: AbsVal, r: AbsVal, scale: u32, sub: bool) -> AbsVal {
-    let scaled = |x: i64| {
-        let d = x.wrapping_mul(scale as i64);
-        if sub {
-            d.wrapping_neg()
-        } else {
-            d
-        }
-    };
-    match (l, r) {
-        (AbsVal::Ptr(b), AbsVal::Const(x)) => AbsVal::Ptr((b as i64).wrapping_add(scaled(x)) as u64),
-        (AbsVal::Const(b), AbsVal::Const(x)) => AbsVal::Const(b.wrapping_add(scaled(x))),
-        _ => AbsVal::Top,
-    }
-}
-
-enum BinResult {
-    Val(AbsVal),
-    DivByZero,
-}
-
-fn abs_binop(
-    v: &mut Verifier<'_>,
-    dead: &FxHashSet<u64>,
-    op: BinOp,
-    l: AbsVal,
-    r: AbsVal,
-) -> BinResult {
-    use AbsVal::*;
-    // Pointer comparisons within one object fold to exact offsets; the
-    // synthetic layout matches the concrete one offset-for-offset. Folds
-    // apply only to strictly in-bounds pointers: out-of-bounds arithmetic
-    // could concretely land anywhere.
-    if let (Ptr(a), Ptr(b)) = (l, r) {
-        let oa = v.map.containing(a);
-        let ob = v.map.containing(b);
-        if let (Some(oa), Some(ob)) = (oa, ob) {
-            if oa.base == ob.base && op.is_cmp() {
-                return fold(op, a as i64, b as i64);
-            }
-            if oa.base != ob.base
-                && matches!(op, BinOp::Eq | BinOp::Ne)
-                && !dead.contains(&oa.base)
-                && !dead.contains(&ob.base)
-            {
-                // In-bounds pointers into distinct live objects never
-                // alias. (Dead objects excluded: the VM reuses their
-                // arena addresses after scope exit.)
-                return BinResult::Val(Const((op == BinOp::Ne) as i64));
-            }
-        }
-        return BinResult::Val(Top);
-    }
-    // In-bounds pointers are non-null, so == 0 / != 0 fold.
-    if let (Ptr(p), Const(0)) | (Const(0), Ptr(p)) = (l, r) {
-        if matches!(op, BinOp::Eq | BinOp::Ne) && v.map.containing(p).is_some() {
-            return BinResult::Val(Const((op == BinOp::Ne) as i64));
-        }
-    }
-    let (Const(a), Const(b)) = (l, r) else {
-        if matches!(op, BinOp::Div | BinOp::Rem) {
-            if let Const(0) = r {
-                return BinResult::DivByZero;
-            }
-        }
-        return BinResult::Val(Top);
-    };
-    fold(op, a, b)
-}
-
-/// Constant folding through the engines' own integer rule.
-fn fold(op: BinOp, a: i64, b: i64) -> BinResult {
-    match op.eval(a, b) {
-        Some(c) => BinResult::Val(AbsVal::Const(c)),
-        None => BinResult::DivByZero,
-    }
 }

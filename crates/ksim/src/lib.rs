@@ -70,7 +70,7 @@ pub use mem::{
     AccessKind, AddressSpace, AsId, Fault, FaultHandler, FaultKind, FaultResolution, MemSys, Pfn,
     PhysMemory, Pte, PteFlags, Tlb, PAGE_SHIFT, PAGE_SIZE,
 };
-pub use proc::{Pid, ProcState, Process, Scheduler, SmpScheduler};
+pub use proc::{Pid, ProcState, Process, SmpScheduler};
 pub use seg::{SegKind, SegSelector, Segment, SegmentTable};
 pub use stats::{
     lock_contention_report, register_lock, reset_lock_contention, LockContention, Stats,

@@ -649,7 +649,7 @@ impl MemSys {
     /// Translate one page, taking faults through the handler chain.
     ///
     /// The TLB hit is inlined into callers (it runs once per simulated
-    /// memory access); a miss takes the out-of-line [`Self::translate_miss`].
+    /// memory access); a miss takes the out-of-line `translate_miss`.
     #[inline]
     pub fn translate(&self, asid: AsId, vaddr: u64, access: AccessKind) -> SimResult<Pfn> {
         let vpn = vaddr >> PAGE_SHIFT;

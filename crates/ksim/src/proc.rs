@@ -4,8 +4,8 @@
 //! infinite loops": every time a process running a compound is scheduled,
 //! the kernel checks how long it has been executing in kernel mode and
 //! terminates it if it exceeded the allowed budget. [`Process`] carries that
-//! budget, and the [`Scheduler`] provides the preemption points at which it
-//! is enforced (see [`crate::Machine::preempt_tick`]).
+//! budget, and the [`SmpScheduler`] provides the preemption points at which
+//! it is enforced (see [`crate::Machine::preempt_tick`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -95,78 +95,17 @@ impl Process {
     }
 }
 
-/// A round-robin preemptive scheduler.
-///
-/// The run queue holds ready processes; [`Scheduler::pick_next`] rotates it.
-/// Context-switch cycle charging is done by the [`crate::Machine`], which
-/// owns the clock; the scheduler itself only tracks ordering and counts.
-#[derive(Debug, Default)]
-pub struct Scheduler {
-    queue: VecDeque<Pid>,
-    current: Option<Pid>,
-    switches: u64,
-}
-
-impl Scheduler {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a process to the tail of the run queue.
-    pub fn enqueue(&mut self, pid: Pid) {
-        debug_assert!(!self.queue.contains(&pid), "pid {pid:?} enqueued twice");
-        self.queue.push_back(pid);
-    }
-
-    /// Remove a process from scheduling entirely (exit / watchdog kill).
-    pub fn remove(&mut self, pid: Pid) {
-        self.queue.retain(|&p| p != pid);
-        if self.current == Some(pid) {
-            self.current = None;
-        }
-    }
-
-    /// The currently running process, if any.
-    pub fn current(&self) -> Option<Pid> {
-        self.current
-    }
-
-    /// Number of context switches performed so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    /// Pick the next process to run, rotating the current one to the back.
-    /// Returns `None` when the run queue is empty. A switch is counted only
-    /// when the running process actually changes (re-picking the sole
-    /// runnable process is free, as on a real kernel's fast path).
-    pub fn pick_next(&mut self) -> Option<Pid> {
-        let prev = self.current.take();
-        if let Some(cur) = prev {
-            self.queue.push_back(cur);
-        }
-        let next = self.queue.pop_front()?;
-        if prev.is_some() && prev != Some(next) {
-            self.switches += 1;
-        }
-        self.current = Some(next);
-        Some(next)
-    }
-
-    /// Number of runnable processes (including the current one).
-    pub fn runnable(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-}
-
 /// Per-CPU run queues with seeded work stealing.
 ///
-/// Each simulated CPU owns a round-robin queue ([`Scheduler`] semantics,
-/// one per CPU). When a CPU's queue drains, it steals the colder half of a
-/// random victim's queue (from the back — the front is the victim's next
-/// pick). The victim choice comes from a splitmix64 stream seeded at
-/// construction, so a sequentially driven schedule is a pure function of
-/// the seed — the property A8's run-twice trace gate relies on.
+/// Each simulated CPU owns a round-robin queue; one CPU is a plain
+/// round-robin preemptive scheduler. Context-switch cycle charging is done
+/// by the [`crate::Machine`], which owns the clock; the scheduler only
+/// tracks ordering and counts. When a CPU's queue drains, it steals the
+/// colder half of a random victim's queue (from the back — the front is
+/// the victim's next pick). The victim choice comes from a splitmix64
+/// stream seeded at construction, so a sequentially driven schedule is a
+/// pure function of the seed — the property A8's run-twice trace gate
+/// relies on.
 ///
 /// Two fault sites hook the stealing policy: `sched.steal_fail` aborts a
 /// steal attempt after the victim is chosen, and `sched.migrate` forcibly
@@ -196,10 +135,6 @@ impl SmpScheduler {
             migrations: 0,
             rng: seed,
         }
-    }
-
-    pub fn cpus(&self) -> usize {
-        self.queues.len()
     }
 
     /// Add a process to the tail of `cpu`'s run queue.
@@ -287,9 +222,11 @@ impl SmpScheduler {
         self.steals += 1;
     }
 
-    /// Pick the next process to run on `cpu`, stealing when the local
-    /// queue drains. Same switch-counting rule as [`Scheduler::pick_next`]:
-    /// only an actual change of the running process counts.
+    /// Pick the next process to run on `cpu`, rotating its current one to
+    /// the back and stealing when the local queue drains. Returns `None`
+    /// when there is nothing to run. A switch is counted only when the
+    /// running process actually changes (re-picking the sole runnable
+    /// process is free, as on a real kernel's fast path).
     pub fn pick_next_on(&mut self, cpu: usize, faults: &kfault::FaultPlane) -> Option<Pid> {
         let prev = self.current[cpu].take();
         if let Some(cur) = prev {
@@ -330,27 +267,32 @@ impl SmpScheduler {
 mod tests {
     use super::*;
 
+    /// One CPU, unarmed fault plane: the plain round-robin scheduler.
+    fn one_cpu() -> (SmpScheduler, kfault::FaultPlane) {
+        (SmpScheduler::new(1, 0), kfault::FaultPlane::new())
+    }
+
     #[test]
     fn round_robin_rotates_fairly() {
-        let mut s = Scheduler::new();
+        let (mut s, f) = one_cpu();
         let (a, b, c) = (Pid(1), Pid(2), Pid(3));
-        s.enqueue(a);
-        s.enqueue(b);
-        s.enqueue(c);
-        let order: Vec<Pid> = (0..6).map(|_| s.pick_next().unwrap()).collect();
+        s.enqueue_on(0, a);
+        s.enqueue_on(0, b);
+        s.enqueue_on(0, c);
+        let order: Vec<Pid> = (0..6).map(|_| s.pick_next_on(0, &f).unwrap()).collect();
         assert_eq!(order, vec![a, b, c, a, b, c]);
         assert_eq!(s.runnable(), 3);
     }
 
     #[test]
     fn single_process_runs_without_counting_switches_forever() {
-        let mut s = Scheduler::new();
-        s.enqueue(Pid(7));
-        let first = s.pick_next().unwrap();
+        let (mut s, f) = one_cpu();
+        s.enqueue_on(0, Pid(7));
+        let first = s.pick_next_on(0, &f).unwrap();
         assert_eq!(first, Pid(7));
         let before = s.switches();
         for _ in 0..10 {
-            assert_eq!(s.pick_next(), Some(Pid(7)));
+            assert_eq!(s.pick_next_on(0, &f), Some(Pid(7)));
         }
         // Re-picking the only process is not a context switch.
         assert_eq!(s.switches(), before);
@@ -358,26 +300,26 @@ mod tests {
 
     #[test]
     fn remove_drops_from_queue_and_current() {
-        let mut s = Scheduler::new();
-        s.enqueue(Pid(1));
-        s.enqueue(Pid(2));
-        assert_eq!(s.pick_next(), Some(Pid(1)));
+        let (mut s, f) = one_cpu();
+        s.enqueue_on(0, Pid(1));
+        s.enqueue_on(0, Pid(2));
+        assert_eq!(s.pick_next_on(0, &f), Some(Pid(1)));
         s.remove(Pid(1));
-        assert_eq!(s.current(), None);
-        assert_eq!(s.pick_next(), Some(Pid(2)));
+        assert_eq!(s.current_on(0), None);
+        assert_eq!(s.pick_next_on(0, &f), Some(Pid(2)));
         s.remove(Pid(2));
-        assert_eq!(s.pick_next(), None);
+        assert_eq!(s.pick_next_on(0, &f), None);
         assert_eq!(s.runnable(), 0);
     }
 
     #[test]
     fn switches_counted_between_distinct_processes() {
-        let mut s = Scheduler::new();
-        s.enqueue(Pid(1));
-        s.enqueue(Pid(2));
-        s.pick_next();
-        s.pick_next();
-        s.pick_next();
+        let (mut s, f) = one_cpu();
+        s.enqueue_on(0, Pid(1));
+        s.enqueue_on(0, Pid(2));
+        s.pick_next_on(0, &f);
+        s.pick_next_on(0, &f);
+        s.pick_next_on(0, &f);
         assert!(s.switches() >= 2);
     }
 

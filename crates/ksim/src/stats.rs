@@ -1,4 +1,4 @@
-//! Machine-wide event counters, and [`counters!`], which declares every
+//! Machine-wide event counters, and [`counters!`](crate::counters!), which declares every
 //! layer's counter set.
 //!
 //! All counters are relaxed atomics (statistics pattern from *Rust Atomics

@@ -11,7 +11,7 @@
 //!
 //! On a multi-CPU machine the dcache_lock is the single hottest shared
 //! line in path resolution: every component of every `open` bounces it.
-//! Lookups therefore go through an [`EpochTable`] first — a fixed-size
+//! Lookups therefore go through an `EpochTable` first — a fixed-size
 //! open-addressed array of atomic slots validated by a global seqlock
 //! epoch. Readers load the epoch (must be even), probe with plain atomic
 //! loads, and re-check the epoch; any concurrent write forces a fall-back

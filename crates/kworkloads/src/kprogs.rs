@@ -280,19 +280,4 @@ mod tests {
         assert!(user_sys >= 32, "one enter per hop: {user_sys}");
         assert!(kern_sys <= 3, "one enter total: {kern_sys}");
     }
-
-    #[test]
-    fn library_sources_all_verify() {
-        use kprog::{HookClass, ProgEngine, ProgSpec};
-        let rig = Rig::memfs();
-        let e = ProgEngine::new(rig.machine.clone());
-        e.load(CHASE_CQE_SRC, &ProgSpec::new(HookClass::UringCqe, "f").with_buf_len(16))
-            .expect("chase");
-        e.load(READONLY_FILTER_SRC, &ProgSpec::new(HookClass::SyscallEntry, "f"))
-            .expect("readonly");
-        e.load(CLAMP_LEN_FILTER_SRC, &ProgSpec::new(HookClass::SyscallEntry, "f"))
-            .expect("clamp");
-        e.load(EVENT_AGGREGATE_SRC, &ProgSpec::new(HookClass::EventDispatch, "f"))
-            .expect("aggregate");
-    }
 }

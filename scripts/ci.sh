@@ -24,6 +24,10 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 echo "== clippy (warnings are errors) =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# Catches doc links left stale by a rename or a deletion.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== every experiment and ablation (E1-E7, A1-A15) =="
 # `all` exits non-zero when any shape row reads DIFF. Host-timed rows are
 # printed as a trend but not gated. It runs in a scratch directory so the

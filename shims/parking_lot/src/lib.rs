@@ -71,6 +71,9 @@ impl<'a, T: ?Sized> MutexGuard<'a, T> {
                     ManuallyDrop::new(m.0.lock().unwrap_or_else(|e| e.into_inner()));
             }
         }
+        // SAFETY: the std guard is dropped once, here; `Relock` puts a new
+        // one in `inner` when it drops, after `f` returns or unwinds, and
+        // nothing reads `inner` in between.
         unsafe { ManuallyDrop::drop(&mut s.inner) }
         let _relock = Relock(s);
         f()
@@ -79,6 +82,9 @@ impl<'a, T: ?Sized> MutexGuard<'a, T> {
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
+        // SAFETY: `inner` holds a live std guard whenever the guard can be
+        // dropped: `unlocked` and `Condvar::wait` put one back before they
+        // return or unwind. This is that guard's only drop.
         unsafe { ManuallyDrop::drop(&mut self.inner) }
     }
 }
@@ -102,9 +108,10 @@ impl Condvar {
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // No code between taking the std guard out and putting its
-        // successor back can panic: `wait`'s poison error is recovered,
-        // never unwrapped.
+        // SAFETY: the std guard taken out is replaced on the next line
+        // before `guard` is used or dropped again. Nothing in between
+        // panics: a poison error is recovered, never unwrapped, and std's
+        // `wait` panics only when one condvar serves two mutexes.
         let inner = unsafe { ManuallyDrop::take(&mut guard.inner) };
         guard.inner = ManuallyDrop::new(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
     }

@@ -9,7 +9,9 @@
 //! Differences from the real crate: generation is seeded deterministically
 //! from the test name (every run explores the same cases), and failures are
 //! reported without shrinking — the failing case index and message are
-//! printed instead of a minimised input.
+//! printed instead of a minimised input. A body that panics (a plain
+//! `assert!` in a helper, say) prints `proptest <name> failed at case i/n`
+//! before the panic resumes, so its case is named too.
 
 pub mod test_runner {
     use std::fmt;
@@ -417,7 +419,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -515,11 +517,19 @@ macro_rules! __proptest_body {
             for __pt_case in 0..__pt_config.cases {
                 let ($($pat,)+) =
                     $crate::strategy::Strategy::gen_value(&__pt_strats, &mut __pt_rng);
-                let __pt_result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (|| {
+                let __pt_result = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                         $body;
                         ::std::result::Result::Ok(())
-                    })();
+                    },
+                ))
+                .unwrap_or_else(|payload| {
+                    ::std::eprintln!(
+                        "proptest {} failed at case {}/{}",
+                        stringify!($name), __pt_case + 1, __pt_config.cases
+                    );
+                    ::std::panic::resume_unwind(payload)
+                });
                 match __pt_result {
                     ::std::result::Result::Ok(()) => {}
                     ::std::result::Result::Err($crate::test_runner::TestCaseError::Reject(_)) => {}
@@ -658,6 +668,23 @@ mod tests {
             prop_assert_eq!(a + b, b + a);
             prop_assert_ne!(a + b + 1, a + b);
         }
+    }
+
+    static CASES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        fn panics_at_case_three(_x in 0u32..10) {
+            let case = CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            assert!(case != 3, "body panicked");
+        }
+    }
+
+    #[test]
+    fn panicking_body_resumes_its_own_panic() {
+        let err = std::panic::catch_unwind(panics_at_case_three).unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"body panicked"), "the payload resumes");
+        assert_eq!(CASES.load(std::sync::atomic::Ordering::Relaxed), 3, "no case runs after it");
     }
 
     proptest! {
