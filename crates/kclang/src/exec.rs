@@ -40,6 +40,13 @@ pub enum SegMode {
     Segmented(SegSelector),
 }
 
+/// The tick callback runs every this many evaluation steps (watchdog
+/// granularity).
+pub const TICK_EVERY: u64 = 64;
+
+/// Simulated cycles charged per evaluation step.
+pub const CYCLES_PER_STEP: u64 = 4;
+
 /// Execution configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
@@ -50,10 +57,6 @@ pub struct ExecConfig {
     pub charge_sys: bool,
     /// Abort after this many evaluation steps (`None` = unlimited).
     pub max_steps: Option<u64>,
-    /// Invoke the tick callback every N steps (watchdog granularity).
-    pub tick_every: u64,
-    /// Simulated cycles per evaluation step.
-    pub cycles_per_step: u64,
 }
 
 impl ExecConfig {
@@ -63,8 +66,6 @@ impl ExecConfig {
             seg: SegMode::Flat,
             charge_sys: false,
             max_steps: Some(100_000_000),
-            tick_every: 64,
-            cycles_per_step: 4,
         }
     }
 }

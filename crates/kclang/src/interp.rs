@@ -18,7 +18,8 @@ use ksim::Machine;
 use crate::arena::Arena;
 use crate::ast::*;
 use crate::exec::{
-    ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, MAX_CALL_DEPTH,
+    ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, CYCLES_PER_STEP,
+    MAX_CALL_DEPTH, TICK_EVERY,
 };
 use crate::hooks::{MemHook, NoopHook};
 use crate::types::TypeInfo;
@@ -138,16 +139,16 @@ impl<'a> Interp<'a> {
         let _ = loc;
         self.steps += 1;
         if self.cfg.charge_sys {
-            self.machine.charge_sys(self.cfg.cycles_per_step);
+            self.machine.charge_sys(CYCLES_PER_STEP);
         } else {
-            self.machine.charge_user(self.cfg.cycles_per_step);
+            self.machine.charge_user(CYCLES_PER_STEP);
         }
         if let Some(max) = self.cfg.max_steps {
             if self.steps > max {
                 return Err(InterpError::Timeout { steps: self.steps });
             }
         }
-        if self.steps.is_multiple_of(self.cfg.tick_every) {
+        if self.steps.is_multiple_of(TICK_EVERY) {
             if let Some(t) = self.ticker {
                 t(self.steps)?;
             }

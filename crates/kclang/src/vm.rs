@@ -37,7 +37,8 @@ use crate::arena::Arena;
 use crate::ast::BinOp;
 use crate::bytecode::{Access, FuncInfo, Module, Op, TrapKind};
 use crate::exec::{
-    ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, MAX_CALL_DEPTH,
+    ExecConfig, ExecOutcome, InterpError, MemCtx, SyscallHost, TickFn, CYCLES_PER_STEP,
+    MAX_CALL_DEPTH, TICK_EVERY,
 };
 use crate::hooks::MemHook;
 use crate::sym::Sym;
@@ -413,8 +414,9 @@ impl<V: Copy> Core<V> {
             }
             Op::CallHost { name, argc } => {
                 let at = self.stack.len() - argc as usize;
-                let args: Vec<V> = self.stack.split_off(at);
-                self.stack.push(d.host(name, &args)?);
+                let ret = d.host(name, &self.stack[at..])?;
+                self.stack.truncate(at);
+                self.stack.push(ret);
             }
             Op::Ret => {
                 let val = self.pop();
@@ -764,22 +766,21 @@ impl Domain for Concrete<'_, '_> {
         let before = *steps;
         let after = before + n;
         let timeout_ok = cfg.max_steps.map(|m| after <= m).unwrap_or(true);
-        let tick = cfg.tick_every;
-        let tick_ok = self.env.ticker.is_none() || tick == 0 || before / tick == after / tick;
+        let tick_ok = self.env.ticker.is_none() || before / TICK_EVERY == after / TICK_EVERY;
         if timeout_ok && tick_ok {
             *steps = after;
-            self.env.charge_cycles(n * cfg.cycles_per_step);
+            self.env.charge_cycles(n * CYCLES_PER_STEP);
             return Ok(());
         }
         for _ in 0..n {
             *steps += 1;
-            self.env.charge_cycles(self.env.cfg.cycles_per_step);
+            self.env.charge_cycles(CYCLES_PER_STEP);
             if let Some(max) = self.env.cfg.max_steps {
                 if *steps > max {
                     return Err(InterpError::Timeout { steps: *steps });
                 }
             }
-            if steps.is_multiple_of(tick) {
+            if steps.is_multiple_of(TICK_EVERY) {
                 if let Some(t) = self.env.ticker {
                     t(*steps)?;
                 }

@@ -87,17 +87,21 @@ impl CharDev {
 
         if mode == ReadMode::Blocking {
             // Real-thread support: wait for data. Simulated time does not
-            // advance here; the producing side owns the clock.
+            // advance here; the producing side owns the clock. The give-up
+            // bound is wall-clock time, not a spin count: a loaded host can
+            // burn through any fixed number of yields before the producer
+            // is scheduled.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             let mut spins = 0u32;
             while self.ring.is_empty() {
-                spins += 1;
+                spins = spins.saturating_add(1);
                 if spins > 1_000 {
                     std::thread::yield_now();
+                    if std::time::Instant::now() > deadline {
+                        break; // give up rather than hang a test forever
+                    }
                 } else {
                     std::hint::spin_loop();
-                }
-                if spins > 1_000_000 {
-                    break; // give up rather than hang a test forever
                 }
             }
         }

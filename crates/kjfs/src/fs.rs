@@ -55,6 +55,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+use kvfs::memfs::{BLOCK_CPU_COST, DIR_OP_COST, INODE_OP_COST};
 use kvfs::{BlockAddr, BlockDev, DirEntry, FileKind, FileSystem, Ino, Stat, VfsError, VfsResult};
 use ksim::{fnv1a, FxHashMap, FxHashSet, Machine, PAGE_SIZE};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -66,11 +67,6 @@ use crate::layout::{
     ROOT_INO, SUPER_OBJ,
 };
 
-/// CPU charge constants, calibrated against memfs so kjfs-vs-memfs deltas
-/// measure journaling and I/O, not bookkeeping differences.
-pub const INODE_OP_COST: u64 = 350;
-pub const DIR_OP_COST: u64 = 420;
-pub const BLOCK_CPU_COST: u64 = 150;
 /// Per journal block: serialize + checksum.
 pub const JOURNAL_CPU_COST: u64 = 200;
 /// Entering `fsync`/`sync`: flush setup before any block I/O.
@@ -294,8 +290,34 @@ struct Inner {
 }
 
 /// Longest run of consecutive blocks merged into one device I/O by the
-/// writeback and checkpoint stages (one BIO's worth).
+/// writeback, journal and checkpoint stages (one BIO's worth).
 const MAX_RUN_BLOCKS: usize = 64;
+
+/// The run rule, in one place. `blocks` are address-sorted; the run that
+/// starts at `blocks[0]` is the longest prefix of blocks of one object with
+/// consecutive indexes, at most [`MAX_RUN_BLOCKS`] of them. Returns the
+/// run's first address, its length in blocks and its payload: the blocks'
+/// images in order, each padded to one block.
+fn next_run<'a, T>(
+    blocks: &'a [T],
+    addr: impl Fn(&T) -> BlockAddr,
+    image: impl Fn(&'a T) -> &'a [u8],
+) -> (BlockAddr, usize, Vec<u8>) {
+    let first = addr(&blocks[0]);
+    let n = blocks
+        .iter()
+        .take(MAX_RUN_BLOCKS)
+        .zip(first.index..)
+        .take_while(|&(b, index)| addr(b) == BlockAddr { obj: first.obj, index })
+        .count();
+    let mut data = Vec::with_capacity(n * PAGE_SIZE);
+    for b in &blocks[..n] {
+        let at = data.len();
+        data.extend_from_slice(image(b));
+        data.resize(at + PAGE_SIZE, 0);
+    }
+    (first, n, data)
+}
 
 /// The journaled file system. Mount with [`Kjfs::mount`]; all state shares
 /// one lock (coarse, like a single-threaded jbd2 handle), so the type is
@@ -352,7 +374,7 @@ impl Kjfs {
                 journal_slots: fs.cfg.journal_slots,
                 inode_capacity: fs.cfg.inode_capacity,
             };
-            fs.dev.write_block_bytes(BlockAddr { obj: SUPER_OBJ, index: 0 }, &sb.to_block())?;
+            fs.dev.write_run_bytes(BlockAddr { obj: SUPER_OBJ, index: 0 }, &sb.to_block())?;
             let mut g = fs.inner.lock();
             g.inodes.insert(
                 ROOT_INO,
@@ -431,36 +453,24 @@ impl Kjfs {
         self.machine.clock.elapsed_cycles()
     }
 
-    /// Every journal and writeback block write funnels through here: first
-    /// the kill site (a clean power cut — nothing lands), then the device
-    /// write itself (which `kvfs.blockdev.torn` can tear mid-block). Either
-    /// failure aborts the file system, like a jbd2 journal abort.
-    fn guarded_write(
-        &self,
-        g: &mut Inner,
-        site: &'static str,
-        addr: BlockAddr,
-        data: &[u8],
-    ) -> VfsResult<()> {
-        if g.crashed {
-            return Err(VfsError::Io);
-        }
+    /// The one guarded block write: every journal, writeback, checkpoint
+    /// and replay write is a run of consecutive blocks submitted here. First
+    /// the kill site (a clean power cut — nothing lands), then one device
+    /// submission, which `kvfs.blockdev.torn` can tear mid-run. Either
+    /// failure aborts the file system, like a jbd2 journal abort: callers
+    /// holding the fs lock go through [`Self::write_run_locked`], and the
+    /// commit path, which writes with the lock dropped, marks the file
+    /// system crashed once it relocks.
+    fn write_run(&self, site: &'static str, addr: BlockAddr, data: &[u8]) -> VfsResult<()> {
         if self.machine.faults.should_fail(site) {
-            g.crashed = true;
             return Err(VfsError::Io);
         }
-        match self.dev.write_block_bytes(addr, data) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                g.crashed = true;
-                Err(e)
-            }
-        }
+        self.dev.write_run_bytes(addr, data)
     }
 
-    /// [`Self::guarded_write`] for a coalesced run of consecutive blocks:
-    /// one kill-site consult, one device submission ([`BlockDev::write_run_bytes`]).
-    fn guarded_run_write(
+    /// [`Self::write_run`] under the fs lock: a crashed file system writes
+    /// nothing, and a failed write crashes it.
+    fn write_run_locked(
         &self,
         g: &mut Inner,
         site: &'static str,
@@ -470,17 +480,9 @@ impl Kjfs {
         if g.crashed {
             return Err(VfsError::Io);
         }
-        if self.machine.faults.should_fail(site) {
-            g.crashed = true;
-            return Err(VfsError::Io);
-        }
-        match self.dev.write_run_bytes(addr, data) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                g.crashed = true;
-                Err(e)
-            }
-        }
+        let res = self.write_run(site, addr, data);
+        g.crashed |= res.is_err();
+        res
     }
 
     // ---- allocator ----------------------------------------------------
@@ -748,28 +750,19 @@ impl Kjfs {
         }
         g.dirty_order = keep;
         flush.sort_unstable();
-        let mut i = 0usize;
-        while i < flush.len() {
-            let mut j = i + 1;
-            while j < flush.len()
-                && j - i < MAX_RUN_BLOCKS
-                && flush[j].0 == flush[i].0 + (j - i) as u32
-            {
-                j += 1;
-            }
-            let mut data = Vec::with_capacity((j - i) * PAGE_SIZE);
-            for &(_, ino, lblock) in &flush[i..j] {
-                data.extend_from_slice(&g.pages[&(ino, lblock)].bytes);
-            }
-            self.guarded_run_write(g, kfault::sites::KJFS_WRITEBACK, data_addr(flush[i].0), &data)?;
-            for &(_, ino, lblock) in &flush[i..j] {
+        let mut rest = &flush[..];
+        while !rest.is_empty() {
+            let (addr, n, data) =
+                next_run(rest, |f| data_addr(f.0), |f| &g.pages[&(f.1, f.2)].bytes);
+            self.write_run_locked(g, kfault::sites::KJFS_WRITEBACK, addr, &data)?;
+            for &(_, ino, lblock) in &rest[..n] {
                 let p = g.pages.get_mut(&(ino, lblock)).expect("page");
                 p.dirty = false;
                 g.dirty_count -= 1;
                 g.stats.ordered_flushes += 1;
             }
             g.stats.writeback_runs += 1;
-            i = j;
+            rest = &rest[n..];
         }
         Ok(())
     }
@@ -1004,32 +997,16 @@ impl Kjfs {
             // (the reason a journal beats in-place writes). The commit
             // block rides alone, after the body: the write barrier that
             // makes the record atomic.
-            let mut i = 0usize;
-            while i < body.len() {
-                let mut n = 1usize;
-                while i + n < body.len()
-                    && n < MAX_RUN_BLOCKS
-                    && body[i + n].0 == body[i].0 + n as u64
-                {
-                    n += 1;
-                }
-                let mut payload = Vec::with_capacity(n * PAGE_SIZE);
-                for (_, blk) in &body[i..i + n] {
-                    payload.extend_from_slice(blk);
-                    payload.resize(payload.len().next_multiple_of(PAGE_SIZE).max(PAGE_SIZE), 0);
-                }
+            let site = kfault::sites::KJFS_JOURNAL_COMMIT;
+            let mut rest = body;
+            while !rest.is_empty() {
+                let (addr, n, payload) = next_run(rest, |b| journal_addr(b.0), |b| &b.1);
                 self.machine.charge_sys(JOURNAL_CPU_COST);
-                if self.machine.faults.should_fail(kfault::sites::KJFS_JOURNAL_COMMIT) {
-                    return Err(VfsError::Io);
-                }
-                self.dev.write_run_bytes(journal_addr(body[i].0), &payload)?;
-                i += n;
+                self.write_run(site, addr, &payload)?;
+                rest = &rest[n..];
             }
             self.machine.charge_sys(JOURNAL_CPU_COST);
-            if self.machine.faults.should_fail(kfault::sites::KJFS_JOURNAL_COMMIT) {
-                return Err(VfsError::Io);
-            }
-            self.dev.write_block_bytes(journal_addr(commit_entry.0), &commit_entry.1)
+            self.write_run(site, journal_addr(commit_entry.0), &commit_entry.1)
         };
         let res = if self.cfg.journal_mode == JournalMode::GroupCommit {
             // Drop the lock for the journal I/O so concurrent ops make
@@ -1088,41 +1065,20 @@ impl Kjfs {
         g.stats.checkpoint_dedup_saved += total - entries.len() as u64;
         g.stats.checkpoint_blocks += entries.len() as u64;
 
-        let mut i = 0;
-        while i < entries.len() {
-            let (obj, index) = entries[i].0;
-            let mut j = i + 1;
-            while j < entries.len()
-                && j - i < MAX_RUN_BLOCKS
-                && entries[j].0 == (obj, index + (j - i) as u64)
-            {
-                j += 1;
-            }
-            let mut data = Vec::with_capacity((j - i) * PAGE_SIZE);
-            for e in &entries[i..j] {
-                let at = data.len();
-                data.extend_from_slice(&e.1);
-                data.resize(at + PAGE_SIZE, 0);
-            }
-            self.guarded_run_write(
-                g,
-                kfault::sites::KJFS_CHECKPOINT,
-                BlockAddr { obj, index },
-                &data,
-            )?;
+        let site = kfault::sites::KJFS_CHECKPOINT;
+        let mut rest = &entries[..];
+        while !rest.is_empty() {
+            let (addr, n, data) =
+                next_run(rest, |&((obj, index), _)| BlockAddr { obj, index }, |e| &e.1);
+            self.write_run_locked(g, site, addr, &data)?;
             g.stats.checkpoint_runs += 1;
-            i = j;
+            rest = &rest[n..];
         }
 
         // Retire oldest-first so a crash mid-retirement leaves a
         // replayable suffix, never a gap.
         for slot in retire {
-            self.guarded_write(
-                g,
-                kfault::sites::KJFS_CHECKPOINT,
-                journal_addr(slot),
-                &[0u8; PAGE_SIZE],
-            )?;
+            self.write_run_locked(g, site, journal_addr(slot), &[0u8; PAGE_SIZE])?;
         }
         g.checkpointed_txid = max_txid;
         g.quarantine.retain(|_, freed_by| *freed_by > max_txid);
@@ -1200,17 +1156,14 @@ impl Kjfs {
         let txns = journal::scan_all(slots, |s| scanned[s as usize].clone());
         if !txns.is_empty() {
             let mut g = self.inner.lock();
+            let site = kfault::sites::KJFS_JOURNAL_REPLAY;
             for txn in &txns {
                 for (addr, img) in &txn.images {
                     self.machine.charge_sys(JOURNAL_CPU_COST);
-                    self.guarded_write(&mut g, kfault::sites::KJFS_JOURNAL_REPLAY, *addr, img)?;
+                    self.write_run_locked(&mut g, site, *addr, img)?;
                 }
-                self.guarded_write(
-                    &mut g,
-                    kfault::sites::KJFS_JOURNAL_REPLAY,
-                    journal_addr(txn.commit_slot),
-                    &[0u8; PAGE_SIZE],
-                )?;
+                let retire = journal_addr(txn.commit_slot);
+                self.write_run_locked(&mut g, site, retire, &[0u8; PAGE_SIZE])?;
             }
         }
 

@@ -234,8 +234,6 @@ impl Attachment {
             seg: SegMode::Flat,
             charge_sys: true,
             max_steps: Some(self.prog.proof.max_steps),
-            tick_every: 64,
-            cycles_per_step: 4,
         };
         let argbuf = [self.ctx_addr as i64, self.state_addr as i64, self.buf_addr as i64];
         let argc = if self.class() == HookClass::UringCqe { 3 } else { 2 };

@@ -554,15 +554,16 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
         }
     }
 
-    // Phase 1: explore the init chunk; collect its terminal states.
+    // Phase 1: explore the init chunk; collect the states it returns in.
     let mut max_steps = 0u64;
     let mut paths = 0u32;
-    let init_terminals = explore(&mut v, root, &mut max_steps, &mut paths)?;
+    let init_returns = explore(&mut v, root, &mut max_steps, &mut paths)?;
 
-    // Phase 2: from every way init can finish, call the entry function with
+    // Phase 2: from every way init can return, call the entry function with
     // the ABI pointers (contents unknown: the kernel writes them fresh each
-    // invocation). The arguments are bound from stack slot 0 on.
-    for mut st in init_terminals {
+    // invocation). The arguments are bound from stack slot 0 on. An init
+    // path that stopped on a runtime error never reaches the entry.
+    for mut st in init_returns {
         st.core.stack.extend_from_slice(&args);
         st.core.push_frame(0, u32::MAX, 0, entry.n_slots);
         st.core.pc = entry.entry;
@@ -573,8 +574,9 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
 }
 
 /// Depth-first exploration from `seed` until every path terminates.
-/// Returns the terminal states (for init-phase chaining); updates the
-/// rolling `max_steps`/`paths` proof counters.
+/// Returns the states of the paths that returned (for init-phase
+/// chaining); updates the rolling `max_steps`/`paths` proof counters,
+/// which count every terminated path, runtime errors included.
 fn explore(
     v: &mut Verifier<'_>,
     seed: Path,
@@ -583,7 +585,7 @@ fn explore(
 ) -> Result<Vec<Path>, Rejection> {
     let module = v.module;
     let mut work = vec![seed];
-    let mut terminals = Vec::new();
+    let mut returned = Vec::new();
     while let Some(mut st) = work.pop() {
         loop {
             let pc = st.core.pc;
@@ -605,10 +607,12 @@ fn explore(
                     other.mem.jumped(pc, taken);
                     work.push(other);
                 }
-                Ok(Flow::Return(_)) | Err(Stop::Terminal) => {
+                end @ (Ok(Flow::Return(_)) | Err(Stop::Terminal)) => {
                     *max_steps = (*max_steps).max(st.core.steps);
                     *paths += 1;
-                    terminals.push(st);
+                    if end.is_ok() {
+                        returned.push(st);
+                    }
                     break;
                 }
                 Err(Stop::Reject(rule, detail)) => {
@@ -618,5 +622,5 @@ fn explore(
             }
         }
     }
-    Ok(terminals)
+    Ok(returned)
 }

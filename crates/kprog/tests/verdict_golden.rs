@@ -98,11 +98,19 @@ const DEEP_RECURSION: &str = r#"
 int r(int n) { return r(n + 1); }
 int f(int *ctx, int *state) { return r(0); }"#;
 
-/// Init always stops at the division; the entry is still explored, from
-/// the operands the failed init left on the stack.
+/// Init always stops at the division, so no run reaches the entry and the
+/// verifier does not explore it: the proof covers init's one path.
 const FAILED_INIT: &str = r#"
 int g = 5 + 1 / 0;
 int f(int *ctx, int *state) { return ctx[0]; }"#;
+
+/// Init reads an uninitialised local: it stops at the division on one
+/// branch and returns on the other, so the entry is still explored — from
+/// the returned branch only — and its fabricated pointer is rejected.
+const SPLIT_INIT: &str = r#"
+int pick() { int x; if (x) { return 1 / 0; } return 1; }
+int g = pick();
+int f(int *ctx, int *state) { int *p = 4096; return *p + ctx[0] + g; }"#;
 
 const USE_AFTER_SCOPE: &str = r#"
 int *leak() { int x; x = 1; return &x; }
@@ -159,6 +167,7 @@ fn table() -> String {
         ("deep_recursion", DEEP_RECURSION.into(), spec(Entry)),
         ("divide_by_zero", f("return ctx[0] / 0;"), spec(Entry)),
         ("failed_init", FAILED_INIT.into(), spec(Entry)),
+        ("split_init", SPLIT_INIT.into(), spec(Entry)),
         ("chase_cqe", CHASE_CQE_SRC.into(), spec(Cqe).with_buf_len(16)),
         ("readonly_filter", READONLY_FILTER_SRC.into(), spec(Entry)),
         ("clamp_len_filter", CLAMP_LEN_FILTER_SRC.into(), spec(Entry)),
@@ -211,7 +220,8 @@ heap: reject pc=52 malloc opcode-forbidden: heap allocation is not permitted
 mixed: proof max_steps=102 paths=5 gas=477
 deep_recursion: proof max_steps=598 paths=2 gas=840
 divide_by_zero: proof max_steps=6 paths=2 gas=13
-failed_init: reject pc=19 load_ind unproven-pointer: load through an integer fabricated as a pointer
+failed_init: proof max_steps=5 paths=1 gas=8
+split_init: reject pc=33 load_ind unproven-pointer: load through an integer fabricated as a pointer
 chase_cqe: proof max_steps=41 paths=4 gas=98
 readonly_filter: proof max_steps=18 paths=3 gas=38
 clamp_len_filter: proof max_steps=44 paths=10 gas=199

@@ -50,12 +50,10 @@ pub struct BlockDev {
     machine: Arc<Machine>,
     cache: SpinMutex<BlockCache>,
     last: SpinMutex<Option<BlockAddr>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
     seeks: AtomicU64,
     dirty: AtomicU64,
     /// The platter: per-block byte images written through
-    /// [`Self::write_block_bytes`]. Unlike the page cache this is stable
+    /// [`Self::write_run_bytes`]. Unlike the page cache this is stable
     /// storage — it survives an unmount (dropping the file system) for as
     /// long as the `Arc<BlockDev>` lives, which is exactly what the crash
     /// harness needs to model a power cut + remount.
@@ -68,8 +66,6 @@ impl BlockDev {
             machine,
             cache: SpinMutex::new(BlockCache::default()),
             last: SpinMutex::new(None),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
             seeks: AtomicU64::new(0),
             dirty: AtomicU64::new(0),
             store: SpinMutex::new(FxHashMap::default()),
@@ -116,7 +112,6 @@ impl BlockDev {
         if self.machine.faults.should_fail(kfault::sites::KVFS_BLOCKDEV_READ) {
             return Err(VfsError::Io);
         }
-        self.reads.fetch_add(1, Relaxed);
         self.machine.stats.disk_reads.fetch_add(1, Relaxed);
         self.charge_access(addr, bytes.min(PAGE_SIZE));
         self.cache.lock().set.insert(addr);
@@ -130,74 +125,42 @@ impl BlockDev {
         if self.machine.faults.should_fail(kfault::sites::KVFS_BLOCKDEV_WRITE) {
             return Err(VfsError::Io);
         }
-        self.writes.fetch_add(1, Relaxed);
-        self.machine.stats.disk_writes.fetch_add(1, Relaxed);
-        let m = &self.machine;
-        m.charge_io(m.cost.disk_transfer(bytes.min(PAGE_SIZE)));
-        let n = self.dirty.fetch_add(1, Relaxed) + 1;
-        if n.is_multiple_of(ELEVATOR_BATCH) {
-            self.seeks.fetch_add(1, Relaxed);
-            m.charge_io(m.cost.disk_seek + m.cost.disk_rotate);
-        }
-        *self.last.lock() = Some(addr);
+        self.charge_write(1, bytes.min(PAGE_SIZE), addr);
         self.cache.lock().set.insert(addr);
         Ok(())
     }
 
-    /// Write one block's bytes to stable storage. Charges exactly like
-    /// [`Self::write_block`]; in addition the bytes land in the device's
-    /// persistent store, which survives unmount.
-    ///
-    /// Failure fidelity: an injected `kvfs.blockdev.write` EIO is
-    /// all-or-nothing — no bytes land. An injected `kvfs.blockdev.torn`
-    /// models a power cut mid-block: the first half of `data` lands over
-    /// whatever the block held before (the old tail survives), then the
-    /// device reports EIO. Both leave the page cache unpopulated, like a
-    /// failed BIO.
-    pub fn write_block_bytes(&self, addr: BlockAddr, data: &[u8]) -> VfsResult<()> {
-        debug_assert!(data.len() <= PAGE_SIZE);
-        if self.machine.faults.should_fail(kfault::sites::KVFS_BLOCKDEV_WRITE) {
-            return Err(VfsError::Io);
-        }
-        let torn = self
-            .machine
-            .faults
-            .should_fail(kfault::sites::KVFS_BLOCKDEV_TORN);
-        self.writes.fetch_add(1, Relaxed);
-        self.machine.stats.disk_writes.fetch_add(1, Relaxed);
+    /// Count and charge one write submission of `nblocks` blocks ending at
+    /// `last`: the transfer of `bytes`, plus a seek + rotational delay once
+    /// per [`ELEVATOR_BATCH`] submissions.
+    fn charge_write(&self, nblocks: u64, bytes: usize, last: BlockAddr) {
         let m = &self.machine;
-        m.charge_io(m.cost.disk_transfer(data.len().min(PAGE_SIZE)));
+        m.stats.disk_writes.fetch_add(nblocks, Relaxed);
+        m.charge_io(m.cost.disk_transfer(bytes));
         let n = self.dirty.fetch_add(1, Relaxed) + 1;
         if n.is_multiple_of(ELEVATOR_BATCH) {
             self.seeks.fetch_add(1, Relaxed);
             m.charge_io(m.cost.disk_seek + m.cost.disk_rotate);
         }
-        *self.last.lock() = Some(addr);
-        if torn {
-            let landed = data.len() / 2;
-            let mut store = self.store.lock();
-            let blk = store.entry(addr).or_default();
-            if blk.len() < data.len() {
-                blk.resize(data.len(), 0);
-            }
-            blk[..landed].copy_from_slice(&data[..landed]);
-            return Err(VfsError::Io);
-        }
-        self.store.lock().insert(addr, data.to_vec());
-        self.cache.lock().set.insert(addr);
-        Ok(())
+        *self.last.lock() = Some(last);
     }
 
     /// Write a run of consecutive blocks (`addr`, `addr+1`, …) in one I/O:
     /// `data` spans `ceil(len / PAGE_SIZE)` block images, the last possibly
-    /// short (zero-padded on the platter). One submission consults the
-    /// fault sites once, charges one transfer for the whole payload, and
-    /// advances the elevator by a single dirty entry — extent-sized
-    /// writeback costs one BIO, not one per page.
+    /// short (its missing tail reads back as zeroes). One submission
+    /// consults the fault sites once, charges one transfer for the whole
+    /// payload, and advances the elevator by a single dirty entry —
+    /// extent-sized writeback costs one BIO, not one per page. A one-block
+    /// run is an ordinary block write: one counted write, one transfer,
+    /// one elevator step, and the block lands and becomes cached.
     ///
-    /// Torn-write fidelity matches [`Self::write_block_bytes`] at run
-    /// granularity: the first half of the whole payload lands (a prefix of
-    /// blocks, the boundary block partially), then the device reports EIO.
+    /// Failure fidelity: an injected `kvfs.blockdev.write` EIO is
+    /// all-or-nothing — no bytes land. An injected `kvfs.blockdev.torn`
+    /// models a power cut mid-write: the first half of the whole payload
+    /// lands (a prefix of blocks, the boundary block partially, over
+    /// whatever it held before — its old tail survives), then the device
+    /// reports EIO. Both leave the page cache unpopulated, like a failed
+    /// BIO.
     pub fn write_run_bytes(&self, addr: BlockAddr, data: &[u8]) -> VfsResult<()> {
         let nblocks = data.len().div_ceil(PAGE_SIZE).max(1) as u64;
         if self.machine.faults.should_fail(kfault::sites::KVFS_BLOCKDEV_WRITE) {
@@ -207,16 +170,8 @@ impl BlockDev {
             .machine
             .faults
             .should_fail(kfault::sites::KVFS_BLOCKDEV_TORN);
-        self.writes.fetch_add(nblocks, Relaxed);
-        self.machine.stats.disk_writes.fetch_add(nblocks, Relaxed);
-        let m = &self.machine;
-        m.charge_io(m.cost.disk_transfer(data.len()));
-        let n = self.dirty.fetch_add(1, Relaxed) + 1;
-        if n.is_multiple_of(ELEVATOR_BATCH) {
-            self.seeks.fetch_add(1, Relaxed);
-            m.charge_io(m.cost.disk_seek + m.cost.disk_rotate);
-        }
-        *self.last.lock() = Some(BlockAddr { obj: addr.obj, index: addr.index + nblocks - 1 });
+        let last = BlockAddr { obj: addr.obj, index: addr.index + nblocks - 1 };
+        self.charge_write(nblocks, data.len(), last);
         let landed = if torn { data.len() / 2 } else { data.len() };
         {
             let mut store = self.store.lock();
@@ -288,25 +243,24 @@ impl BlockDev {
         self.cache.lock().set.retain(|b| b.obj != obj);
     }
 
-    /// (disk reads, disk writes, cache hits, seeks).
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.reads.load(Relaxed),
-            self.writes.load(Relaxed),
-            self.cache.lock().hits,
-            self.seeks.load(Relaxed),
-        )
+    /// Reads served by the page cache. Disk reads and writes are counted
+    /// once, in the machine's `disk_reads`/`disk_writes`.
+    pub fn cache_hits(&self) -> u64 {
+        self.cache.lock().hits
+    }
+
+    /// Seek + rotational delays charged: random reads plus one per
+    /// [`ELEVATOR_BATCH`] dirty writes.
+    pub fn seeks(&self) -> u64 {
+        self.seeks.load(Relaxed)
     }
 }
 
 impl std::fmt::Debug for BlockDev {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (r, w, h, s) = self.counters();
         f.debug_struct("BlockDev")
-            .field("reads", &r)
-            .field("writes", &w)
-            .field("cache_hits", &h)
-            .field("seeks", &s)
+            .field("cache_hits", &self.cache_hits())
+            .field("seeks", &self.seeks())
             .finish()
     }
 }
@@ -341,8 +295,7 @@ mod tests {
         d.read_block(addr(1, 1), PAGE_SIZE).unwrap();
         let spent = d.machine.clock.io_cycles() - io0;
         assert_eq!(spent, d.machine.cost.disk_transfer(PAGE_SIZE));
-        let (_, _, _, seeks) = d.counters();
-        assert_eq!(seeks, 1, "only the first access seeks");
+        assert_eq!(d.seeks(), 1, "only the first access seeks");
     }
 
     #[test]
@@ -350,8 +303,7 @@ mod tests {
         let d = dev();
         d.read_block(addr(1, 0), PAGE_SIZE).unwrap();
         d.read_block(addr(2, 1), PAGE_SIZE).unwrap(); // different inode: seek
-        let (_, _, _, seeks) = d.counters();
-        assert_eq!(seeks, 2);
+        assert_eq!(d.seeks(), 2);
     }
 
     #[test]
@@ -361,8 +313,8 @@ mod tests {
         let io0 = d.machine.clock.io_cycles();
         d.read_block(addr(1, 0), PAGE_SIZE).unwrap();
         assert_eq!(d.machine.clock.io_cycles(), io0);
-        let (reads, _, hits, _) = d.counters();
-        assert_eq!((reads, hits), (1, 1));
+        let reads = d.machine.stats.disk_reads.load(Relaxed);
+        assert_eq!((reads, d.cache_hits()), (1, 1));
     }
 
     #[test]
@@ -371,7 +323,8 @@ mod tests {
         let io0 = d.machine.clock.io_cycles();
         d.write_block(addr(3, 0), PAGE_SIZE).unwrap();
         d.write_block(addr(3, 0), PAGE_SIZE).unwrap();
-        let (reads, writes, _, _) = d.counters();
+        let stats = &d.machine.stats;
+        let (reads, writes) = (stats.disk_reads.load(Relaxed), stats.disk_writes.load(Relaxed));
         assert_eq!((reads, writes), (0, 2));
         assert_eq!(
             d.machine.clock.io_cycles() - io0,
@@ -390,15 +343,14 @@ mod tests {
         for i in 0..(2 * ELEVATOR_BATCH) {
             d.write_block(addr(i, 0), PAGE_SIZE).unwrap();
         }
-        let (_, _, _, seeks) = d.counters();
-        assert_eq!(seeks, 2, "one seek per {ELEVATOR_BATCH} dirty blocks");
+        assert_eq!(d.seeks(), 2, "one seek per {ELEVATOR_BATCH} dirty blocks");
     }
 
     #[test]
     fn byte_store_roundtrips_and_survives_cache_drop() {
         let d = dev();
         let payload: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
-        d.write_block_bytes(addr(7, 0), &payload).unwrap();
+        d.write_run_bytes(addr(7, 0), &payload).unwrap();
         let mut out = vec![0u8; PAGE_SIZE];
         assert_eq!(d.read_block_bytes(addr(7, 0), &mut out).unwrap(), PAGE_SIZE);
         assert_eq!(out, payload);
@@ -418,12 +370,12 @@ mod tests {
     #[test]
     fn injected_write_eio_is_all_or_nothing() {
         let d = dev();
-        d.write_block_bytes(addr(8, 0), &[0x11; 128]).unwrap();
+        d.write_run_bytes(addr(8, 0), &[0x11; 128]).unwrap();
         d.machine.faults.arm(1);
         d.machine
             .faults
             .add_policy(Some(kfault::sites::KVFS_BLOCKDEV_WRITE), kfault::Policy::FailNth(1));
-        assert_eq!(d.write_block_bytes(addr(8, 0), &[0x22; 128]), Err(VfsError::Io));
+        assert_eq!(d.write_run_bytes(addr(8, 0), &[0x22; 128]), Err(VfsError::Io));
         d.machine.faults.disarm();
         let mut out = vec![0u8; 128];
         d.read_block_bytes(addr(8, 0), &mut out).unwrap();
@@ -433,12 +385,12 @@ mod tests {
     #[test]
     fn torn_write_lands_first_half_over_old_content() {
         let d = dev();
-        d.write_block_bytes(addr(9, 0), &[0x11; 128]).unwrap();
+        d.write_run_bytes(addr(9, 0), &[0x11; 128]).unwrap();
         d.machine.faults.arm(1);
         d.machine
             .faults
             .add_policy(Some(kfault::sites::KVFS_BLOCKDEV_TORN), kfault::Policy::FailNth(1));
-        assert_eq!(d.write_block_bytes(addr(9, 0), &[0x22; 128]), Err(VfsError::Io));
+        assert_eq!(d.write_run_bytes(addr(9, 0), &[0x22; 128]), Err(VfsError::Io));
         d.machine.faults.disarm();
         let mut out = vec![0u8; 128];
         d.read_block_bytes(addr(9, 0), &mut out).unwrap();

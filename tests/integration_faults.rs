@@ -162,10 +162,7 @@ fn fire_site(site: &'static str) -> u64 {
             // site, so it passes — then the torn site models a power cut
             // mid-block: the first half lands, the device reports EIO.
             let addr = BlockAddr { obj: 9, index: 0 };
-            assert_eq!(
-                rig.dev.write_block_bytes(addr, &[0xEE; 4096]).unwrap_err(),
-                VfsError::Io
-            );
+            assert_eq!(rig.dev.write_run_bytes(addr, &[0xEE; 4096]).unwrap_err(), VfsError::Io);
             let mut back = [0u8; 4096];
             rig.dev.read_block_bytes(addr, &mut back).unwrap();
             assert!(back[..2048].iter().all(|&b| b == 0xEE), "first half landed");

@@ -95,7 +95,7 @@ const MEMFS: Table = [
     [Some(0), Some(0), Some(0), Some(0)],
     [Some(1), Some(1), Some(2), Some(1)],
     [Some(4), Some(6), Some(8), Some(5)],
-    [Some(1), Some(1), Some(4), None],
+    [Some(0), Some(0), Some(2), None],
     [Some(1), Some(1), None, Some(1)],
 ];
 
@@ -103,7 +103,7 @@ const KJFS: Table = [
     [Some(0), Some(0), Some(0), Some(23)],
     [Some(1), Some(1), Some(2), Some(24)],
     [Some(4), Some(6), Some(8), Some(28)],
-    [Some(1), Some(1), Some(4), None],
+    [Some(0), Some(0), Some(2), None],
     [Some(1), Some(1), None, Some(24)],
 ];
 

@@ -18,6 +18,10 @@ fn small() -> KjfsConfig {
     KjfsConfig::small()
 }
 
+// Every journal, writeback, checkpoint and replay block write is one kill
+// point, so a write-path change that adds, drops, splits or reorders a
+// guarded write moves the pinned kill-point counts and sweep hashes below.
+
 // ---- the deterministic sweep (the A13 headline, under `cargo test`) --------
 
 #[test]
@@ -50,6 +54,7 @@ fn clean_cut_sweep_recovers_every_kill_point() {
     // Run-twice determinism: byte-identical sweep hash.
     let again = h.sweep(false);
     assert_eq!(report.sweep_hash, again.sweep_hash, "sweep must be deterministic");
+    assert_eq!((h.write_points(), report.sweep_hash), (62, 0x3069_ef13_2609_3d5b));
 }
 
 #[test]
@@ -69,6 +74,7 @@ fn torn_write_sweep_recovers_every_kill_point() {
     );
     let again = h.sweep(true);
     assert_eq!(report.sweep_hash, again.sweep_hash, "torn sweep must be deterministic");
+    assert_eq!((h.write_points(), report.sweep_hash), (62, 0xd67c_16c5_815d_d514));
 }
 
 // ---- the same sweep under the single-txn journal ---------------------------
@@ -77,7 +83,8 @@ fn torn_write_sweep_recovers_every_kill_point() {
 fn single_txn_sweep_recovers_every_kill_point() {
     let cfg = small().with_mode(JournalMode::SingleTxn);
     let h = Harness::new(default_workload(), cfg).expect("harness builds");
-    for torn in [false, true] {
+    assert_eq!(h.write_points(), 96);
+    for (torn, pin) in [(false, 0x05a2_e521_0ce0_c386), (true, 0xb1bc_dd78_802f_5ba4)] {
         let report = h.sweep(torn);
         assert_eq!(
             report.violations,
@@ -85,6 +92,7 @@ fn single_txn_sweep_recovers_every_kill_point() {
             "torn={torn}: {:?}",
             report.outcomes.iter().flat_map(|o| o.violations.iter()).take(5).collect::<Vec<_>>()
         );
+        assert_eq!(report.sweep_hash, pin, "torn={torn}: {:016x}", report.sweep_hash);
     }
 }
 
@@ -93,8 +101,8 @@ fn single_txn_sweep_recovers_every_kill_point() {
 #[test]
 fn dir_boundary_sweep_recovers_every_kill_point() {
     let h = Harness::new(dir_boundary_workload(), small()).expect("harness builds");
-    assert!(h.write_points() > 0);
-    for torn in [false, true] {
+    assert_eq!(h.write_points(), 69);
+    for (torn, pin) in [(false, 0x2f11_310a_adcb_5f39), (true, 0xceb2_3619_b7c7_9004)] {
         let report = h.sweep(torn);
         assert_eq!(
             report.violations,
@@ -102,6 +110,7 @@ fn dir_boundary_sweep_recovers_every_kill_point() {
             "dir-boundary torn={torn}: {:?}",
             report.outcomes.iter().flat_map(|o| o.violations.iter()).take(5).collect::<Vec<_>>()
         );
+        assert_eq!(report.sweep_hash, pin, "torn={torn}: {:016x}", report.sweep_hash);
     }
 }
 
