@@ -225,8 +225,8 @@ fn smp_throughput(report: &mut Report) {
     if locks.is_empty() {
         println!("{:<24} {:>18} {:>14}", "(none registered)", "-", "-");
     }
-    for (name, contended, spins) in &locks {
-        println!("{name:<24} {contended:>18} {spins:>14}");
+    for (name, st) in &locks {
+        println!("{name:<24} {:>18} {:>14}", st.contended, st.spins);
     }
 
     // Wall-clock scaling is bounded by what the host actually has: with H
@@ -268,14 +268,14 @@ fn sched_determinism(report: &mut Report) {
         for pid in pids {
             let _ = m.kill_process(pid);
         }
-        (order, m.sched_counters())
+        (order, m.sched_stats())
     };
     let (o1, c1) = run(0xA12);
     let (o2, c2) = run(0xA12);
     let (o3, _) = run(0xB13);
     println!(
         "\nscheduler determinism: 64 ticks over 8 CPUs, seed 0xA12 twice: \
-         schedules match = {}, (switches, steals, steal_fails, migrations) = {:?}",
+         schedules match = {}, {:?}",
         o1 == o2,
         c1
     );

@@ -61,7 +61,7 @@ fn measure(n: usize, kernel: bool) -> (ChaseFile, Sample) {
         chase_user(&rig, &p, fd as i32)
     };
     let d = rig.machine.stats.snapshot().delta(&s0);
-    let iv = rig.machine.clock.since(t0);
+    let iv = rig.machine.clock.snapshot().delta(&t0);
     let sample = Sample {
         run,
         cycles: iv.elapsed(),

@@ -109,7 +109,7 @@ fn convoy(mode: JournalMode, files_per_thread: usize) -> (u64, KjfsStats) {
             });
         }
     });
-    let cycles = rig.machine.clock.since(t0).elapsed();
+    let cycles = rig.machine.clock.snapshot().delta(&t0).elapsed();
     let ops = CONVOY_THREADS as u64 * files_per_thread as u64 * CONVOY_OPS_PER_FILE;
     (cycles / ops.max(1), rig.kjfs.as_ref().expect("kjfs root").stats())
 }

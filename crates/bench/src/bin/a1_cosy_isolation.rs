@@ -39,7 +39,7 @@ fn run_mode(mode: IsolationMode) -> (u64, bool) {
     let opts = CosyOptions { isolation: mode, ..Default::default() };
     let t0 = rig.machine.clock.snapshot();
     let results = rig.cosy.submit(p.pid, &cb, &db, &opts).unwrap();
-    let cycles = rig.machine.clock.since(t0).elapsed();
+    let cycles = rig.machine.clock.snapshot().delta(&t0).elapsed();
     assert_eq!(results[5], 11);
 
     // Containment check: does the kernel-memory scribble get stopped?

@@ -58,7 +58,7 @@ pub fn run(report: &mut Report) {
                 }
             }
             rig.sys.sys_close(p.pid, dfd);
-            (rig.machine.clock.since(t0), rig.machine.stats.snapshot().delta(&s0))
+            (rig.machine.clock.snapshot().delta(&t0), rig.machine.stats.snapshot().delta(&s0))
         };
         let plus = |rig: &Rig| {
             let t0 = rig.machine.clock.snapshot();
@@ -69,7 +69,7 @@ pub fn run(report: &mut Report) {
             for _ in wire::parse_rdp_entries(&raw, n as usize) {
                 rig.machine.charge_user(USER_CONSUME);
             }
-            (rig.machine.clock.since(t0), rig.machine.stats.snapshot().delta(&s0))
+            (rig.machine.clock.snapshot().delta(&t0), rig.machine.stats.snapshot().delta(&s0))
         };
 
         // Warm cache (the paper reports warm repeated runs).

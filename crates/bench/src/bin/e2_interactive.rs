@@ -39,7 +39,7 @@ pub fn run(report: &mut Report) {
         rig.machine.charge_user(1_200); // user-side path build (as in E1)
         rig.sys.sys_stat(p.pid, "/probe", p.buf);
     }
-    let per_stat = rig.machine.clock.since(t0).elapsed() / 1_000;
+    let per_stat = rig.machine.clock.snapshot().delta(&t0).elapsed() / 1_000;
     let measured_secs_per_hour =
         cycles_to_secs(per_stat * est.crossings_saved) * 3_600.0 / est.window_secs;
     println!(

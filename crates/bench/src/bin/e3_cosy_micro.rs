@@ -19,7 +19,7 @@ struct Case {
 fn cpu_time(rig: &Rig, f: impl FnOnce()) -> u64 {
     let t0 = rig.machine.clock.snapshot();
     f();
-    let iv = rig.machine.clock.since(t0);
+    let iv = rig.machine.clock.snapshot().delta(&t0);
     iv.user + iv.sys
 }
 

@@ -17,7 +17,7 @@ pub fn run(report: &mut Report) {
     let rig = Rig::wrapfs_kmalloc();
     let p = rig.user(1 << 16);
     let base = run_compile(&rig, &p, &cfg);
-    let (b_allocs, _) = rig.wrapfs.as_ref().unwrap().alloc_counters();
+    let b_allocs = rig.wrapfs.as_ref().unwrap().alloc_stats().allocs;
 
     // Instrumented: Wrapfs with Kefence (kmalloc→guarded-vmalloc flag).
     let (rig, kef) = Rig::wrapfs_kefence(OnViolation::Crash, Protect::Overflow);

@@ -47,7 +47,7 @@ pub fn run(report: &mut Report) {
     rig.vfs.dcache().set_dispatcher(Some(dispatcher.clone()));
     let inst = run_postmark(&rig, &p, &cfg);
     let inst_elapsed = inst.elapsed.elapsed();
-    let events = dispatcher.events();
+    let events = dispatcher.stats().events;
     let hits_per_sec = events as f64 / 2.0 / inst.elapsed.elapsed_secs();
 
     // Drain for the logger variants' bookkeeping.

@@ -92,7 +92,7 @@ where
     for _ in 0..data_ops {
         runner.run_op(words);
     }
-    let iv = rig.machine.clock.since(t0);
+    let iv = rig.machine.clock.snapshot().delta(&t0);
     (iv.elapsed(), iv.sys)
 }
 

@@ -30,7 +30,7 @@ pub mod varange;
 pub mod vmalloc;
 
 pub use ledger::{AllocSnapshot, AllocStats};
-pub use pool::{BufPool, ObjPool, PoolBuf};
+pub use pool::{BufPool, ObjPool, PoolBuf, PoolStats};
 pub use slab::SlabAllocator;
 pub use varange::VaAllocator;
 pub use vmalloc::{VfreeIndex, Vmalloc};

@@ -55,16 +55,24 @@ fn shard() -> usize {
     ksim::thread_cpu() & (MAGS - 1)
 }
 
+ksim::counters! {
+    /// Checkouts that recycled an object (`hits`) or built a fresh one
+    /// (`misses`), kept per magazine under its lock and summed on read.
+    pub struct PoolStats {
+        hits,
+        misses,
+    }
+}
+
 /// One per-CPU front-end free list with its share of the counters.
 struct Magazine<T> {
     free: Vec<T>,
-    hits: u64,
-    misses: u64,
+    stats: PoolStats,
 }
 
 impl<T> Magazine<T> {
     const fn new() -> SpinMutex<Magazine<T>> {
-        SpinMutex::new(Magazine { free: Vec::new(), hits: 0, misses: 0 })
+        SpinMutex::new(Magazine { free: Vec::new(), stats: PoolStats { hits: 0, misses: 0 } })
     }
 }
 
@@ -108,7 +116,7 @@ impl<T> ObjPool<T> {
         {
             let mut mag = self.mags[shard()].lock();
             if let Some(obj) = mag.free.pop() {
-                mag.hits += 1;
+                mag.stats.hits += 1;
                 return obj;
             }
             // Batch refill: move up to half a magazine's worth from the
@@ -122,10 +130,10 @@ impl<T> ObjPool<T> {
             }
             drop(global);
             if let Some(obj) = mag.free.pop() {
-                mag.hits += 1;
+                mag.stats.hits += 1;
                 return obj;
             }
-            mag.misses += 1;
+            mag.stats.misses += 1;
         }
         // Build outside the lock: `fresh` may allocate.
         fresh()
@@ -149,16 +157,12 @@ impl<T> ObjPool<T> {
         mag.free.push(obj);
     }
 
-    /// (recycled checkouts, fresh builds), summed across CPUs.
-    pub fn counters(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for m in &self.mags {
-            let mag = m.lock();
-            hits += mag.hits;
-            misses += mag.misses;
-        }
-        (hits, misses)
+    /// Checkout counters, summed across CPUs.
+    pub fn stats(&self) -> PoolStats {
+        self.mags.iter().fold(PoolStats::default(), |sum, m| {
+            let s = m.lock().stats;
+            PoolStats { hits: sum.hits + s.hits, misses: sum.misses + s.misses }
+        })
     }
 
     /// Objects idle across the magazines and the global free list.
@@ -216,9 +220,9 @@ impl BufPool {
         self.pool.put(buf);
     }
 
-    /// (recycled checkouts, fresh allocations), summed across CPUs.
-    pub fn counters(&self) -> (u64, u64) {
-        self.pool.counters()
+    /// Checkout counters, summed across CPUs.
+    pub fn stats(&self) -> PoolStats {
+        self.pool.stats()
     }
 
     /// Most buffers ever checked out at once (atomic peak).
@@ -284,8 +288,7 @@ mod tests {
         assert_eq!(pool.idle(), 1);
         let b = pool.take(8);
         assert_eq!(&b[..], &[0u8; 8], "recycled buffers come back zeroed");
-        let (hits, misses) = pool.counters();
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -319,7 +322,7 @@ mod tests {
         pool.put(v);
         let v2 = pool.take(Vec::new);
         assert_eq!(v2.capacity(), cap, "the recycled vec keeps its capacity");
-        assert_eq!(pool.counters(), (1, 1));
+        assert_eq!(pool.stats(), PoolStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -353,7 +356,7 @@ mod tests {
         let hw = pool.high_water();
         assert!((2..=24).contains(&hw), "peak {hw} concurrent checkouts from 8x3 overlap");
         assert!(pool.idle() <= BufPool::idle_bound());
-        let (hits, misses) = pool.counters();
+        let PoolStats { hits, misses } = pool.stats();
         assert_eq!(hits + misses, 8 * 2_000 * 3, "every take counted exactly once");
         assert!(misses <= hw + 8 * MAG_CAP as u64, "steady state recycles, not allocates");
     }

@@ -8,7 +8,7 @@
 //! in-kernel path costs 3.9 %. Both read modes are implemented so experiment
 //! E6 can reproduce the contrast and the proposed fix.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use ksim::{Machine, Pid, SimResult};
@@ -31,41 +31,29 @@ pub enum ReadMode {
     Blocking,
 }
 
+ksim::counters! {
+    /// Read-side counters of the device. Ring-level loss is the ring's own
+    /// [`crate::ring::RingStats::dropped`].
+    struct CharDevCounters => pub struct CharDevStats {
+        reads,
+        empty_reads,
+        records_read,
+        /// Ring drops already surfaced to the reader via a synthetic
+        /// [`RECORDS_LOST_EVENT`] record.
+        lost_reported,
+    }
+}
+
 /// The `/dev/kernevents` analogue.
 pub struct CharDev {
     machine: Arc<Machine>,
     ring: Arc<EventRing>,
-    reads: AtomicU64,
-    empty_reads: AtomicU64,
-    records_read: AtomicU64,
-    /// Ring drops already surfaced to the reader via a synthetic
-    /// [`RECORDS_LOST_EVENT`] record.
-    lost_reported: AtomicU64,
-}
-
-/// Point-in-time counters for the device and its ring, so user-space
-/// monitors can see loss without racing the ring's own counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CharDevStats {
-    pub reads: u64,
-    pub empty_reads: u64,
-    pub records_read: u64,
-    /// Events the ring dropped (full ring or injected ring-full fault).
-    pub ring_dropped: u64,
-    /// Drops already reported to the reader through a synthetic record.
-    pub lost_reported: u64,
+    counters: CharDevCounters,
 }
 
 impl CharDev {
     pub fn new(machine: Arc<Machine>, ring: Arc<EventRing>) -> Self {
-        CharDev {
-            machine,
-            ring,
-            reads: AtomicU64::new(0),
-            empty_reads: AtomicU64::new(0),
-            records_read: AtomicU64::new(0),
-            lost_reported: AtomicU64::new(0),
-        }
+        CharDev { machine, ring, counters: CharDevCounters::default() }
     }
 
     /// One `read(2)` on the device: copies up to `max` records into `out`.
@@ -83,7 +71,7 @@ impl CharDev {
     ) -> SimResult<usize> {
         let m = &self.machine;
         let token = m.enter_kernel(pid)?;
-        self.reads.fetch_add(1, Relaxed);
+        self.counters.reads.fetch_add(1, Relaxed);
 
         if mode == ReadMode::Blocking {
             // Real-thread support: wait for data. Simulated time does not
@@ -111,10 +99,10 @@ impl CharDev {
         // synthetic "records lost" entry whose value is the number lost
         // since the previous report (the classic /dev/kmsg contract — the
         // reader learns about the gap in-band, not from a side channel).
-        let dropped = self.ring.dropped();
-        let reported = self.lost_reported.load(Relaxed);
+        let dropped = self.ring.counters.dropped.load(Relaxed);
+        let reported = self.counters.lost_reported.load(Relaxed);
         if dropped > reported && n < max {
-            self.lost_reported.store(dropped, Relaxed);
+            self.counters.lost_reported.store(dropped, Relaxed);
             out.push(EventRecord::new(
                 0,
                 RECORDS_LOST_EVENT,
@@ -125,9 +113,9 @@ impl CharDev {
             n += 1;
         }
         if n == 0 {
-            self.empty_reads.fetch_add(1, Relaxed);
+            self.counters.empty_reads.fetch_add(1, Relaxed);
         } else {
-            self.records_read.fetch_add(n as u64, Relaxed);
+            self.counters.records_read.fetch_add(n as u64, Relaxed);
             m.clock.charge_sys(m.cost.copy_cost(n * WIRE_RECORD_BYTES));
             m.stats
                 .bytes_copied_out
@@ -137,15 +125,9 @@ impl CharDev {
         Ok(n)
     }
 
-    /// Counter snapshot, including ring-level loss.
+    /// Counter snapshot.
     pub fn stats(&self) -> CharDevStats {
-        CharDevStats {
-            reads: self.reads.load(Relaxed),
-            empty_reads: self.empty_reads.load(Relaxed),
-            records_read: self.records_read.load(Relaxed),
-            ring_dropped: self.ring.dropped(),
-            lost_reported: self.lost_reported.load(Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -300,7 +282,7 @@ mod tests {
         for i in 0..67 {
             ring.push(rec(i));
         }
-        assert_eq!(ring.dropped(), 3);
+        assert_eq!(ring.stats().dropped, 3);
         let mut out = Vec::new();
         let mut total = 0;
         while dev.read(pid, &mut out, 16, ReadMode::Polling).unwrap() > 0 {
@@ -308,9 +290,8 @@ mod tests {
             out.clear();
         }
         assert_eq!(total, 65, "64 real records + 1 synthetic loss marker");
-        let st = dev.stats();
-        assert_eq!(st.ring_dropped, 3);
-        assert_eq!(st.lost_reported, 3);
+        assert_eq!(ring.stats().dropped, 3);
+        assert_eq!(dev.stats().lost_reported, 3);
     }
 
     #[test]

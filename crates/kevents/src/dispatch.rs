@@ -6,7 +6,7 @@
 //! dispatcher."* Kernel-space monitors run synchronously here; user-space
 //! monitors receive events through the ring buffer (see [`crate::chardev`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -42,6 +42,16 @@ pub trait EventTransform: Send + Sync {
     }
 }
 
+ksim::counters! {
+    /// Dispatch counters, bumped on the `log_event` path.
+    struct DispatchCounters => pub struct DispatchStats {
+        /// Events dispatched (including those a transform then dropped).
+        events,
+        /// Records dropped by the transform.
+        dropped_by_transform,
+    }
+}
+
 /// The dispatcher: fan-out point between instrumented code, in-kernel
 /// callbacks, and the user-space ring.
 pub struct EventDispatcher {
@@ -53,8 +63,7 @@ pub struct EventDispatcher {
     has_transform: AtomicBool,
     ring: RwLock<Option<Arc<EventRing>>>,
     enabled: AtomicBool,
-    events: AtomicU64,
-    dropped_by_transform: AtomicU64,
+    counters: DispatchCounters,
 }
 
 impl EventDispatcher {
@@ -66,8 +75,7 @@ impl EventDispatcher {
             has_transform: AtomicBool::new(false),
             ring: RwLock::new(None),
             enabled: AtomicBool::new(true),
-            events: AtomicU64::new(0),
-            dropped_by_transform: AtomicU64::new(0),
+            counters: DispatchCounters::default(),
         }
     }
 
@@ -95,11 +103,6 @@ impl EventDispatcher {
         *self.transform.write() = None;
     }
 
-    /// Records dropped by the transform since construction.
-    pub fn dropped_by_transform(&self) -> u64 {
-        self.dropped_by_transform.load(Relaxed)
-    }
-
     /// Attach the ring buffer that feeds the character device.
     pub fn attach_ring(&self, ring: Arc<EventRing>) {
         *self.ring.write() = Some(ring);
@@ -120,9 +123,9 @@ impl EventDispatcher {
         self.enabled.load(Relaxed)
     }
 
-    /// Number of events dispatched so far.
-    pub fn events(&self) -> u64 {
-        self.events.load(Relaxed)
+    /// Counter snapshot.
+    pub fn stats(&self) -> DispatchStats {
+        self.counters.snapshot()
     }
 
     /// The `log_event` entry point. Safe from any simulated context: the
@@ -133,7 +136,7 @@ impl EventDispatcher {
         if !self.enabled.load(Relaxed) {
             return;
         }
-        self.events.fetch_add(1, Relaxed);
+        self.counters.events.fetch_add(1, Relaxed);
         self.machine.charge_sys(self.machine.cost.event_dispatch);
 
         let mut rec = rec;
@@ -141,7 +144,7 @@ impl EventDispatcher {
             let t = self.transform.read().clone();
             if let Some(t) = t {
                 if !t.transform(&mut rec) {
-                    self.dropped_by_transform.fetch_add(1, Relaxed);
+                    self.counters.dropped_by_transform.fetch_add(1, Relaxed);
                     return;
                 }
             }
@@ -204,7 +207,7 @@ impl std::fmt::Debug for EventDispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventDispatcher")
             .field("enabled", &self.is_enabled())
-            .field("events", &self.events())
+            .field("stats", &self.stats())
             .field("callbacks", &self.callbacks.read().len())
             .finish()
     }
@@ -246,7 +249,7 @@ mod tests {
             d.log_event(rec());
         }
         assert_eq!(c.n.load(Relaxed), 10);
-        assert_eq!(d.events(), 10);
+        assert_eq!(d.stats().events, 10);
     }
 
     #[test]
@@ -258,7 +261,7 @@ mod tests {
         let sys0 = d.machine.clock.sys_cycles();
         d.log_event(rec());
         assert_eq!(c.n.load(Relaxed), 0);
-        assert_eq!(d.events(), 0);
+        assert_eq!(d.stats().events, 0);
         assert_eq!(d.machine.clock.sys_cycles(), sys0, "no cycles charged");
     }
 
@@ -316,8 +319,8 @@ mod tests {
         d.log_event(EventRecord::new(2, EventType::RefInc, "t", 1, 7)); // kept, value x10
         assert_eq!(ring.len(), 1, "dropped record reaches neither ring nor callbacks");
         assert_eq!(last.v.load(Relaxed), 70, "kept record arrives rewritten");
-        assert_eq!(d.dropped_by_transform(), 1);
-        assert_eq!(d.events(), 2, "dropped records still count as dispatched");
+        assert_eq!(d.stats().dropped_by_transform, 1);
+        assert_eq!(d.stats().events, 2, "dropped records still count as dispatched");
         d.detach_transform();
         d.log_event(EventRecord::new(3, EventType::RefInc, "t", 1, 9));
         assert_eq!(ring.len(), 2, "detached transform no longer filters");

@@ -191,10 +191,10 @@ mod tests {
         for _ in 0..3 {
             drop(lock.lock());
         }
-        assert_eq!(mon.opens(), 3);
+        assert_eq!(mon.stats().opens, 3);
         assert!(mon.violations().is_empty());
         assert!(mon.outstanding().is_empty());
-        assert_eq!(d.events(), 6, "acquire + release per round");
+        assert_eq!(d.stats().events, 6, "acquire + release per round");
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         drop(lock.lock());
         lock.set_dispatcher(None);
         drop(lock.lock());
-        assert_eq!(d.events(), 2, "only the instrumented round logged");
+        assert_eq!(d.stats().events, 2, "only the instrumented round logged");
     }
 
     #[test]
@@ -247,7 +247,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*lock.lock(), 4_000);
-        assert_eq!(mon.opens(), 4_001, "4000 worker rounds + the check above");
+        assert_eq!(mon.stats().opens, 4_001, "4000 worker rounds + the check above");
         assert!(mon.outstanding().is_empty());
         assert!(mon.violations().is_empty());
     }

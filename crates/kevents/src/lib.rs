@@ -45,9 +45,9 @@ pub mod record;
 pub mod ring;
 
 pub use chardev::{CharDev, CharDevStats, LibKernEvents, ReadMode};
-pub use dispatch::{EventDispatcher, EventMonitor, EventTransform, Probe};
+pub use dispatch::{DispatchStats, EventDispatcher, EventMonitor, EventTransform, Probe};
 pub use instrument::{InstrumentedRefcount, InstrumentedSemaphore, InstrumentedSpinLock};
-pub use monitors::{BalanceMonitor, Violation};
+pub use monitors::{BalanceMonitor, BalanceStats, Violation};
 pub use logfile::{read_log, replay, write_log, LoggedEvent};
 pub use record::{EventRecord, EventType, OOPS_EVENT, RECORDS_LOST_EVENT};
-pub use ring::EventRing;
+pub use ring::{EventRing, RingStats};

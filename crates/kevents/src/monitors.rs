@@ -15,7 +15,7 @@
 //! run can report every imbalance it saw (and tests can assert on them).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use parking_lot::Mutex;
 
@@ -34,6 +34,15 @@ pub struct Violation {
     pub line: u32,
 }
 
+ksim::counters! {
+    /// Events a [`BalanceMonitor`] observed. `opens` is the "lock was hit N
+    /// times" statistic of the paper's dcache_lock experiment.
+    struct BalanceCounters => pub struct BalanceStats {
+        opens,
+        closes,
+    }
+}
+
 /// Checks that every close event matches a prior open event on the same
 /// object: spinlock acquire/release, refcount inc/dec, interrupt
 /// disable/enable, or semaphore down/up.
@@ -46,8 +55,7 @@ pub struct BalanceMonitor {
     underflow: &'static str,
     balances: Mutex<BTreeMap<u64, i64>>,
     violations: Mutex<Vec<Violation>>,
-    opens: AtomicU64,
-    closes: AtomicU64,
+    counters: BalanceCounters,
 }
 
 impl BalanceMonitor {
@@ -59,8 +67,7 @@ impl BalanceMonitor {
             underflow,
             balances: Mutex::new(BTreeMap::new()),
             violations: Mutex::new(Vec::new()),
-            opens: AtomicU64::new(0),
-            closes: AtomicU64::new(0),
+            counters: BalanceCounters::default(),
         }
     }
 
@@ -92,15 +99,9 @@ impl BalanceMonitor {
         Self::new("semaphore-monitor", SemDown, SemUp, what)
     }
 
-    /// Open events observed (the "lock was hit N times" statistic of the
-    /// paper's dcache_lock experiment).
-    pub fn opens(&self) -> u64 {
-        self.opens.load(Relaxed)
-    }
-
-    /// Close events observed.
-    pub fn closes(&self) -> u64 {
-        self.closes.load(Relaxed)
+    /// Counter snapshot.
+    pub fn stats(&self) -> BalanceStats {
+        self.counters.snapshot()
     }
 
     /// The current balance for an object (`None` if never seen).
@@ -122,10 +123,10 @@ impl BalanceMonitor {
 impl EventMonitor for BalanceMonitor {
     fn on_event(&self, rec: &EventRecord) {
         let delta = if rec.event == self.open {
-            self.opens.fetch_add(1, Relaxed);
+            self.counters.opens.fetch_add(1, Relaxed);
             1
         } else if rec.event == self.close {
-            self.closes.fetch_add(1, Relaxed);
+            self.counters.closes.fetch_add(1, Relaxed);
             -1
         } else {
             return;
@@ -163,7 +164,7 @@ mod tests {
             m.on_event(&ev(1, EventType::LockAcquire));
             m.on_event(&ev(1, EventType::LockRelease));
         }
-        assert_eq!(m.opens(), 5);
+        assert_eq!(m.stats().opens, 5);
         assert!(m.violations().is_empty());
         assert!(m.outstanding().is_empty());
     }
@@ -198,7 +199,7 @@ mod tests {
         m.on_event(&ev(1, EventType::RefDec));
         assert!(m.outstanding().is_empty());
         assert!(m.violations().is_empty());
-        assert_eq!(m.opens() + m.closes(), 4);
+        assert_eq!(m.stats().opens + m.stats().closes, 4);
     }
 
     #[test]
@@ -235,7 +236,7 @@ mod tests {
         assert!(locks.violations().is_empty());
         assert!(refs.violations().is_empty());
         assert!(irqs.violations().is_empty());
-        assert_eq!(refs.opens() + refs.closes(), 0);
+        assert_eq!(refs.stats().opens + refs.stats().closes, 0);
     }
 
     /// One scripted sequence per (open, close) pair: object 1 balanced,
@@ -277,7 +278,7 @@ mod tests {
                 m.on_event(&e);
             }
             let name = m.name();
-            assert_eq!((m.opens(), m.closes()), (4, 3), "{name}");
+            assert_eq!((m.stats().opens, m.stats().closes), (4, 3), "{name}");
             // Object 3's unmatched close keeps its true balance, -1, for
             // every kind: the spinlock kind does not clamp at 0.
             let balances = [1, 2, 3, 4].map(|o| m.balance_of(o));
@@ -310,7 +311,7 @@ mod sem_tests {
         }
         assert!(m.violations().is_empty());
         assert!(m.outstanding().is_empty());
-        assert_eq!(m.opens() + m.closes(), 8);
+        assert_eq!(m.stats().opens + m.stats().closes, 8);
     }
 
     #[test]

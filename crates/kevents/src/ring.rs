@@ -16,7 +16,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::record::EventRecord;
 
@@ -25,14 +25,23 @@ struct Slot {
     value: UnsafeCell<MaybeUninit<EventRecord>>,
 }
 
+ksim::counters! {
+    /// Push-side counters.
+    pub(crate) struct RingCounters => pub struct RingStats {
+        /// Events successfully pushed.
+        pushed,
+        /// Events dropped: the ring was full, or [`EventRing::note_dropped`].
+        dropped,
+    }
+}
+
 /// Lock-free bounded MPMC ring of [`EventRecord`]s.
 pub struct EventRing {
     slots: Box<[Slot]>,
     mask: usize,
     enqueue_pos: AtomicUsize,
     dequeue_pos: AtomicUsize,
-    dropped: AtomicU64,
-    pushed: AtomicU64,
+    pub(crate) counters: RingCounters,
 }
 
 // SAFETY: slots are only accessed after winning a CAS on the position
@@ -56,8 +65,7 @@ impl EventRing {
             mask: cap - 1,
             enqueue_pos: AtomicUsize::new(0),
             dequeue_pos: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            pushed: AtomicU64::new(0),
+            counters: RingCounters::default(),
         }
     }
 
@@ -85,7 +93,7 @@ impl EventRing {
                             // other thread touches the slot until we bump seq.
                             unsafe { (*slot.value.get()).write(rec) };
                             slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            self.pushed.fetch_add(1, Ordering::Relaxed);
+                            self.counters.pushed.fetch_add(1, Ordering::Relaxed);
                             return true;
                         }
                         Err(found) => pos = found,
@@ -93,7 +101,7 @@ impl EventRing {
                 }
                 d if d < 0 => {
                     // Slot still holds an unconsumed record: ring is full.
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
                 _ => pos = self.enqueue_pos.load(Ordering::Relaxed),
@@ -159,9 +167,9 @@ impl EventRing {
         self.len() == 0
     }
 
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    /// Counter snapshot.
+    pub fn stats(&self) -> RingStats {
+        self.counters.snapshot()
     }
 
     /// Count a drop that happened upstream of the ring — e.g. the
@@ -169,12 +177,7 @@ impl EventRing {
     /// push. Keeps the loss visible through the same counter readers
     /// already consult.
     pub fn note_dropped(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Events successfully pushed.
-    pub fn pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
+        self.counters.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -183,7 +186,7 @@ impl std::fmt::Debug for EventRing {
         f.debug_struct("EventRing")
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("dropped", &self.dropped())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -219,8 +222,7 @@ mod tests {
             assert!(r.push(rec(i)));
         }
         assert!(!r.push(rec(99)), "push on full ring must fail fast");
-        assert_eq!(r.dropped(), 1);
-        assert_eq!(r.pushed(), 4);
+        assert_eq!(r.stats(), RingStats { pushed: 4, dropped: 1 });
         // Draining re-opens capacity.
         r.pop().unwrap();
         assert!(r.push(rec(100)));

@@ -71,6 +71,8 @@ use crate::layout::{
 pub const JOURNAL_CPU_COST: u64 = 200;
 /// Entering `fsync`/`sync`: flush setup before any block I/O.
 pub const FSYNC_CPU_COST: u64 = 500;
+/// Blocks prefetched on detected sequential reads.
+const READAHEAD: u64 = 4;
 
 /// How the journal pipelines transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +111,6 @@ pub struct KjfsConfig {
     pub commit_interval_ops: u64,
     /// Dirty-page ceiling before background writeback kicks in.
     pub writeback_threshold: usize,
-    /// Blocks prefetched on detected sequential reads.
-    pub readahead: u64,
     /// Transaction pipelining policy (geometry-independent: the same
     /// device can be remounted under any mode).
     pub journal_mode: JournalMode,
@@ -130,7 +130,6 @@ impl Default for KjfsConfig {
             inode_capacity: 8192,
             commit_interval_ops: 16,
             writeback_threshold: 64,
-            readahead: 4,
             journal_mode: JournalMode::GroupCommit,
             max_live_txns: 12,
             page_cache_capacity: 4096,
@@ -147,7 +146,6 @@ impl KjfsConfig {
             inode_capacity: 512,
             commit_interval_ops: 8,
             writeback_threshold: 16,
-            readahead: 4,
             journal_mode: JournalMode::GroupCommit,
             max_live_txns: 3,
             page_cache_capacity: 1024,
@@ -178,6 +176,33 @@ struct Inode {
 impl Inode {
     fn mapped_blocks(&self) -> u64 {
         self.extents.iter().map(|e| e.len as u64).sum()
+    }
+
+    /// The inode-table record of this inode.
+    fn to_rec(&self) -> InodeRec {
+        InodeRec {
+            kind: Some(self.kind),
+            nlink: self.nlink,
+            mode: self.mode,
+            size: self.size,
+            mtime: self.mtime,
+            extents: self.extents.clone(),
+        }
+    }
+
+    /// The inode a table record holds as of its last commit; `None` for a
+    /// free slot.
+    fn from_rec(rec: InodeRec) -> Option<Inode> {
+        Some(Inode {
+            kind: rec.kind?,
+            nlink: rec.nlink,
+            mode: rec.mode,
+            size: rec.size,
+            mtime: rec.mtime,
+            committed_blocks: rec.extents.iter().map(|e| e.len as u64).sum(),
+            committed_size: rec.size,
+            extents: rec.extents,
+        })
     }
 }
 
@@ -797,10 +822,7 @@ impl Kjfs {
     fn serialize_dir(g: &Inner, ino: u64) -> Vec<u8> {
         let entries = g.dirs.get(&ino).expect("dir table entry");
         dir_to_bytes(entries.iter().map(|(name, &child)| {
-            let kind = match g.inodes.get(&child).map(|i| i.kind) {
-                Some(FileKind::Dir) => 2u8,
-                _ => 1u8,
-            };
+            let kind = g.inodes.get(&child).map_or(FileKind::File, |i| i.kind);
             (name.as_str(), child, kind)
         }))
     }
@@ -892,16 +914,8 @@ impl Kjfs {
             for slot in 0..INODES_PER_BLOCK {
                 let ino = blk * INODES_PER_BLOCK + slot;
                 if let Some(i) = g.inodes.get(&ino) {
-                    let rec = InodeRec {
-                        kind: if i.kind == FileKind::Dir { 2 } else { 1 },
-                        nlink: i.nlink,
-                        mode: i.mode,
-                        size: i.size,
-                        mtime: i.mtime,
-                        extents: i.extents.clone(),
-                    };
                     let at = slot as usize * crate::layout::INODE_WIRE;
-                    img[at..at + crate::layout::INODE_WIRE].copy_from_slice(&rec.to_wire());
+                    img[at..at + crate::layout::INODE_WIRE].copy_from_slice(&i.to_rec().to_wire());
                 }
             }
             images.push((BlockAddr { obj: ITABLE_OBJ, index: blk }, img));
@@ -1201,24 +1215,11 @@ impl Kjfs {
                 }
                 let at = slot as usize * crate::layout::INODE_WIRE;
                 let rec = InodeRec::from_wire(&buf[at..at + crate::layout::INODE_WIRE]);
-                if rec.kind == 0 {
+                let Some(inode) = Inode::from_rec(rec) else {
                     g.free_inos.push(ino);
                     continue;
-                }
-                let mapped: u64 = rec.extents.iter().map(|e| e.len as u64).sum();
-                g.inodes.insert(
-                    ino,
-                    Inode {
-                        kind: if rec.kind == 2 { FileKind::Dir } else { FileKind::File },
-                        nlink: rec.nlink,
-                        mode: rec.mode,
-                        size: rec.size,
-                        mtime: rec.mtime,
-                        extents: rec.extents,
-                        committed_blocks: mapped,
-                        committed_size: rec.size,
-                    },
-                );
+                };
+                g.inodes.insert(ino, inode);
             }
         }
         // Recycle in ascending order, matching the order frees happened.
@@ -1232,7 +1233,7 @@ impl Kjfs {
             let raw = self.read_raw_locked(&g, dino)?;
             let mut entries = BTreeMap::new();
             for (name, child, kind) in dir_from_bytes(&raw) {
-                if kind == 2 {
+                if kind == FileKind::Dir {
                     queue.push(child);
                 }
                 entries.insert(name, child);
@@ -1630,7 +1631,7 @@ impl FileSystem for Kjfs {
         let sequential = first_lb == 0 || g.last_read.get(&ino.0) == Some(&(first_lb - 1));
         if sequential {
             let file_blocks = size.div_ceil(PAGE_SIZE as u64);
-            for lb in last_lb + 1..(last_lb + 1 + self.cfg.readahead).min(file_blocks) {
+            for lb in last_lb + 1..(last_lb + 1 + READAHEAD).min(file_blocks) {
                 if !g.pages.contains_key(&(ino.0, lb)) && Self::phys_of(&g, ino.0, lb).is_some() {
                     self.page_in(&mut g, ino.0, lb, true)?;
                     g.stats.readahead_issued += 1;

@@ -17,6 +17,7 @@
 //! cost.
 
 use ksim::{fnv1a, PAGE_SIZE};
+use kvfs::FileKind;
 
 /// Region objects (the `obj` half of a [`kvfs::BlockAddr`]).
 pub const SUPER_OBJ: u64 = 0;
@@ -44,6 +45,15 @@ pub const BITS_PER_BITMAP_BLOCK: u64 = (PAGE_SIZE * 8) as u64;
 /// The root directory's inode number. Ino 0 is reserved/invalid.
 pub const ROOT_INO: u64 = 1;
 
+/// The on-disk kind code of inode records and directory entries: 0 free,
+/// 1 file, 2 dir. On read, any other nonzero code is a file.
+fn kind_code(kind: Option<FileKind>) -> u8 {
+    kind.map_or(0, |k| if k == FileKind::Dir { 2 } else { 1 })
+}
+
+fn kind_of_code(code: u8) -> Option<FileKind> {
+    (code != 0).then_some(if code == 2 { FileKind::Dir } else { FileKind::File })
+}
 
 /// A contiguous physical run in the data area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +70,8 @@ pub struct Extent {
 /// `[32..128)` twelve `(start: u32, len: u32)` extents.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InodeRec {
-    pub kind: u8,
+    /// `None` for a free table slot.
+    pub kind: Option<FileKind>,
     pub nlink: u32,
     pub mode: u32,
     pub size: u64,
@@ -71,7 +82,7 @@ pub struct InodeRec {
 impl InodeRec {
     pub fn to_wire(&self) -> [u8; INODE_WIRE] {
         let mut w = [0u8; INODE_WIRE];
-        w[0] = self.kind;
+        w[0] = kind_code(self.kind);
         w[1] = self.extents.len() as u8;
         w[4..8].copy_from_slice(&self.nlink.to_le_bytes());
         w[8..12].copy_from_slice(&self.mode.to_le_bytes());
@@ -96,7 +107,7 @@ impl InodeRec {
             });
         }
         InodeRec {
-            kind: w[0],
+            kind: kind_of_code(w[0]),
             nlink: u32::from_le_bytes(w[4..8].try_into().unwrap()),
             mode: u32::from_le_bytes(w[8..12].try_into().unwrap()),
             size: u64::from_le_bytes(w[16..24].try_into().unwrap()),
@@ -108,11 +119,11 @@ impl InodeRec {
 
 /// Serialize directory entries: `name_len: u16, kind: u8, ino: u64, name`
 /// per entry, densely packed; total byte length is the directory's size.
-pub fn dir_to_bytes<'a>(entries: impl Iterator<Item = (&'a str, u64, u8)>) -> Vec<u8> {
+pub fn dir_to_bytes<'a>(entries: impl Iterator<Item = (&'a str, u64, FileKind)>) -> Vec<u8> {
     let mut out = Vec::new();
     for (name, ino, kind) in entries {
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.push(kind);
+        out.push(kind_code(Some(kind)));
         out.extend_from_slice(&ino.to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
@@ -120,12 +131,12 @@ pub fn dir_to_bytes<'a>(entries: impl Iterator<Item = (&'a str, u64, u8)>) -> Ve
 }
 
 /// Parse a directory's serialized bytes back into `(name, ino, kind)`.
-pub fn dir_from_bytes(bytes: &[u8]) -> Vec<(String, u64, u8)> {
+pub fn dir_from_bytes(bytes: &[u8]) -> Vec<(String, u64, FileKind)> {
     let mut out = Vec::new();
     let mut at = 0usize;
     while at + 11 <= bytes.len() {
         let nlen = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap()) as usize;
-        let kind = bytes[at + 2];
+        let kind = kind_of_code(bytes[at + 2]).unwrap_or(FileKind::File);
         let ino = u64::from_le_bytes(bytes[at + 3..at + 11].try_into().unwrap());
         at += 11;
         if nlen == 0 || at + nlen > bytes.len() {
@@ -211,7 +222,7 @@ mod tests {
     #[test]
     fn inode_rec_roundtrips() {
         let rec = InodeRec {
-            kind: 1,
+            kind: Some(FileKind::File),
             nlink: 1,
             mode: 0o644,
             size: 123_456,
@@ -224,12 +235,23 @@ mod tests {
     #[test]
     fn dir_bytes_roundtrip() {
         let entries = vec![
-            ("a".to_string(), 2u64, 1u8),
-            ("subdir".to_string(), 3, 2),
-            ("file with spaces".to_string(), 4, 1),
+            ("a".to_string(), 2u64, FileKind::File),
+            ("subdir".to_string(), 3, FileKind::Dir),
+            ("file with spaces".to_string(), 4, FileKind::File),
         ];
         let bytes = dir_to_bytes(entries.iter().map(|(n, i, k)| (n.as_str(), *i, *k)));
         assert_eq!(dir_from_bytes(&bytes), entries);
+    }
+
+    #[test]
+    fn kind_codes_roundtrip_through_records_and_entries() {
+        for (kind, code) in [(None, 0), (Some(FileKind::File), 1), (Some(FileKind::Dir), 2)] {
+            let rec = InodeRec { kind, ..InodeRec::default() };
+            assert_eq!(rec.to_wire()[0], code, "{kind:?} is stored as {code}");
+            assert_eq!(InodeRec::from_wire(&rec.to_wire()), rec);
+        }
+        let bytes = dir_to_bytes([("f", 2, FileKind::File), ("d", 3, FileKind::Dir)].into_iter());
+        assert_eq!((bytes[2], bytes[14]), (1, 2), "entry kind codes");
     }
 
     #[test]

@@ -19,12 +19,13 @@ use kclang::{ExecConfig, ExecOutcome, InterpError, SegMode, Vm, VmBuffers};
 use ksim::{AsId, Machine, PteFlags, SimError, PAGE_SIZE};
 use parking_lot::Mutex;
 
-use crate::engine::{HookClass, VerifiedProg, CTX_BYTES, CTX_WORDS};
+use crate::engine::{HookClass, VerifiedProg, CTX_BYTES, CTX_WORDS, STATE_WORDS};
 
 /// Guest-virtual base of the attachment's private region.
 const REGION_BASE: u64 = 0x6100_0000;
 /// VM arena pages (64 KiB: locals, call frames, string literals).
 const ARENA_PAGES: usize = 16;
+const _: () = assert!(CTX_BYTES + STATE_WORDS * 8 <= PAGE_SIZE, "state must fit the header page");
 
 /// Cap on how far a CQE program may point a resubmitted read (keeps a
 /// buggy-but-verified program from walking a file forever).
@@ -90,10 +91,6 @@ impl Attachment {
     /// page (ctx + state), the data window, and the VM arena mapped.
     pub fn new(machine: Arc<Machine>, prog: Arc<VerifiedProg>) -> Result<Self, ProgError> {
         let spec = prog.spec();
-        assert!(
-            CTX_BYTES + spec.state_words * 8 <= PAGE_SIZE,
-            "state_words must fit the header page"
-        );
         let asid = machine.mem.create_space();
         let ctx_addr = REGION_BASE;
         let state_addr = REGION_BASE + CTX_BYTES as u64;
@@ -136,7 +133,7 @@ impl Attachment {
 
     /// Read the persistent state words out of the sandbox.
     pub fn state(&self) -> Vec<i64> {
-        let n = self.prog.spec().state_words;
+        let n = STATE_WORDS;
         let mut bytes = vec![0u8; n * 8];
         self.machine
             .mem
@@ -150,7 +147,7 @@ impl Attachment {
 
     /// Overwrite the persistent state words (attach-time seeding).
     pub fn set_state(&self, vals: &[i64]) {
-        let n = self.prog.spec().state_words.min(vals.len());
+        let n = STATE_WORDS.min(vals.len());
         let mut bytes = Vec::with_capacity(n * 8);
         for v in &vals[..n] {
             bytes.extend_from_slice(&v.to_le_bytes());

@@ -22,6 +22,8 @@ use crate::verify::{reject_at, verify, Proof, Rejection, RejectRule};
 pub const CTX_BYTES: usize = 32;
 /// Number of i64 context words.
 pub const CTX_WORDS: usize = CTX_BYTES / 8;
+/// Persistent i64 state words carried across invocations.
+pub const STATE_WORDS: usize = 8;
 
 /// Where a program attaches — each class has its own ABI and opcode rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,8 +82,6 @@ pub struct ProgSpec {
     pub entry: String,
     /// Step budget one invocation must provably stay within.
     pub budget: u64,
-    /// Persistent i64 state words carried across invocations.
-    pub state_words: usize,
     /// Data-window bytes (UringCqe only; ignored elsewhere).
     pub buf_len: usize,
 }
@@ -92,7 +92,6 @@ impl ProgSpec {
             class,
             entry: entry.to_string(),
             budget: 4096,
-            state_words: 8,
             buf_len: 64,
         }
     }
@@ -112,7 +111,6 @@ impl ProgSpec {
         let mut k = Vec::with_capacity(src.len() + self.entry.len() + 32);
         k.push(self.class.tag());
         k.extend_from_slice(&self.budget.to_le_bytes());
-        k.extend_from_slice(&(self.state_words as u64).to_le_bytes());
         k.extend_from_slice(&(self.buf_len as u64).to_le_bytes());
         k.extend_from_slice(&(self.entry.len() as u32).to_le_bytes());
         k.extend_from_slice(self.entry.as_bytes());

@@ -34,7 +34,7 @@ pub mod verify;
 
 pub use attach::{AttachStats, Attachment, ProgError, MAX_RESUBMIT_OFF};
 pub use engine::{
-    HookClass, LoadError, ProgEngine, ProgSpec, VerifiedProg, CTX_BYTES, CTX_WORDS,
+    HookClass, LoadError, ProgEngine, ProgSpec, VerifiedProg, CTX_BYTES, CTX_WORDS, STATE_WORDS,
 };
 pub use event::EventProgram;
 pub use registry::ProgRegistry;
@@ -307,7 +307,7 @@ mod tests {
         d.log_event(EventRecord::new(2, EventType::RefInc, "t", 2, 21));
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.pop().unwrap().value, 42);
-        assert_eq!(d.dropped_by_transform(), 1);
+        assert_eq!(d.stats().dropped_by_transform, 1);
     }
 
     #[test]

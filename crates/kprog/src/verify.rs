@@ -525,7 +525,7 @@ pub fn verify(module: &Module, spec: &ProgSpec) -> Result<Proof, Rejection> {
     // ABI objects the entry function receives pointers to.
     let mut args = vec![
         AbsVal::Ptr(v.alloc(crate::engine::CTX_BYTES, ObjKind::Global)),
-        AbsVal::Ptr(v.alloc(spec.state_words.max(1) * 8, ObjKind::Global)),
+        AbsVal::Ptr(v.alloc(crate::engine::STATE_WORDS * 8, ObjKind::Global)),
     ];
     if spec.class == HookClass::UringCqe {
         args.push(AbsVal::Ptr(v.alloc(spec.buf_len.max(1), ObjKind::Global)));

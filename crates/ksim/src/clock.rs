@@ -148,20 +148,14 @@ pub struct Clock {
     io: AtomicU64,
 }
 
-/// A point-in-time snapshot of the clock, used to measure intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClockSnapshot {
-    pub user: u64,
-    pub sys: u64,
-    pub io: u64,
-}
-
-/// The difference between two snapshots: one measured interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Interval {
-    pub user: u64,
-    pub sys: u64,
-    pub io: u64,
+crate::counters! {
+    /// A point-in-time reading of the clock's three buckets (see the
+    /// module docs); the `delta` of two readings is one measured interval.
+    pub struct ClockSnapshot {
+        user,
+        sys,
+        io,
+    }
 }
 
 impl Clock {
@@ -283,8 +277,7 @@ impl Clock {
     /// Total elapsed cycles on the single simulated CPU.
     #[inline]
     pub fn elapsed_cycles(&self) -> u64 {
-        let (u, s, io) = self.pending();
-        self.user.load(Relaxed) + self.sys.load(Relaxed) + self.io.load(Relaxed) + u + s + io
+        self.snapshot().elapsed()
     }
 
     /// Capture the current totals.
@@ -294,16 +287,6 @@ impl Clock {
             user: self.user.load(Relaxed) + u,
             sys: self.sys.load(Relaxed) + s,
             io: self.io.load(Relaxed) + io,
-        }
-    }
-
-    /// Cycles accumulated since `start`.
-    pub fn since(&self, start: ClockSnapshot) -> Interval {
-        let now = self.snapshot();
-        Interval {
-            user: now.user - start.user,
-            sys: now.sys - start.sys,
-            io: now.io - start.io,
         }
     }
 
@@ -323,7 +306,8 @@ impl Clock {
     }
 }
 
-impl Interval {
+impl ClockSnapshot {
+    /// Total cycles across the three buckets.
     #[inline]
     pub fn elapsed(&self) -> u64 {
         self.user + self.sys + self.io
@@ -377,10 +361,8 @@ mod tests {
         let s = c.snapshot();
         c.charge_user(7);
         c.charge_sys(3);
-        let iv = c.since(s);
-        assert_eq!(iv.user, 7);
-        assert_eq!(iv.sys, 3);
-        assert_eq!(iv.io, 0);
+        let iv = c.snapshot().delta(&s);
+        assert_eq!(iv, ClockSnapshot { user: 7, sys: 3, io: 0 });
         assert_eq!(iv.elapsed(), 10);
     }
 
@@ -428,7 +410,7 @@ mod tests {
             assert_eq!(c.elapsed_cycles(), 65);
             let s = c.snapshot();
             c.charge_sys(7);
-            assert_eq!(c.since(s).sys, 7);
+            assert_eq!(c.snapshot().delta(&s).sys, 7);
         }
         // After the flush the atomics carry the full totals.
         assert_eq!((c.user_cycles(), c.sys_cycles(), c.io_cycles()), (10, 32, 30));

@@ -8,7 +8,7 @@
 //! context can assert it via [`IrqController::in_interrupt`] — the event
 //! ring's lock-freedom is what makes logging legal here.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -30,13 +30,22 @@ pub trait IrqHandler: Send + Sync {
     }
 }
 
+crate::counters! {
+    /// Interrupt delivery counters.
+    pub struct IrqCounters => pub struct IrqStats {
+        /// Interrupts delivered so far.
+        raised,
+        /// Interrupts masked away because one was already in service.
+        dropped_nested,
+    }
+}
+
 /// The interrupt controller (PIC analogue).
 #[derive(Default)]
 pub struct IrqController {
     handlers: RwLock<Vec<(u32, Arc<dyn IrqHandler>)>>,
     in_interrupt: AtomicBool,
-    raised: AtomicU64,
-    dropped_nested: AtomicU64,
+    counters: IrqCounters,
 }
 
 impl IrqController {
@@ -59,14 +68,9 @@ impl IrqController {
         self.in_interrupt.load(Relaxed)
     }
 
-    /// Interrupts delivered so far.
-    pub fn raised(&self) -> u64 {
-        self.raised.load(Relaxed)
-    }
-
-    /// Interrupts masked away because one was already in service.
-    pub fn dropped_nested(&self) -> u64 {
-        self.dropped_nested.load(Relaxed)
+    /// Counter snapshot.
+    pub fn stats(&self) -> IrqStats {
+        self.counters.snapshot()
     }
 
     /// Deliver an interrupt: runs every handler registered for `irq` with
@@ -78,10 +82,10 @@ impl IrqController {
             .compare_exchange(false, true, Relaxed, Relaxed)
             .is_err()
         {
-            self.dropped_nested.fetch_add(1, Relaxed);
+            self.counters.dropped_nested.fetch_add(1, Relaxed);
             return Err(SimError::Invalid("nested interrupt masked"));
         }
-        self.raised.fetch_add(1, Relaxed);
+        self.counters.raised.fetch_add(1, Relaxed);
         charge(IRQ_OVERHEAD_CYCLES);
         let handlers: Vec<Arc<dyn IrqHandler>> = self
             .handlers
@@ -101,7 +105,7 @@ impl IrqController {
 impl std::fmt::Debug for IrqController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IrqController")
-            .field("raised", &self.raised())
+            .field("stats", &self.stats())
             .field("in_interrupt", &self.in_interrupt())
             .finish()
     }
@@ -110,7 +114,7 @@ impl std::fmt::Debug for IrqController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     struct Counting {
         hits: AtomicUsize,
@@ -144,7 +148,7 @@ mod tests {
         assert_eq!(timer.hits.load(Relaxed), 2);
         assert_eq!(disk.hits.load(Relaxed), 1);
         assert_eq!(charged.load(Relaxed), 3 * IRQ_OVERHEAD_CYCLES);
-        assert_eq!(pic.raised(), 3);
+        assert_eq!(pic.stats().raised, 3);
         assert_eq!(pic.raise(7, |_| {}).unwrap(), 0, "no handler: spurious");
     }
 
@@ -176,7 +180,7 @@ mod tests {
         assert!(prober.saw_flag.load(Relaxed), "flag set inside the ISR");
         assert!(prober.nested_rejected.load(Relaxed), "nesting masked");
         assert!(!pic.in_interrupt(), "flag cleared after return");
-        assert_eq!(pic.dropped_nested(), 1);
+        assert_eq!(pic.stats().dropped_nested, 1);
     }
 
     #[test]

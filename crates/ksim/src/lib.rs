@@ -64,15 +64,16 @@ pub use hash::{
     fnv1a, fnv1a_continue, ByteCache, ByteCacheEntry, ByteCacheStats, FxBuildHasher, FxHashMap,
     FxHashSet, FxHasher,
 };
-pub use irq::{IrqController, IrqHandler, IRQ_OVERHEAD_CYCLES};
+pub use irq::{IrqController, IrqHandler, IrqStats, IRQ_OVERHEAD_CYCLES};
 pub use machine::{thread_cpu, CpuBinding, CpuState, KernelToken, Machine, MachineConfig};
 pub use mem::{
     AccessKind, AddressSpace, AsId, Fault, FaultHandler, FaultKind, FaultResolution, MemSys, Pfn,
     PhysMemory, Pte, PteFlags, Tlb, PAGE_SHIFT, PAGE_SIZE,
 };
-pub use proc::{Pid, ProcState, Process, SmpScheduler};
+pub use proc::{Pid, ProcState, Process, SchedStats, SmpScheduler};
 pub use seg::{SegKind, SegSelector, Segment, SegmentTable};
 pub use stats::{
-    lock_contention_report, register_lock, reset_lock_contention, LockContention, Stats,
+    lock_contention_report, register_lock, reset_lock_contention, ContentionStats,
+    LockContention, Stats,
 };
 pub use sync::{SpinMutex, SpinMutexGuard};

@@ -19,7 +19,7 @@ use crate::cost::CostModel;
 use crate::error::{SimError, SimResult};
 use crate::irq::IrqController;
 use crate::mem::{AsId, MemSys, PteFlags, PAGE_SIZE};
-use crate::proc::{Boundary, Pid, ProcState, Process, SmpScheduler};
+use crate::proc::{Boundary, Pid, ProcState, Process, SchedStats, SmpScheduler};
 use crate::seg::SegmentTable;
 use crate::stats::Stats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -295,19 +295,18 @@ impl Machine {
     /// half of a random victim's queue first (seeded, deterministic).
     pub fn schedule_on(&self, cpu: usize) -> Option<Pid> {
         let mut sched = self.sched.lock();
-        let before = sched.switches();
+        let before = sched.stats().switches;
         let next = sched.pick_next_on(cpu, &self.faults);
-        if sched.switches() > before {
+        if sched.stats().switches > before {
             self.clock.charge_sys(self.cost.context_switch);
             self.stats.context_switches.fetch_add(1, Relaxed);
         }
         next
     }
 
-    /// Scheduler counters: `(switches, steals, steal_fails, migrations)`.
-    pub fn sched_counters(&self) -> (u64, u64, u64, u64) {
-        let s = self.sched.lock();
-        (s.switches(), s.steals(), s.steal_fails(), s.migrations())
+    /// Scheduler counter snapshot.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.sched.lock().stats()
     }
 
     /// A preemption point (§2.3): charges tick bookkeeping and enforces the
@@ -592,8 +591,7 @@ mod tests {
         assert_eq!(m.schedule_on(1), Some(a), "cpu1 runs its own queue first");
         // cpu1 still queues b; an idle CPU steals it rather than sitting idle.
         assert_eq!(m.schedule_on(5), Some(b));
-        let (_, steals, _, _) = m.sched_counters();
-        assert_eq!(steals, 1);
+        assert_eq!(m.sched_stats().steals, 1);
     }
 
     #[test]

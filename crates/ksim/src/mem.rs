@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{
-    fence, AtomicU64, AtomicU8,
+    fence, AtomicU32, AtomicU64, AtomicU8,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
@@ -26,6 +26,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::clock::Clock;
 use crate::cost::CostModel;
 use crate::error::{SimError, SimResult};
+use crate::hash::FxHashMap;
 use crate::stats::Stats;
 
 /// Simulated page size: 4 KiB, matching the paper's i386 target.
@@ -473,7 +474,10 @@ pub struct MemSys {
     clock: Arc<Clock>,
     stats: Arc<Stats>,
     faults: Arc<kfault::FaultPlane>,
-    spaces: RwLock<Vec<Option<AddressSpace>>>,
+    /// Live address spaces by asid. Ids come from `next_asid` and are
+    /// never reused, so a destroyed space leaves no slot behind.
+    spaces: RwLock<FxHashMap<u32, AddressSpace>>,
+    next_asid: AtomicU32,
     handlers: RwLock<Vec<Arc<dyn FaultHandler>>>,
 }
 
@@ -492,16 +496,22 @@ impl MemSys {
             clock,
             stats,
             faults,
-            spaces: RwLock::new(Vec::new()),
+            spaces: RwLock::new(FxHashMap::default()),
+            next_asid: AtomicU32::new(0),
             handlers: RwLock::new(Vec::new()),
         }
     }
 
     /// Create a fresh, empty address space.
     pub fn create_space(&self) -> AsId {
-        let mut spaces = self.spaces.write();
-        spaces.push(Some(AddressSpace::default()));
-        AsId(spaces.len() as u32 - 1)
+        let id = self.next_asid.fetch_add(1, Relaxed);
+        self.spaces.write().insert(id, AddressSpace::default());
+        AsId(id)
+    }
+
+    /// Address spaces currently live.
+    pub fn live_spaces(&self) -> usize {
+        self.spaces.read().len()
     }
 
     /// Destroy an address space, releasing every frame it maps.
@@ -524,13 +534,8 @@ impl MemSys {
 
     /// Detach `asid`'s page table and free every frame it maps.
     fn release_space(&self, asid: AsId) -> SimResult<AddressSpace> {
-        let space = {
-            let mut spaces = self.spaces.write();
-            spaces
-                .get_mut(asid.0 as usize)
-                .and_then(Option::take)
-                .ok_or(SimError::NoSuchAddressSpace(asid.0))?
-        };
+        let space = self.spaces.write().remove(&asid.0);
+        let space = space.ok_or(SimError::NoSuchAddressSpace(asid.0))?;
         for (_, pte) in space.iter() {
             if let Some(pfn) = pte.pfn {
                 self.phys.free_frame(pfn);
@@ -547,10 +552,7 @@ impl MemSys {
     /// Run `f` with a shared view of the address space.
     pub fn with_space<R>(&self, asid: AsId, f: impl FnOnce(&AddressSpace) -> R) -> SimResult<R> {
         let spaces = self.spaces.read();
-        let space = spaces
-            .get(asid.0 as usize)
-            .and_then(Option::as_ref)
-            .ok_or(SimError::NoSuchAddressSpace(asid.0))?;
+        let space = spaces.get(&asid.0).ok_or(SimError::NoSuchAddressSpace(asid.0))?;
         Ok(f(space))
     }
 
@@ -561,10 +563,7 @@ impl MemSys {
         f: impl FnOnce(&mut AddressSpace) -> R,
     ) -> SimResult<R> {
         let mut spaces = self.spaces.write();
-        let space = spaces
-            .get_mut(asid.0 as usize)
-            .and_then(Option::as_mut)
-            .ok_or(SimError::NoSuchAddressSpace(asid.0))?;
+        let space = spaces.get_mut(&asid.0).ok_or(SimError::NoSuchAddressSpace(asid.0))?;
         Ok(f(space))
     }
 
@@ -763,6 +762,7 @@ impl std::fmt::Debug for MemSys {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemSys")
             .field("frames_allocated", &self.phys.allocated())
+            .field("live_spaces", &self.live_spaces())
             .field("tlb_hits", &self.tlb.hits())
             .field("tlb_misses", &self.tlb.misses())
             .finish()

@@ -95,6 +95,20 @@ impl Process {
     }
 }
 
+crate::counters! {
+    /// Scheduler counters, bumped under the scheduler lock.
+    pub struct SchedStats {
+        /// Context switches across all CPUs.
+        switches,
+        /// Successful steal operations (each moves half a victim queue).
+        steals,
+        /// Steal attempts aborted by the `sched.steal_fail` fault site.
+        steal_fails,
+        /// Tasks force-migrated by the `sched.migrate` fault site.
+        migrations,
+    }
+}
+
 /// Per-CPU run queues with seeded work stealing.
 ///
 /// Each simulated CPU owns a round-robin queue; one CPU is a plain
@@ -116,10 +130,7 @@ impl Process {
 pub struct SmpScheduler {
     queues: Vec<VecDeque<Pid>>,
     current: Vec<Option<Pid>>,
-    switches: u64,
-    steals: u64,
-    steal_fails: u64,
-    migrations: u64,
+    stats: SchedStats,
     rng: u64,
 }
 
@@ -129,10 +140,7 @@ impl SmpScheduler {
         SmpScheduler {
             queues: (0..cpus).map(|_| VecDeque::new()).collect(),
             current: vec![None; cpus],
-            switches: 0,
-            steals: 0,
-            steal_fails: 0,
-            migrations: 0,
+            stats: SchedStats::default(),
             rng: seed,
         }
     }
@@ -163,24 +171,9 @@ impl SmpScheduler {
         self.current[cpu]
     }
 
-    /// Context switches across all CPUs.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    /// Successful steal operations (each moves half a victim queue).
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// Steal attempts aborted by the `sched.steal_fail` fault site.
-    pub fn steal_fails(&self) -> u64 {
-        self.steal_fails
-    }
-
-    /// Tasks force-migrated by the `sched.migrate` fault site.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
+    /// Counter snapshot.
+    pub fn stats(&self) -> SchedStats {
+        self.stats
     }
 
     /// Runnable processes across all CPUs (including running ones).
@@ -210,7 +203,7 @@ impl SmpScheduler {
         }
         let victim = candidates[(self.next_rand() as usize) % candidates.len()];
         if faults.should_fail(kfault::sites::SCHED_STEAL_FAIL) {
-            self.steal_fails += 1;
+            self.stats.steal_fails += 1;
             return;
         }
         let take = self.queues[victim].len().div_ceil(2);
@@ -219,7 +212,7 @@ impl SmpScheduler {
                 self.queues[cpu].push_back(p);
             }
         }
-        self.steals += 1;
+        self.stats.steals += 1;
     }
 
     /// Pick the next process to run on `cpu`, rotating its current one to
@@ -236,7 +229,7 @@ impl SmpScheduler {
             if let Some(victim) = self.random_other(cpu) {
                 if let Some(p) = self.queues[cpu].pop_front() {
                     self.queues[victim].push_back(p);
-                    self.migrations += 1;
+                    self.stats.migrations += 1;
                 }
             }
         }
@@ -245,7 +238,7 @@ impl SmpScheduler {
         }
         let next = self.queues[cpu].pop_front()?;
         if prev.is_some() && prev != Some(next) {
-            self.switches += 1;
+            self.stats.switches += 1;
         }
         self.current[cpu] = Some(next);
         Some(next)
@@ -290,12 +283,12 @@ mod tests {
         s.enqueue_on(0, Pid(7));
         let first = s.pick_next_on(0, &f).unwrap();
         assert_eq!(first, Pid(7));
-        let before = s.switches();
+        let before = s.stats().switches;
         for _ in 0..10 {
             assert_eq!(s.pick_next_on(0, &f), Some(Pid(7)));
         }
         // Re-picking the only process is not a context switch.
-        assert_eq!(s.switches(), before);
+        assert_eq!(s.stats().switches, before);
     }
 
     #[test]
@@ -320,7 +313,7 @@ mod tests {
         s.pick_next_on(0, &f);
         s.pick_next_on(0, &f);
         s.pick_next_on(0, &f);
-        assert!(s.switches() >= 2);
+        assert!(s.stats().switches >= 2);
     }
 
     #[test]
@@ -332,11 +325,11 @@ mod tests {
         assert_eq!(s.pick_next_on(0, &f), Some(Pid(1)));
         assert_eq!(s.pick_next_on(0, &f), Some(Pid(2)));
         assert_eq!(s.pick_next_on(0, &f), Some(Pid(1)));
-        assert_eq!(s.switches(), 2);
+        assert_eq!(s.stats().switches, 2);
         // cpu0 runs Pid(1) with Pid(2) queued; an idle CPU steals the
         // queued (not the running) task.
         assert_eq!(s.pick_next_on(2, &f), Some(Pid(2)));
-        assert_eq!(s.steals(), 1);
+        assert_eq!(s.stats().steals, 1);
     }
 
     #[test]
@@ -348,7 +341,7 @@ mod tests {
         }
         let got = s.pick_next_on(1, &f);
         assert!(got.is_some(), "cpu1 stole work from cpu0");
-        assert_eq!(s.steals(), 1);
+        assert_eq!(s.stats().steals, 1);
         assert_eq!(s.runnable(), 8, "stealing moves tasks, never loses them");
     }
 
@@ -362,7 +355,7 @@ mod tests {
             }
             let order: Vec<Option<Pid>> =
                 (0..64).map(|t| s.pick_next_on(t % 4, &f)).collect();
-            (order, s.steals(), s.switches())
+            (order, s.stats().steals, s.stats().switches)
         };
         assert_eq!(run(99), run(99));
     }

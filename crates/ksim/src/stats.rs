@@ -4,7 +4,7 @@
 //! All counters are relaxed atomics (statistics pattern from *Rust Atomics
 //! and Locks*): increments are hot paths, reads happen after workloads end.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Mutex;
 
 /// Declare a counter set once and get its plumbing generated.
@@ -22,6 +22,7 @@ use std::sync::Mutex;
 /// Only monotonic counters belong here: `delta` subtracts field-wise, so a
 /// gauge that shrank between two snapshots would underflow. [`Stats`]
 /// below is the atomic form; kjfs's `KjfsStats` is the lock-held form.
+/// DESIGN.md lists every set.
 #[macro_export]
 macro_rules! counters {
     (
@@ -115,17 +116,17 @@ impl StatsSnapshot {
     }
 }
 
-/// Contention counters for one named lock (or a family of locks sharing a
-/// name — fd tables register per subsystem, not per pid). Recorded only
-/// from [`crate::SpinMutex`]'s contended slow path, so attaching one costs
-/// nothing while a lock stays uncontended.
-#[derive(Debug)]
-pub struct LockContention {
-    pub name: &'static str,
-    /// Acquires that found the lock held and had to spin.
-    pub contended: AtomicU64,
-    /// Total relaxed-load iterations spent waiting across those acquires.
-    pub spins: AtomicU64,
+counters! {
+    /// Contention counters for one named lock (or a family of locks sharing
+    /// a name — fd tables register per subsystem, not per pid). Recorded
+    /// only from [`crate::SpinMutex`]'s contended slow path, so attaching
+    /// one costs nothing while a lock stays uncontended.
+    pub struct LockContention => pub struct ContentionStats {
+        /// Acquires that found the lock held and had to spin.
+        contended,
+        /// Total relaxed-load iterations spent waiting across those acquires.
+        spins,
+    }
 }
 
 impl LockContention {
@@ -135,43 +136,32 @@ impl LockContention {
     }
 }
 
-/// Process-wide registry of lock-contention counters; entries are leaked
-/// once per distinct name and live for the process.
-static LOCK_REGISTRY: Mutex<Vec<&'static LockContention>> = Mutex::new(Vec::new());
+/// Process-wide registry of lock-contention counters by name; entries are
+/// leaked once per distinct name and live for the process.
+static LOCK_REGISTRY: Mutex<Vec<(&'static str, &'static LockContention)>> = Mutex::new(Vec::new());
 
 /// Get-or-create the contention counter for `name`. Repeated calls with
 /// the same name return the same counter, so re-built subsystems (every
 /// bench episode makes a fresh `NetStack`) aggregate instead of leaking.
 pub fn register_lock(name: &'static str) -> &'static LockContention {
     let mut reg = LOCK_REGISTRY.lock().unwrap();
-    if let Some(e) = reg.iter().find(|e| e.name == name) {
+    if let Some(&(_, e)) = reg.iter().find(|(n, _)| *n == name) {
         return e;
     }
-    let e: &'static LockContention = Box::leak(Box::new(LockContention {
-        name,
-        contended: AtomicU64::new(0),
-        spins: AtomicU64::new(0),
-    }));
-    reg.push(e);
+    let e: &'static LockContention = Box::leak(Box::default());
+    reg.push((name, e));
     e
 }
 
-/// Snapshot every registered lock: `(name, contended acquires, spins)`,
-/// in registration order.
-pub fn lock_contention_report() -> Vec<(&'static str, u64, u64)> {
-    LOCK_REGISTRY
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|e| (e.name, e.contended.load(Relaxed), e.spins.load(Relaxed)))
-        .collect()
+/// Snapshot every registered lock by name, in registration order.
+pub fn lock_contention_report() -> Vec<(&'static str, ContentionStats)> {
+    LOCK_REGISTRY.lock().unwrap().iter().map(|&(n, e)| (n, e.snapshot())).collect()
 }
 
 /// Zero every registered counter (between measurement windows).
 pub fn reset_lock_contention() {
-    for e in LOCK_REGISTRY.lock().unwrap().iter() {
-        e.contended.store(0, Relaxed);
-        e.spins.store(0, Relaxed);
+    for (_, e) in LOCK_REGISTRY.lock().unwrap().iter() {
+        e.reset();
     }
 }
 
@@ -202,9 +192,9 @@ mod tests {
         assert!(std::ptr::eq(a, b), "same name, same counter");
         a.record(17);
         let rep = lock_contention_report();
-        let row = rep.iter().find(|r| r.0 == "test.stats.lock").unwrap();
-        assert!(row.1 >= 1);
-        assert!(row.2 >= 17);
+        let (_, row) = rep.iter().find(|r| r.0 == "test.stats.lock").unwrap();
+        assert!(row.contended >= 1);
+        assert!(row.spins >= 17);
     }
 
     #[test]

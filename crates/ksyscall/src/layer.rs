@@ -864,7 +864,7 @@ pub(crate) mod tests {
         assert_eq!(sys.scratch.high_water(), peak, "churn grew the pool's peak");
         assert_eq!(sys.scratch.outstanding(), 0, "a scratch buffer leaked");
         assert!(sys.scratch.idle() as u64 <= peak, "idle list beyond the peak");
-        let (hits, misses) = sys.scratch.counters();
+        let kalloc::PoolStats { hits, misses } = sys.scratch.stats();
         assert!(hits > 0, "steady state must recycle");
         assert!(misses as usize <= 2, "only the first checkouts allocate");
     }
@@ -1430,7 +1430,7 @@ mod proptests {
             let mut cold = Vec::new();
             run_pass("/pass0", &mut cold);
             let c1 = cycles(&m);
-            let (hits_before, _) = sys.scratch.counters();
+            let hits_before = sys.scratch.stats().hits;
             let mut warm = Vec::new();
             run_pass("/pass1", &mut warm);
             let c2 = cycles(&m);
@@ -1440,7 +1440,7 @@ mod proptests {
             // The warm pass must actually recycle: pass one returned every
             // checkout to the pool, so any nonzero transfer hits it.
             if ops.iter().any(|&(_, len, _)| len > 0) {
-                let (hits_after, _) = sys.scratch.counters();
+                let hits_after = sys.scratch.stats().hits;
                 prop_assert!(hits_after > hits_before, "warm pass never hit the pool");
             }
             prop_assert_eq!(sys.scratch.outstanding(), 0, "a scratch buffer leaked");

@@ -7,11 +7,7 @@
 
 use kvfs::{DirEntry, FileKind, Stat, DIRENT_WIRE_BYTES, STAT_WIRE_BYTES};
 
-pub use kvfs::fs::DIRENT_WIRE_BYTES as DIRENT_WIRE;
-
-/// Bytes per packed `readdirplus` entry: 88-byte stat + 160-byte packed
-/// name/header region.
-pub const RDP_ENTRY_WIRE_BYTES: usize = 248;
+pub use kvfs::RDP_ENTRY_WIRE_BYTES;
 
 const NAME_MAX: usize = 255;
 

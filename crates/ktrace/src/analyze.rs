@@ -7,14 +7,10 @@
 //! calculation over any recorded trace.
 
 use ksim::cost::{cycles_to_secs, CostModel};
+use kvfs::{DIRENT_WIRE_BYTES, RDP_ENTRY_WIRE_BYTES};
 
 use crate::sysno::Sysno;
 use crate::trace::SyscallEvent;
-
-/// Wire bytes of one classic `readdir` entry (fixed-size dirent).
-pub const DIRENT_WIRE: u64 = 280;
-/// Wire bytes of one packed `readdirplus` entry (name + attributes).
-pub const RDP_ENTRY_WIRE: u64 = 248;
 
 /// Result of the what-if analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -81,7 +77,7 @@ pub fn estimate_consolidation(events: &[SyscallEvent], cost: &CostModel) -> Cons
             // stat paths in + stat results out) is replaced by one stream of
             // packed name+attribute entries, one per directory entry.
             let before_burst = b.dirent_bytes + b.stat_bytes;
-            let after_burst = b.dirents.max(b.stats) * RDP_ENTRY_WIRE;
+            let after_burst = b.dirents.max(b.stats) * RDP_ENTRY_WIRE_BYTES as u64;
             let saved = before_burst.saturating_sub(after_burst);
             est.bytes_after = est.bytes_after.saturating_sub(saved);
         }
@@ -96,7 +92,7 @@ pub fn estimate_consolidation(events: &[SyscallEvent], cost: &CostModel) -> Cons
                 commit(&mut est, &mut old);
                 let b = bursts.entry(e.pid).or_default();
                 b.active = true;
-                b.dirents = e.bytes_out / DIRENT_WIRE;
+                b.dirents = e.bytes_out / DIRENT_WIRE_BYTES as u64;
                 b.dirent_bytes = e.bytes_out;
             }
             Sysno::Stat if b.active => {
@@ -131,7 +127,7 @@ mod tests {
     }
 
     fn ls_burst(pid: u32, nfiles: u64, t0: u64) -> Vec<SyscallEvent> {
-        let mut t = vec![ev(pid, Sysno::Readdir, 16, nfiles * DIRENT_WIRE, t0)];
+        let mut t = vec![ev(pid, Sysno::Readdir, 16, nfiles * DIRENT_WIRE_BYTES as u64, t0)];
         for i in 0..nfiles {
             t.push(ev(pid, Sysno::Stat, 24, 88, t0 + i + 1));
         }

@@ -11,15 +11,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ksim::cost::CYCLES_PER_SEC;
+use kvfs::{DIRENT_WIRE_BYTES, STAT_WIRE_BYTES};
 
-use crate::analyze::DIRENT_WIRE;
 use crate::sysno::Sysno;
 use crate::trace::SyscallEvent;
 
 /// Wire bytes for a path argument (average path length).
 const PATH_BYTES: u64 = 24;
-/// Wire bytes of a `stat` result.
-const STAT_BYTES: u64 = 88;
 
 /// A trace generator.
 pub trait TraceGen {
@@ -60,9 +58,9 @@ impl Emitter {
 
     fn ls_burst(&mut self, entries: u64) {
         self.push(Sysno::Open, PATH_BYTES, 0);
-        self.push(Sysno::Readdir, 16, entries * DIRENT_WIRE);
+        self.push(Sysno::Readdir, 16, entries * DIRENT_WIRE_BYTES as u64);
         for _ in 0..entries {
-            self.push(Sysno::Stat, PATH_BYTES, STAT_BYTES);
+            self.push(Sysno::Stat, PATH_BYTES, STAT_WIRE_BYTES as u64);
         }
         self.push(Sysno::Close, 4, 0);
     }
@@ -136,7 +134,7 @@ impl TraceGen for InteractiveTraceGen {
                 }
                 // Status polls and misc metadata.
                 96..=98 => {
-                    e.push(Sysno::Stat, PATH_BYTES, STAT_BYTES);
+                    e.push(Sysno::Stat, PATH_BYTES, STAT_WIRE_BYTES as u64);
                     e.push(Sysno::Getpid, 0, 0);
                 }
                 // Occasional namespace churn.
@@ -185,7 +183,7 @@ impl TraceGen for WebServerTraceGen {
     fn generate(&mut self) -> Vec<SyscallEvent> {
         let mut e = Emitter::new(self.seed, 300, 50_000);
         for _ in 0..self.requests {
-            e.push(Sysno::Stat, PATH_BYTES, STAT_BYTES); // If-Modified-Since
+            e.push(Sysno::Stat, PATH_BYTES, STAT_WIRE_BYTES as u64); // If-Modified-Since
             let size = e.rng.gen_range(1..=32u64) * 1024;
             e.open_read_close(size);
             e.push(Sysno::Write, 96, 0); // access log line
@@ -300,6 +298,6 @@ mod tests {
         // open + readdir + 10 stats + close.
         assert_eq!(t.len(), 13);
         assert_eq!(t[1].no, Sysno::Readdir);
-        assert_eq!(t[1].bytes_out, 10 * DIRENT_WIRE);
+        assert_eq!(t[1].bytes_out, 10 * DIRENT_WIRE_BYTES as u64);
     }
 }

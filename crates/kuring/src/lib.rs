@@ -496,12 +496,12 @@ mod tests {
 
         let t0 = m.clock.snapshot();
         ring.push_sqe(Sqe::nop(1)).unwrap();
-        let d = m.clock.since(t0);
+        let d = m.clock.snapshot().delta(&t0);
         assert_eq!((d.user, d.sys), (c.uring_sqe_move, 0));
 
         let t0 = m.clock.snapshot();
         assert!(ring.take_sqe().is_some());
-        let d = m.clock.since(t0);
+        let d = m.clock.snapshot().delta(&t0);
         assert_eq!((d.user, d.sys), (0, c.uring_sqe_move));
 
         let t0 = m.clock.snapshot();
@@ -509,19 +509,19 @@ mod tests {
             user_data: 1,
             res: 0,
         });
-        let d = m.clock.since(t0);
+        let d = m.clock.snapshot().delta(&t0);
         assert_eq!((d.user, d.sys), (0, c.uring_cqe_move));
 
         let t0 = m.clock.snapshot();
         assert!(ring.reap_cqe().is_some());
-        let d = m.clock.since(t0);
+        let d = m.clock.snapshot().delta(&t0);
         assert_eq!((d.user, d.sys), (c.uring_cqe_move, 0));
 
         // Empty-side probes and failed pushes charge nothing.
         let t0 = m.clock.snapshot();
         assert!(ring.take_sqe().is_none());
         assert!(ring.reap_cqe().is_none());
-        let d = m.clock.since(t0);
+        let d = m.clock.snapshot().delta(&t0);
         assert_eq!(d.user + d.sys, 0);
     }
 

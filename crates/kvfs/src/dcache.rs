@@ -203,6 +203,14 @@ struct DcacheInner {
     map: FxHashMap<(u64, Name), u64>,
 }
 
+ksim::counters! {
+    /// Lookup counters, bumped on the lookup path.
+    struct DcacheCounters => pub struct DcacheStats {
+        hits,
+        misses,
+    }
+}
+
 /// Name-lookup cache: `(parent ino, interned name) → child ino`.
 ///
 /// Keys are `(u64, Name)` — the name bytes were hashed once at intern
@@ -213,8 +221,7 @@ struct DcacheInner {
 pub struct DentryCache {
     lock: InstrumentedSpinLock<DcacheInner>,
     table: EpochTable,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    counters: DcacheCounters,
 }
 
 impl DentryCache {
@@ -228,8 +235,7 @@ impl DentryCache {
                 324,
             ),
             table: EpochTable::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            counters: DcacheCounters::default(),
         }
     }
 
@@ -250,18 +256,18 @@ impl DentryCache {
     pub fn lookup_name(&self, parent: u64, name: Name) -> Option<u64> {
         if !self.lock.is_instrumented() {
             if let Some(ino) = self.table.get(parent, name) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(ino);
             }
         }
         let inner = self.lock.lock();
         match inner.map.get(&(parent, name)).copied() {
             Some(ino) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(ino)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -301,9 +307,9 @@ impl DentryCache {
         self.table.write(|t| t.clear());
     }
 
-    /// (cache hits, cache misses).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+    /// Lookup counter snapshot.
+    pub fn stats(&self) -> DcacheStats {
+        self.counters.snapshot()
     }
 
     /// Entries currently cached.
@@ -318,11 +324,7 @@ impl DentryCache {
 
 impl std::fmt::Debug for DentryCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (h, m) = self.counters();
-        f.debug_struct("DentryCache")
-            .field("hits", &h)
-            .field("misses", &m)
-            .finish()
+        f.debug_tuple("DentryCache").field(&self.stats()).finish()
     }
 }
 
@@ -342,7 +344,7 @@ mod tests {
         assert_eq!(d.lookup(1, "a"), None);
         d.insert(1, "a", 42);
         assert_eq!(d.lookup(1, "a"), Some(42));
-        assert_eq!(d.counters(), (1, 1));
+        assert_eq!(d.stats(), DcacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -381,7 +383,7 @@ mod tests {
         d.insert(1, "a", 2);
         d.lookup(1, "a");
         d.remove(1, "a");
-        assert_eq!(mon.opens(), 3, "every dcache op hits the lock");
+        assert_eq!(mon.stats().opens, 3, "every dcache op hits the lock");
         assert!(mon.violations().is_empty());
         assert!(mon.outstanding().is_empty());
     }
@@ -415,7 +417,7 @@ mod tests {
         disp.register(mon.clone());
         d.set_dispatcher(Some(disp));
         assert_eq!(d.lookup(1, "a"), Some(2));
-        assert_eq!(mon.opens(), 1, "instrumented hit must take the real lock");
+        assert_eq!(mon.stats().opens, 1, "instrumented hit must take the real lock");
         d.set_dispatcher(None);
         let before = m.clock.sys_cycles();
         assert_eq!(d.lookup(1, "a"), Some(2));

@@ -83,6 +83,9 @@ pub struct DirEntry {
 /// + header, like `struct dirent`).
 pub const DIRENT_WIRE_BYTES: usize = 280;
 
+/// Wire size of a packed `readdirplus` entry: 88-byte stat + 160-byte name.
+pub const RDP_ENTRY_WIRE_BYTES: usize = 248;
+
 /// The VFS operations contract.
 ///
 /// All operations are inode-based; path walking happens above this trait in
@@ -167,5 +170,6 @@ mod tests {
     fn wire_sizes_match_2005_abi() {
         assert_eq!(STAT_WIRE_BYTES, 88);
         assert_eq!(DIRENT_WIRE_BYTES, 280);
+        assert_eq!(RDP_ENTRY_WIRE_BYTES, 248);
     }
 }

@@ -33,11 +33,14 @@ pub mod vfs;
 pub mod wrapfs;
 
 pub use blockdev::{BlockAddr, BlockDev};
-pub use dcache::DentryCache;
+pub use dcache::{DcacheStats, DentryCache};
 pub use error::{VfsError, VfsResult};
-pub use fs::{DirEntry, FileKind, FileSystem, Ino, Stat, DIRENT_WIRE_BYTES, STAT_WIRE_BYTES};
+pub use fs::{
+    DirEntry, FileKind, FileSystem, Ino, Stat, DIRENT_WIRE_BYTES, RDP_ENTRY_WIRE_BYTES,
+    STAT_WIRE_BYTES,
+};
 pub use memfs::MemFs;
 pub use name::Name;
 pub use snapshot::{SnapshotEntry, VfsSnapshot};
 pub use vfs::Vfs;
-pub use wrapfs::WrapFs;
+pub use wrapfs::{WrapAllocStats, WrapFs};

@@ -542,7 +542,7 @@ mod tests {
             }
         }
         assert_eq!(fs.body_pool.idle(), 1, "churn must not accumulate bodies");
-        let (hits, misses) = fs.body_pool.counters();
+        let kalloc::PoolStats { hits, misses } = fs.body_pool.stats();
         assert_eq!(misses, 1, "only the first create allocates");
         assert_eq!(hits, 199, "every later create recycles");
     }
@@ -825,7 +825,7 @@ mod proptests {
             run_pass(&mut cold);
             let c1 = cycles(&m);
             sweep(&fs); // every surviving body returns to the pool
-            let (hits_before, _) = fs.body_pool.counters();
+            let hits_before = fs.body_pool.stats().hits;
             let c2 = cycles(&m);
             let mut warm = Vec::new();
             run_pass(&mut warm);
@@ -839,7 +839,7 @@ mod proptests {
             // create must be a pool hit.
             let warm_creates =
                 warm.iter().filter(|t| t.as_str() == "create Ok(())").count() as u64;
-            let (hits_after, _) = fs.body_pool.counters();
+            let hits_after = fs.body_pool.stats().hits;
             prop_assert_eq!(hits_after - hits_before, warm_creates);
         }
     }

@@ -168,10 +168,10 @@ mod tests {
         v.mkdir_path("/d").unwrap();
         v.create_path("/d/f").unwrap();
         v.resolve("/d/f").unwrap();
-        let (h0, _) = v.dcache().counters();
+        let h0 = v.dcache().stats().hits;
         v.resolve("/d/f").unwrap();
         v.resolve("/d/f").unwrap();
-        let (h1, _) = v.dcache().counters();
+        let h1 = v.dcache().stats().hits;
         assert!(h1 >= h0 + 4, "2 components × 2 lookups should all hit");
     }
 

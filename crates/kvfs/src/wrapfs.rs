@@ -16,7 +16,7 @@
 //! motivation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,6 +35,14 @@ pub const PRIVATE_DATA_BYTES: usize = 80;
 /// argument fix-up).
 const WRAP_OP_COST: u64 = 180;
 
+ksim::counters! {
+    /// Kernel allocations the wrapper made and released.
+    struct WrapCounters => pub struct WrapAllocStats {
+        allocs,
+        frees,
+    }
+}
+
 /// The stackable wrapper.
 pub struct WrapFs {
     machine: Arc<Machine>,
@@ -43,8 +51,7 @@ pub struct WrapFs {
     /// ino → private-data kernel VA.
     private: Mutex<HashMap<u64, u64>>,
     overflow_bug: AtomicBool,
-    allocs: AtomicU64,
-    frees: AtomicU64,
+    counters: WrapCounters,
 }
 
 impl WrapFs {
@@ -59,8 +66,7 @@ impl WrapFs {
             alloc,
             private: Mutex::new(HashMap::new()),
             overflow_bug: AtomicBool::new(false),
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
+            counters: WrapCounters::default(),
         }
     }
 
@@ -70,9 +76,9 @@ impl WrapFs {
         self.overflow_bug.store(on, Relaxed);
     }
 
-    /// (allocations, frees) performed by the wrapper so far.
-    pub fn alloc_counters(&self) -> (u64, u64) {
-        (self.allocs.load(Relaxed), self.frees.load(Relaxed))
+    /// Allocations and frees performed by the wrapper so far.
+    pub fn alloc_stats(&self) -> WrapAllocStats {
+        self.counters.snapshot()
     }
 
     pub fn allocator(&self) -> &Arc<dyn KernelAllocator> {
@@ -84,7 +90,7 @@ impl WrapFs {
     /// off-by-one that slab rounding absorbs silently and Kefence catches.
     fn alloc_and_fill(&self, size: usize, buggy: bool) -> VfsResult<u64> {
         let addr = self.alloc.alloc(size)?;
-        self.allocs.fetch_add(1, Relaxed);
+        self.counters.allocs.fetch_add(1, Relaxed);
         let write = if buggy && self.overflow_bug.load(Relaxed) { size + 1 } else { size };
         // Real writes through the simulated MMU: this is what trips the
         // Kefence guardian PTE when the bug is on.
@@ -97,7 +103,7 @@ impl WrapFs {
 
     fn free_buf(&self, addr: u64) -> VfsResult<()> {
         self.alloc.free(addr)?;
-        self.frees.fetch_add(1, Relaxed);
+        self.counters.frees.fetch_add(1, Relaxed);
         Ok(())
     }
 
@@ -277,14 +283,14 @@ mod tests {
         let w = wrapfs();
         let root = w.root();
         let f = w.create(root, "f").unwrap();
-        let (a0, _) = w.alloc_counters();
+        let a0 = w.alloc_stats().allocs;
         w.write(f, 0, b"x").unwrap();
         w.write(f, 1, b"y").unwrap();
-        let (a1, _) = w.alloc_counters();
+        let a1 = w.alloc_stats().allocs;
         // Two writes: two temp page buffers, but no new private data.
         assert_eq!(a1 - a0, 2);
         w.unlink(root, "f").unwrap();
-        let (allocs, frees) = w.alloc_counters();
+        let WrapAllocStats { allocs, frees } = w.alloc_stats();
         // Everything transient freed + the private data freed.
         assert_eq!(allocs - frees, 0, "no leaks after unlink");
     }
@@ -297,10 +303,10 @@ mod tests {
             let f = w.create(root, &format!("f{i}")).unwrap();
             w.write(f, 0, b"data").unwrap();
         }
-        let (allocs, frees) = w.alloc_counters();
+        let WrapAllocStats { allocs, frees } = w.alloc_stats();
         assert_eq!(allocs - frees, 10, "10 private-data buffers outstanding");
         w.teardown().unwrap();
-        let (allocs, frees) = w.alloc_counters();
+        let WrapAllocStats { allocs, frees } = w.alloc_stats();
         assert_eq!(allocs, frees);
     }
 

@@ -12,7 +12,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ksim::clock::Interval;
+use ksim::clock::ClockSnapshot;
 use ksim::stats::StatsSnapshot;
 use ksyscall::OpenFlags;
 
@@ -55,7 +55,7 @@ pub struct CompileReport {
     pub objects_written: u64,
     pub bytes_read: u64,
     pub bytes_written: u64,
-    pub elapsed: Interval,
+    pub elapsed: ClockSnapshot,
     pub stats: StatsSnapshot,
 }
 
@@ -107,7 +107,7 @@ pub fn run_compile(rig: &Rig, proc: &UserProc, cfg: &CompileConfig) -> CompileRe
         objects_written: 0,
         bytes_read: 0,
         bytes_written: 0,
-        elapsed: Interval::default(),
+        elapsed: ClockSnapshot::default(),
         stats: StatsSnapshot::default(),
     };
 
@@ -152,7 +152,7 @@ pub fn run_compile(rig: &Rig, proc: &UserProc, cfg: &CompileConfig) -> CompileRe
     rig.machine.charge_user(cfg.cpu_cycles_per_kib * 64);
     report.bytes_written += write_file("/obj/amd", cfg.source_files * 2_048);
 
-    report.elapsed = rig.machine.clock.since(t0);
+    report.elapsed = rig.machine.clock.snapshot().delta(&t0);
     report.stats = rig.machine.stats.snapshot().delta(&s0);
     report
 }
@@ -205,7 +205,7 @@ mod tests {
         let rig = Rig::wrapfs_kmalloc();
         let p = rig.user(1 << 16);
         run_compile(&rig, &p, &small());
-        let (allocs, _) = rig.wrapfs.as_ref().unwrap().alloc_counters();
+        let allocs = rig.wrapfs.as_ref().unwrap().alloc_stats().allocs;
         assert!(allocs > 200, "got {allocs}");
     }
 }

@@ -18,7 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use cosy::{CompoundBuilder, CosyCall, CosyOptions, SharedRegion};
-use ksim::clock::Interval;
+use ksim::clock::ClockSnapshot;
 use ksyscall::OpenFlags;
 
 use crate::rig::{Rig, UserProc};
@@ -87,12 +87,12 @@ pub fn expected_scan_checksum(cfg: &DbConfig) -> u64 {
         .sum()
 }
 
-fn measure<R>(rig: &Rig, f: impl FnOnce() -> R) -> (R, Interval, u64) {
+fn measure<R>(rig: &Rig, f: impl FnOnce() -> R) -> (R, ClockSnapshot, u64) {
     let t0 = rig.machine.clock.snapshot();
     let s0 = rig.machine.stats.snapshot();
     let r = f();
     let d = rig.machine.stats.snapshot().delta(&s0);
-    (r, rig.machine.clock.since(t0), d.crossings)
+    (r, rig.machine.clock.snapshot().delta(&t0), d.crossings)
 }
 
 /// Sequential scan, one syscall pair per record (baseline).

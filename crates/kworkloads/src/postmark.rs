@@ -4,18 +4,24 @@
 //! mix where each transaction pairs a data operation (read a whole file or
 //! append to one) with a namespace operation (create a file or delete one),
 //! then delete everything left. File sizes are uniform in
-//! `[min_size, max_size]`; reads use whole-file reads in `read_block`
+//! `[min_size, max_size]`; reads use whole-file reads in 4 KiB
 //! chunks. This is the I/O-intensive workload of §3.3 (event monitor) and
 //! §3.4 (KGCC), and historically what the paper's 85.4-second runs used.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ksim::clock::Interval;
+use ksim::clock::ClockSnapshot;
 use ksim::stats::StatsSnapshot;
 use ksyscall::OpenFlags;
 
 use crate::rig::{Rig, UserProc};
+
+/// Read/write chunk size.
+const READ_BLOCK: usize = 4_096;
+/// Per-transaction user-side processing cycles (PostMark itself is nearly
+/// pure I/O; keep small).
+const CPU_PER_TX: u64 = 2_000;
 
 /// PostMark parameters (defaults scaled to simulator-friendly sizes while
 /// keeping Katcher's proportions).
@@ -30,11 +36,6 @@ pub struct PostmarkConfig {
     pub subdirs: usize,
     pub min_size: usize,
     pub max_size: usize,
-    /// Read/write chunk size.
-    pub read_block: usize,
-    /// Per-transaction user-side processing cycles (PostMark itself is
-    /// nearly pure I/O; keep small).
-    pub cpu_per_tx: u64,
     /// Durability mode: `fsync` every created file before closing it and
     /// every append after writing it, the mail-server discipline PostMark
     /// models. A no-op on MemFs; on kjfs each fsync forces a journal
@@ -51,8 +52,6 @@ impl Default for PostmarkConfig {
             subdirs: 10,
             min_size: 512,
             max_size: 10_240,
-            read_block: 4_096,
-            cpu_per_tx: 2_000,
             fsync_per_file: false,
         }
     }
@@ -69,14 +68,14 @@ pub struct PostmarkReport {
     pub bytes_written: u64,
     /// Explicit durability barriers issued (0 unless `fsync_per_file`).
     pub fsyncs: u64,
-    pub elapsed: Interval,
+    pub elapsed: ClockSnapshot,
     pub stats: StatsSnapshot,
 }
 
 /// Run PostMark on `rig` as process `proc`.
 pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> PostmarkReport {
     assert!(cfg.max_size >= cfg.min_size);
-    assert!(cfg.read_block <= proc.buf_len, "scratch buffer too small");
+    assert!(READ_BLOCK <= proc.buf_len, "scratch buffer too small");
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let sys = &rig.sys;
     let pid = proc.pid;
@@ -91,7 +90,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
         bytes_read: 0,
         bytes_written: 0,
         fsyncs: 0,
-        elapsed: Interval::default(),
+        elapsed: ClockSnapshot::default(),
         stats: StatsSnapshot::default(),
     };
 
@@ -114,7 +113,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
         assert!(fd >= 0, "create {path}: {fd}");
         let mut left = size;
         while left > 0 {
-            let chunk = left.min(cfg.read_block);
+            let chunk = left.min(READ_BLOCK);
             let n = sys.sys_write(pid, fd as i32, proc.buf, chunk);
             assert!(n as usize == chunk);
             report.bytes_written += chunk as u64;
@@ -130,7 +129,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
     };
 
     // Stage a deterministic data block once; writes reuse it.
-    let block: Vec<u8> = (0..cfg.read_block).map(|i| (i % 251) as u8).collect();
+    let block: Vec<u8> = (0..READ_BLOCK).map(|i| (i % 251) as u8).collect();
     proc.stage(rig, &block);
 
     for _ in 0..cfg.file_count {
@@ -139,7 +138,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
 
     // Transaction phase.
     for _ in 0..cfg.transactions {
-        rig.machine.charge_user(cfg.cpu_per_tx);
+        rig.machine.charge_user(CPU_PER_TX);
         if files.is_empty() {
             create(&mut rng, &mut files, &mut report, &mut next_id);
             continue;
@@ -150,7 +149,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
             let fd = sys.sys_open(pid, &target, OpenFlags::RDONLY);
             if fd >= 0 {
                 loop {
-                    let n = sys.sys_read(pid, fd as i32, proc.buf, cfg.read_block);
+                    let n = sys.sys_read(pid, fd as i32, proc.buf, READ_BLOCK);
                     if n <= 0 {
                         break;
                     }
@@ -162,7 +161,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
         } else {
             let fd = sys.sys_open(pid, &target, OpenFlags::WRONLY | OpenFlags::APPEND);
             if fd >= 0 {
-                let chunk = rng.gen_range(1..=cfg.read_block.min(cfg.max_size));
+                let chunk = rng.gen_range(1..=READ_BLOCK.min(cfg.max_size));
                 let n = sys.sys_write(pid, fd as i32, proc.buf, chunk);
                 assert!(n > 0);
                 report.bytes_written += n as u64;
@@ -193,7 +192,7 @@ pub fn run_postmark(rig: &Rig, proc: &UserProc, cfg: &PostmarkConfig) -> Postmar
         }
     }
 
-    report.elapsed = rig.machine.clock.since(t0);
+    report.elapsed = rig.machine.clock.snapshot().delta(&t0);
     report.stats = rig.machine.stats.snapshot().delta(&s0);
     report
 }
@@ -287,7 +286,7 @@ mod tests {
         let rig = Rig::wrapfs_kmalloc();
         let p = rig.user(1 << 16);
         run_postmark(&rig, &p, &small());
-        let (allocs, frees) = rig.wrapfs.as_ref().unwrap().alloc_counters();
+        let kvfs::WrapAllocStats { allocs, frees } = rig.wrapfs.as_ref().unwrap().alloc_stats();
         assert!(allocs > 500, "page buffers + name strings: {allocs}");
         // Private data of deleted inodes freed; transient buffers balanced.
         assert!(frees <= allocs);

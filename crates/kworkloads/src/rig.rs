@@ -169,7 +169,7 @@ mod tests {
         rig.sys.sys_write(p.pid, fd as i32, p.buf, 100);
         rig.sys.sys_close(p.pid, fd as i32);
         let w = rig.wrapfs.as_ref().unwrap();
-        let (allocs, _) = w.alloc_counters();
+        let allocs = w.alloc_stats().allocs;
         assert!(allocs > 0, "wrapfs allocated private data / buffers");
         assert_eq!(w.allocator().name(), "kmalloc");
     }

@@ -40,6 +40,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::rig::{Rig, UserProc};
 
+/// User CPU per request (header formatting, bookkeeping).
+const CPU_PER_REQUEST: u64 = 6_000;
+
 /// Web-serving parameters.
 #[derive(Debug, Clone)]
 pub struct WebConfig {
@@ -50,8 +53,6 @@ pub struct WebConfig {
     pub doc_max: usize,
     /// Requests to serve.
     pub requests: usize,
-    /// User CPU per request (header formatting, bookkeeping).
-    pub cpu_per_request: u64,
     /// Concurrent client connections per batch (also the accept backlog).
     pub connections: usize,
     /// Listening port.
@@ -66,7 +67,6 @@ impl Default for WebConfig {
             doc_min: 2 * 1024,
             doc_max: 24 * 1024,
             requests: 2_000,
-            cpu_per_request: 6_000,
             connections: 16,
             port: 8080,
         }
@@ -359,7 +359,7 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
                     "worker {w}'s shard pending"
                 );
                 for _ in 0..slice {
-                    rig.machine.charge_user(cfg.cpu_per_request);
+                    rig.machine.charge_user(CPU_PER_REQUEST);
                     match mode {
                         ServeMode::Classic | ServeMode::Consolidated => {
                             let csd = sys.sys_accept(pid, lsd) as i32;
@@ -410,9 +410,9 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
                     }
                 }
             }
-            let c = rig.machine.cpu(w).clock.since(c0);
+            let c = rig.machine.cpu(w).clock.snapshot().delta(&c0);
             *cpu_cycles += c.user + c.sys;
-            let sp = rig.machine.clock.since(sp0);
+            let sp = rig.machine.clock.snapshot().delta(&sp0);
             server_cycles += sp.user + sp.sys;
         }
 
@@ -435,7 +435,7 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
         done += batch;
     }
 
-    let iv = rig.machine.clock.since(t0);
+    let iv = rig.machine.clock.snapshot().delta(&t0);
     let d = rig.machine.stats.snapshot().delta(&s0);
     sys.sys_shutdown(pid, lsd);
     sys.sys_close(pid, logfd);
@@ -507,7 +507,7 @@ fn serve_batch_uring(
     // user_data = slot * 8 + op tag.
     let asid = rig.machine.proc_asid(pid).expect("server alive");
     for (i, &sd) in sds.iter().enumerate() {
-        rig.machine.charge_user(cfg.cpu_per_request);
+        rig.machine.charge_user(CPU_PER_REQUEST);
         let addr = req_at + 64 * (slot0 + i) as u64;
         let mut req = [0u8; 64];
         rig.machine

@@ -80,14 +80,14 @@ fn main() {
         let p = rig.user(1 << 16);
         let t0 = rig.machine.clock.snapshot();
         exercise_fs(&rig, &p, 300).unwrap();
-        let kmalloc_cycles = rig.machine.clock.since(t0).elapsed();
+        let kmalloc_cycles = rig.machine.clock.snapshot().delta(&t0).elapsed();
 
         // Kefence run, clean module.
         let (rig, kef) = Rig::wrapfs_kefence(OnViolation::Crash, Protect::Overflow);
         let p = rig.user(1 << 16);
         let t0 = rig.machine.clock.snapshot();
         exercise_fs(&rig, &p, 300).unwrap();
-        let kefence_cycles = rig.machine.clock.since(t0).elapsed();
+        let kefence_cycles = rig.machine.clock.snapshot().delta(&t0).elapsed();
 
         println!(
             "   kmalloc {kmalloc_cycles} cycles, kefence {kefence_cycles} cycles \

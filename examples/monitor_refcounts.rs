@@ -41,7 +41,7 @@ fn main() {
         rig.sys.sys_stat(p.pid, &path, p.buf + 4096);
     }
 
-    println!("dcache_lock acquires observed: {}", lock_mon.opens());
+    println!("dcache_lock acquires observed: {}", lock_mon.stats().opens);
     println!("lock balance violations: {}", lock_mon.violations().len());
     println!("locks still held: {:?}", lock_mon.outstanding());
     assert!(lock_mon.violations().is_empty());

@@ -75,7 +75,7 @@ fn main() {
             .submit(p.pid, &cb, &db, &CosyOptions::default())
             .expect("compound execution");
     }
-    let cosy_iv = rig.machine.clock.since(t0);
+    let cosy_iv = rig.machine.clock.snapshot().delta(&t0);
     let cosy_cpu = cosy_iv.user + cosy_iv.sys;
 
     // 6. The same work as six classic syscalls per iteration.
@@ -98,7 +98,7 @@ fn main() {
     for _ in 0..ITERS {
         classic("/output2.dat");
     }
-    let classic_iv = rig.machine.clock.since(t0);
+    let classic_iv = rig.machine.clock.snapshot().delta(&t0);
     let classic_cpu = classic_iv.user + classic_iv.sys;
 
     println!(

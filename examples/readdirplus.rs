@@ -45,7 +45,7 @@ fn ls_classic(rig: &Rig, p: &UserProc, nfiles: usize) -> (u64, u64, u64) {
     }
     rig.sys.sys_close(p.pid, dfd);
     assert_eq!(total_size as usize, nfiles);
-    let iv = rig.machine.clock.since(t0);
+    let iv = rig.machine.clock.snapshot().delta(&t0);
     let d = rig.machine.stats.snapshot().delta(&s0);
     (iv.elapsed(), d.syscalls, d.bytes_crossed())
 }
@@ -63,7 +63,7 @@ fn ls_plus(rig: &Rig, p: &UserProc, nfiles: usize) -> (u64, u64, u64) {
         seen += 1;
     }
     assert_eq!(seen, nfiles);
-    let iv = rig.machine.clock.since(t0);
+    let iv = rig.machine.clock.snapshot().delta(&t0);
     let d = rig.machine.stats.snapshot().delta(&s0);
     (iv.elapsed(), d.syscalls, d.bytes_crossed())
 }

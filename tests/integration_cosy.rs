@@ -84,7 +84,7 @@ fn compound_beats_syscalls_on_cpu_time_for_repeated_work() {
         for _ in 0..50 {
             rig.cosy.submit(p.pid, &cb, &db, &CosyOptions::default()).unwrap();
         }
-        let iv = rig.machine.clock.since(t0);
+        let iv = rig.machine.clock.snapshot().delta(&t0);
         iv.user + iv.sys
     };
     let sys_cpu = {
@@ -96,7 +96,7 @@ fn compound_beats_syscalls_on_cpu_time_for_repeated_work() {
             rig.sys.sys_read(p.pid, fd as i32, p.buf + 4096, 1024);
             rig.sys.sys_close(p.pid, fd as i32);
         }
-        let iv = rig.machine.clock.since(t0);
+        let iv = rig.machine.clock.snapshot().delta(&t0);
         iv.user + iv.sys
     };
     let gain = improvement_pct(sys_cpu, cosy_cpu);
@@ -243,7 +243,7 @@ fn cosy_subsumes_readdirplus_with_one_extra_crossing() {
         }
     }
     rig.sys.sys_close(p.pid, dfd);
-    let classic = rig.machine.clock.since(t0).elapsed();
+    let classic = rig.machine.clock.snapshot().delta(&t0).elapsed();
     let classic_crossings = rig.machine.stats.snapshot().delta(&s0).crossings;
 
     // 2. Cosy: compound #1 lists the directory; compound #2 stats every
@@ -292,7 +292,7 @@ fn cosy_subsumes_readdirplus_with_one_extra_crossing() {
         db2.user_read(*offset as usize, &mut sw).unwrap();
         cosy_sizes.push(Stat::from_wire(&sw).size);
     }
-    let cosy = rig.machine.clock.since(t0).elapsed();
+    let cosy = rig.machine.clock.snapshot().delta(&t0).elapsed();
     let cosy_crossings = rig.machine.stats.snapshot().delta(&s0).crossings;
 
     // 3. The bespoke consolidated call.
@@ -303,7 +303,7 @@ fn cosy_subsumes_readdirplus_with_one_extra_crossing() {
     let raw = p.fetch(&rig, N * wire::RDP_ENTRY_WIRE_BYTES);
     let rdp_sizes: Vec<u64> =
         wire::parse_rdp_entries(&raw, N).into_iter().map(|(_, st)| st.size).collect();
-    let rdp = rig.machine.clock.since(t0).elapsed();
+    let rdp = rig.machine.clock.snapshot().delta(&t0).elapsed();
     let rdp_crossings = rig.machine.stats.snapshot().delta(&s0).crossings;
 
     // Identical answers.

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use kucode::kfault::{sites, Policy};
+use kucode::ksim::SchedStats;
 use kucode::kvfs::{BlockAddr, BlockDev, FileSystem, VfsError};
 use kucode::prelude::*;
 
@@ -139,22 +140,22 @@ fn fire_site(site: &'static str) -> u64 {
             // `p` sits on CPU 0's run queue. CPU 1 is empty, so its pick
             // must steal — and the injected abort leaves it idle this tick.
             assert!(rig.machine.schedule_on(1).is_none());
-            let (_, steals, steal_fails, _) = rig.machine.sched_counters();
-            assert_eq!((steals, steal_fails), (0, 1));
+            let st = rig.machine.sched_stats();
+            assert_eq!((st.steals, st.steal_fails), (0, 1));
         }
         s if s == sites::SCHED_MIGRATE => {
             // The pick on CPU 0 first deports its head task to a random
             // other CPU; the pick still succeeds by stealing it back.
             assert_eq!(rig.machine.schedule_on(0), Some(p.pid));
-            let (_, steals, _, migrations) = rig.machine.sched_counters();
-            assert_eq!((steals, migrations), (1, 1));
+            let st = rig.machine.sched_stats();
+            assert_eq!((st.steals, st.migrations), (1, 1));
         }
         s if s == sites::KEVENTS_RING_FULL => {
             let disp = EventDispatcher::new(rig.machine.clone());
             let ring = Arc::new(EventRing::with_capacity(16));
             disp.attach_ring(ring.clone());
             disp.log_event(EventRecord::new(1, EventType::Custom(1), "t", 1, 0));
-            assert_eq!(ring.dropped(), 1, "the record was lost, not delivered");
+            assert_eq!(ring.stats().dropped, 1, "the record was lost, not delivered");
             assert_eq!(ring.len(), 0);
         }
         s if s == sites::KVFS_BLOCKDEV_TORN => {
@@ -604,7 +605,7 @@ fn oops_capture_and_ring_loss_surface_through_kevents() {
     let mut out = Vec::new();
     ring.pop_bulk(&mut out, 16);
     assert!(out.is_empty(), "the oops record was lost to the full ring");
-    assert_eq!(ring.dropped(), 1, "but the loss is counted");
+    assert_eq!(ring.stats().dropped, 1, "but the loss is counted");
 }
 
 #[test]
@@ -697,7 +698,7 @@ fn chaos_run(seed: u64) -> (u64, u64, Vec<Result<Vec<i64>, String>>) {
 /// picks. Returns the full pick sequence, the fault trace hash, and the
 /// scheduler counters.
 #[allow(clippy::type_complexity)]
-fn sched_chaos_run(seed: u64) -> (Vec<Option<Pid>>, u64, (u64, u64, u64, u64)) {
+fn sched_chaos_run(seed: u64) -> (Vec<Option<Pid>>, u64, SchedStats) {
     let m = Machine::new(MachineConfig::default());
     let _pids: Vec<Pid> = (0..16)
         .map(|i| {
@@ -716,7 +717,7 @@ fn sched_chaos_run(seed: u64) -> (Vec<Option<Pid>>, u64, (u64, u64, u64, u64)) {
     );
     let hash = m.faults.trace_hash();
     m.faults.disarm();
-    (order, hash, m.sched_counters())
+    (order, hash, m.sched_stats())
 }
 
 #[test]

@@ -226,7 +226,8 @@ fn kernel_chase_crossings_stay_constant_as_the_chain_grows() {
 }
 
 /// Replacing a CQE program frees the old sandbox: 1,000 attach/replace
-/// rounds leave the machine's frame count where it started.
+/// rounds leave the machine's frame count and live address-space count
+/// where they started.
 #[test]
 fn replaced_cqe_programs_free_their_sandboxes() {
     let rig = Rig::memfs();
@@ -236,6 +237,7 @@ fn replaced_cqe_programs_free_their_sandboxes() {
         .load(CHASE_CQE_SRC, &ProgSpec::new(HookClass::UringCqe, "f").with_buf_len(16))
         .unwrap();
     let before = rig.machine.mem.phys.allocated();
+    let spaces_before = rig.machine.mem.live_spaces();
     for _ in 0..1_000 {
         let att = Arc::new(Attachment::new(rig.machine.clone(), prog.clone()).unwrap());
         rig.sys.attach_cqe_program(p.pid, att).unwrap();
@@ -243,6 +245,7 @@ fn replaced_cqe_programs_free_their_sandboxes() {
     assert!(rig.machine.mem.phys.allocated() > before, "the last program is still attached");
     assert!(rig.sys.detach_cqe_program(p.pid).is_some());
     assert_eq!(rig.machine.mem.phys.allocated(), before);
+    assert_eq!(rig.machine.mem.live_spaces(), spaces_before);
 }
 
 /// A stream of distinct programs (20x the cache's 256-entry budget) keeps

@@ -27,12 +27,12 @@ fn dcache_lock_instrumentation_observes_heavy_traffic_and_stays_balanced() {
     rig.vfs.dcache().set_dispatcher(Some(dispatcher.clone()));
 
     let r = run_postmark(&rig, &p, &postmark_cfg());
-    assert!(mon.opens() > 1_000, "path walks hammer dcache_lock: {}", mon.opens());
+    assert!(mon.stats().opens > 1_000, "path walks hammer dcache_lock: {}", mon.stats().opens);
     assert!(mon.violations().is_empty());
     assert!(mon.outstanding().is_empty());
-    assert_eq!(dispatcher.events(), mon.opens() * 2, "acquire+release each");
+    assert_eq!(dispatcher.stats().events, mon.stats().opens * 2, "acquire+release each");
     // The paper reports the per-second hit rate; ours is the same order.
-    let per_sec = mon.opens() as f64 / r.elapsed.elapsed_secs();
+    let per_sec = mon.stats().opens as f64 / r.elapsed.elapsed_secs();
     assert!(per_sec > 100.0, "{per_sec:.0} hits/s");
 }
 
@@ -147,7 +147,7 @@ fn ring_overflow_drops_are_counted_not_blocking() {
     rig.vfs.dcache().set_dispatcher(Some(dispatcher));
 
     run_postmark(&rig, &p, &postmark_cfg());
-    assert!(ring.dropped() > 0, "tiny ring must overflow under PostMark");
+    assert!(ring.stats().dropped > 0, "tiny ring must overflow under PostMark");
     assert_eq!(ring.len(), 64, "ring stayed full, never blocked the kernel");
 }
 
@@ -234,7 +234,7 @@ fn interrupt_handlers_log_through_the_lock_free_ring() {
     done.store(true, Relaxed);
     consumer.join().unwrap();
 
-    assert_eq!(rig.machine.irq.raised(), TICKS);
+    assert_eq!(rig.machine.irq.stats().raised, TICKS);
     assert_eq!(drained.load(Relaxed), TICKS * 2, "every ISR event reached user space");
     assert!(irq_mon.violations().is_empty());
     assert!(irq_mon.outstanding().is_empty(), "every disable re-enabled");

@@ -8,12 +8,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use kucode::kevents::{EventRecord, EventType};
+use kucode::ksim::SchedStats;
 use kucode::kworkloads::{Rig, UserProc};
 use kucode::prelude::*;
 
 /// Load CPUs 0 and 1 with 12 processes, then drive 64 round-robin picks
 /// over all 8 CPUs, so six CPUs can only run what they steal.
-fn stealing_run(seed: u64) -> (Vec<Option<Pid>>, (u64, u64, u64, u64)) {
+fn stealing_run(seed: u64) -> (Vec<Option<Pid>>, SchedStats) {
     let m = Machine::new(MachineConfig {
         sched_seed: seed,
         ..MachineConfig::default()
@@ -23,7 +24,7 @@ fn stealing_run(seed: u64) -> (Vec<Option<Pid>>, (u64, u64, u64, u64)) {
         m.spawn_process();
     }
     let order = (0..64).map(|t| m.schedule_on(t % m.num_cpus())).collect();
-    (order, m.sched_counters())
+    (order, m.sched_stats())
 }
 
 #[test]
@@ -32,7 +33,7 @@ fn seeded_work_stealing_replays_identical_schedules() {
     let (order_b, counters_b) = stealing_run(0x51AB);
     assert_eq!(order_a, order_b, "same seed, same schedule");
     assert_eq!(counters_a, counters_b, "same seed, same counters");
-    assert!(counters_a.1 > 0, "idle CPUs really did steal");
+    assert!(counters_a.steals > 0, "idle CPUs really did steal");
 
     let (order_c, _) = stealing_run(0x7EA1);
     assert_ne!(order_a, order_c, "the victim-choice stream is live");
@@ -105,7 +106,7 @@ fn bound_producers_keep_fifo_on_one_event_ring() {
             });
         }
     });
-    assert_eq!(ring.dropped(), 0);
+    assert_eq!(ring.stats().dropped, 0);
     assert_eq!(ring.len(), THREADS * PER_THREAD as usize);
 
     // However the producers interleaved, each producer's own sequence

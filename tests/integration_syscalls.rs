@@ -85,11 +85,11 @@ fn readdirplus_wins_grow_with_directory_size() {
             }
         }
         rig.sys.sys_close(p.pid, dfd);
-        let classic = rig.machine.clock.since(t0).elapsed();
+        let classic = rig.machine.clock.snapshot().delta(&t0).elapsed();
 
         let t0 = rig.machine.clock.snapshot();
         rig.sys.sys_readdirplus(p.pid, "/d", p.buf, 10_000);
-        let plus = rig.machine.clock.since(t0).elapsed();
+        let plus = rig.machine.clock.snapshot().delta(&t0).elapsed();
 
         let imp = improvement_pct(classic, plus);
         assert!(imp > 30.0, "n={n}: {imp:.1}%");
