@@ -57,7 +57,7 @@ use std::sync::Arc;
 
 use kvfs::memfs::{BLOCK_CPU_COST, DIR_OP_COST, INODE_OP_COST};
 use kvfs::{BlockAddr, BlockDev, DirEntry, FileKind, FileSystem, Ino, Stat, VfsError, VfsResult};
-use ksim::{fnv1a, FxHashMap, FxHashSet, Machine, PAGE_SIZE};
+use ksim::{FxHashMap, FxHashSet, Machine, PAGE_SIZE};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::journal::{self, Tag, TAGS_PER_DESC};
@@ -774,7 +774,9 @@ impl Kjfs {
             }
         }
         g.dirty_order = keep;
+        // An invalidated page dirtied again is listed twice; flush it once.
         flush.sort_unstable();
+        flush.dedup();
         let mut rest = &flush[..];
         while !rest.is_empty() {
             let (addr, n, data) =
@@ -892,15 +894,13 @@ impl Kjfs {
         self.writeback_new_pages(g)?;
 
         // (c) Overwrite data images: journaled, checkpointed after commit.
-        let mut overwrite_pages: Vec<(u64, u64)> = g
-            .pages
-            .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(&k, _)| k)
-            .collect();
-        overwrite_pages.sort_unstable();
+        // After (b) `dirty_order` lists exactly the dirty pages, all of
+        // them overwrites, so the commit never scans the whole cache. A
+        // page invalidated and dirtied again is listed twice: dedup.
+        g.dirty_order.sort_unstable();
+        g.dirty_order.dedup();
         let mut images: Vec<(BlockAddr, Vec<u8>)> = Vec::new();
-        for &(ino, lblock) in &overwrite_pages {
+        for &(ino, lblock) in &g.dirty_order {
             let phys = Self::phys_of(g, ino, lblock).expect("dirty page is mapped");
             images.push((data_addr(phys), g.pages[&(ino, lblock)].bytes.clone()));
         }
@@ -956,19 +956,24 @@ impl Kjfs {
         // because any write failure below marks the fs crashed — every
         // later operation returns EIO, so the optimistic state is never
         // observable. Pages whose newest image now lives only in the
-        // journal are pinned against eviction via `committed_in`.
-        for &(ino, lblock) in &overwrite_pages {
-            if let Some(p) = g.pages.get_mut(&(ino, lblock)) {
-                p.dirty = false;
-                p.committed_in = Some(txid);
+        // journal are pinned against eviction via `committed_in`. Only
+        // inodes in dirty itable blocks can have changed size or mapping
+        // since the last capture, so only they are refreshed.
+        let Inner { pages, dirty_order, inodes, dirty_itable, .. } = &mut **g;
+        for key in dirty_order.drain(..) {
+            let p = pages.get_mut(&key).expect("dirty page present");
+            p.dirty = false;
+            p.committed_in = Some(txid);
+        }
+        for &blk in dirty_itable.iter() {
+            for ino in blk * INODES_PER_BLOCK..(blk + 1) * INODES_PER_BLOCK {
+                if let Some(i) = inodes.get_mut(&ino) {
+                    i.committed_blocks = i.mapped_blocks();
+                    i.committed_size = i.size;
+                }
             }
         }
         g.dirty_count = 0;
-        g.dirty_order.clear();
-        for i in g.inodes.values_mut() {
-            i.committed_blocks = i.mapped_blocks();
-            i.committed_size = i.size;
-        }
         g.header_dirty = false;
         g.dirty_itable.clear();
         g.dirty_bitmap.clear();
@@ -978,30 +983,38 @@ impl Kjfs {
         g.next_seq = seq0 + span;
         g.stats.commits += 1;
 
-        // (g) Journal record: descriptors + images + commit block.
+        // (g) Journal record: descriptors + images + commit block. The
+        // images are written from `images` itself, which the live
+        // transaction keeps for its checkpoint, not from copies.
         let slots = self.cfg.journal_slots;
-        let mut jblocks: Vec<(u64, Vec<u8>)> = Vec::with_capacity(span as usize);
-        let mut seq = seq0;
+        let mut descs: Vec<Vec<u8>> = Vec::with_capacity(ndesc as usize);
         let mut checksums = Vec::with_capacity(images.len());
-        for chunk in images.chunks(TAGS_PER_DESC) {
+        for (d, chunk) in images.chunks(TAGS_PER_DESC).enumerate() {
             let tags: Vec<Tag> = chunk
                 .iter()
-                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv1a(img) })
+                .map(|(a, img)| Tag {
+                    obj: a.obj,
+                    index: a.index,
+                    checksum: journal::image_checksum(img),
+                })
                 .collect();
-            jblocks.push((seq % slots, journal::desc_block(txid, seq, &tags)));
-            seq += 1;
-            for (_, img) in chunk {
-                jblocks.push((seq % slots, img.clone()));
+            let seq = seq0 + (d * (TAGS_PER_DESC + 1)) as u64;
+            descs.push(journal::desc_block(txid, seq, &tags));
+            checksums.extend(tags.iter().map(|t| t.checksum));
+        }
+        let mut jblocks: Vec<(u64, &[u8])> = Vec::with_capacity(span as usize);
+        let mut seq = seq0;
+        for (desc, chunk) in descs.iter().zip(images.chunks(TAGS_PER_DESC)) {
+            for block in std::iter::once(&desc[..]).chain(chunk.iter().map(|(_, img)| &img[..])) {
+                jblocks.push((seq % slots, block));
                 seq += 1;
             }
-            checksums.extend(tags.iter().map(|t| t.checksum));
         }
         let commit =
             journal::commit_block(txid, seq, images.len() as u32, journal::txn_checksum(&checksums));
         let commit_slot = seq % slots;
-        jblocks.push((commit_slot, commit));
-        seq += 1;
-        debug_assert_eq!(seq, seq0 + span);
+        jblocks.push((commit_slot, &commit));
+        debug_assert_eq!(seq + 1, seq0 + span);
 
         let (commit_entry, body) = jblocks.split_last().expect("commit block present");
         let write_all = || -> VfsResult<()> {
@@ -1014,13 +1027,13 @@ impl Kjfs {
             let site = kfault::sites::KJFS_JOURNAL_COMMIT;
             let mut rest = body;
             while !rest.is_empty() {
-                let (addr, n, payload) = next_run(rest, |b| journal_addr(b.0), |b| &b.1);
+                let (addr, n, payload) = next_run(rest, |b| journal_addr(b.0), |b| b.1);
                 self.machine.charge_sys(JOURNAL_CPU_COST);
                 self.write_run(site, addr, &payload)?;
                 rest = &rest[n..];
             }
             self.machine.charge_sys(JOURNAL_CPU_COST);
-            self.write_run(site, journal_addr(commit_entry.0), &commit_entry.1)
+            self.write_run(site, journal_addr(commit_entry.0), commit_entry.1)
         };
         let res = if self.cfg.journal_mode == JournalMode::GroupCommit {
             // Drop the lock for the journal I/O so concurrent ops make
@@ -1038,7 +1051,7 @@ impl Kjfs {
             self.commit_cv.notify_all();
             return Err(e);
         }
-        g.stats.journal_blocks += jblocks.len() as u64;
+        g.stats.journal_blocks += span;
 
         // The transaction is durable; queue it for a background drain.
         g.live_txns.push_back(LiveTxn { txid, start_seq: seq0, commit_slot, images });
@@ -1363,7 +1376,13 @@ impl Kjfs {
     /// * extents stay inside the data area, never overlap, and agree
     ///   bit-for-bit with the allocation bitmap (no dangling extents, no
     ///   leaked blocks);
-    /// * no file maps more blocks than its size needs.
+    /// * no file maps more blocks than its size needs;
+    /// * the page-cache bookkeeping a commit works from is exact: every
+    ///   dirty cached page is listed in `dirty_order`, and `dirty_count` is
+    ///   the number of dirty pages;
+    /// * with nothing dirty and no commit in flight, every inode's
+    ///   `committed_blocks`/`committed_size` equal its mapping and size (a
+    ///   commit refreshes them only for inodes in its dirty itable blocks).
     pub fn fsck(&self) -> Vec<String> {
         let g = self.inner.lock();
         let mut v = Vec::new();
@@ -1468,6 +1487,31 @@ impl Kjfs {
         for b in 0..self.cfg.data_blocks {
             if Self::bit(&g, b) && !owner.contains_key(&(b as u32)) {
                 v.push(format!("block {b} allocated but unreferenced"));
+            }
+        }
+
+        let listed: FxHashSet<(u64, u64)> = g.dirty_order.iter().copied().collect();
+        let mut dirty = 0usize;
+        for (key, p) in &g.pages {
+            if p.dirty {
+                dirty += 1;
+                if !listed.contains(key) {
+                    v.push(format!("dirty page {key:?} missing from dirty_order"));
+                }
+            }
+        }
+        if dirty != g.dirty_count {
+            v.push(format!("dirty_count {} != {dirty} dirty pages", g.dirty_count));
+        }
+        if !g.committing && !Self::anything_dirty(&g) {
+            for (&ino, i) in &g.inodes {
+                let (blocks, size) = (i.mapped_blocks(), i.size);
+                if (i.committed_blocks, i.committed_size) != (blocks, size) {
+                    v.push(format!(
+                        "ino {ino}: committed {} blocks/{} bytes on a clean fs, has {blocks}/{size}",
+                        i.committed_blocks, i.committed_size
+                    ));
+                }
             }
         }
         v
@@ -1778,7 +1822,9 @@ impl FileSystem for Kjfs {
             // fdatasync: skip the commit when the inode has no dirty pages
             // and no size change — pure-metadata dirt (mtime) can wait.
             let essential = i.size != i.committed_size
-                || g.pages.iter().any(|((pi, _), p)| *pi == ino.0 && p.dirty);
+                || g.dirty_order.iter().any(|key| {
+                    key.0 == ino.0 && g.pages.get(key).is_some_and(|p| p.dirty)
+                });
             if !essential {
                 return Ok(());
             }
@@ -1907,6 +1953,14 @@ mod tests {
         assert_eq!(&back[..100], &[0xFF; 100][..]);
         assert!(back[100..].iter().all(|&b| b == 0), "cut tail must read zeros");
         assert!(fs.fsck().is_empty(), "{:?}", fs.fsck());
+        // Block 1's page was dirty when the truncate dropped it; dirtying
+        // it again lists it twice in `dirty_order`. The commit must still
+        // write it once and count it once.
+        fs.write(f, 5000, &[9; 100]).unwrap();
+        fs.fsync(f, false).unwrap();
+        assert!(fs.fsck().is_empty(), "{:?}", fs.fsck());
+        fs.read(f, 0, &mut back).unwrap();
+        assert_eq!(&back[5000..5100], &[9; 100][..]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! * A **descriptor** lists up to [`TAGS_PER_DESC`] tags, each naming the
-//!   home address `(obj, index)` and FNV checksum of one following raw
+//!   home address `(obj, index)` and [`checksum`] of one following raw
 //!   image block.
 //! * **Image** blocks are verbatim copies of the metadata (or journaled
 //!   data) block to be written home — *physical redo*. Replay writes the
@@ -20,6 +20,11 @@
 //!   block — including a torn one, caught by the block checksum — never
 //!   happened.
 //!
+//! Every checksum here is the format's one word-at-a-time [`checksum`]:
+//! descriptor and commit blocks are sealed over every word but the seal
+//! itself, so a block torn anywhere fails its seal, and an image that
+//! differs from its tag in any word fails validation.
+//!
 //! Scan-time validation is positional: from a commit block at `seq c` with
 //! `n` images, the transaction *must* occupy seqs `[c - span, c]`, and every
 //! descriptor must carry the expected txid and seq. Stale blocks from
@@ -28,9 +33,9 @@
 //! (user data is not escaped) are never even looked at.
 
 use kvfs::BlockAddr;
-use ksim::{fnv1a, fnv1a_continue, PAGE_SIZE};
+use ksim::PAGE_SIZE;
 
-use crate::layout::JOURNAL_MAGIC;
+use crate::layout::{checksum, le_words, JOURNAL_MAGIC};
 
 /// Tags per descriptor block: `(4096 - 48) / 24` rounded down to a round
 /// number. A transaction needing more tags chains descriptors.
@@ -44,7 +49,7 @@ const KIND_COMMIT: u8 = 2;
 pub struct Tag {
     pub obj: u64,
     pub index: u64,
-    /// FNV-1a of the full image block.
+    /// [`checksum`] of the full image block's 512 words.
     pub checksum: u64,
 }
 
@@ -57,7 +62,12 @@ pub enum JBlock {
 
 /// Checksum over a control block, excluding the checksum field itself.
 fn block_checksum(b: &[u8]) -> u64 {
-    fnv1a_continue(fnv1a(&b[0..32]), &b[40..])
+    checksum(le_words(&b[0..32]).chain(le_words(&b[40..PAGE_SIZE])))
+}
+
+/// Checksum of one image block, as its descriptor tag records it.
+pub fn image_checksum(img: &[u8]) -> u64 {
+    checksum(le_words(img))
 }
 
 fn header(b: &mut [u8], kind: u8, count: u32, txid: u64, seq: u64) {
@@ -97,10 +107,10 @@ pub fn commit_block(txid: u64, seq: u64, nimages: u32, txn_checksum: u64) -> Vec
     b
 }
 
-/// Checksum sealing a whole transaction: FNV over the per-image checksums
-/// in journal order.
+/// Checksum sealing a whole transaction: [`checksum`] over the per-image
+/// checksums in journal order, one word each.
 pub fn txn_checksum(image_checksums: &[u64]) -> u64 {
-    image_checksums.iter().fold(fnv1a(&[]), |h, ck| fnv1a_continue(h, &ck.to_le_bytes()))
+    checksum(image_checksums.iter().copied())
 }
 
 /// Parse a journal control block; `None` for raw images, torn blocks, or
@@ -180,7 +190,7 @@ fn validate_chain(
                 seq += 1;
                 for tag in tags {
                     let img = read(seq % slots);
-                    if fnv1a(&img) != tag.checksum {
+                    if image_checksum(&img) != tag.checksum {
                         return None; // torn or overwritten image
                     }
                     images.push((BlockAddr { obj: tag.obj, index: tag.index }, img));
@@ -256,12 +266,12 @@ mod tests {
         for chunk in images.chunks(TAGS_PER_DESC) {
             let tags: Vec<Tag> = chunk
                 .iter()
-                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: fnv1a(img) })
+                .map(|(a, img)| Tag { obj: a.obj, index: a.index, checksum: image_checksum(img) })
                 .collect();
             slots.insert(seq % nslots, desc_block(txid, seq, &tags));
             seq += 1;
             for (_, img) in chunk {
-                cks.push(fnv1a(img));
+                cks.push(image_checksum(img));
                 slots.insert(seq % nslots, img.clone());
                 seq += 1;
             }
@@ -294,28 +304,55 @@ mod tests {
 
     #[test]
     fn torn_commit_block_means_no_txn() {
-        let mut slots = HashMap::new();
-        let end = write_txn(&mut slots, 64, 7, 0, &[(BlockAddr { obj: 2, index: 0 }, img(1))]);
-        // Tear the commit block: the first half of the write landed, the
-        // second half still holds stale bytes from an earlier slot occupant.
-        // The block checksum covers the tail, so it must reject it. (A torn
-        // commit over an all-zero tail is byte-identical to the full commit
+        // Tear a control block of a txn at seqs 0 (descriptor), 1 (image)
+        // and 2 (commit): the first half of the write landed, the second
+        // half still holds a stale image from an earlier slot occupant. The
+        // block checksum covers the tail, so it must reject it. (A torn
+        // block over an all-zero tail is byte-identical to the full control
         // block and validates — harmless, since the record is then intact.)
-        let commit_slot = (end - 1) % 64;
-        let blk = slots.get_mut(&commit_slot).unwrap();
-        for b in blk[PAGE_SIZE / 2..].iter_mut() {
-            *b = 0x5A;
+        for (what, slot) in [("commit", 2), ("descriptor", 0)] {
+            let mut slots = HashMap::new();
+            write_txn(&mut slots, 64, 7, 0, &[(BlockAddr { obj: 2, index: 0 }, img(1))]);
+            let blk = slots.get_mut(&slot).unwrap();
+            blk[PAGE_SIZE / 2..].copy_from_slice(&img(0x5A)[PAGE_SIZE / 2..]);
+            assert!(scan(64, reader(slots)).is_none(), "half-torn {what} block validated");
         }
-        assert!(scan(64, reader(slots)).is_none());
     }
 
     #[test]
     fn torn_image_invalidates_whole_txn() {
-        let mut slots = HashMap::new();
-        write_txn(&mut slots, 64, 3, 5, &[(BlockAddr { obj: 4, index: 9 }, img(0xCC))]);
-        let blk = slots.get_mut(&6).unwrap(); // the image slot
-        blk[0] ^= 0xFF;
-        assert!(scan(64, reader(slots)).is_none());
+        // The txn's one image sits in slot 6. Every corruption of it must
+        // drop the whole txn: an inverted byte, a one-bit flip in each of
+        // its 512 words, and a write torn halfway over a non-zero stale
+        // image.
+        let good = img(0xCC);
+        let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut inverted = good.clone();
+        inverted[0] ^= 0xFF;
+        cases.push(("first byte inverted".into(), inverted));
+        for w in 0..PAGE_SIZE / 8 {
+            let bit = w % 64;
+            let mut flipped = good.clone();
+            flipped[w * 8 + bit / 8] ^= 1 << (bit % 8);
+            cases.push((format!("bit {bit} of word {w} flipped"), flipped));
+        }
+        let mut torn = img(0x5A);
+        torn[..PAGE_SIZE / 2].copy_from_slice(&good[..PAGE_SIZE / 2]);
+        cases.push(("half torn over a stale image".into(), torn));
+        for (what, bad) in cases {
+            let mut slots = HashMap::new();
+            write_txn(&mut slots, 64, 3, 5, &[(BlockAddr { obj: 4, index: 9 }, good.clone())]);
+            slots.insert(6, bad);
+            assert!(scan(64, reader(slots)).is_none(), "{what}: corrupt image validated");
+        }
+    }
+
+    #[test]
+    fn checksum_of_a_fixed_block_is_pinned() {
+        // The on-disk format's checksum: a change to it must be deliberate.
+        let block: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(image_checksum(&block), 0x08df_8e4d_536d_3170);
+        assert_eq!(txn_checksum(&[1, 2, 3]), 0xfcc6_638d_34bd_3615);
     }
 
     #[test]

@@ -103,11 +103,11 @@ impl Hasher for FxHasher {
 }
 
 /// FNV-1a over a byte string: the one-word digest with published
-/// reference vectors that `VfsSnapshot` hashes, kjfs block checksums and
-/// the A8/A13 sweep hashes are built on (the fault plane, below ksim,
-/// keeps its own copy of the same function). It consumes one byte per
-/// multiply, which is why [`ByteCache`] keys hash with [`FxHasher`] a word
-/// at a time instead.
+/// reference vectors that `VfsSnapshot` hashes and the A8/A13 sweep hashes
+/// are built on (the fault plane, below ksim, keeps its own copy of the
+/// same function). It consumes one byte per multiply, which is why
+/// [`ByteCache`] keys and kjfs's on-disk checksums hash with [`FxHasher`]
+/// a word at a time instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
 }

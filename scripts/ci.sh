@@ -9,12 +9,14 @@ cd "$(dirname "$0")/.."
 root=$(pwd)
 
 echo "== build (release) =="
-cargo build --release --workspace --offline
+# --locked: a manifest change shipped without its Cargo.lock update fails
+# here instead of being resolved silently.
+cargo build --release --workspace --offline --locked
 
 echo "== tests =="
 # Includes tests/integration_host_cost.rs, the host-cost gate: the exact
 # heap allocations per warm op on every path into the dispatcher.
-cargo test --workspace --offline --quiet
+cargo test --workspace --offline --locked --quiet
 
 echo "== perfbench determinism self-test =="
 # Per-layer counts must reproduce run to run and move with the seed: the
@@ -22,11 +24,11 @@ echo "== perfbench determinism self-test =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "== clippy (warnings are errors) =="
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --all-targets --offline --locked -- -D warnings
 
 echo "== rustdoc (warnings are errors) =="
 # Catches doc links left stale by a rename or a deletion.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
 echo "== every experiment and ablation (E1-E7, A1-A15) =="
 # `all` exits non-zero when any shape row reads DIFF. Host-timed rows are

@@ -100,11 +100,11 @@ const MEMFS: Table = [
 ];
 
 const KJFS: Table = [
-    [Some(0), Some(0), Some(0), Some(23)],
-    [Some(1), Some(1), Some(2), Some(24)],
-    [Some(4), Some(6), Some(8), Some(28)],
+    [Some(0), Some(0), Some(0), Some(20)],
+    [Some(1), Some(1), Some(2), Some(21)],
+    [Some(4), Some(6), Some(8), Some(25)],
     [Some(0), Some(0), Some(2), None],
-    [Some(1), Some(1), None, Some(24)],
+    [Some(1), Some(1), None, Some(21)],
 ];
 
 /// Bytes each read or write moves.

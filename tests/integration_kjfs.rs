@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use kucode::kjfs::harness::{apply_op, SWEEP_SEED};
+use kucode::ksyscall::layer::SEEK_SET;
 use kucode::kvfs::{BlockDev, FileSystem, Vfs, VfsError, VfsSnapshot};
 use kucode::prelude::*;
 use proptest::prelude::*;
@@ -336,6 +337,30 @@ fn syscall_fsync_and_fdatasync_commit_through_kjfs() {
     // durable without issuing another commit record.
     assert_eq!(rig.sys.sys_fdatasync(p.pid, fd), 0);
     assert_eq!(kjfs.stats().commits, after, "clean fdatasync is commit-free");
+
+    // fdatasync's skip rule: this file's dirty pages or a size change
+    // commit; another file's dirt alone does not.
+    let other = rig.sys.sys_open(p.pid, "/other", OpenFlags::RDWR | OpenFlags::CREAT) as i32;
+    assert_eq!(rig.sys.sys_write(p.pid, other, p.buf, 4096), 4096);
+    assert_eq!(rig.sys.sys_fsync(p.pid, other), 0);
+    let write_at = |fd: i32, off: u64| {
+        assert_eq!(rig.sys.sys_lseek(p.pid, fd, off as i64, SEEK_SET), off as i64);
+        assert_eq!(rig.sys.sys_write(p.pid, fd, p.buf, 4096), 4096);
+    };
+    let fdatasync_commits = |fd: i32| {
+        let before = kjfs.stats().commits;
+        assert_eq!(rig.sys.sys_fdatasync(p.pid, fd), 0);
+        kjfs.stats().commits - before
+    };
+    write_at(fd, 0);
+    assert_eq!(fdatasync_commits(fd), 1, "an overwrite of this file commits once");
+    assert_eq!(fdatasync_commits(fd), 0, "and then it is clean");
+    write_at(other, 0);
+    assert_eq!(fdatasync_commits(fd), 0, "another file's dirty overwrite page alone");
+    write_at(fd, 4096);
+    assert_eq!(fdatasync_commits(fd), 1, "an append changes the size");
+    assert!(kjfs.fsck().is_empty(), "{:?}", kjfs.fsck());
+    assert_eq!(rig.sys.sys_close(p.pid, other), 0);
     assert_eq!(rig.sys.sys_close(p.pid, fd), 0);
 }
 
