@@ -533,16 +533,34 @@ impl CosyExtension {
     ) -> Result<i64, CosyError> {
         let programs = self.programs.read();
         let module = programs.get(prog_id as usize).ok_or(CosyError::BadProgram(prog_id))?;
-        self.in_arena(pid, opts, |machine, cfg, arena, len, host, ticker| {
-            let mut vm = Vm::new(machine, module, cfg, arena, len)?;
-            vm.set_host(host);
-            vm.set_ticker(ticker);
-            vm.run(func, args)
-        })
-        .map_err(|e| match e {
+        self.run_function(pid, module, func, args, opts).map(|(ret, _)| ret).map_err(|e| match e {
             CosyError::Interp(InterpError::Killed(_)) => CosyError::WatchdogKilled { op_index },
             other => other,
         })
+    }
+
+    /// Run `func` of a compiled KC `module` on the VM exactly as a
+    /// compound's user function runs: in a fresh kernel arena, contained
+    /// per `opts`, with the in-kernel `sys_*` host and the watchdog.
+    /// Returns its result and its `print_int` output.
+    pub fn run_function(
+        &self,
+        pid: Pid,
+        module: &Module,
+        func: &str,
+        args: &[i64],
+        opts: &CosyOptions,
+    ) -> Result<(i64, Vec<i64>), CosyError> {
+        let mut printed = Vec::new();
+        let ret = self.in_arena(pid, opts, |machine, cfg, arena, len, host, ticker| {
+            let mut vm = Vm::new(machine, module, cfg, arena, len)?;
+            vm.set_host(host);
+            vm.set_ticker(ticker);
+            let out = vm.run(func, args);
+            printed = std::mem::take(&mut vm.output);
+            out
+        })?;
+        Ok((ret, printed))
     }
 
     /// Run a user function under `run(machine, cfg, arena, arena_len,
@@ -1503,253 +1521,5 @@ pub(crate) mod tests {
         assert_eq!(out[0].event, kevents::OOPS_EVENT);
         assert_eq!(out[0].obj, pid.0 as u64);
         assert_eq!(out[0].value, VfsError::NoSpace.errno());
-    }
-}
-
-#[cfg(test)]
-mod equivalence_proptests {
-    //! Randomized op sequences must behave identically however they reach
-    //! the kernel: as classic `sys_*` calls, as one uring batch, as one
-    //! Cosy compound, and as `sys_*` intrinsics from a KC function running
-    //! in the kernel — the same results, the same errnos, the same
-    //! file-system state. All four encode into the one dispatcher, so
-    //! this is the correctness oracle for any boundary mechanism.
-
-    use super::*;
-    use crate::builder::CompoundBuilder;
-    use crate::buffers::SharedRegion;
-    use ksim::Machine;
-    use kuring::Sqe;
-    use std::fmt::Write as _;
-    use kvfs::{VfsSnapshot, STAT_WIRE_BYTES};
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum FileOp {
-        Write(u8),    // write n bytes at the current offset
-        SeekSet(u16), // absolute seek
-        Read(u8),     // read n bytes
-        Fstat,
-        Close,
-        Unlink,
-        OpenMissing,
-        OpenCreate, // open("/g", CREAT|RDWR): a fresh fd each time
-    }
-
-    fn arb_op() -> impl Strategy<Value = FileOp> {
-        (0u8..17, 1u8..64, 0u16..512).prop_map(|(k, n, off)| match k {
-            0..=4 => FileOp::Write(n),
-            5..=7 => FileOp::SeekSet(off),
-            8..=11 => FileOp::Read(n),
-            12 => FileOp::Fstat,
-            13 => FileOp::Close,
-            14 => FileOp::Unlink,
-            15 => FileOp::OpenMissing,
-            _ => FileOp::OpenCreate,
-        })
-    }
-
-    /// User memory for the classic and ring runs: payload, paths, and
-    /// read/stat destinations.
-    const UBUF: u64 = 0x10_0000;
-    const PATH: u64 = UBUF + 0x1000;
-    const MISSING: u64 = UBUF + 0x1100;
-    const CREATED: u64 = UBUF + 0x1200;
-    const OUT: u64 = UBUF + 0x2000;
-
-    /// A machine with `/f` open (as `fd`) and the user buffers staged.
-    fn setup() -> (Arc<Machine>, Arc<SyscallLayer>, CosyExtension, Pid, i32) {
-        let (m, sys, ext, pid) = super::tests::setup();
-        m.map_user(pid, UBUF, 1 << 16).unwrap();
-        let asid = m.proc_asid(pid).unwrap();
-        m.mem.write_virt(asid, UBUF, &[0xCD; 64]).unwrap();
-        m.mem.write_virt(asid, PATH, b"/f\0").unwrap();
-        m.mem.write_virt(asid, MISSING, b"/missing\0").unwrap();
-        m.mem.write_virt(asid, CREATED, b"/g\0").unwrap();
-        let fd = sys.k_open(pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
-        (m, sys, ext, pid, fd)
-    }
-
-    fn vfs_hash(sys: &SyscallLayer) -> u64 {
-        VfsSnapshot::capture(sys.vfs().fs().as_ref()).unwrap().hash()
-    }
-
-    fn classic(ops: &[FileOp]) -> (Vec<i64>, u64) {
-        let (_, sys, _, pid, fd) = setup();
-        let results = ops
-            .iter()
-            .map(|op| match *op {
-                FileOp::Write(n) => sys.sys_write(pid, fd, UBUF, n as usize),
-                FileOp::SeekSet(off) => sys.sys_lseek(pid, fd, off as i64, 0),
-                FileOp::Read(n) => sys.sys_read(pid, fd, OUT, n as usize),
-                FileOp::Fstat => sys.sys_fstat(pid, fd, OUT),
-                FileOp::Close => sys.sys_close(pid, fd),
-                FileOp::Unlink => sys.sys_unlink(pid, "/f"),
-                FileOp::OpenMissing => sys.sys_open(pid, "/missing", OpenFlags::RDONLY),
-                FileOp::OpenCreate => sys.sys_open(pid, "/g", OpenFlags(0x42)),
-            })
-            .collect();
-        (results, vfs_hash(&sys))
-    }
-
-    fn ring_batch(ops: &[FileOp]) -> (Vec<i64>, u64) {
-        let (_, sys, _, pid, fd) = setup();
-        assert_eq!(sys.sys_ring_setup(pid, 32, 32), 0);
-        let ring = sys.uring(pid).unwrap();
-        for (i, op) in ops.iter().enumerate() {
-            let tag = i as u64;
-            let sqe = match *op {
-                FileOp::Write(n) => Sqe::write(fd, UBUF, n as u32, kuring::OFF_CURSOR, tag),
-                FileOp::SeekSet(off) => Sqe::lseek(fd, off as i64, 0, tag),
-                FileOp::Read(n) => Sqe::read(fd, OUT, n as u32, kuring::OFF_CURSOR, tag),
-                FileOp::Fstat => Sqe::fstat(fd, OUT, tag),
-                FileOp::Close => Sqe::close(fd, tag),
-                FileOp::Unlink => Sqe::unlink(PATH, 2, tag),
-                FileOp::OpenMissing => Sqe::open(MISSING, 8, 0, tag),
-                FileOp::OpenCreate => Sqe::open(CREATED, 2, 0x42, tag),
-            };
-            ring.push_sqe(sqe).unwrap();
-        }
-        assert_eq!(sys.sys_ring_enter(pid, ops.len(), ops.len()), ops.len() as i64);
-        let mut results = vec![0; ops.len()];
-        while let Some(c) = ring.reap_cqe() {
-            results[c.user_data as usize] = c.res;
-        }
-        (results, vfs_hash(&sys))
-    }
-
-    /// Encode `ops` against `fd` into the compound being built.
-    fn encode(mut b: CompoundBuilder<'_>, fd: i32, ops: &[FileOp]) {
-        let fd = || CompoundBuilder::lit(fd as i64);
-        let data = b.stage_bytes(&[0xCD; 64]).unwrap();
-        let CosyArg::BufRef { offset: data_off, .. } = data else { unreachable!() };
-        let path = b.stage_path("/f").unwrap();
-        let missing = b.stage_path("/missing").unwrap();
-        let created = b.stage_path("/g").unwrap();
-        for op in ops {
-            let (call, args) = match *op {
-                FileOp::Write(n) => (
-                    CosyCall::Write,
-                    vec![
-                        fd(),
-                        CosyArg::BufRef { offset: data_off, len: n as u32 },
-                        CompoundBuilder::lit(n as i64),
-                    ],
-                ),
-                FileOp::SeekSet(off) => (
-                    CosyCall::Lseek,
-                    vec![fd(), CompoundBuilder::lit(off as i64), CompoundBuilder::lit(0)],
-                ),
-                FileOp::Read(n) => (
-                    CosyCall::Read,
-                    vec![fd(), b.alloc_buf(n as u32).unwrap(), CompoundBuilder::lit(n as i64)],
-                ),
-                FileOp::Fstat => {
-                    (CosyCall::Fstat, vec![fd(), b.alloc_buf(STAT_WIRE_BYTES as u32).unwrap()])
-                }
-                FileOp::Close => (CosyCall::Close, vec![fd()]),
-                FileOp::Unlink => (CosyCall::Unlink, vec![path]),
-                FileOp::OpenMissing => (CosyCall::Open, vec![missing, CompoundBuilder::lit(0)]),
-                FileOp::OpenCreate => (CosyCall::Open, vec![created, CompoundBuilder::lit(0x42)]),
-            };
-            b.syscall(call, args);
-        }
-        b.finish().unwrap();
-    }
-
-    fn compound(ops: &[FileOp]) -> (Vec<i64>, u64) {
-        let (m, sys, ext, pid, fd) = setup();
-        let cb = SharedRegion::new(m.clone(), pid, 2, 0).unwrap();
-        let db = SharedRegion::new(m.clone(), pid, 4, 1).unwrap();
-        encode(CompoundBuilder::new(&cb, &db), fd, ops);
-        let results = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
-        (results, vfs_hash(&sys))
-    }
-
-    /// `ops` as one KC function making the same `sys_*` intrinsic calls
-    /// on `fd` (its argument), `print_int`ing each call's return value.
-    fn kc_source(ops: &[FileOp]) -> String {
-        let mut calls = String::new();
-        for op in ops {
-            let call = match *op {
-                FileOp::Write(n) => format!("sys_write(fd, data, {n})"),
-                FileOp::SeekSet(off) => format!("sys_lseek(fd, {off}, 0)"),
-                FileOp::Read(n) => format!("sys_read(fd, out, {n})"),
-                FileOp::Fstat => "sys_fstat(fd, out)".to_string(),
-                FileOp::Close => "sys_close(fd)".to_string(),
-                FileOp::Unlink => r#"sys_unlink("/f")"#.to_string(),
-                FileOp::OpenMissing => r#"sys_open("/missing", 0)"#.to_string(),
-                FileOp::OpenCreate => r#"sys_open("/g", 66)"#.to_string(),
-            };
-            writeln!(calls, "    print_int({call});").unwrap();
-        }
-        // `data` is the 64 bytes of 0xCD (205) the other paths stage.
-        format!(
-            "int run(int fd) {{\n    char data[64];\n    char out[{STAT_WIRE_BYTES}];\n    int i;\n    \
-             for (i = 0; i < 64; i = i + 1) {{ data[i] = 205; }}\n{calls}    return 0;\n}}\n"
-        )
-    }
-
-    /// Run [`kc_source`] on the VM in a Cosy kernel arena under
-    /// `KernelHost`: the printed results and the file-system hash.
-    fn kc_intrinsics(ops: &[FileOp]) -> (Vec<i64>, u64) {
-        let (_, sys, ext, pid, fd) = setup();
-        let prog = parse_program(&kc_source(ops)).unwrap();
-        let info = typecheck(&prog).unwrap();
-        let module = kclang::compile(&prog, &info).unwrap();
-        let mut printed = Vec::new();
-        ext.in_arena(pid, &CosyOptions::default(), |machine, cfg, arena, len, host, ticker| {
-            let mut vm = Vm::new(machine, &module, cfg, arena, len)?;
-            vm.set_host(host);
-            vm.set_ticker(ticker);
-            let out = vm.run("run", &[fd as i64]);
-            printed = std::mem::take(&mut vm.output);
-            out
-        })
-        .unwrap();
-        (printed, vfs_hash(&sys))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-        #[test]
-        fn compound_equals_direct_execution(ops in proptest::collection::vec(arb_op(), 1..20)) {
-            let direct = classic(&ops);
-            prop_assert_eq!(&ring_batch(&ops), &direct, "uring batch vs classic calls");
-            prop_assert_eq!(&compound(&ops), &direct, "cosy compound vs classic calls");
-            prop_assert_eq!(&kc_intrinsics(&ops), &direct, "KC intrinsics vs classic calls");
-        }
-
-        /// A cache-hit execution must be indistinguishable from a fresh
-        /// decode+validate of the same bytes against the same machine
-        /// state. Twin machines submit the same compound twice; one clears
-        /// the translation cache in between (forcing a re-decode), the
-        /// other hits. Results and file state must match exactly.
-        #[test]
-        fn cached_submission_equals_fresh_decode(ops in proptest::collection::vec(arb_op(), 1..16)) {
-            let run_twice = |clear_between: bool| {
-                let (m, sys, ext, pid, fd) = setup();
-                let cb = SharedRegion::new(m.clone(), pid, 2, 0).unwrap();
-                let db = SharedRegion::new(m.clone(), pid, 4, 1).unwrap();
-                encode(CompoundBuilder::new(&cb, &db), fd, &ops);
-                let r1 = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
-                if clear_between {
-                    ext.clear_translation_cache();
-                }
-                let r2 = ext.submit(pid, &cb, &db, &CosyOptions::default()).unwrap();
-                let stats = ext.cache_stats();
-                (r1, r2, vfs_hash(&sys), stats)
-            };
-
-            let (h1, h2, h_fs, h_stats) = run_twice(false); // second submit hits
-            let (f1, f2, f_fs, f_stats) = run_twice(true);  // second submit re-decodes
-            prop_assert_eq!(h_stats.hits, 1);
-            prop_assert_eq!(h_stats.misses, 1);
-            prop_assert_eq!(f_stats.hits, 0);
-            prop_assert_eq!(f_stats.misses, 2);
-            prop_assert_eq!(h1, f1);
-            prop_assert_eq!(h2, f2, "cache hit diverged from fresh decode");
-            prop_assert_eq!(h_fs, f_fs);
-        }
     }
 }

@@ -56,7 +56,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use kvfs::memfs::{BLOCK_CPU_COST, DIR_OP_COST, INODE_OP_COST};
-use kvfs::{BlockAddr, BlockDev, DirEntry, FileKind, FileSystem, Ino, Stat, VfsError, VfsResult};
+use kvfs::namespace::ROOT_SLOT;
+use kvfs::{
+    BlockAddr, BlockDev, DirEntry, Effects, FileKind, FileSystem, Ino, Namespace, Node, Stat,
+    VfsError, VfsResult, ROOT,
+};
 use ksim::{FxHashMap, FxHashSet, Machine, PAGE_SIZE};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -64,7 +68,7 @@ use crate::journal::{self, Tag, TAGS_PER_DESC};
 use crate::layout::{
     dir_from_bytes, dir_to_bytes, Extent, Header, InodeRec, Superblock, BITMAP_OBJ,
     BITS_PER_BITMAP_BLOCK, DATA_OBJ, INODES_PER_BLOCK, ITABLE_OBJ, JOURNAL_OBJ, MAX_EXTENTS,
-    ROOT_INO, SUPER_OBJ,
+    SUPER_OBJ,
 };
 
 /// Per journal block: serialize + checksum.
@@ -159,13 +163,10 @@ impl KjfsConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Inode {
-    kind: FileKind,
-    nlink: u32,
-    mode: u32,
+/// kjfs's own part of an inode; the namespace keeps the rest.
+#[derive(Debug, Clone, Default)]
+struct Body {
     size: u64,
-    mtime: u64,
     extents: Vec<Extent>,
     /// Mapped-block count as of the last committed transaction; the
     /// new-vs-overwrite boundary for the ordered-data rule.
@@ -173,37 +174,34 @@ struct Inode {
     committed_size: u64,
 }
 
-impl Inode {
+impl Body {
     fn mapped_blocks(&self) -> u64 {
         self.extents.iter().map(|e| e.len as u64).sum()
     }
+}
 
-    /// The inode-table record of this inode.
-    fn to_rec(&self) -> InodeRec {
-        InodeRec {
-            kind: Some(self.kind),
-            nlink: self.nlink,
-            mode: self.mode,
-            size: self.size,
-            mtime: self.mtime,
-            extents: self.extents.clone(),
-        }
+/// The inode-table record of an inode.
+fn to_rec(n: &Node<Body>) -> InodeRec {
+    InodeRec {
+        kind: Some(n.kind()),
+        nlink: n.nlink(),
+        mode: n.mode(),
+        size: n.data.size,
+        mtime: n.mtime,
+        extents: n.data.extents.clone(),
     }
+}
 
-    /// The inode a table record holds as of its last commit; `None` for a
-    /// free slot.
-    fn from_rec(rec: InodeRec) -> Option<Inode> {
-        Some(Inode {
-            kind: rec.kind?,
-            nlink: rec.nlink,
-            mode: rec.mode,
-            size: rec.size,
-            mtime: rec.mtime,
-            committed_blocks: rec.extents.iter().map(|e| e.len as u64).sum(),
-            committed_size: rec.size,
-            extents: rec.extents,
-        })
-    }
+/// The inode a table record holds as of its last commit; `None` for a
+/// free slot.
+fn from_rec(rec: InodeRec) -> Option<Node<Body>> {
+    let body = Body {
+        size: rec.size,
+        committed_blocks: rec.extents.iter().map(|e| e.len as u64).sum(),
+        committed_size: rec.size,
+        extents: rec.extents,
+    };
+    Some(Node::new(rec.kind?, rec.nlink, rec.mode, rec.mtime, body))
 }
 
 #[derive(Debug)]
@@ -262,6 +260,17 @@ ksim::counters! {
     }
 }
 
+impl Inner {
+    /// kjfs's part of live inode `ino` (a slot).
+    fn body(&self, ino: u64) -> &Body {
+        &self.ns.slot(ino).expect("live inode").data
+    }
+
+    fn body_mut(&mut self, ino: u64) -> &mut Body {
+        &mut self.ns.slot_mut(ino).expect("live inode").data
+    }
+}
+
 impl KjfsStats {
     /// Fraction of page lookups served from cache, in percent.
     pub fn hit_pct(&self) -> f64 {
@@ -276,10 +285,9 @@ impl KjfsStats {
 
 #[derive(Default)]
 struct Inner {
-    inodes: FxHashMap<u64, Inode>,
-    dirs: FxHashMap<u64, BTreeMap<String, u64>>,
-    free_inos: Vec<u64>,
-    next_ino: u64,
+    /// The tree; kjfs's slot-keyed state (pages, dirty sets, the inode
+    /// table on disk) uses the bare slot of each handle.
+    ns: Namespace<Body>,
     /// One bit per data block; set = allocated.
     bitmap: Vec<u64>,
     alloc_hint: u64,
@@ -370,55 +378,30 @@ impl Kjfs {
     pub fn mount(machine: Arc<Machine>, dev: Arc<BlockDev>, cfg: KjfsConfig) -> VfsResult<Kjfs> {
         let mut buf = vec![0u8; PAGE_SIZE];
         dev.read_block_bytes(BlockAddr { obj: SUPER_OBJ, index: 0 }, &mut buf)?;
+        let sb = Superblock {
+            data_blocks: cfg.data_blocks,
+            journal_slots: cfg.journal_slots,
+            inode_capacity: cfg.inode_capacity,
+        };
         let fresh = match Superblock::from_block(&buf) {
-            Some(sb) => {
-                let want = Superblock {
-                    data_blocks: cfg.data_blocks,
-                    journal_slots: cfg.journal_slots,
-                    inode_capacity: cfg.inode_capacity,
-                };
-                if sb != want {
-                    return Err(VfsError::Invalid("kjfs geometry mismatch"));
-                }
-                false
-            }
-            None => true,
+            Some(found) if found != sb => return Err(VfsError::Invalid("kjfs geometry mismatch")),
+            found => found.is_none(),
         };
 
         let fs = Kjfs { machine, dev, cfg, inner: Mutex::new(Inner::default()), commit_cv: Condvar::new() };
         {
             let mut g = fs.inner.lock();
             g.bitmap = vec![0u64; (fs.cfg.data_blocks as usize).div_ceil(64)];
-            g.next_ino = ROOT_INO + 1;
             g.next_txid = 1;
         }
 
         if fresh {
-            let sb = Superblock {
-                data_blocks: fs.cfg.data_blocks,
-                journal_slots: fs.cfg.journal_slots,
-                inode_capacity: fs.cfg.inode_capacity,
-            };
             fs.dev.write_run_bytes(BlockAddr { obj: SUPER_OBJ, index: 0 }, &sb.to_block())?;
             let mut g = fs.inner.lock();
-            g.inodes.insert(
-                ROOT_INO,
-                Inode {
-                    kind: FileKind::Dir,
-                    nlink: 2,
-                    mode: 0o755,
-                    size: 0,
-                    mtime: 0,
-                    extents: Vec::new(),
-                    committed_blocks: 0,
-                    committed_size: 0,
-                },
-            );
-            g.dirs.insert(ROOT_INO, BTreeMap::new());
+            g.ns = Namespace::new(fs.cfg.inode_capacity);
             g.header_dirty = true;
-            g.dirty_dirs.insert(ROOT_INO);
-            let blk = ROOT_INO / INODES_PER_BLOCK;
-            g.dirty_itable.insert(blk);
+            g.dirty_dirs.insert(ROOT_SLOT);
+            g.dirty_itable.insert(ROOT_SLOT / INODES_PER_BLOCK);
             // Make the empty tree itself durable: recovery from a crash
             // before the first user commit must find a valid (empty) root.
             fs.commit(&mut g)?;
@@ -426,10 +409,6 @@ impl Kjfs {
             fs.replay_and_load()?;
         }
         Ok(fs)
-    }
-
-    pub fn config(&self) -> &KjfsConfig {
-        &self.cfg
     }
 
     pub fn stats(&self) -> KjfsStats {
@@ -562,7 +541,7 @@ impl Kjfs {
     }
 
     fn phys_of(g: &Inner, ino: u64, lblock: u64) -> Option<u32> {
-        let i = g.inodes.get(&ino)?;
+        let i = &g.ns.slot(ino)?.data;
         let mut cum = 0u64;
         for e in &i.extents {
             if lblock < cum + e.len as u64 {
@@ -577,7 +556,7 @@ impl Kjfs {
     /// zeroed dirty pages for every new block so reused physical blocks
     /// never leak stale bytes through a hole. Rolls back on failure.
     fn ensure_blocks(&self, g: &mut Inner, ino: u64, needed: u64, materialize: bool) -> VfsResult<()> {
-        let mut mapped = g.inodes[&ino].mapped_blocks();
+        let mut mapped = g.body(ino).mapped_blocks();
         if mapped >= needed {
             return Ok(());
         }
@@ -604,7 +583,7 @@ impl Kjfs {
         }
         // Merge into the inode's extent list.
         let too_fragmented = {
-            let i = g.inodes.get_mut(&ino).expect("inode exists");
+            let i = g.body_mut(ino);
             for e in added {
                 match i.extents.last_mut() {
                     Some(last) if last.start as u64 + last.len as u64 == e.start as u64 => {
@@ -619,7 +598,7 @@ impl Kjfs {
             // Undo: too fragmented for the on-disk record.
             let mut freed = Vec::new();
             {
-                let i = g.inodes.get_mut(&ino).expect("inode exists");
+                let i = g.body_mut(ino);
                 while i.mapped_blocks() > first_new {
                     let last = i.extents.last_mut().expect("non-empty");
                     last.len -= 1;
@@ -676,7 +655,7 @@ impl Kjfs {
 
     fn install_page(&self, g: &mut Inner, ino: u64, lblock: u64, bytes: Vec<u8>, dirty: bool) {
         self.maybe_evict(g);
-        let new_alloc = lblock >= g.inodes[&ino].committed_blocks;
+        let new_alloc = lblock >= g.body(ino).committed_blocks;
         if dirty {
             g.dirty_count += 1;
             g.dirty_order.push((ino, lblock));
@@ -689,7 +668,7 @@ impl Kjfs {
     }
 
     fn mark_page_dirty(&self, g: &mut Inner, ino: u64, lblock: u64) {
-        let committed = g.inodes[&ino].committed_blocks;
+        let committed = g.body(ino).committed_blocks;
         let p = g.pages.get_mut(&(ino, lblock)).expect("page present");
         if !p.dirty {
             p.dirty = true;
@@ -730,20 +709,14 @@ impl Kjfs {
         }
     }
 
-    /// Drop every cached page of `ino` at or past `from` (truncate/unlink
-    /// invalidation).
-    fn invalidate_pages(&self, g: &mut Inner, ino: u64, from: u64) {
-        let doomed: Vec<(u64, u64)> = g
-            .pages
-            .keys()
-            .filter(|(i, lb)| *i == ino && *lb >= from)
-            .copied()
-            .collect();
-        for key in doomed {
-            if let Some(p) = g.pages.remove(&key) {
-                if p.dirty {
-                    g.dirty_count -= 1;
-                }
+    /// Drop `ino`'s cached pages `from..mapped` (truncate/unlink
+    /// invalidation), where `mapped` is its mapped-block count before the
+    /// cut: no page is ever cached at or past an inode's mapping (fsck
+    /// checks this), so the walk is per inode, not over the whole cache.
+    fn invalidate_pages(g: &mut Inner, ino: u64, from: u64, mapped: u64) {
+        for lb in from..mapped {
+            if g.pages.remove(&(ino, lb)).is_some_and(|p| p.dirty) {
+                g.dirty_count -= 1;
             }
         }
         if from == 0 {
@@ -820,12 +793,13 @@ impl Kjfs {
         Ok(())
     }
 
-    /// Serialize a directory's entry table to its data-block byte image.
+    /// Serialize a directory's entry table to its data-block byte image;
+    /// entries store the bare slot.
     fn serialize_dir(g: &Inner, ino: u64) -> Vec<u8> {
-        let entries = g.dirs.get(&ino).expect("dir table entry");
+        let ns = &g.ns;
+        let entries = ns.slot(ino).expect("live directory").entries();
         dir_to_bytes(entries.iter().map(|(name, &child)| {
-            let kind = g.inodes.get(&child).map_or(FileKind::File, |i| i.kind);
-            (name.as_str(), child, kind)
+            (name.as_str(), child, ns.slot(child).expect("entries name live slots").kind())
         }))
     }
 
@@ -863,21 +837,18 @@ impl Kjfs {
         let mut dirty_dirs: Vec<u64> = g.dirty_dirs.iter().copied().collect();
         dirty_dirs.sort_unstable();
         for ino in dirty_dirs {
-            if !g.inodes.contains_key(&ino) {
+            if g.ns.slot(ino).is_none() {
                 continue; // removed later in the same transaction
             }
             let bytes = Self::serialize_dir(g, ino);
             let needed = (bytes.len() as u64).div_ceil(PAGE_SIZE as u64);
-            let mapped = g.inodes[&ino].mapped_blocks();
+            let mapped = g.body(ino).mapped_blocks();
             if mapped > needed {
                 self.shrink_mapping(g, ino, needed);
             } else if mapped < needed {
                 self.ensure_blocks(g, ino, needed, false)?;
             }
-            {
-                let i = g.inodes.get_mut(&ino).expect("dir inode");
-                i.size = bytes.len() as u64;
-            }
+            g.body_mut(ino).size = bytes.len() as u64;
             self.mark_inode_dirty(g, ino);
             for lb in 0..needed {
                 let phys = Self::phys_of(g, ino, lb).expect("dir block mapped");
@@ -913,9 +884,9 @@ impl Kjfs {
             let mut img = vec![0u8; PAGE_SIZE];
             for slot in 0..INODES_PER_BLOCK {
                 let ino = blk * INODES_PER_BLOCK + slot;
-                if let Some(i) = g.inodes.get(&ino) {
+                if let Some(i) = g.ns.slot(ino) {
                     let at = slot as usize * crate::layout::INODE_WIRE;
-                    img[at..at + crate::layout::INODE_WIRE].copy_from_slice(&i.to_rec().to_wire());
+                    img[at..at + crate::layout::INODE_WIRE].copy_from_slice(&to_rec(i).to_wire());
                 }
             }
             images.push((BlockAddr { obj: ITABLE_OBJ, index: blk }, img));
@@ -948,7 +919,8 @@ impl Kjfs {
             self.checkpoint_drain(g)?;
         }
         let seq0 = g.next_seq;
-        let header = Header { next_ino: g.next_ino, next_txid: txid + 1, next_seq: seq0 + span };
+        let header =
+            Header { next_ino: g.ns.next_slot(), next_txid: txid + 1, next_seq: seq0 + span };
         images.push((BlockAddr { obj: SUPER_OBJ, index: 1 }, header.to_block()));
 
         // (f) Capture: the running transaction closes NOW, under the lock.
@@ -959,7 +931,7 @@ impl Kjfs {
         // journal are pinned against eviction via `committed_in`. Only
         // inodes in dirty itable blocks can have changed size or mapping
         // since the last capture, so only they are refreshed.
-        let Inner { pages, dirty_order, inodes, dirty_itable, .. } = &mut **g;
+        let Inner { pages, dirty_order, ns, dirty_itable, .. } = &mut **g;
         for key in dirty_order.drain(..) {
             let p = pages.get_mut(&key).expect("dirty page present");
             p.dirty = false;
@@ -967,7 +939,8 @@ impl Kjfs {
         }
         for &blk in dirty_itable.iter() {
             for ino in blk * INODES_PER_BLOCK..(blk + 1) * INODES_PER_BLOCK {
-                if let Some(i) = inodes.get_mut(&ino) {
+                if let Some(n) = ns.slot_mut(ino) {
+                    let i = &mut n.data;
                     i.committed_blocks = i.mapped_blocks();
                     i.committed_size = i.size;
                 }
@@ -1141,7 +1114,7 @@ impl Kjfs {
 
     /// Cut `ino`'s mapping down to `keep` blocks, quarantining the rest.
     fn shrink_mapping(&self, g: &mut Inner, ino: u64, keep: u64) {
-        let mut extents = std::mem::take(&mut g.inodes.get_mut(&ino).expect("inode").extents);
+        let mut extents = std::mem::take(&mut g.body_mut(ino).extents);
         let mut cum = 0u64;
         let mut kept = Vec::new();
         for e in extents.drain(..) {
@@ -1160,7 +1133,7 @@ impl Kjfs {
             }
             cum += len;
         }
-        g.inodes.get_mut(&ino).expect("inode").extents = kept;
+        g.body_mut(ino).extents = kept;
         self.mark_inode_dirty(g, ino);
     }
 
@@ -1198,10 +1171,9 @@ impl Kjfs {
         let mut buf = vec![0u8; PAGE_SIZE];
         self.dev.read_block_bytes(BlockAddr { obj: SUPER_OBJ, index: 1 }, &mut buf)?;
         let header = Header::from_block(&buf);
-        if header.next_ino < ROOT_INO + 1 {
+        if header.next_ino < ROOT_SLOT + 1 || header.next_ino > self.cfg.inode_capacity {
             return Err(VfsError::Invalid("kjfs header corrupt"));
         }
-        g.next_ino = header.next_ino;
         g.next_txid = header.next_txid.max(1);
         g.next_seq = header.next_seq;
         // Replay wrote every surviving image home: the whole history up to
@@ -1219,39 +1191,32 @@ impl Kjfs {
             }
         }
 
-        for blk in 0..g.next_ino.div_ceil(INODES_PER_BLOCK) {
+        let mut nodes = Vec::new();
+        for blk in 0..header.next_ino.div_ceil(INODES_PER_BLOCK) {
             self.dev.read_block_bytes(BlockAddr { obj: ITABLE_OBJ, index: blk }, &mut buf)?;
             for slot in 0..INODES_PER_BLOCK {
                 let ino = blk * INODES_PER_BLOCK + slot;
-                if ino == 0 || ino >= g.next_ino {
+                if ino == 0 || ino >= header.next_ino {
                     continue;
                 }
                 let at = slot as usize * crate::layout::INODE_WIRE;
                 let rec = InodeRec::from_wire(&buf[at..at + crate::layout::INODE_WIRE]);
-                let Some(inode) = Inode::from_rec(rec) else {
-                    g.free_inos.push(ino);
-                    continue;
-                };
-                g.inodes.insert(ino, inode);
+                nodes.extend(from_rec(rec).map(|n| (ino, n)));
             }
         }
-        // Recycle in ascending order, matching the order frees happened.
-        g.free_inos.sort_unstable_by(|a, b| b.cmp(a));
+        g.ns = Namespace::restore(self.cfg.inode_capacity, header.next_ino, nodes);
 
-        if g.inodes.get(&ROOT_INO).map(|i| i.kind) != Some(FileKind::Dir) {
+        if g.ns.slot(ROOT_SLOT).map(|i| i.kind()) != Some(FileKind::Dir) {
             return Err(VfsError::Invalid("kjfs root missing"));
         }
-        let mut queue = vec![ROOT_INO];
+        let mut queue = vec![ROOT_SLOT];
         while let Some(dino) = queue.pop() {
             let raw = self.read_raw_locked(&g, dino)?;
-            let mut entries = BTreeMap::new();
-            for (name, child, kind) in dir_from_bytes(&raw) {
-                if kind == FileKind::Dir {
+            for (name, child, _) in dir_from_bytes(&raw) {
+                if g.ns.restore_entry(dino, name, child)? == FileKind::Dir {
                     queue.push(child);
                 }
-                entries.insert(name, child);
             }
-            g.dirs.insert(dino, entries);
         }
         Ok(())
     }
@@ -1259,7 +1224,7 @@ impl Kjfs {
     /// Read an inode's full mapped content straight from the device
     /// (mount-time only: the page cache is empty and stays empty).
     fn read_raw_locked(&self, g: &Inner, ino: u64) -> VfsResult<Vec<u8>> {
-        let i = g.inodes.get(&ino).ok_or(VfsError::NotFound)?;
+        let i = g.body(ino);
         let mut out = vec![0u8; i.size as usize];
         let mut page = vec![0u8; PAGE_SIZE];
         for lb in 0..i.size.div_ceil(PAGE_SIZE as u64) {
@@ -1298,142 +1263,60 @@ impl Kjfs {
         }
     }
 
-    fn dir_of(g: &Inner, dir: Ino) -> VfsResult<&BTreeMap<String, u64>> {
-        match g.inodes.get(&dir.0) {
-            None => Err(VfsError::NotFound),
-            Some(i) if i.kind != FileKind::Dir => Err(VfsError::NotADirectory),
-            Some(_) => Ok(g.dirs.get(&dir.0).expect("dir table entry")),
+    /// Turn what a namespace op changed into kjfs's bookkeeping: dirty
+    /// directory images and inode-table blocks, a dirty header when the
+    /// slot high-water mark moved, and a removed inode's pages and blocks.
+    fn apply(&self, g: &mut Inner, fx: Effects<Body>) {
+        for dir in fx.dirs {
+            g.dirty_dirs.insert(dir);
+            self.mark_inode_dirty(g, dir);
         }
-    }
-
-    fn alloc_ino(&self, g: &mut Inner) -> VfsResult<u64> {
-        if let Some(ino) = g.free_inos.pop() {
-            return Ok(ino);
-        }
-        if g.next_ino >= self.cfg.inode_capacity {
-            return Err(VfsError::NoSpace);
-        }
-        let ino = g.next_ino;
-        g.next_ino += 1;
-        g.header_dirty = true;
-        Ok(ino)
-    }
-
-    fn new_entry(
-        &self,
-        g: &mut MutexGuard<'_, Inner>,
-        dir: Ino,
-        name: &str,
-        kind: FileKind,
-    ) -> VfsResult<Ino> {
-        Self::check_alive(g)?;
-        if Self::dir_of(g, dir)?.contains_key(name) {
-            return Err(VfsError::Exists);
-        }
-        if self.machine.faults.should_fail(kfault::sites::KVFS_NOSPC) {
-            return Err(VfsError::NoSpace);
-        }
-        let ino = self.alloc_ino(g)?;
-        let now = self.now();
-        g.inodes.insert(
-            ino,
-            Inode {
-                kind,
-                nlink: if kind == FileKind::Dir { 2 } else { 1 },
-                mode: if kind == FileKind::Dir { 0o755 } else { 0o644 },
-                size: 0,
-                mtime: now,
-                extents: Vec::new(),
-                committed_blocks: 0,
-                committed_size: 0,
-            },
-        );
-        if kind == FileKind::Dir {
-            g.dirs.insert(ino, BTreeMap::new());
-            let parent = g.inodes.get_mut(&dir.0).expect("parent");
-            parent.nlink += 1;
-        }
-        g.dirs.get_mut(&dir.0).expect("parent dir").insert(name.to_string(), ino);
-        g.dirty_dirs.insert(dir.0);
-        {
-            let parent = g.inodes.get_mut(&dir.0).expect("parent");
-            parent.mtime = now;
-        }
-        self.mark_inode_dirty(g, dir.0);
+        g.header_dirty |= fx.grew;
+        let Some(ino) = fx.inode.map(Ino::slot) else { return };
         self.mark_inode_dirty(g, ino);
-        self.op_epilogue(g)?;
-        Ok(Ino(ino))
+        if let Some(body) = fx.freed {
+            Self::invalidate_pages(g, ino, 0, body.mapped_blocks());
+            for e in body.extents {
+                self.free_extent(g, e);
+            }
+            g.dirty_dirs.remove(&ino);
+        }
+    }
+
+    /// One tree op under the lock: the namespace decides and reports what
+    /// changed, kjfs records it and runs the end-of-op policy.
+    fn tree_op<R>(
+        &self,
+        op: impl FnOnce(&mut Namespace<Body>, u64) -> VfsResult<(R, Effects<Body>)>,
+    ) -> VfsResult<R> {
+        let mut g = self.inner.lock();
+        Self::check_alive(&g)?;
+        let (r, fx) = op(&mut g.ns, self.now())?;
+        self.apply(&mut g, fx);
+        self.op_epilogue(&mut g)?;
+        Ok(r)
     }
 
     /// Full structural check of the mounted tree — the crash harness's
     /// invariant oracle. Returns human-readable violations; an empty vector
     /// means every invariant holds:
     ///
-    /// * the root exists and is a directory;
-    /// * every directory entry points at a live inode of matching kind,
-    ///   and every live inode is reachable from the root (no orphans);
-    /// * link counts are exact (files 1, directories 2 + subdirectories);
+    /// * the tree's ([`Namespace::check`]);
     /// * extents stay inside the data area, never overlap, and agree
-    ///   bit-for-bit with the allocation bitmap (no dangling extents, no
-    ///   leaked blocks);
-    /// * no file maps more blocks than its size needs;
-    /// * the page-cache bookkeeping a commit works from is exact: every
-    ///   dirty cached page is listed in `dirty_order`, and `dirty_count` is
-    ///   the number of dirty pages;
+    ///   bit-for-bit with the allocation bitmap;
+    /// * no file maps more blocks than its size needs, and a clean
+    ///   directory's size and mapping match its serialized entry table;
+    /// * every cached page belongs to a live inode and sits below its
+    ///   mapped blocks (what per-inode invalidation relies on);
+    /// * every dirty page is listed in `dirty_order`, and `dirty_count`
+    ///   counts them;
     /// * with nothing dirty and no commit in flight, every inode's
-    ///   `committed_blocks`/`committed_size` equal its mapping and size (a
-    ///   commit refreshes them only for inodes in its dirty itable blocks).
+    ///   `committed_blocks`/`committed_size` equal its mapping and size.
     pub fn fsck(&self) -> Vec<String> {
         let g = self.inner.lock();
-        let mut v = Vec::new();
-        match g.inodes.get(&ROOT_INO) {
-            None => {
-                v.push("root inode missing".to_string());
-                return v;
-            }
-            Some(i) if i.kind != FileKind::Dir => {
-                v.push("root is not a directory".to_string());
-                return v;
-            }
-            Some(_) => {}
-        }
-
-        let mut reachable: FxHashSet<u64> = FxHashSet::default();
-        let mut subdirs: FxHashMap<u64, u32> = FxHashMap::default();
-        reachable.insert(ROOT_INO);
-        let mut queue = vec![ROOT_INO];
-        while let Some(dino) = queue.pop() {
-            let Some(entries) = g.dirs.get(&dino) else {
-                v.push(format!("dir ino {dino} has no entry table"));
-                continue;
-            };
-            for (name, &child) in entries {
-                match g.inodes.get(&child) {
-                    None => v.push(format!("dangling entry {name:?} -> ino {child}")),
-                    Some(ci) => {
-                        if !reachable.insert(child) {
-                            v.push(format!("ino {child} reached twice (hardlinks unsupported)"));
-                            continue;
-                        }
-                        if ci.kind == FileKind::Dir {
-                            *subdirs.entry(dino).or_default() += 1;
-                            queue.push(child);
-                        }
-                    }
-                }
-            }
-        }
-        for (&ino, i) in &g.inodes {
-            if !reachable.contains(&ino) {
-                v.push(format!("orphaned inode {ino} (nlink {})", i.nlink));
-            }
-            let want_nlink = match i.kind {
-                FileKind::File => 1,
-                FileKind::Dir => 2 + subdirs.get(&ino).copied().unwrap_or(0),
-            };
-            if reachable.contains(&ino) && i.nlink != want_nlink {
-                v.push(format!("ino {ino}: nlink {} != expected {want_nlink}", i.nlink));
-            }
+        let mut v = g.ns.check();
+        for (ino, n) in g.ns.live() {
+            let i = &n.data;
             let mapped = i.mapped_blocks();
             if mapped > i.size.div_ceil(PAGE_SIZE as u64) {
                 v.push(format!("ino {ino}: {mapped} blocks mapped for size {}", i.size));
@@ -1442,11 +1325,7 @@ impl Kjfs {
             // equal its serialized entry table exactly, and its mapping
             // must cover it block-for-block — directories grow by extent
             // like files but never have holes or slack blocks.
-            if i.kind == FileKind::Dir
-                && reachable.contains(&ino)
-                && !g.dirty_dirs.contains(&ino)
-                && g.dirs.contains_key(&ino)
-            {
+            if n.kind() == FileKind::Dir && !g.dirty_dirs.contains(&ino) {
                 let bytes = Self::serialize_dir(&g, ino);
                 if i.size != bytes.len() as u64 {
                     v.push(format!(
@@ -1465,8 +1344,8 @@ impl Kjfs {
         }
 
         let mut owner: FxHashMap<u32, u64> = FxHashMap::default();
-        for (&ino, i) in &g.inodes {
-            for e in &i.extents {
+        for (ino, n) in g.ns.live() {
+            for e in &n.data.extents {
                 if e.len == 0 {
                     v.push(format!("ino {ino}: zero-length extent"));
                 }
@@ -1493,6 +1372,10 @@ impl Kjfs {
         let listed: FxHashSet<(u64, u64)> = g.dirty_order.iter().copied().collect();
         let mut dirty = 0usize;
         for (key, p) in &g.pages {
+            let mapped = g.ns.slot(key.0).map(|n| n.data.mapped_blocks());
+            if mapped.is_none_or(|m| key.1 >= m) {
+                v.push(format!("cached page {key:?} at or past its inode's mapped blocks"));
+            }
             if p.dirty {
                 dirty += 1;
                 if !listed.contains(key) {
@@ -1504,7 +1387,8 @@ impl Kjfs {
             v.push(format!("dirty_count {} != {dirty} dirty pages", g.dirty_count));
         }
         if !g.committing && !Self::anything_dirty(&g) {
-            for (&ino, i) in &g.inodes {
+            for (ino, n) in g.ns.live() {
+                let i = &n.data;
                 let (blocks, size) = (i.mapped_blocks(), i.size);
                 if (i.committed_blocks, i.committed_size) != (blocks, size) {
                     v.push(format!(
@@ -1517,139 +1401,73 @@ impl Kjfs {
         v
     }
 
-    fn drop_inode(&self, g: &mut Inner, ino: u64) {
-        self.invalidate_pages(g, ino, 0);
-        let extents = g.inodes.get_mut(&ino).map(|i| std::mem::take(&mut i.extents)).unwrap_or_default();
-        for e in extents {
-            self.free_extent(g, e);
-        }
-        g.inodes.remove(&ino);
-        g.dirs.remove(&ino);
-        g.dirty_dirs.remove(&ino);
-        g.free_inos.push(ino);
-        self.mark_inode_dirty(g, ino);
-    }
 }
 
 impl FileSystem for Kjfs {
     fn root(&self) -> Ino {
-        Ino(ROOT_INO)
+        ROOT
     }
 
     fn lookup(&self, dir: Ino, name: &str) -> VfsResult<Ino> {
         self.machine.charge_sys(DIR_OP_COST);
         let g = self.inner.lock();
         Self::check_alive(&g)?;
-        Self::dir_of(&g, dir)?.get(name).copied().map(Ino).ok_or(VfsError::NotFound)
+        g.ns.lookup(dir, name)
     }
 
     fn create(&self, dir: Ino, name: &str) -> VfsResult<Ino> {
         self.machine.charge_sys(INODE_OP_COST + DIR_OP_COST);
-        let mut g = self.inner.lock();
-        self.new_entry(&mut g, dir, name, FileKind::File)
+        let nospc = Some(&*self.machine.faults);
+        self.tree_op(|ns, now| ns.create(dir, name, FileKind::File, now, nospc))
     }
 
     fn mkdir(&self, dir: Ino, name: &str) -> VfsResult<Ino> {
         self.machine.charge_sys(INODE_OP_COST + DIR_OP_COST);
-        let mut g = self.inner.lock();
-        self.new_entry(&mut g, dir, name, FileKind::Dir)
+        let nospc = Some(&*self.machine.faults);
+        self.tree_op(|ns, now| ns.create(dir, name, FileKind::Dir, now, nospc))
     }
 
     fn unlink(&self, dir: Ino, name: &str) -> VfsResult<()> {
         self.machine.charge_sys(INODE_OP_COST + DIR_OP_COST);
-        let mut g = self.inner.lock();
-        Self::check_alive(&g)?;
-        let &ino = Self::dir_of(&g, dir)?.get(name).ok_or(VfsError::NotFound)?;
-        if g.inodes[&ino].kind == FileKind::Dir {
-            return Err(VfsError::IsADirectory);
-        }
-        g.dirs.get_mut(&dir.0).expect("dir").remove(name);
-        g.dirty_dirs.insert(dir.0);
-        let now = self.now();
-        g.inodes.get_mut(&dir.0).expect("dir inode").mtime = now;
-        self.mark_inode_dirty(&mut g, dir.0);
-        let nlink = {
-            let i = g.inodes.get_mut(&ino).expect("target");
-            i.nlink -= 1;
-            i.nlink
-        };
-        if nlink == 0 {
-            self.drop_inode(&mut g, ino);
-        }
-        self.op_epilogue(&mut g)
+        self.tree_op(|ns, now| Ok(((), ns.remove(dir, name, FileKind::File, now)?)))
     }
 
     fn rmdir(&self, dir: Ino, name: &str) -> VfsResult<()> {
         self.machine.charge_sys(INODE_OP_COST + DIR_OP_COST);
-        let mut g = self.inner.lock();
-        Self::check_alive(&g)?;
-        let &ino = Self::dir_of(&g, dir)?.get(name).ok_or(VfsError::NotFound)?;
-        if g.inodes[&ino].kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        if !g.dirs.get(&ino).map(|d| d.is_empty()).unwrap_or(true) {
-            return Err(VfsError::NotEmpty);
-        }
-        g.dirs.get_mut(&dir.0).expect("dir").remove(name);
-        g.dirty_dirs.insert(dir.0);
-        let now = self.now();
-        {
-            let parent = g.inodes.get_mut(&dir.0).expect("dir inode");
-            parent.nlink -= 1;
-            parent.mtime = now;
-        }
-        self.mark_inode_dirty(&mut g, dir.0);
-        self.drop_inode(&mut g, ino);
-        self.op_epilogue(&mut g)
+        self.tree_op(|ns, now| Ok(((), ns.remove(dir, name, FileKind::Dir, now)?)))
     }
 
     fn readdir(&self, dir: Ino) -> VfsResult<Vec<DirEntry>> {
         let g = self.inner.lock();
         Self::check_alive(&g)?;
-        let entries = Self::dir_of(&g, dir)?;
+        let entries = g.ns.readdir(dir)?;
         self.machine.charge_sys(DIR_OP_COST + entries.len() as u64 * 25);
-        Ok(entries
-            .iter()
-            .map(|(name, &ino)| DirEntry {
-                name: name.clone(),
-                ino,
-                kind: g.inodes.get(&ino).map(|i| i.kind).unwrap_or(FileKind::File),
-            })
-            .collect())
+        Ok(entries)
     }
 
     fn stat(&self, ino: Ino) -> VfsResult<Stat> {
         self.machine.charge_sys(INODE_OP_COST);
         let g = self.inner.lock();
         Self::check_alive(&g)?;
-        let i = g.inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
-        Ok(Stat {
-            ino: ino.0,
-            kind: i.kind,
-            size: i.size,
-            nlink: i.nlink,
-            mode: i.mode,
-            uid: 0,
-            gid: 0,
-            blocks: i.mapped_blocks() * (PAGE_SIZE as u64 / 512),
-            mtime: i.mtime,
-        })
+        let (st, n) = g.ns.stat(ino)?;
+        let blocks = n.data.mapped_blocks() * (PAGE_SIZE as u64 / 512);
+        Ok(Stat { size: n.data.size, blocks, ..st })
     }
 
-    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
+    /// A pure in-memory peek: no I/O, so it answers even after a crash.
+    fn kind(&self, ino: Ino) -> VfsResult<FileKind> {
+        Ok(self.inner.lock().ns.node(ino)?.kind())
+    }
+
+    fn read(&self, handle: Ino, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
         self.machine.charge_sys(INODE_OP_COST);
         let mut g = self.inner.lock();
         Self::check_alive(&g)?;
-        let (size, kind) = {
-            let i = g.inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
-            (i.size, i.kind)
-        };
-        if kind != FileKind::File {
-            return Err(VfsError::IsADirectory);
-        }
+        let size = g.ns.file(handle)?.data.size;
         if off >= size || buf.is_empty() {
             return Ok(0);
         }
+        let ino = handle.slot();
         let n = buf.len().min((size - off) as usize);
         let first_lb = off / PAGE_SIZE as u64;
         let last_lb = (off + n as u64 - 1) / PAGE_SIZE as u64;
@@ -1661,8 +1479,8 @@ impl FileSystem for Kjfs {
             let in_off = pos % PAGE_SIZE;
             let take = (PAGE_SIZE - in_off).min(n - done);
             self.machine.charge_sys(BLOCK_CPU_COST);
-            if self.page_in(&mut g, ino.0, lb, false)? {
-                let p = &g.pages[&(ino.0, lb)];
+            if self.page_in(&mut g, ino, lb, false)? {
+                let p = &g.pages[&(ino, lb)];
                 buf[done..done + take].copy_from_slice(&p.bytes[in_off..in_off + take]);
             } else {
                 buf[done..done + take].fill(0); // hole
@@ -1672,35 +1490,31 @@ impl FileSystem for Kjfs {
 
         // Readahead: a read continuing where the last one stopped prefetches
         // the next few mapped blocks into clean pages.
-        let sequential = first_lb == 0 || g.last_read.get(&ino.0) == Some(&(first_lb - 1));
+        let sequential = first_lb == 0 || g.last_read.get(&ino) == Some(&(first_lb - 1));
         if sequential {
             let file_blocks = size.div_ceil(PAGE_SIZE as u64);
             for lb in last_lb + 1..(last_lb + 1 + READAHEAD).min(file_blocks) {
-                if !g.pages.contains_key(&(ino.0, lb)) && Self::phys_of(&g, ino.0, lb).is_some() {
-                    self.page_in(&mut g, ino.0, lb, true)?;
+                if !g.pages.contains_key(&(ino, lb)) && Self::phys_of(&g, ino, lb).is_some() {
+                    self.page_in(&mut g, ino, lb, true)?;
                     g.stats.readahead_issued += 1;
                 }
             }
         }
-        g.last_read.insert(ino.0, last_lb);
+        g.last_read.insert(ino, last_lb);
         Ok(n)
     }
 
-    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> VfsResult<usize> {
+    fn write(&self, handle: Ino, off: u64, data: &[u8]) -> VfsResult<usize> {
         self.machine.charge_sys(INODE_OP_COST);
         let mut g = self.inner.lock();
         Self::check_alive(&g)?;
-        {
-            let i = g.inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
-            if i.kind != FileKind::File {
-                return Err(VfsError::IsADirectory);
-            }
-        }
+        g.ns.file(handle)?;
         if data.is_empty() {
             return Ok(0);
         }
+        let ino = handle.slot();
         let end = off + data.len() as u64;
-        self.ensure_blocks(&mut g, ino.0, end.div_ceil(PAGE_SIZE as u64), true)?;
+        self.ensure_blocks(&mut g, ino, end.div_ceil(PAGE_SIZE as u64), true)?;
 
         let mut done = 0usize;
         while done < data.len() {
@@ -1709,107 +1523,67 @@ impl FileSystem for Kjfs {
             let in_off = pos % PAGE_SIZE;
             let take = (PAGE_SIZE - in_off).min(data.len() - done);
             self.machine.charge_sys(BLOCK_CPU_COST);
-            if !self.page_in(&mut g, ino.0, lb, false)? {
+            if !self.page_in(&mut g, ino, lb, false)? {
                 unreachable!("write target mapped by ensure_blocks");
             }
             {
-                let p = g.pages.get_mut(&(ino.0, lb)).expect("page");
+                let p = g.pages.get_mut(&(ino, lb)).expect("page");
                 p.bytes[in_off..in_off + take].copy_from_slice(&data[done..done + take]);
             }
-            self.mark_page_dirty(&mut g, ino.0, lb);
+            self.mark_page_dirty(&mut g, ino, lb);
             done += take;
         }
         let now = self.now();
         {
-            let i = g.inodes.get_mut(&ino.0).expect("inode");
-            if end > i.size {
-                i.size = end;
-            }
-            i.mtime = now;
+            let n = g.ns.slot_mut(ino).expect("live inode");
+            n.data.size = n.data.size.max(end);
+            n.mtime = now;
         }
-        self.mark_inode_dirty(&mut g, ino.0);
+        self.mark_inode_dirty(&mut g, ino);
         self.op_epilogue(&mut g)?;
         Ok(data.len())
     }
 
-    fn truncate(&self, ino: Ino, size: u64) -> VfsResult<()> {
+    fn truncate(&self, handle: Ino, size: u64) -> VfsResult<()> {
         self.machine.charge_sys(INODE_OP_COST);
         let mut g = self.inner.lock();
         Self::check_alive(&g)?;
-        let (old, kind) = {
-            let i = g.inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
-            (i.size, i.kind)
-        };
-        if kind != FileKind::File {
-            return Err(VfsError::IsADirectory);
-        }
+        let old = g.ns.file(handle)?.data.size;
+        let ino = handle.slot();
         if size < old {
             let keep = size.div_ceil(PAGE_SIZE as u64);
-            if g.inodes[&ino.0].mapped_blocks() > keep {
-                self.shrink_mapping(&mut g, ino.0, keep);
+            let mapped = g.body(ino).mapped_blocks();
+            if mapped > keep {
+                self.shrink_mapping(&mut g, ino, keep);
             }
-            self.invalidate_pages(&mut g, ino.0, keep);
+            Self::invalidate_pages(&mut g, ino, keep, mapped);
             // Zero the cut tail of the last kept block so a later
             // re-extension reads zeros, not stale bytes.
             if !size.is_multiple_of(PAGE_SIZE as u64)
                 && keep > 0
-                && self.page_in(&mut g, ino.0, keep - 1, false)?
+                && self.page_in(&mut g, ino, keep - 1, false)?
             {
                 let at = (size % PAGE_SIZE as u64) as usize;
-                g.pages.get_mut(&(ino.0, keep - 1)).expect("page").bytes[at..].fill(0);
-                self.mark_page_dirty(&mut g, ino.0, keep - 1);
+                g.pages.get_mut(&(ino, keep - 1)).expect("page").bytes[at..].fill(0);
+                self.mark_page_dirty(&mut g, ino, keep - 1);
             }
         }
         let now = self.now();
         {
-            let i = g.inodes.get_mut(&ino.0).expect("inode");
-            i.size = size;
-            i.mtime = now;
+            let n = g.ns.slot_mut(ino).expect("live inode");
+            n.data.size = size;
+            n.mtime = now;
         }
-        self.mark_inode_dirty(&mut g, ino.0);
+        self.mark_inode_dirty(&mut g, ino);
         self.op_epilogue(&mut g)
     }
 
     fn rename(&self, from_dir: Ino, from: &str, to_dir: Ino, to: &str) -> VfsResult<()> {
         self.machine.charge_sys(2 * DIR_OP_COST);
-        let mut g = self.inner.lock();
-        Self::check_alive(&g)?;
-        let &ino = Self::dir_of(&g, from_dir)?.get(from).ok_or(VfsError::NotFound)?;
-        if Self::dir_of(&g, to_dir)?.contains_key(to) {
-            return Err(VfsError::Exists);
-        }
-        if g.inodes[&ino].kind == FileKind::Dir {
-            // EINVAL, like rename(2): a directory cannot move into its own
-            // subtree (it would detach a cycle from the root).
-            let mut stack = vec![ino];
-            while let Some(d) = stack.pop() {
-                if d == to_dir.0 {
-                    return Err(VfsError::Invalid("rename into own subtree"));
-                }
-                if let Some(entries) = g.dirs.get(&d) {
-                    stack.extend(entries.values().copied().filter(|c| {
-                        g.inodes.get(c).map(|i| i.kind) == Some(FileKind::Dir)
-                    }));
-                }
-            }
-        }
-        g.dirs.get_mut(&from_dir.0).expect("from dir").remove(from);
-        g.dirs.get_mut(&to_dir.0).expect("to dir").insert(to.to_string(), ino);
-        g.dirty_dirs.insert(from_dir.0);
-        g.dirty_dirs.insert(to_dir.0);
-        let now = self.now();
-        if g.inodes[&ino].kind == FileKind::Dir && from_dir != to_dir {
-            g.inodes.get_mut(&from_dir.0).expect("from").nlink -= 1;
-            g.inodes.get_mut(&to_dir.0).expect("to").nlink += 1;
-        }
-        g.inodes.get_mut(&from_dir.0).expect("from").mtime = now;
-        g.inodes.get_mut(&to_dir.0).expect("to").mtime = now;
-        self.mark_inode_dirty(&mut g, from_dir.0);
-        self.mark_inode_dirty(&mut g, to_dir.0);
-        self.op_epilogue(&mut g)
+        self.tree_op(|ns, now| Ok(((), ns.rename(from_dir, from, to_dir, to, now)?)))
     }
 
-    fn fsync(&self, ino: Ino, data_only: bool) -> VfsResult<()> {
+    fn fsync(&self, handle: Ino, data_only: bool) -> VfsResult<()> {
         self.machine.charge_sys(FSYNC_CPU_COST);
         let mut g = self.inner.lock();
         // Group-commit merge: wait out any in-flight commit first. Dirt
@@ -1817,13 +1591,13 @@ impl FileSystem for Kjfs {
         // come back to a clean fs and return without I/O — a merged
         // waiter) or arrived after the capture and commits below.
         let waited = self.wait_commit(&mut g)?;
-        let i = g.inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
+        let i = &g.ns.node(handle)?.data;
         if data_only {
             // fdatasync: skip the commit when the inode has no dirty pages
             // and no size change — pure-metadata dirt (mtime) can wait.
             let essential = i.size != i.committed_size
                 || g.dirty_order.iter().any(|key| {
-                    key.0 == ino.0 && g.pages.get(key).is_some_and(|p| p.dirty)
+                    key.0 == handle.slot() && g.pages.get(key).is_some_and(|p| p.dirty)
                 });
             if !essential {
                 return Ok(());
@@ -1854,7 +1628,7 @@ impl std::fmt::Debug for Kjfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let g = self.inner.lock();
         f.debug_struct("Kjfs")
-            .field("inodes", &g.inodes.len())
+            .field("inodes", &g.ns.live().count())
             .field("crashed", &g.crashed)
             .finish()
     }
@@ -1988,7 +1762,10 @@ mod tests {
         fs.sync().unwrap();
         assert!(fs.fsck().is_empty(), "{:?}", fs.fsck());
         let f2 = fs.create(fs.root(), "reborn").unwrap();
-        assert_eq!(f2, f, "freed inode number is recycled");
+        assert_eq!(f2.slot(), f.slot(), "freed inode slot is recycled");
+        assert_ne!(f2, f, "under a new generation");
+        assert_eq!(fs.write(f, 0, b"stale"), Err(VfsError::NotFound), "the old handle is stale");
+        assert_eq!(fs.stat(f2).unwrap().size, 0);
     }
 
     #[test]
@@ -2187,7 +1964,7 @@ mod tests {
         fs.sync().unwrap();
         {
             let g = fs.inner.lock();
-            let i = &g.inodes[&d.0];
+            let i = &g.ns.node(d).unwrap().data;
             assert!(i.size > PAGE_SIZE as u64, "entry table crossed the block boundary");
             assert!(i.mapped_blocks() >= 2);
         }

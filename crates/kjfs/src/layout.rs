@@ -44,9 +44,6 @@ pub const MAX_EXTENTS: usize = 12;
 /// Bits per bitmap block.
 pub const BITS_PER_BITMAP_BLOCK: u64 = (PAGE_SIZE * 8) as u64;
 
-/// The root directory's inode number. Ino 0 is reserved/invalid.
-pub const ROOT_INO: u64 = 1;
-
 /// First word every [`checksum`] absorbs: from a zero digest, leading zero
 /// words would leave it at zero.
 const CHECKSUM_SEED: u64 = 0x4B4A_4653_4353_554D;

@@ -294,6 +294,10 @@ impl SyscallLayer {
     pub fn k_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> VfsResult<i32> {
         let ino = match self.vfs.resolve(path) {
             Ok(ino) => {
+                // A directory opens read-only, like open(2).
+                if flags.writable() && self.vfs.fs().kind(ino)? == FileKind::Dir {
+                    return Err(VfsError::IsADirectory);
+                }
                 if flags.contains(OpenFlags::TRUNC) && flags.writable() {
                     self.vfs.fs().truncate(ino, 0)?;
                 }

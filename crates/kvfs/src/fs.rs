@@ -4,9 +4,24 @@
 
 use crate::error::VfsResult;
 
-/// Inode number.
+/// Inode handle: a slot number in the low 32 bits and the slot's
+/// generation in the high 32 (see [`crate::namespace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ino(pub u64);
+
+impl Ino {
+    pub const fn new(slot: u64, generation: u32) -> Ino {
+        Ino(slot | (generation as u64) << 32)
+    }
+
+    pub const fn slot(self) -> u64 {
+        self.0 & 0xFFFF_FFFF
+    }
+
+    pub const fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 /// What an inode is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +129,9 @@ pub trait FileSystem: Send + Sync {
 
     /// Attributes of an inode.
     fn stat(&self, ino: Ino) -> VfsResult<Stat>;
+
+    /// What `ino` is, without charging anything: the open-time type check.
+    fn kind(&self, ino: Ino) -> VfsResult<FileKind>;
 
     /// Read up to `buf.len()` bytes at `off`; returns bytes read.
     fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> VfsResult<usize>;

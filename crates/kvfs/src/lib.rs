@@ -18,6 +18,8 @@
 //! * [`dcache::DentryCache`] — a name-lookup cache guarded by a single
 //!   global `dcache_lock` (an instrumentable spinlock from `kevents`), the
 //!   exact object instrumented in the paper's event-monitoring evaluation.
+//! * [`namespace::Namespace`] — the directory tree and its errno rules,
+//!   shared by memfs and kjfs: each keeps only its own per-inode data.
 //! * [`vfs::Vfs`] — mount point + path resolution tying it together.
 //!
 //! [FiST-style]: https://www.fsl.cs.sunysb.edu/project-fist.html
@@ -28,6 +30,7 @@ pub mod error;
 pub mod fs;
 pub mod memfs;
 pub mod name;
+pub mod namespace;
 pub mod snapshot;
 pub mod vfs;
 pub mod wrapfs;
@@ -41,6 +44,7 @@ pub use fs::{
 };
 pub use memfs::MemFs;
 pub use name::Name;
+pub use namespace::{Effects, Namespace, Node, ROOT};
 pub use snapshot::{SnapshotEntry, VfsSnapshot};
 pub use vfs::Vfs;
 pub use wrapfs::{WrapAllocStats, WrapFs};

@@ -9,7 +9,6 @@
 //! every [`META_JOURNAL_BATCH`]'th update flushes one sequential journal
 //! block, approximating Ext3's batched commits.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -20,6 +19,7 @@ use ksim::{Machine, PAGE_SIZE};
 use crate::blockdev::{BlockAddr, BlockDev};
 use crate::error::{VfsError, VfsResult};
 use crate::fs::{DirEntry, FileKind, FileSystem, Ino, Stat};
+use crate::namespace::{check_name, Namespace, MAX_SLOTS, ROOT};
 
 /// CPU cost of touching an inode's metadata. kjfs charges the same
 /// bookkeeping prices, so kjfs-vs-memfs deltas measure journaling and I/O.
@@ -31,118 +31,33 @@ pub const BLOCK_CPU_COST: u64 = 150;
 /// One journal flush per this many metadata updates.
 pub const META_JOURNAL_BATCH: u64 = 64;
 
-#[derive(Debug)]
-struct Inode {
-    kind: FileKind,
-    nlink: u32,
-    mode: u32,
-    mtime: u64,
-    data: Vec<u8>,
-    entries: BTreeMap<String, u64>,
-}
-
-impl Inode {
-    fn new_file(mode: u32) -> Self {
-        Inode {
-            kind: FileKind::File,
-            nlink: 1,
-            mode,
-            mtime: 0,
-            data: Vec::new(),
-            entries: BTreeMap::new(),
-        }
-    }
-
-    fn new_dir(mode: u32) -> Self {
-        Inode {
-            kind: FileKind::Dir,
-            nlink: 2,
-            mode,
-            mtime: 0,
-            data: Vec::new(),
-            entries: BTreeMap::new(),
-        }
-    }
-}
-
-/// Inode table keyed by the dense ino sequence `next_ino` hands out.
-/// Inos start at 1 and are never reused, so a slot vector indexed by ino
-/// replaces a hash map: the per-op probe on every read/write/stat is a
-/// bounds-checked index instead of a SipHash-and-probe round trip.
-#[derive(Default)]
-struct InodeTable {
-    slots: Vec<Option<Inode>>,
-    live: usize,
-}
-
-impl InodeTable {
-    fn get(&self, ino: &u64) -> Option<&Inode> {
-        self.slots.get(*ino as usize).and_then(Option::as_ref)
-    }
-
-    fn get_mut(&mut self, ino: &u64) -> Option<&mut Inode> {
-        self.slots.get_mut(*ino as usize).and_then(Option::as_mut)
-    }
-
-    fn insert(&mut self, ino: u64, inode: Inode) {
-        let i = ino as usize;
-        if self.slots.len() <= i {
-            self.slots.resize_with(i + 1, || None);
-        }
-        if self.slots[i].replace(inode).is_none() {
-            self.live += 1;
-        }
-    }
-
-    fn remove(&mut self, ino: &u64) -> Option<Inode> {
-        let taken = self.slots.get_mut(*ino as usize).and_then(Option::take);
-        if taken.is_some() {
-            self.live -= 1;
-        }
-        taken
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-}
-
-/// The in-memory file system.
+/// The in-memory file system: the shared [`Namespace`], with each inode's
+/// data a byte body. Block addresses use the full inode handle as their
+/// object, so a reused slot never inherits its predecessor's cached blocks.
 pub struct MemFs {
     machine: Arc<Machine>,
     dev: Arc<BlockDev>,
-    inodes: RwLock<InodeTable>,
+    ns: RwLock<Namespace<Vec<u8>>>,
     /// Recycled file bodies: PostMark-style churn creates and unlinks the
     /// same-sized files millions of times; reusing the backing vectors
     /// keeps their capacity warm instead of round-tripping the allocator.
     body_pool: kalloc::ObjPool<Vec<u8>>,
-    next_ino: AtomicU64,
     meta_updates: AtomicU64,
-    root: u64,
 }
 
 impl MemFs {
     pub fn new(machine: Arc<Machine>, dev: Arc<BlockDev>) -> Self {
-        let mut inodes = InodeTable::default();
-        let root = 1u64;
-        inodes.insert(root, Inode::new_dir(0o755));
         MemFs {
             machine,
             dev,
-            inodes: RwLock::new(inodes),
+            ns: RwLock::new(Namespace::new(MAX_SLOTS)),
             body_pool: kalloc::ObjPool::new(),
-            next_ino: AtomicU64::new(root + 1),
             meta_updates: AtomicU64::new(0),
-            root,
         }
     }
 
     pub fn machine(&self) -> &Arc<Machine> {
         &self.machine
-    }
-
-    pub fn dev(&self) -> &Arc<BlockDev> {
-        &self.dev
     }
 
     fn charge_meta_update(&self) {
@@ -158,157 +73,77 @@ impl MemFs {
         }
     }
 
-    fn alloc_ino(&self) -> u64 {
-        self.next_ino.fetch_add(1, Relaxed)
-    }
-
     fn now(&self) -> u64 {
         self.machine.clock.elapsed_cycles()
+    }
+
+    /// `create` and `mkdir`. A bad name costs nothing; only `create`
+    /// consults `kvfs.nospc`.
+    fn new_node(&self, dir: Ino, name: &str, kind: FileKind) -> VfsResult<Ino> {
+        check_name(name)?;
+        self.machine.charge_sys(DIR_OP_COST);
+        let mut ns = self.ns.write();
+        let nospc = (kind == FileKind::File).then_some(&*self.machine.faults);
+        let (ino, _) = ns.create(dir, name, kind, self.now(), nospc)?;
+        if kind == FileKind::File {
+            let mut body = self.body_pool.take(Vec::new);
+            body.clear();
+            ns.node_mut(ino).expect("just created").data = body;
+        }
+        drop(ns);
+        // The new inode is in memory: its metadata block is hot.
+        self.dev.prime_cache(BlockAddr { obj: ino.0, index: u64::MAX });
+        self.charge_meta_update();
+        Ok(ino)
     }
 }
 
 impl FileSystem for MemFs {
     fn root(&self) -> Ino {
-        Ino(self.root)
+        ROOT
     }
 
     fn lookup(&self, dir: Ino, name: &str) -> VfsResult<Ino> {
         self.machine.charge_sys(DIR_OP_COST);
-        let inodes = self.inodes.read();
-        let d = inodes.get(&dir.0).ok_or(VfsError::NotFound)?;
-        if d.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        d.entries.get(name).map(|&i| Ino(i)).ok_or(VfsError::NotFound)
+        self.ns.read().lookup(dir, name)
     }
 
     fn create(&self, dir: Ino, name: &str) -> VfsResult<Ino> {
-        if name.is_empty() || name.contains('/') {
-            return Err(VfsError::Invalid("bad file name"));
-        }
-        self.machine.charge_sys(DIR_OP_COST);
-        let mut inodes = self.inodes.write();
-        let d = inodes.get_mut(&dir.0).ok_or(VfsError::NotFound)?;
-        if d.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        if d.entries.contains_key(name) {
-            return Err(VfsError::Exists);
-        }
-        if self.machine.faults.should_fail(kfault::sites::KVFS_NOSPC) {
-            return Err(VfsError::NoSpace);
-        }
-        let ino = self.alloc_ino();
-        d.entries.insert(name.to_string(), ino);
-        d.mtime = self.now();
-        let mut f = Inode::new_file(0o644);
-        let mut body = self.body_pool.take(Vec::new);
-        body.clear();
-        f.data = body;
-        f.mtime = self.now();
-        inodes.insert(ino, f);
-        drop(inodes);
-        // The new inode is in memory: its metadata block is hot.
-        self.dev.prime_cache(BlockAddr { obj: ino, index: u64::MAX });
-        self.charge_meta_update();
-        Ok(Ino(ino))
+        self.new_node(dir, name, FileKind::File)
     }
 
     fn mkdir(&self, dir: Ino, name: &str) -> VfsResult<Ino> {
-        if name.is_empty() || name.contains('/') {
-            return Err(VfsError::Invalid("bad directory name"));
-        }
-        self.machine.charge_sys(DIR_OP_COST);
-        let mut inodes = self.inodes.write();
-        let d = inodes.get_mut(&dir.0).ok_or(VfsError::NotFound)?;
-        if d.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        if d.entries.contains_key(name) {
-            return Err(VfsError::Exists);
-        }
-        let ino = self.alloc_ino();
-        d.entries.insert(name.to_string(), ino);
-        d.nlink += 1; // the child's ".." back-link
-        d.mtime = self.now();
-        let mut nd = Inode::new_dir(0o755);
-        nd.mtime = self.now();
-        inodes.insert(ino, nd);
-        drop(inodes);
-        self.dev.prime_cache(BlockAddr { obj: ino, index: u64::MAX });
-        self.charge_meta_update();
-        Ok(Ino(ino))
+        self.new_node(dir, name, FileKind::Dir)
     }
 
     fn unlink(&self, dir: Ino, name: &str) -> VfsResult<()> {
         self.machine.charge_sys(DIR_OP_COST);
-        let mut inodes = self.inodes.write();
-        let d = inodes.get_mut(&dir.0).ok_or(VfsError::NotFound)?;
-        let &ino = d.entries.get(name).ok_or(VfsError::NotFound)?;
-        let target = inodes.get(&ino).ok_or(VfsError::NotFound)?;
-        if target.kind == FileKind::Dir {
-            return Err(VfsError::IsADirectory);
+        let fx = self.ns.write().remove(dir, name, FileKind::File, self.now())?;
+        if let Some(body) = fx.freed {
+            self.body_pool.put(body);
         }
-        let d = inodes.get_mut(&dir.0).expect("dir vanished");
-        d.entries.remove(name);
-        d.mtime = self.now();
-        let target = inodes.get_mut(&ino).expect("target vanished");
-        target.nlink -= 1;
-        if target.nlink == 0 {
-            if let Some(dead) = inodes.remove(&ino) {
-                self.body_pool.put(dead.data);
-            }
-        }
-        drop(inodes);
-        self.dev.evict_object(ino);
+        self.dev.evict_object(fx.inode.expect("unlink names its inode").0);
         self.charge_meta_update();
         Ok(())
     }
 
     fn rmdir(&self, dir: Ino, name: &str) -> VfsResult<()> {
         self.machine.charge_sys(DIR_OP_COST);
-        let mut inodes = self.inodes.write();
-        let d = inodes.get(&dir.0).ok_or(VfsError::NotFound)?;
-        let &ino = d.entries.get(name).ok_or(VfsError::NotFound)?;
-        let target = inodes.get(&ino).ok_or(VfsError::NotFound)?;
-        if target.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        if !target.entries.is_empty() {
-            return Err(VfsError::NotEmpty);
-        }
-        inodes.remove(&ino);
-        let d = inodes.get_mut(&dir.0).expect("dir vanished");
-        d.entries.remove(name);
-        d.nlink -= 1;
-        d.mtime = self.now();
-        drop(inodes);
+        let _ = self.ns.write().remove(dir, name, FileKind::Dir, self.now())?;
         self.charge_meta_update();
         Ok(())
     }
 
     fn readdir(&self, dir: Ino) -> VfsResult<Vec<DirEntry>> {
-        let inodes = self.inodes.read();
-        let d = inodes.get(&dir.0).ok_or(VfsError::NotFound)?;
-        if d.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
+        let entries = self.ns.read().readdir(dir)?;
         // Directory data occupies blocks; reading it costs CPU per entry
         // batch plus disk for uncached dir blocks (~32 B per entry).
-        let nblocks = (d.entries.len() * 32).div_ceil(PAGE_SIZE).max(1);
+        let nblocks = (entries.len() * 32).div_ceil(PAGE_SIZE).max(1);
         for b in 0..nblocks {
             self.dev.read_block(BlockAddr { obj: dir.0, index: b as u64 }, PAGE_SIZE)?;
         }
-        self.machine.charge_sys(DIR_OP_COST + d.entries.len() as u64 * 25);
-        Ok(d
-            .entries
-            .iter()
-            .map(|(name, &ino)| DirEntry {
-                name: name.clone(),
-                ino,
-                kind: inodes.get(&ino).map(|i| i.kind).unwrap_or(FileKind::File),
-            })
-            .collect())
+        self.machine.charge_sys(DIR_OP_COST + entries.len() as u64 * 25);
+        Ok(entries)
     }
 
     fn stat(&self, ino: Ino) -> VfsResult<Stat> {
@@ -316,38 +151,29 @@ impl FileSystem for MemFs {
         // The inode block itself may need reading (one metadata block per
         // inode; cached after first touch).
         self.dev.read_block(BlockAddr { obj: ino.0, index: u64::MAX }, 128)?;
-        let inodes = self.inodes.read();
-        let i = inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
-        Ok(Stat {
-            ino: ino.0,
-            kind: i.kind,
-            size: if i.kind == FileKind::Dir {
-                (i.entries.len() * 32).max(PAGE_SIZE) as u64
-            } else {
-                i.data.len() as u64
-            },
-            nlink: i.nlink,
-            mode: i.mode,
-            uid: 0,
-            gid: 0,
-            blocks: (i.data.len() as u64).div_ceil(512),
-            mtime: i.mtime,
-        })
+        let ns = self.ns.read();
+        let (st, i) = ns.stat(ino)?;
+        let size = match st.kind {
+            FileKind::Dir => (i.entries().len() * 32).max(PAGE_SIZE),
+            FileKind::File => i.data.len(),
+        };
+        Ok(Stat { size: size as u64, blocks: (i.data.len() as u64).div_ceil(512), ..st })
+    }
+
+    fn kind(&self, ino: Ino) -> VfsResult<FileKind> {
+        Ok(self.ns.read().node(ino)?.kind())
     }
 
     fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
-        let inodes = self.inodes.read();
-        let i = inodes.get(&ino.0).ok_or(VfsError::NotFound)?;
-        if i.kind == FileKind::Dir {
-            return Err(VfsError::IsADirectory);
-        }
+        let ns = self.ns.read();
+        let i = ns.file(ino)?;
         let len = i.data.len() as u64;
         if off >= len {
             return Ok(0);
         }
         let n = buf.len().min((len - off) as usize);
         buf[..n].copy_from_slice(&i.data[off as usize..off as usize + n]);
-        drop(inodes);
+        drop(ns);
 
         let first = off / PAGE_SIZE as u64;
         let last = (off + n as u64 - 1) / PAGE_SIZE as u64;
@@ -365,11 +191,8 @@ impl FileSystem for MemFs {
         if self.machine.faults.should_fail(kfault::sites::KVFS_NOSPC) {
             return Err(VfsError::NoSpace);
         }
-        let mut inodes = self.inodes.write();
-        let i = inodes.get_mut(&ino.0).ok_or(VfsError::NotFound)?;
-        if i.kind == FileKind::Dir {
-            return Err(VfsError::IsADirectory);
-        }
+        let mut ns = self.ns.write();
+        let i = ns.file_mut(ino)?;
         let old_blocks = i.data.len().div_ceil(PAGE_SIZE) as u64;
         let end = off as usize + data.len();
         if i.data.len() < end {
@@ -377,8 +200,7 @@ impl FileSystem for MemFs {
         }
         i.data[off as usize..end].copy_from_slice(data);
         i.mtime = self.now();
-        let _new_len = i.data.len();
-        drop(inodes);
+        drop(ns);
 
         // Newly allocated blocks hit the disk (write-back coalesced):
         // rewriting already-written blocks stays in the page cache.
@@ -395,40 +217,18 @@ impl FileSystem for MemFs {
     }
 
     fn truncate(&self, ino: Ino, size: u64) -> VfsResult<()> {
-        let mut inodes = self.inodes.write();
-        let i = inodes.get_mut(&ino.0).ok_or(VfsError::NotFound)?;
-        if i.kind == FileKind::Dir {
-            return Err(VfsError::IsADirectory);
-        }
+        let mut ns = self.ns.write();
+        let i = ns.file_mut(ino)?;
         i.data.resize(size as usize, 0);
         i.mtime = self.now();
-        drop(inodes);
+        drop(ns);
         self.charge_meta_update();
         Ok(())
     }
 
     fn rename(&self, from_dir: Ino, from: &str, to_dir: Ino, to: &str) -> VfsResult<()> {
         self.machine.charge_sys(2 * DIR_OP_COST);
-        let mut inodes = self.inodes.write();
-        let fd = inodes.get(&from_dir.0).ok_or(VfsError::NotFound)?;
-        if fd.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        let &ino = fd.entries.get(from).ok_or(VfsError::NotFound)?;
-        let td = inodes.get(&to_dir.0).ok_or(VfsError::NotFound)?;
-        if td.kind != FileKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        if td.entries.contains_key(to) {
-            return Err(VfsError::Exists);
-        }
-        inodes.get_mut(&from_dir.0).expect("from dir").entries.remove(from);
-        inodes
-            .get_mut(&to_dir.0)
-            .expect("to dir")
-            .entries
-            .insert(to.to_string(), ino);
-        drop(inodes);
+        let _ = self.ns.write().rename(from_dir, from, to_dir, to, self.now())?;
         self.charge_meta_update();
         Ok(())
     }
@@ -440,9 +240,7 @@ impl FileSystem for MemFs {
 
 impl std::fmt::Debug for MemFs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemFs")
-            .field("inodes", &self.inodes.read().len())
-            .finish()
+        f.debug_struct("MemFs").field("inodes", &self.ns.read().live().count()).finish()
     }
 }
 
@@ -573,9 +371,10 @@ mod tests {
     fn unlink_dir_and_rmdir_file_are_type_errors() {
         let fs = memfs();
         fs.mkdir(fs.root(), "d").unwrap();
-        fs.create(fs.root(), "f").unwrap();
+        let f = fs.create(fs.root(), "f").unwrap();
         assert!(matches!(fs.unlink(fs.root(), "d"), Err(VfsError::IsADirectory)));
         assert!(matches!(fs.rmdir(fs.root(), "f"), Err(VfsError::NotADirectory)));
+        assert!(matches!(fs.unlink(f, "x"), Err(VfsError::NotADirectory)), "a file has no entries");
     }
 
     #[test]
@@ -665,7 +464,8 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// MemFs agrees with a trivial name→bytes model under arbitrary
-        /// operation sequences over a flat directory of up to 8 names.
+        /// operation sequences over a flat directory of up to 8 names, and
+        /// its namespace invariants hold after every op.
         #[test]
         fn matches_flat_model(ops in proptest::collection::vec(arb_op(), 1..60)) {
             let fs = tests::memfs();
@@ -751,6 +551,7 @@ mod proptests {
                 let mut expect: Vec<String> = model.keys().cloned().collect();
                 expect.sort();
                 prop_assert_eq!(listed, expect);
+                prop_assert_eq!(fs.ns.read().check(), Vec::<String>::new());
             }
         }
 
@@ -774,7 +575,7 @@ mod proptests {
             let cycles = |m: &Machine| {
                 m.clock.user_cycles() + m.clock.sys_cycles() + m.clock.io_cycles()
             };
-            // Inos are monotonic so they differ between passes; record
+            // Inode generations differ between passes; record
             // only whether each op succeeded, its errno, and read bytes.
             let run_pass = |trace: &mut Vec<String>| {
                 for op in &ops {

@@ -25,7 +25,7 @@ use kalloc::KernelAllocator;
 use ksim::{Machine, PAGE_SIZE};
 
 use crate::error::VfsResult;
-use crate::fs::{DirEntry, FileSystem, Ino, Stat};
+use crate::fs::{DirEntry, FileKind, FileSystem, Ino, Stat};
 
 /// Size of the per-object private data field. The paper measured the
 /// average Wrapfs allocation at 80 bytes.
@@ -197,6 +197,10 @@ impl FileSystem for WrapFs {
         self.machine.charge_sys(WRAP_OP_COST);
         self.ensure_private(ino)?;
         self.lower.stat(ino)
+    }
+
+    fn kind(&self, ino: Ino) -> VfsResult<FileKind> {
+        self.lower.kind(ino)
     }
 
     fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
