@@ -195,15 +195,14 @@ enum SockKind {
     Fresh,
     Listener {
         port: u16,
-        /// Global slots of connection-pending server-side endpoints.
-        pending: VecDeque<usize>,
+        /// Accept queues of connection-pending server-side endpoints (global
+        /// slots). One queue unless `set_accept_sharding` makes one per
+        /// CPU: `connect` queues on the connecting thread's CPU
+        /// (`ksim::thread_cpu() % n`), and `accept` drains its own CPU's
+        /// queue first, then steals from the others in turn.
+        queues: Vec<VecDeque<usize>>,
+        /// Bound on the connections pending across all queues.
         capacity: usize,
-        /// SO_REUSEPORT-style accept sharding: when set, `connect` routes
-        /// each new connection to the queue of the connecting thread's CPU
-        /// (`ksim::thread_cpu() % n`) and `accept` drains its own CPU's
-        /// queue first. `None` (the default) keeps the single shared
-        /// backlog and its exact legacy behavior.
-        shards: Option<Vec<VecDeque<usize>>>,
     },
     Stream(Stream),
 }
@@ -305,14 +304,8 @@ impl State {
     fn readiness_of(&self, gid: usize) -> i32 {
         match &self.socks[gid] {
             Some(SockKind::Fresh) | None => 0,
-            Some(SockKind::Listener {
-                pending, shards, ..
-            }) => {
-                let empty = pending.is_empty()
-                    && shards
-                        .as_ref()
-                        .is_none_or(|s| s.iter().all(VecDeque::is_empty));
-                if empty {
+            Some(SockKind::Listener { queues, .. }) => {
+                if queues.iter().all(VecDeque::is_empty) {
                     0
                 } else {
                     POLL_IN
@@ -408,9 +401,8 @@ impl NetStack {
         }
         st.socks[gid] = Some(SockKind::Listener {
             port,
-            pending: VecDeque::new(),
+            queues: vec![VecDeque::new()],
             capacity: backlog.max(1),
-            shards: None,
         });
         st.ports.insert(port, gid);
         Ok(())
@@ -420,15 +412,15 @@ impl NetStack {
     /// per-CPU accept queues. New connections land on the connecting
     /// thread's CPU queue; `accept` serves its own CPU's queue first and
     /// falls back to sibling queues so no connection strands. Connections
-    /// already pending stay on the shared backlog and are drained before
-    /// sibling-queue stealing.
+    /// already pending move to queue 0 and are stolen like any sibling's.
     pub fn set_accept_sharding(&self, pid: Pid, sd: i32, cpus: usize) -> Result<(), NetError> {
         self.charge_proto();
         let mut st = self.state.lock();
         let gid = st.lookup(pid, sd)?;
         match st.socks[gid].as_mut() {
-            Some(SockKind::Listener { shards, .. }) => {
-                *shards = Some(vec![VecDeque::new(); cpus.max(1)]);
+            Some(SockKind::Listener { queues, .. }) => {
+                let pending = std::mem::replace(queues, vec![VecDeque::new(); cpus.max(1)]);
+                queues[0] = pending.into_iter().flatten().collect();
                 Ok(())
             }
             Some(_) => Err(NetError::Invalid("not a listener")),
@@ -436,17 +428,12 @@ impl NetStack {
         }
     }
 
-    /// Depth of each per-CPU accept queue (empty vec when unsharded).
-    /// For tests and the SMP bench's load-balance report.
+    /// Depth of each accept queue (`[n]` when unsharded).
     pub fn listener_shard_depths(&self, pid: Pid, sd: i32) -> Result<Vec<usize>, NetError> {
         let st = self.state.lock();
         let gid = st.lookup(pid, sd)?;
         match &st.socks[gid] {
-            Some(SockKind::Listener { shards, .. }) => {
-                Ok(shards.as_ref().map_or(Vec::new(), |s| {
-                    s.iter().map(VecDeque::len).collect()
-                }))
-            }
+            Some(SockKind::Listener { queues, .. }) => Ok(queues.iter().map(VecDeque::len).collect()),
             Some(_) => Err(NetError::Invalid("not a listener")),
             None => Err(NetError::BadSock),
         }
@@ -474,21 +461,11 @@ impl NetStack {
             }
         };
         let overflow = {
-            let Some(SockKind::Listener {
-                pending,
-                capacity,
-                shards,
-                ..
-            }) = &st.socks[lgid]
-            else {
+            let Some(SockKind::Listener { queues, capacity, .. }) = &st.socks[lgid] else {
                 st.stats.refused += 1;
                 return Err(NetError::ConnRefused);
             };
-            let queued = pending.len()
-                + shards
-                    .as_ref()
-                    .map_or(0, |s| s.iter().map(VecDeque::len).sum::<usize>());
-            queued >= *capacity
+            queues.iter().map(VecDeque::len).sum::<usize>() >= *capacity
         };
         if overflow
             || self
@@ -508,17 +485,9 @@ impl NetStack {
             peer_closed: false,
             reset: false,
         }));
-        if let Some(SockKind::Listener {
-            pending, shards, ..
-        }) = st.socks[lgid].as_mut()
-        {
-            match shards {
-                Some(sh) => {
-                    let n = sh.len();
-                    sh[ksim::thread_cpu() % n].push_back(srv);
-                }
-                None => pending.push_back(srv),
-            }
+        if let Some(SockKind::Listener { queues, .. }) = st.socks[lgid].as_mut() {
+            let n = queues.len();
+            queues[ksim::thread_cpu() % n].push_back(srv);
         }
         st.socks[gid] = Some(SockKind::Stream(Stream {
             peer: Some(srv),
@@ -537,24 +506,12 @@ impl NetStack {
         let mut st = self.state.lock();
         let gid = st.lookup(pid, sd)?;
         let srv = match st.socks[gid].as_mut() {
-            Some(SockKind::Listener {
-                pending, shards, ..
-            }) => match shards {
-                Some(sh) => {
-                    let n = sh.len();
-                    let own = ksim::thread_cpu() % n;
-                    // Own CPU's queue, then pre-sharding leftovers, then
-                    // siblings' queues (work conservation).
-                    sh[own]
-                        .pop_front()
-                        .or_else(|| pending.pop_front())
-                        .or_else(|| {
-                            (1..n).find_map(|i| sh[(own + i) % n].pop_front())
-                        })
-                        .ok_or(NetError::Again)?
-                }
-                None => pending.pop_front().ok_or(NetError::Again)?,
-            },
+            Some(SockKind::Listener { queues, .. }) => {
+                // Own CPU's queue, then the siblings' (work conservation).
+                let n = queues.len();
+                let own = ksim::thread_cpu() % n;
+                (0..n).find_map(|i| queues[(own + i) % n].pop_front()).ok_or(NetError::Again)?
+            }
             Some(_) => return Err(NetError::Invalid("not a listener")),
             None => return Err(NetError::BadSock),
         };
@@ -664,17 +621,9 @@ impl NetStack {
         }
         match st.socks[gid].take() {
             Some(SockKind::Fresh) | None => {}
-            Some(SockKind::Listener {
-                port,
-                mut pending,
-                shards,
-                ..
-            }) => {
+            Some(SockKind::Listener { port, queues, .. }) => {
                 st.ports.remove(&port);
-                if let Some(sh) = shards {
-                    pending.extend(sh.into_iter().flatten());
-                }
-                for srv in pending {
+                for srv in queues.into_iter().flatten() {
                     let peer = match st.socks[srv].take() {
                         Some(SockKind::Stream(s)) => {
                             let p = s.peer;
@@ -953,6 +902,13 @@ mod tests {
         let (m, net, pid) = stack();
         let l = net.socket(pid).unwrap();
         net.bind_listen(pid, l, 80, 16).unwrap();
+        // A connection from before sharding stays in queue 0.
+        let c0 = net.socket(pid).unwrap();
+        {
+            let _b = m.bind_cpu(3);
+            net.connect(pid, c0, 80).unwrap();
+        }
+        assert_eq!(net.listener_shard_depths(pid, l).unwrap(), vec![1]);
         net.set_accept_sharding(pid, l, 4).unwrap();
         // Connects from CPU 1 and CPU 2 land on their own shards.
         let c1 = net.socket(pid).unwrap();
@@ -965,17 +921,20 @@ mod tests {
             let _b = m.bind_cpu(2);
             net.connect(pid, c2, 80).unwrap();
         }
-        assert_eq!(net.listener_shard_depths(pid, l).unwrap(), vec![0, 1, 1, 0]);
+        assert_eq!(net.listener_shard_depths(pid, l).unwrap(), vec![1, 1, 1, 0]);
         assert_eq!(net.readiness(pid, l).unwrap(), POLL_IN);
         // CPU 2's worker accepts its own connection first...
         {
             let _b = m.bind_cpu(2);
             net.accept(pid, l).unwrap();
         }
-        assert_eq!(net.listener_shard_depths(pid, l).unwrap(), vec![0, 1, 0, 0]);
-        // ...and an idle CPU with an empty shard steals from a sibling.
+        assert_eq!(net.listener_shard_depths(pid, l).unwrap(), vec![1, 1, 0, 0]);
+        // ...and an idle CPU with an empty shard steals from its siblings,
+        // the leftover in queue 0 included.
         {
             let _b = m.bind_cpu(3);
+            net.accept(pid, l).unwrap();
+            assert_eq!(net.listener_shard_depths(pid, l).unwrap(), vec![0, 1, 0, 0]);
             net.accept(pid, l).unwrap();
         }
         assert_eq!(net.accept(pid, l), Err(NetError::Again));

@@ -29,7 +29,6 @@
 pub mod attach;
 pub mod engine;
 pub mod event;
-pub mod registry;
 pub mod verify;
 
 pub use attach::{AttachStats, Attachment, ProgError, MAX_RESUBMIT_OFF};
@@ -37,7 +36,6 @@ pub use engine::{
     HookClass, LoadError, ProgEngine, ProgSpec, VerifiedProg, CTX_BYTES, CTX_WORDS, STATE_WORDS,
 };
 pub use event::EventProgram;
-pub use registry::ProgRegistry;
 pub use verify::{verify, Proof, RejectRule, Rejection, MAX_BUDGET};
 
 #[cfg(test)]
@@ -346,23 +344,5 @@ mod tests {
         window[8..16].copy_from_slice(&31i64.to_le_bytes());
         att.run(&mut [0, 64, 0, 0], Some(&window)).unwrap();
         assert_eq!(att.state()[0], 42);
-    }
-
-    #[test]
-    fn registry_fast_path_and_class_guard() {
-        let m = Arc::new(Machine::new(MachineConfig::default()));
-        let e = ProgEngine::new(m.clone());
-        let reg = ProgRegistry::new();
-        assert!(!reg.has_syscall_filters());
-        assert!(reg.syscall_filter(1).is_none());
-        let p = e.load(OK_FILTER, &spec(HookClass::SyscallEntry)).unwrap();
-        let att = Arc::new(Attachment::new(m, p).unwrap());
-        reg.attach_cqe(1, att.clone()).unwrap_err();
-        reg.attach_syscall(1, att.clone()).unwrap();
-        assert!(reg.has_syscall_filters());
-        assert!(Arc::ptr_eq(&reg.syscall_filter(1).unwrap(), &att));
-        assert!(reg.syscall_filter(2).is_none());
-        reg.detach_syscall(1).unwrap();
-        assert!(!reg.has_syscall_filters());
     }
 }

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{
-    fence, AtomicU32, AtomicU64, AtomicU8,
+    fence, AtomicU32, AtomicU64,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
 use std::sync::Arc;
@@ -140,16 +140,20 @@ const _: () = assert!(
 ///
 /// Guest RAM is a single flat array of relaxed atomic words, so the
 /// load/store fast path — the hottest operation in the whole simulator —
-/// takes no lock at all. A per-frame allocation byte turns accesses to
+/// takes no lock at all. A per-frame allocation bit turns accesses to
 /// unallocated frames into panics (those are simulator bugs, not guest
 /// errors). Racing guest threads see word-level tearing at worst, the same
 /// guarantee real hardware gives racing CPUs. The backing allocation comes
 /// from the zeroed allocator, so untouched frames cost no resident memory.
 pub struct PhysMemory {
     ram: Box<[AtomicU64]>,
-    /// 1 = allocated, 0 = free.
-    state: Box<[AtomicU8]>,
-    free: Mutex<Vec<u32>>,
+    /// One bit per frame: 1 = allocated, 0 = free.
+    state: Box<[AtomicU64]>,
+    /// Freed frames, reused newest first, then never-used frames from the
+    /// counter up, lowest first: frame numbers, and so cycle totals, depend
+    /// on this order. The stack has room for every frame, so a free never
+    /// reallocates.
+    free: Mutex<(Vec<u32>, u32)>,
     allocated: AtomicU64,
     high_water: AtomicU64,
 }
@@ -157,7 +161,6 @@ pub struct PhysMemory {
 impl PhysMemory {
     /// Create a pool with `nframes` frames (lazily committed by the OS).
     pub fn new(nframes: usize) -> Self {
-        let free: Vec<u32> = (0..nframes as u32).rev().collect();
         // `vec![0u64; n]` goes through the zeroed allocator (no page is
         // touched until written); the size/align assertion above makes the
         // reinterpretation as atomic words valid.
@@ -168,8 +171,8 @@ impl PhysMemory {
         let ram = unsafe { Box::from_raw(words as *mut [AtomicU64]) };
         PhysMemory {
             ram,
-            state: (0..nframes).map(|_| AtomicU8::new(0)).collect(),
-            free: Mutex::new(free),
+            state: (0..nframes.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            free: Mutex::new((Vec::with_capacity(nframes), 0)),
             allocated: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
         }
@@ -177,7 +180,7 @@ impl PhysMemory {
 
     /// Number of frames in the pool.
     pub fn capacity(&self) -> usize {
-        self.state.len()
+        self.ram.len() / WORDS_PER_FRAME
     }
 
     /// Frames currently allocated.
@@ -192,12 +195,23 @@ impl PhysMemory {
 
     /// Allocate one zeroed frame.
     pub fn alloc_frame(&self) -> SimResult<Pfn> {
-        let idx = self.free.lock().pop().ok_or(SimError::OutOfMemory)?;
+        let idx = {
+            let (freed, next) = &mut *self.free.lock();
+            match freed.pop() {
+                Some(idx) => idx,
+                None if (*next as usize) < self.capacity() => {
+                    *next += 1;
+                    *next - 1
+                }
+                None => return Err(SimError::OutOfMemory),
+            }
+        };
         let base = idx as usize * WORDS_PER_FRAME;
         for w in &self.ram[base..base + WORDS_PER_FRAME] {
             w.store(0, Relaxed);
         }
-        self.state[idx as usize].store(1, Release);
+        let (word, bit) = Self::state_bit(Pfn(idx));
+        self.state[word].fetch_or(bit, Release);
         let now = self.allocated.fetch_add(1, Relaxed) + 1;
         self.high_water.fetch_max(now, Relaxed);
         Ok(Pfn(idx))
@@ -208,17 +222,25 @@ impl PhysMemory {
     /// # Panics
     /// Panics on double free — that is a simulator bug, not a guest error.
     pub fn free_frame(&self, pfn: Pfn) {
-        let was = self.state[pfn.0 as usize].swap(0, AcqRel);
-        assert!(was == 1, "double free of frame {:?}", pfn);
+        let (word, bit) = Self::state_bit(pfn);
+        let was = self.state[word].fetch_and(!bit, AcqRel);
+        assert!(was & bit != 0, "double free of frame {:?}", pfn);
         self.allocated.fetch_sub(1, Relaxed);
-        self.free.lock().push(pfn.0);
+        self.free.lock().0.push(pfn.0);
+    }
+
+    /// `pfn`'s word in the allocation bitmap and its bit in that word.
+    #[inline]
+    fn state_bit(pfn: Pfn) -> (usize, u64) {
+        (pfn.0 as usize / 64, 1 << (pfn.0 % 64))
     }
 
     /// First word index of `pfn`, panicking if the frame is not allocated.
     #[inline]
     fn base_word(&self, pfn: Pfn) -> usize {
+        let (word, bit) = Self::state_bit(pfn);
         assert!(
-            self.state[pfn.0 as usize].load(Acquire) == 1,
+            self.state[word].load(Acquire) & bit != 0,
             "access to unallocated frame {pfn:?}"
         );
         pfn.0 as usize * WORDS_PER_FRAME
@@ -801,6 +823,24 @@ mod tests {
         phys.read_frame(c, 0, &mut b0);
         assert_eq!(b0[0], 0, "frames are zeroed on alloc");
         assert_eq!(phys.high_water(), 2);
+    }
+
+    /// Lowest never-used frame first, freed frames reused newest first:
+    /// every frame number, and so every cycle total, depends on this order.
+    #[test]
+    fn frames_come_lowest_first_and_freed_ones_lifo() {
+        let phys = PhysMemory::new(130);
+        let first: Vec<u32> = (0..3).map(|_| phys.alloc_frame().unwrap().0).collect();
+        assert_eq!(first, [0, 1, 2]);
+        phys.free_frame(Pfn(1));
+        phys.free_frame(Pfn(0));
+        let next: Vec<u32> = (0..3).map(|_| phys.alloc_frame().unwrap().0).collect();
+        assert_eq!(next, [0, 1, 3]);
+        // Frames past the first bitmap word track their own bits.
+        while phys.alloc_frame().is_ok() {}
+        assert_eq!(phys.allocated(), 130);
+        phys.free_frame(Pfn(129));
+        assert_eq!(phys.alloc_frame().unwrap(), Pfn(129));
     }
 
     #[test]

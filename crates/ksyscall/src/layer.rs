@@ -9,16 +9,17 @@
 //! crossing.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use ksim::SpinMutex;
 
 use knet::{NetError, NetStack};
+use kprog::{Attachment, HookClass};
 use ksim::{FxHashMap, Machine, Pid, SimError};
 use ktrace::{SyscallEvent, Sysno, Tracer};
-use kuring::OFF_CURSOR;
+use kuring::{Uring, OFF_CURSOR};
 #[cfg(test)]
 use kvfs::{DIRENT_WIRE_BYTES, STAT_WIRE_BYTES};
 use kvfs::{DirEntry, FileKind, Stat, Vfs, VfsError, VfsResult};
@@ -38,18 +39,37 @@ pub const SEEK_SET: i32 = 0;
 pub const SEEK_CUR: i32 = 1;
 pub const SEEK_END: i32 = 2;
 
-/// Distinguishes layer instances in the per-thread fd-table cache.
+/// Distinguishes layer instances in the per-thread context cache.
 static NEXT_LAYER_ID: AtomicU64 = AtomicU64::new(0);
 
-/// One (layer id, pid, fd-table handle) cache entry; see [`LAST_FDS`].
-type CachedFds = (u64, u32, Arc<SpinMutex<FdTable>>);
+/// One (layer id, pid, context) cache entry; see [`LAST_CTX`].
+type CachedCtx = (u64, u32, Arc<ProcCtx>);
 
 thread_local! {
-    /// The (layer, pid) → fd-table handle this thread last used. Same
-    /// pattern as the machine's boundary cache: a syscall stream repeats
-    /// the pid, so the registry lock and hash probe are paid once per
-    /// thread migration instead of on every descriptor operation.
-    static LAST_FDS: RefCell<Option<CachedFds>> = const { RefCell::new(None) };
+    /// The (layer, pid) → context this thread last used. Same pattern as
+    /// the machine's boundary cache: a syscall stream repeats the pid, so
+    /// the table lock and hash probe are paid once per thread migration
+    /// instead of on every descriptor, ring or program lookup.
+    static LAST_CTX: RefCell<Option<CachedCtx>> = const { RefCell::new(None) };
+}
+
+/// The program attach points this layer hosts, as indices into
+/// [`ProcCtx::progs`], [`SyscallLayer::attached`] and [`HOOK_CLASS`].
+pub(crate) const FILTER: usize = 0;
+pub(crate) const CQE: usize = 1;
+/// The class a program must be verified for to attach at each hook.
+const HOOK_CLASS: [HookClass; 2] = [HookClass::SyscallEntry, HookClass::UringCqe];
+
+/// What the syscall layer keeps for one process: its descriptor table, its
+/// ring pair and the programs attached to it. Each part has its own lock,
+/// so a cached context never touches the layer's pid table.
+#[derive(Default)]
+pub(crate) struct ProcCtx {
+    fds: SpinMutex<FdTable>,
+    /// Set once, by `sys_ring_setup`.
+    pub(crate) ring: OnceLock<Arc<Uring>>,
+    /// The syscall-entry filter ([`FILTER`]) and CQE program ([`CQE`]).
+    progs: SpinMutex<[Option<Arc<Attachment>>; 2]>,
 }
 
 /// The kernel's system-call interface.
@@ -58,18 +78,17 @@ pub struct SyscallLayer {
     vfs: Arc<Vfs>,
     net: Arc<NetStack>,
     tracer: Arc<Tracer>,
-    /// Per-process descriptor tables. Each table has its own lock, so the
-    /// hot path (cached handle) never touches the registry.
-    fds: Mutex<FxHashMap<u32, Arc<SpinMutex<FdTable>>>>,
-    /// This instance's key in the per-thread fd-table cache.
+    /// Every process's context, by pid.
+    procs: Mutex<FxHashMap<u32, Arc<ProcCtx>>>,
+    /// This instance's key in the per-thread context cache.
     id: u64,
-    /// Per-process kuring SQ/CQ ring pairs (see `crate::uring`).
-    pub(crate) urings: Mutex<FxHashMap<u32, Arc<kuring::Uring>>>,
+    /// How many processes have a program at each attach point. While a
+    /// count is zero its hook costs one relaxed load and takes no lock.
+    /// Relaxed suffices: the program itself is read under its context's
+    /// lock, and the count only says whether to look.
+    attached: [AtomicUsize; 2],
     /// Recycled scratch buffers for user↔kernel data copies.
     pub(crate) scratch: kalloc::BufPool,
-    /// Verified-program attach points (syscall-entry filters, CQE
-    /// programs). Empty registries cost one relaxed load per syscall.
-    pub(crate) progs: kprog::ProgRegistry,
 }
 
 impl SyscallLayer {
@@ -81,30 +100,36 @@ impl SyscallLayer {
             machine,
             vfs,
             tracer: Arc::new(Tracer::new()),
-            fds: Mutex::new(FxHashMap::default()),
+            procs: Mutex::new(FxHashMap::default()),
             id: NEXT_LAYER_ID.fetch_add(1, Relaxed),
-            urings: Mutex::new(FxHashMap::default()),
+            attached: Default::default(),
             scratch,
-            progs: kprog::ProgRegistry::new(),
         }
     }
 
-    /// Run `f` with `pid`'s descriptor table, creating it on first use.
-    /// The per-thread cache makes the repeat-pid path lock-free up to the
-    /// table's own mutex.
-    fn with_fd_table<R>(&self, pid: Pid, f: impl FnOnce(&SpinMutex<FdTable>) -> R) -> R {
-        LAST_FDS.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if let Some((lid, cached_pid, t)) = slot.as_ref() {
+    /// Run `f` with `pid`'s context, creating it on first use. A hit in
+    /// the per-thread cache takes no lock, and a nested call for the same
+    /// pid (an op inside a ring batch) shares the cached handle.
+    pub(crate) fn with_ctx<R>(&self, pid: Pid, f: impl FnOnce(&ProcCtx) -> R) -> R {
+        LAST_CTX.with(|cell| {
+            if let Some((lid, cached_pid, ctx)) = &*cell.borrow() {
                 if *lid == self.id && *cached_pid == pid.0 {
-                    return f(t);
+                    return f(ctx);
                 }
             }
-            let t = self.fds.lock().entry(pid.0).or_default().clone();
-            let r = f(&t);
-            *slot = Some((self.id, pid.0, t));
+            let ctx = self.procs.lock().entry(pid.0).or_default().clone();
+            let r = f(&ctx);
+            // While an outer call still holds the cache, it stays as is.
+            if let Ok(mut slot) = cell.try_borrow_mut() {
+                *slot = Some((self.id, pid.0, ctx));
+            }
             r
         })
+    }
+
+    /// `pid`'s context, if it has one; a peek never creates one.
+    pub(crate) fn peek_ctx(&self, pid: Pid) -> Option<Arc<ProcCtx>> {
+        self.procs.lock().get(&pid.0).cloned()
     }
 
     pub fn machine(&self) -> &Arc<Machine> {
@@ -130,28 +155,25 @@ impl SyscallLayer {
 
     /// Open descriptors across all processes (leak checking in tests).
     pub fn open_fds(&self, pid: Pid) -> usize {
-        let t = self.fds.lock().get(&pid.0).cloned();
-        t.map_or(0, |t| t.lock().open_count())
+        self.peek_ctx(pid).map_or(0, |c| c.fds.lock().open_count())
     }
 
     /// The open file behind `fd`, if any (no side effects, no charges).
     pub fn fd_peek(&self, pid: Pid, fd: i32) -> Option<OpenFile> {
-        let t = self.fds.lock().get(&pid.0).cloned();
-        t.and_then(|t| t.lock().get(fd))
+        self.peek_ctx(pid).and_then(|c| c.fds.lock().get(fd))
     }
 
     /// Capture `pid`'s descriptor table (descriptor numbers included) so a
     /// failed compound can put it back exactly — see [`Self::fd_restore`].
     pub fn fd_snapshot(&self, pid: Pid) -> Vec<Option<OpenFile>> {
-        let t = self.fds.lock().get(&pid.0).cloned();
-        t.map(|t| t.lock().snapshot()).unwrap_or_default()
+        self.peek_ctx(pid).map(|c| c.fds.lock().snapshot()).unwrap_or_default()
     }
 
     /// Restore a table captured with [`Self::fd_snapshot`]: descriptors
     /// opened since vanish, closed ones reappear at their old numbers with
     /// their old offsets.
     pub fn fd_restore(&self, pid: Pid, snap: Vec<Option<OpenFile>>) {
-        self.with_fd_table(pid, |t| t.lock().restore(snap));
+        self.with_ctx(pid, |c| c.fds.lock().restore(snap));
     }
 
     // ---- boundary-charge helpers ------------------------------------------
@@ -218,10 +240,8 @@ impl SyscallLayer {
     /// one relaxed load (the exact-cycle fast-path tests pin this).
     pub(crate) fn invoke(&self, pid: Pid, no: Sysno, f: impl FnOnce(&Self) -> SysResult) -> i64 {
         self.cross(pid, no, |s| {
-            if s.progs.has_syscall_filters() {
-                if let Err(veto) = s.consult_syscall_filter(pid, no, [0; 3]) {
-                    return veto;
-                }
+            if let Err(veto) = s.consult_syscall_filter(pid, no, [0; 3]) {
+                return veto;
             }
             f(s).unwrap_or_else(|e| e.errno())
         })
@@ -237,7 +257,7 @@ impl SyscallLayer {
         no: Sysno,
         args: [i64; 3],
     ) -> Result<[i64; 3], i64> {
-        let Some(att) = self.progs.syscall_filter(pid.0) else {
+        let Some(att) = self.prog(pid, FILTER) else {
             return Ok(args);
         };
         let mut ctx = [no as i64, args[0], args[1], args[2]];
@@ -250,41 +270,69 @@ impl SyscallLayer {
 
     // ---- verified-program attach points (kprog) ---------------------------
 
-    /// The attach registry (introspection; prefer the typed helpers below).
-    pub fn progs(&self) -> &kprog::ProgRegistry {
-        &self.progs
+    /// Whether any process has a program at `hook`: one relaxed load.
+    #[inline]
+    pub(crate) fn hooked(&self, hook: usize) -> bool {
+        self.attached[hook].load(Relaxed) != 0
     }
 
-    /// Install a verified syscall-entry filter for `pid`. Every subsequent
-    /// syscall from `pid` runs it before dispatch; see
-    /// [`Self::dispatch`] for the veto/rewrite contract.
-    pub fn attach_syscall_filter(
+    /// `pid`'s program at `hook` ([`FILTER`] or [`CQE`]). While no process
+    /// has one there this is one relaxed load and takes no lock.
+    #[inline]
+    pub(crate) fn prog(&self, pid: Pid, hook: usize) -> Option<Arc<Attachment>> {
+        if !self.hooked(hook) {
+            return None;
+        }
+        self.with_ctx(pid, |c| c.progs.lock()[hook].clone())
+    }
+
+    /// Put `att` at `pid`'s `hook`, or clear it with `None`, keeping the
+    /// hook's count in step; returns what was there. A program verified for
+    /// another hook's class is refused.
+    fn set_prog(
         &self,
         pid: Pid,
-        att: Arc<kprog::Attachment>,
-    ) -> Result<(), &'static str> {
-        self.progs.attach_syscall(pid.0, att).map(|_| ())
+        hook: usize,
+        att: Option<Arc<Attachment>>,
+    ) -> Result<Option<Arc<Attachment>>, &'static str> {
+        if att.as_ref().is_some_and(|a| a.class() != HOOK_CLASS[hook]) {
+            return Err("attachment was verified for another hook class");
+        }
+        Ok(self.with_ctx(pid, |c| {
+            let mut progs = c.progs.lock();
+            let old = std::mem::replace(&mut progs[hook], att);
+            match (old.is_some(), progs[hook].is_some()) {
+                (false, true) => self.attached[hook].fetch_add(1, Relaxed),
+                (true, false) => self.attached[hook].fetch_sub(1, Relaxed),
+                _ => 0,
+            };
+            old
+        }))
+    }
+
+    /// Install a verified syscall-entry filter for `pid`, replacing any
+    /// previous one. Every subsequent syscall from `pid` runs it before
+    /// dispatch; see [`Self::dispatch`] for the veto/rewrite contract.
+    pub fn attach_syscall_filter(&self, pid: Pid, att: Arc<Attachment>) -> Result<(), &'static str> {
+        self.set_prog(pid, FILTER, Some(att)).map(drop)
     }
 
     /// Remove `pid`'s syscall-entry filter, returning it if present.
-    pub fn detach_syscall_filter(&self, pid: Pid) -> Option<Arc<kprog::Attachment>> {
-        self.progs.detach_syscall(pid.0)
+    pub fn detach_syscall_filter(&self, pid: Pid) -> Option<Arc<Attachment>> {
+        self.set_prog(pid, FILTER, None).ok().flatten()
     }
 
-    /// Install a verified per-CQE completion program for `pid`. Ring
-    /// completions from `sys_ring_enter` then pass through it: the program
-    /// can drop, rewrite, or resubmit each completion without a crossing.
-    pub fn attach_cqe_program(
-        &self,
-        pid: Pid,
-        att: Arc<kprog::Attachment>,
-    ) -> Result<(), &'static str> {
-        self.progs.attach_cqe(pid.0, att).map(|_| ())
+    /// Install a verified per-CQE completion program for `pid`, replacing
+    /// any previous one. Ring completions from `sys_ring_enter` then pass
+    /// through it: the program can drop, rewrite, or resubmit each
+    /// completion without a crossing.
+    pub fn attach_cqe_program(&self, pid: Pid, att: Arc<Attachment>) -> Result<(), &'static str> {
+        self.set_prog(pid, CQE, Some(att)).map(drop)
     }
 
     /// Remove `pid`'s CQE program, returning it if present.
-    pub fn detach_cqe_program(&self, pid: Pid) -> Option<Arc<kprog::Attachment>> {
-        self.progs.detach_cqe(pid.0)
+    pub fn detach_cqe_program(&self, pid: Pid) -> Option<Arc<Attachment>> {
+        self.set_prog(pid, CQE, None).ok().flatten()
     }
 
     // ---- in-kernel operations (used by sys_* and by Cosy) -----------------
@@ -313,12 +361,12 @@ impl SyscallLayer {
             offset: 0,
             flags,
         };
-        Ok(self.with_fd_table(pid, |t| t.lock().insert(file)))
+        Ok(self.with_ctx(pid, |c| c.fds.lock().insert(file)))
     }
 
     /// In-kernel `close`.
     pub fn k_close(&self, pid: Pid, fd: i32) -> VfsResult<()> {
-        self.with_fd_table(pid, |t| t.lock().remove(fd))
+        self.with_ctx(pid, |c| c.fds.lock().remove(fd))
             .map(|_| ())
             .ok_or(VfsError::BadHandle)
     }
@@ -334,8 +382,8 @@ impl SyscallLayer {
         fd: i32,
         f: impl FnOnce(&mut OpenFile) -> VfsResult<R>,
     ) -> VfsResult<R> {
-        self.with_fd_table(pid, |t| {
-            let mut table = t.lock();
+        self.with_ctx(pid, |c| {
+            let mut table = c.fds.lock();
             let file = table.get_mut(fd).ok_or(VfsError::BadHandle)?;
             f(file)
         })

@@ -34,7 +34,7 @@ pub use kuring::OFF_CURSOR;
 use kvfs::{VfsError, DIRENT_WIRE_BYTES};
 
 use crate::fd::OpenFlags;
-use crate::layer::{SyscallLayer, SEEK_SET};
+use crate::layer::{SyscallLayer, FILTER, SEEK_SET};
 use crate::wire;
 
 /// I/O at or below this size stages through an on-stack buffer; larger
@@ -474,7 +474,7 @@ impl SyscallLayer {
         mut op: KOp<'_>,
         io: &mut T,
     ) -> OpResult<T::Fault> {
-        if self.progs.has_syscall_filters() {
+        if self.hooked(FILTER) {
             let args = self
                 .consult_syscall_filter(pid, op.sysno(), op.args())
                 .map_err(OpError::Veto)?;

@@ -10,7 +10,7 @@ use kuring::Sqe;
 
 use crate::fd::OpenFlags;
 use crate::layer::tests::{setup, UBUF};
-use crate::layer::SEEK_SET;
+use crate::layer::{CQE, FILTER, SEEK_SET};
 
 fn load(
     m: &Arc<Machine>,
@@ -59,11 +59,6 @@ fn entry_filter_vetoes_rewrites_and_detaches() {
     assert_eq!(&out, b"the q");
     let seen = att.state()[0];
     assert!(seen >= 2, "filter saw the calls: {seen}");
-
-    // Another process is unfiltered even while the registry is nonempty.
-    let pid2 = m.spawn_process();
-    m.map_user(pid2, UBUF, 4096).unwrap();
-    assert!(sys.sys_open(pid2, "/g", OpenFlags::RDWR | OpenFlags::CREAT) >= 0);
 
     let back = sys.detach_syscall_filter(pid).unwrap();
     assert!(Arc::ptr_eq(&back, &att));
@@ -176,4 +171,89 @@ fn cqe_program_resubmit_walks_a_pointer_chain_in_one_enter() {
     assert!(ring.reap_cqe().is_none(), "intermediate hops never surfaced");
     assert_eq!(&att.state()[..2], &[3, 66], "node count and value sum");
     assert_eq!(att.stats().invocations, 3);
+}
+
+const VETO_WRITES: &str = r#"
+    int f(int *ctx, int *state) {
+        if (ctx[0] == 2) { return -1; }
+        return 0;
+    }
+"#;
+
+const ADD_100: &str = r#"
+    int f(int *ctx, int *state, int *buf) {
+        ctx[1] = ctx[1] + 100;
+        return 1;
+    }
+"#;
+
+#[test]
+fn attach_fast_path_and_class_guard() {
+    let (m, sys, pid) = setup();
+    let other = m.spawn_process();
+    assert!(!sys.hooked(FILTER) && !sys.hooked(CQE));
+    assert!(sys.prog(pid, FILTER).is_none());
+    let att = load(&m, VETO_WRITES, &ProgSpec::new(HookClass::SyscallEntry, "f"));
+    sys.attach_cqe_program(pid, att.clone()).unwrap_err();
+    assert!(!sys.hooked(CQE), "a refused attachment leaves the hook empty");
+    sys.attach_syscall_filter(pid, att.clone()).unwrap();
+    assert!(sys.hooked(FILTER));
+    assert!(Arc::ptr_eq(&sys.prog(pid, FILTER).unwrap(), &att));
+    assert!(sys.prog(other, FILTER).is_none(), "one pid's filter reaches no other");
+    let cqe = load(&m, ADD_100, &ProgSpec::new(HookClass::UringCqe, "f"));
+    sys.attach_syscall_filter(pid, cqe).unwrap_err();
+    assert!(Arc::ptr_eq(&sys.detach_syscall_filter(pid).unwrap(), &att));
+    assert!(!sys.hooked(FILTER));
+    assert!(sys.detach_syscall_filter(pid).is_none());
+}
+
+/// Two layers with two processes each, driven in turn from one thread, so
+/// every call switches the thread's cached context. Each process must see
+/// only its own descriptors, ring, filter and CQE program.
+#[test]
+fn contexts_stay_apart_across_layers_and_pids_on_one_thread() {
+    let (ma, a, a1) = setup();
+    let (mb, b, b1) = setup();
+    let (a2, b2) = (ma.spawn_process(), mb.spawn_process());
+    for (m, pid) in [(&ma, a2), (&mb, b2)] {
+        m.map_user(pid, UBUF, 4096).unwrap();
+    }
+    let procs = [(&a, a1), (&b, b1), (&a, a2), (&b, b2)];
+    for (i, &(sys, pid)) in procs.iter().enumerate() {
+        for k in 0..=i {
+            let path = format!("/p{}_{k}", pid.0);
+            assert_eq!(sys.sys_open(pid, &path, OpenFlags::RDWR | OpenFlags::CREAT), k as i64);
+        }
+        assert_eq!(sys.sys_ring_setup(pid, 4, 4), 0);
+    }
+    let filter = load(&ma, VETO_WRITES, &ProgSpec::new(HookClass::SyscallEntry, "f"));
+    a.attach_syscall_filter(a1, filter).unwrap();
+    let cqe = load(&mb, ADD_100, &ProgSpec::new(HookClass::UringCqe, "f"));
+    b.attach_cqe_program(b2, cqe).unwrap();
+
+    let round = |attached: bool| {
+        for (i, &(sys, pid)) in procs.iter().enumerate() {
+            assert_eq!(sys.open_fds(pid), i + 1);
+            assert_eq!(sys.sys_read(pid, i as i32 + 1, UBUF, 1), -9, "EBADF past its own fds");
+            // Only a1 (index 0) has a filter, and only b2 (3) a CQE program.
+            assert_eq!(sys.sys_write(pid, 0, UBUF, 1), if attached && i == 0 { -1 } else { 1 });
+            let ring = sys.uring(pid).unwrap();
+            ring.push_sqe(Sqe::nop(i as u64)).unwrap();
+            assert_eq!(sys.sys_ring_enter(pid, 1, 1), 1);
+            let cqe = ring.reap_cqe().unwrap();
+            let res = if attached && i == 3 { 100 } else { 0 };
+            assert_eq!((cqe.user_data, cqe.res), (i as u64, res));
+            assert!(ring.reap_cqe().is_none(), "another process's completion");
+            assert_eq!(sys.sys_ring_setup(pid, 4, 4), -17, "EEXIST: one ring each");
+        }
+    };
+    round(true);
+    round(true);
+    assert!(a.detach_syscall_filter(a2).is_none() && b.detach_cqe_program(b1).is_none());
+    a.detach_syscall_filter(a1).unwrap();
+    b.detach_cqe_program(b2).unwrap();
+    for sys in [&a, &b] {
+        assert!(!sys.hooked(FILTER) && !sys.hooked(CQE), "back to one relaxed load");
+    }
+    round(false);
 }

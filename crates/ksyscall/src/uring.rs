@@ -30,7 +30,7 @@ use kuring::{
 };
 
 use crate::fd::OpenFlags;
-use crate::layer::SyscallLayer;
+use crate::layer::{SyscallLayer, CQE};
 use crate::op::{FixedBufs, KOp, OpError, PathRef, UserMem};
 
 /// Cap on how many times a CQE program may resubmit one SQE within a
@@ -50,15 +50,11 @@ impl SyscallLayer {
             if sq_entries == 0 || cq_entries == 0 {
                 return Err(OpError::Errno(-22)); // EINVAL
             }
-            let mut rings = s.urings.lock();
-            if rings.contains_key(&pid.0) {
-                return Err(OpError::Errno(-17)); // EEXIST
+            let ring = Arc::new(Uring::new(s.machine.clone(), sq_entries, cq_entries));
+            match s.with_ctx(pid, |c| c.ring.set(ring)) {
+                Ok(()) => Ok(0),
+                Err(_) => Err(OpError::Errno(-17)), // EEXIST
             }
-            rings.insert(
-                pid.0,
-                Arc::new(Uring::new(s.machine.clone(), sq_entries, cq_entries)),
-            );
-            Ok(0)
         })
     }
 
@@ -69,32 +65,34 @@ impl SyscallLayer {
     pub fn sys_ring_register(&self, pid: Pid, ranges: &[(u64, usize)]) -> i64 {
         self.invoke(pid, Sysno::RingRegister, |s| {
             s.charge_arg_in(ranges.len() * 16);
-            let Some(ring) = s.urings.lock().get(&pid.0).cloned() else {
-                return Err(OpError::Errno(-6)); // ENXIO
-            };
-            if ranges.is_empty() {
-                return Err(OpError::Errno(-22)); // EINVAL
-            }
-            let Ok(asid) = s.machine.proc_asid(pid) else {
-                return Err(OpError::Errno(-3)); // ESRCH
-            };
-            let mut probe = [0u8; 1];
-            for &(addr, len) in ranges {
-                if len == 0 {
+            s.with_ctx(pid, |c| {
+                let Some(ring) = c.ring.get() else {
+                    return Err(OpError::Errno(-6)); // ENXIO
+                };
+                if ranges.is_empty() {
                     return Err(OpError::Errno(-22)); // EINVAL
                 }
-                // Pinning walks the pages: both ends must be mapped.
-                if s.machine.mem.read_virt(asid, addr, &mut probe).is_err()
-                    || s.machine
-                        .mem
-                        .read_virt(asid, addr + len as u64 - 1, &mut probe)
-                        .is_err()
-                {
-                    return Err(OpError::Errno(-14)); // EFAULT
+                let Ok(asid) = s.machine.proc_asid(pid) else {
+                    return Err(OpError::Errno(-3)); // ESRCH
+                };
+                let mut probe = [0u8; 1];
+                for &(addr, len) in ranges {
+                    if len == 0 {
+                        return Err(OpError::Errno(-22)); // EINVAL
+                    }
+                    // Pinning walks the pages: both ends must be mapped.
+                    if s.machine.mem.read_virt(asid, addr, &mut probe).is_err()
+                        || s.machine
+                            .mem
+                            .read_virt(asid, addr + len as u64 - 1, &mut probe)
+                            .is_err()
+                    {
+                        return Err(OpError::Errno(-14)); // EFAULT
+                    }
                 }
-            }
-            ring.register_buffers(ranges);
-            Ok(ranges.len() as i64)
+                ring.register_buffers(ranges);
+                Ok(ranges.len() as i64)
+            })
         })
     }
 
@@ -102,7 +100,7 @@ impl SyscallLayer {
     /// CQEs with zero crossings. No charges — this is a pointer lookup the
     /// process did once at setup time and kept.
     pub fn uring(&self, pid: Pid) -> Option<Arc<Uring>> {
-        self.urings.lock().get(&pid.0).cloned()
+        self.peek_ctx(pid)?.ring.get().cloned()
     }
 
     /// `sys_ring_enter`: the single crossing for a whole batch. Flushes
@@ -118,59 +116,61 @@ impl SyscallLayer {
     pub fn sys_ring_enter(&self, pid: Pid, to_submit: usize, min_complete: usize) -> i64 {
         let _ = min_complete;
         self.invoke(pid, Sysno::RingEnter, |s| {
-            let Some(ring) = s.urings.lock().get(&pid.0).cloned() else {
-                return Err(OpError::Errno(-6)); // ENXIO
-            };
-            ring.flush_overflow();
-            if ring.overflow_full() {
-                // The process is not reaping: take no more work until it
-                // does, so the overflow list stays bounded.
-                return Err(OpError::Errno(-16)); // EBUSY
-            }
-            // Fetched once per batch: one relaxed load when no CQE program
-            // is attached (the common case, pinned by the exact-charge
-            // tests).
-            let cqe_prog = s.progs.cqe_program(pid.0);
-            // One lock round-trip drains the whole batch; the per-entry
-            // SQE-move charges are identical to popping them one by one.
-            let mut sqes = Vec::with_capacity(to_submit.min(64));
-            ring.take_sqes(to_submit, &mut sqes);
-            let mut submitted = 0i64;
-            // Chain state: `in_chain` while the previous SQE carried
-            // IOSQE_LINK; a fresh chain resets the failure flag and the
-            // propagated fd.
-            let mut in_chain = false;
-            let mut chain_failed = false;
-            let mut chain_fd: i64 = -1;
-            for sqe in &sqes {
-                submitted += 1;
-                if !in_chain {
-                    chain_failed = false;
-                    chain_fd = -1;
-                }
-                s.machine.charge_sys(s.machine.cost.uring_op_dispatch);
-                let res = if chain_failed {
-                    ECANCELED
-                } else {
-                    let r = s.exec_ring_op(pid, &ring, sqe, chain_fd);
-                    if r >= 0 && matches!(sqe.opcode, Opcode::Open | Opcode::Accept) {
-                        chain_fd = r;
-                    }
-                    if r < 0 {
-                        chain_failed = true;
-                    }
-                    r
+            s.with_ctx(pid, |c| {
+                let Some(ring) = c.ring.get() else {
+                    return Err(OpError::Errno(-6)); // ENXIO
                 };
-                match &cqe_prog {
-                    None => ring.post_cqe(Cqe {
-                        user_data: sqe.user_data,
-                        res,
-                    }),
-                    Some(att) => s.complete_with_program(pid, &ring, att, sqe, res),
+                ring.flush_overflow();
+                if ring.overflow_full() {
+                    // The process is not reaping: take no more work until it
+                    // does, so the overflow list stays bounded.
+                    return Err(OpError::Errno(-16)); // EBUSY
                 }
-                in_chain = sqe.flags & IOSQE_LINK != 0;
-            }
-            Ok(submitted)
+                // Fetched once per batch: one relaxed load when no CQE program
+                // is attached (the common case, pinned by the exact-charge
+                // tests).
+                let cqe_prog = s.prog(pid, CQE);
+                // One lock round-trip drains the whole batch; the per-entry
+                // SQE-move charges are identical to popping them one by one.
+                let mut sqes = Vec::with_capacity(to_submit.min(64));
+                ring.take_sqes(to_submit, &mut sqes);
+                let mut submitted = 0i64;
+                // Chain state: `in_chain` while the previous SQE carried
+                // IOSQE_LINK; a fresh chain resets the failure flag and the
+                // propagated fd.
+                let mut in_chain = false;
+                let mut chain_failed = false;
+                let mut chain_fd: i64 = -1;
+                for sqe in &sqes {
+                    submitted += 1;
+                    if !in_chain {
+                        chain_failed = false;
+                        chain_fd = -1;
+                    }
+                    s.machine.charge_sys(s.machine.cost.uring_op_dispatch);
+                    let res = if chain_failed {
+                        ECANCELED
+                    } else {
+                        let r = s.exec_ring_op(pid, ring, sqe, chain_fd);
+                        if r >= 0 && matches!(sqe.opcode, Opcode::Open | Opcode::Accept) {
+                            chain_fd = r;
+                        }
+                        if r < 0 {
+                            chain_failed = true;
+                        }
+                        r
+                    };
+                    match &cqe_prog {
+                        None => ring.post_cqe(Cqe {
+                            user_data: sqe.user_data,
+                            res,
+                        }),
+                        Some(att) => s.complete_with_program(pid, ring, att, sqe, res),
+                    }
+                    in_chain = sqe.flags & IOSQE_LINK != 0;
+                }
+                Ok(submitted)
+            })
         })
     }
 
@@ -192,8 +192,8 @@ impl SyscallLayer {
     fn complete_with_program(
         &self,
         pid: Pid,
-        ring: &Arc<Uring>,
-        att: &Arc<kprog::Attachment>,
+        ring: &Uring,
+        att: &kprog::Attachment,
         sqe: &Sqe,
         first_res: i64,
     ) {

@@ -93,8 +93,8 @@ pub mod prelude {
     };
     pub use knet::{NetError, NetStack, POLL_HUP, POLL_IN, POLL_OUT};
     pub use kprog::{
-        Attachment, EventProgram, HookClass, LoadError, ProgEngine, ProgError, ProgRegistry,
-        ProgSpec, RejectRule, Rejection, VerifiedProg,
+        Attachment, EventProgram, HookClass, LoadError, ProgEngine, ProgError, ProgSpec,
+        RejectRule, Rejection, VerifiedProg,
     };
     pub use ksim::{
         clock::{improvement_pct, overhead_pct},

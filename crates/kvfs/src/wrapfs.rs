@@ -107,11 +107,14 @@ impl WrapFs {
         Ok(())
     }
 
-    /// Get or create the private data attached to an inode.
+    /// Get or create the private data attached to an inode. A stale
+    /// handle fails the uncharged `kind` check before anything is
+    /// allocated, so nothing is left for `teardown` to find.
     fn ensure_private(&self, ino: Ino) -> VfsResult<()> {
         if self.private.lock().contains_key(&ino.0) {
             return Ok(());
         }
+        self.lower.kind(ino)?;
         let addr = self.alloc_and_fill(PRIVATE_DATA_BYTES, true)?;
         self.private.lock().insert(ino.0, addr);
         Ok(())

@@ -174,6 +174,22 @@ mod tests {
         assert_eq!(w.allocator().name(), "kmalloc");
     }
 
+    /// A write through a descriptor whose file was unlinked fails before
+    /// wrapfs allocates private data for the dead inode.
+    #[test]
+    fn wrapfs_stale_writes_allocate_nothing() {
+        let rig = Rig::wrapfs_kmalloc();
+        let p = rig.user(1 << 16);
+        let fd = rig.sys.sys_open(p.pid, "/w", OpenFlags::RDWR | OpenFlags::CREAT) as i32;
+        assert_eq!(rig.sys.sys_unlink(p.pid, "/w"), 0);
+        let w = rig.wrapfs.as_ref().unwrap();
+        for _ in 0..10 {
+            assert_eq!(rig.sys.sys_write(p.pid, fd, p.buf, 100), -2, "ENOENT");
+            let kvfs::WrapAllocStats { allocs, frees } = w.alloc_stats();
+            assert_eq!(allocs - frees, 0, "private data for a dead inode");
+        }
+    }
+
     #[test]
     fn user_proc_stage_fetch_roundtrip() {
         let rig = Rig::memfs();

@@ -38,4 +38,9 @@ work=$(mktemp -d)
 trap 'rm -rf "${work}"' EXIT
 (cd "${work}" && "${root}/target/release/all")
 
+echo "== workspace .rs line count (trend, not gated) =="
+# The figure the ROADMAP's quality goal tracks. perfbench is its own
+# workspace and is not counted.
+find crates shims tests examples -name '*.rs' -not -path '*/target/*' -exec cat {} + | wc -l
+
 echo "CI pass complete."
