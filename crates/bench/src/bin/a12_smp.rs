@@ -1,17 +1,17 @@
 //! A12 (SMP): per-CPU sharding, work-stealing, and webserver scaling.
 //!
-//! PR 6 makes `ksim::Machine` genuinely multi-core: per-CPU run queues
-//! with a seeded work-stealing scheduler, per-CPU clock mirrors, slab
-//! magazines in front of the pools, per-CPU kevents rings, an epoch-based
-//! lock-free dcache read path, and SO_REUSEPORT-style accept sharding in
-//! `knet`. This bench quantifies the result three ways:
+//! `ksim::Machine` is multi-core: per-CPU run queues with a seeded
+//! work-stealing scheduler, slab magazines in front of the pools, per-CPU
+//! kevents rings, an epoch-based lock-free dcache read path, and
+//! SO_REUSEPORT-style accept sharding in `knet`. This bench quantifies
+//! the result three ways:
 //!
 //! 1. **Webserver sweep** — `serve` runs one worker per CPU against a
 //!    sharded listener, for 1/2/4/8 CPUs in all five serve modes. The
 //!    scaling metric is simulated requests/sec against the *critical
-//!    path* (busiest CPU's clock): ideal overlap, so lost efficiency is
-//!    exactly the per-batch fixed cost that no longer amortizes across
-//!    the whole batch. Targets: ≥5x at 8 CPUs on uring, ≥3x on classic.
+//!    path* (the busiest worker's cycles): ideal overlap, so lost
+//!    efficiency is exactly the per-batch fixed cost that no longer
+//!    amortizes across the whole batch. Targets: ≥5x at 8 CPUs on uring, ≥3x on classic.
 //! 2. **Host-threaded mixed loop** — 8 host threads on ONE shared `Rig`,
 //!    each bound to its own simulated CPU, each running the A11 mixed
 //!    vfs+net loop on private files/sockets. The aggregate sustained

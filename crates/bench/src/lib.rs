@@ -10,6 +10,8 @@
 //! that swings with machine load. It prints its value and verdict, tagged,
 //! but never fails the run.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 
 /// One measured quantity with the paper's reported counterpart.

@@ -25,6 +25,8 @@
 //! into both the user and kernel address spaces, so compound encoding and
 //! data movement between operations genuinely cross no boundary.
 
+#![forbid(unsafe_code)]
+
 pub mod buffers;
 pub mod builder;
 pub mod cache;

@@ -23,6 +23,8 @@
 //! VMALLOC_BASE     0xffff_c000_0000_0000   vmalloc / Kefence arena
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ledger;
 pub mod pool;
 pub mod slab;

@@ -37,6 +37,8 @@
 //! assert_eq!(prog.funcs.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arena;
 pub mod ast;
 pub mod bytecode;

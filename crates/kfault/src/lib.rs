@@ -18,6 +18,8 @@
 //! The disarmed fast path is a single relaxed atomic load, so production
 //! benchmarks pay effectively nothing for the instrumentation.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 use parking_lot::Mutex;

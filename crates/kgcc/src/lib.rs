@@ -31,6 +31,8 @@
 //!   "reclaiming performance quickly as the confidence level for
 //!   frequently-executed code becomes acceptable".
 
+#![forbid(unsafe_code)]
+
 pub mod bytecode;
 pub mod deinstrument;
 pub mod hook;

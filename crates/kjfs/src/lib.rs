@@ -25,6 +25,8 @@
 //! `kjfs.journal.replay`, `kjfs.journal.checkpoint`, plus
 //! `kvfs.blockdev.torn` underneath.
 
+#![forbid(unsafe_code)]
+
 pub mod fs;
 pub mod harness;
 pub mod journal;

@@ -31,6 +31,8 @@
 //! consults `net.send_again` (spurious flow-control stall) and
 //! `net.peer_reset` (connection torn down mid-stream, both directions).
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 

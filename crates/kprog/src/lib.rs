@@ -26,6 +26,8 @@
 //! per-CQE completion programs in `ksyscall`, dispatch transforms in
 //! `kevents` (via [`EventProgram`]).
 
+#![forbid(unsafe_code)]
+
 pub mod attach;
 pub mod engine;
 pub mod event;

@@ -37,19 +37,13 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::cost::cycles_to_secs;
 
-/// Per-thread pending charges for the clock identified by `clock`, plus
-/// the thread's mirror binding: while `mirror_src` is non-null, charges
-/// against that clock are teed into `mirror` as well (per-CPU accounting
-/// — the machine clock stays the shared total, the mirror accumulates the
-/// bound CPU's share).
+/// Per-thread pending charges for the clock identified by `clock`.
 struct Scratch {
     clock: Cell<*const Clock>,
     depth: Cell<u32>,
     user: Cell<u64>,
     sys: Cell<u64>,
     io: Cell<u64>,
-    mirror_src: Cell<*const Clock>,
-    mirror: Cell<*const Clock>,
 }
 
 thread_local! {
@@ -60,8 +54,6 @@ thread_local! {
             user: Cell::new(0),
             sys: Cell::new(0),
             io: Cell::new(0),
-            mirror_src: Cell::new(std::ptr::null()),
-            mirror: Cell::new(std::ptr::null()),
         }
     };
 }
@@ -98,44 +90,7 @@ impl Drop for BatchGuard<'_> {
                 if io > 0 {
                     self.clock.io.fetch_add(io, Relaxed);
                 }
-                if std::ptr::eq(s.mirror_src.get(), self.clock) {
-                    // SAFETY: `mirror_src` is non-null only while the
-                    // MirrorGuard that set it is alive (it restores the
-                    // previous binding on drop), and that guard borrows the
-                    // mirror clock for its own lifetime.
-                    let m = unsafe { &*s.mirror.get() };
-                    if u > 0 {
-                        m.user.fetch_add(u, Relaxed);
-                    }
-                    if sy > 0 {
-                        m.sys.fetch_add(sy, Relaxed);
-                    }
-                    if io > 0 {
-                        m.io.fetch_add(io, Relaxed);
-                    }
-                }
             }
-        });
-    }
-}
-
-/// While alive, charges this thread makes against one clock (the
-/// machine-wide total) are teed into a second clock (the bound CPU's
-/// share). Set up by [`Clock::mirror_into`]; restores the previous
-/// binding on drop so bindings nest. Not `Send`.
-#[must_use = "charges mirror only while the guard lives"]
-pub struct MirrorGuard<'c> {
-    prev_src: *const Clock,
-    prev_dst: *const Clock,
-    _clocks: PhantomData<&'c Clock>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for MirrorGuard<'_> {
-    fn drop(&mut self) {
-        SCRATCH.with(|s| {
-            s.mirror_src.set(self.prev_src);
-            s.mirror.set(self.prev_dst);
         });
     }
 }
@@ -183,31 +138,6 @@ impl Clock {
         BatchGuard { clock: self, active, _not_send: PhantomData }
     }
 
-    /// Tee this thread's charges against `primary` into `mirror` for the
-    /// guard's lifetime (per-CPU accounting: `primary` is the machine
-    /// total, `mirror` the bound CPU's clock). Batched charges are teed at
-    /// flush time, so open the binding around whole phases, not inside a
-    /// batch. Bindings nest; the guard restores the previous one on drop.
-    pub fn mirror_into<'c>(primary: &'c Clock, mirror: &'c Clock) -> MirrorGuard<'c> {
-        SCRATCH.with(|s| MirrorGuard {
-            prev_src: s.mirror_src.replace(primary as *const Clock),
-            prev_dst: s.mirror.replace(mirror as *const Clock),
-            _clocks: PhantomData,
-            _not_send: PhantomData,
-        })
-    }
-
-    /// Tee an unbatched charge into the thread's bound mirror, if this
-    /// clock is the mirrored source.
-    #[inline]
-    fn tee(&self, s: &Scratch, bucket: fn(&Clock) -> &AtomicU64, n: u64) {
-        if std::ptr::eq(s.mirror_src.get(), self) {
-            // SAFETY: as in `BatchGuard::drop` — `mirror_src` matched, so
-            // the MirrorGuard that bound `mirror` is alive and borrows it.
-            bucket(unsafe { &*s.mirror.get() }).fetch_add(n, Relaxed);
-        }
-    }
-
     /// This thread's pending (unflushed) charges for this clock.
     #[inline]
     fn pending(&self) -> (u64, u64, u64) {
@@ -228,7 +158,6 @@ impl Clock {
                 s.user.set(s.user.get() + n);
             } else {
                 self.user.fetch_add(n, Relaxed);
-                self.tee(s, |c| &c.user, n);
             }
         });
     }
@@ -241,7 +170,6 @@ impl Clock {
                 s.sys.set(s.sys.get() + n);
             } else {
                 self.sys.fetch_add(n, Relaxed);
-                self.tee(s, |c| &c.sys, n);
             }
         });
     }
@@ -254,7 +182,6 @@ impl Clock {
                 s.io.set(s.io.get() + n);
             } else {
                 self.io.fetch_add(n, Relaxed);
-                self.tee(s, |c| &c.io, n);
             }
         });
     }
@@ -274,7 +201,7 @@ impl Clock {
         self.io.load(Relaxed) + self.pending().2
     }
 
-    /// Total elapsed cycles on the single simulated CPU.
+    /// Total elapsed cycles: the sum of the three buckets.
     #[inline]
     pub fn elapsed_cycles(&self) -> u64 {
         self.snapshot().elapsed()
@@ -288,21 +215,6 @@ impl Clock {
             sys: self.sys.load(Relaxed) + s,
             io: self.io.load(Relaxed) + io,
         }
-    }
-
-    /// Reset all buckets to zero (between experiment phases). Clears this
-    /// thread's pending batch scratch for the clock too.
-    pub fn reset(&self) {
-        SCRATCH.with(|s| {
-            if std::ptr::eq(s.clock.get(), self) {
-                s.user.set(0);
-                s.sys.set(0);
-                s.io.set(0);
-            }
-        });
-        self.user.store(0, Relaxed);
-        self.sys.store(0, Relaxed);
-        self.io.store(0, Relaxed);
     }
 }
 
@@ -364,16 +276,6 @@ mod tests {
         let iv = c.snapshot().delta(&s);
         assert_eq!(iv, ClockSnapshot { user: 7, sys: 3, io: 0 });
         assert_eq!(iv.elapsed(), 10);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = Clock::new();
-        c.charge_user(1);
-        c.charge_sys(1);
-        c.charge_io(1);
-        c.reset();
-        assert_eq!(c.elapsed_cycles(), 0);
     }
 
     #[test]
@@ -444,17 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_inside_a_batch_clears_pending_scratch() {
-        let c = Clock::new();
-        let _b = c.batch();
-        c.charge_sys(100);
-        c.reset();
-        assert_eq!(c.sys_cycles(), 0);
-        c.charge_sys(4);
-        assert_eq!(c.sys_cycles(), 4);
-    }
-
-    #[test]
     fn concurrent_batched_charges_are_not_lost() {
         let c = std::sync::Arc::new(Clock::new());
         let mut handles = Vec::new();
@@ -473,55 +364,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.sys_cycles(), 40_000);
-    }
-
-    #[test]
-    fn mirrored_charges_tee_into_the_bound_cpu_clock() {
-        let total = Clock::new();
-        let cpu = Clock::new();
-        total.charge_sys(5); // unbound: total only
-        {
-            let _m = Clock::mirror_into(&total, &cpu);
-            total.charge_sys(7); // unbatched charge tees immediately
-            {
-                let _b = total.batch();
-                total.charge_user(3);
-                total.charge_io(2);
-            } // the batch flush tees the accumulated scratch
-        }
-        total.charge_sys(11); // binding dropped: total only again
-        assert_eq!(total.sys_cycles(), 23);
-        assert_eq!(
-            (cpu.user_cycles(), cpu.sys_cycles(), cpu.io_cycles()),
-            (3, 7, 2)
-        );
-    }
-
-    #[test]
-    fn mirror_bindings_nest_and_restore() {
-        let total = Clock::new();
-        let (a, b) = (Clock::new(), Clock::new());
-        let _ga = Clock::mirror_into(&total, &a);
-        total.charge_sys(1);
-        {
-            let _gb = Clock::mirror_into(&total, &b);
-            total.charge_sys(2);
-        }
-        total.charge_sys(4);
-        assert_eq!(a.sys_cycles(), 5);
-        assert_eq!(b.sys_cycles(), 2);
-        assert_eq!(total.sys_cycles(), 7);
-    }
-
-    #[test]
-    fn foreign_clock_charges_do_not_tee() {
-        let total = Clock::new();
-        let cpu = Clock::new();
-        let other = Clock::new();
-        let _m = Clock::mirror_into(&total, &cpu);
-        other.charge_sys(9);
-        assert_eq!(cpu.sys_cycles(), 0);
-        assert_eq!(other.sys_cycles(), 9);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod sync;
 
 pub use kfault;
 
-pub use clock::{BatchGuard, Clock, MirrorGuard};
+pub use clock::{BatchGuard, Clock};
 pub use cost::{CostModel, CYCLES_PER_SEC};
 pub use error::{SimError, SimResult};
 pub use hash::{
@@ -65,7 +65,7 @@ pub use hash::{
     FxHashSet, FxHasher,
 };
 pub use irq::{IrqController, IrqHandler, IrqStats, IRQ_OVERHEAD_CYCLES};
-pub use machine::{thread_cpu, CpuBinding, CpuState, KernelToken, Machine, MachineConfig};
+pub use machine::{thread_cpu, CpuBinding, KernelToken, Machine, MachineConfig};
 pub use mem::{
     AccessKind, AddressSpace, AsId, Fault, FaultHandler, FaultKind, FaultResolution, MemSys, Pfn,
     PhysMemory, Pte, PteFlags, Tlb, PAGE_SHIFT, PAGE_SIZE,

@@ -10,11 +10,12 @@
 //! operations share kernel-resident buffers instead of copying.
 
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::clock::{Clock, MirrorGuard};
+use crate::clock::Clock;
 use crate::cost::CostModel;
 use crate::error::{SimError, SimResult};
 use crate::irq::IrqController;
@@ -55,7 +56,8 @@ pub struct MachineConfig {
     /// Physical memory size in 4 KiB frames. The default models the paper's
     /// 884 MB testbed (≈226k frames).
     pub phys_frames: usize,
-    /// Number of simulated CPUs (run queues, per-CPU clocks).
+    /// Number of simulated CPUs: one run queue each; a thread runs on one
+    /// through [`Machine::bind_cpu`].
     pub cpus: usize,
     /// Seed for the work-stealing scheduler's victim-choice stream.
     pub sched_seed: u64,
@@ -83,24 +85,17 @@ impl MachineConfig {
     }
 }
 
-/// Per-CPU state. The clock accumulates this CPU's share of the machine
-/// totals while a thread is bound to it (see [`Machine::bind_cpu`]); the
-/// machine-wide [`Machine::clock`] remains the authoritative sum.
-#[derive(Debug, Default)]
-pub struct CpuState {
-    pub clock: Clock,
-}
-
 /// RAII binding of the calling thread to one simulated CPU: restores the
-/// previous binding on drop. While bound, clock charges tee into the
-/// CPU's own clock and sharded structures use the CPU's shard.
+/// previous binding on drop. While bound, spawns enqueue on the CPU's run
+/// queue and sharded structures use the CPU's shard. Not `Send`: the
+/// binding belongs to the thread that made it.
 #[must_use = "the thread is bound only while the guard lives"]
-pub struct CpuBinding<'m> {
+pub struct CpuBinding {
     prev: usize,
-    _mirror: MirrorGuard<'m>,
+    _not_send: PhantomData<*const ()>,
 }
 
-impl Drop for CpuBinding<'_> {
+impl Drop for CpuBinding {
     fn drop(&mut self) {
         THREAD_CPU.with(|c| c.set(self.prev));
     }
@@ -135,7 +130,7 @@ pub struct Machine {
     id: u64,
     procs: RwLock<Vec<Option<Process>>>,
     sched: Mutex<SmpScheduler>,
-    cpus: Box<[CpuState]>,
+    cpus: usize,
 }
 
 impl Machine {
@@ -163,7 +158,7 @@ impl Machine {
             id: NEXT_MACHINE_ID.fetch_add(1, Relaxed),
             procs: RwLock::new(Vec::new()),
             sched: Mutex::new(SmpScheduler::new(config.cpus, config.sched_seed)),
-            cpus: (0..config.cpus).map(|_| CpuState::default()).collect(),
+            cpus: config.cpus,
         }
     }
 
@@ -176,32 +171,24 @@ impl Machine {
 
     /// Number of simulated CPUs.
     pub fn num_cpus(&self) -> usize {
-        self.cpus.len()
-    }
-
-    /// Per-CPU state (its clock accumulates the CPU's share of charges).
-    pub fn cpu(&self, cpu: usize) -> &CpuState {
-        &self.cpus[cpu]
+        self.cpus
     }
 
     /// The simulated CPU the calling thread is bound to, clamped to this
     /// machine's CPU count (a thread bound to CPU 5 of an 8-CPU machine
     /// that then touches a 2-CPU machine lands on its last CPU).
     pub fn current_cpu(&self) -> usize {
-        thread_cpu().min(self.cpus.len() - 1)
+        thread_cpu().min(self.cpus - 1)
     }
 
     /// Bind the calling thread to simulated CPU `cpu` until the guard
-    /// drops. While bound, every charge against the machine clock also
-    /// accrues to `self.cpu(cpu).clock`, spawns enqueue on this CPU's run
-    /// queue, and sharded structures use this CPU's shard. Bindings nest.
-    pub fn bind_cpu(&self, cpu: usize) -> CpuBinding<'_> {
-        assert!(cpu < self.cpus.len(), "cpu {cpu} out of range");
+    /// drops. While bound, spawns enqueue on this CPU's run queue and
+    /// sharded structures use this CPU's shard; charges go to the machine
+    /// clock exactly as when unbound. Bindings nest.
+    pub fn bind_cpu(&self, cpu: usize) -> CpuBinding {
+        assert!(cpu < self.cpus, "cpu {cpu} out of range");
         let prev = THREAD_CPU.with(|c| c.replace(cpu));
-        CpuBinding {
-            prev,
-            _mirror: Clock::mirror_into(&self.clock, &self.cpus[cpu].clock),
-        }
+        CpuBinding { prev, _not_send: PhantomData }
     }
 
     // ---- processes --------------------------------------------------------
@@ -563,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn bind_cpu_tees_charges_into_the_cpu_clock() {
+    fn bound_charges_land_on_the_machine_clock() {
         let m = Machine::new(MachineConfig::small_free());
         {
             let _b = m.bind_cpu(3);
@@ -571,10 +558,8 @@ mod tests {
             m.charge_user(10);
         }
         m.charge_sys(50);
-        assert_eq!(m.cpu(3).clock.sys_cycles(), 100);
-        assert_eq!(m.cpu(3).clock.user_cycles(), 10);
-        assert_eq!(m.cpu(0).clock.sys_cycles(), 0);
-        assert_eq!(m.clock.sys_cycles(), 150, "the machine clock stays the total");
+        assert_eq!(m.clock.sys_cycles(), 150, "the machine clock is the one total");
+        assert_eq!(m.clock.user_cycles(), 10);
     }
 
     #[test]

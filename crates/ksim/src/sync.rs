@@ -13,7 +13,8 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use crate::stats::LockContention;
 
@@ -28,7 +29,7 @@ use crate::stats::LockContention;
 #[derive(Default)]
 pub struct SpinMutex<T> {
     locked: AtomicBool,
-    contention: AtomicPtr<LockContention>,
+    contention: OnceLock<&'static LockContention>,
     value: UnsafeCell<T>,
 }
 
@@ -48,17 +49,17 @@ impl<T> SpinMutex<T> {
     pub const fn new(value: T) -> Self {
         SpinMutex {
             locked: AtomicBool::new(false),
-            contention: AtomicPtr::new(std::ptr::null_mut()),
+            contention: OnceLock::new(),
             value: UnsafeCell::new(value),
         }
     }
 
     /// Attach a contention counter (see [`crate::stats::register_lock`]).
     /// Several locks may share one counter — the a12 table aggregates by
-    /// subsystem, not by instance.
+    /// subsystem, not by instance. Set once: a lock keeps the first
+    /// counter attached to it and ignores later ones.
     pub fn set_contention(&self, stats: &'static LockContention) {
-        self.contention
-            .store(stats as *const LockContention as *mut LockContention, Ordering::Relaxed);
+        let _ = self.contention.set(stats);
     }
 
     /// Acquire the lock, spinning (then yielding) until it is free.
@@ -92,11 +93,8 @@ impl<T> SpinMutex<T> {
                 .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                let st = self.contention.load(Ordering::Relaxed);
-                if !st.is_null() {
-                    // SAFETY: `st` is non-null, and the only writer,
-                    // `set_contention`, stores a `&'static` counter.
-                    unsafe { &*st }.record(spins);
+                if let Some(st) = self.contention.get() {
+                    st.record(spins);
                 }
                 return;
             }

@@ -13,6 +13,8 @@
 //! same as a normal process and hence all the necessary checks are
 //! performed" — minus the crossing, which is the whole point.
 
+#![forbid(unsafe_code)]
+
 pub mod fd;
 pub mod layer;
 pub mod op;

@@ -20,6 +20,8 @@
 //!   `ls`, web server, mail server) standing in for the paper's 15-minute
 //!   capture of a live system.
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod analyze;
 pub mod graph;

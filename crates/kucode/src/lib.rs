@@ -55,6 +55,8 @@
 //! assert_eq!(rig.sys.k_stat("/hello").unwrap().size, 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cosy;
 pub use kalloc;
 pub use kclang;

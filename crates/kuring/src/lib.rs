@@ -32,6 +32,8 @@
 //! [`CostModel::uring_sqe_move`]: ksim::CostModel
 //! [`CostModel::uring_cqe_move`]: ksim::CostModel
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;

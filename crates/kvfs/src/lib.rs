@@ -24,6 +24,8 @@
 //!
 //! [FiST-style]: https://www.fsl.cs.sunysb.edu/project-fist.html
 
+#![forbid(unsafe_code)]
+
 pub mod blockdev;
 pub mod dcache;
 pub mod error;

@@ -13,6 +13,8 @@
 //!   benchmark: sequential record scans and random probes, each runnable
 //!   through plain system calls or through Cosy compounds.
 
+#![forbid(unsafe_code)]
+
 pub mod amutils;
 pub mod dbscan;
 pub mod kprogs;

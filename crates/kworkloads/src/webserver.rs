@@ -96,8 +96,8 @@ pub struct WebReport {
     /// to the server. With several workers this is their sum: the total
     /// CPU burned serving.
     pub server_cycles: u64,
-    /// Server-phase cycles (user + sys) each worker accumulated on its
-    /// per-CPU clock, one entry per CPU.
+    /// Server-phase cycles (user + sys) of each worker, one entry per
+    /// CPU: the machine clock's movement over that worker's slices.
     pub cpu_server_cycles: Vec<u64>,
     pub crossings: u64,
     /// Socket-stack counter movement over the run (both processes):
@@ -177,7 +177,9 @@ pub fn setup_docs(rig: &Rig, p: &UserProc, cfg: &WebConfig) {
 ///
 /// The host drives the workers sequentially — the simulation stays
 /// deterministic — but each worker runs bound to its CPU
-/// (`Machine::bind_cpu`), so its syscall costs tee into that CPU's clock.
+/// (`Machine::bind_cpu`), so its spawns and sharded structures use that
+/// CPU's shard, and the machine clock's movement over its slices is its
+/// share of the server cycles.
 /// With more than one CPU the listener is SO_REUSEPORT-sharded:
 /// connections are routed to the connecting CPU's accept shard and each
 /// worker serves its own shard's slice of the batch. Per-batch fixed costs
@@ -296,7 +298,6 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
     let t0 = rig.machine.clock.snapshot();
     let s0 = rig.machine.stats.snapshot();
     let mut bytes_served = 0u64;
-    let mut server_cycles = 0u64;
     let mut cpu_server_cycles = vec![0u64; cpus];
     let mut done = 0usize;
 
@@ -338,7 +339,6 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
                 continue;
             }
             let _cpu = rig.machine.bind_cpu(w);
-            let c0 = rig.machine.cpu(w).clock.snapshot();
             let sp0 = rig.machine.clock.snapshot();
             if mode == ServeMode::Uring {
                 serve_batch_uring(
@@ -410,15 +410,13 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
                     }
                 }
             }
-            let c = rig.machine.cpu(w).clock.snapshot().delta(&c0);
-            *cpu_cycles += c.user + c.sys;
             let sp = rig.machine.clock.snapshot().delta(&sp0);
-            server_cycles += sp.user + sp.sys;
+            *cpu_cycles += sp.user + sp.sys;
         }
 
         // Client phase: drain every response and verify its length
-        // (unbound — load-generator work must not land on a server CPU's
-        // clock).
+        // (unbound and outside every worker's window — load-generator work
+        // is not server time).
         for (csd, doc) in pending {
             let mut got = 0u64;
             loop {
@@ -446,7 +444,7 @@ pub fn serve(rig: &Rig, p: &UserProc, cfg: &WebConfig, mode: ServeMode, cpus: us
         requests: cfg.requests as u64,
         bytes_served,
         elapsed_cycles: iv.elapsed(),
-        server_cycles,
+        server_cycles: cpu_server_cycles.iter().sum(),
         cpu_server_cycles,
         crossings: d.crossings,
         net: sys.net().stats().delta(&n0),

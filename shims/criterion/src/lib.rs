@@ -10,6 +10,8 @@
 //! Honors `CRITERION_QUICK=1` (or `--quick` on the bench command line) to
 //! shrink the warm-up and measurement windows for smoke runs.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

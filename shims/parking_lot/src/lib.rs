@@ -5,8 +5,9 @@
 //! over `std::sync` primitives. Panics while holding a lock do not poison:
 //! like the real crate, a poisoned std lock is recovered transparently.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 
 /// A mutex that does not poison on panic (API-compatible subset).
@@ -15,9 +16,11 @@ pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 /// RAII guard for [`Mutex`]. Keeps a handle on its parent mutex so the
 /// lock can be dropped and re-acquired in place ([`MutexGuard::unlocked`],
 /// [`Condvar::wait`]), like the real crate's raw-lock plumbing allows.
+/// `inner` is `None` only inside those two calls, while the lock is
+/// released; both put a std guard back before they return or unwind.
 pub struct MutexGuard<'a, T: ?Sized> {
     lock: &'a Mutex<T>,
-    inner: ManuallyDrop<std::sync::MutexGuard<'a, T>>,
+    inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
@@ -32,17 +35,14 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            lock: self,
-            inner: ManuallyDrop::new(self.0.lock().unwrap_or_else(|e| e.into_inner())),
-        }
+        MutexGuard { lock: self, inner: Some(self.0.lock().unwrap_or_else(|e| e.into_inner())) }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard { lock: self, inner: ManuallyDrop::new(g) }),
+            Ok(g) => Some(MutexGuard { lock: self, inner: Some(g) }),
             Err(std::sync::TryLockError::Poisoned(e)) => {
-                Some(MutexGuard { lock: self, inner: ManuallyDrop::new(e.into_inner()) })
+                Some(MutexGuard { lock: self, inner: Some(e.into_inner()) })
             }
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
@@ -67,25 +67,12 @@ impl<'a, T: ?Sized> MutexGuard<'a, T> {
         impl<'a, T: ?Sized> Drop for Relock<'_, 'a, T> {
             fn drop(&mut self) {
                 let m: &'a Mutex<T> = self.0.lock;
-                self.0.inner =
-                    ManuallyDrop::new(m.0.lock().unwrap_or_else(|e| e.into_inner()));
+                self.0.inner = Some(m.0.lock().unwrap_or_else(|e| e.into_inner()));
             }
         }
-        // SAFETY: the std guard is dropped once, here; `Relock` puts a new
-        // one in `inner` when it drops, after `f` returns or unwinds, and
-        // nothing reads `inner` in between.
-        unsafe { ManuallyDrop::drop(&mut s.inner) }
+        s.inner = None;
         let _relock = Relock(s);
         f()
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // SAFETY: `inner` holds a live std guard whenever the guard can be
-        // dropped: `unlocked` and `Condvar::wait` put one back before they
-        // return or unwind. This is that guard's only drop.
-        unsafe { ManuallyDrop::drop(&mut self.inner) }
     }
 }
 
@@ -108,12 +95,8 @@ impl Condvar {
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // SAFETY: the std guard taken out is replaced on the next line
-        // before `guard` is used or dropped again. Nothing in between
-        // panics: a poison error is recovered, never unwrapped, and std's
-        // `wait` panics only when one condvar serves two mutexes.
-        let inner = unsafe { ManuallyDrop::take(&mut guard.inner) };
-        guard.inner = ManuallyDrop::new(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
+        let inner = guard.inner.take().expect("a reachable guard holds its lock");
+        guard.inner = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
     }
 }
 
@@ -147,13 +130,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_deref().expect("a reachable guard holds its lock")
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_deref_mut().expect("a reachable guard holds its lock")
     }
 }
 
@@ -261,6 +244,20 @@ mod tests {
         });
         assert_eq!(got, 42);
         assert_eq!(*g, 11); // reacquired and sees the other thread's write
+    }
+
+    #[test]
+    fn mutex_recovers_after_a_panic_inside_unlocked() {
+        let m = Mutex::new(0u32);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut g = m.lock();
+            MutexGuard::unlocked(&mut g, || panic!("inside unlocked"));
+        }));
+        assert!(r.is_err());
+        // The unwind re-locked, then the guard's drop released: the mutex
+        // is free and works as before.
+        *m.lock() += 1;
+        assert_eq!(*m.try_lock().expect("unlocked after the unwind"), 1);
     }
 
     #[test]

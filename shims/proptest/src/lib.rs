@@ -13,6 +13,8 @@
 //! `assert!` in a helper, say) prints `proptest <name> failed at case i/n`
 //! before the panic resumes, so its case is named too.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     use std::fmt;
 

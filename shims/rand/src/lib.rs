@@ -7,6 +7,8 @@
 //! deterministic per seed (the workloads rely on seeded reproducibility)
 //! but are not bit-compatible with the real crate.
 
+#![forbid(unsafe_code)]
+
 /// Core source of randomness: a 64-bit generator.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

@@ -5,9 +5,12 @@
 //! the same errnos, the same file-system state. All four encode into the
 //! one dispatcher, so this is the correctness oracle for any boundary
 //! mechanism. Every sequence runs on memfs, Wrapfs over memfs, and kjfs
-//! in both journal modes, on one CPU with one open descriptor, and every
-//! file system must match memfs too: Unlink followed by OpenCreate reuses
-//! the unlinked inode's slot, so the stale-descriptor rule is under test.
+//! in both journal modes, with one open descriptor, and every file system
+//! must match memfs too: Unlink followed by OpenCreate reuses the unlinked
+//! inode's slot, so the stale-descriptor rule is under test. The classic
+//! run repeats with the thread bound to CPU 5, where kalloc's magazines
+//! and the run queues use another shard: results, file-system state and
+//! the machine clock's elapsed cycles must not move.
 
 use std::fmt::Write as _;
 
@@ -61,6 +64,12 @@ const OUT: u64 = UBUF + 0x2000;
 /// A machine on `fs` with `/f` open (as `fd`) and the user buffers staged.
 fn setup(fs: fn() -> Rig) -> (Rig, Pid, i32) {
     let rig = fs();
+    let (pid, fd) = stage(&rig);
+    (rig, pid, fd)
+}
+
+/// Spawn the process on `rig`, stage its user buffers and open `/f`.
+fn stage(rig: &Rig) -> (Pid, i32) {
     let p = rig.user(1 << 16);
     assert_eq!(p.buf, UBUF);
     let asid = rig.machine.proc_asid(p.pid).unwrap();
@@ -69,15 +78,20 @@ fn setup(fs: fn() -> Rig) -> (Rig, Pid, i32) {
     rig.machine.mem.write_virt(asid, MISSING, b"/missing\0").unwrap();
     rig.machine.mem.write_virt(asid, CREATED, b"/g\0").unwrap();
     let fd = rig.sys.k_open(p.pid, "/f", OpenFlags::RDWR | OpenFlags::CREAT).unwrap();
-    (rig, p.pid, fd)
+    (p.pid, fd)
 }
 
 fn vfs_hash(rig: &Rig) -> u64 {
     VfsSnapshot::capture(rig.vfs.fs().as_ref()).unwrap().hash()
 }
 
-fn classic(fs: fn() -> Rig, ops: &[FileOp]) -> (Vec<i64>, u64) {
-    let (rig, pid, fd) = setup(fs);
+/// `ops` as classic `sys_*` calls, setup included, with the thread bound
+/// to `cpu` (CPU 0 is where an unbound thread runs): the results and the
+/// file-system hash, then the machine clock's elapsed cycles.
+fn classic(fs: fn() -> Rig, ops: &[FileOp], cpu: usize) -> ((Vec<i64>, u64), u64) {
+    let rig = fs();
+    let _cpu = rig.machine.bind_cpu(cpu);
+    let (pid, fd) = stage(&rig);
     let sys = &rig.sys;
     let results = ops
         .iter()
@@ -92,7 +106,7 @@ fn classic(fs: fn() -> Rig, ops: &[FileOp]) -> (Vec<i64>, u64) {
             FileOp::OpenCreate => sys.sys_open(pid, "/g", OpenFlags(0x42)),
         })
         .collect();
-    (results, vfs_hash(&rig))
+    ((results, vfs_hash(&rig)), rig.machine.clock.elapsed_cycles())
 }
 
 fn ring_batch(fs: fn() -> Rig, ops: &[FileOp]) -> (Vec<i64>, u64) {
@@ -220,10 +234,12 @@ proptest! {
     #[test]
     fn compound_equals_direct_execution(ops in proptest::collection::vec(arb_op(), 1..20)) {
         let module = kc_module(&ops);
-        let memfs = classic(FILE_SYSTEMS[0], &ops);
+        let memfs = classic(FILE_SYSTEMS[0], &ops, 0);
         for (i, fs) in FILE_SYSTEMS.into_iter().enumerate() {
-            let direct = if i == 0 { memfs.clone() } else { classic(fs, &ops) };
-            prop_assert_eq!(&direct, &memfs, "classic calls, fs {} vs memfs", i);
+            let unbound = if i == 0 { memfs.clone() } else { classic(fs, &ops, 0) };
+            prop_assert_eq!(&classic(fs, &ops, 5), &unbound, "classic on CPU 5 vs CPU 0, fs {}", i);
+            let direct = unbound.0;
+            prop_assert_eq!(&direct, &memfs.0, "classic calls, fs {} vs memfs", i);
             prop_assert_eq!(&ring_batch(fs, &ops), &direct, "uring batch vs classic, fs {}", i);
             prop_assert_eq!(&compound(fs, &ops), &direct, "cosy compound vs classic, fs {}", i);
             prop_assert_eq!(&kc_intrinsics(fs, &module), &direct, "KC intrinsics, fs {}", i);

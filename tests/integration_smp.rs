@@ -171,18 +171,4 @@ fn one_rig_survives_concurrent_syscall_streams_on_distinct_cpus() {
         assert_eq!(p.fetch(&rig, LEN), vec![t as u8 + 1; LEN]);
         rig.sys.sys_close(p.pid, fd);
     }
-
-    // Per-CPU clock mirrors flushed into the shared totals: the per-CPU
-    // sys-cycle sum can never exceed the machine-wide total, and the bound
-    // threads must have charged their own CPUs.
-    let per_cpu: u64 = (0..rig.machine.num_cpus())
-        .map(|c| rig.machine.cpu(c).clock.snapshot().sys)
-        .sum();
-    assert!(per_cpu <= rig.machine.clock.sys_cycles());
-    for t in 0..THREADS {
-        assert!(
-            rig.machine.cpu(t).clock.snapshot().sys > 0,
-            "cpu {t} mirror never charged"
-        );
-    }
 }
