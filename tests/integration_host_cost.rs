@@ -5,10 +5,13 @@
 //! classic `sys_*` call, one SQE per `sys_ring_enter`, a one-op Cosy
 //! compound, a KC `sys_*` intrinsic under `KernelHost`, and a CQE
 //! program's resubmit. Each is measured for a read, a write, an
-//! open+close and an fsync, on memfs and on kjfs. One extra allocation on
-//! any path moves its cells and fails the table. Wall-clock rates swing
-//! with machine load, so they are reported (A11) but not gated; these
-//! counts do not swing.
+//! open+close and an fsync, on memfs and on kjfs, and the classic path
+//! also for one warm socket session through knet (socket, connect,
+//! accept, a send and a recv, both shutdowns), which must allocate
+//! nothing: its receive rings come from knet's pool. One extra
+//! allocation on any path moves its cells and fails the table.
+//! Wall-clock rates swing with machine load, so they are reported (A11)
+//! but not gated; these counts do not swing.
 //!
 //! The same allocator shows that a verified-program chase allocates the
 //! same whatever its hop count.
@@ -412,4 +415,46 @@ fn chase_allocations_do_not_depend_on_hop_count() {
         "a 256-hop chase allocated more than a 16-hop one"
     );
     assert_eq!(att.stats().errors, 0);
+}
+
+/// Bytes the socket session sends client → server.
+const SESSION_BYTES: usize = 2048;
+
+/// One warm socket session through `SyscallLayer` makes no heap
+/// allocation: socket, connect (two receive rings from knet's pool),
+/// accept, a 2 KiB send, the recv that drains it, and both shutdowns
+/// (which return the rings to the pool).
+#[test]
+fn warm_socket_session_allocates_nothing() {
+    let rig = Rig::memfs();
+    let p = rig.user(1 << 16);
+    let sys = &rig.sys;
+    let (pid, tx, rx) = (p.pid, p.buf, p.buf + SESSION_BYTES as u64);
+    let lsd = sys.sys_socket(pid) as i32;
+    assert_eq!(sys.sys_bind_listen(pid, lsd, 8080, 16), 0);
+    let session = || {
+        allocs_in(|| {
+            let c = sys.sys_socket(pid) as i32;
+            assert!(c >= 0);
+            assert_eq!(sys.sys_connect(pid, c, 8080), 0);
+            let s = sys.sys_accept(pid, lsd) as i32;
+            assert!(s >= 0);
+            assert_eq!(
+                sys.sys_send(pid, c, tx, SESSION_BYTES),
+                SESSION_BYTES as i64
+            );
+            assert_eq!(
+                sys.sys_recv(pid, s, rx, SESSION_BYTES),
+                SESSION_BYTES as i64
+            );
+            assert_eq!(sys.sys_shutdown(pid, c), 0);
+            assert_eq!(sys.sys_shutdown(pid, s), 0);
+        })
+        .1
+    };
+    for _ in 0..WARM {
+        session();
+    }
+    let counted: Vec<u64> = (0..RUNS).map(|_| session()).collect();
+    assert_eq!(counted, [0; RUNS], "a warm socket session allocated");
 }
